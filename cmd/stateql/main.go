@@ -1,20 +1,24 @@
-// Command stateql replays a persisted state log (written by
-// cmd/statestream -log or any program using state.Log) and answers
-// temporal queries against the reconstructed repository — the paper's
-// §3.2 "queryable state" benefit, offline: the state outlives the stream
-// processor that built it.
+// Command stateql opens a durable state directory (written by
+// cmd/statestream -dir or any engine using core.WithDurableDir),
+// recovering its segments and WAL chain, and answers temporal queries
+// against the recovered repository — the paper's §3.2 "queryable state"
+// benefit, offline: the state outlives the stream processor that built
+// it.
 //
-// The reconstructed repository is bitemporal: retroactive corrections in
-// the log replay with their original transaction times, so SYSTEM TIME
-// ASOF queries recover any past belief —
+// The recovered repository is bitemporal: retroactive corrections keep
+// their original transaction times, so SYSTEM TIME ASOF queries recover
+// any past belief —
 //
-//	stateql -log state.log "SELECT entity, value FROM position ASOF 1m SYSTEM TIME ASOF 30s"
+//	stateql -dir state.d "SELECT entity, value FROM position ASOF 1m SYSTEM TIME ASOF 30s"
 //
 // Usage:
 //
-//	stateql -log state.log "SELECT entity, value FROM position" \
-//	                       "SELECT * FROM * HISTORY LIMIT 20"
-//	stateql -log state.log -i     # interactive REPL (\q quits, \stats, \help)
+//	stateql -dir state.d "SELECT entity, value FROM position" \
+//	                     "SELECT * FROM * HISTORY LIMIT 20"
+//	stateql -dir state.d -i     # interactive REPL (\q quits, \stats, \help)
+//
+// A flat log written by older versions (statestream -log) is a one-file
+// WAL chain: mkdir state.d && mv state.log state.d/wal.log.
 package main
 
 import (
@@ -24,36 +28,46 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/state"
 	"repro/internal/temporal"
 )
 
 func main() {
-	logFile := flag.String("log", "", "state log file to replay (required)")
+	dir := flag.String("dir", "", "durable state directory to open (required)")
 	interactive := flag.Bool("i", false, "interactive mode: read queries from stdin")
 	flag.Parse()
-	if err := run(*logFile, *interactive, flag.Args()); err != nil {
+	if err := run(*dir, *interactive, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "stateql:", err)
 		os.Exit(1)
 	}
 }
 
-func run(logFile string, interactive bool, queries []string) error {
-	if logFile == "" {
-		return fmt.Errorf("-log is required")
+func run(dir string, interactive bool, queries []string) (err error) {
+	if dir == "" {
+		return fmt.Errorf("-dir is required")
 	}
 	if !interactive && len(queries) == 0 {
 		return fmt.Errorf("no queries given (use -i for interactive mode)")
 	}
-	store := state.NewStore()
-	n, err := state.ReplayFile(logFile, store)
-	if err != nil {
+	// Opening creates a missing directory; a reader should not.
+	if _, err := os.Stat(dir); err != nil {
 		return err
 	}
+	e := core.New(core.WithDurableDir(dir))
+	defer func() {
+		if cerr := e.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	if err := e.Health().DurableErr; err != nil {
+		return err
+	}
+	store := e.Store()
 	st := store.Stats()
-	fmt.Printf("replayed %d mutations: %d keys, %d versions, %d current, %d superseded\n",
-		n, st.Keys, st.Versions, st.Current, st.Superseded)
+	fmt.Printf("opened %s: %d keys, %d versions, %d current, %d superseded\n",
+		dir, st.Keys, st.Versions, st.Current, st.Superseded)
 
 	// Anchor now() past every stored validity start so CURRENT sees the
 	// final state.

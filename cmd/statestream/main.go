@@ -5,7 +5,7 @@
 // Usage:
 //
 //	statestream -workload security [-policy state-first] [-scale 1.0]
-//	            [-rules file.rules] [-log state.log] [query ...]
+//	            [-rules file.rules] [-dir state.d] [query ...]
 //
 // Each trailing argument is a temporal query executed after the run, e.g.
 //
@@ -13,8 +13,10 @@
 //	    "SELECT entity, value FROM position LIMIT 5" \
 //	    "SELECT value, count(*) FROM position HISTORY GROUP BY value"
 //
-// With -log, every state mutation is appended to the named file, which
-// cmd/stateql can replay and query offline.
+// With -dir, the state repository is durable: mutations go to the
+// directory's WAL chain, state flushes to segment files as the watermark
+// advances, and the final cut is flushed on exit. cmd/stateql and
+// cmd/stateserve open the directory to query it offline or over HTTP.
 package main
 
 import (
@@ -24,7 +26,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/element"
-	"repro/internal/state"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
@@ -47,16 +48,16 @@ func main() {
 		policyName   = flag.String("policy", "state-first", "interaction policy: state-first, stream-first, or snapshot")
 		scale        = flag.Float64("scale", 1.0, "workload scale factor")
 		rulesFile    = flag.String("rules", "", "rule file overriding the built-in rules")
-		logFile      = flag.String("log", "", "append state mutations to this log file")
+		dir          = flag.String("dir", "", "persist state in this durable directory")
 	)
 	flag.Parse()
-	if err := run(*workloadName, *policyName, *scale, *rulesFile, *logFile, flag.Args()); err != nil {
+	if err := run(*workloadName, *policyName, *scale, *rulesFile, *dir, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "statestream:", err)
 		os.Exit(1)
 	}
 }
 
-func run(workloadName, policyName string, scale float64, rulesFile, logFile string, queries []string) error {
+func run(workloadName, policyName string, scale float64, rulesFile, dir string, queries []string) (err error) {
 	policy, err := parsePolicy(policyName)
 	if err != nil {
 		return err
@@ -66,15 +67,15 @@ func run(workloadName, policyName string, scale float64, rulesFile, logFile stri
 		return err
 	}
 	opts := []core.Option{core.WithPolicy(policy)}
-	if logFile != "" {
-		l, err := state.CreateLog(logFile)
-		if err != nil {
-			return err
-		}
-		defer l.Close()
-		opts = append(opts, core.WithLog(l))
+	if dir != "" {
+		opts = append(opts, core.WithDurableDir(dir))
 	}
 	engine := core.New(opts...)
+	defer func() {
+		if cerr := engine.Close(); err == nil {
+			err = cerr
+		}
+	}()
 
 	src := builtinRules[workloadName]
 	if rulesFile != "" {

@@ -7,53 +7,58 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/state"
 	"repro/internal/state/segment"
 )
 
 // Cold-start recovery rows: how fast an n-element ingest's state comes
-// back after a crash. The WAL row replays the full mutation log through
-// the store's write paths — the only recovery the system had before the
-// segment backend. The segment row opens a durable directory flushed at
-// ~95% of the ingest: manifest + segment frames bulk-load (one head
-// publication per lineage) and only the final ~5% of the WAL replays.
-// The benchrunner gate requires the segment path >= 3x faster; both
-// rows run in-process on the same machine and disk, so the ratio is
+// back after a crash. The WAL row opens a durable directory that never
+// flushed, so its whole history is the WAL chain and recovery replays
+// every record — the only recovery the system had before the segment
+// backend. The segment row opens a durable directory flushed at ~95% of
+// the ingest: manifest + segment frames bulk-load (one head publication
+// per lineage) and only the final ~5% of the WAL replays. The
+// benchrunner gate requires the segment path >= 3x faster; both rows
+// run in-process on the same machine and disk, so the ratio is
 // hardware-independent in the same sense as the contention invariant.
 
 // recoverFlushFrac is the fraction of the ingest made durable in
 // segments before the simulated crash; the rest is the WAL tail.
 const recoverFlushFrac = 0.95
 
-// buildRecoveryDirs ingests n elements twice into dir — once through a
-// plain engine logging the full WAL, once through a durable engine
-// flushed at the last watermark before recoverFlushFrac and then killed
-// without Close — and returns the full-WAL path and the durable
+// newRecoveryEngine opens a durable engine over dir with background
+// pulses disabled (threshold above any possible WAL length): only
+// explicit FlushAt calls flush, so an abandoned engine cannot have a
+// flush in flight racing the measured segment.Open calls on the same
 // directory.
-func buildRecoveryDirs(dir string, n int) (walPath, segDir string) {
+func newRecoveryEngine(dir string, n int) *core.Engine {
+	e := core.New(core.WithPolicy(core.StateFirst),
+		core.WithDurableDir(dir, segment.WithFlushEvery(2*n+16)),
+		core.WithEmittedRetention(1024))
+	if err := e.DeployRules(ingestRules); err != nil {
+		panic(err)
+	}
+	return e
+}
+
+// buildRecoveryDirs ingests n elements twice under dir — once never
+// flushed, leaving the full history in the WAL chain, once flushed at
+// the last watermark before recoverFlushFrac — and kills both without
+// Close (Abandon releases the lock and descriptors without the final
+// flush, as process death would). It returns the two directories.
+func buildRecoveryDirs(dir string, n int) (walDir, segDir string) {
 	msgs := ingestMessages(n)
-	walPath = filepath.Join(dir, "full.log")
+	walDir = filepath.Join(dir, "wal")
 	segDir = filepath.Join(dir, "segments")
 
-	l, err := state.CreateLog(walPath)
-	if err != nil {
-		panic(err)
-	}
-	walEngine := core.New(core.WithPolicy(core.StateFirst), core.WithLog(l),
-		core.WithEmittedRetention(1024))
-	if err := walEngine.DeployRules(ingestRules); err != nil {
-		panic(err)
-	}
+	walEngine := newRecoveryEngine(walDir, n)
 	if err := walEngine.Run(msgs); err != nil {
 		panic(err)
 	}
-	if err := l.Close(); err != nil {
-		panic(err)
+	if walEngine.Durable().Info().Segments != 0 {
+		panic("recover-wal dir flushed: its history must stay in the WAL chain")
 	}
+	walEngine.Durable().Abandon()
 
-	// The durable twin: identical stream, one flush near the end, then
-	// the crash (no Close) — leaving the realistic shape of segments
-	// plus a WAL tail.
 	split := len(msgs)
 	for i := int(float64(len(msgs)) * recoverFlushFrac); i < len(msgs); i++ {
 		if msgs[i].IsWatermark {
@@ -61,16 +66,7 @@ func buildRecoveryDirs(dir string, n int) (walPath, segDir string) {
 			break
 		}
 	}
-	// Background pulses are disabled (threshold above any possible WAL
-	// length): the one explicit FlushAt below is the only flush, so the
-	// abandoned engine cannot have a flush in flight racing the measured
-	// segment.Open calls on the same directory.
-	segEngine := core.New(core.WithPolicy(core.StateFirst),
-		core.WithDurableDir(segDir, segment.WithFlushEvery(2*n+16)),
-		core.WithEmittedRetention(1024))
-	if err := segEngine.DeployRules(ingestRules); err != nil {
-		panic(err)
-	}
+	segEngine := newRecoveryEngine(segDir, n)
 	if err := segEngine.Run(msgs[:split]); err != nil {
 		panic(err)
 	}
@@ -80,47 +76,29 @@ func buildRecoveryDirs(dir string, n int) (walPath, segDir string) {
 	if err := segEngine.Run(msgs[split:]); err != nil {
 		panic(err)
 	}
-	// The crash: release the directory lock and descriptors without the
-	// final flush, as process death would.
+	if segEngine.Durable().Info().Segments == 0 {
+		panic("recover-segment dir has no segments: the flush failed")
+	}
 	segEngine.Durable().Abandon()
-	return walPath, segDir
+	return walDir, segDir
 }
 
-// recoverWAL measures a full-WAL cold start: fresh store, replay
-// everything.
-func recoverWAL(walPath string, n int) time.Duration {
-	st := state.NewStore()
+// recoverDir measures one cold start of a durable directory:
+// segment.Open — manifest, frame bulk-load, WAL replay. The opened store
+// is Abandoned, not Closed, off the timer: Close flushes, which would
+// advance the durable cut and shrink the next pass's work, while
+// Abandon just releases the lock and descriptors — and, by closing the
+// WAL under its appender token, waits out the deferred tail rewrite so
+// consecutive passes never race on the file.
+func recoverDir(row, dir string, n int, opts ...segment.Option) time.Duration {
 	start := time.Now()
-	applied, err := state.ReplayFile(walPath, st)
-	if err != nil {
-		panic(err)
-	}
-	elapsed := time.Since(start)
-	if keys := st.Stats().Keys; keys == 0 || applied == 0 {
-		panic(fmt.Sprintf("recover-wal rebuilt nothing (keys=%d applied=%d of %d)", keys, applied, n))
-	}
-	return elapsed
-}
-
-// recoverSegments measures a durable cold start: segment.Open — manifest,
-// frame bulk-load, WAL-tail replay. The opened store is Abandoned, not
-// Closed, off the timer: Close flushes, which would advance the durable
-// cut and shrink the next pass's work, while Abandon just releases the
-// lock and descriptors — and, by closing the WAL under its appender
-// token, waits out the deferred tail rewrite so consecutive passes
-// never race on the file.
-func recoverSegments(segDir string, n int) time.Duration {
-	start := time.Now()
-	d, err := segment.Open(segDir)
+	d, err := segment.Open(dir, opts...)
 	if err != nil {
 		panic(err)
 	}
 	elapsed := time.Since(start)
 	if keys := d.Mem().Stats().Keys; keys == 0 {
-		panic(fmt.Sprintf("recover-segment rebuilt nothing (n=%d)", n))
-	}
-	if info := d.Info(); info.Segments == 0 {
-		panic("recover-segment found no segments: the workload builder failed to flush")
+		panic(fmt.Sprintf("%s rebuilt nothing (n=%d)", row, n))
 	}
 	d.Abandon()
 	return elapsed
@@ -133,14 +111,8 @@ func recoverSegments(segDir string, n int) time.Duration {
 // workers. (The recover-segment dir keeps its 5% WAL tail instead; its
 // serial tail replay would mask the load-parallelism ratio.)
 func buildFullFlushDir(segDir string, n int) {
-	msgs := ingestMessages(n)
-	e := core.New(core.WithPolicy(core.StateFirst),
-		core.WithDurableDir(segDir, segment.WithFlushEvery(2*n+16)),
-		core.WithEmittedRetention(1024))
-	if err := e.DeployRules(ingestRules); err != nil {
-		panic(err)
-	}
-	if err := e.Run(msgs); err != nil {
+	e := newRecoveryEngine(segDir, n)
+	if err := e.Run(ingestMessages(n)); err != nil {
 		panic(err)
 	}
 	d := e.Durable()
@@ -148,22 +120,6 @@ func buildFullFlushDir(segDir string, n int) {
 		panic(err)
 	}
 	d.Abandon()
-}
-
-// recoverSegmentsWorkers measures a durable cold start at an explicit
-// frame-load parallelism (0 = the GOMAXPROCS default, 1 = serial).
-func recoverSegmentsWorkers(segDir string, n, workers int) time.Duration {
-	start := time.Now()
-	d, err := segment.Open(segDir, segment.WithLoadParallelism(workers))
-	if err != nil {
-		panic(err)
-	}
-	elapsed := time.Since(start)
-	if keys := d.Mem().Stats().Keys; keys == 0 {
-		panic(fmt.Sprintf("recover-par rebuilt nothing (n=%d workers=%d)", n, workers))
-	}
-	d.Abandon()
-	return elapsed
 }
 
 // addRecoveryRows builds the recovery workloads once and appends the
@@ -176,12 +132,16 @@ func addRecoveryRows(add func(name string, ops int, measure func() time.Duration
 		panic(err)
 	}
 	defer os.RemoveAll(dir)
-	walPath, segDir := buildRecoveryDirs(dir, n)
-	add("e7/recover-wal", n, func() time.Duration { return recoverWAL(walPath, n) })
-	add("e7/recover-segment", n, func() time.Duration { return recoverSegments(segDir, n) })
+	walDir, segDir := buildRecoveryDirs(dir, n)
+	add("e7/recover-wal", n, func() time.Duration { return recoverDir("recover-wal", walDir, n) })
+	add("e7/recover-segment", n, func() time.Duration { return recoverDir("recover-segment", segDir, n) })
 
 	parDir := filepath.Join(dir, "segments-full")
 	buildFullFlushDir(parDir, n)
-	add("e7/recover-par", n, func() time.Duration { return recoverSegmentsWorkers(parDir, n, 0) })
-	add("e7/recover-serial", n, func() time.Duration { return recoverSegmentsWorkers(parDir, n, 1) })
+	add("e7/recover-par", n, func() time.Duration {
+		return recoverDir("recover-par", parDir, n, segment.WithLoadParallelism(0))
+	})
+	add("e7/recover-serial", n, func() time.Duration {
+		return recoverDir("recover-serial", parDir, n, segment.WithLoadParallelism(1))
+	})
 }

@@ -1,9 +1,9 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"time"
 
 	"repro/internal/element"
@@ -16,7 +16,7 @@ import (
 // repository itself. The paper's model stands or falls with the overhead
 // of keeping explicit, temporally annotated state, so we measure mutation
 // throughput across key populations, the effect of write-ahead logging,
-// compaction, and recovery (log replay and snapshot load) — plus, since
+// and recovery (full WAL-chain replay) — plus, since
 // the store grew its transaction-time dimension, the read cost of the
 // bitemporal axes: current-belief point reads against the live index
 // versus transaction-time-pinned reads scanning record history. The
@@ -42,34 +42,13 @@ func E7StateStore(scale float64) *metrics.Table {
 		elapsed = findThroughput(st, keys, reads, true)
 		tab.AddRow(keys, "find-systime", reads, float64(reads)/elapsed.Seconds(), "-", st.Stats().Versions)
 
-		// Logged mutation throughput + replay recovery.
-		var buf bytes.Buffer
-		stLogged, elapsedLogged := mutateStore(keys, ops, state.NewLog(&buf))
-		t0 := time.Now()
-		restored := state.NewStore()
-		if _, err := state.Replay(bytes.NewReader(buf.Bytes()), restored); err != nil {
-			panic(err)
-		}
-		recovery := time.Since(t0)
+		// Logged mutation throughput + full WAL-chain recovery.
+		stLogged, elapsedLogged, recovery, restored := loggedMutations(keys, ops)
 		tab.AddRow(keys, "logged", ops, float64(ops)/elapsedLogged.Seconds(),
 			recovery.Round(time.Millisecond).String(), restored.Stats().Versions)
-
-		// Compaction: drop closed history before the midpoint, then
-		// snapshot-based recovery of what remains.
-		mid := temporal.Instant(ops / 2)
-		removed := stLogged.CompactBefore(mid)
-		var snap bytes.Buffer
-		if err := stLogged.WriteSnapshot(&snap); err != nil {
-			panic(err)
+		if v := stLogged.Stats().Versions; v != restored.Stats().Versions {
+			panic(fmt.Sprintf("logged: recovered %d versions, logged %d", restored.Stats().Versions, v))
 		}
-		t0 = time.Now()
-		fromSnap := state.NewStore()
-		if err := state.ReadSnapshot(bytes.NewReader(snap.Bytes()), fromSnap); err != nil {
-			panic(err)
-		}
-		snapRecovery := time.Since(t0)
-		tab.AddRow(keys, fmt.Sprintf("compacted(-%d)", removed), ops,
-			0.0, snapRecovery.Round(time.Millisecond).String(), fromSnap.Stats().Versions)
 	}
 
 	// Parallel contention: identical 8-goroutine workloads against the
@@ -131,6 +110,38 @@ func findThroughput(st *state.Store, keys, reads int, systime bool) time.Duratio
 		}
 	}
 	return time.Since(start)
+}
+
+// loggedMutations runs mutateStore against a store logging to a fresh
+// WAL chain in a temp dir, then times a full recovery of that chain into
+// an empty store. It returns the logged store, the mutation time, the
+// recovery time, and the recovered store.
+func loggedMutations(keys, ops int) (*state.Store, time.Duration, time.Duration, *state.Store) {
+	dir, err := os.MkdirTemp("", "e7-logged-")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+	// An empty directory starts an empty chain; nothing replays.
+	l, _, err := state.RecoverWALDir(dir, state.NewStore(), temporal.MinInstant, 0)
+	if err != nil {
+		panic(err)
+	}
+	st, elapsed := mutateStore(keys, ops, l)
+	if err := l.Close(); err != nil {
+		panic(err)
+	}
+	restored := state.NewStore()
+	start := time.Now()
+	l2, _, err := state.RecoverWALDir(dir, restored, temporal.MinInstant, 0)
+	if err != nil {
+		panic(err)
+	}
+	recovery := time.Since(start)
+	if err := l2.Close(); err != nil {
+		panic(err)
+	}
+	return st, elapsed, recovery, restored
 }
 
 // mutateStore performs ops mutations (80% put / 10% bounded assert on a

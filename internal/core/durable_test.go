@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/element"
-	"repro/internal/state"
 	"repro/internal/state/segment"
 	"repro/internal/stream"
 	"repro/internal/temporal"
@@ -64,7 +62,7 @@ func TestRecoveryDurableEngineRestart(t *testing.T) {
 	flushAtIdx := splitAtWatermark(t, msgs, 0.3)
 	split := splitAtWatermark(t, msgs, 0.6)
 
-	oracle := oracleEngine(t, StateFirst, 1, nil)
+	oracle := oracleEngine(t, StateFirst, 1)
 	if err := oracle.Run(msgs); err != nil {
 		t.Fatal(err)
 	}
@@ -130,53 +128,13 @@ func TestRecoveryDurableEngineRestart(t *testing.T) {
 	}
 }
 
-// TestRecoveryDurableSupersedesWithLog pins the option-resolution rule:
-// a durable directory owns the WAL regardless of where WithLog appears
-// in the option list — attaching both would split the write stream and
-// silently break crash recovery.
-func TestRecoveryDurableSupersedesWithLog(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts func(dir string, l *state.Log) []Option
-	}{
-		{"log-first", func(dir string, l *state.Log) []Option {
-			return []Option{WithLog(l), WithDurableDir(dir)}
-		}},
-		{"log-last", func(dir string, l *state.Log) []Option {
-			return []Option{WithDurableDir(dir), WithLog(l)}
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			var user bytes.Buffer
-			e := New(tc.opts(dir, state.NewLog(&user))...)
-			if err := e.Store().DB().Put("k", "v", element.Int(7)); err != nil {
-				t.Fatal(err)
-			}
-			// Crash: no flush. Recovery must see the write — it can only
-			// be in the durable WAL.
-			e.Durable().Abandon()
-			e2 := New(WithDurableDir(dir))
-			if f, ok := e2.Store().Find("k", "v"); !ok || f.Value.String() != "7" {
-				t.Fatalf("write lost across restart (ok=%v f=%v): WithLog stole the WAL", ok, f)
-			}
-			if user.Len() != 0 {
-				t.Fatalf("user log received %d bytes; durable engines must not split the stream", user.Len())
-			}
-			if err := e2.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 // TestRecoveryDurableEnginePulse drives the background flusher the way
 // production does — Pulse at each watermark once the WAL tail crosses
 // the threshold — closes cleanly, and requires the reopened engine to
 // match the oracle byte-identically with an empty WAL tail.
 func TestRecoveryDurableEnginePulse(t *testing.T) {
 	msgs := oracleMessages(400)
-	oracle := oracleEngine(t, StateFirst, 1, nil)
+	oracle := oracleEngine(t, StateFirst, 1)
 	if err := oracle.Run(msgs); err != nil {
 		t.Fatal(err)
 	}

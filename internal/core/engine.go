@@ -163,15 +163,12 @@ type Engine struct {
 	// durable is the segment-backed durability layer around the store
 	// (WithDurableDir); nil for a purely in-memory engine. durableErr
 	// latches an open failure, surfaced by the next Process/Run/Close.
-	// The options record intents (durablePath, userLog) and New resolves
-	// them after the option loop, so WithDurableDir supersedes WithLog
-	// in either order — attaching both would silently split the write
-	// stream across two logs and break crash recovery.
+	// The options record the directory and its segment options; New
+	// opens it after the option loop.
 	durable     *segment.Store
 	durableErr  error
 	durablePath string
 	durableOpts []segment.Option
-	userLog     *state.Log
 
 	// wmHooks are the watermark-boundary taps (OnWatermark): each hook
 	// receives the batch closed by an advancing watermark — the pinned
@@ -220,7 +217,7 @@ type WatermarkHook func(WatermarkBatch)
 // Option directly, so both styles work:
 //
 //	core.New(core.Snapshot)
-//	core.New(core.WithPolicy(core.Snapshot), core.WithLog(l), core.WithReasoning(ont))
+//	core.New(core.WithPolicy(core.Snapshot), core.WithDurableDir(dir), core.WithReasoning(ont))
 type Option interface{ applyOption(*Engine) }
 
 // optionFunc adapts a closure to the Option interface.
@@ -232,15 +229,6 @@ func (f optionFunc) applyOption(e *Engine) { f(e) }
 // StateFirst).
 func WithPolicy(p Policy) Option {
 	return optionFunc(func(e *Engine) { e.policy = p })
-}
-
-// WithLog attaches an append-only mutation log to the state repository,
-// so the engine's state survives the process (replayable with
-// state.Replay / cmd/stateql). Superseded by WithDurableDir when both
-// are given, regardless of option order: the durable directory manages
-// its own WAL.
-func WithLog(l *state.Log) Option {
-	return optionFunc(func(e *Engine) { e.userLog = l })
 }
 
 // WithReasoning attaches a reasoner over the given ontology (nil for an
@@ -286,8 +274,7 @@ func WithRoutingKey(fn func(*element.Element) string) Option {
 // watermark) therefore guarantees no write lands behind a durable cut;
 // see DESIGN.md "Durability". An open failure (corrupt directory,
 // permissions) is latched and returned by the next Process, Run, or
-// Close. WithDurableDir attaches its own WAL to the store, superseding
-// any WithLog.
+// Close. The directory's WAL chain is the engine's only mutation log.
 //
 // Extra segment options (e.g. segment.WithFlushEvery) tune the flush
 // cadence.
@@ -362,12 +349,7 @@ func New(opts ...Option) *Engine {
 	for _, o := range opts {
 		o.applyOption(e)
 	}
-	// Resolve the logging intents after the loop so the outcome does not
-	// depend on option order: a durable directory owns the WAL (recovery
-	// must replay into a store with no other log attached); WithLog
-	// applies only to in-memory engines.
-	switch {
-	case e.durablePath != "":
+	if e.durablePath != "" {
 		d, err := segment.Open(e.durablePath,
 			append([]segment.Option{segment.WithStore(e.store)}, e.durableOpts...)...)
 		if err != nil {
@@ -375,8 +357,6 @@ func New(opts ...Option) *Engine {
 		} else {
 			e.durable = d
 		}
-	case e.userLog != nil:
-		e.store.AttachLog(e.userLog)
 	}
 	return e
 }

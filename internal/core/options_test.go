@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/element"
@@ -24,26 +23,12 @@ func TestNewOptions(t *testing.T) {
 		t.Errorf("WithPolicy: %v", e.Policy())
 	}
 
-	var buf bytes.Buffer
-	e := New(WithPolicy(Snapshot), WithLog(state.NewLog(&buf)), WithReasoning(reason.NewOntology()))
+	e := New(WithPolicy(Snapshot), WithReasoning(reason.NewOntology()))
 	if e.Policy() != Snapshot {
 		t.Errorf("combined policy: %v", e.Policy())
 	}
 	if e.Reasoner() == nil {
 		t.Error("WithReasoning should attach a reasoner")
-	}
-	if err := e.Store().Put("u", "flag", element.Bool(true), 5); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Error("WithLog should capture mutations")
-	}
-	restored := state.NewStore()
-	if _, err := state.Replay(&buf, restored); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := restored.Current("u", "flag"); !ok {
-		t.Error("logged mutation should replay")
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -69,14 +68,10 @@ func oracleMessages(n int) []stream.Message {
 }
 
 // oracleEngine builds one engine over the oracle workload's rules,
-// processors (a state gate plus enrichment), and an attached WAL.
-func oracleEngine(t *testing.T, policy Policy, workers int, wal *bytes.Buffer) *Engine {
+// processors (a state gate plus enrichment).
+func oracleEngine(t *testing.T, policy Policy, workers int) *Engine {
 	t.Helper()
-	opts := []Option{WithPolicy(policy), WithParallelism(workers)}
-	if wal != nil {
-		opts = append(opts, WithLog(state.NewLog(wal)))
-	}
-	e := New(opts...)
+	e := New(WithPolicy(policy), WithParallelism(workers))
 	if err := e.DeployRules(oracleRules); err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +140,10 @@ func TestParallelOracle(t *testing.T) {
 	for _, policy := range []Policy{StateFirst, StreamFirst, Snapshot} {
 		t.Run(policy.String(), func(t *testing.T) {
 			msgs := oracleMessages(2_000)
-			var walSerial, walParallel bytes.Buffer
-			serial := oracleEngine(t, policy, 1, &walSerial)
-			parallel := oracleEngine(t, policy, 8, &walParallel)
+			serial := oracleEngine(t, policy, 1)
+			parallel := oracleEngine(t, policy, 8)
+			walSerial, dirSerial := attachWAL(t, serial.Store())
+			walParallel, dirParallel := attachWAL(t, parallel.Store())
 			if err := serial.Run(msgs); err != nil {
 				t.Fatal(err)
 			}
@@ -172,13 +168,8 @@ func TestParallelOracle(t *testing.T) {
 			// WAL replay: the parallel log's record order may differ
 			// (workers interleave, batches are framed), but replay must
 			// rebuild the same state the serial run left behind.
-			fromSerial, fromParallel := state.NewStore(), state.NewStore()
-			if _, err := state.Replay(bytes.NewReader(walSerial.Bytes()), fromSerial); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := state.Replay(bytes.NewReader(walParallel.Bytes()), fromParallel); err != nil {
-				t.Fatal(err)
-			}
+			fromSerial := replayWAL(t, walSerial, dirSerial)
+			fromParallel := replayWAL(t, walParallel, dirParallel)
 			compareStores(t, "replayed", fromSerial, fromParallel)
 		})
 	}
@@ -188,8 +179,8 @@ func TestParallelOracle(t *testing.T) {
 // watermark) must still be processed by Run, matching the serial path.
 func TestParallelFlushWithoutWatermark(t *testing.T) {
 	msgs := oracleMessages(99) // watermark period 50: 49 trailing elements
-	serial := oracleEngine(t, StateFirst, 1, nil)
-	parallel := oracleEngine(t, StateFirst, 4, nil)
+	serial := oracleEngine(t, StateFirst, 1)
+	parallel := oracleEngine(t, StateFirst, 4)
 	if err := serial.Run(msgs); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +231,7 @@ func TestEmittedRetention(t *testing.T) {
 // concurrently with Run. Run under -race in CI.
 func TestParallelConcurrentQueries(t *testing.T) {
 	msgs := oracleMessages(4_000)
-	e := oracleEngine(t, Snapshot, 4, nil)
+	e := oracleEngine(t, Snapshot, 4)
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -22,8 +21,7 @@ func TestSystemSecurityWorkload(t *testing.T) {
 	els, truth := workload.Building(cfg)
 
 	e := New(StateFirst)
-	var logBuf bytes.Buffer
-	e.Store().AttachLog(state.NewLog(&logBuf))
+	wal, walDir := attachWAL(t, e.Store())
 	if err := e.DeployRules(`
 RULE position ON RoomEntry AS r THEN REPLACE position(r.visitor) = r.room
 RULE exit ON BuildingExit AS r THEN RETRACT position(r.visitor)`); err != nil {
@@ -60,10 +58,7 @@ RULE exit ON BuildingExit AS r THEN RETRACT position(r.visitor)`); err != nil {
 
 	// Recovery: replay the log into a fresh store and compare full
 	// histories.
-	restored := state.NewStore()
-	if _, err := state.Replay(bytes.NewReader(logBuf.Bytes()), restored); err != nil {
-		t.Fatal(err)
-	}
+	restored := replayWAL(t, wal, walDir)
 	a, b := e.Store().Scan(nil), restored.Scan(nil)
 	if len(a) != len(b) {
 		t.Fatalf("recovered %d versions, want %d", len(b), len(a))
@@ -178,4 +173,36 @@ RULE close ON Leave AS x THEN RETRACT active(x.visitor)`); err != nil {
 			t.Fatalf("user %s: %d visits, want %d", row[0], row[1].MustInt(), cfg.SessionsPerUser)
 		}
 	}
+}
+
+// attachWAL logs every mutation of st to a fresh WAL chain — never
+// truncated, since no durability flush cuts it — and returns the log
+// and its directory, for replayWAL.
+func attachWAL(t *testing.T, st *state.Store) (*state.Log, string) {
+	t.Helper()
+	dir := t.TempDir()
+	l, _, err := state.RecoverWALDir(dir, st, temporal.MinInstant, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.AttachLog(l)
+	return l, dir
+}
+
+// replayWAL closes l and recovers a fresh store from the full chain in
+// dir.
+func replayWAL(t *testing.T, l *state.Log, dir string) *state.Store {
+	t.Helper()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := state.NewStore()
+	l2, _, err := state.RecoverWALDir(dir, st, temporal.MinInstant, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }

@@ -1,7 +1,6 @@
 package state
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -65,29 +64,26 @@ func TestPutBatchEquivalence(t *testing.T) {
 func TestPutBatchReplay(t *testing.T) {
 	puts := batchWorkload(500, 11)
 
-	var walBatch, walLoop bytes.Buffer
 	batched := NewStore()
-	batched.AttachLog(NewLog(&walBatch))
+	walBatch, dirBatch := openWAL(t, batched)
 	if err := batched.PutBatch(puts); err != nil {
 		t.Fatal(err)
 	}
 	looped := NewStore()
-	looped.AttachLog(NewLog(&walLoop))
+	walLoop, dirLoop := openWAL(t, looped)
 	for _, p := range puts {
 		if err := looped.Put(p.Entity, p.Attr, p.Value, p.At); err != nil {
 			t.Fatal(err)
 		}
 	}
+	closeWAL(t, walBatch)
+	closeWAL(t, walLoop)
 
-	fromBatch, fromLoop := NewStore(), NewStore()
-	if n, err := Replay(bytes.NewReader(walBatch.Bytes()), fromBatch); err != nil {
-		t.Fatal(err)
-	} else if n != 1 {
+	fromBatch, n := recoverWAL(t, dirBatch)
+	if n != 1 {
 		t.Fatalf("batched WAL: %d records, want 1 frame", n)
 	}
-	if _, err := Replay(bytes.NewReader(walLoop.Bytes()), fromLoop); err != nil {
-		t.Fatal(err)
-	}
+	fromLoop, _ := recoverWAL(t, dirLoop)
 	sameFacts(t, "replayed", fromLoop.List(AllVersions()), fromBatch.List(AllVersions()))
 }
 
@@ -95,9 +91,8 @@ func TestPutBatchReplay(t *testing.T) {
 // ErrOutOfOrder; earlier entries stay applied (the loop-of-Puts contract)
 // and the WAL frame carries exactly the applied entries.
 func TestPutBatchOutOfOrder(t *testing.T) {
-	var wal bytes.Buffer
 	st := NewStore()
-	st.AttachLog(NewLog(&wal))
+	wal, dir := openWAL(t, st)
 	puts := []BatchPut{
 		{Entity: "a", Attr: "v", Value: element.Int(1), At: 10},
 		{Entity: "a", Attr: "v", Value: element.Int(2), At: 5}, // regresses
@@ -111,10 +106,8 @@ func TestPutBatchOutOfOrder(t *testing.T) {
 	if !ok || f.Validity.Start != 10 {
 		t.Fatalf("applied prefix: %v %v", f, ok)
 	}
-	restored := NewStore()
-	if _, err := Replay(bytes.NewReader(wal.Bytes()), restored); err != nil {
-		t.Fatal(err)
-	}
+	closeWAL(t, wal)
+	restored, _ := recoverWAL(t, dir)
 	sameFacts(t, "replayed prefix", st.List(AllVersions()), restored.List(AllVersions()))
 }
 

@@ -176,43 +176,35 @@ func TestFindListOptionCombos(t *testing.T) {
 // TestBitemporalLogReplay proves the wire format round-trips retroactive
 // corrections: replayed stores answer transaction-time queries identically.
 func TestBitemporalLogReplay(t *testing.T) {
-	var buf bytes.Buffer
 	st := NewStore()
-	st.AttachLog(NewLog(&buf))
+	l, dir := openWAL(t, st)
 	db := st.DB()
 	db.Put("ann", "position", element.String("hall"), WithValidTime(10), WithTransactionTime(10))
 	db.Put("ann", "position", element.String("vault"),
 		WithValidTime(12), WithEndValidTime(18), WithTransactionTime(50))
 	db.Delete("ann", "position", WithValidTime(30), WithTransactionTime(60))
+	closeWAL(t, l)
 
-	restored := NewStore()
-	n, err := Replay(&buf, restored)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored, n := recoverWAL(t, dir)
 	if n != 3 {
 		t.Fatalf("replayed %d records", n)
 	}
 	assertBitemporalEqual(t, st, restored)
 }
 
-// TestSnapshotPreservesTransactionTime proves snapshots carry superseded
-// records and belief intervals.
+// TestSnapshotPreservesTransactionTime proves recovery carries
+// superseded records and belief intervals: the recovered store dumps the
+// identical cut.
 func TestSnapshotPreservesTransactionTime(t *testing.T) {
 	st := NewStore()
+	l, dir := openWAL(t, st)
 	db := st.DB()
 	db.Put("e", "a", element.Int(1), WithValidTime(0), WithTransactionTime(0))
 	db.Put("e", "a", element.Int(2), WithValidTime(0), WithTransactionTime(10)) // same-start correction
+	closeWAL(t, l)
 
-	var buf bytes.Buffer
-	if err := st.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored := NewStore()
-	if err := ReadSnapshot(&buf, restored); err != nil {
-		t.Fatal(err)
-	}
-	assertBitemporalEqual(t, st, restored)
+	restored, _ := recoverWAL(t, dir)
+	assertSameCut(t, st, restored)
 	if f, ok := restored.Find("e", "a", AsOfValidTime(5), AsOfTransactionTime(5)); !ok || f.Value.MustInt() != 1 {
 		t.Fatalf("restored belief at 5: %v %v", f, ok)
 	}
@@ -221,23 +213,35 @@ func TestSnapshotPreservesTransactionTime(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripDefaultClock is the regression for snapshot
-// recovery of stores written entirely with default options (early
-// transaction times, including superseded-at-small-instants records).
+// TestSnapshotRoundTripDefaultClock is the regression for recovery of
+// stores written entirely with default options (early transaction
+// times, including superseded-at-small-instants records).
 func TestSnapshotRoundTripDefaultClock(t *testing.T) {
 	st := NewStore()
+	l, dir := openWAL(t, st)
 	db := st.DB()
 	db.Put("a", "x", element.Int(1))
 	db.Put("a", "x", element.Int(2)) // supersedes at a small tx
-	var buf bytes.Buffer
-	if err := st.WriteSnapshot(&buf); err != nil {
+	closeWAL(t, l)
+	restored, _ := recoverWAL(t, dir)
+	assertSameCut(t, st, restored)
+}
+
+// assertSameCut checks that got holds want's bitemporal state record for
+// record and dumps the byte-identical cut.
+func assertSameCut(t *testing.T, want, got *Store) {
+	t.Helper()
+	assertBitemporalEqual(t, want, got)
+	var wb, gb bytes.Buffer
+	if err := want.WriteSnapshot(&wb); err != nil {
 		t.Fatal(err)
 	}
-	restored := NewStore()
-	if err := ReadSnapshot(&buf, restored); err != nil {
+	if err := got.WriteSnapshot(&gb); err != nil {
 		t.Fatal(err)
 	}
-	assertBitemporalEqual(t, st, restored)
+	if !bytes.Equal(wb.Bytes(), gb.Bytes()) {
+		t.Fatal("recovered store dumps a different cut")
+	}
 }
 
 // TestRetroactiveWritesNotifyWatchers: a correction that fully covers a

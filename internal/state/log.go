@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -17,16 +16,19 @@ import (
 	"repro/internal/vfs"
 )
 
-// Log is an append-only record of store mutations, sufficient to rebuild
-// the full bitemporal state (all versions, not just current) by replay.
-// Together with WriteSnapshot/ReadSnapshot it gives the state repository
-// the durability of the "temporal database" the paper sketches in §3.3.
+// Log is the write-ahead log of a durable directory: an append-only
+// chain of numbered WAL files recording store mutations, sufficient to
+// rebuild the full bitemporal state (all versions, not just current) by
+// replay. With the segment backend it gives the state repository the
+// durability of the "temporal database" the paper sketches in §3.3.
+// RecoverWALDir is the only constructor: it replays an existing chain
+// (or starts an empty one) and returns the Log continuing it.
 //
 // Records are gob-encoded logRecord values, each sealed with a crc32c
 // of its semantic fields: gob framing detects truncation but not bit rot
-// that still decodes, so replay and recovery verify every summed record
-// and fail loudly on a mismatch. Logs written before checksums existed
-// (records without the Summed flag) replay unverified, unchanged.
+// that still decodes, so recovery verifies every summed record and fails
+// loudly on a mismatch. Logs written before checksums existed (records
+// without the Summed flag) replay unverified, unchanged.
 //
 // The sharded store commits
 // mutations under per-shard locks, so the log serializes concurrent
@@ -36,31 +38,27 @@ import (
 // positional application time), so any interleaving the appender admits
 // replays to the identical bitemporal state.
 //
-// Segmented logs (RecoverWALDir) split the WAL across numbered files
-// rotated at a byte threshold. They support the durability handoff of
-// the segment backend: TruncateBefore unlinks whole sealed files the
-// flush cut covers — O(files dropped) off the appender token, never an
-// in-place rewrite — and Sync flushes the active file before a manifest
-// commit (sealed files are synced when they seal). Logs over plain
-// writers (NewLog) or a single file (CreateLog) return ErrNotFileBacked
-// from TruncateBefore.
+// The chain rotates to a fresh file at a byte threshold. It supports
+// the durability handoff of the segment backend: TruncateBefore unlinks
+// whole sealed files the flush cut covers — O(files dropped) off the
+// appender token, never an in-place rewrite — and Sync flushes the
+// active file before a manifest commit (sealed files are synced when
+// they seal).
 type Log struct {
-	c   io.Closer
 	enc *gob.Encoder
 	n   int
-	// path and file are set for file-backed logs only; Sync fsyncs file.
-	// All file operations go through fs — the fault-injectable seam
-	// (vfs.OS in production).
+	// path and file are the active WAL file; Sync fsyncs it, Close
+	// closes it. All file operations go through fs — the
+	// fault-injectable seam (vfs.OS in production).
 	path string
 	file vfs.File
 	fs   vfs.FS
-	// Segmented-WAL state (RecoverWALDir): segDir is the directory the
-	// numbered wal files live in (empty for single-file logs), seq the
+	// dir is the directory the numbered wal files live in, seq the
 	// active file's sequence number, and sealed the older read-only files
 	// still holding records past the durable cut, oldest first. The
 	// active file's byte count (via cw), record count, and max
 	// transaction time drive rotation and whole-file truncation.
-	segDir       string
+	dir          string
 	seq          uint64
 	rotateBytes  int64
 	cw           *countWriter
@@ -69,7 +67,7 @@ type Log struct {
 	activeMaxTx  temporal.Instant
 	filesDropped int
 	dropFails    int
-	// err poisons the log: a failed deferred rewrite (RecoverLog)
+	// err poisons the log: a failed deferred rewrite (RecoverWALDir)
 	// surfaces from every subsequent operation.
 	err error
 	// onAppendErr, when set, is offered every append failure (and every
@@ -88,16 +86,11 @@ type Log struct {
 	dropped  int
 	// appender is the single-appender channel: a one-slot token guarding
 	// enc, n, path, file, and err. Acquire by sending, release by
-	// receiving. RecoverLog hands out a Log whose token is pre-held by
+	// receiving. RecoverWALDir hands out a Log whose token is pre-held by
 	// its background tail rewrite, so the first append transparently
 	// waits for the rewrite instead of the cold start paying for it.
 	appender chan struct{}
 }
-
-// ErrNotFileBacked reports a file-only Log operation (TruncateBefore,
-// Sync) on a log constructed over a plain writer, or TruncateBefore on
-// a single-file log (only segmented WALs truncate, by whole-file drop).
-var ErrNotFileBacked = errors.New("state: log is not file-backed")
 
 // DefaultWALRotateBytes is the default size threshold at which a
 // segmented WAL seals its active file and rotates to the next one.
@@ -321,31 +314,6 @@ func (r *logRecord) keepAfter(tt temporal.Instant) bool {
 	return len(kept) > 0
 }
 
-// NewLog wraps a writer in a mutation log.
-func NewLog(w io.Writer) *Log {
-	l := &Log{enc: gob.NewEncoder(w), appender: make(chan struct{}, 1)}
-	if c, ok := w.(io.Closer); ok {
-		l.c = c
-	}
-	return l
-}
-
-// CreateLog creates (truncating) a log file at path.
-func CreateLog(path string) (*Log, error) {
-	return CreateLogFS(vfs.OS, path)
-}
-
-// CreateLogFS is CreateLog over an explicit filesystem seam.
-func CreateLogFS(fsys vfs.FS, path string) (*Log, error) {
-	f, err := fsys.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("state: create log: %w", err)
-	}
-	l := NewLog(f)
-	l.path, l.file, l.fs = path, f, fsys
-	return l, nil
-}
-
 // Len reports the number of records appended through this Log.
 func (l *Log) Len() int {
 	l.appender <- struct{}{}
@@ -370,14 +338,12 @@ func (l *Log) append(rec logRecord) error {
 		return l.failLocked(err)
 	}
 	l.n++
-	if l.segDir != "" {
-		l.activeRecs++
-		if t := rec.maxTxTime(); t > l.activeMaxTx {
-			l.activeMaxTx = t
-		}
-		if l.cw.n >= l.rotateBytes {
-			return l.rotateLocked()
-		}
+	l.activeRecs++
+	if t := rec.maxTxTime(); t > l.activeMaxTx {
+		l.activeMaxTx = t
+	}
+	if l.cw.n >= l.rotateBytes {
+		return l.rotateLocked()
 	}
 	return nil
 }
@@ -393,19 +359,28 @@ func (l *Log) rotateLocked() error {
 	if err := l.file.Sync(); err != nil {
 		return l.failLocked(err)
 	}
-	next := l.seq + 1
-	path := filepath.Join(l.segDir, walFileName(next))
-	f, err := l.fs.Create(path)
+	f, err := l.fs.Create(l.nextPath())
 	if err != nil {
 		return nil
 	}
 	l.file.Close()
 	l.sealed = append(l.sealed, sealedWAL{path: l.path, maxTx: l.activeMaxTx, recs: l.activeRecs})
-	l.path, l.file, l.c, l.seq = path, f, f, next
+	l.activateLocked(f)
+	return nil
+}
+
+// nextPath is the path of the file the chain rotates to next.
+func (l *Log) nextPath() string { return filepath.Join(l.dir, walFileName(l.seq+1)) }
+
+// activateLocked makes f — freshly created as the next numbered file —
+// the active WAL file with a new encoder and empty tail counters.
+// Called under the appender token.
+func (l *Log) activateLocked(f vfs.File) {
+	l.path, l.file = l.nextPath(), f
+	l.seq++
 	l.cw = &countWriter{f: f}
 	l.enc = gob.NewEncoder(l.cw)
 	l.activeRecs, l.activeMaxTx = 0, temporal.MinInstant
-	return nil
 }
 
 // failLocked offers an append failure to the handler. An acknowledged
@@ -444,7 +419,7 @@ func (l *Log) Dropped() int {
 	return l.dropped
 }
 
-// Rearm replaces a dropping (or poisoned) file-backed log with a fresh
+// Rearm replaces a dropping (or poisoned) log's whole chain with a fresh
 // empty file and encoder, clearing dropping mode. The records the old
 // file held — and every append dropped since — are NOT recovered here:
 // the caller must immediately flush the full RAM state to the durable
@@ -454,72 +429,51 @@ func (l *Log) Dropped() int {
 func (l *Log) Rearm() error {
 	l.appender <- struct{}{}
 	defer func() { <-l.appender }()
-	if l.path == "" {
-		return ErrNotFileBacked
-	}
-	if l.segDir != "" {
-		// The whole chain is forfeit. Open the fresh file first so a
-		// failed create leaves the old chain untouched, then drop every
-		// old file best-effort: one left behind only holds records the
-		// caller's full-state flush is about to cover, and recovery
-		// filters those by the durable cut.
-		next := l.seq + 1
-		path := filepath.Join(l.segDir, walFileName(next))
-		f, err := l.fs.Create(path)
-		if err != nil {
-			return err
-		}
-		for _, sf := range l.sealed {
-			if l.fs.Remove(sf.path) == nil {
-				l.filesDropped++
-			} else {
-				l.dropFails++
-			}
-		}
-		l.sealed = nil
-		if l.file != nil {
-			l.file.Close()
-			if l.fs.Remove(l.path) == nil {
-				l.filesDropped++
-			} else {
-				l.dropFails++
-			}
-		}
-		l.path, l.file, l.c, l.seq = path, f, f, next
-		l.cw = &countWriter{f: f}
-		l.enc = gob.NewEncoder(l.cw)
-		l.n, l.activeRecs, l.activeMaxTx = 0, 0, temporal.MinInstant
-		l.err = nil
-		l.dropping = false
-		return nil
-	}
-	f, _, enc, err := rewriteLogFile(l.fs, l.path, nil)
+	// The whole chain is forfeit. Open the fresh file first so a failed
+	// create leaves the old chain untouched, then drop every old file
+	// best-effort: one left behind only holds records the caller's
+	// full-state flush is about to cover, and recovery filters those by
+	// the durable cut.
+	f, err := l.fs.Create(l.nextPath())
 	if err != nil {
 		return err
 	}
-	if l.file != nil {
-		l.file.Close()
+	for _, sf := range l.sealed {
+		l.dropFileLocked(sf.path)
 	}
-	l.file, l.c, l.n, l.enc = f, f, 0, enc
+	l.sealed = nil
+	if l.file != nil { // nil when a failed recovery rewrite poisoned the log
+		l.file.Close()
+		l.dropFileLocked(l.path)
+	}
+	l.activateLocked(f)
+	l.n = 0
 	l.err = nil
 	l.dropping = false
 	return nil
 }
 
-// Close closes the underlying writer when it is closable.
+// dropFileLocked unlinks one WAL file best-effort, counting the outcome.
+func (l *Log) dropFileLocked(path string) bool {
+	if l.fs.Remove(path) != nil {
+		l.dropFails++
+		return false
+	}
+	l.filesDropped++
+	return true
+}
+
+// Close closes the active WAL file.
 func (l *Log) Close() error {
 	l.appender <- struct{}{}
 	defer func() { <-l.appender }()
 	if l.err != nil {
 		return l.err
 	}
-	if l.c != nil {
-		return l.c.Close()
-	}
-	return nil
+	return l.file.Close()
 }
 
-// Sync flushes a file-backed log to stable storage. The segment backend
+// Sync flushes the active WAL file to stable storage. The segment backend
 // calls it before committing a manifest, so the WAL tail the manifest's
 // durable cut depends on is on disk first.
 func (l *Log) Sync() error {
@@ -528,15 +482,11 @@ func (l *Log) Sync() error {
 	if l.err != nil {
 		return l.err
 	}
-	if l.file == nil {
-		return ErrNotFileBacked
-	}
 	return l.file.Sync()
 }
 
 // TruncateBefore hands the WAL prefix a durability flush at cut tt has
-// made redundant back to the filesystem. On a segmented WAL this is
-// whole-file drops only: sealed files whose newest record is at or
+// made redundant back to the filesystem, by whole-file drops only: sealed files whose newest record is at or
 // before the cut are unlinked — O(files dropped) off the appender
 // token, no record is ever rewritten in place — and files straddling
 // the cut stay whole (recovery filters their pre-cut records by the
@@ -545,70 +495,43 @@ func (l *Log) Sync() error {
 // threshold, so the tail length Len reports stays honest. A failed
 // unlink keeps the file in the chain (counted in DropFailures, retried
 // at the next cut); recovery tolerates redundant covered files.
-//
-// Non-segmented logs return ErrNotFileBacked: the old in-place tail
-// rewrite stalled the appender for O(tail) and is gone.
 func (l *Log) TruncateBefore(tt temporal.Instant) error {
 	l.appender <- struct{}{}
 	defer func() { <-l.appender }()
 	if l.err != nil {
 		return l.err
 	}
-	if l.segDir == "" {
-		return ErrNotFileBacked
-	}
 	kept := l.sealed[:0]
 	for _, sf := range l.sealed {
-		if sf.maxTx > tt {
+		if sf.maxTx > tt || !l.dropFileLocked(sf.path) {
 			kept = append(kept, sf)
 			continue
 		}
-		if err := l.fs.Remove(sf.path); err != nil {
-			l.dropFails++
-			kept = append(kept, sf)
-			continue
-		}
-		l.filesDropped++
 		l.n -= sf.recs
 	}
 	l.sealed = kept
 	if l.activeRecs > 0 && l.activeMaxTx <= tt && !l.dropping {
-		next := l.seq + 1
-		path := filepath.Join(l.segDir, walFileName(next))
-		f, err := l.fs.Create(path)
+		f, err := l.fs.Create(l.nextPath())
 		if err != nil {
 			return nil // keep the covered file active; harmless
 		}
 		old := l.path
 		l.file.Close()
 		l.n -= l.activeRecs
-		l.path, l.file, l.c, l.seq = path, f, f, next
-		l.cw = &countWriter{f: f}
-		l.enc = gob.NewEncoder(l.cw)
-		l.activeRecs, l.activeMaxTx = 0, temporal.MinInstant
-		if err := l.fs.Remove(old); err != nil {
-			// The covered file stays behind; recovery filters it by the
-			// cut and drops it then.
-			l.dropFails++
-		} else {
-			l.filesDropped++
-		}
+		l.activateLocked(f)
+		// A covered file left behind on a failed unlink is filtered by
+		// the cut at recovery and dropped then.
+		l.dropFileLocked(old)
 	}
 	return nil
 }
 
-// Files reports how many files the segmented WAL chain currently spans
-// (sealed plus active); 1 for a single-file log, 0 for a plain writer.
+// Files reports how many files the WAL chain currently spans (sealed
+// plus active).
 func (l *Log) Files() int {
 	l.appender <- struct{}{}
 	defer func() { <-l.appender }()
-	if l.segDir != "" {
-		return len(l.sealed) + 1
-	}
-	if l.file != nil {
-		return 1
-	}
-	return 0
+	return len(l.sealed) + 1
 }
 
 // DroppedFiles reports how many WAL files truncation (or Rearm) has
@@ -635,9 +558,6 @@ func (l *Log) DropFailures() int {
 // same file would begin a second stream a single replay Decoder rejects
 // ("duplicate type received").
 func rewriteLogFile(fsys vfs.FS, path string, records []logRecord) (vfs.File, *countWriter, *gob.Encoder, error) {
-	if fsys == nil {
-		fsys = vfs.OS
-	}
 	tmp := path + ".tmp"
 	f, err := fsys.Create(tmp)
 	if err != nil {
@@ -664,19 +584,6 @@ func rewriteLogFile(fsys vfs.FS, path string, records []logRecord) (vfs.File, *c
 	}
 	fsys.SyncDir(filepath.Dir(path))
 	return f, cw, enc, nil
-}
-
-// SyncDir best-effort fsyncs a directory, making a completed rename in
-// it durable. Shared by the WAL rewrite and the segment backend's
-// manifest commit; best-effort because some platforms cannot sync
-// directories.
-func SyncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
 }
 
 func (l *Log) appendPut(entity, attr string, v element.Value, at temporal.Instant) error {
@@ -714,12 +621,11 @@ func (l *Log) appendPutBatch(puts []BatchPut) error {
 	return l.append(logRecord{Op: opPutBatch, Puts: puts})
 }
 
-// applyLogRecord re-applies one decoded record through the store's write
-// paths — the shared body of Replay and RecoverLog.
+// applyLogRecord re-applies one decoded non-put record through the
+// store's write paths; recovery group-applies positional puts (opPut,
+// opPutBatch) through PutBatch instead.
 func (s *Store) applyLogRecord(rec *logRecord) error {
 	switch rec.Op {
-	case opPut:
-		return s.Put(rec.Entity, rec.Attr, rec.Value, rec.At)
 	case opAssert:
 		f := element.NewFact(rec.Entity, rec.Attr, rec.Value,
 			temporal.NewInterval(rec.Start, rec.End))
@@ -743,183 +649,33 @@ func (s *Store) applyLogRecord(rec *logRecord) error {
 			validTo: rec.End, hasValidTo: true,
 			tx: rec.Tx, hasTx: true,
 		})
-	case opPutBatch:
-		// Replay applies the frame's writes one at a time: the group
-		// commit is a durability optimization, not a semantic unit, and
-		// per-key write order is preserved within the frame.
-		for _, p := range rec.Puts {
-			if err := s.Put(p.Entity, p.Attr, p.Value, p.At); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	return fmt.Errorf("state: unknown op %d", rec.Op)
 }
 
-// Replay applies every record from r to the store, in order. The store
-// should be empty (or a snapshot-restored prefix of the log's history).
-// It returns the number of records applied.
-func Replay(r io.Reader, s *Store) (int, error) {
-	dec := gob.NewDecoder(r)
-	n := 0
-	for {
-		var rec logRecord
-		if err := dec.Decode(&rec); err != nil {
-			if errors.Is(err, io.EOF) {
-				return n, nil
-			}
-			return n, fmt.Errorf("state: replay record %d: %w", n, err)
-		}
-		if err := rec.verify(n); err != nil {
-			return n, fmt.Errorf("state: replay: %w", err)
-		}
-		if err := s.applyLogRecord(&rec); err != nil {
-			return n, fmt.Errorf("state: replay record %d: %w", n, err)
-		}
-		n++
-	}
-}
-
-// RecoverLog replays the tail of the WAL at path into s — only records
+// RecoverWALDir replays the WAL chain in dir into s — only records
 // carrying state newer than the durable cut (opPutBatch frames trimmed
-// to their surviving puts) — and returns a Log continuing at that file.
-// This is the recovery half of the segment backend's handoff: segments
-// restore the cut, RecoverLog replays what the cut does not cover. Pass
-// cut = MinInstant for a full WAL-only recovery.
+// to their surviving puts), in file order — and returns a Log
+// continuing the chain. This is the recovery half of the segment
+// backend's handoff: segments restore the cut, RecoverWALDir replays
+// what the cut does not cover. Pass cut = MinInstant (and a chain never
+// truncated) for a full WAL-only recovery.
 //
-// An unexpected EOF is treated as a torn final record — the tail a
-// crash cut mid-append — not an error: replay stops at the last whole
-// record. Any other decode error is corruption and fails recovery
-// loudly. Either way the surviving file is compacted to exactly the
-// records applied (atomic rewrite), so torn bytes and the pre-cut
-// prefix are gone and the returned Log appends cleanly. A missing file
-// yields an empty log created at path.
+// The chain is every wal.NNNNNNNN file plus a legacy wal.log (which
+// sorts oldest, so a flat log written before the WAL was segmented
+// recovers as chain member 0), replayed oldest first with per-record
+// crc32c verification. An unexpected EOF is tolerated only in the
+// newest file — the tail a crash cut mid-append: gob messages are
+// length-prefixed, so a torn append leaves a message outrunning the
+// file and replay stops at the last whole record. Anywhere earlier, or
+// any other decode error, is corruption: records after it are
+// unreachable in an unframed gob stream, so recovery fails loudly.
 //
-// Unlike the general Replay, RecoverLog applies runs of positional Put
-// records through PutBatch: the store is empty of observers during
-// recovery and positional puts on distinct keys commute, so the group
-// commit reproduces the identical bitemporal state at a fraction of the
-// per-record locking — this is the WAL-tail half of the fast cold
-// start, as LoadLineage is the segment half.
-//
-// It returns the Log and the number of tail records applied.
-func RecoverLog(path string, s *Store, cut temporal.Instant) (*Log, int, error) {
-	return RecoverLogFS(vfs.OS, path, s, cut)
-}
-
-// RecoverLogFS is RecoverLog over an explicit filesystem seam.
-func RecoverLogFS(fsys vfs.FS, path string, s *Store, cut temporal.Instant) (*Log, int, error) {
-	src, err := fsys.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		l, err := CreateLogFS(fsys, path)
-		return l, 0, err
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("state: recover log: %w", err)
-	}
-	var (
-		kept    []logRecord
-		pending []BatchPut // run of positional puts awaiting group apply
-	)
-	flush := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		err := s.PutBatch(pending)
-		pending = pending[:0]
-		return err
-	}
-	dec := gob.NewDecoder(io.NewSectionReader(src, 0, 1<<62))
-	decoded := 0
-	for {
-		var rec logRecord
-		if err := dec.Decode(&rec); err != nil {
-			if errors.Is(err, io.EOF) {
-				break // clean end
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				// A torn final append: gob messages are length-prefixed,
-				// so a crash mid-append reliably leaves a message whose
-				// byte count outruns the file. Replay stops at the last
-				// whole record — the durable prefix — and the rewrite
-				// below drops the torn bytes.
-				break
-			}
-			// Any other decode error is corruption, not a crash artifact:
-			// records after it may be intact but are unreachable in an
-			// unframed gob stream, so fail loudly rather than silently
-			// compact them away.
-			src.Close()
-			return nil, 0, fmt.Errorf("state: recover log record %d: %w", decoded, err)
-		}
-		decoded++
-		// Verify before keepAfter trims the frame in place: a record that
-		// still decodes but fails its checksum is bit rot, not a torn
-		// tail, and recovery must fail loudly rather than replay it.
-		if err := rec.verify(decoded - 1); err != nil {
-			src.Close()
-			return nil, 0, fmt.Errorf("state: recover log: %w", err)
-		}
-		if !rec.keepAfter(cut) {
-			continue
-		}
-		rec.reseal()
-		kept = append(kept, rec)
-		switch rec.Op {
-		case opPut:
-			pending = append(pending, BatchPut{
-				Entity: rec.Entity, Attr: rec.Attr, Value: rec.Value, At: rec.At,
-			})
-		case opPutBatch:
-			pending = append(pending, rec.Puts...)
-		default:
-			// Order matters across ops of one key: drain the put run
-			// before any other mutation kind.
-			applyErr := flush()
-			if applyErr == nil {
-				applyErr = s.applyLogRecord(&rec)
-			}
-			if applyErr != nil {
-				src.Close()
-				return nil, 0, fmt.Errorf("state: recover log record %d: %w", decoded-1, applyErr)
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		src.Close()
-		return nil, 0, fmt.Errorf("state: recover log: %w", err)
-	}
-	src.Close()
-
-	// The state is recovered; compacting the file to the surviving tail
-	// is bookkeeping the cold start need not wait for. The returned Log
-	// is born with its appender token held by the background rewrite,
-	// so the first append (or Sync/TruncateBefore/Close) transparently
-	// blocks until the file is ready; a rewrite failure poisons the log
-	// and surfaces there.
-	l := &Log{path: path, fs: fsys, appender: make(chan struct{}, 1)}
-	l.appender <- struct{}{}
-	go func() {
-		defer func() { <-l.appender }()
-		f, _, enc, err := rewriteLogFile(fsys, path, kept)
-		if err != nil {
-			l.err = err
-			return
-		}
-		l.file, l.c, l.n, l.enc = f, f, len(kept), enc
-	}()
-	return l, len(kept), nil
-}
-
-// RecoverWALDir replays the segmented WAL chain in dir into s — only
-// records carrying state newer than the durable cut, in file order —
-// and returns a Log continuing the chain. It is the segmented
-// counterpart of RecoverLog: the chain is every wal.NNNNNNNN file plus
-// a legacy wal.log (which sorts oldest), replayed oldest first with the
-// same per-record crc32c verification. An unexpected EOF is tolerated
-// only in the newest file — the tail a crash cut mid-append; anywhere
-// earlier it is corruption and fails recovery loudly.
+// Runs of positional puts apply through PutBatch: the store is empty of
+// observers during recovery and positional puts on distinct keys
+// commute, so the group commit reproduces the identical bitemporal
+// state at a fraction of the per-record locking — the WAL half of the
+// fast cold start, as LoadLineage is the segment half.
 //
 // Fully covered older files are unlinked and the newest file is
 // compacted to its surviving records (atomic rewrite) in the
@@ -959,7 +715,7 @@ func RecoverWALDirFS(fsys vfs.FS, dir string, s *Store, cut temporal.Instant, ro
 	newSegmented := func(path string, seq uint64) *Log {
 		return &Log{
 			path: path, fs: fsys, appender: make(chan struct{}, 1),
-			segDir: dir, seq: seq, rotateBytes: rotateBytes,
+			dir: dir, seq: seq, rotateBytes: rotateBytes,
 			activeMaxTx: temporal.MinInstant,
 		}
 	}
@@ -970,7 +726,7 @@ func RecoverWALDirFS(fsys vfs.FS, dir string, s *Store, cut temporal.Instant, ro
 			return nil, 0, fmt.Errorf("state: create wal: %w", err)
 		}
 		l := newSegmented(path, 1)
-		l.file, l.c = f, f
+		l.file = f
 		l.cw = &countWriter{f: f}
 		l.enc = gob.NewEncoder(l.cw)
 		return l, 0, nil
@@ -1057,7 +813,8 @@ func RecoverWALDirFS(fsys vfs.FS, dir string, s *Store, cut temporal.Instant, ro
 	// Assemble the surviving chain: covered older files are dropped,
 	// straddling ones sealed, and the newest file rewritten to exactly
 	// its kept records — all deferred to the background under the
-	// pre-held appender token, like RecoverLog's tail compaction.
+	// pre-held appender token: the first append (or Sync, TruncateBefore,
+	// Close) waits for it, and a rewrite failure poisons the log.
 	lastF := files[len(files)-1]
 	l := newSegmented(lastF.path, lastF.seq)
 	var drop []string
@@ -1072,18 +829,14 @@ func RecoverWALDirFS(fsys vfs.FS, dir string, s *Store, cut temporal.Instant, ro
 	go func() {
 		defer func() { <-l.appender }()
 		for _, p := range drop {
-			if fsys.Remove(p) == nil {
-				l.filesDropped++
-			} else {
-				l.dropFails++
-			}
+			l.dropFileLocked(p)
 		}
 		f, cw, enc, err := rewriteLogFile(fsys, lastF.path, lastKept)
 		if err != nil {
 			l.err = err
 			return
 		}
-		l.file, l.c, l.cw, l.enc = f, f, cw, enc
+		l.file, l.cw, l.enc = f, cw, enc
 		l.n = total
 		l.activeRecs = len(lastKept)
 		if len(lastKept) > 0 {
@@ -1093,17 +846,7 @@ func RecoverWALDirFS(fsys vfs.FS, dir string, s *Store, cut temporal.Instant, ro
 	return l, total, nil
 }
 
-// ReplayFile replays a log file into the store.
-func ReplayFile(path string, s *Store) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("state: open log: %w", err)
-	}
-	defer f.Close()
-	return Replay(f, s)
-}
-
-// snapshotRecord is the wire format of one fact record in a snapshot.
+// snapshotRecord is the wire format of one fact record in a cut dump.
 type snapshotRecord struct {
 	Entity       string
 	Attr         string
@@ -1116,18 +859,21 @@ type snapshotRecord struct {
 	Source       string
 }
 
-// WriteSnapshot serializes every record in the store to w — including
-// versions superseded by retroactive corrections, so transaction-time
-// queries survive recovery. A snapshot plus the log suffix written after
-// it reconstructs the store; snapshots are the compaction mechanism for
-// the log. The record set is one consistent cut pinned at the transaction
-// clock's high-water mark, gathered lock-free from the published heads —
-// serializing a large store no longer stalls writers.
+// WriteSnapshot dumps every record in the store to w as a gob stream —
+// including versions superseded by retroactive corrections — in
+// deterministic key order. It is the canonical encoding of a bitemporal
+// cut: two stores holding the same state dump identical bytes, which is
+// how the equivalence suites compare a recovered store against its
+// oracle. It is an export format, not a restore format (durability is
+// the WAL chain plus segments). The record set is one consistent cut
+// pinned at the transaction clock's high-water mark, gathered lock-free
+// from the published heads — dumping a large store does not stall
+// writers.
 func (s *Store) WriteSnapshot(w io.Writer) error {
 	return s.writeSnapshotAt(w, s.pinBarrier())
 }
 
-// writeSnapshotAt serializes the cut believed at tt (Snapshot.WriteTo
+// writeSnapshotAt serializes the cut believed at tt (Snapshot.WriteSnapshot
 // pins a handle's instant; WriteSnapshot pins the clock).
 func (s *Store) writeSnapshotAt(w io.Writer, tt temporal.Instant) error {
 	enc := gob.NewEncoder(w)
@@ -1160,88 +906,4 @@ func (s *Store) allRecordsAt(tt temporal.Instant) []*element.Fact {
 	return s.scanAll(shape, func(h *head, out []*element.Fact) []*element.Fact {
 		return recordsAt(h, tt, out)
 	})
-}
-
-// ReadSnapshot loads a snapshot into an empty store.
-func ReadSnapshot(r io.Reader, s *Store) error {
-	dec := gob.NewDecoder(r)
-	var n int
-	if err := dec.Decode(&n); err != nil {
-		return fmt.Errorf("state: snapshot header: %w", err)
-	}
-	for i := 0; i < n; i++ {
-		var rec snapshotRecord
-		if err := dec.Decode(&rec); err != nil {
-			return fmt.Errorf("state: snapshot record %d: %w", i, err)
-		}
-		f := element.NewFact(rec.Entity, rec.Attr, rec.Value,
-			temporal.NewInterval(rec.Start, rec.End))
-		f.RecordedAt = rec.RecordedAt
-		f.SupersededAt = rec.SupersededAt
-		f.Derived = rec.Derived
-		f.Source = rec.Source
-		if err := s.loadRecord(f); err != nil {
-			return fmt.Errorf("state: snapshot record %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// loadRecord inserts a record during snapshot load, bypassing the log and
-// watchers. Records arrive in per-lineage recording order; believed ones
-// additionally join the belief slices, which must stay disjoint. Each
-// record publishes a successor head, exactly like a live mutation.
-func (s *Store) loadRecord(f *element.Fact) error {
-	sh := s.shardFor(f.Entity, f.Attribute)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	l := sh.lineage(f.Key(), true)
-	h := l.head.Load()
-	nh := &head{txOrdered: h.txOrdered, maxTx: h.maxTx, lastWrite: h.lastWrite}
-	if n := len(h.records); n > 0 && f.RecordedAt < h.records[n-1].RecordedAt {
-		nh.txOrdered = false
-	}
-	if f.RecordedAt > nh.maxTx {
-		nh.maxTx = f.RecordedAt
-	}
-	if f.RecordedAt > nh.lastWrite {
-		nh.lastWrite = f.RecordedAt
-	}
-	nh.records = append(h.records, f)
-	sh.records.Add(1)
-	sh.bytes.Add(approxFactBytes(f))
-	s.clock.observe(f.RecordedAt)
-	if f.Superseded() {
-		s.clock.observe(f.SupersededAt)
-		if f.SupersededAt > nh.maxTx {
-			nh.maxTx = f.SupersededAt
-		}
-		if f.SupersededAt > nh.lastWrite {
-			nh.lastWrite = f.SupersededAt
-		}
-		nh.closed, nh.open = h.closed, h.open
-		l.head.Store(nh)
-		return nil
-	}
-	if over := h.overlappingLive(f.Validity); len(over) > 0 {
-		nh.closed, nh.open = h.closed, h.open
-		l.head.Store(nh)
-		return fmt.Errorf("state: snapshot version disorder for %s: %s overlaps %s",
-			f.Key(), f.Validity, over[0].Validity)
-	}
-	if f.IsCurrent() {
-		nh.closed, nh.open = h.closed, f
-	} else {
-		i := sort.Search(len(h.closed), func(k int) bool {
-			return h.closed[k].Validity.Start >= f.Validity.Start
-		})
-		nc := make([]*element.Fact, 0, len(h.closed)+1)
-		nc = append(nc, h.closed[:i]...)
-		nc = append(nc, f)
-		nc = append(nc, h.closed[i:]...)
-		nh.closed, nh.open = nc, h.open
-	}
-	sh.versions.Add(1)
-	l.head.Store(nh)
-	return nil
 }

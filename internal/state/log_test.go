@@ -11,10 +11,47 @@ import (
 	"repro/internal/temporal"
 )
 
-func TestLogReplayRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
+// openWAL starts a WAL chain in a fresh temp dir and attaches it to s.
+// It returns the log and the directory, for recoverWAL.
+func openWAL(t *testing.T, s *Store) (*Log, string) {
+	t.Helper()
+	dir := t.TempDir()
+	l, _, err := RecoverWALDir(dir, s, temporal.MinInstant, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AttachLog(l)
+	return l, dir
+}
+
+// recoverWAL replays the whole (never truncated) WAL chain in dir into a
+// fresh store — the oracle every round-trip test compares against. The
+// writer's log must be closed first. It returns the store and the number
+// of records replayed.
+func recoverWAL(t *testing.T, dir string) (*Store, int) {
+	t.Helper()
 	s := NewStore()
-	s.AttachLog(NewLog(&buf))
+	l, n, err := RecoverWALDir(dir, s, temporal.MinInstant, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return s, n
+}
+
+// closeWAL closes l, failing the test on error.
+func closeWAL(t *testing.T, l *Log) {
+	t.Helper()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestLogReplayRoundTrip(t *testing.T) {
+	s := NewStore()
+	l, dir := openWAL(t, s)
 
 	s.Put("ann", "position", element.String("hall"), 10)
 	s.Put("ann", "position", element.String("lab"), 20)
@@ -23,12 +60,9 @@ func TestLogReplayRoundTrip(t *testing.T) {
 	f.Derived = true
 	f.Source = "taxonomy"
 	s.Assert(f)
+	closeWAL(t, l)
 
-	restored := NewStore()
-	n, err := Replay(&buf, restored)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored, n := recoverWAL(t, dir)
 	if n != 4 {
 		t.Fatalf("replayed %d records", n)
 	}
@@ -40,96 +74,97 @@ func TestLogReplayRoundTrip(t *testing.T) {
 }
 
 func TestLogFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "state.log")
-	l, err := CreateLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := NewStore()
-	s.AttachLog(l)
+	l, dir := openWAL(t, s)
 	s.Put("e", "a", element.Int(42), 7)
 	if l.Len() != 1 {
 		t.Errorf("log length: %d", l.Len())
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+	if l.Files() != 1 {
+		t.Errorf("log files: %d", l.Files())
 	}
-	restored := NewStore()
-	if _, err := ReplayFile(path, restored); err != nil {
-		t.Fatal(err)
-	}
+	closeWAL(t, l)
+	restored, _ := recoverWAL(t, dir)
 	if f, ok := restored.Current("e", "a"); !ok || f.Value.MustInt() != 42 {
 		t.Fatalf("restored: %v %v", f, ok)
 	}
-	if _, err := ReplayFile(filepath.Join(dir, "missing.log"), restored); err == nil {
-		t.Error("missing file should error")
+	if _, _, err := RecoverWALDir(filepath.Join(dir, "missing"), NewStore(), temporal.MinInstant, 0); err == nil {
+		t.Error("missing directory should error")
 	}
 }
 
+// TestReplayCorruptLog: garbage in a sealed chain member is corruption,
+// not a torn tail, and fails recovery.
 func TestReplayCorruptLog(t *testing.T) {
-	if _, err := Replay(bytes.NewReader([]byte("garbage")), NewStore()); err == nil {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walFileName(1)), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, walFileName(2)), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := RecoverWALDir(dir, NewStore(), temporal.MinInstant, 0); err == nil {
 		t.Error("corrupt log should error")
 	}
 }
 
+// TestSnapshotRoundTrip: the cut dump of a WAL-recovered store is
+// byte-identical to the original's.
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := NewStore()
+	l, dir := openWAL(t, s)
 	for i := int64(0); i < 20; i++ {
 		s.Put("e", "a", element.Int(i), temporal.Instant(i))
 	}
 	s.Put("x", "b", element.Float(2.5), 3)
 	s.Retract("x", "b", 9)
+	closeWAL(t, l)
 
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored := NewStore()
-	if err := ReadSnapshot(&buf, restored); err != nil {
-		t.Fatal(err)
-	}
+	restored, _ := recoverWAL(t, dir)
 	assertStoresEqual(t, s, restored)
+	var want, got bytes.Buffer
+	if err := s.WriteSnapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.WriteSnapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Fatal("recovered store dumps a different cut")
+	}
 }
 
+// TestSnapshotPlusLogSuffixRecovery is the segment handoff in miniature:
+// a store already holding the state up to a durable cut replays only
+// the WAL records after it.
 func TestSnapshotPlusLogSuffixRecovery(t *testing.T) {
-	// The compaction protocol: snapshot at time T, then replay the log
-	// suffix of mutations after T.
 	s := NewStore()
+	l, dir := openWAL(t, s)
 	s.Put("e", "a", element.Int(1), 0)
 	s.Put("e", "a", element.Int(2), 10)
-
-	var snap bytes.Buffer
-	if err := s.WriteSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	var suffix bytes.Buffer
-	s.AttachLog(NewLog(&suffix))
 	s.Put("e", "a", element.Int(3), 20)
 	s.Put("f", "a", element.Int(9), 25)
+	closeWAL(t, l)
 
 	restored := NewStore()
-	if err := ReadSnapshot(&snap, restored); err != nil {
+	restored.Put("e", "a", element.Int(1), 0)
+	restored.Put("e", "a", element.Int(2), 10)
+	l2, n, err := RecoverWALDir(dir, restored, 10, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Replay(&suffix, restored); err != nil {
-		t.Fatal(err)
+	closeWAL(t, l2)
+	if n != 2 {
+		t.Fatalf("replayed %d suffix records, want 2", n)
 	}
 	assertStoresEqual(t, s, restored)
-}
-
-func TestReadSnapshotCorrupt(t *testing.T) {
-	if err := ReadSnapshot(bytes.NewReader([]byte("junk")), NewStore()); err == nil {
-		t.Error("corrupt snapshot should error")
-	}
 }
 
 func TestLogReplayRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
-		var buf bytes.Buffer
 		s := NewStore()
-		s.AttachLog(NewLog(&buf))
+		l, dir := openWAL(t, s)
 		clock := map[string]temporal.Instant{}
 		for op := 0; op < 200; op++ {
 			e := string(rune('a' + rng.Intn(5)))
@@ -139,22 +174,19 @@ func TestLogReplayRandomized(t *testing.T) {
 			case 0, 1:
 				s.Put(e, "v", element.Int(rng.Int63n(1000)), at)
 			case 2:
-				s.Retract(e, "v", at) // may legitimately fail; not logged then? it IS logged only on success
+				s.Retract(e, "v", at) // logged only on success
 			}
 		}
-		restored := NewStore()
-		if _, err := Replay(&buf, restored); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		closeWAL(t, l)
+		restored, _ := recoverWAL(t, dir)
 		assertStoresEqual(t, s, restored)
 	}
 }
 
 func TestNoLogOnFailedMutation(t *testing.T) {
-	var buf bytes.Buffer
 	s := NewStore()
-	l := NewLog(&buf)
-	s.AttachLog(l)
+	l, _ := openWAL(t, s)
+	defer closeWAL(t, l)
 	if err := s.Retract("nope", "a", 5); err == nil {
 		t.Fatal("expected error")
 	}

@@ -26,21 +26,32 @@ func flipEntityByte(t *testing.T, raw []byte, marker string) []byte {
 	return out
 }
 
-func TestLogChecksumDetectsBitRot(t *testing.T) {
-	const entity = "sensor-with-a-long-stable-name"
-	var buf bytes.Buffer
-	s := NewStore()
-	s.AttachLog(NewLog(&buf))
-	s.Put(entity, "temperature", element.Float(20), 10)
-	s.Put(entity, "temperature", element.Float(25), 20)
-
-	// The pristine stream replays.
-	if _, err := Replay(bytes.NewReader(buf.Bytes()), NewStore()); err != nil {
+// rotWAL flips one byte of marker inside the single WAL file in dir.
+func rotWAL(t *testing.T, dir, marker string) {
+	t.Helper()
+	path := filepath.Join(dir, walFileName(1))
+	raw, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(path, flipEntityByte(t, raw, marker), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	rotted := flipEntityByte(t, buf.Bytes(), entity)
-	_, err := Replay(bytes.NewReader(rotted), NewStore())
+func TestLogChecksumDetectsBitRot(t *testing.T) {
+	const entity = "sensor-with-a-long-stable-name"
+	s := NewStore()
+	l, dir := openWAL(t, s)
+	s.Put(entity, "temperature", element.Float(20), 10)
+	s.Put(entity, "temperature", element.Float(25), 20)
+	closeWAL(t, l)
+
+	// The pristine chain replays.
+	recoverWAL(t, dir)
+
+	rotWAL(t, dir, entity)
+	_, _, err := RecoverWALDir(dir, NewStore(), temporal.MinInstant, 0)
 	if err == nil {
 		t.Fatal("bit-rotted record replayed silently")
 	}
@@ -51,40 +62,26 @@ func TestLogChecksumDetectsBitRot(t *testing.T) {
 
 func TestRecoverLogFailsOnBitRot(t *testing.T) {
 	const entity = "sensor-with-a-long-stable-name"
-	dir := t.TempDir()
-	path := filepath.Join(dir, "state.log")
-	l, err := CreateLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := NewStore()
-	s.AttachLog(l)
+	l, dir := openWAL(t, s)
 	s.Put(entity, "temperature", element.Float(20), 10)
 	s.PutBatch([]BatchPut{
 		{Entity: entity, Attr: "pressure", Value: element.Float(1), At: 11},
 		{Entity: "other", Attr: "pressure", Value: element.Float(2), At: 12},
 	})
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeWAL(t, l)
 
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, flipEntityByte(t, raw, entity), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := RecoverLog(path, NewStore(), temporal.MinInstant); err == nil {
+	rotWAL(t, dir, entity)
+	if _, _, err := RecoverWALDir(dir, NewStore(), temporal.MinInstant, 0); err == nil {
 		t.Fatal("recovery replayed a bit-rotted record")
 	} else if !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("want checksum failure, got %v", err)
 	}
 }
 
-// TestReplayUnsummedLog feeds a stream of old-format records (written
-// before checksums existed, so Summed is false) through Replay: they
-// must apply unverified, keeping replay compatible with existing logs.
+// TestReplayUnsummedLog recovers a legacy flat wal.log of old-format
+// records (written before checksums existed, so Summed is false): they
+// must apply unverified, keeping recovery compatible with existing logs.
 func TestReplayUnsummedLog(t *testing.T) {
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)
@@ -99,16 +96,19 @@ func TestReplayUnsummedLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := NewStore()
-	n, err := Replay(bytes.NewReader(buf.Bytes()), s)
-	if err != nil {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	s, n := recoverWAL(t, dir)
 	if n != 3 {
 		t.Fatalf("replayed %d records, want 3", n)
 	}
 	if f, ok := s.Current("ann", "position"); !ok || f.Value.MustString() != "lab" {
 		t.Fatalf("unsummed replay state: %v %v", f, ok)
+	}
+	if f, ok := s.Current("bob", "position"); !ok || f.Value.MustString() != "hall" {
+		t.Fatalf("unsummed batch frame: %v %v", f, ok)
 	}
 }
 

@@ -14,11 +14,7 @@ import (
 // fails to apply must fail recovery loudly — silently skipping it (and
 // then compacting the WAL without it) would erase committed history.
 func TestRecoverLogSurfacesApplyErrors(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := CreateLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, dir := openWAL(t, NewStore())
 	// Two overlapping asserts: legal to encode, but the second fails
 	// Assert's no-overlap rule on application (as a skewed or
 	// hand-damaged WAL would).
@@ -30,57 +26,52 @@ func TestRecoverLogSurfacesApplyErrors(t *testing.T) {
 	if err := l.appendAssert(f2); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := RecoverLog(path, NewStore(), temporal.MinInstant); !errors.Is(err, ErrOverlap) {
+	closeWAL(t, l)
+	if _, _, err := RecoverWALDir(dir, NewStore(), temporal.MinInstant, 0); !errors.Is(err, ErrOverlap) {
 		t.Fatalf("apply error swallowed: got %v, want ErrOverlap", err)
 	}
 }
 
-// TestRecoverLogTruncationIsTornTail: a file cut mid-record is the torn
-// final append and recovers to the whole-record prefix, while the same
-// truncation is a loud error through the strict Replay path. (Mid-file
-// bit rot that still DECODES is not detectable — gob frames carry no
-// checksums — which is exactly why the segment format adds crc32c; the
-// WAL's structural errors, like this one, are the detectable class.)
+// TestRecoverLogTruncationIsTornTail: a newest file cut mid-record is
+// the torn final append and recovers to the whole-record prefix, while
+// the same truncation in a sealed chain member is a loud error. (Bit
+// rot that still DECODES is caught by the per-record crc32c instead;
+// see logsum_test.go.)
 func TestRecoverLogTruncationIsTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
 	st := NewStore()
-	l, err := CreateLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.AttachLog(l)
+	l, dir := openWAL(t, st)
 	db := st.DB()
 	for i := 0; i < 20; i++ {
 		if err := db.Put("k", "v", element.Int(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeWAL(t, l)
+	path := filepath.Join(dir, walFileName(1))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
+	torn := data[:len(data)-3]
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rec := NewStore()
-	l2, n, err := RecoverLog(path, rec, temporal.MinInstant)
-	if err != nil {
-		t.Fatalf("torn tail should recover: %v", err)
-	}
-	defer l2.Close()
+	rec, n := recoverWAL(t, dir)
 	if n != 19 {
 		t.Fatalf("want 19 whole records recovered, got %d", n)
 	}
 	if f, ok := rec.Find("k", "v"); !ok || f.Value.String() != "18" {
 		t.Fatalf("recovered head: %v ok=%v", f, ok)
 	}
-	if _, err := ReplayFile(path, NewStore()); err == nil {
-		t.Fatal("strict Replay should reject the torn file")
+
+	sealed := t.TempDir()
+	if err := os.WriteFile(filepath.Join(sealed, walFileName(1)), torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(sealed, walFileName(2)), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := RecoverWALDir(sealed, NewStore(), temporal.MinInstant, 0); err == nil {
+		t.Fatal("a torn sealed file must fail recovery")
 	}
 }

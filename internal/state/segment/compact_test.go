@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -664,24 +663,13 @@ func TestFuzzMergeVsFlatOracle(t *testing.T) {
 	defer rec.Close()
 
 	// The flat oracle: the identical mutation schedule against a plain
-	// store with a never-truncated single-file WAL, fully replayed.
-	odir := t.TempDir()
-	wal := filepath.Join(odir, "oracle.log")
-	st := state.NewStore()
-	l, err := state.CreateLog(wal)
-	if err != nil {
-		t.Fatalf("oracle log: %v", err)
-	}
-	st.AttachLog(l)
-	for r := 0; r < rounds; r++ {
-		mutate(t, memBatch{st.DB()}, r)
-		putRound(t, memBatch{st.DB()}, r)
-	}
-	l.Close()
-	flat := state.NewStore()
-	if _, err := state.ReplayFile(wal, flat); err != nil {
-		t.Fatalf("oracle replay: %v", err)
-	}
+	// store with a never-truncated WAL chain, fully replayed.
+	flat := walOracle(t, func(db memBatch) {
+		for r := 0; r < rounds; r++ {
+			mutate(t, db, r)
+			putRound(t, db, r)
+		}
+	})
 
 	want := snapshotBytes(t, flat)
 	if got := snapshotBytes(t, rec.Mem()); !bytes.Equal(got, want) {

@@ -80,26 +80,39 @@ func mutate(t *testing.T, db batchStore, round int) {
 	}
 }
 
-// oracle replays the full-WAL history: the same mutation rounds against
-// a plain store logging to its own (never truncated) WAL, recovered by
-// full replay.
+// oracle replays the full-WAL history of the given mutation rounds.
 func oracle(t *testing.T, rounds int) *state.Store {
 	t.Helper()
+	return walOracle(t, func(db memBatch) {
+		for r := 0; r < rounds; r++ {
+			mutate(t, db, r)
+		}
+	})
+}
+
+// walOracle runs fill against a plain store logging to its own WAL chain
+// — never truncated, since no flush ever cuts it — and returns a fresh
+// store recovered from that chain by full replay from MinInstant.
+func walOracle(t *testing.T, fill func(memBatch)) *state.Store {
+	t.Helper()
 	dir := t.TempDir()
-	wal := filepath.Join(dir, "oracle.log")
 	st := state.NewStore()
-	l, err := state.CreateLog(wal)
+	l, _, err := state.RecoverWALDir(dir, st, temporal.MinInstant, 0)
 	if err != nil {
 		t.Fatalf("oracle log: %v", err)
 	}
 	st.AttachLog(l)
-	for r := 0; r < rounds; r++ {
-		mutate(t, memBatch{st.DB()}, r)
+	fill(memBatch{st.DB()})
+	if err := l.Close(); err != nil {
+		t.Fatalf("oracle log close: %v", err)
 	}
-	l.Close()
 	rec := state.NewStore()
-	if _, err := state.ReplayFile(wal, rec); err != nil {
+	l2, _, err := state.RecoverWALDir(dir, rec, temporal.MinInstant, 0)
+	if err != nil {
 		t.Fatalf("oracle replay: %v", err)
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatalf("oracle replay close: %v", err)
 	}
 	return rec
 }

@@ -11,8 +11,8 @@
 //
 // Locking protocol:
 //
-//   - Mutations (apply, PutBatch, compaction sweeps, DropDerived,
-//     loadRecord) take the owning shard's write lock: the lock orders
+//   - Mutations (apply, PutBatch, compaction sweeps, DropDerived)
+//     take the owning shard's write lock: the lock orders
 //     writers of the same shard; readers are ordered by the atomic head
 //     publication instead.
 //   - Point reads (Find/FindSpec/FindValue, History, ValiditySet, and

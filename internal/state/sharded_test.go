@@ -195,8 +195,8 @@ func TestShardedStress(t *testing.T) {
 		}
 	}()
 
-	// Wildcard List racing WriteSnapshot: every snapshot must restore
-	// into a consistent store.
+	// Wildcard List racing WriteSnapshot: every pinned cut must hold a
+	// consistent (non-overlapping) belief.
 	bgWG.Add(1)
 	go func() {
 		defer bgWG.Done()
@@ -205,23 +205,19 @@ func TestShardedStress(t *testing.T) {
 				t.Errorf("List saw %d live keys for %d lineages", len(all), writers*keysPerWrite)
 				return
 			}
+			snap := st.Snapshot()
 			var buf bytes.Buffer
-			if err := st.WriteSnapshot(&buf); err != nil {
+			if err := snap.WriteSnapshot(&buf); err != nil {
 				t.Errorf("snapshot: %v", err)
-				return
-			}
-			restored := NewStore()
-			if err := ReadSnapshot(&buf, restored); err != nil {
-				t.Errorf("snapshot restore: %v", err)
 				return
 			}
 			for w := 0; w < writers; w++ {
 				for k := 0; k < keysPerWrite; k++ {
 					key := fmt.Sprintf("w%d-k%d", w, k)
-					hist := restored.History(key, "v")
+					hist := snap.History(key, "v")
 					for j := 1; j < len(hist); j++ {
 						if hist[j-1].Validity.Overlaps(hist[j].Validity) {
-							t.Errorf("restored snapshot has overlapping belief for %s", key)
+							t.Errorf("pinned cut has overlapping belief for %s", key)
 							return
 						}
 					}

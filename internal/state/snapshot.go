@@ -139,10 +139,10 @@ func (sn *Snapshot) History(entity, attr string, opts ...ReadOpt) []*element.Fac
 	return sn.s.history(entity, attr, sn.clamp(newReadCfg(opts)))
 }
 
-// WriteSnapshot serializes the pinned cut in the snapshot file format
-// (see Store.WriteSnapshot): every record believed at the pin, with
-// belief intervals closed after the pin restored to open. ReadSnapshot
-// of the result reproduces the cut exactly.
+// WriteSnapshot dumps the pinned cut in the canonical cut encoding (see
+// Store.WriteSnapshot): every record believed at the pin, with belief
+// intervals closed after the pin restored to open. Two handles over the
+// same bitemporal cut dump identical bytes.
 func (sn *Snapshot) WriteSnapshot(w io.Writer) error {
 	return sn.s.writeSnapshotAt(w, sn.at)
 }

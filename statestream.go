@@ -31,7 +31,7 @@
 //
 // Minimal example — the paper's building-security use case:
 //
-//	engine := statestream.New(statestream.StateFirst) // or New(WithPolicy(...), WithLog(...))
+//	engine := statestream.New(statestream.StateFirst) // or New(WithPolicy(...), WithDurableDir(dir))
 //	engine.DeployRules(`
 //	    RULE position ON RoomEntry AS r
 //	    THEN REPLACE position(r.visitor) = r.room`)
@@ -48,7 +48,6 @@
 package statestream
 
 import (
-	"io"
 	"time"
 
 	"repro/internal/cep"
@@ -97,10 +96,6 @@ func New(opts ...Option) *Engine { return core.New(opts...) }
 
 // WithPolicy selects the state/stream interaction policy.
 func WithPolicy(p Policy) Option { return core.WithPolicy(p) }
-
-// WithLog attaches an append-only mutation log to the engine's state
-// repository.
-func WithLog(l *Log) Option { return core.WithLog(l) }
 
 // WithReasoning attaches a reasoner over the given ontology (nil for an
 // empty one).
@@ -452,8 +447,6 @@ type (
 	// WriteOpt configures a temporal write (WithValidTime,
 	// WithEndValidTime, WithTransactionTime, WithSource, WithDerived).
 	WriteOpt = state.WriteOpt
-	// Log is an append-only record of store mutations (see WithLog).
-	Log = state.Log
 	// StoreStats summarizes store occupancy.
 	StoreStats = state.Stats
 	// ReadSpec is the pre-resolved, allocation-free form of a point-read
@@ -563,12 +556,6 @@ func WithSource(source string) WriteOpt { return state.WithSource(source) }
 
 // WithDerived marks the written version as reasoner-materialized.
 func WithDerived() WriteOpt { return state.WithDerived() }
-
-// NewLog wraps a writer in a mutation log (see WithLog and cmd/stateql).
-func NewLog(w io.Writer) *Log { return state.NewLog(w) }
-
-// CreateLog creates (truncating) a log file at path.
-func CreateLog(path string) (*Log, error) { return state.CreateLog(path) }
 
 // NewOntology returns an empty ontology.
 func NewOntology() *Ontology { return reason.NewOntology() }

@@ -1,8 +1,8 @@
 package statestream_test
 
-// Benchmark harness: one testing.B benchmark per experiment of DESIGN.md
-// §4 (E1-E10), each delegating to the same internal/bench function that
-// cmd/benchrunner uses to regenerate the EXPERIMENTS.md tables, plus
+// Benchmark harness: one testing.B benchmark per experiment E1-E10 (see
+// bench.All), each delegating to the same internal/bench function whose
+// table cmd/benchrunner prints, plus
 // micro-benchmarks for the load-bearing substrates (state store, rule
 // firing, window evaluation, query language, reasoner).
 //
@@ -19,8 +19,8 @@ import (
 	"repro/internal/workload"
 )
 
-// benchScale keeps the experiment benchmarks fast enough to iterate; the
-// recorded EXPERIMENTS.md tables come from cmd/benchrunner at scale 1.
+// benchScale keeps the experiment benchmarks fast enough to iterate;
+// cmd/benchrunner runs the full-size tables at scale 1.
 const benchScale = 0.25
 
 func runExperiment(b *testing.B, run func(float64) *metrics.Table) {

@@ -1,6 +1,7 @@
 // Package bench implements the experiment harness: one function per
-// experiment E1-E10 of DESIGN.md, each returning an aligned table in the
-// format recorded in EXPERIMENTS.md.
+// experiment E1-E10 (All lists them with the paper claim each tests),
+// each returning an aligned table that cmd/benchrunner prints, plus the
+// regression suite whose same-run ratios the benchrunner gates bound.
 //
 // The paper (an EDBT 2017 vision poster) contains no quantitative
 // evaluation, so each experiment operationalizes one of its claims or use
@@ -22,8 +23,7 @@ type Experiment struct {
 	// Claim cites the paper locus the experiment tests.
 	Claim string
 	// Run executes the experiment and returns its report table. The scale
-	// factor shrinks workloads for quick runs (1 = full size used in
-	// EXPERIMENTS.md).
+	// factor shrinks workloads for quick runs (1 = full size).
 	Run func(scale float64) *metrics.Table
 }
 

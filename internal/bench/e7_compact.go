@@ -81,8 +81,7 @@ func walTruncateChain(records int, rotateBytes int64) time.Duration {
 // gate, which needs a chain deep enough for the clock to resolve —
 // at -scale 0.25 a scaled chain would be a handful of files and pure
 // noise. The fixed build is cheap (one in-memory store, one WAL).
-func addWALTruncateRows(add func(name string, ops int, measure func() time.Duration), scale float64) {
-	_ = scale
+func addWALTruncateRows(add func(name string, ops int, measure func() time.Duration)) {
 	// ~8 KiB per file at the 1x leg keeps the file count identical
 	// across legs while the record count varies 8x.
 	add("e7/wal-truncate/tail-1x", walTruncateSteps, func() time.Duration {
@@ -98,16 +97,13 @@ func addWALTruncateRows(add func(name string, ops int, measure func() time.Durat
 // newest copy of the shared working set is dead weight.
 const compactReclaimRounds = 8
 
-// buildReclaimDir lays down compactReclaimRounds segments of unique +
-// shared keys and returns the per-round key counts used. Like the
+// buildReclaimDir lays down compactReclaimRounds segments of
+// reclaimUnique round-private + reclaimShared shared keys. Like the
 // truncation rows, the workload is fixed rather than scaled: the gate
-// compares deterministic frame-slot counts, but the per-slot ns/op
-// still lands in baseline comparisons, and a scaled-down merged
-// directory opens in microseconds — pure timer noise.
-func buildReclaimDir(dir string, scale float64) (unique, shared int) {
-	_ = scale
-	unique = 400
-	shared = 3_600
+// compares deterministic frame-slot counts, which scaling would only
+// shrink toward a handful of frames.
+func buildReclaimDir(dir string) {
+	const reclaimUnique, reclaimShared = 400, 3_600
 	d, err := segment.Open(dir)
 	if err != nil {
 		panic(err)
@@ -122,10 +118,10 @@ func buildReclaimDir(dir string, scale float64) (unique, shared int) {
 		}
 	}
 	for r := 0; r < compactReclaimRounds; r++ {
-		for i := 0; i < unique; i++ {
+		for i := 0; i < reclaimUnique; i++ {
 			put(fmt.Sprintf("u%d-%05d", r, i))
 		}
-		for i := 0; i < shared; i++ {
+		for i := 0; i < reclaimShared; i++ {
 			put(fmt.Sprintf("s%05d", i))
 		}
 		if err := d.FlushAt(tx); err != nil {
@@ -135,7 +131,6 @@ func buildReclaimDir(dir string, scale float64) (unique, shared int) {
 	if err := d.Close(); err != nil {
 		panic(err)
 	}
-	return unique, shared
 }
 
 // openReclaimDir measures one cold start of the reclaim directory and
@@ -156,13 +151,13 @@ func openReclaimDir(dir string) (time.Duration, int) {
 // unmerged restart, compacts, and measures the merged restart. The rows
 // carry FrameSlots as Ops — the deterministic restart-load figure the
 // benchrunner gate compares.
-func addCompactReclaimRows(rep *RegressionReport, scale float64) {
+func addCompactReclaimRows(rep *RegressionReport) {
 	dir, err := os.MkdirTemp("", "compact-reclaim-")
 	if err != nil {
 		panic(err)
 	}
 	defer os.RemoveAll(dir)
-	buildReclaimDir(dir, scale)
+	buildReclaimDir(dir)
 
 	measure := func(name string) {
 		elapsed, slots := openReclaimDir(dir)

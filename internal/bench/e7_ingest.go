@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/element"
 	"repro/internal/lang"
-	"repro/internal/state"
 	"repro/internal/stream"
 	"repro/internal/temporal"
 )
@@ -86,32 +85,6 @@ func ingestThroughput(workers, n int) (time.Duration, float64) {
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&m1)
 	return elapsed, float64(m1.Mallocs-m0.Mallocs) / float64(n)
-}
-
-// putBatchThroughput measures the store-level group commit: ops replace
-// writes flushed in micro-batches of ingestWMEvery, against the same
-// per-put workload shape as e7/put-seq's inner loop.
-func putBatchThroughput(keys, ops int) time.Duration {
-	st := state.NewStore()
-	names := keyNames(keys)
-	batch := make([]state.BatchPut, 0, ingestWMEvery)
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		batch = append(batch, state.BatchPut{
-			Entity: names[i%keys], Attr: "value",
-			Value: element.Int(int64(i)), At: temporal.Instant(i + 1),
-		})
-		if len(batch) == ingestWMEvery {
-			if err := st.PutBatch(batch); err != nil {
-				panic(err)
-			}
-			batch = batch[:0]
-		}
-	}
-	if err := st.PutBatch(batch); err != nil {
-		panic(err)
-	}
-	return time.Since(start)
 }
 
 // keyNamesPrefixed pre-renders n key names with a prefix.

@@ -17,10 +17,9 @@ import (
 // durable directory — once with every lineage in RAM, once with every
 // lineage evicted, so the scan's candidates arrive through the cold
 // union and per-segment envelope pruning decides how many frames are
-// actually read. evict-reclaim prices the eviction sweep itself. The
-// benchrunner gate bounds cold at 3x resident: envelope pruning has to
-// keep a selective cold scan in the same class as a resident one
-// instead of decaying to a full directory decode.
+// actually read. The benchrunner gate bounds cold at 3x resident:
+// envelope pruning has to keep a selective cold scan in the same class
+// as a resident one instead of decaying to a full directory decode.
 
 // outOfCoreSegments is the flush-segment count of the bench directory.
 // Keys are written in contiguous value ranges, one flush per range, so
@@ -88,31 +87,10 @@ func scanOutOfCore(evict bool, keys, queries int) time.Duration {
 	return elapsed
 }
 
-// evictReclaim measures one full eviction sweep: every fully-durable
-// lineage leaves RAM. Ops is the key count, so NsPerOp is the per-
-// lineage reclaim cost.
-func evictReclaim(keys int) time.Duration {
-	dir, err := os.MkdirTemp("", "outofcore-bench-")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(dir)
-	d := buildOutOfCoreStore(dir, keys)
-	start := time.Now()
-	n := d.EvictToBudget(0)
-	elapsed := time.Since(start)
-	if n == 0 {
-		panic("evict-reclaim evicted nothing")
-	}
-	d.Abandon()
-	return elapsed
-}
-
 // addOutOfCoreRows appends the out-of-core rows through add.
 func addOutOfCoreRows(add func(name string, ops int, measure func() time.Duration), scale float64) {
 	keys := scaleInt(8_192, scale)
 	queries := scaleInt(300, scale)
 	add("e7/scan-resident", queries, func() time.Duration { return scanOutOfCore(false, keys, queries) })
 	add("e7/scan-cold", queries, func() time.Duration { return scanOutOfCore(true, keys, queries) })
-	add("e7/evict-reclaim", keys, func() time.Duration { return evictReclaim(keys) })
 }

@@ -2,32 +2,50 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
+	"repro/internal/element"
 	"repro/internal/query"
 	"repro/internal/state"
 	"repro/internal/temporal"
 )
 
-// Partitioned-query rows: the PR-7 execution layer. scanPartitioned
+// Partitioned-query rows: the query execution layer. scanPartitioned
 // contrasts the serial snapshot gather with the shard-partitioned
 // parallel gather on an identical pinned cut; queryPrepared contrasts a
 // full-scan-and-filter query against the same query planned with its
 // range predicate pushed into the gather, where the attribute-level
 // value-envelope index skips every lineage whose values cannot match.
 
-// partitionScanStore seeds the store the partition rows read, reusing
-// the under-ingest seeding (one open version per key, values 0..keys-1).
-func partitionScanStore(keys int) *state.Store {
-	return seededScanStore(keys)
+// seededScanStore builds the store the partition rows read: one open
+// version per key, values 0..keys-1.
+func seededScanStore(keys int) *state.Store {
+	st := state.NewStore()
+	batch := make([]state.BatchPut, 0, 512)
+	flush := func() {
+		if err := st.PutBatch(batch); err != nil {
+			panic(err)
+		}
+		batch = batch[:0]
+	}
+	for i := 0; i < keys; i++ {
+		batch = append(batch, state.BatchPut{
+			Entity: fmt.Sprintf("u%05d", i), Attr: "value",
+			Value: element.Int(int64(i)), At: temporal.Instant(i + 1),
+		})
+		if len(batch) == cap(batch) {
+			flush()
+		}
+	}
+	flush()
+	return st
 }
 
 // scanPartitioned measures wildcard attribute scans over one pinned
 // snapshot: par <= 1 takes the serial List gather, higher values the
 // partitioned gather with that worker count.
 func scanPartitioned(par, keys, scans int) time.Duration {
-	st := partitionScanStore(keys)
+	st := seededScanStore(keys)
 	snap := st.Snapshot()
 	start := time.Now()
 	for i := 0; i < scans; i++ {
@@ -47,7 +65,7 @@ func scanPartitioned(par, keys, scans int) time.Duration {
 // non-candidate lineages before any version is gathered. Parallelism is
 // pinned to 1 so the rows isolate index pruning from partitioning.
 func queryPrepared(indexed bool, keys, queries int) time.Duration {
-	st := partitionScanStore(keys)
+	st := seededScanStore(keys)
 	src := fmt.Sprintf("SELECT entity, value FROM value WHERE value > %d", keys-10)
 	p, err := query.Prepare(src)
 	if err != nil {
@@ -69,28 +87,4 @@ func queryPrepared(indexed bool, keys, queries int) time.Duration {
 		}
 	}
 	return time.Since(start)
-}
-
-// preparedExecCost measures one prepared execution end to end (ns and
-// heap allocations per Exec) over a small pinned store — the
-// zero-parse/zero-plan claim of the prepared API, in row form.
-func preparedExecCost(keys, execs int) (time.Duration, float64) {
-	st := partitionScanStore(keys)
-	p, err := query.Prepare(fmt.Sprintf(
-		"SELECT entity, value FROM value WHERE value > %d", keys-10))
-	if err != nil {
-		panic(err)
-	}
-	env := query.ExecEnv{Store: st.Snapshot(), Now: temporal.Instant(keys + 1), Parallelism: 1}
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	for i := 0; i < execs; i++ {
-		if _, err := p.Exec(env); err != nil {
-			panic(err)
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-	return elapsed, float64(ms1.Mallocs-ms0.Mallocs) / float64(execs)
 }

@@ -11,28 +11,23 @@ import (
 	"repro/internal/temporal"
 )
 
-// The benchmark-regression suite: the machine-readable face of the E7
-// state-store experiment and the bitemporal read microbenchmarks, emitted
-// by `benchrunner -json` and gated in CI against a committed baseline.
-// Every row is a (name, ns/op) pair so a baseline comparison is a single
-// ratio per row.
+// The regression suite: pairs of E7 rows measured in the same run on the
+// same machine, emitted by `benchrunner -json`, whose ratios the
+// benchrunner gate table bounds. Every row is a (name, ns/op) pair, so a
+// gate is a single ratio of two rows.
 
-// Measurement is one regression-suite row. AllocsPerOp, when nonzero, is
-// the heap-allocation count per operation — unlike ns/op it is stable
-// across hardware classes, so the gate compares it even when absolute
-// timings are not comparable.
+// Measurement is one regression-suite row.
 type Measurement struct {
-	Name        string  `json:"name"`
-	Ops         int     `json:"ops"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	OpsPerSec   float64 `json:"ops_per_sec"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	Name      string  `json:"name"`
+	Ops       int     `json:"ops"`
+	NsPerOp   float64 `json:"ns_per_op"`
+	OpsPerSec float64 `json:"ops_per_sec"`
 }
 
-// RegressionReport is the envelope written to BENCH_PR2.json. The
-// hardware fields record where the numbers were taken: parallel-row
-// ratios are only comparable against baselines from similar machines
-// (a single-CPU container cannot show multi-core speedups).
+// RegressionReport is the envelope `benchrunner -json` writes. The
+// hardware fields record where the numbers were taken: the parallel
+// gates only engage on machines that can run their workers at once (a
+// single-CPU container cannot show multi-core speedups).
 type RegressionReport struct {
 	Scale      float64       `json:"scale"`
 	GoMaxProcs int           `json:"gomaxprocs"`
@@ -46,52 +41,43 @@ type RegressionReport struct {
 // regressionWorkers is the goroutine count of the parallel rows.
 const regressionWorkers = 8
 
-// underIngestWriters is the background writer count of the
-// scan/query-under-ingest rows (matching the 4-way ingest leg).
-const underIngestWriters = 4
-
 // RegressionSuite measures the state-repository hot paths at the given
 // scale. Rows:
 //
-//	e7/put-seq                   sequential mixed mutations (mutateStore)
-//	e7/put-batch                 group-committed micro-batch Puts (PutBatch)
-//	e7/find-current              point reads against the live index
-//	e7/find-systime              belief-pinned point reads
-//	e7/find-par8/{sharded,single-lock}  8-goroutine parallel Find
-//	e7/put-par8/{sharded,single-lock}   8-goroutine parallel Put
-//	e7/ingest-serial             end-to-end Engine.Run, 1 worker (+allocs/op)
-//	e7/ingest-par4, ingest-par8  end-to-end Engine.Run, 4/8 workers
+//	e7/find-par8/sharded         8-goroutine parallel Find, default shards
+//	e7/find-par8/single-lock     the same on a 1-shard (single-lock) store
+//	e7/put-par8/sharded          8-goroutine parallel Put, default shards
+//	e7/put-par8/single-lock      the same on a 1-shard (single-lock) store
+//	e7/ingest-serial             end-to-end Engine.Run, 1 worker
+//	e7/ingest-par4               end-to-end Engine.Run, 4 workers
 //	e7/fanout-1k-subscribers     serial ingest with 1k push subscribers
 //	                             (one stalled) on the broker
-//	e7/fanout-broadcast-latency  broker mean per-batch dispatch latency
-//	e7/scan-under-ingest/{snapshot,lock-all}  wildcard List racing 4 writers
-//	e7/query-under-ingest        snapshot-pinned prepared queries racing 4 writers
-//	e7/scan-serial, scan-par4    quiet-store snapshot gather, serial vs partitioned
-//	e7/query-fullscan, query-indexed  selective range query, scan-and-filter vs
-//	                             value-envelope index pruning
-//	e7/query-prepared-exec       one prepared Exec end to end (+allocs/op)
-//	e7/recover-{wal,segment}     cold-start recovery: full-WAL replay vs
-//	                             segment bulk-load + WAL-tail replay
-//	e7/recover-{par,serial}      fully flushed cold start, GOMAXPROCS vs
-//	                             1 frame-load worker
-//	e7/scan-{resident,cold}      selective prepared query over a durable
-//	                             directory, all lineages in RAM vs all
-//	                             evicted (cold union + envelope pruning)
-//	e7/evict-reclaim             per-lineage cost of a full eviction sweep
-//	e7/wal-truncate/{tail-1x,tail-8x}  whole-file WAL truncation over equal
-//	                             file counts holding 1x vs 8x the records
-//	e7/compact-reclaim/{unmerged,merged}  restart frame slots before vs
-//	                             after a full segment merge
-//	e7/flush-os, flush-vfs-overhead   ingest+flush via the vfs.OS passthrough
-//	                             vs an empty fault-injection wrap
-//	e7/ingest-durable, ingest-degraded  durable-engine ingest healthy vs
-//	                             latched degraded (WAL dropping)
-//	bitemporal/find-current, find-asof-valid, find-systime, history
+//	e7/scan-serial               quiet-store snapshot gather, serial
+//	e7/scan-par4                 the same gather, 4 partition workers
+//	e7/query-fullscan            selective range query, scan-and-filter
+//	e7/query-indexed             the same query, value-envelope pruning
+//	e7/recover-wal               cold start replaying the full WAL
+//	e7/recover-segment           cold start from segments + WAL tail
+//	e7/recover-par               fully flushed cold start, GOMAXPROCS
+//	                             frame-load workers
+//	e7/recover-serial            the same, 1 frame-load worker
+//	e7/scan-resident             selective prepared query over a durable
+//	                             directory, all lineages in RAM
+//	e7/scan-cold                 the same, all lineages evicted (cold
+//	                             union + envelope pruning)
+//	e7/wal-truncate/tail-1x      whole-file WAL truncation, 1x records
+//	e7/wal-truncate/tail-8x      the same file count holding 8x records
+//	e7/compact-reclaim/unmerged  restart frame slots before a full merge
+//	e7/compact-reclaim/merged    restart frame slots after it
+//	e7/flush-os                  ingest+flush via the vfs.OS passthrough
+//	e7/flush-vfs-overhead        the same via an empty fault-injection wrap
+//	e7/ingest-durable            durable-engine ingest, healthy
+//	e7/ingest-degraded           the same, latched degraded (WAL dropping)
 //
-// The par8 rows contrast the default sharded store with a 1-shard
-// (single-lock) baseline on identical workloads; the ingest rows contrast
-// the serial element loop with the watermark-delimited parallel pipeline
-// (the par rows only beat serial given >= that many CPUs).
+// Each row exists to be one side of a same-run ratio; the par8 rows
+// contrast the default sharded store with a single-lock baseline on
+// identical workloads, and the parallel rows only beat serial given >=
+// that many CPUs.
 func RegressionSuite(scale float64) *RegressionReport {
 	rep := &RegressionReport{
 		Scale:      scale,
@@ -123,42 +109,8 @@ func RegressionSuite(scale float64) *RegressionReport {
 		})
 	}
 
-	// addAllocs also records allocations per op (taken from the pass that
-	// set the minimum elapsed time; allocation counts are deterministic
-	// for these single-goroutine workloads).
-	addAllocs := func(name string, ops int, measure func() (time.Duration, float64)) {
-		elapsed, allocs := measure()
-		for i := 1; i < 5; i++ {
-			if again, a := measure(); again < elapsed {
-				elapsed, allocs = again, a
-			}
-		}
-		ns := float64(elapsed.Nanoseconds()) / float64(ops)
-		rep.Results = append(rep.Results, Measurement{
-			Name: name, Ops: ops, NsPerOp: ns, OpsPerSec: 1e9 / ns, AllocsPerOp: allocs,
-		})
-	}
-
-	// Sequential E7 rows.
-	keys := scaleInt(10_000, scale)
-	ops := scaleInt(100_000, scale)
-	add("e7/put-seq", ops, func() time.Duration {
-		_, elapsed := mutateStore(keys, ops, nil)
-		return elapsed
-	})
-	add("e7/put-batch", ops, func() time.Duration {
-		return putBatchThroughput(keys, ops)
-	})
-	reads := scaleInt(100_000, scale)
-	e7Store := func() *state.Store {
-		st, _ := mutateStore(keys, ops, nil)
-		correctRetroactively(st, keys, keys/20+1)
-		return st
-	}
-	add("e7/find-current", reads, func() time.Duration { return findThroughput(e7Store(), keys, reads, false) })
-	add("e7/find-systime", reads, func() time.Duration { return findThroughput(e7Store(), keys, reads, true) })
-
 	// Parallel contention rows: sharded vs single-lock.
+	keys := scaleInt(10_000, scale)
 	parOps := scaleInt(200_000, scale)
 	for _, cfg := range []struct {
 		name   string
@@ -175,74 +127,28 @@ func RegressionSuite(scale float64) *RegressionReport {
 		})
 	}
 
-	// End-to-end ingestion rows: the whole Figure-1 pipeline. The serial
-	// row carries allocs/op — the hardware-independent hot-path gauge.
+	// End-to-end ingestion rows: the whole Figure-1 pipeline, serial and
+	// 4-way parallel, then the serial leg with 1k subscription clients
+	// attached (one permanently stalled).
 	ingestOps := scaleInt(400_000, scale)
-	addAllocs("e7/ingest-serial", ingestOps, func() (time.Duration, float64) {
-		return ingestThroughput(1, ingestOps)
+	add("e7/ingest-serial", ingestOps, func() time.Duration {
+		elapsed, _ := ingestThroughput(1, ingestOps)
+		return elapsed
 	})
-	for _, workers := range []int{4, 8} {
-		workers := workers
-		add(fmt.Sprintf("e7/ingest-par%d", workers), ingestOps, func() time.Duration {
-			elapsed, _ := ingestThroughput(workers, ingestOps)
-			return elapsed
-		})
-	}
-
-	// Fan-out overhead rows: the serial ingest leg with 1k subscription
-	// clients attached (one permanently stalled). The benchrunner gate
-	// bounds ns/op at 1.1x e7/ingest-serial on >= 4-CPU machines; the
-	// latency row reports the broker's mean per-batch broadcast time
-	// (NsPerOp is that mean, Ops the batch count of the fastest pass).
+	add("e7/ingest-par4", ingestOps, func() time.Duration {
+		elapsed, _ := ingestThroughput(4, ingestOps)
+		return elapsed
+	})
 	fanoutSubs := scaleInt(1_000, scale)
-	var fanElapsed, fanMean time.Duration
-	fanBatches := 0
-	for i := 0; i < 5; i++ {
-		elapsed, mean, batches := fanoutRun(fanoutSubs, ingestOps)
-		if i == 0 || elapsed < fanElapsed {
-			fanElapsed, fanMean, fanBatches = elapsed, mean, batches
-		}
-	}
-	fanNs := float64(fanElapsed.Nanoseconds()) / float64(ingestOps)
-	rep.Results = append(rep.Results, Measurement{
-		Name: "e7/fanout-1k-subscribers", Ops: ingestOps, NsPerOp: fanNs, OpsPerSec: 1e9 / fanNs,
+	add("e7/fanout-1k-subscribers", ingestOps, func() time.Duration {
+		return fanoutRun(fanoutSubs, ingestOps)
 	})
-	if fanBatches > 0 && fanMean > 0 {
-		meanNs := float64(fanMean.Nanoseconds())
-		rep.Results = append(rep.Results, Measurement{
-			Name: "e7/fanout-broadcast-latency", Ops: fanBatches,
-			NsPerOp: meanNs, OpsPerSec: 1e9 / meanNs,
-		})
-	}
 
-	// Reader-latency-under-ingest rows: wildcard scans and on-demand
-	// queries racing 4 background replace-batch writers. The snapshot row
-	// reads lock-free pinned cuts; the lock-all row is the pre-epoch
-	// all-shard-read-lock gather kept as the contention baseline. The
-	// benchrunner gate requires snapshot >= 2x faster than lock-all on
-	// machines with >= 4 CPUs (reader and writers truly parallel).
+	// Partitioned-execution rows: serial vs 4-way partitioned gather over
+	// one pinned snapshot, then an identical selective range query
+	// executed by full scan-and-filter vs the prepared plan whose pushed
+	// bounds engage the value-envelope index.
 	scanKeys := scaleInt(4_096, scale)
-	scans := scaleInt(600, scale)
-	add("e7/scan-under-ingest/snapshot", scans, func() time.Duration {
-		return scanUnderIngest(false, scanKeys, scans, underIngestWriters)
-	})
-	add("e7/scan-under-ingest/lock-all", scans, func() time.Duration {
-		return scanUnderIngest(true, scanKeys, scans, underIngestWriters)
-	})
-	queries := scaleInt(300, scale)
-	add("e7/query-under-ingest", queries, func() time.Duration {
-		return queryUnderIngest(scanKeys, queries, underIngestWriters)
-	})
-
-	// Partitioned-execution rows (PR 7): serial vs 4-way partitioned
-	// gather over one pinned snapshot, then an identical selective range
-	// query executed by full scan-and-filter vs the prepared plan whose
-	// pushed bounds engage the value-envelope index. The benchrunner
-	// gates require par4 >= 2x serial and indexed >= 1.5x full-scan on
-	// >= 4-CPU machines (the scan ratio needs real parallelism; the
-	// index ratio holds anywhere but is gated alongside for one
-	// same-run comparison). The prepared-exec row carries allocs/op —
-	// if Exec ever re-parses or re-plans, that count jumps.
 	quietScans := scaleInt(2_000, scale)
 	add("e7/scan-serial", quietScans, func() time.Duration {
 		return scanPartitioned(1, scanKeys, quietScans)
@@ -257,59 +163,12 @@ func RegressionSuite(scale float64) *RegressionReport {
 	add("e7/query-indexed", selective, func() time.Duration {
 		return queryPrepared(true, scanKeys, selective)
 	})
-	preparedExecs := scaleInt(20_000, scale)
-	addAllocs("e7/query-prepared-exec", preparedExecs, func() (time.Duration, float64) {
-		return preparedExecCost(scanKeys, preparedExecs)
-	})
 
-	// Cold-start recovery rows: full-WAL replay vs segment directory
-	// (manifest + frame bulk-load + WAL-tail replay), and the parallel
-	// vs serial frame-load pair. The benchrunner gates require segments
-	// >= 3x faster than the WAL and (on >= 4 CPUs) the parallel load
-	// >= 2x faster than serial in the same run.
 	addRecoveryRows(add, scale)
-
-	// Out-of-core rows: the same selective query resident vs fully
-	// evicted (gate: cold <= 3x resident — per-segment envelope pruning
-	// must keep a selective cold scan from decaying to a full directory
-	// decode), plus the per-lineage eviction-sweep cost.
 	addOutOfCoreRows(add, scale)
-
-	// Segmented-WAL truncation rows: whole-file drops must cost the
-	// same per call whether the chain holds 1x or 8x the records
-	// (gate: tail-8x <= 3x tail-1x). Compaction-reclaim rows: a merged
-	// directory's restart load (frame slots) must be at most half the
-	// unmerged one's.
-	addWALTruncateRows(add, scale)
-	addCompactReclaimRows(rep, scale)
-
-	// Fault-layer cost rows: the empty FaultFS wrap vs the vfs.OS
-	// passthrough on a flush-heavy workload (gate: <= 1.05x), and
-	// degraded-mode ingest vs healthy durable ingest (gate: <= 1.1x).
+	addWALTruncateRows(add)
+	addCompactReclaimRows(rep)
 	addFaultRows(add, scale)
-
-	// Bitemporal read rows over a corrected history.
-	bKeys := scaleInt(1_000, scale)
-	bStore := func() *state.Store {
-		return buildCorrectedStore(bKeys, 16, scaleInt(2_000, scale))
-	}
-	bReads := scaleInt(100_000, scale)
-	midValid := temporal.Instant(8 * 100)
-	midTx := temporal.Instant(16 * 100)
-	add("bitemporal/find-current", bReads, func() time.Duration {
-		return timeReads(bStore(), bKeys, bReads, nil)
-	})
-	add("bitemporal/find-asof-valid", bReads, func() time.Duration {
-		return timeReads(bStore(), bKeys, bReads, []state.ReadOpt{state.AsOfValidTime(midValid)})
-	})
-	add("bitemporal/find-systime", bReads, func() time.Duration {
-		return timeReads(bStore(), bKeys, bReads,
-			[]state.ReadOpt{state.AsOfValidTime(midValid), state.AsOfTransactionTime(midTx)})
-	})
-	histReads := scaleInt(20_000, scale)
-	add("bitemporal/history", histReads, func() time.Duration {
-		return timeHistories(bStore(), bKeys, histReads)
-	})
 	return rep
 }
 
@@ -333,28 +192,6 @@ func seedCurrentValues(st *state.Store, keys int) {
 			panic(err)
 		}
 	}
-}
-
-// timeReads measures Finds with a fixed option set.
-func timeReads(st *state.Store, keys, reads int, opts []state.ReadOpt) time.Duration {
-	db := st.DB()
-	names := keyNames(keys)
-	start := time.Now()
-	for i := 0; i < reads; i++ {
-		db.Find(names[i%keys], "v", opts...)
-	}
-	return time.Since(start)
-}
-
-// timeHistories measures History scans.
-func timeHistories(st *state.Store, keys, reads int) time.Duration {
-	db := st.DB()
-	names := keyNames(keys)
-	start := time.Now()
-	for i := 0; i < reads; i++ {
-		db.History(names[i%keys], "v")
-	}
-	return time.Since(start)
 }
 
 // parallelFinds runs totalOps point reads split across workers goroutines
@@ -411,33 +248,4 @@ func parallelPuts(st *state.Store, totalOps, workers int) time.Duration {
 	}
 	wg.Wait()
 	return time.Since(start)
-}
-
-// buildCorrectedStore builds a store with versioned history plus a layer
-// of retroactive corrections, so reads pay the realistic cost of the
-// transaction-time dimension. It mirrors the bitemporal benchmark store
-// of bitemporal_bench_test.go in non-test code for the regression suite.
-func buildCorrectedStore(keys, versions, corrections int) *state.Store {
-	st := state.NewStore()
-	db := st.DB()
-	names := keyNames(keys)
-	for k := 0; k < keys; k++ {
-		for v := 0; v < versions; v++ {
-			at := temporal.Instant(v * 100)
-			if err := db.Put(names[k], "v", element.Int(int64(v)),
-				state.WithValidTime(at), state.WithTransactionTime(at)); err != nil {
-				panic(err)
-			}
-		}
-	}
-	txBase := temporal.Instant(versions * 100)
-	for c := 0; c < corrections; c++ {
-		from := temporal.Instant((c % versions) * 100)
-		if err := db.Put(names[c%keys], "v", element.Int(int64(-c)),
-			state.WithValidTime(from), state.WithEndValidTime(from+50),
-			state.WithTransactionTime(txBase+temporal.Instant(c))); err != nil {
-			panic(err)
-		}
-	}
-	return st
 }

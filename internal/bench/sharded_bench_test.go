@@ -13,7 +13,8 @@ import (
 // Sharded-store contention benchmarks: each benchmark runs the identical
 // workload against the default hash-partitioned store and a 1-shard
 // (single global RWMutex) baseline — the seed store's layout. Run with
-// -cpu 8 for the 8-goroutine numbers recorded in BENCH_PR2.json:
+// -cpu 8 for the 8-goroutine numbers the e7/{find,put}-par8 rows of the
+// regression suite compare:
 //
 //	go test ./internal/bench/ -run NONE -bench 'Sharded.*Parallel' -cpu 8
 //

@@ -1,7 +1,7 @@
 // Package metrics provides the measurement instruments for the experiment
 // harness: latency histograms with logarithmic buckets, throughput meters,
-// and heap probes. All experiments in EXPERIMENTS.md report numbers
-// collected through this package.
+// and heap probes. Every experiment table cmd/benchrunner prints reports
+// numbers collected through this package.
 package metrics
 
 import (
@@ -179,7 +179,7 @@ func HeapAlloc() uint64 {
 }
 
 // Table accumulates rows for an experiment report and renders them as an
-// aligned text table (the EXPERIMENTS.md format).
+// aligned text table (the format cmd/benchrunner prints).
 type Table struct {
 	Title   string
 	Headers []string

@@ -268,7 +268,7 @@ func TestOutOfCoreSteadyStateBounded(t *testing.T) {
 
 // TestOutOfCoreRaceStress drives ingest, flush+evict pulses, partitioned
 // scans, and point reads concurrently (run under -race in CI), then
-// byte-compares the settled state against a serially built oracle —
+// compares the settled state byte for byte with a serially built oracle —
 // eviction racing everything must never lose or duplicate a write.
 func TestOutOfCoreRaceStress(t *testing.T) {
 	const workers, roundsPer, keysPer = 4, 25, 8

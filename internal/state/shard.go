@@ -25,8 +25,7 @@
 //     instant from the clock, load each shard's published directory and
 //     each lineage's published head, and filter by belief visibility at
 //     the pin. See "Snapshot epochs" in DESIGN.md for the protocol and
-//     its memory model. ListLockAll retains the pre-epoch all-shard
-//     read-lock gather purely as a benchmark baseline.
+//     its memory model.
 //   - Eviction (EvictToBudget, evict.go) removes fully-durable lineages
 //     under the shard's write lock, marking the key in the shard's
 //     evicted set and republishing the directory before releasing the
@@ -223,20 +222,4 @@ func nextPowerOfTwo(n int) int {
 		p <<= 1
 	}
 	return p
-}
-
-// rlockAll / runlockAll acquire and release every shard's read lock in
-// index order. Since the snapshot-epoch refactor no production read path
-// uses them; they survive for ListLockAll, the lock-all contention
-// baseline the scan-under-ingest benchmark gate compares against.
-func (s *Store) rlockAll() {
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-	}
-}
-
-func (s *Store) runlockAll() {
-	for _, sh := range s.shards {
-		sh.mu.RUnlock()
-	}
 }

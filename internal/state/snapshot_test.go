@@ -3,7 +3,6 @@ package state
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 	"testing"
 
@@ -120,50 +119,6 @@ func TestSnapshotCutIsImmutableUnderWrites(t *testing.T) {
 	}
 	if after := fmt.Sprint(snap.List(WithAttribute("v"))); after != before {
 		t.Fatalf("pinned cut changed under writes:\nbefore %s\nafter  %s", before, after)
-	}
-}
-
-// TestListLockAllEquivalence pins the benchmark baseline to the
-// production read path: on a quiescent store the lock-free List and the
-// lock-all gather return identical results for every option shape.
-func TestListLockAllEquivalence(t *testing.T) {
-	st := NewStore()
-	db := st.DB()
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 1500; i++ {
-		entity := fmt.Sprintf("e%02d", rng.Intn(32))
-		attr := []string{"position", "badge"}[rng.Intn(2)]
-		tx := temporal.Instant(i + 1)
-		switch rng.Intn(4) {
-		case 0:
-			from := temporal.Instant(rng.Intn(i + 1))
-			if err := db.Put(entity, attr, element.Int(int64(i)),
-				WithValidTime(from),
-				WithEndValidTime(from+1+temporal.Instant(rng.Intn(20))),
-				WithTransactionTime(tx)); err != nil {
-				t.Fatal(err)
-			}
-		default:
-			if err := db.Put(entity, attr, element.Int(int64(i)),
-				WithValidTime(tx), WithTransactionTime(tx)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for _, opts := range [][]ReadOpt{
-		nil,
-		{WithAttribute("position")},
-		{AsOfValidTime(700)},
-		{AsOfValidTime(700), AsOfTransactionTime(900)},
-		{AllVersions()},
-		{DuringValidTime(100, 800)},
-		{WithAttribute("badge"), AllVersions(), AsOfTransactionTime(600)},
-	} {
-		got := fmt.Sprint(st.List(opts...))
-		want := fmt.Sprint(st.ListLockAll(opts...))
-		if got != want {
-			t.Fatalf("List diverges from ListLockAll for %d opts:\n%s\nvs\n%s", len(opts), got, want)
-		}
 	}
 }
 

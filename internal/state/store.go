@@ -1017,23 +1017,6 @@ func (s *Store) List(opts ...ReadOpt) []*element.Fact {
 	return s.gatherList(s.pinned(newReadCfg(opts)))
 }
 
-// ListLockAll is List executed under every shard's read lock — the
-// pre-snapshot-epoch gather, in which a long scan stalls every writer for
-// its full duration. It is retained purely as the contention baseline for
-// the scan-under-ingest benchmark gate (as NewStoreWithShards(1) is for
-// lock striping); production callers should use List.
-func (s *Store) ListLockAll(opts ...ReadOpt) []*element.Fact {
-	s.rlockAll()
-	defer s.runlockAll()
-	cfg := newReadCfg(opts)
-	if !cfg.hasTxAt {
-		// Holding every shard lock IS the publication barrier here; taking
-		// pinBarrier's handshake on top would re-enter the held locks.
-		cfg.txAt, cfg.hasTxAt = s.clock.now(), true
-	}
-	return s.gatherList(cfg)
-}
-
 // pickInto appends the versions cfg selects from one head — the shared
 // per-lineage body of the serial (gatherList) and partitioned
 // (gatherPartitioned) cross-shard gathers, so both paths select and

@@ -505,12 +505,6 @@ type (
 // shards, so unrelated keys never contend.
 func NewStore() *Store { return state.NewStore() }
 
-// NewStoreWithShards returns a state repository with a fixed shard count
-// (rounded up to a power of two). 1 yields a single-lock store — the
-// pre-sharding layout, useful as a contention baseline; <= 0 selects the
-// GOMAXPROCS-scaled default.
-func NewStoreWithShards(n int) *Store { return state.NewStoreWithShards(n) }
-
 // OpenDurableStore opens (or initializes) a standalone durable segment
 // store at dir, recovering any existing state: manifest, segment files,
 // then the WAL tail. Engines do this themselves via WithDurableDir; use

@@ -103,20 +103,6 @@ func (r ReadSpec) cfg() readCfg {
 	}
 }
 
-// SpecOf resolves a point-read option list to its temporal selectors —
-// the ReadSpec equivalent of the AsOfValidTime/AsOfTransactionTime
-// options in opts. Backends layered over the store (the segment store's
-// frame reads) use it to inspect a read's instants, e.g. to prune
-// against a per-segment bitemporal envelope, without re-deriving option
-// semantics.
-func SpecOf(opts ...ReadOpt) ReadSpec {
-	cfg := newReadCfg(opts)
-	return ReadSpec{
-		ValidAt: cfg.validAt, HasValidAt: cfg.hasValidAt,
-		TxAt: cfg.txAt, HasTxAt: cfg.hasTxAt,
-	}
-}
-
 // ScanShape is the fully resolved form of a List/scan option list: every
 // temporal selector plus the attribute scope and version cardinality.
 // Backends layered over the store use it to reason about a scan's shape
@@ -138,17 +124,6 @@ type ScanShape struct {
 	Attr string
 	// AllVersions reports every matching version instead of one per key.
 	AllVersions bool
-}
-
-// ShapeOf resolves a scan option list to its shape.
-func ShapeOf(opts ...ReadOpt) ScanShape {
-	cfg := newReadCfg(opts)
-	return ScanShape{
-		ValidAt: cfg.validAt, HasValidAt: cfg.hasValidAt,
-		During: cfg.validDuring, HasDuring: cfg.hasDuring,
-		TxAt: cfg.txAt, HasTxAt: cfg.hasTxAt,
-		Attr: cfg.attr, AllVersions: cfg.allVersions,
-	}
 }
 
 // AsOfValidTime selects the version valid at t in the modeled world.

@@ -4,24 +4,26 @@
 //
 // A ColdSource (the segment backend implements it) answers for lineages
 // that are NOT resident in RAM: point reads and histories fall through
-// to it key by key (ColdRecords), scans union its durable-only lineages
-// into the gather in key order (ColdLineages), and writes to an evicted
-// key restore the full record history first (FaultIn) so a later flush
-// frame never supersedes history it no longer sees.
+// to it key by key (ColdRecords), scans resolve only the published cold
+// keys against it (ColdFrames), and writes to an evicted key restore the
+// full record history first (FaultIn) so a later flush frame never
+// supersedes history it no longer sees.
 //
 // Eviction is the inverse of recovery's LoadLineage: EvictToBudget
 // removes fully-flushed, least-recently-used lineages from the shard
 // maps — their bytes leave RAM entirely; the durable frame remains the
-// single copy — and remembers the evicted keys per shard so the write
-// path knows to fault them back in. A lineage is evictable only when
-// every transaction that touched it is durable (head.maxTx at or before
-// the flushed cut): for such a lineage the segment frame holds the
-// byte-identical record set, so evicting and re-reading through the
+// single copy — and marks the keys evicted (the write path faults them
+// back in) and cold (scans resolve them). A lineage is evictable only
+// when every transaction that touched it is durable (head.maxTx at or
+// before the flushed cut): for such a lineage the segment frame holds
+// the byte-identical record set, so evicting and re-reading through the
 // ColdSource is invisible to every read shape at every pin.
 package state
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/element"
 	"repro/internal/temporal"
@@ -29,10 +31,9 @@ import (
 
 // ColdLineage is one durable-only lineage a ColdSource contributes to a
 // scan: the key (scans merge by it) and a lazy loader returning the
-// lineage's full record set. Load runs only when the merge actually
-// reaches the lineage — envelope-pruned or RAM-shadowed entries are
-// never read — and may run from a scan worker, so it must be safe for
-// concurrent calls with other loaders.
+// lineage's full record set. Load runs only in the gather that owns the
+// candidate, possibly on a scan worker, so it must be safe for concurrent
+// calls with other loaders.
 type ColdLineage struct {
 	Key  element.FactKey
 	Load func() ([]*element.Fact, error)
@@ -52,12 +53,14 @@ type ColdSource interface {
 	// unable or unwilling to answer (degraded, no frame, pruned)
 	// returns ok=false.
 	ColdRecords(key element.FactKey, spec ReadSpec, point bool) ([]*element.Fact, bool)
-	// ColdLineages returns the durable-only lineage candidates a scan
-	// of the given shape must union with RAM, sorted by (attribute,
-	// entity), with frames provably disjoint from the shape or the
-	// value bounds already pruned. Entries for keys that are in fact
-	// resident are permitted — the merge discards them unloaded.
-	ColdLineages(shape ScanShape, bounds ValueBounds) []ColdLineage
+	// ColdFrames resolves a scan's cold keys — distinct, in any order —
+	// against the durable catalog, returning one lazily loaded candidate
+	// per key that has a frame, in the keys' order. Keys with no frame,
+	// and frames whose owning segment's envelope is provably disjoint
+	// from the shape or the value bounds, are dropped unread. The cost
+	// follows the keys, not the catalog. Candidates for keys that are in
+	// fact resident are permitted — the merge discards them unloaded.
+	ColdFrames(keys []element.FactKey, shape ScanShape, bounds ValueBounds) []ColdLineage
 	// FaultIn returns the full record set of an evicted key so the
 	// write path can reinstall it before mutating. Unlike ColdRecords
 	// it never prunes: the caller needs the history, not an answer.
@@ -146,15 +149,26 @@ func (s *Store) ResidentLineages() int {
 	return n
 }
 
-// EvictedCount reports the number of keys currently marked evicted.
+// EvictedCount reports the number of keys currently marked evicted, read
+// from the published directories without any shard lock.
 func (s *Store) EvictedCount() int {
 	n := 0
 	for _, sh := range s.shards {
-		sh.mu.RLock()
-		n += len(sh.evicted)
-		sh.mu.RUnlock()
+		n += sh.pub.Load().evicted
 	}
 	return n
+}
+
+// ColdKeys returns the published cold keys, stale marks included, in no
+// particular order — what invariant checks hold the catalog against.
+func (s *Store) ColdKeys() []element.FactKey {
+	var keys []element.FactKey
+	for _, sh := range s.shards {
+		for _, ks := range sh.pub.Load().cold {
+			keys = append(keys, ks...)
+		}
+	}
+	return keys
 }
 
 // EvictedKeys returns the evicted key set sorted by (attribute, entity)
@@ -169,23 +183,38 @@ func (s *Store) EvictedKeys() []element.FactKey {
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(keys, func(i, j int) bool { return coldKeyLess(keys[i], keys[j]) })
+	slices.SortFunc(keys, compareKeys)
 	return keys
 }
 
-// MarkEvicted seeds the evicted key set — recovery calls it with the
-// manifest's evicted keys plus any frames it skipped loading to honor
-// the budget. Keys that turn out to be resident are left alone.
-func (s *Store) MarkEvicted(keys []element.FactKey) {
-	for _, key := range keys {
-		sh := s.shardFor(key.Entity, key.Attribute)
-		sh.mu.Lock()
-		if sh.byKey[key] == nil {
-			if sh.evicted == nil {
-				sh.evicted = make(map[element.FactKey]bool)
-			}
-			sh.evicted[key] = true
+// MarkCold seeds the cold directory at recovery, republishing each shard
+// once. Evicted keys (the manifest's plus any frames skipped to honor
+// the budget) also become fault-in targets; swept keys (the manifest's
+// durable-only husks, disjoint from them) serve reads only. Keys that
+// turn out to be resident are left alone.
+func (s *Store) MarkCold(evicted, swept []element.FactKey) {
+	add := make([][]element.FactKey, len(s.shards))
+	nEvicted := make([]int, len(s.shards)) // evicted keys lead each add list
+	for _, key := range evicted {
+		si := shardIndex(key.Entity, key.Attribute, s.shardMask)
+		add[si] = append(add[si], key)
+		nEvicted[si]++
+	}
+	for _, key := range swept {
+		si := shardIndex(key.Entity, key.Attribute, s.shardMask)
+		add[si] = append(add[si], key)
+	}
+	for si, sh := range s.shards {
+		if len(add[si]) == 0 {
+			continue
 		}
+		sh.mu.Lock()
+		for _, key := range add[si][:nEvicted[si]] {
+			if sh.byKey[key] == nil {
+				sh.evicted[key] = true
+			}
+		}
+		sh.publishRebuild(add[si])
 		sh.mu.Unlock()
 	}
 }
@@ -200,10 +229,11 @@ func (s *Store) MarkEvicted(keys []element.FactKey) {
 //
 // The candidate scan is lock-free over the published directories; the
 // evictions themselves batch per shard under one write-lock hold, with
-// the directory republished before the lock is released — a concurrent
-// write faulting the key back in therefore always observes a consistent
-// (map, directory) pair. Candidates that were touched between the scan
-// and the locked re-check are skipped: they just proved themselves hot.
+// the keys moved from resident to cold in one directory publication
+// before the lock is released — a concurrent fault-in or scan always
+// observes a consistent (resident, cold) pair. Candidates that were
+// touched between the scan and the locked re-check are skipped: they
+// just proved themselves hot.
 func (s *Store) EvictToBudget(budget int64, durable temporal.Instant) int {
 	if budget < 0 {
 		budget = 0
@@ -245,7 +275,7 @@ func (s *Store) EvictToBudget(budget int64, durable temporal.Instant) int {
 	for si, group := range byShard {
 		sh := s.shards[si]
 		sh.mu.Lock()
-		changed := false
+		var gone []element.FactKey
 		for _, c := range group {
 			key := c.l.key
 			if sh.byKey[key] != c.l {
@@ -256,20 +286,17 @@ func (s *Store) EvictToBudget(budget int64, durable temporal.Instant) int {
 				continue
 			}
 			delete(sh.byKey, key)
-			if sh.evicted == nil {
-				sh.evicted = make(map[element.FactKey]bool)
-			}
 			sh.evicted[key] = true
 			sh.records.Add(int64(-len(h.records)))
 			sh.versions.Add(int64(-h.nLive()))
 			sh.bytes.Add(-headBytes(h))
-			changed = true
-			evicted++
+			gone = append(gone, key)
 		}
-		if changed {
-			sh.publishRebuild()
+		if len(gone) > 0 {
+			sh.publishRebuild(gone)
 		}
 		sh.mu.Unlock()
+		evicted += len(gone)
 	}
 	return evicted
 }
@@ -278,22 +305,22 @@ func (s *Store) EvictToBudget(budget int64, durable temporal.Instant) int {
 // touches it, and clears the evicted mark either way — a key the source
 // cannot produce (degraded durability) forfeits its history exactly as
 // degraded mode forfeits reads, and the write proceeds on a fresh
-// lineage. Callers hold sh.mu and have already missed sh.byKey.
+// lineage; its cold mark goes stale, not away. Callers hold sh.mu and
+// have already missed sh.byKey.
 func (s *Store) faultIn(sh *shard, key element.FactKey) *lineage {
 	if !sh.evicted[key] {
 		return nil
 	}
 	delete(sh.evicted, key)
-	cs := s.coldSource()
-	if cs == nil {
-		return nil
+	var nh *head
+	if cs := s.coldSource(); cs != nil {
+		if records, ok := cs.FaultIn(key); ok && len(records) > 0 {
+			nh, _ = buildHead(records, true)
+		}
 	}
-	records, ok := cs.FaultIn(key)
-	if !ok || len(records) == 0 {
-		return nil
-	}
-	nh, err := buildHead(records, true)
-	if err != nil {
+	if nh == nil {
+		old := sh.pub.Load()
+		sh.publish(old.byAttr, old.cold) // refreshes the evicted count
 		return nil
 	}
 	l := &lineage{key: key}
@@ -303,42 +330,20 @@ func (s *Store) faultIn(sh *shard, key element.FactKey) *lineage {
 	}
 	sh.byKey[key] = l
 	sh.publishInsert(l)
-	sh.records.Add(int64(len(records)))
+	sh.records.Add(int64(len(nh.records)))
 	sh.versions.Add(int64(nh.nLive()))
 	sh.bytes.Add(headBytes(nh))
 	s.clock.observe(nh.maxTx)
 	return l
 }
 
-// coldKeyLess orders keys by (attribute, entity) — the deterministic
-// order of every cross-shard gather, which cold merges share.
-func coldKeyLess(a, b element.FactKey) bool {
-	if a.Attribute != b.Attribute {
-		return a.Attribute < b.Attribute
+// compareKeys orders keys by (attribute, entity) — the deterministic
+// order of every cross-shard gather, which cold keys share.
+func compareKeys(a, b element.FactKey) int {
+	if c := strings.Compare(a.Attribute, b.Attribute); c != 0 {
+		return c
 	}
-	return a.Entity < b.Entity
-}
-
-// coldLineagesFor fetches the scan's durable-only candidates from the
-// installed ColdSource, nil when none is installed.
-func (s *Store) coldLineagesFor(shape ScanShape, bounds ValueBounds) []ColdLineage {
-	cs := s.coldSource()
-	if cs == nil {
-		return nil
-	}
-	return cs.ColdLineages(shape, bounds)
-}
-
-// coldHead loads one cold candidate and wraps it in a detached head; nil
-// when the load fails or yields nothing (a frame the owner retired
-// mid-scan reads as absent, matching the read posture of point
-// fall-through).
-func coldHead(c ColdLineage) *head {
-	records, err := c.Load()
-	if err != nil || len(records) == 0 {
-		return nil
-	}
-	return detachedHead(records)
+	return strings.Compare(a.Entity, b.Entity)
 }
 
 // shapeOfCfg converts a resolved read configuration to the exported

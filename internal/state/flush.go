@@ -20,6 +20,7 @@ package state
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/element"
@@ -67,12 +68,7 @@ func (s *Store) FlushCut(tt, since temporal.Instant, visit func(key element.Fact
 				}
 			}
 		}
-		sort.Slice(lins, func(i, j int) bool {
-			if lins[i].key.Attribute != lins[j].key.Attribute {
-				return lins[i].key.Attribute < lins[j].key.Attribute
-			}
-			return lins[i].key.Entity < lins[j].key.Entity
-		})
+		slices.SortFunc(lins, func(a, b *lineage) int { return compareKeys(a.key, b.key) })
 		for _, l := range lins {
 			h := l.head.Load()
 			records := recordsAt(h, tt, nil)
@@ -105,30 +101,32 @@ func (s *Store) SetRetainSwept(retain bool) {
 }
 
 // DropSweptBefore removes empty husk lineages whose last activity
-// (maxTx) is at or before cut — those whose tombstones a flush at cut
-// has made durable — and returns the dropped keys. The segment backend
-// calls it after each committed flush and records the keys as
-// durable-only, so a later recovery keeps them out of the RAM working
-// set instead of re-loading frames the sweep already evicted.
-func (s *Store) DropSweptBefore(cut temporal.Instant) []element.FactKey {
-	var dropped []element.FactKey
+// (maxTx) is at or before cut — those whose tombstones (or truthful
+// frames) a flush at cut has made durable. The segment backend calls it
+// after each committed flush. A dropped key for which durable reports a
+// frame that may still hold records becomes cold in the same directory
+// publication that removes it from RAM, so scans keep serving the frame;
+// a key durable denies (a fresh tombstone, no frame at all) simply goes.
+func (s *Store) DropSweptBefore(cut temporal.Instant, durable func(element.FactKey) bool) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		changed := false
+		var cold []element.FactKey
 		for key, l := range sh.byKey {
 			h := l.head.Load()
 			if len(h.records) == 0 && h.maxTx <= cut {
 				delete(sh.byKey, key)
 				changed = true
-				dropped = append(dropped, key)
+				if durable(key) {
+					cold = append(cold, key)
+				}
 			}
 		}
 		if changed {
-			sh.publishRebuild()
+			sh.publishRebuild(cold)
 		}
 		sh.mu.Unlock()
 	}
-	return dropped
 }
 
 // SweptBefore lists the husk keys DropSweptBefore(cut) would drop,
@@ -136,18 +134,18 @@ func (s *Store) DropSweptBefore(cut temporal.Instant) []element.FactKey {
 // its manifest commit — the manifest must record the keys as
 // durable-only in the same atomic rename that makes the flush durable,
 // or a restart between the commit and the drop would reload them
-// resident.
+// resident. The preview only reads, so it takes each shard's read lock.
 func (s *Store) SweptBefore(cut temporal.Instant) []element.FactKey {
 	var keys []element.FactKey
 	for _, sh := range s.shards {
-		sh.mu.Lock()
+		sh.mu.RLock()
 		for key, l := range sh.byKey {
 			h := l.head.Load()
 			if len(h.records) == 0 && h.maxTx <= cut {
 				keys = append(keys, key)
 			}
 		}
-		sh.mu.Unlock()
+		sh.mu.RUnlock()
 	}
 	return keys
 }
@@ -193,47 +191,6 @@ func (s *Store) LoadLineage(records []*element.Fact) error {
 	sh.bytes.Add(headBytes(nh))
 	s.clock.observe(nh.maxTx)
 	return nil
-}
-
-// PickRecord resolves a point read over a detached record set — records
-// serialized by FlushCut and read back from a segment frame — with the
-// same selection semantics as Store.Find: by default the open version of
-// the set's current belief, AsOfValidTime selecting by valid time,
-// AsOfTransactionTime by belief. The segment backend uses it to fall
-// through to frames for lineages no longer resident in RAM.
-func PickRecord(records []*element.Fact, opts ...ReadOpt) (*element.Fact, bool) {
-	h := detachedHead(records)
-	cfg := newReadCfg(opts)
-	if f := h.pick(cfg); f != nil {
-		return cloneAt(f, cfg), true
-	}
-	return nil, false
-}
-
-// BelievedRecords returns, from a detached record set, the version history
-// Store.History would: by default the believed versions in validity order;
-// under AsOfTransactionTime the versions believed then; with AllVersions
-// every record (combined with AsOfTransactionTime, the audit trail of the
-// cut at that instant).
-func BelievedRecords(records []*element.Fact, opts ...ReadOpt) []*element.Fact {
-	h := detachedHead(records)
-	cfg := newReadCfg(opts)
-	if cfg.allVersions {
-		if cfg.hasTxAt {
-			return recordsAt(h, cfg.txAt, nil)
-		}
-		out := make([]*element.Fact, len(h.records))
-		for i, f := range h.records {
-			out[i] = f.Clone()
-		}
-		return out
-	}
-	src := h.believedAt(cfg.txAt, cfg.hasTxAt)
-	out := make([]*element.Fact, 0, len(src))
-	for _, f := range src {
-		out = append(out, cloneAt(f, cfg))
-	}
-	return out
 }
 
 // detachedHead builds a read-only head over a detached record slice, with
@@ -304,14 +261,4 @@ func buildHead(records []*element.Fact, strict bool) (*head, error) {
 	h.lastWrite = h.maxTx
 	h.recomputeValueEnv()
 	return h, nil
-}
-
-// ListRecords applies List's per-lineage selection to a detached record
-// set: the versions a lineage holding exactly these records would
-// contribute to List(opts...) — one selected version by default, every
-// matching version under AllVersions/DuringValidTime, clones with pinned
-// belief ends restored. The segment backend uses it to extend scans over
-// lineages that live only in durable frames.
-func ListRecords(records []*element.Fact, opts ...ReadOpt) []*element.Fact {
-	return pickInto(detachedHead(records), newReadCfg(opts), nil)
 }

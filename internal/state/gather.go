@@ -1,0 +1,149 @@
+// Cross-shard gathers: the one place where the db model (resident heads)
+// and the storage model (durable frames behind the ColdSource) meet.
+// List, Scan, WriteSnapshot, and ScanPartitioned all take their
+// candidates from one merge, so results are byte-identical whether a
+// lineage is resident or evicted.
+
+package state
+
+import (
+	"slices"
+	"strings"
+
+	"repro/internal/element"
+)
+
+// scanCand is one gather candidate: a resident head loaded once when the
+// candidates were collected (the scan's consistent view of the lineage),
+// or a cold lineage whose frame is read and decoded lazily by the gather
+// that owns it — inside a partition worker for ScanPartitioned.
+type scanCand struct {
+	h    *head
+	cold *ColdLineage // when h == nil
+}
+
+// load returns the candidate's head, reading a cold frame on the calling
+// goroutine; nil when the load fails or yields nothing (a frame the owner
+// retired mid-scan reads as absent, matching point fall-through).
+func (c scanCand) load() *head {
+	if c.h != nil {
+		return c.h
+	}
+	records, err := c.cold.Load()
+	if err != nil || len(records) == 0 {
+		return nil
+	}
+	return detachedHead(records)
+}
+
+// candidates collects a scan's lineages in (attribute, entity) order,
+// scoped to cfg's attribute. Each shard's directory is loaded once, so
+// its resident lineages and cold keys are one consistent pair even while
+// eviction, fault-in, or a husk drop runs. The cold keys are resolved in
+// one ColdFrames batch — no cold keys, no catalog work — and only the
+// frames surviving envelope pruning are sorted. A frame whose key is
+// also resident (a stale mark) is dropped unread: the resident head
+// wins. Resident heads the value bounds exclude are pruned here, so
+// pruning also rebalances partitions. The merge loop is closure-free:
+// prepared-query Exec rides this path on a fixed allocation budget.
+func (s *Store) candidates(cfg readCfg, bounds ValueBounds) ([]scanCand, ScanStats) {
+	var lins []*lineage
+	var cold []element.FactKey
+	for _, sh := range s.shards {
+		pub := sh.pub.Load()
+		if cfg.attr != "" {
+			lins = append(lins, pub.byAttr[cfg.attr]...)
+			cold = append(cold, pub.cold[cfg.attr]...)
+			continue
+		}
+		for _, ls := range pub.byAttr {
+			lins = append(lins, ls...)
+		}
+		for _, ks := range pub.cold {
+			cold = append(cold, ks...)
+		}
+	}
+	cmp := compareKeys
+	if cfg.attr != "" {
+		cmp = compareEntities
+	}
+	slices.SortFunc(lins, func(a, b *lineage) int { return cmp(a.key, b.key) })
+	stats := ScanStats{Lineages: len(lins)}
+
+	var frames []ColdLineage
+	if cs := s.coldSource(); cs != nil && len(cold) > 0 {
+		frames = cs.ColdFrames(cold, shapeOfCfg(cfg), bounds)
+		slices.SortFunc(frames, func(a, b ColdLineage) int { return cmp(a.Key, b.Key) })
+	}
+
+	prune := bounds.Constrained()
+	cands := make([]scanCand, 0, len(lins)+len(frames))
+	for i, j := 0, 0; i < len(lins) || j < len(frames); {
+		if j < len(frames) && (i == len(lins) || cmp(frames[j].Key, lins[i].key) <= 0) {
+			if i == len(lins) || frames[j].Key != lins[i].key {
+				cands = append(cands, scanCand{cold: &frames[j]})
+				stats.Lineages++
+				stats.ColdLineages++
+			}
+			j++
+			continue
+		}
+		h := lins[i].head.Load()
+		i++
+		if prune && h.skipByBounds(bounds) {
+			stats.IndexPruned++
+			continue
+		}
+		cands = append(cands, scanCand{h: h})
+	}
+	return cands, stats
+}
+
+// compareEntities orders keys of one attribute by entity.
+func compareEntities(a, b element.FactKey) int {
+	return strings.Compare(a.Entity, b.Entity)
+}
+
+// gather is the serial cross-shard gather behind List, Scan, and
+// WriteSnapshot: pick appends each candidate head's selected clones, in
+// key order, lock-free.
+func (s *Store) gather(cfg readCfg, pick func(*head, []*element.Fact) []*element.Fact) []*element.Fact {
+	cands, _ := s.candidates(cfg, ValueBounds{})
+	var out []*element.Fact
+	for _, c := range cands {
+		if h := c.load(); h != nil {
+			out = pick(h, out)
+		}
+	}
+	return out
+}
+
+// gatherList runs the List gather for a pinned configuration.
+func (s *Store) gatherList(cfg readCfg) []*element.Fact {
+	return s.gather(cfg, func(h *head, out []*element.Fact) []*element.Fact {
+		return pickInto(h, cfg, out)
+	})
+}
+
+// pickInto appends the versions cfg selects from one head — the shared
+// per-lineage body of the serial (gatherList) and partitioned
+// (gatherPartitioned) cross-shard gathers, so both paths select and
+// clone byte-identically by construction.
+func pickInto(h *head, cfg readCfg, out []*element.Fact) []*element.Fact {
+	if !cfg.allVersions {
+		if f := h.pick(cfg); f != nil {
+			out = append(out, cloneAt(f, cfg))
+		}
+		return out
+	}
+	for _, f := range h.believedAt(cfg.txAt, cfg.hasTxAt) {
+		if cfg.hasDuring && !f.Validity.Overlaps(cfg.validDuring) {
+			continue
+		}
+		if cfg.hasValidAt && !f.Validity.Contains(cfg.validAt) {
+			continue
+		}
+		out = append(out, cloneAt(f, cfg))
+	}
+	return out
+}

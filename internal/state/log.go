@@ -902,8 +902,8 @@ func (s *Store) writeSnapshotAt(w io.Writer, tt temporal.Instant) error {
 // interval closed after the pin is restored to open — the clone set is
 // exactly the bitemporal state as of tt.
 func (s *Store) allRecordsAt(tt temporal.Instant) []*element.Fact {
-	shape := ScanShape{TxAt: tt, HasTxAt: true, AllVersions: true}
-	return s.scanAll(shape, func(h *head, out []*element.Fact) []*element.Fact {
+	cfg := readCfg{txAt: tt, hasTxAt: true, allVersions: true}
+	return s.gather(cfg, func(h *head, out []*element.Fact) []*element.Fact {
 		return recordsAt(h, tt, out)
 	})
 }

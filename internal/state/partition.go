@@ -13,7 +13,6 @@ package state
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/element"
@@ -119,74 +118,15 @@ func (sn *Snapshot) ScanPartitioned(spec ScanSpec) ([]*element.Fact, ScanStats) 
 	return sn.s.gatherPartitioned(sn.clamp(newReadCfg(spec.Opts)), spec)
 }
 
-// scanCand is one partitioned-gather candidate: a resident head loaded
-// once at partition time, or a cold lineage whose frame is read and
-// decoded lazily inside the worker that owns its chunk.
-type scanCand struct {
-	h    *head
-	cold ColdLineage // meaningful when h == nil
-}
-
-// gatherPartitioned is the partitioned counterpart of gatherList. The
-// lineage collection and ordering mirror byAttributeAll/scanAll —
-// including the sorted union with the ColdSource's durable-only
-// lineages — and the per-lineage selection is the shared pickInto, so
-// the output is byte-identical to the serial gather for any parallelism
-// and any residency state. Cold frames are decoded inside the gather
-// workers: a scan over mostly-cold data parallelizes its preads and
-// decodes, not just its selection.
+// gatherPartitioned is the partitioned counterpart of gatherList: the
+// same candidates in the same order, and the per-lineage selection is the
+// shared pickInto, so the output is byte-identical to the serial gather
+// for any parallelism and any residency state. Cold frames are decoded
+// inside the gather workers: a scan over mostly-cold data parallelizes
+// its preads and decodes, not just its selection.
 func (s *Store) gatherPartitioned(cfg readCfg, spec ScanSpec) ([]*element.Fact, ScanStats) {
-	var lins []*lineage
-	if cfg.attr != "" {
-		for _, sh := range s.shards {
-			lins = append(lins, sh.pub.Load().byAttr[cfg.attr]...)
-		}
-		sort.Slice(lins, func(i, j int) bool { return lins[i].key.Entity < lins[j].key.Entity })
-	} else {
-		for _, sh := range s.shards {
-			for _, ls := range sh.pub.Load().byAttr {
-				lins = append(lins, ls...)
-			}
-		}
-		sort.Slice(lins, func(i, j int) bool {
-			return coldKeyLess(lins[i].key, lins[j].key)
-		})
-	}
-	stats := ScanStats{Lineages: len(lins)}
-	cold := s.coldLineagesFor(shapeOfCfg(cfg), spec.Bounds)
-
-	// Merge resident heads and cold candidates in key order. Each
-	// resident head is loaded once (the scan's consistent view of the
-	// lineage) and dropped when the value envelope proves it irrelevant
-	// before chunking, so pruning also rebalances the partitions; cold
-	// candidates arrive pre-pruned by their per-segment envelopes.
-	// Resident wins on equal keys, exactly as in mergeGather. The merge
-	// is deliberately closure-free: prepared-query Exec rides this path,
-	// and its per-exec allocation budget has no room for captured-
-	// variable cells.
+	cands, stats := s.candidates(cfg, spec.Bounds)
 	prune := spec.Bounds.Constrained()
-	cands := make([]scanCand, 0, len(lins)+len(cold))
-	i, j := 0, 0
-	for i < len(lins) || j < len(cold) {
-		if i >= len(lins) || (j < len(cold) && coldKeyLess(cold[j].Key, lins[i].key)) {
-			cands = append(cands, scanCand{cold: cold[j]})
-			stats.Lineages++
-			stats.ColdLineages++
-			j++
-			continue
-		}
-		if j < len(cold) && !coldKeyLess(lins[i].key, cold[j].Key) {
-			j++ // equal keys: resident wins, the cold entry is shadowed
-		}
-		h := lins[i].head.Load()
-		i++
-		if prune && h.skipByBounds(spec.Bounds) {
-			stats.IndexPruned++
-			continue
-		}
-		cands = append(cands, scanCand{h: h})
-	}
-
 	par := spec.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
@@ -245,14 +185,9 @@ func (s *Store) gatherPartitioned(cfg readCfg, spec ScanSpec) ([]*element.Fact, 
 // covers just this lineage, so the second test can prune what the first
 // could not.
 func gatherCand(c scanCand, cfg readCfg, bounds ValueBounds, prune bool, out []*element.Fact) []*element.Fact {
-	h := c.h
-	if h == nil {
-		if h = coldHead(c.cold); h == nil {
-			return out
-		}
-		if prune && h.skipByBounds(bounds) {
-			return out
-		}
+	h := c.load()
+	if h == nil || (c.h == nil && prune && h.skipByBounds(bounds)) {
+		return out
 	}
 	return pickInto(h, cfg, out)
 }

@@ -452,6 +452,7 @@ func TestChaosEvictionKillBetweenEvictAndFlush(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer rec.Close()
+	assertColdSeam(t, rec)
 	want := snapshotBytes(t, oracle(t, rounds))
 	if got := snapshotBytes(t, rec.Mem()); !bytes.Equal(got, want) {
 		t.Fatalf("crash between evict and flush lost state (%d vs %d bytes)", len(got), len(want))
@@ -463,6 +464,7 @@ func TestChaosEvictionKillBetweenEvictAndFlush(t *testing.T) {
 		t.Fatalf("post-recovery flush: %v", err)
 	}
 	rec.EvictToBudget(0)
+	assertColdSeam(t, rec)
 	want = snapshotBytes(t, oracle(t, rounds+1))
 	if got := snapshotBytes(t, rec.Mem()); !bytes.Equal(got, want) {
 		t.Fatalf("post-recovery eviction diverged (%d vs %d bytes)", len(got), len(want))

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -359,7 +360,10 @@ func TestCompactBeliefRetention(t *testing.T) {
 // TestRecoveryResidencyAfterRestart: lineages purely compacted out of
 // RAM (swept with every write covered by the frame — no tombstone) must
 // stay durable-only across restarts: recovery must not reload them
-// resident, while fallthrough reads keep answering.
+// resident, while fallthrough reads — point reads AND scans, serial and
+// partitioned — keep answering exactly as before the crash. Swept keys
+// never pass through eviction, so only the recovered cold directory
+// keeps them in the scans.
 func TestRecoveryResidencyAfterRestart(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir)
@@ -390,6 +394,28 @@ func TestRecoveryResidencyAfterRestart(t *testing.T) {
 			t.Fatalf("%s still resident after the sweep", k)
 		}
 	}
+	assertColdSeam(t, d)
+
+	// scans reads the three scan shapes the restarts must reproduce.
+	scans := func(d *Store) [][]*element.Fact {
+		return [][]*element.Fact{
+			d.List(state.AsOfValidTime(15)),
+			d.List(state.WithAttribute("v"), state.AllVersions()),
+			d.Mem().Snapshot().ScanShards(4, state.WithAttribute("v"), state.AllVersions()),
+		}
+	}
+	want := scans(d)
+	if len(want[0]) != len(keys) {
+		t.Fatalf("pre-crash ASOF scan sees %d swept keys, want %d", len(want[0]), len(keys))
+	}
+	sameScans := func(leg string, d *Store) {
+		t.Helper()
+		for i, got := range scans(d) {
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("%s: scan %d diverged from the pre-crash result:\ngot  %v\nwant %v", leg, i, got, want[i])
+			}
+		}
+	}
 
 	// The regression: before the manifest recorded sweeps, recovery
 	// reloaded every frame resident, undoing the compaction's RAM
@@ -407,6 +433,8 @@ func TestRecoveryResidencyAfterRestart(t *testing.T) {
 			t.Fatalf("fallthrough read lost %s after restart", k)
 		}
 	}
+	assertColdSeam(t, rec)
+	sameScans("restart", rec)
 
 	// The sweep set survives further flush generations too.
 	if err := rec.Mem().DB().Put("hot", "v", element.Int(1),
@@ -416,6 +444,7 @@ func TestRecoveryResidencyAfterRestart(t *testing.T) {
 	if err := rec.FlushAt(80); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
+	want = scans(rec)
 	rec.Abandon()
 	again, err := Open(dir)
 	if err != nil {
@@ -430,6 +459,8 @@ func TestRecoveryResidencyAfterRestart(t *testing.T) {
 	if !again.Mem().Contains("hot", "v") {
 		t.Fatalf("live lineage must stay resident")
 	}
+	assertColdSeam(t, again)
+	sameScans("second restart", again)
 }
 
 // TestFaultMergeCrash kills a merge at each commit-protocol stage and
@@ -644,6 +675,7 @@ func TestFuzzMergeVsFlatOracle(t *testing.T) {
 				t.Fatalf("round %d flush: %v", r, err)
 			}
 			d.EvictToBudget(0)
+			assertColdSeam(t, d)
 		case 3:
 			if err := d.Flush(); err != nil {
 				t.Fatalf("round %d flush: %v", r, err)
@@ -652,6 +684,7 @@ func TestFuzzMergeVsFlatOracle(t *testing.T) {
 				t.Fatalf("round %d compact: %v", r, err)
 			}
 			d.EvictToBudget(0)
+			assertColdSeam(t, d)
 		}
 	}
 	d.Abandon()

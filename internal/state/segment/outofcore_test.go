@@ -100,6 +100,36 @@ func assertEquivalent(t *testing.T, leg string, cold, oracle *Store) {
 	}
 }
 
+// assertColdSeam checks the seam identity the resident-first gather
+// rests on: every catalog key whose newest frame holds records is either
+// resident or published cold. Stale cold marks (keys resident again) are
+// allowed; a live frame that is neither would vanish from every scan.
+func assertColdSeam(t *testing.T, d *Store) {
+	t.Helper()
+	cold := map[element.FactKey]bool{}
+	for _, key := range d.Mem().ColdKeys() {
+		cold[key] = true
+	}
+	cat := d.cat.Load()
+	seen := map[element.FactKey]bool{}
+	for i := len(cat.segments) - 1; i >= 0; i-- {
+		r := cat.segments[i]
+		for key, off := range r.index {
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			_, records, err := r.readLineage(off)
+			if err != nil {
+				t.Fatalf("seam: read %s: %v", key, err)
+			}
+			if len(records) > 0 && !cold[key] && !d.Mem().Contains(key.Entity, key.Attribute) {
+				t.Fatalf("seam: %s has a live frame but is neither resident nor cold", key)
+			}
+		}
+	}
+}
+
 // TestOutOfCoreEquivalence: the same mutation schedule driven into an
 // unbudgeted store and a budgeted one whose every durable lineage is
 // evicted after each flush; the budgeted store must stay byte-identical
@@ -128,6 +158,7 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 			t.Fatalf("cold flush %d: %v", r, err)
 		}
 		cold.EvictToBudget(0)
+		assertColdSeam(t, cold)
 	}
 	if n := cold.Info().EvictedLineages; n == 0 {
 		t.Fatal("budgeted store evicted nothing — the suite is not testing the cold path")
@@ -152,6 +183,7 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 		}
 	}
 	assertEquivalent(t, "fault-in", cold, oracle)
+	assertColdSeam(t, cold)
 
 	// Crash-restart: flush (committing the current evicted set in the
 	// manifest), evict again, kill, reopen. The reopened store must both
@@ -173,6 +205,7 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 		t.Fatal("evicted set did not survive the manifest round-trip")
 	}
 	assertEquivalent(t, "restart", rec, oracle)
+	assertColdSeam(t, rec)
 }
 
 // TestOutOfCoreColdStartBudget: reopening a directory larger than the

@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/element"
@@ -153,6 +154,65 @@ func TestScanMergesDurableLineages(t *testing.T) {
 	}
 	if final := d.Info(); final.ScanFrames != after.ScanFrames {
 		t.Fatalf("early belief scan read frames past the tx envelope")
+	}
+}
+
+// TestResidentScanSkipsCatalog: a selective scan of an all-resident
+// durable store must cost what the same scan of a purely in-memory store
+// costs — no allocation, frame read, or envelope test spent on the
+// catalog, however many segments it holds. Counting allocations and
+// frames instead of time makes the guard independent of the hardware.
+func TestResidentScanSkipsCatalog(t *testing.T) {
+	d, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer d.Close()
+	// Each flush writes its own sensors, so no segment goes dead.
+	const flushes, sensors = 10, 200
+	for r := 0; r < flushes; r++ {
+		puts := make([]state.BatchPut, 0, sensors)
+		for i := 0; i < sensors; i++ {
+			puts = append(puts, state.BatchPut{
+				Entity: fmt.Sprintf("r%02d-s%03d", r, i), Attr: "temperature",
+				Value: element.Float(float64((i*7+r*13)%100) + 0.95), At: temporal.Instant(r*sensors + i + 1),
+			})
+		}
+		if err := d.Mem().PutBatch(puts); err != nil {
+			t.Fatalf("putbatch: %v", err)
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatalf("flush %d: %v", r, err)
+		}
+	}
+	if n := d.Info().Segments; n < 8 {
+		t.Fatalf("want >= 8 segments, got %d", n)
+	}
+	sn := d.Mem().Snapshot()
+	spec := state.ScanSpec{
+		Opts:        []state.ReadOpt{state.WithAttribute("temperature")},
+		Bounds:      state.ValueBounds{Min: 98.9, HasMin: true, MinExcl: true},
+		Parallelism: 1,
+	}
+	before := d.Info()
+	rows, stats := sn.ScanPartitioned(spec)
+	if len(rows) == 0 || stats.IndexPruned == 0 {
+		t.Fatalf("scan is not selective: %d rows, %+v", len(rows), stats)
+	}
+	if stats.ColdLineages != 0 {
+		t.Fatalf("all-resident scan unioned %d cold lineages", stats.ColdLineages)
+	}
+	if after := d.Info(); after.ScanFrames != before.ScanFrames || after.ScanFramesPruned != before.ScanFramesPruned {
+		t.Fatalf("all-resident scan touched the catalog: frames %d→%d, pruned %d→%d",
+			before.ScanFrames, after.ScanFrames, before.ScanFramesPruned, after.ScanFramesPruned)
+	}
+	scan := func() { sn.ScanPartitioned(spec) }
+	withCatalog := testing.AllocsPerRun(50, scan)
+	d.Mem().SetColdSource(nil)
+	detached := testing.AllocsPerRun(50, scan)
+	d.Mem().SetColdSource(d)
+	if withCatalog > detached {
+		t.Fatalf("all-resident scan allocates %.0f/op with the catalog attached, %.0f/op without", withCatalog, detached)
 	}
 }
 

@@ -513,11 +513,17 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	if d.budget > 0 {
 		d.mem.SetAccessTracking(true)
 	}
+	// Every key left on disk with records is cold: evicted keys and the
+	// budget's skips fault back in on write, swept keys serve reads only.
 	marks := budgetSkipped
 	for key := range evicted {
 		marks = append(marks, key)
 	}
-	d.mem.MarkEvicted(marks)
+	var swept []element.FactKey
+	if man != nil {
+		swept = man.Swept
+	}
+	d.mem.MarkCold(marks, swept)
 	// Lineages that stayed cold never observe their maxTx into the mem
 	// clock, so advance it to the durable cut — it bounds every flushed
 	// record — or snapshot and flush pins would land below cold history.
@@ -839,8 +845,10 @@ func (d *Store) flushLocked(cut temporal.Instant) error {
 	var gatherErr error
 	// rewritten collects every key the new segment holds — each one's
 	// previous owner loses a live frame; newSwept the husks whose
-	// truthful frame stays on disk while the lineage leaves RAM.
+	// truthful frame stays on disk while the lineage leaves RAM; tombs the
+	// husks whose new frame is empty, which leave nothing cold behind.
 	var rewritten, newSwept []element.FactKey
+	var tombs map[element.FactKey]bool
 	d.mem.FlushCut(cut, cat.durableTx, func(key element.FactKey, records []*element.Fact, lastWrite temporal.Instant) {
 		if gatherErr != nil {
 			return
@@ -859,6 +867,10 @@ func (d *Store) flushLocked(cut temporal.Instant) error {
 				}
 				return
 			}
+			if tombs == nil {
+				tombs = map[element.FactKey]bool{}
+			}
+			tombs[key] = true
 		}
 		gatherErr = w.writeLineage(key, records)
 		rewritten = append(rewritten, key)
@@ -974,9 +986,13 @@ func (d *Store) flushLocked(cut temporal.Instant) error {
 	}
 	// Husks whose tombstones (or truthful frames) the commit covered are
 	// reclaimable (see state.SetRetainSwept). Keys the manifest recorded
-	// as durable-only leave RAM here; the rest leave because their
-	// tombstone frame is now the durable truth.
-	d.mem.DropSweptBefore(cut)
+	// as durable-only leave RAM here and turn cold; the rest leave because
+	// their tombstone frame is now the durable truth. Any other owned key
+	// turns cold too — over-approximating is safe, missing one is not.
+	d.mem.DropSweptBefore(cut, func(key element.FactKey) bool {
+		_, _, ok := nc.owner(key)
+		return ok && !tombs[key]
+	})
 	return nil
 }
 
@@ -1275,11 +1291,12 @@ func (d *Store) History(entity, attr string, opts ...state.ReadOpt) []*element.F
 	return d.mem.History(entity, attr, opts...)
 }
 
-// List scans through the RAM working set, whose gather unions the
-// durable-only lineages this store contributes via ColdLineages — one
-// sorted merge, resident winning on equal keys, so scans below the
-// residency horizon see the same durable history Find and History do,
-// in exactly the order an all-resident store would produce. Implements
+// List scans through the RAM working set, whose gather resolves only the
+// keys its shards publish as cold — evicted or swept — against this
+// store's catalog (ColdFrames) and merges those frames in key order, so
+// scans below the residency horizon see the same durable history Find
+// and History do, in exactly the order an all-resident store would
+// produce, while an all-resident scan does no catalog work. Implements
 // state.StateDB / state.Reader.
 func (d *Store) List(opts ...state.ReadOpt) []*element.Fact {
 	return d.mem.List(opts...)
@@ -1333,61 +1350,92 @@ func (d *Store) ColdRecords(key element.FactKey, spec state.ReadSpec, point bool
 	return records, true
 }
 
-// ColdLineages returns the durable-only scan candidates of the given
-// shape: every key with a durable frame, its newest frame behind a lazy
-// loader, sorted by (attribute, entity). Whole frames are pruned — the
-// pread never issued — when the owning segment's bitemporal envelope is
-// disjoint from the scan shape or its value envelope disjoint from the
-// pushed bounds. Keys that are in fact resident are included (the
-// catalog does not know residency); the RAM merge discards them
-// unloaded, which is what makes the scan race-free against concurrent
-// eviction and fault-in. Implements state.ColdSource.
-func (d *Store) ColdLineages(shape state.ScanShape, bounds state.ValueBounds) []state.ColdLineage {
+// ColdFrames resolves a scan's cold keys against one catalog load,
+// newest segment first, each key at its newest frame behind a lazy
+// loader, in the keys' order. Whole frames are pruned — the pread never
+// issued — when the owning segment's bitemporal envelope is disjoint
+// from the scan shape or its value envelope disjoint from the pushed
+// bounds. A segment costs min(|index|, |keys still unresolved|): it is
+// probed key by key, or its index walked when that is smaller, so many
+// segments and many unowned keys never multiply. Implements
+// state.ColdSource.
+func (d *Store) ColdFrames(keys []element.FactKey, shape state.ScanShape, bounds state.ValueBounds) []state.ColdLineage {
 	if d.degraded.Load() != nil {
 		// Degraded scans serve RAM only, matching ColdRecords' posture.
 		return nil
 	}
 	cat := d.cat.Load()
-	if cat == nil || len(cat.segments) == 0 {
+	if cat == nil || len(cat.segments) == 0 || len(keys) == 0 {
 		return nil
 	}
-	var out []state.ColdLineage
-	seen := make(map[element.FactKey]bool)
-	for i := len(cat.segments) - 1; i >= 0; i-- {
+	type hit struct {
+		r    *reader // nil: no frame, or its segment pruned it
+		off  int64
+		done bool
+	}
+	hits := make([]hit, len(keys))
+	todo := make([]int, len(keys)) // unresolved key indexes, compacted lazily
+	for k := range todo {
+		todo[k] = k
+	}
+	left := len(keys)
+	var pos map[element.FactKey]int // built only if some index walk is cheaper
+	for i := len(cat.segments) - 1; i >= 0 && left > 0; i-- {
 		r := cat.segments[i]
 		pruned := scanPrune(r.env, shape) || (r.vNumeric && bounds.Excludes(r.vMin, r.vMax))
-		for key, off := range r.index {
-			if seen[key] {
-				continue
-			}
-			// Mark even the pruned and filtered: an older frame of the
-			// same key must not answer for the newest one.
-			seen[key] = true
-			if shape.Attr != "" && key.Attribute != shape.Attr {
-				continue
-			}
+		resolve := func(k int, off int64) {
+			// Resolve even the pruned: an older frame of the same key must
+			// not answer for the newest one.
+			hits[k].done = true
+			left--
 			if pruned {
 				d.scanPruned.Add(1)
+			} else {
+				hits[k].r, hits[k].off = r, off
+			}
+		}
+		if len(r.index) < left {
+			if pos == nil {
+				pos = make(map[element.FactKey]int, len(keys))
+				for k, key := range keys {
+					pos[key] = k
+				}
+			}
+			for key, off := range r.index {
+				if k, ok := pos[key]; ok && !hits[k].done {
+					resolve(k, off)
+				}
+			}
+			continue
+		}
+		next := todo[:0]
+		for _, k := range todo {
+			if hits[k].done {
 				continue
 			}
-			r, off := r, off
-			out = append(out, state.ColdLineage{Key: key, Load: func() ([]*element.Fact, error) {
-				// Loads run from scan workers, possibly concurrently:
-				// readLineage preads, so they never seek-contend.
-				_, records, err := r.readLineage(off)
-				if err == nil {
-					d.scanFrames.Add(1)
-				}
-				return records, err
-			}})
+			if off, ok := r.index[keys[k]]; ok {
+				resolve(k, off)
+			} else {
+				next = append(next, k)
+			}
 		}
+		todo = next
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key.Attribute != out[j].Key.Attribute {
-			return out[i].Key.Attribute < out[j].Key.Attribute
+	var out []state.ColdLineage
+	for k, h := range hits {
+		if h.r == nil {
+			continue
 		}
-		return out[i].Key.Entity < out[j].Key.Entity
-	})
+		out = append(out, state.ColdLineage{Key: keys[k], Load: func() ([]*element.Fact, error) {
+			// Loads run from scan workers, possibly concurrently:
+			// readLineage preads, so they never seek-contend.
+			_, records, err := h.r.readLineage(h.off)
+			if err == nil {
+				d.scanFrames.Add(1)
+			}
+			return records, err
+		}})
+	}
 	return out
 }
 
@@ -1484,8 +1532,8 @@ type Info struct {
 	// ScanFrames is the cumulative count of durable frames read into
 	// scans (the merged gather's cold loads for non-resident lineages).
 	ScanFrames int64
-	// ScanFramesPruned is the cumulative count of durable scan
-	// candidates the per-segment envelopes (bitemporal or value) pruned
+	// ScanFramesPruned is the cumulative count of cold scan keys whose
+	// frame the per-segment envelopes (bitemporal or value) pruned
 	// unread.
 	ScanFramesPruned int64
 	// ResidentLineages is the number of lineages currently resident in

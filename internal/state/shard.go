@@ -26,15 +26,15 @@
 //     each lineage's published head, and filter by belief visibility at
 //     the pin. See "Snapshot epochs" in DESIGN.md for the protocol and
 //     its memory model.
-//   - Eviction (EvictToBudget, evict.go) removes fully-durable lineages
-//     under the shard's write lock, marking the key in the shard's
-//     evicted set and republishing the directory before releasing the
-//     lock, so writers and cold readers always see a consistent
-//     (byKey, evicted, pub) triple. Cold reads for non-resident keys
-//     take no shard locks: they fall through to the store's ColdSource
-//     after the ordinary byKey probe misses. A write to an evicted key
-//     faults the full record history back in (store.faultIn) under the
-//     same write lock its mutation already holds.
+//   - Eviction (EvictToBudget, evict.go) and husk drops
+//     (DropSweptBefore) move keys from the resident to the cold half of
+//     the directory in one publication under the write lock, so a scan
+//     always loads a consistent (resident, cold) pair and writers a
+//     consistent (byKey, evicted, pub) triple. Cold reads take no shard
+//     locks: point reads fall through to the ColdSource after the byKey
+//     probe misses; scans resolve the published cold keys against it. A
+//     write to an evicted key faults its history back in (store.faultIn)
+//     under the write lock its mutation already holds.
 //
 // The transaction clock and the WAL are intentionally not sharded: the
 // clock is a single atomic high-water mark (see txclock.go) and the log
@@ -62,14 +62,15 @@ type shard struct {
 	// evicted marks keys the residency budget removed from byKey whose
 	// record history lives only in durable frames. The write path must
 	// fault such a key back in before mutating it (store.faultIn); read
-	// paths ignore the set and fall through to the ColdSource on a byKey
-	// miss. Guarded by mu; nil until the first eviction.
+	// paths use the published cold keys instead. Swept husks are cold but
+	// never marked here: faulting one in would restore history the sweep
+	// removed. Guarded by mu.
 	evicted map[element.FactKey]bool
 
-	// pub is the published, immutable lineage directory for lock-free
-	// cross-shard readers. Swapped copy-on-write under mu whenever the
-	// shard's key set changes (new lineage, compaction drop) — never on
-	// ordinary writes, which only swap the touched lineage's head.
+	// pub is the published, immutable directory for lock-free cross-shard
+	// readers. Swapped copy-on-write under mu whenever the shard's key set
+	// changes (new lineage, compaction drop, eviction) — never on ordinary
+	// writes, which only swap the touched lineage's head.
 	pub atomic.Pointer[pubIndex]
 
 	// versions counts believed (live) versions, records all records
@@ -91,17 +92,30 @@ type shard struct {
 	bytes atomic.Int64
 }
 
-// pubIndex is a shard's published lineage directory: attribute → lineages
-// (unordered; cross-shard gathers sort their output) plus the total count.
+// pubIndex is a shard's published directory: attribute → resident
+// lineages and attribute → cold keys (both unordered; cross-shard gathers
+// sort what they collect), the resident count, and the evicted count.
 // A pubIndex and the slices it holds are immutable once published —
 // inserts append beyond every published length and swap a fresh index.
+// The cold keys (evicted keys, dropped husks whose frame may hold
+// records) over-approximate: they include every non-resident key whose
+// newest frame holds records, plus possibly stale marks for keys a
+// write made resident again, which scans drop and rebuilds clear.
 type pubIndex struct {
-	byAttr map[string][]*lineage
-	n      int
+	byAttr  map[string][]*lineage
+	cold    map[string][]element.FactKey
+	n       int
+	evicted int
 }
 
 // emptyPub is the directory of a freshly created shard.
 var emptyPub = &pubIndex{byAttr: map[string][]*lineage{}}
+
+// publish stores a fresh directory over the given resident lineages and
+// cold keys, counting from the shard's maps. Callers hold sh.mu.
+func (sh *shard) publish(byAttr map[string][]*lineage, cold map[string][]element.FactKey) {
+	sh.pub.Store(&pubIndex{byAttr: byAttr, cold: cold, n: len(sh.byKey), evicted: len(sh.evicted)})
+}
 
 // lineage returns the shard's lineage for key, creating (and publishing)
 // it when create is set. Callers hold the shard's write lock; callers
@@ -129,7 +143,9 @@ func (sh *shard) get(key element.FactKey) *lineage {
 // publishInsert adds a new lineage to the published directory: the outer
 // map is copied (O(#attributes)), the touched attribute's slice is
 // extended by shared-backing append (readers of older indexes only ever
-// touch their own published length). Callers hold sh.mu.
+// touch their own published length). The cold keys are shared as they
+// are, stale marks included: the write path pays nothing for them.
+// Callers hold sh.mu.
 func (sh *shard) publishInsert(l *lineage) {
 	old := sh.pub.Load()
 	nm := make(map[string][]*lineage, len(old.byAttr)+1)
@@ -137,17 +153,44 @@ func (sh *shard) publishInsert(l *lineage) {
 		nm[a] = ls
 	}
 	nm[l.key.Attribute] = append(old.byAttr[l.key.Attribute], l)
-	sh.pub.Store(&pubIndex{byAttr: nm, n: old.n + 1})
+	sh.publish(nm, old.cold)
 }
 
 // publishRebuild re-derives the published directory from byKey after
-// lineage removals (compaction, DropDerived). Callers hold sh.mu.
-func (sh *shard) publishRebuild() {
+// lineage removals (compaction, DropDerived, eviction, husk drops),
+// adding the given distinct keys to the cold keys and clearing stale
+// marks — a re-added key keeps exactly one. Callers hold sh.mu.
+func (sh *shard) publishRebuild(cold []element.FactKey) {
 	nm := make(map[string][]*lineage, len(sh.byKey))
 	for key, l := range sh.byKey {
 		nm[key.Attribute] = append(nm[key.Attribute], l)
 	}
-	sh.pub.Store(&pubIndex{byAttr: nm, n: len(sh.byKey)})
+	old := sh.pub.Load().cold
+	if len(old) == 0 && len(cold) == 0 {
+		sh.publish(nm, nil)
+		return
+	}
+	var added map[element.FactKey]bool
+	if len(old) > 0 && len(cold) > 0 {
+		added = make(map[element.FactKey]bool, len(cold))
+		for _, key := range cold {
+			added[key] = true
+		}
+	}
+	nc := make(map[string][]element.FactKey, len(old)+1)
+	for _, keys := range old {
+		for _, key := range keys {
+			if sh.byKey[key] == nil && !added[key] {
+				nc[key.Attribute] = append(nc[key.Attribute], key)
+			}
+		}
+	}
+	for _, key := range cold {
+		if sh.byKey[key] == nil {
+			nc[key.Attribute] = append(nc[key.Attribute], key)
+		}
+	}
+	sh.publish(nm, nc)
 }
 
 // FNV-1a parameters (64-bit).

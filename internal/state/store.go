@@ -466,7 +466,7 @@ func NewStoreWithShards(n int) *Store {
 		shardMask: uint64(n - 1),
 	}
 	for i := range s.shards {
-		sh := &shard{byKey: make(map[element.FactKey]*lineage)}
+		sh := &shard{byKey: make(map[element.FactKey]*lineage), evicted: make(map[element.FactKey]bool)}
 		sh.pub.Store(emptyPub)
 		s.shards[i] = sh
 	}
@@ -1017,41 +1017,6 @@ func (s *Store) List(opts ...ReadOpt) []*element.Fact {
 	return s.gatherList(s.pinned(newReadCfg(opts)))
 }
 
-// pickInto appends the versions cfg selects from one head — the shared
-// per-lineage body of the serial (gatherList) and partitioned
-// (gatherPartitioned) cross-shard gathers, so both paths select and
-// clone byte-identically by construction.
-func pickInto(h *head, cfg readCfg, out []*element.Fact) []*element.Fact {
-	if !cfg.allVersions {
-		if f := h.pick(cfg); f != nil {
-			out = append(out, cloneAt(f, cfg))
-		}
-		return out
-	}
-	for _, f := range h.believedAt(cfg.txAt, cfg.hasTxAt) {
-		if cfg.hasDuring && !f.Validity.Overlaps(cfg.validDuring) {
-			continue
-		}
-		if cfg.hasValidAt && !f.Validity.Contains(cfg.validAt) {
-			continue
-		}
-		out = append(out, cloneAt(f, cfg))
-	}
-	return out
-}
-
-// gatherList runs the List gather for a pinned configuration.
-func (s *Store) gatherList(cfg readCfg) []*element.Fact {
-	pick := func(h *head, out []*element.Fact) []*element.Fact {
-		return pickInto(h, cfg, out)
-	}
-	shape := shapeOfCfg(cfg)
-	if cfg.attr != "" {
-		return s.byAttributeAll(cfg.attr, shape, pick)
-	}
-	return s.scanAll(shape, pick)
-}
-
 // Delete removes any value of (entity, attr) over the write options' valid
 // interval (default [transaction time, Forever)), superseding the
 // overlapped versions at the write's transaction time. Deleting where
@@ -1212,24 +1177,6 @@ func (s *Store) AsOfByAttribute(attr string, t temporal.Instant) []*element.Fact
 	return s.List(WithAttribute(attr), AsOfValidTime(t))
 }
 
-// byAttributeAll gathers one attribute's lineages from every shard's
-// published directory — unioned with the ColdSource's durable-only
-// lineages for the attribute — and visits them in entity order,
-// lock-free. Resident lineages win over cold entries for the same key
-// (the cold copy is at best the identical flushed cut, at worst stale).
-func (s *Store) byAttributeAll(attr string, shape ScanShape, pick func(*head, []*element.Fact) []*element.Fact) []*element.Fact {
-	var lins []*lineage
-	for _, sh := range s.shards {
-		lins = append(lins, sh.pub.Load().byAttr[attr]...)
-	}
-	cold := s.coldLineagesFor(shape, ValueBounds{})
-	if len(lins) == 0 && len(cold) == 0 {
-		return nil
-	}
-	sort.Slice(lins, func(i, j int) bool { return lins[i].key.Entity < lins[j].key.Entity })
-	return s.mergeGather(lins, cold, pick)
-}
-
 // AsOf returns every fact valid at t, sorted by (attribute, entity).
 //
 // Deprecated: use List with AsOfValidTime.
@@ -1272,8 +1219,8 @@ func (s *Store) Scan(pred func(*element.Fact) bool) []*element.Fact {
 // fresh, private clones.
 func (s *Store) scanAt(tt temporal.Instant, pred func(*element.Fact) bool) []*element.Fact {
 	var scratch element.Fact
-	shape := ScanShape{TxAt: tt, HasTxAt: true, AllVersions: true}
-	return s.scanAll(shape, func(h *head, out []*element.Fact) []*element.Fact {
+	cfg := readCfg{txAt: tt, hasTxAt: true, allVersions: true}
+	return s.gather(cfg, func(h *head, out []*element.Fact) []*element.Fact {
 		for _, f := range h.believedAt(tt, true) {
 			scratch = f.Copy()
 			scratch.SupersededAt = restoreAt(scratch.SupersededAt, tt)
@@ -1284,62 +1231,6 @@ func (s *Store) scanAt(tt temporal.Instant, pred func(*element.Fact) bool) []*el
 		}
 		return out
 	})
-}
-
-// scanAll visits every lineage's published head — unioned with the
-// ColdSource's durable-only lineages for the shape — in deterministic
-// (attribute, entity) key order, appending picked clones, lock-free.
-// This is the merged gather behind List, Scan, and WriteSnapshot: cold
-// data flows through the exact per-lineage selection resident data
-// does, so results are byte-identical whether a lineage is resident or
-// evicted.
-func (s *Store) scanAll(shape ScanShape, pick func(*head, []*element.Fact) []*element.Fact) []*element.Fact {
-	var lins []*lineage
-	for _, sh := range s.shards {
-		for _, ls := range sh.pub.Load().byAttr {
-			lins = append(lins, ls...)
-		}
-	}
-	sort.Slice(lins, func(i, j int) bool {
-		return coldKeyLess(lins[i].key, lins[j].key)
-	})
-	return s.mergeGather(lins, s.coldLineagesFor(shape, ValueBounds{}), pick)
-}
-
-// mergeGather runs the sorted merge of resident lineages and cold
-// candidates, both in (attribute, entity) order, applying pick to each
-// selected head. Equal keys keep the resident head: the cold entry is a
-// frame the eviction either never happened for or that a fault-in
-// already restored, and RAM is at least as new.
-func (s *Store) mergeGather(lins []*lineage, cold []ColdLineage, pick func(*head, []*element.Fact) []*element.Fact) []*element.Fact {
-	var out []*element.Fact
-	pickCold := func(c ColdLineage) {
-		if h := coldHead(c); h != nil {
-			out = pick(h, out)
-		}
-	}
-	i, j := 0, 0
-	for i < len(lins) && j < len(cold) {
-		switch {
-		case coldKeyLess(cold[j].Key, lins[i].key):
-			pickCold(cold[j])
-			j++
-		case coldKeyLess(lins[i].key, cold[j].Key):
-			out = pick(lins[i].head.Load(), out)
-			i++
-		default:
-			out = pick(lins[i].head.Load(), out)
-			i++
-			j++
-		}
-	}
-	for ; i < len(lins); i++ {
-		out = pick(lins[i].head.Load(), out)
-	}
-	for ; j < len(cold); j++ {
-		pickCold(cold[j])
-	}
-	return out
 }
 
 // ValiditySet returns the coalesced set of intervals over which
@@ -1560,7 +1451,7 @@ func (sh *shard) sweep(now temporal.Instant, retain bool, drop func(*element.Fac
 		}
 	}
 	if dropped {
-		sh.publishRebuild()
+		sh.publishRebuild(nil)
 	}
 	sh.mu.Unlock()
 	return removed

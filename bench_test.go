@@ -51,7 +51,7 @@ func BenchmarkStorePut(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		key := fmt.Sprintf("k%04d", i%1000)
-		if err := st.Put(key, "v", statestream.Int(int64(i)), statestream.Instant(i)); err != nil {
+		if err := st.Replace(key, "v", statestream.Int(int64(i)), statestream.Instant(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,24 +60,24 @@ func BenchmarkStorePut(b *testing.B) {
 func BenchmarkStoreCurrentLookup(b *testing.B) {
 	st := statestream.NewStore()
 	for i := 0; i < 100_000; i++ {
-		st.Put(fmt.Sprintf("k%04d", i%1000), "v", statestream.Int(int64(i)), statestream.Instant(i))
+		st.Replace(fmt.Sprintf("k%04d", i%1000), "v", statestream.Int(int64(i)), statestream.Instant(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.Current(fmt.Sprintf("k%04d", i%1000), "v")
+		st.Find(fmt.Sprintf("k%04d", i%1000), "v")
 	}
 }
 
 func BenchmarkStoreAsOfLookup(b *testing.B) {
 	st := statestream.NewStore()
 	for i := 0; i < 100_000; i++ {
-		st.Put(fmt.Sprintf("k%04d", i%1000), "v", statestream.Int(int64(i)), statestream.Instant(i))
+		st.Replace(fmt.Sprintf("k%04d", i%1000), "v", statestream.Int(int64(i)), statestream.Instant(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.ValidAt(fmt.Sprintf("k%04d", i%1000), "v", statestream.Instant(i%100_000))
+		st.Find(fmt.Sprintf("k%04d", i%1000), "v", statestream.AsOfValidTime(statestream.Instant(i%100_000)))
 	}
 }
 
@@ -122,7 +122,7 @@ func BenchmarkWindowSession(b *testing.B) {
 func BenchmarkQueryLanguage(b *testing.B) {
 	engine := statestream.New(statestream.StateFirst)
 	for i := 0; i < 10_000; i++ {
-		engine.Store().Put(fmt.Sprintf("e%04d", i%500), "position",
+		engine.Store().Replace(fmt.Sprintf("e%04d", i%500), "position",
 			statestream.String(fmt.Sprintf("room%d", i%10)), statestream.Instant(i))
 	}
 	engine.Process(statestream.WatermarkMsg(10_001))
@@ -150,7 +150,7 @@ func BenchmarkReasonerMaterialize(b *testing.B) {
 		}
 		reasoner := statestream.NewReasoner(st, ont)
 		for p := 0; p < 200; p++ {
-			st.Put(fmt.Sprintf("p%03d", p), "type",
+			st.Replace(fmt.Sprintf("p%03d", p), "type",
 				statestream.String(fmt.Sprintf("c6_%d", p%2)), statestream.Instant(p))
 		}
 		b.StartTimer()

@@ -35,10 +35,10 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 func TestRunQueriesDurableDir(t *testing.T) {
 	dir := t.TempDir()
 	e := core.New(core.WithDurableDir(dir))
-	if err := e.Store().Put("ann", "position", element.String("hall"), 10); err != nil {
+	if err := e.Store().Replace("ann", "position", element.String("hall"), 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Store().Put("ann", "position", element.String("lab"), 20); err != nil {
+	if err := e.Store().Replace("ann", "position", element.String("lab"), 20); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {

@@ -17,7 +17,7 @@ import (
 func TestRunServesAndReleasesDir(t *testing.T) {
 	dir := t.TempDir()
 	e := core.New(core.WithDurableDir(dir))
-	if err := e.Store().Put("ann", "position", element.String("lab"), 35); err != nil {
+	if err := e.Store().Replace("ann", "position", element.String("lab"), 35); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {

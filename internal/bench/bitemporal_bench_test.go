@@ -15,12 +15,11 @@ import (
 // believed ones).
 func buildBitemporalStore(keys, versions, corrections int) *state.Store {
 	st := state.NewStore()
-	db := st.DB()
 	for k := 0; k < keys; k++ {
 		name := fmt.Sprintf("k%06d", k)
 		for v := 0; v < versions; v++ {
 			at := temporal.Instant(v * 100)
-			if err := db.Put(name, "v", element.Int(int64(v)),
+			if err := st.Put(name, "v", element.Int(int64(v)),
 				state.WithValidTime(at), state.WithTransactionTime(at)); err != nil {
 				panic(err)
 			}
@@ -31,7 +30,7 @@ func buildBitemporalStore(keys, versions, corrections int) *state.Store {
 	for c := 0; c < corrections; c++ {
 		name := fmt.Sprintf("k%06d", c%keys)
 		from := temporal.Instant((c % versions) * 100)
-		if err := db.Put(name, "v", element.Int(int64(-c)),
+		if err := st.Put(name, "v", element.Int(int64(-c)),
 			state.WithValidTime(from), state.WithEndValidTime(from+50),
 			state.WithTransactionTime(txBase+temporal.Instant(c))); err != nil {
 			panic(err)
@@ -52,14 +51,13 @@ func BenchmarkBitemporalFind(b *testing.B) {
 		corrections = 2_000
 	)
 	st := buildBitemporalStore(keys, versions, corrections)
-	db := st.DB()
 	midValid := temporal.Instant(versions / 2 * 100)
 	midTx := temporal.Instant(versions * 100) // before any correction
 
 	b.Run("current", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			name := fmt.Sprintf("k%06d", i%keys)
-			if _, ok := db.Find(name, "v"); !ok {
+			if _, ok := st.Find(name, "v"); !ok {
 				b.Fatal("missing current version")
 			}
 		}
@@ -67,7 +65,7 @@ func BenchmarkBitemporalFind(b *testing.B) {
 	b.Run("asof-valid", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			name := fmt.Sprintf("k%06d", i%keys)
-			if _, ok := db.Find(name, "v", state.AsOfValidTime(midValid)); !ok {
+			if _, ok := st.Find(name, "v", state.AsOfValidTime(midValid)); !ok {
 				b.Fatal("missing as-of version")
 			}
 		}
@@ -75,7 +73,7 @@ func BenchmarkBitemporalFind(b *testing.B) {
 	b.Run("asof-system-time", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			name := fmt.Sprintf("k%06d", i%keys)
-			if _, ok := db.Find(name, "v",
+			if _, ok := st.Find(name, "v",
 				state.AsOfValidTime(midValid), state.AsOfTransactionTime(midTx)); !ok {
 				b.Fatal("missing belief version")
 			}
@@ -84,7 +82,7 @@ func BenchmarkBitemporalFind(b *testing.B) {
 	b.Run("history", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			name := fmt.Sprintf("k%06d", i%keys)
-			if got := db.History(name, "v"); len(got) == 0 {
+			if got := st.History(name, "v"); len(got) == 0 {
 				b.Fatal("missing history")
 			}
 		}

@@ -45,7 +45,7 @@ func E10RuleOverhead(scale float64) *metrics.Table {
 	for _, el := range entries {
 		visitor, _ := el.Get("visitor")
 		room, _ := el.Get("room")
-		_ = warm.Put(visitor.MustString(), "position", room, el.Timestamp)
+		_ = warm.Replace(visitor.MustString(), "position", room, el.Timestamp)
 	}
 
 	// Layer 0: hand-coded store access (the floor).
@@ -54,7 +54,7 @@ func E10RuleOverhead(scale float64) *metrics.Table {
 	for _, el := range entries {
 		visitor, _ := el.Get("visitor")
 		room, _ := el.Get("room")
-		if err := st.Put(visitor.MustString(), "position", room, el.Timestamp); err != nil {
+		if err := st.Replace(visitor.MustString(), "position", room, el.Timestamp); err != nil {
 			panic(err)
 		}
 	}

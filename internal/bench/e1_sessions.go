@@ -144,14 +144,14 @@ func runStateSessions(els []*element.Element) ([]unit, float64, float64) {
 		user := el.MustGet("visitor").MustString()
 		switch el.Stream {
 		case "Enter":
-			st.Put(user, "session_start", element.Time(el.Timestamp), el.Timestamp)
-			st.Put(user, "session_events", element.Int(1), el.Timestamp)
+			st.Replace(user, "session_start", element.Time(el.Timestamp), el.Timestamp)
+			st.Replace(user, "session_events", element.Int(1), el.Timestamp)
 			open++
 		case "Leave":
-			if f, ok := st.Current(user, "session_start"); ok {
+			if f, ok := st.Find(user, "session_start"); ok {
 				startAt, _ := f.Value.AsTime()
 				n := int64(0)
-				if c, ok := st.Current(user, "session_events"); ok {
+				if c, ok := st.Find(user, "session_events"); ok {
 					n = c.Value.MustInt()
 				}
 				units = append(units, unit{
@@ -159,13 +159,14 @@ func runStateSessions(els []*element.Element) ([]unit, float64, float64) {
 					events: int(n) + 1, // + the Leave itself
 					span:   temporal.NewInterval(startAt, el.Timestamp+1),
 				})
-				st.Retract(user, "session_start", el.Timestamp)
-				st.Retract(user, "session_events", el.Timestamp)
+				at := []state.WriteOpt{state.WithValidTime(el.Timestamp), state.WithTransactionTime(el.Timestamp)}
+				st.Delete(user, "session_start", at...)
+				st.Delete(user, "session_events", at...)
 				open--
 			}
 		default: // Click, Purchase
-			if c, ok := st.Current(user, "session_events"); ok {
-				st.Put(user, "session_events", element.Int(c.Value.MustInt()+1), el.Timestamp)
+			if c, ok := st.Find(user, "session_events"); ok {
+				st.Replace(user, "session_events", element.Int(c.Value.MustInt()+1), el.Timestamp)
 			}
 		}
 		bufferedSum += uint64(open)

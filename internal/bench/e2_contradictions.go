@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/element"
 	"repro/internal/metrics"
+	"repro/internal/state"
 	"repro/internal/stream"
 	"repro/internal/temporal"
 	"repro/internal/window"
@@ -106,7 +107,7 @@ RULE exit ON BuildingExit AS r THEN RETRACT position(r.visitor)`); err != nil {
 	nextProbe := els[0].Timestamp + probeEvery
 	start := time.Now()
 	probe := func(at temporal.Instant) {
-		for _, f := range e.Store().AsOfByAttribute("position", at) {
+		for _, f := range e.Store().List(state.WithAttribute("position"), state.AsOfValidTime(at)) {
 			obs++
 			seen := map[string]bool{}
 			seen[f.Value.MustString()] = true

@@ -31,17 +31,17 @@ func E4StateQuery(scale float64) *metrics.Table {
 		for i := 0; i < probes; i++ {
 			k := keys[rng.Intn(len(keys))]
 			t0 := time.Now()
-			st.Current(k, "value")
+			st.Find(k, "value")
 			curH.Record(time.Since(t0))
 
 			at := temporal.Instant(rng.Int63n(int64(horizon)))
 			t0 = time.Now()
-			st.ValidAt(k, "value", at)
+			st.Find(k, "value", state.AsOfValidTime(at))
 			asofH.Record(time.Since(t0))
 		}
 		for i := 0; i < 50; i++ {
 			t0 := time.Now()
-			st.CurrentByAttribute("value")
+			st.List(state.WithAttribute("value"))
 			scanH.Record(time.Since(t0))
 		}
 		ex := &query.Executor{Store: st, Now: horizon}
@@ -83,7 +83,7 @@ func populateStore(n int) (*state.Store, []string, temporal.Instant) {
 		if clock[k] > horizon {
 			horizon = clock[k]
 		}
-		if err := st.Put(keys[k], "value", element.Int(rng.Int63n(1_000_000)), clock[k]); err != nil {
+		if err := st.Replace(keys[k], "value", element.Int(rng.Int63n(1_000_000)), clock[k]); err != nil {
 			panic(err)
 		}
 	}

@@ -53,7 +53,7 @@ func runGating(els []*element.Element, users, fraction int, gated bool) (seen, p
 	// Seed monitored users as background state (fraction% of users).
 	monitored := users * fraction / 100
 	for i := 0; i < monitored; i++ {
-		e.Store().Put(fmt.Sprintf("user%04d", i), "monitored", element.Bool(true), 0)
+		e.Store().Replace(fmt.Sprintf("user%04d", i), "monitored", element.Bool(true), 0)
 	}
 	// A deliberately heavy operator: per-user click counts over sliding
 	// windows — the cost the gate is supposed to avoid.

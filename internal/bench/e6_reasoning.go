@@ -33,7 +33,7 @@ func E6Reasoning(scale float64) *metrics.Table {
 		r := reason.NewReasoner(st, ont)
 		for i := 0; i < products; i++ {
 			leaf := leaves[i%len(leaves)]
-			st.Put(fmt.Sprintf("product%05d", i), reason.TypeAttribute,
+			st.Replace(fmt.Sprintf("product%05d", i), reason.TypeAttribute,
 				element.String(leaf), temporal.Instant(i))
 		}
 		t0 := time.Now()

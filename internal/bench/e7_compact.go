@@ -49,7 +49,7 @@ func walTruncateChain(records int, rotateBytes int64) time.Duration {
 	}
 	st.AttachLog(l)
 	for i := 1; i <= records; i++ {
-		if err := st.Put(fmt.Sprintf("e%04d", i%512), "v", element.Int(int64(i)),
+		if err := st.Replace(fmt.Sprintf("e%04d", i%512), "v", element.Int(int64(i)),
 			temporal.Instant(i)); err != nil {
 			panic(err)
 		}
@@ -108,7 +108,7 @@ func buildReclaimDir(dir string) {
 	if err != nil {
 		panic(err)
 	}
-	db := d.Mem().DB()
+	db := d.Mem()
 	tx := temporal.Instant(0)
 	put := func(entity string) {
 		tx++

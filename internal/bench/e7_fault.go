@@ -57,7 +57,7 @@ func flushThroughput(fs vfs.FS, keys, ops int) time.Duration {
 	start := time.Now()
 	for f := 0; f < flushBatches; f++ {
 		for j := 0; j < per; j++ {
-			if err := d.Mem().Put(names[i%keys], "value", element.Int(int64(i)),
+			if err := d.Mem().Replace(names[i%keys], "value", element.Int(int64(i)),
 				temporal.Instant(i+1)); err != nil {
 				panic(err)
 			}

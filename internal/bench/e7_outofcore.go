@@ -35,7 +35,7 @@ func buildOutOfCoreStore(dir string, keys int) *segment.Store {
 	if err != nil {
 		panic(err)
 	}
-	db := d.Mem().DB()
+	db := d.Mem()
 	per := keys / outOfCoreSegments
 	if per < 1 {
 		per = 1

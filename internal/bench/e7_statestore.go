@@ -78,12 +78,11 @@ func E7StateStore(scale float64) *metrics.Table {
 // the option-based StateDB surface, superseding slices of existing
 // history at transaction times after every original write.
 func correctRetroactively(st *state.Store, keys, n int) {
-	db := st.DB()
 	tx := st.Stats().TxHigh + 1
 	for c := 0; c < n; c++ {
 		name := fmt.Sprintf("k%06d", c%keys)
 		from := temporal.Instant(1 + c%64)
-		if err := db.Put(name, "value", element.Int(int64(-c)),
+		if err := st.Put(name, "value", element.Int(int64(-c)),
 			state.WithValidTime(from), state.WithEndValidTime(from+4),
 			state.WithTransactionTime(tx+temporal.Instant(c))); err != nil {
 			panic(err)
@@ -96,17 +95,16 @@ func correctRetroactively(st *state.Store, keys, n int) {
 // (systime) that consult the record history. Key names are pre-rendered
 // so the loop measures store cost, not fmt.Sprintf.
 func findThroughput(st *state.Store, keys, reads int, systime bool) time.Duration {
-	db := st.DB()
 	names := keyNames(keys)
 	tx := st.Stats().TxHigh
 	start := time.Now()
 	for i := 0; i < reads; i++ {
 		name := names[i%keys]
 		if systime {
-			db.Find(name, "value", state.AsOfValidTime(temporal.Instant(i%64)),
+			st.Find(name, "value", state.AsOfValidTime(temporal.Instant(i%64)),
 				state.AsOfTransactionTime(tx))
 		} else {
-			db.Find(name, "value")
+			st.Find(name, "value")
 		}
 	}
 	return time.Since(start)
@@ -160,17 +158,17 @@ func mutateStore(keys, ops int, log *state.Log) (*state.Store, time.Duration) {
 		name := fmt.Sprintf("k%06d", k)
 		switch {
 		case i%10 == 8:
-			f := element.NewFact(name, "bounded", element.Int(int64(i)),
-				temporal.NewInterval(clock[k], clock[k]+8))
-			clock[k] += 8
-			if err := st.Assert(f); err != nil {
+			if err := st.Put(name, "bounded", element.Int(int64(i)),
+				state.WithValidTime(clock[k]), state.WithEndValidTime(clock[k]+8),
+				state.WithTransactionTime(clock[k])); err != nil {
 				panic(err)
 			}
+			clock[k] += 8
 		case i%10 == 9:
-			// Retract may fail when nothing is current; that is fine.
-			_ = st.Retract(name, "value", clock[k])
+			// Deleting where nothing is current is a no-op.
+			_ = st.Delete(name, "value", state.WithValidTime(clock[k]), state.WithTransactionTime(clock[k]))
 		default:
-			if err := st.Put(name, "value", element.Int(rng.Int63()), clock[k]); err != nil {
+			if err := st.Replace(name, "value", element.Int(rng.Int63()), clock[k]); err != nil {
 				panic(err)
 			}
 		}

@@ -26,6 +26,32 @@ func TestIngestAllocsPerElement(t *testing.T) {
 	}
 }
 
+// TestReplaceAllocs pins the rule engine's serial REPLACE hot path,
+// state.Store.Replace: a fast-path replace of an open version allocates
+// only the new fact, the closed remnant and the successor head, with or
+// without a watcher attached (change scratch is pooled).
+func TestReplaceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	st := state.NewStore()
+	at := temporal.Instant(1)
+	st.Replace("k", "v", element.Int(0), at)
+	replace := func() {
+		at++
+		if err := st.Replace("k", "v", element.Int(int64(at)), at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, replace); n > 3 {
+		t.Errorf("Replace: %v allocs/op, want <= 3", n)
+	}
+	st.WatchBatch(func([]state.Change) {})
+	if n := testing.AllocsPerRun(1000, replace); n > 3 {
+		t.Errorf("watched Replace: %v allocs/op, want <= 3", n)
+	}
+}
+
 // benchmarkIngest drives one fixed-size message batch through a fresh
 // engine per iteration, so ns/op and allocs/op are per 50k-element
 // pipeline run; the elems/s metric is the headline number.

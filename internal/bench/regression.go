@@ -184,9 +184,8 @@ func keyNames(n int) []string {
 
 // seedCurrentValues gives every key one open version.
 func seedCurrentValues(st *state.Store, keys int) {
-	db := st.DB()
 	for i, name := range keyNames(keys) {
-		if err := db.Put(name, "value", element.Int(int64(i)),
+		if err := st.Put(name, "value", element.Int(int64(i)),
 			state.WithValidTime(temporal.Instant(i)),
 			state.WithTransactionTime(temporal.Instant(i))); err != nil {
 			panic(err)
@@ -198,7 +197,6 @@ func seedCurrentValues(st *state.Store, keys int) {
 // and returns the wall-clock duration — the contention-sensitive measure
 // the sharding refactor targets.
 func parallelFinds(st *state.Store, keys, totalOps, workers int) time.Duration {
-	db := st.DB()
 	names := keyNames(keys)
 	per := totalOps / workers
 	var wg sync.WaitGroup
@@ -210,7 +208,7 @@ func parallelFinds(st *state.Store, keys, totalOps, workers int) time.Duration {
 			// Offset stride per worker so goroutines walk different keys.
 			i := w * 977
 			for n := 0; n < per; n++ {
-				db.Find(names[i%keys], "value")
+				st.Find(names[i%keys], "value")
 				i += 31
 			}
 		}(w)
@@ -223,7 +221,6 @@ func parallelFinds(st *state.Store, keys, totalOps, workers int) time.Duration {
 // goroutines with disjoint per-worker key ranges, measuring write-path
 // contention: shard locks plus the shared transaction clock.
 func parallelPuts(st *state.Store, totalOps, workers int) time.Duration {
-	db := st.DB()
 	per := totalOps / workers
 	const keysPerWorker = 512
 	names := make([][]string, workers)
@@ -240,7 +237,7 @@ func parallelPuts(st *state.Store, totalOps, workers int) time.Duration {
 		go func(w int) {
 			defer wg.Done()
 			for n := 0; n < per; n++ {
-				if err := db.Put(names[w][n%keysPerWorker], "value", element.Int(int64(n))); err != nil {
+				if err := st.Put(names[w][n%keysPerWorker], "value", element.Int(int64(n))); err != nil {
 					panic(err)
 				}
 			}

@@ -41,11 +41,10 @@ func BenchmarkShardedFindParallel(b *testing.B) {
 	for _, tc := range shardedBenchVariants {
 		b.Run(tc.name, func(b *testing.B) {
 			st := state.NewStoreWithShards(tc.shards)
-			db := st.DB()
 			names := make([]string, keys)
 			for i := range names {
 				names[i] = fmt.Sprintf("k%06d", i)
-				if err := db.Put(names[i], "value", element.Int(int64(i)),
+				if err := st.Put(names[i], "value", element.Int(int64(i)),
 					state.WithValidTime(temporal.Instant(i)),
 					state.WithTransactionTime(temporal.Instant(i))); err != nil {
 					b.Fatal(err)
@@ -57,7 +56,7 @@ func BenchmarkShardedFindParallel(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				i := int(gid.Add(1)) * 977
 				for pb.Next() {
-					if _, ok := db.Find(names[i%keys], "value"); !ok {
+					if _, ok := st.Find(names[i%keys], "value"); !ok {
 						b.Fatal("missing version")
 					}
 					i += 31
@@ -76,7 +75,6 @@ func BenchmarkShardedPutParallel(b *testing.B) {
 	for _, tc := range shardedBenchVariants {
 		b.Run(tc.name, func(b *testing.B) {
 			st := state.NewStoreWithShards(tc.shards)
-			db := st.DB()
 			var gid atomic.Int64
 			b.ResetTimer()
 			b.ReportAllocs()
@@ -87,7 +85,7 @@ func BenchmarkShardedPutParallel(b *testing.B) {
 					names[k] = fmt.Sprintf("w%03d-k%04d", w, k)
 				}
 				for n := 0; pb.Next(); n++ {
-					if err := db.Put(names[n%keysPerWorker], "value", element.Int(int64(n))); err != nil {
+					if err := st.Put(names[n%keysPerWorker], "value", element.Int(int64(n))); err != nil {
 						b.Fatal(err)
 					}
 				}

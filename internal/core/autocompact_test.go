@@ -50,7 +50,7 @@ THEN REPLACE temperature(r.sensor) = r.celsius`); err != nil {
 	for s := 0; s < sensors; s++ {
 		name := fmt.Sprintf("s%02d", s)
 		want := float64(n - sensors + s)
-		f, ok := e.Store().Current(name, "temperature")
+		f, ok := e.Store().Find(name, "temperature")
 		if !ok {
 			t.Fatalf("current value of %s lost", name)
 		}

@@ -401,9 +401,9 @@ func (e *Engine) takeWatermarkBatch(wm temporal.Instant) WatermarkBatch {
 // Store exposes the state repository (e.g. for seeding background state).
 func (e *Engine) Store() *state.Store { return e.store }
 
-// DB exposes the bitemporal option-based surface of the state repository
-// (retroactive corrections, transaction-time reads).
-func (e *Engine) DB() *state.DB { return e.store.DB() }
+// DB exposes the state repository as a bitemporal StateDB (retroactive
+// corrections, transaction-time reads).
+func (e *Engine) DB() state.StateDB { return e.store }
 
 // Policy reports the configured interaction policy.
 func (e *Engine) Policy() Policy { return e.policy }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/element"
 	"repro/internal/lang"
 	"repro/internal/reason"
+	"repro/internal/state"
 	"repro/internal/stream"
 	"repro/internal/temporal"
 	"repro/internal/window"
@@ -60,7 +61,7 @@ RULE position ON RoomEntry AS r THEN REPLACE position(r.visitor) = r.room`); err
 	// At every probed instant each visitor is in exactly one room.
 	for _, at := range []temporal.Instant{15, 25, 35, 45} {
 		for _, who := range []string{"ann", "bob"} {
-			facts := e.Store().AsOfByAttribute("position", at)
+			facts := e.Store().List(state.WithAttribute("position"), state.AsOfValidTime(at))
 			n := 0
 			for _, f := range facts {
 				if f.Entity == who {
@@ -266,7 +267,7 @@ func TestReasonerGateIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.EnableReasoning(ont)
-	e.Store().Put("ann", "type", element.String("guard"), 0)
+	e.Store().Replace("ann", "type", element.String("guard"), 0)
 
 	if err := e.DeployProcessor(&Processor{
 		Name: "staffmoves", Source: "RoomEntry",

@@ -39,7 +39,7 @@ func TestEngineDB(t *testing.T) {
 		state.WithValidTime(10), state.WithTransactionTime(10)); err != nil {
 		t.Fatal(err)
 	}
-	if f, ok := e.Store().Current("ann", "position"); !ok || f.Value.MustString() != "hall" {
+	if f, ok := e.Store().Find("ann", "position"); !ok || f.Value.MustString() != "hall" {
 		t.Fatalf("DB write not visible through store: %v %v", f, ok)
 	}
 }
@@ -115,7 +115,7 @@ func TestSnapshotEnrichmentConsistency(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	e.Store().Put("ann", "tier", element.String("silver"), 0)
+	e.Store().Replace("ann", "tier", element.String("silver"), 0)
 	e.Process(stream.WatermarkMsg(10))
 
 	// Retroactive upgrade recorded later: ann was gold all along.

@@ -53,7 +53,7 @@ func TestStandingQueryNilCallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Store().Put("ann", "position", element.String("hall"), 0)
+	e.Store().Replace("ann", "position", element.String("hall"), 0)
 	if got := sq.Result(); len(got.Rows) != 1 {
 		t.Fatalf("result: %v", got.Rows)
 	}

@@ -36,7 +36,7 @@ RULE exit ON BuildingExit AS r THEN RETRACT position(r.visitor)`); err != nil {
 	horizon := els[len(els)-1].Timestamp
 	checked := 0
 	for at := temporal.Instant(0); at < horizon; at += horizon / 50 {
-		for _, f := range e.Store().AsOfByAttribute("position", at) {
+		for _, f := range e.Store().List(state.WithAttribute("position"), state.AsOfValidTime(at)) {
 			want := workload.TrueRoomAt(truth, f.Entity, at)
 			if want == "" {
 				continue // boundary instant between stays
@@ -52,7 +52,7 @@ RULE exit ON BuildingExit AS r THEN RETRACT position(r.visitor)`); err != nil {
 	}
 
 	// All visitors exited: no current positions remain.
-	if cur := e.Store().CurrentByAttribute("position"); len(cur) != 0 {
+	if cur := e.Store().List(state.WithAttribute("position")); len(cur) != 0 {
 		t.Fatalf("positions after all exits: %v", cur)
 	}
 

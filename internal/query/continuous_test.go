@@ -10,7 +10,7 @@ import (
 
 func TestContinuousQueryUpdates(t *testing.T) {
 	st := state.NewStore()
-	st.Put("ann", "position", element.String("hall"), 0)
+	st.Replace("ann", "position", element.String("hall"), 0)
 
 	var pushed []*Result
 	c, err := RegisterContinuous("positions",
@@ -28,7 +28,7 @@ func TestContinuousQueryUpdates(t *testing.T) {
 	}
 
 	// A relevant change re-evaluates and pushes.
-	st.Put("ann", "position", element.String("lab"), 10)
+	st.Replace("ann", "position", element.String("lab"), 10)
 	if c.Updates() == 0 || len(pushed) == 0 {
 		t.Fatal("relevant change should trigger an update")
 	}
@@ -38,19 +38,19 @@ func TestContinuousQueryUpdates(t *testing.T) {
 
 	// An irrelevant attribute does not trigger.
 	before := c.Updates()
-	st.Put("ann", "badge", element.Int(7), 20)
+	st.Replace("ann", "badge", element.Int(7), 20)
 	if c.Updates() != before {
 		t.Error("irrelevant attribute triggered an update")
 	}
 
 	// A new entity triggers.
-	st.Put("bob", "position", element.String("hall"), 30)
+	st.Replace("bob", "position", element.String("hall"), 30)
 	if got := c.Result(); len(got.Rows) != 2 {
 		t.Fatalf("after second entity: %v", got.Rows)
 	}
 
 	// Retraction triggers.
-	st.Retract("bob", "position", 40)
+	st.Delete("bob", "position", state.WithValidTime(40), state.WithTransactionTime(40))
 	if got := c.Result(); len(got.Rows) != 1 {
 		t.Fatalf("after retract: %v", got.Rows)
 	}
@@ -58,7 +58,7 @@ func TestContinuousQueryUpdates(t *testing.T) {
 	// Stop detaches.
 	c.Stop()
 	stopped := c.Updates()
-	st.Put("ann", "position", element.String("roof"), 50)
+	st.Replace("ann", "position", element.String("roof"), 50)
 	if c.Updates() != stopped {
 		t.Error("stopped query still updating")
 	}
@@ -72,15 +72,15 @@ func TestContinuousQueryAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Put("ann", "position", element.String("hall"), 0)
-	st.Put("bob", "position", element.String("hall"), 1)
-	st.Put("cat", "position", element.String("lab"), 2)
+	st.Replace("ann", "position", element.String("hall"), 0)
+	st.Replace("bob", "position", element.String("hall"), 1)
+	st.Replace("cat", "position", element.String("lab"), 2)
 	got := c.Result()
 	if len(got.Rows) != 2 || got.Rows[0][1].MustInt() != 2 || got.Rows[1][1].MustInt() != 1 {
 		t.Fatalf("occupancy: %v", got.Rows)
 	}
 	// Moving bob shifts a count between groups.
-	st.Put("bob", "position", element.String("lab"), 3)
+	st.Replace("bob", "position", element.String("lab"), 3)
 	got = c.Result()
 	if got.Rows[0][1].MustInt() != 1 || got.Rows[1][1].MustInt() != 2 {
 		t.Fatalf("after move: %v", got.Rows)
@@ -112,12 +112,12 @@ func TestContinuousQueryCustomNow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Put("ann", "position", element.String("hall"), 50)
+	st.Replace("ann", "position", element.String("hall"), 50)
 	if got := c.Result(); len(got.Rows) != 1 {
 		t.Fatalf("asof now=100: %v", got.Rows)
 	}
 	clock = 40 // before the fact: re-evaluations see nothing
-	st.Put("bob", "position", element.String("lab"), 60)
+	st.Replace("bob", "position", element.String("lab"), 60)
 	if got := c.Result(); len(got.Rows) != 0 {
 		t.Fatalf("asof now=40: %v", got.Rows)
 	}

@@ -33,9 +33,9 @@ func FuzzParseQuery(f *testing.F) {
 		f.Add(s)
 	}
 	st := state.NewStore()
-	st.Put("ann", "position", element.String("hall"), 0)
-	st.Put("ann", "position", element.String("lab"), 50)
-	st.Put("ann", "badge", element.Int(7), 0)
+	st.Replace("ann", "position", element.String("hall"), 0)
+	st.Replace("ann", "position", element.String("lab"), 50)
+	st.Replace("ann", "badge", element.Int(7), 0)
 
 	f.Fuzz(func(t *testing.T, src string) {
 		q1, err := Parse(src)

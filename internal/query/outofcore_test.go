@@ -34,20 +34,20 @@ func TestPreparedExecColdMatchesResident(t *testing.T) {
 	cm := d.Mem()
 	for i := 0; i < keys; i++ {
 		ent := fmt.Sprintf("e%03d", i)
-		if err := cm.Put(ent, "value", element.Int(int64(i)), temporal.Instant(10+i)); err != nil {
+		if err := cm.Replace(ent, "value", element.Int(int64(i)), temporal.Instant(10+i)); err != nil {
 			t.Fatal(err)
 		}
 		if i%4 == 0 {
-			if err := cm.Put(ent, "badge", element.Int(int64(i%7)), temporal.Instant(10+i)); err != nil {
+			if err := cm.Replace(ent, "badge", element.Int(int64(i%7)), temporal.Instant(10+i)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := cm.DB().Put("e003", "value", element.Int(999),
+	if err := cm.Put("e003", "value", element.Int(999),
 		state.WithValidTime(11), state.WithEndValidTime(13)); err != nil {
 		t.Fatal(err)
 	}
-	if err := cm.DB().Delete("e004", "value", state.WithValidTime(500)); err != nil {
+	if err := cm.Delete("e004", "value", state.WithValidTime(500)); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Flush(); err != nil {

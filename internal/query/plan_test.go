@@ -18,20 +18,20 @@ func planSeedStore(t testing.TB, keys int) *state.Store {
 	st := state.NewStore()
 	for i := 0; i < keys; i++ {
 		ent := fmt.Sprintf("e%03d", i)
-		if err := st.Put(ent, "value", element.Int(int64(i)), temporal.Instant(10+i)); err != nil {
+		if err := st.Replace(ent, "value", element.Int(int64(i)), temporal.Instant(10+i)); err != nil {
 			t.Fatal(err)
 		}
 		if i%4 == 0 {
-			if err := st.Put(ent, "badge", element.Int(int64(i%7)), temporal.Instant(10+i)); err != nil {
+			if err := st.Replace(ent, "badge", element.Int(int64(i%7)), temporal.Instant(10+i)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := st.DB().Put("e003", "value", element.Int(999),
+	if err := st.Put("e003", "value", element.Int(999),
 		state.WithValidTime(11), state.WithEndValidTime(13)); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.DB().Delete("e004", "value", state.WithValidTime(500)); err != nil {
+	if err := st.Delete("e004", "value", state.WithValidTime(500)); err != nil {
 		t.Fatal(err)
 	}
 	return st
@@ -163,10 +163,10 @@ func TestPreparedExecMatchesExecute(t *testing.T) {
 // the query's SYSTEM TIME clause.
 func TestExecSysTimeOverride(t *testing.T) {
 	st := state.NewStore()
-	if err := st.Put("ann", "position", element.String("hall"), 10); err != nil {
+	if err := st.Replace("ann", "position", element.String("hall"), 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.DB().Put("ann", "position", element.String("vault"),
+	if err := st.Put("ann", "position", element.String("vault"),
 		state.WithValidTime(10)); err != nil {
 		t.Fatal(err)
 	}

@@ -421,8 +421,8 @@ func (q *Query) hasLabel(name string) bool {
 // Executor runs queries against a state reader, optionally consulting a
 // reasoner for WITH INFERENCE queries.
 type Executor struct {
-	// Store is the temporal read surface the query scans: the live store,
-	// its DB adapter, or — the recommended source for queries that may
+	// Store is the temporal read surface the query scans: the live store
+	// or — the recommended source for queries that may
 	// run concurrently with ingestion — a pinned state.Snapshot handle,
 	// which evaluates the whole query against one consistent lock-free
 	// cut (engine.Query and the HTTP server pin one per query).

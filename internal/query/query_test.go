@@ -11,12 +11,12 @@ import (
 
 func populated() *state.Store {
 	s := state.NewStore()
-	s.Put("ann", "position", element.String("hall"), 0)
-	s.Put("ann", "position", element.String("lab"), 50)
-	s.Put("bob", "position", element.String("hall"), 10)
-	s.Put("cat", "position", element.String("lab"), 20)
-	s.Retract("cat", "position", 60)
-	s.Put("ann", "badge", element.Int(7), 0)
+	s.Replace("ann", "position", element.String("hall"), 0)
+	s.Replace("ann", "position", element.String("lab"), 50)
+	s.Replace("bob", "position", element.String("hall"), 10)
+	s.Replace("cat", "position", element.String("lab"), 20)
+	s.Delete("cat", "position", state.WithValidTime(60), state.WithTransactionTime(60))
+	s.Replace("ann", "badge", element.Int(7), 0)
 	return s
 }
 
@@ -159,7 +159,7 @@ func TestWithInference(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := reason.NewReasoner(st, ont)
-	st.Put("p1", "type", element.String("novel"), 0)
+	st.Replace("p1", "type", element.String("novel"), 0)
 
 	e := &Executor{Store: st, Reasoner: r, Now: 10}
 	res, err := e.Run("SELECT entity, value FROM type WHERE value = 'books' WITH INFERENCE")
@@ -262,10 +262,9 @@ func TestWhereOnTemporalColumns(t *testing.T) {
 // writes at tx 0/50, then a correction recorded at tx 80 revising [20,40).
 func bitemporalStore() *state.Store {
 	s := state.NewStore()
-	db := s.DB()
-	db.Put("ann", "position", element.String("hall"), state.WithValidTime(0), state.WithTransactionTime(0))
-	db.Put("ann", "position", element.String("lab"), state.WithValidTime(50), state.WithTransactionTime(50))
-	db.Put("ann", "position", element.String("vault"),
+	s.Put("ann", "position", element.String("hall"), state.WithValidTime(0), state.WithTransactionTime(0))
+	s.Put("ann", "position", element.String("lab"), state.WithValidTime(50), state.WithTransactionTime(50))
+	s.Put("ann", "position", element.String("vault"),
 		state.WithValidTime(20), state.WithEndValidTime(40), state.WithTransactionTime(80))
 	return s
 }

@@ -68,7 +68,7 @@ func TestTypePropagation(t *testing.T) {
 	mustOK(t, o.SubClassOf("fiction", "books"))
 	r := NewReasoner(st, o)
 
-	st.Put("p1", TypeAttribute, element.String("novel"), 10)
+	st.Replace("p1", TypeAttribute, element.String("novel"), 10)
 
 	vals := r.HoldsAt("p1", TypeAttribute, 15)
 	if len(vals) != 3 { // novel (asserted) + fiction + books (derived)
@@ -91,8 +91,8 @@ func TestDerivedValidityFollowsReclassification(t *testing.T) {
 	mustOK(t, o.SubClassOf("boardgame", "toys"))
 	r := NewReasoner(st, o)
 
-	st.Put("p1", TypeAttribute, element.String("novel"), 0)
-	st.Put("p1", TypeAttribute, element.String("boardgame"), 100) // reclassified
+	st.Replace("p1", TypeAttribute, element.String("novel"), 0)
+	st.Replace("p1", TypeAttribute, element.String("boardgame"), 100) // reclassified
 
 	if ents := r.EntitiesOfClassAt("books", 50); len(ents) != 1 {
 		t.Fatalf("books at 50: %v", ents)
@@ -113,7 +113,7 @@ func TestSubPropertyAndDomainRange(t *testing.T) {
 	o.SetRange("manages", "employee")
 	r := NewReasoner(st, o)
 
-	st.Put("ann", "manages", element.String("bob"), 10)
+	st.Replace("ann", "manages", element.String("bob"), 10)
 
 	if vals := r.HoldsAt("ann", "worksWith", 20); len(vals) != 1 || vals[0].MustString() != "bob" {
 		t.Fatalf("subproperty: %v", vals)
@@ -139,9 +139,9 @@ func TestHornRuleJoin(t *testing.T) {
 		Head: TriplePattern{Attr: "inBuilding", Entity: V("x"), Value: V("b")},
 	}))
 
-	st.Put("room1", "partOf", element.String("hq"), 0)
-	st.Put("ann", "locatedIn", element.String("room1"), 10)
-	st.Put("ann", "locatedIn", element.String("offsite"), 50)
+	st.Replace("room1", "partOf", element.String("hq"), 0)
+	st.Replace("ann", "locatedIn", element.String("room1"), 10)
+	st.Replace("ann", "locatedIn", element.String("offsite"), 50)
 
 	if vals := r.HoldsAt("ann", "inBuilding", 20); len(vals) != 1 || vals[0].MustString() != "hq" {
 		t.Fatalf("join derivation: %v", vals)
@@ -167,9 +167,9 @@ func TestHornRuleTransitiveFixpoint(t *testing.T) {
 		},
 		Head: TriplePattern{Attr: "partOf", Entity: V("a"), Value: V("c")},
 	}))
-	st.Put("desk", "partOf", element.String("room"), 0)
-	st.Put("room", "partOf", element.String("floor"), 0)
-	st.Put("floor", "partOf", element.String("building"), 0)
+	st.Replace("desk", "partOf", element.String("room"), 0)
+	st.Replace("room", "partOf", element.String("floor"), 0)
+	st.Replace("floor", "partOf", element.String("building"), 0)
 
 	vals := r.HoldsAt("desk", "partOf", 10)
 	// asserted: room; derived: floor, building.
@@ -200,8 +200,8 @@ func TestRuleWithConstants(t *testing.T) {
 		},
 		Head: TriplePattern{Attr: "vip", Entity: V("u"), Value: C(element.Bool(true))},
 	}))
-	st.Put("ann", "tier", element.String("gold"), 0)
-	st.Put("bob", "tier", element.String("silver"), 0)
+	st.Replace("ann", "tier", element.String("gold"), 0)
+	st.Replace("bob", "tier", element.String("silver"), 0)
 	if vals := r.HoldsAt("ann", "vip", 10); len(vals) != 1 || !vals[0].Truthy() {
 		t.Fatalf("vip ann: %v", vals)
 	}
@@ -216,7 +216,7 @@ func TestIncrementalRematerialization(t *testing.T) {
 	mustOK(t, o.SubClassOf("a", "b"))
 	r := NewReasoner(st, o)
 
-	st.Put("x", TypeAttribute, element.String("a"), 0)
+	st.Replace("x", TypeAttribute, element.String("a"), 0)
 	n1 := r.Materialize()
 	if n1 != 1 {
 		t.Fatalf("derived: %d", n1)
@@ -226,12 +226,12 @@ func TestIncrementalRematerialization(t *testing.T) {
 		t.Error("cached materialization")
 	}
 	// New base fact re-triggers.
-	st.Put("y", TypeAttribute, element.String("a"), 5)
+	st.Replace("y", TypeAttribute, element.String("a"), 5)
 	if got := r.Materialize(); got != 2 {
 		t.Fatalf("after change: %d", got)
 	}
 	// Retraction also re-triggers and removes coverage going forward.
-	st.Retract("y", TypeAttribute, 10)
+	st.Delete("y", TypeAttribute, state.WithValidTime(10), state.WithTransactionTime(10))
 	r.Materialize()
 	if vals := r.HoldsAt("y", TypeAttribute, 20); len(vals) != 0 {
 		t.Fatalf("after retract: %v", vals)
@@ -246,7 +246,7 @@ func TestDerivedAt(t *testing.T) {
 	o := NewOntology()
 	mustOK(t, o.SubClassOf("novel", "books"))
 	r := NewReasoner(st, o)
-	st.Put("p", TypeAttribute, element.String("novel"), 0)
+	st.Replace("p", TypeAttribute, element.String("novel"), 0)
 	facts := r.DerivedAt(5)
 	if len(facts) != 1 || !facts[0].Derived || facts[0].Source != "reasoner" {
 		t.Fatalf("derived facts: %v", facts)
@@ -278,7 +278,7 @@ func TestDeepTaxonomyFixpoint(t *testing.T) {
 		mustOK(t, o.SubClassOf(cls(i), cls(i+1)))
 	}
 	r := NewReasoner(st, o)
-	st.Put("e", TypeAttribute, element.String(cls(0)), 0)
+	st.Replace("e", TypeAttribute, element.String(cls(0)), 0)
 	if vals := r.HoldsAt("e", TypeAttribute, 5); len(vals) != 10 {
 		t.Fatalf("deep taxonomy: %d types", len(vals))
 	}
@@ -299,12 +299,12 @@ func TestHoldsAtDedupesAssertedAndDerived(t *testing.T) {
 	o := NewOntology()
 	mustOK(t, o.SubClassOf("a", "b"))
 	r := NewReasoner(st, o)
-	st.Put("x", TypeAttribute, element.String("b"), 0) // asserted b
+	st.Replace("x", TypeAttribute, element.String("b"), 0) // asserted b
 	// Also derive b for x via another entity? Assert type a on a second
 	// attribute lineage is not possible (same key) — use domain axiom.
 	o.SetDomain("p", "b")
 	r.markDirty()
-	st.Put("x", "p", element.Int(1), 0)
+	st.Replace("x", "p", element.Int(1), 0)
 	vals := r.HoldsAt("x", TypeAttribute, 5)
 	if len(vals) != 1 || vals[0].MustString() != "b" {
 		t.Fatalf("dedupe: %v", vals)

@@ -368,7 +368,7 @@ func (r *Reasoner) HoldsAt(entity, attr string, t temporal.Instant) []element.Va
 		}
 	}
 	r.mu.Unlock()
-	if f, ok := r.store.ValidAt(entity, attr, t); ok {
+	if f, ok := r.store.Find(entity, attr, state.AsOfValidTime(t)); ok {
 		dup := false
 		for _, v := range out {
 			if v.Equal(f.Value) {
@@ -432,7 +432,7 @@ func (r *Reasoner) EntitiesOfClassAt(class string, t temporal.Instant) []string 
 		}
 	}
 	r.mu.Unlock()
-	for _, f := range r.store.AsOfByAttribute(TypeAttribute, t) {
+	for _, f := range r.store.List(state.WithAttribute(TypeAttribute), state.AsOfValidTime(t)) {
 		if s, ok := f.Value.AsString(); ok && s == class {
 			set[f.Entity] = true
 		}

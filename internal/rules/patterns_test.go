@@ -33,7 +33,7 @@ THEN REPLACE confirmed(s.visitor) = true`)
 			t.Fatal(err)
 		}
 	}
-	if _, ok := store.Current("zone1", "confirmed"); !ok {
+	if _, ok := store.Find("zone1", "confirmed"); !ok {
 		t.Fatal("ALL pattern should fire regardless of order")
 	}
 
@@ -50,7 +50,7 @@ THEN REPLACE confirmed(s.visitor) = true`)
 			t.Fatal(err)
 		}
 	}
-	if _, ok := store2.Current("zone2", "confirmed"); !ok {
+	if _, ok := store2.Find("zone2", "confirmed"); !ok {
 		t.Fatal("ALL pattern should fire in reverse order")
 	}
 }
@@ -66,13 +66,13 @@ THEN REPLACE alarm(f.visitor) = true`)
 	if _, err := set.Apply(mkEv("Flood", 10, "b1"), store); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := store.Current("b1", "alarm"); !ok {
+	if _, ok := store.Find("b1", "alarm"); !ok {
 		t.Fatal("ANY should fire on either stream")
 	}
 	if _, err := set.Apply(mkEv("Fire", 20, "b2"), store); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := store.Current("b2", "alarm"); !ok {
+	if _, ok := store.Find("b2", "alarm"); !ok {
 		t.Fatal("ANY should fire on the other stream too")
 	}
 }
@@ -123,7 +123,7 @@ THEN REPLACE clicks(c.visitor) = coalesce(clicks(c.visitor), 0) + 1`)
 			t.Fatal(err)
 		}
 	}
-	f, ok := store.Current("ann", "clicks")
+	f, ok := store.Find("ann", "clicks")
 	if !ok || f.Value.MustInt() != 5 {
 		t.Fatalf("counter: %v %v", f, ok)
 	}

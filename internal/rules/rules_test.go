@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -158,18 +159,36 @@ func TestApplyReplaceRule(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if f, _ := store.Current("ann", "position"); f.Value.MustString() != "lab" {
+	if f, _ := store.Find("ann", "position"); f.Value.MustString() != "lab" {
 		t.Errorf("ann current: %v", f)
 	}
-	if f, _ := store.ValidAt("ann", "position", 15); f.Value.MustString() != "hall" {
+	if f, _ := store.Find("ann", "position", state.AsOfValidTime(15)); f.Value.MustString() != "hall" {
 		t.Errorf("ann history: %v", f)
 	}
-	// No instant has two positions for ann.
-	if len(store.AsOf(22)) != 1+1 { // ann lab + nothing for bob yet at 22? bob at 25. So just ann.
-		// AsOf(22): ann=lab only.
-		if got := store.AsOf(22); len(got) != 1 {
-			t.Errorf("as-of 22: %v", got)
-		}
+	// No instant has two positions for ann; bob arrives only at 25.
+	if got := store.List(state.AsOfValidTime(22)); len(got) != 1 ||
+		got[0].Entity != "ann" || got[0].Value.MustString() != "lab" {
+		t.Errorf("as-of 22: %v", got)
+	}
+}
+
+// TestApplyReplaceOutOfOrder: REPLACE is a stream append, so an element
+// older than the key's latest version fails the rule with ErrOutOfOrder
+// instead of rewriting history.
+func TestApplyReplaceOutOfOrder(t *testing.T) {
+	set, err := ParseSet("RULE pos ON RoomEntry AS e THEN REPLACE position(e.visitor) = e.room")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := state.NewStore()
+	if _, err := set.Apply(entry(20, "ann", "lab"), store); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := set.Apply(entry(10, "ann", "hall"), store); !errors.Is(err, state.ErrOutOfOrder) {
+		t.Fatalf("want ErrOutOfOrder, got %v", err)
+	}
+	if h := store.History("ann", "position"); len(h) != 1 || h[0].Value.MustString() != "lab" {
+		t.Fatalf("rejected REPLACE changed state: %v", h)
 	}
 }
 
@@ -180,11 +199,11 @@ func TestApplyWhereFilter(t *testing.T) {
 	}
 	store := state.NewStore()
 	set.Apply(entry(10, "ann", "hall"), store)
-	if _, ok := store.Current("ann", "position"); ok {
+	if _, ok := store.Find("ann", "position"); ok {
 		t.Error("filtered element should not fire")
 	}
 	set.Apply(entry(20, "ann", "lab"), store)
-	if f, ok := store.Current("ann", "position"); !ok || f.Value.MustString() != "lab" {
+	if f, ok := store.Find("ann", "position"); !ok || f.Value.MustString() != "lab" {
 		t.Error("passing element should fire")
 	}
 }
@@ -199,12 +218,12 @@ THEN REPLACE position(e.visitor) = e.room`
 	}
 	store := state.NewStore()
 	set.Apply(entry(10, "ann", "lab"), store)
-	if _, ok := store.Current("ann", "position"); ok {
+	if _, ok := store.Find("ann", "position"); ok {
 		t.Error("unwatched visitor should be ignored")
 	}
-	store.Put("ann", "watchlist", element.Bool(true), 15)
+	store.Replace("ann", "watchlist", element.Bool(true), 15)
 	set.Apply(entry(20, "ann", "vault"), store)
-	if f, ok := store.Current("ann", "position"); !ok || f.Value.MustString() != "vault" {
+	if f, ok := store.Find("ann", "position"); !ok || f.Value.MustString() != "vault" {
 		t.Error("watched visitor should be tracked")
 	}
 }
@@ -230,7 +249,7 @@ THEN ASSERT lastclick(c.visitor) = c.room,
 	if at, _ := out[0].MustGet("at").AsTime(); at != 30 {
 		t.Errorf("now() in emit: %v", out[0])
 	}
-	f, _ := store.Current("ann", "lastclick")
+	f, _ := store.Find("ann", "lastclick")
 	if f.Source != "sess" {
 		t.Errorf("fact source: %q", f.Source)
 	}
@@ -251,12 +270,43 @@ THEN ASSERT discount(p.visitor) = 0.1 UNTIL now() + 10ns`)
 	if _, err := set.Apply(p, store); err != nil {
 		t.Fatal(err)
 	}
-	f, ok := store.ValidAt("ann", "discount", 105)
+	f, ok := store.Find("ann", "discount", state.AsOfValidTime(105))
 	if !ok || f.Validity != temporal.NewInterval(100, 110) {
 		t.Fatalf("bounded assert: %v %v", f, ok)
 	}
-	if _, ok := store.ValidAt("ann", "discount", 110); ok {
+	if _, ok := store.Find("ann", "discount", state.AsOfValidTime(110)); ok {
 		t.Error("discount should expire")
+	}
+}
+
+// TestApplyAssertOverlapFails: ASSERT states a fact with known validity,
+// so an ASSERT overlapping a believed version of the same key fails the
+// rule with ErrOverlap — the fraud example's WHEN guard relies on it —
+// while an adjacent one succeeds.
+func TestApplyAssertOverlapFails(t *testing.T) {
+	set, err := ParseSet(`
+RULE promo ON Purchase AS p
+THEN ASSERT discount(p.visitor) = 0.1 UNTIL now() + 10ns`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := state.NewStore()
+	purchase := func(at temporal.Instant) *element.Element {
+		return element.New("Purchase", at, element.NewTuple(entrySchema, element.String("ann"), element.String("x")))
+	}
+	if _, err := set.Apply(purchase(100), store); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := set.Apply(purchase(105), store); !errors.Is(err, ErrOverlap) {
+		t.Fatalf("overlapping ASSERT: want ErrOverlap, got %v", err)
+	}
+	if _, err := set.Apply(purchase(110), store); err != nil {
+		t.Fatalf("adjacent ASSERT: %v", err)
+	}
+	h := store.History("ann", "discount")
+	if len(h) != 2 || h[0].Validity != temporal.NewInterval(100, 110) ||
+		h[1].Validity != temporal.NewInterval(110, 120) || h[1].Source != "promo" {
+		t.Fatalf("asserted history: %v", h)
 	}
 }
 

@@ -12,6 +12,10 @@ import (
 	"repro/internal/temporal"
 )
 
+// ErrOverlap fails a rule whose ASSERT would overlap a believed version
+// of the same key. (REPLACE supersedes instead; RETRACT closes.)
+var ErrOverlap = errors.New("rules: ASSERT validity overlaps existing version")
+
 // Set is a deployed collection of compiled state management rules. The
 // engine feeds it every input element in timestamp order; the Set updates
 // the state repository and returns any derived (EMIT) elements.
@@ -418,7 +422,7 @@ func (s *Set) execute(r *Rule, a Action, env *ruleEnv) (*element.Element, error)
 			})
 			return nil, nil
 		}
-		return nil, env.store.Put(entity, act.Attr, v, env.now)
+		return nil, env.store.Replace(entity, act.Attr, v, env.now)
 
 	case *AssertAction:
 		entity, err := evalEntity(act.Entity, env)
@@ -441,22 +445,26 @@ func (s *Set) execute(r *Rule, a Action, env *ruleEnv) (*element.Element, error)
 				return nil, err
 			}
 		}
-		f := element.NewFact(entity, act.Attr, v, temporal.NewInterval(from, until))
-		f.Source = r.Name
-		return nil, env.store.Assert(f)
+		// ASSERT states a fact whose validity is known, so it must not
+		// revise one: with in-order input the only believed version that
+		// can overlap [from, until) is one holding at from.
+		if f, ok := env.store.Find(entity, act.Attr, state.AsOfValidTime(from)); ok {
+			return nil, fmt.Errorf("%w: %s.%s %s overlaps %s",
+				ErrOverlap, entity, act.Attr, temporal.NewInterval(from, until), f.Validity)
+		}
+		return nil, env.store.Put(entity, act.Attr, v,
+			state.WithValidTime(from), state.WithEndValidTime(until),
+			state.WithTransactionTime(from), state.WithSource(r.Name))
 
 	case *RetractAction:
 		entity, err := evalEntity(act.Entity, env)
 		if err != nil {
 			return nil, err
 		}
-		// Retracting an absent fact is a no-op: rules often fire "close"
-		// transitions for keys that were never opened.
-		if err := env.store.Retract(entity, act.Attr, env.now); err != nil &&
-			!errors.Is(err, state.ErrNoCurrent) {
-			return nil, err
-		}
-		return nil, nil
+		// Retracting an absent fact is a no-op (Delete of nothing is):
+		// rules often fire "close" transitions for keys never opened.
+		return nil, env.store.Delete(entity, act.Attr,
+			state.WithValidTime(env.now), state.WithTransactionTime(env.now))
 
 	case *EmitAction:
 		fields := make([]element.Field, len(act.Fields))

@@ -27,7 +27,7 @@ import (
 // readiness.
 func TestOverloadAdmissionGateSheds(t *testing.T) {
 	st := state.NewStore()
-	st.Put("ann", "position", element.String("hall"), 10)
+	st.Replace("ann", "position", element.String("hall"), 10)
 	s := New(st, nil)
 	s.MaxInFlight = 1
 
@@ -92,7 +92,7 @@ func TestOverloadAdmissionGateSheds(t *testing.T) {
 // aborts with 504 instead of running the scan to completion.
 func TestOverloadRequestDeadline(t *testing.T) {
 	st := state.NewStore()
-	st.Put("ann", "position", element.String("hall"), 10)
+	st.Replace("ann", "position", element.String("hall"), 10)
 	s := New(st, nil)
 	s.RequestTimeout = time.Nanosecond // expired before execution starts
 
@@ -138,7 +138,7 @@ func TestDegradedReadyzWarnsAndStats(t *testing.T) {
 	if d == nil {
 		t.Fatalf("engine must have a durable layer")
 	}
-	if err := d.Mem().Put("ann", "position", element.String("hall"), 10); err != nil {
+	if err := d.Mem().Replace("ann", "position", element.String("hall"), 10); err != nil {
 		t.Fatalf("put: %v", err)
 	}
 	d.Pulse(d.Mem().Snapshot().At())

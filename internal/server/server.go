@@ -212,7 +212,7 @@ func (s *Server) now() temporal.Instant {
 		return s.NowFunc()
 	}
 	var horizon temporal.Instant
-	for _, f := range s.store.CurrentAll() {
+	for _, f := range s.store.List() {
 		if f.Validity.Start > horizon {
 			horizon = f.Validity.Start
 		}

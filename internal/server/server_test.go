@@ -15,9 +15,9 @@ import (
 func testService(t *testing.T) (*state.Store, *Client, func()) {
 	t.Helper()
 	st := state.NewStore()
-	st.Put("ann", "position", element.String("hall"), 10)
-	st.Put("ann", "position", element.String("lab"), 50)
-	st.Put("bob", "position", element.String("hall"), 20)
+	st.Replace("ann", "position", element.String("hall"), 10)
+	st.Replace("ann", "position", element.String("lab"), 50)
+	st.Replace("bob", "position", element.String("hall"), 20)
 	srv := httptest.NewServer(New(st, nil))
 	return st, NewClient(srv.URL), srv.Close
 }
@@ -106,7 +106,7 @@ func TestInferenceOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := reason.NewReasoner(st, ont)
-	st.Put("p1", "type", element.String("novel"), 0)
+	st.Replace("p1", "type", element.String("novel"), 0)
 	srv := httptest.NewServer(New(st, r))
 	defer srv.Close()
 	client := NewClient(srv.URL)
@@ -193,7 +193,7 @@ func TestWireValueRoundTrip(t *testing.T) {
 
 func TestNowAnchorsCurrentQueries(t *testing.T) {
 	st := state.NewStore()
-	st.Put("e", "a", element.Int(1), 100)
+	st.Replace("e", "a", element.Int(1), 100)
 	srv := httptest.NewServer(New(st, nil))
 	defer srv.Close()
 	res, err := NewClient(srv.URL).Query("SELECT value FROM a WHERE entity = 'e'")
@@ -212,14 +212,13 @@ func TestNowAnchorsCurrentQueries(t *testing.T) {
 // per request.
 func TestTransactionTimeOverTheWire(t *testing.T) {
 	st := state.NewStore()
-	db := st.DB()
-	if err := db.Put("ann", "position", element.String("hall"),
+	if err := st.Put("ann", "position", element.String("hall"),
 		state.WithValidTime(10), state.WithTransactionTime(10)); err != nil {
 		t.Fatal(err)
 	}
 	// Retroactive correction recorded at 50: ann was in the vault over
 	// [12, 18) all along.
-	if err := db.Put("ann", "position", element.String("vault"),
+	if err := st.Put("ann", "position", element.String("vault"),
 		state.WithValidTime(12), state.WithEndValidTime(18),
 		state.WithTransactionTime(50)); err != nil {
 		t.Fatal(err)

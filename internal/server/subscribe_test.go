@@ -205,7 +205,7 @@ func TestSubscribeBadParams(t *testing.T) {
 	// A store-only server has no broker: subscriptions are a 404, and
 	// stats omits the engine fields.
 	st := state.NewStore()
-	st.Put("ann", "position", element.String("hall"), 10)
+	st.Replace("ann", "position", element.String("hall"), 10)
 	plain := httptest.NewServer(New(st, nil))
 	defer plain.Close()
 	resp, err := http.Get(plain.URL + "/subscribe")

@@ -1,10 +1,10 @@
-// Group-committed micro-batch writes. The engine's parallel ingestion
-// pipeline buffers the state updates of one micro-batch (the elements
-// between two watermarks) and flushes them here, so the store pays one
-// lock acquisition per touched shard and one WAL append per batch instead
-// of one of each per element. Head publication amortizes the same way:
-// each entry swaps exactly one lineage head (the O(1) shared-prefix
-// append of commit's fast path), with no per-entry lock traffic.
+// The stream-append write shape: Replace and its group-committed form,
+// PutBatch. The engine's parallel ingestion pipeline buffers the state
+// updates of one micro-batch (the elements between two watermarks) and
+// flushes them through PutBatch, so the store pays one lock acquisition
+// per touched shard and one WAL append per batch instead of one of each
+// per element. Both share one per-entry body, replaceLocked, whose
+// commit is the O(1) shared-prefix head append of commit's fast path.
 
 package state
 
@@ -15,9 +15,8 @@ import (
 	"repro/internal/temporal"
 )
 
-// BatchPut is one replace-semantics write in a PutBatch micro-batch: the
-// same semantics as the positional Put(entity, attr, value, at) — the
-// current version is terminated at At and a new version valid over
+// BatchPut is one stream-append write: the current version of
+// (Entity, Attr) is terminated at At and a new version valid over
 // [At, Forever) is asserted with transaction time At.
 type BatchPut struct {
 	Entity string
@@ -26,30 +25,84 @@ type BatchPut struct {
 	At     temporal.Instant
 }
 
-// PutBatch applies a micro-batch of positional Puts as one group commit.
+// Replace is the stream-append write, exactly PutBatch of one entry: the
+// current version of (entity, attr), if any, is terminated at `at`, and a
+// new version valid over [at, Forever) is asserted with transaction time
+// `at`. This is the paper's canonical state transition ("the most recent
+// position invalidates and updates any previous position", §1) and the
+// rule engine's REPLACE. A write earlier than the key's latest believed
+// version start fails with ErrOutOfOrder; use Put with WithValidTime for
+// a retroactive correction. Unlike PutBatch, Replace logs before it
+// mutates, so a log error leaves the store untouched.
+func (s *Store) Replace(entity, attr string, v element.Value, at temporal.Instant) error {
+	p := BatchPut{Entity: entity, Attr: attr, Value: v, At: at}
+	sh := s.shardFor(entity, attr)
+	return s.mutate(sh, func(log *Log, changes []Change, record bool) ([]Change, error) {
+		return s.replaceLocked(sh, &p, log, changes, record)
+	})
+}
+
+// replaceLocked is the one per-entry body of Replace and PutBatch. It
+// looks the key up (faulting an evicted lineage back in, creating a new
+// one otherwise), rejects a write earlier than the latest believed
+// version start with ErrOutOfOrder, appends the entry to log when one is
+// given — after validation, before mutating — and commits. Callers hold
+// sh.mu.
+func (s *Store) replaceLocked(sh *shard, p *BatchPut, log *Log, changes []Change, record bool) ([]Change, error) {
+	w := temporal.NewInterval(p.At, temporal.Forever)
+	key := element.FactKey{Entity: p.Entity, Attribute: p.Attr}
+	if w.IsEmpty() {
+		return changes, fmt.Errorf("state: replace %s: empty validity %s", key, w)
+	}
+	l := sh.byKey[key]
+	if l == nil {
+		// An evicted key must be faulted back in before it is mutated —
+		// same rule as apply.
+		l = s.faultIn(sh, key)
+	}
+	if l == nil {
+		l = sh.lineage(key, true)
+	}
+	s.touch(l)
+	if last := l.head.Load().lastLive(); last != nil && p.At < last.Validity.Start {
+		return changes, fmt.Errorf("%w: %s at %s before %s", ErrOutOfOrder, key, p.At, last.Validity.Start)
+	}
+	if log != nil {
+		if err := log.appendPut(p.Entity, p.Attr, p.Value, p.At); err != nil {
+			return changes, err
+		}
+	}
+	f := element.NewFact(p.Entity, p.Attr, p.Value, w)
+	f.RecordedAt = p.At
+	f.SupersededAt = temporal.Forever
+	s.clock.observe(p.At)
+	return sh.commit(l, f, w, p.At, changes, record), nil
+}
+
+// PutBatch applies a micro-batch of Replace writes as one group commit.
 // Entries are bucketed by shard; each shard's write lock is taken exactly
 // once and its entries applied in slice order, so per-key ordering (and
-// the per-key monotonicity rule of Put) is exactly that of an equivalent
-// loop of Puts. The WAL receives a single framed record carrying every
-// applied entry (replay-compatible with per-element logs: replay applies
-// the frame's writes one at a time).
+// the per-key monotonicity rule of Replace) is exactly that of an
+// equivalent loop of Replaces. The WAL receives a single framed record
+// carrying every applied entry (replay-compatible with per-element logs:
+// replay applies the frame's writes one at a time).
 //
-// Two deliberate relaxations versus the per-element path, both in
-// exchange for the amortized locking:
+// Two deliberate relaxations versus Replace, both in exchange for the
+// amortized locking:
 //
-//   - The WAL append happens after the mutations commit (the per-element
-//     path logs first), so a log-write failure leaves the store ahead of
-//     the log; the error is returned so callers can fail the batch.
+//   - The WAL append happens after the mutations commit (Replace logs
+//     first), so a log-write failure leaves the store ahead of the log;
+//     the error is returned so callers can fail the batch.
 //   - Watchers observe the batch's changes grouped by shard (in shard
 //     index order, entry order within a shard), not interleaved in global
 //     entry order.
 //
 // On a validation error (e.g. ErrOutOfOrder) the batch stops and the
 // error is returned. Application is shard-major, so the applied set is
-// NOT the slice prefix a failed loop of Puts would leave: every entry of
-// lower-indexed shards (including entries after the failing one in slice
-// order) plus the failing shard's own prefix is applied, the rest is
-// not. Per-key the applied writes are always a prefix of that key's
+// NOT the slice prefix a failed loop of Replaces would leave: every entry
+// of lower-indexed shards (including entries after the failing one in
+// slice order) plus the failing shard's own prefix is applied, the rest
+// is not. Per-key the applied writes are always a prefix of that key's
 // entries, and the WAL frame records exactly the applied entries, so
 // replay reproduces the post-error state; callers wanting more than
 // per-key prefix consistency must treat a batch error as fatal rather
@@ -84,33 +137,9 @@ func (s *Store) PutBatch(puts []BatchPut) error {
 		sh := s.shards[si]
 		sh.mu.Lock()
 		for _, i := range idxs {
-			p := &puts[i]
-			w := temporal.NewInterval(p.At, temporal.Forever)
-			key := element.FactKey{Entity: p.Entity, Attribute: p.Attr}
-			if w.IsEmpty() {
-				firstErr = fmt.Errorf("state: batch put %s: empty validity %s", key, w)
+			if changes, firstErr = s.replaceLocked(sh, &puts[i], nil, changes, record); firstErr != nil {
 				break
 			}
-			l := sh.byKey[key]
-			if l == nil {
-				// An evicted key must be faulted back in before the batch
-				// mutates it — same rule as the per-element path (apply).
-				l = s.faultIn(sh, key)
-			}
-			if l == nil {
-				l = sh.lineage(key, true)
-			}
-			s.touch(l)
-			if last := l.head.Load().lastLive(); last != nil && p.At < last.Validity.Start {
-				firstErr = fmt.Errorf("%w: %s at %s before %s",
-					ErrOutOfOrder, key, p.At, last.Validity.Start)
-				break
-			}
-			f := element.NewFact(p.Entity, p.Attr, p.Value, w)
-			f.RecordedAt = p.At
-			f.SupersededAt = temporal.Forever
-			s.clock.observe(p.At)
-			changes = sh.commit(l, f, w, p.At, changes, record)
 			applied[i] = true
 			nApplied++
 		}

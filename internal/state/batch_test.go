@@ -39,12 +39,12 @@ func sameFacts(t *testing.T, what string, a, b []*element.Fact) {
 }
 
 // TestPutBatchEquivalence: one group commit leaves the same state as the
-// equivalent loop of positional Puts.
+// equivalent loop of Replaces.
 func TestPutBatchEquivalence(t *testing.T) {
 	puts := batchWorkload(1_000, 37)
 	looped, batched := NewStore(), NewStore()
 	for _, p := range puts {
-		if err := looped.Put(p.Entity, p.Attr, p.Value, p.At); err != nil {
+		if err := looped.Replace(p.Entity, p.Attr, p.Value, p.At); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,7 +72,7 @@ func TestPutBatchReplay(t *testing.T) {
 	looped := NewStore()
 	walLoop, dirLoop := openWAL(t, looped)
 	for _, p := range puts {
-		if err := looped.Put(p.Entity, p.Attr, p.Value, p.At); err != nil {
+		if err := looped.Replace(p.Entity, p.Attr, p.Value, p.At); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func TestPutBatchReplay(t *testing.T) {
 }
 
 // TestPutBatchOutOfOrder: a monotonicity violation stops the batch with
-// ErrOutOfOrder; earlier entries stay applied (the loop-of-Puts contract)
+// ErrOutOfOrder; earlier entries stay applied (the loop-of-Replaces contract)
 // and the WAL frame carries exactly the applied entries.
 func TestPutBatchOutOfOrder(t *testing.T) {
 	st := NewStore()
@@ -154,15 +154,14 @@ func TestCompactBeforeWorkers(t *testing.T) {
 // based Find across both time axes.
 func TestFindValueSpec(t *testing.T) {
 	st := NewStore()
-	db := st.DB()
 	for v := 1; v <= 4; v++ {
-		if err := db.Put("ann", "position", element.Int(int64(v)),
+		if err := st.Put("ann", "position", element.Int(int64(v)),
 			WithValidTime(temporal.Instant(v*10)), WithTransactionTime(temporal.Instant(v*10))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Retroactive correction recorded at 100 over [15, 25).
-	if err := db.Put("ann", "position", element.Int(-1),
+	if err := st.Put("ann", "position", element.Int(-1),
 		WithValidTime(15), WithEndValidTime(25), WithTransactionTime(100)); err != nil {
 		t.Fatal(err)
 	}

@@ -14,35 +14,34 @@ import (
 // under AsOfTransactionTime instants before the write.
 func TestRetroactivePutSupersedes(t *testing.T) {
 	st := NewStore()
-	db := st.DB()
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	must(db.Put("ann", "position", element.String("hall"), WithValidTime(10), WithTransactionTime(10)))
-	must(db.Put("ann", "position", element.String("lab"), WithValidTime(20), WithTransactionTime(20)))
+	must(st.Put("ann", "position", element.String("hall"), WithValidTime(10), WithTransactionTime(10)))
+	must(st.Put("ann", "position", element.String("lab"), WithValidTime(20), WithTransactionTime(20)))
 
 	// At tx 50 we learn ann was actually in the vault over [12, 18).
-	must(db.Put("ann", "position", element.String("vault"),
+	must(st.Put("ann", "position", element.String("vault"),
 		WithValidTime(12), WithEndValidTime(18), WithTransactionTime(50)))
 
 	// Default reads see the corrected timeline.
-	if f, ok := db.Find("ann", "position", AsOfValidTime(15)); !ok || f.Value.MustString() != "vault" {
+	if f, ok := st.Find("ann", "position", AsOfValidTime(15)); !ok || f.Value.MustString() != "vault" {
 		t.Fatalf("default read at vt=15: %v %v", f, ok)
 	}
 	// But the belief at tx 30 predates the correction.
-	if f, ok := db.Find("ann", "position", AsOfValidTime(15), AsOfTransactionTime(30)); !ok || f.Value.MustString() != "hall" {
+	if f, ok := st.Find("ann", "position", AsOfValidTime(15), AsOfTransactionTime(30)); !ok || f.Value.MustString() != "hall" {
 		t.Fatalf("belief at tt=30 about vt=15: %v %v", f, ok)
 	}
 	// The open version is unaffected either way.
-	if f, ok := db.Find("ann", "position"); !ok || f.Value.MustString() != "lab" {
+	if f, ok := st.Find("ann", "position"); !ok || f.Value.MustString() != "lab" {
 		t.Fatalf("current: %v %v", f, ok)
 	}
 
 	// Corrected history: hall [10,12), vault [12,18), hall [18,20), lab [20,∞).
-	hist := db.History("ann", "position")
+	hist := st.History("ann", "position")
 	wantVals := []string{"hall", "vault", "hall", "lab"}
 	if len(hist) != len(wantVals) {
 		t.Fatalf("corrected history: %v", hist)
@@ -58,13 +57,13 @@ func TestRetroactivePutSupersedes(t *testing.T) {
 	}
 
 	// Belief-at-30 history is the uncorrected timeline.
-	old := db.History("ann", "position", AsOfTransactionTime(30))
+	old := st.History("ann", "position", AsOfTransactionTime(30))
 	if len(old) != 2 || old[0].Validity != temporal.NewInterval(10, 20) || old[1].Validity != temporal.Since(20) {
 		t.Fatalf("belief-at-30 history: %v", old)
 	}
 
 	// The audit log keeps every record, superseded included.
-	audit := db.History("ann", "position", AllVersions())
+	audit := st.History("ann", "position", AllVersions())
 	if len(audit) != 6 { // 2 originals + correction + 2 remnants + lab untouched? lab is one of the originals
 		// originals: hall[10,∞)→superseded@20, lab[20,∞);
 		// after correction: hall[10,20) superseded@50, remnants hall[10,12), hall[18,20), vault[12,18).
@@ -87,25 +86,24 @@ func TestRetroactivePutSupersedes(t *testing.T) {
 // TestRetroactiveDelete removes a slice of believed history.
 func TestRetroactiveDelete(t *testing.T) {
 	st := NewStore()
-	db := st.DB()
-	if err := db.Put("e", "a", element.Int(1), WithValidTime(0), WithTransactionTime(0)); err != nil {
+	if err := st.Put("e", "a", element.Int(1), WithValidTime(0), WithTransactionTime(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Delete("e", "a", WithValidTime(10), WithEndValidTime(20), WithTransactionTime(30)); err != nil {
+	if err := st.Delete("e", "a", WithValidTime(10), WithEndValidTime(20), WithTransactionTime(30)); err != nil {
 		t.Fatal(err)
 	}
-	hist := db.History("e", "a")
+	hist := st.History("e", "a")
 	if len(hist) != 2 || hist[0].Validity != temporal.NewInterval(0, 10) || hist[1].Validity != temporal.Since(20) {
 		t.Fatalf("history after retro delete: %v", hist)
 	}
-	if _, ok := db.Find("e", "a", AsOfValidTime(15)); ok {
+	if _, ok := st.Find("e", "a", AsOfValidTime(15)); ok {
 		t.Error("deleted range should be empty under default reads")
 	}
-	if f, ok := db.Find("e", "a", AsOfValidTime(15), AsOfTransactionTime(20)); !ok || f.Value.MustInt() != 1 {
+	if f, ok := st.Find("e", "a", AsOfValidTime(15), AsOfTransactionTime(20)); !ok || f.Value.MustInt() != 1 {
 		t.Errorf("belief before delete: %v %v", f, ok)
 	}
 	// Deleting where nothing holds is a no-op, even for unknown keys.
-	if err := db.Delete("ghost", "a", WithValidTime(0)); err != nil {
+	if err := st.Delete("ghost", "a", WithValidTime(0)); err != nil {
 		t.Errorf("delete of unknown key: %v", err)
 	}
 }
@@ -115,10 +113,9 @@ func TestRetroactiveDelete(t *testing.T) {
 // valid time alone never backdates belief.
 func TestTransactionClockDefaults(t *testing.T) {
 	st := NewStore()
-	db := st.DB()
-	db.Put("e", "a", element.Int(1), WithValidTime(100))
-	db.Put("e", "a", element.Int(2), WithValidTime(40)) // retroactive, tx defaults to 101
-	f, ok := db.Find("e", "a", AsOfValidTime(50))
+	st.Put("e", "a", element.Int(1), WithValidTime(100))
+	st.Put("e", "a", element.Int(2), WithValidTime(40)) // retroactive, tx defaults to 101
+	f, ok := st.Find("e", "a", AsOfValidTime(50))
 	if !ok || f.Value.MustInt() != 2 {
 		t.Fatalf("corrected read: %v %v", f, ok)
 	}
@@ -126,7 +123,7 @@ func TestTransactionClockDefaults(t *testing.T) {
 		t.Errorf("default tx should advance past the clock high-water mark, got %s", f.RecordedAt)
 	}
 	// Belief as of tx 99 predates the first write entirely.
-	if _, ok := db.Find("e", "a", AsOfValidTime(50), AsOfTransactionTime(99)); ok {
+	if _, ok := st.Find("e", "a", AsOfValidTime(50), AsOfTransactionTime(99)); ok {
 		t.Error("nothing was believed before the first write")
 	}
 	if st.Stats().TxHigh != 101 {
@@ -135,10 +132,9 @@ func TestTransactionClockDefaults(t *testing.T) {
 	// Two writes with all defaults get distinct transaction times, so the
 	// first belief stays recoverable (supersede, never destroy).
 	st2 := NewStore()
-	db2 := st2.DB()
-	db2.Put("x", "a", element.Int(1))
-	db2.Put("x", "a", element.Int(2))
-	first, ok := db2.Find("x", "a", AsOfValidTime(1), AsOfTransactionTime(1))
+	st2.Put("x", "a", element.Int(1))
+	st2.Put("x", "a", element.Int(2))
+	first, ok := st2.Find("x", "a", AsOfValidTime(1), AsOfTransactionTime(1))
 	if !ok || first.Value.MustInt() != 1 {
 		t.Fatalf("pre-correction belief lost under default clocks: %v %v", first, ok)
 	}
@@ -147,28 +143,27 @@ func TestTransactionClockDefaults(t *testing.T) {
 // TestFindListOptionCombos exercises the read-option matrix.
 func TestFindListOptionCombos(t *testing.T) {
 	st := NewStore()
-	db := st.DB()
-	db.Put("ann", "position", element.String("hall"), WithValidTime(0), WithTransactionTime(0))
-	db.Put("bob", "position", element.String("lab"), WithValidTime(5), WithTransactionTime(5))
-	db.Put("ann", "badge", element.Int(7), WithValidTime(0), WithTransactionTime(0))
-	db.Put("ann", "position", element.String("roof"), WithValidTime(10), WithTransactionTime(10))
+	st.Put("ann", "position", element.String("hall"), WithValidTime(0), WithTransactionTime(0))
+	st.Put("bob", "position", element.String("lab"), WithValidTime(5), WithTransactionTime(5))
+	st.Put("ann", "badge", element.Int(7), WithValidTime(0), WithTransactionTime(0))
+	st.Put("ann", "position", element.String("roof"), WithValidTime(10), WithTransactionTime(10))
 
-	if got := db.List(); len(got) != 3 { // badge(ann), roof(ann), lab(bob)
+	if got := st.List(); len(got) != 3 { // badge(ann), roof(ann), lab(bob)
 		t.Fatalf("List all current: %v", got)
 	}
-	if got := db.List(WithAttribute("position")); len(got) != 2 || got[0].Entity != "ann" || got[1].Entity != "bob" {
+	if got := st.List(WithAttribute("position")); len(got) != 2 || got[0].Entity != "ann" || got[1].Entity != "bob" {
 		t.Fatalf("List position: %v", got)
 	}
-	if got := db.List(WithAttribute("position"), AsOfValidTime(7)); len(got) != 2 || got[0].Value.MustString() != "hall" {
+	if got := st.List(WithAttribute("position"), AsOfValidTime(7)); len(got) != 2 || got[0].Value.MustString() != "hall" {
 		t.Fatalf("List asof 7: %v", got)
 	}
-	if got := db.List(WithAttribute("position"), DuringValidTime(0, 20)); len(got) != 3 {
+	if got := st.List(WithAttribute("position"), DuringValidTime(0, 20)); len(got) != 3 {
 		t.Fatalf("List during: %v", got)
 	}
-	if got := db.List(WithAttribute("position"), AsOfValidTime(7), AsOfTransactionTime(3)); len(got) != 1 || got[0].Entity != "ann" {
+	if got := st.List(WithAttribute("position"), AsOfValidTime(7), AsOfTransactionTime(3)); len(got) != 1 || got[0].Entity != "ann" {
 		t.Fatalf("List asof vt=7 tt=3: %v", got)
 	}
-	if got := db.List(AllVersions()); len(got) != 4 { // hall[0,10), roof[10,∞), lab, badge
+	if got := st.List(AllVersions()); len(got) != 4 { // hall[0,10), roof[10,∞), lab, badge
 		t.Fatalf("List all versions: %v", got)
 	}
 }
@@ -178,11 +173,10 @@ func TestFindListOptionCombos(t *testing.T) {
 func TestBitemporalLogReplay(t *testing.T) {
 	st := NewStore()
 	l, dir := openWAL(t, st)
-	db := st.DB()
-	db.Put("ann", "position", element.String("hall"), WithValidTime(10), WithTransactionTime(10))
-	db.Put("ann", "position", element.String("vault"),
+	st.Put("ann", "position", element.String("hall"), WithValidTime(10), WithTransactionTime(10))
+	st.Put("ann", "position", element.String("vault"),
 		WithValidTime(12), WithEndValidTime(18), WithTransactionTime(50))
-	db.Delete("ann", "position", WithValidTime(30), WithTransactionTime(60))
+	st.Delete("ann", "position", WithValidTime(30), WithTransactionTime(60))
 	closeWAL(t, l)
 
 	restored, n := recoverWAL(t, dir)
@@ -198,9 +192,8 @@ func TestBitemporalLogReplay(t *testing.T) {
 func TestSnapshotPreservesTransactionTime(t *testing.T) {
 	st := NewStore()
 	l, dir := openWAL(t, st)
-	db := st.DB()
-	db.Put("e", "a", element.Int(1), WithValidTime(0), WithTransactionTime(0))
-	db.Put("e", "a", element.Int(2), WithValidTime(0), WithTransactionTime(10)) // same-start correction
+	st.Put("e", "a", element.Int(1), WithValidTime(0), WithTransactionTime(0))
+	st.Put("e", "a", element.Int(2), WithValidTime(0), WithTransactionTime(10)) // same-start correction
 	closeWAL(t, l)
 
 	restored, _ := recoverWAL(t, dir)
@@ -219,9 +212,8 @@ func TestSnapshotPreservesTransactionTime(t *testing.T) {
 func TestSnapshotRoundTripDefaultClock(t *testing.T) {
 	st := NewStore()
 	l, dir := openWAL(t, st)
-	db := st.DB()
-	db.Put("a", "x", element.Int(1))
-	db.Put("a", "x", element.Int(2)) // supersedes at a small tx
+	st.Put("a", "x", element.Int(1))
+	st.Put("a", "x", element.Int(2)) // supersedes at a small tx
 	closeWAL(t, l)
 	restored, _ := recoverWAL(t, dir)
 	assertSameCut(t, st, restored)
@@ -248,12 +240,11 @@ func assertSameCut(t *testing.T, want, got *Store) {
 // believed version still emits a Terminated change for it.
 func TestRetroactiveWritesNotifyWatchers(t *testing.T) {
 	st := NewStore()
-	db := st.DB()
-	db.Put("e", "a", element.Int(1), WithValidTime(10), WithEndValidTime(20), WithTransactionTime(10))
+	st.Put("e", "a", element.Int(1), WithValidTime(10), WithEndValidTime(20), WithTransactionTime(10))
 	var got []Change
 	st.Watch(func(c Change) { got = append(got, c) })
 	// Covers [10,20) entirely: the old version leaves the belief.
-	db.Put("e", "a", element.Int(2), WithValidTime(5), WithEndValidTime(25), WithTransactionTime(30))
+	st.Put("e", "a", element.Int(2), WithValidTime(5), WithEndValidTime(25), WithTransactionTime(30))
 	if len(got) != 2 || got[0].Kind != Terminated || got[1].Kind != Asserted {
 		t.Fatalf("changes: %v", got)
 	}
@@ -262,45 +253,20 @@ func TestRetroactiveWritesNotifyWatchers(t *testing.T) {
 	}
 }
 
-// TestStateDBInterface pins the StateDB contract to the DB adapter and the
-// legacy wrappers to the new core.
-func TestStateDBInterface(t *testing.T) {
-	st := NewStore()
-	var db StateDB = st.DB()
-	if err := db.Put("e", "a", element.Int(1), WithValidTime(5)); err != nil {
-		t.Fatal(err)
-	}
-	// Legacy and option-based reads agree.
-	lf, lok := st.Current("e", "a")
-	nf, nok := db.Find("e", "a")
-	if lok != nok || !lf.Value.Equal(nf.Value) {
-		t.Fatalf("legacy/new disagree: %v vs %v", lf, nf)
-	}
-	if len(db.History("e", "a")) != len(st.History("e", "a")) {
-		t.Error("history disagrees")
-	}
-	if err := db.Delete("e", "a", WithValidTime(9)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.Current("e", "a"); ok {
-		t.Error("delete should close the open version")
-	}
-}
-
-// TestLegacyPutStillMonotonic pins the deprecated wrapper contract: the
-// positional surface rejects out-of-order writes rather than treating
-// them as corrections.
+// TestLegacyPutStillMonotonic pins the stream-append contract that the old
+// positional Put carried and Replace keeps: out-of-order writes are
+// rejected rather than treated as corrections.
 func TestLegacyPutStillMonotonic(t *testing.T) {
 	st := NewStore()
-	st.Put("e", "a", element.Int(1), 10)
-	if err := st.Put("e", "a", element.Int(2), 5); !errors.Is(err, ErrOutOfOrder) {
+	st.Replace("e", "a", element.Int(1), 10)
+	if err := st.Replace("e", "a", element.Int(2), 5); !errors.Is(err, ErrOutOfOrder) {
 		t.Fatalf("want ErrOutOfOrder, got %v", err)
 	}
-	// The same instants through the option API are a correction.
-	if err := st.DB().Put("e", "a", element.Int(2), WithValidTime(5), WithEndValidTime(10)); err != nil {
+	// The same instants through the bitemporal Put are a correction.
+	if err := st.Put("e", "a", element.Int(2), WithValidTime(5), WithEndValidTime(10)); err != nil {
 		t.Fatal(err)
 	}
-	if f, _ := st.ValidAt("e", "a", 7); f.Value.MustInt() != 2 {
+	if f, _ := st.Find("e", "a", AsOfValidTime(7)); f.Value.MustInt() != 2 {
 		t.Error("retroactive insert before existing version")
 	}
 }

@@ -34,9 +34,9 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 				at := temporal.Instant(i)
 				switch i % 5 {
 				case 4:
-					_ = st.Retract(key, "v", at)
+					_ = st.Delete(key, "v", WithValidTime(at), WithTransactionTime(at))
 				default:
-					if err := st.Put(key, "v", element.Int(int64(i)), at); err != nil {
+					if err := st.Replace(key, "v", element.Int(int64(i)), at); err != nil {
 						t.Errorf("put: %v", err)
 						return
 					}
@@ -57,11 +57,11 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 				default:
 				}
 				key := fmt.Sprintf("w%d-k%d", i%writers, i%keysPerWriter)
-				st.Current(key, "v")
-				st.ValidAt(key, "v", temporal.Instant(i%opsPerWriter))
+				st.Find(key, "v")
+				st.Find(key, "v", AsOfValidTime(temporal.Instant(i%opsPerWriter)))
 				if i%50 == 0 {
-					st.CurrentByAttribute("v")
-					st.AsOf(temporal.Instant(i % opsPerWriter))
+					st.List(WithAttribute("v"))
+					st.List(AsOfValidTime(temporal.Instant(i % opsPerWriter)))
 					st.Stats()
 				}
 				hist := st.History(key, "v")
@@ -94,7 +94,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 func TestConcurrentViews(t *testing.T) {
 	st := NewStore()
 	for i := 0; i < 100; i++ {
-		st.Put("e", "v", element.Int(int64(i)), temporal.Instant(i*10))
+		st.Replace("e", "v", element.Int(int64(i)), temporal.Instant(i*10))
 	}
 	view := st.ViewAt(500)
 	want, ok := view.Get("e", "v")
@@ -106,7 +106,7 @@ func TestConcurrentViews(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 100; i < 200; i++ {
-			st.Put("e", "v", element.Int(int64(i)), temporal.Instant(i*10))
+			st.Replace("e", "v", element.Int(int64(i)), temporal.Instant(i*10))
 		}
 	}()
 	go func() {
@@ -129,7 +129,6 @@ func TestConcurrentViews(t *testing.T) {
 // see a disjoint, ordered belief.
 func TestConcurrentRetroactiveWrites(t *testing.T) {
 	st := NewStore()
-	db := st.DB()
 	const (
 		writers = 4
 		keys    = 16
@@ -140,7 +139,7 @@ func TestConcurrentRetroactiveWrites(t *testing.T) {
 	// recorded no later than baseTx.
 	for k := 0; k < keys; k++ {
 		key := fmt.Sprintf("k%d", k)
-		if err := db.Put(key, "v", element.Int(int64(k)), WithValidTime(0), WithTransactionTime(baseTx)); err != nil {
+		if err := st.Put(key, "v", element.Int(int64(k)), WithValidTime(0), WithTransactionTime(baseTx)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,13 +154,13 @@ func TestConcurrentRetroactiveWrites(t *testing.T) {
 				tx := baseTx + temporal.Instant(1+i)
 				// Retroactive bounded correction somewhere in [1, 500).
 				from := temporal.Instant(1 + (i*7)%400)
-				if err := db.Put(key, "v", element.Int(int64(i)),
+				if err := st.Put(key, "v", element.Int(int64(i)),
 					WithValidTime(from), WithEndValidTime(from+50), WithTransactionTime(tx)); err != nil {
 					t.Errorf("retro put: %v", err)
 					return
 				}
 				if i%9 == 0 {
-					if err := db.Delete(key, "v", WithValidTime(from+10),
+					if err := st.Delete(key, "v", WithValidTime(from+10),
 						WithEndValidTime(from+20), WithTransactionTime(tx+1)); err != nil {
 						t.Errorf("retro delete: %v", err)
 						return
@@ -179,13 +178,13 @@ func TestConcurrentRetroactiveWrites(t *testing.T) {
 			for i := 0; i < ops; i++ {
 				key := fmt.Sprintf("k%d", i%keys)
 				// Pinned belief: the seed state must be frozen forever.
-				f, ok := db.Find(key, "v", AsOfValidTime(250), AsOfTransactionTime(baseTx))
+				f, ok := st.Find(key, "v", AsOfValidTime(250), AsOfTransactionTime(baseTx))
 				if !ok || f.Value.MustInt() != int64(i%keys) {
 					t.Errorf("pinned read drifted for %s: %v %v", key, f, ok)
 					return
 				}
 				// Default belief: whatever it is now, it must be consistent.
-				hist := db.History(key, "v")
+				hist := st.History(key, "v")
 				for j := 1; j < len(hist); j++ {
 					if hist[j-1].Validity.Overlaps(hist[j].Validity) {
 						t.Errorf("reader saw overlapping belief for %s: %v %v", key, hist[j-1], hist[j])
@@ -193,7 +192,7 @@ func TestConcurrentRetroactiveWrites(t *testing.T) {
 					}
 				}
 				if i%100 == 0 {
-					db.List(WithAttribute("v"), AsOfValidTime(250), AsOfTransactionTime(baseTx))
+					st.List(WithAttribute("v"), AsOfValidTime(250), AsOfTransactionTime(baseTx))
 				}
 				reads.Add(1)
 			}
@@ -224,11 +223,11 @@ func TestWatcherOrdering(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			st.CurrentAll()
+			st.List()
 		}
 	}()
 	for i := 0; i < 100; i++ {
-		st.Put("e", "v", element.Int(int64(i)), temporal.Instant(i))
+		st.Replace("e", "v", element.Int(int64(i)), temporal.Instant(i))
 	}
 	wg.Wait()
 	if len(seen) != 100 {

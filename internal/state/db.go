@@ -1,5 +1,5 @@
 // Bitemporal StateDB surface: functional read/write options in the
-// XTDB/Snodgrass style over the state repository.
+// XTDB/Snodgrass style. *Store implements StateDB directly.
 //
 // Reads compose AsOfValidTime (which version held in the modeled world)
 // with AsOfTransactionTime (which version the store believed at the time):
@@ -15,11 +15,11 @@
 // for retroactive corrections, which supersede — never destroy — the
 // record versions they revise:
 //
-//	db.Put("ann", "position", v)                                // [clock, Forever)
-//	db.Put("ann", "position", v, WithValidTime(10))             // retroactive, open end
-//	db.Put("ann", "position", v, WithValidTime(10),
+//	st.Put("ann", "position", v)                                // [clock, Forever)
+//	st.Put("ann", "position", v, WithValidTime(10))             // retroactive, open end
+//	st.Put("ann", "position", v, WithValidTime(10),
 //	       WithEndValidTime(20))                                // bounded correction
-//	db.Delete("ann", "position", WithValidTime(10))             // retroactive retraction
+//	st.Delete("ann", "position", WithValidTime(10))             // retroactive retraction
 
 package state
 
@@ -30,9 +30,9 @@ import (
 
 // StateDB is the bitemporal database interface of §3.3 ("implement the
 // state component as a temporal database"): point reads, scans, and
-// writes, each parameterized by functional temporal options. *DB is the
-// in-memory implementation; the interface is the seam for future backends
-// (append-only storage, SQL).
+// writes, each parameterized by functional temporal options. *Store is
+// the in-memory implementation and *segment.Store the durable one; the
+// interface is the seam for future backends (SQL).
 type StateDB interface {
 	// Find returns the version of (entity, attr) selected by the read
 	// options: by default the open version in the store's current belief.
@@ -226,47 +226,4 @@ func WithSource(source string) WriteOpt {
 // DropDerived removes it.
 func WithDerived() WriteOpt {
 	return func(c *writeCfg) { c.derived = true }
-}
-
-// DB is the in-memory StateDB: an adapter over *Store carrying the
-// option-based bitemporal API. It shares the store's data, shard locks,
-// log, and watchers — legacy positional methods and DB methods interleave
-// safely.
-type DB struct {
-	s *Store
-}
-
-var _ StateDB = (*DB)(nil)
-
-// DB returns the bitemporal database view of the store.
-func (s *Store) DB() *DB { return &DB{s: s} }
-
-// Store returns the underlying repository (for the legacy surface,
-// watchers, stats, and persistence).
-func (db *DB) Store() *Store { return db.s }
-
-// Find implements StateDB.
-func (db *DB) Find(entity, attr string, opts ...ReadOpt) (*element.Fact, bool) {
-	return db.s.Find(entity, attr, opts...)
-}
-
-// List implements StateDB.
-func (db *DB) List(opts ...ReadOpt) []*element.Fact { return db.s.List(opts...) }
-
-// Put implements StateDB.
-func (db *DB) Put(entity, attr string, v element.Value, opts ...WriteOpt) error {
-	cfg := newWriteCfg(opts)
-	r := writeReq{entity: entity, attr: attr, value: v}
-	cfg.fill(&r)
-	return db.s.apply(r)
-}
-
-// Delete implements StateDB.
-func (db *DB) Delete(entity, attr string, opts ...WriteOpt) error {
-	return db.s.Delete(entity, attr, opts...)
-}
-
-// History implements StateDB.
-func (db *DB) History(entity, attr string, opts ...ReadOpt) []*element.Fact {
-	return db.s.History(entity, attr, opts...)
 }

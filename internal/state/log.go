@@ -30,13 +30,13 @@ import (
 // loudly on a mismatch. Logs written before checksums existed (records
 // without the Summed flag) replay unverified, unchanged.
 //
-// The sharded store commits
-// mutations under per-shard locks, so the log serializes concurrent
-// appends itself through a single-appender channel: whoever holds the
-// channel's token owns the encoder, and the token hand-off defines one
-// total append order. Every record carries its own transaction time (or
-// positional application time), so any interleaving the appender admits
-// replays to the identical bitemporal state.
+// The sharded store commits mutations under per-shard locks, so the log
+// serializes concurrent appends itself through a single-appender
+// channel: whoever holds the channel's token owns the encoder, and the
+// token hand-off defines one total append order. Every record carries
+// its own transaction time (a Replace's application time is its
+// transaction time), so any interleaving the appender admits replays to
+// the identical bitemporal state.
 //
 // The chain rotates to a fresh file at a byte threshold. It supports
 // the durability handoff of the segment backend: TruncateBefore unlinks
@@ -158,14 +158,17 @@ func IsWALFileName(name string) bool {
 type opKind uint8
 
 const (
+	// opPut is one Replace.
 	opPut opKind = iota
+	// opAssert and opRetract were written by the removed Store.Assert
+	// and Store.Retract; they are only replayed (see applyLogRecord).
 	opAssert
 	opRetract
 	// opPutBi and opDeleteBi are option-based bitemporal writes carrying
 	// an explicit valid interval and transaction time.
 	opPutBi
 	opDeleteBi
-	// opPutBatch is a group-committed micro-batch of positional Puts: one
+	// opPutBatch is a group-committed micro-batch of Replaces: one
 	// framed record carries every write of the batch (see Store.PutBatch),
 	// so the WAL pays one append per batch instead of one per element.
 	opPutBatch
@@ -177,7 +180,7 @@ type logRecord struct {
 	Entity  string
 	Attr    string
 	Value   element.Value
-	At      temporal.Instant // Put/Retract application time
+	At      temporal.Instant // Replace/Retract application time
 	Start   temporal.Instant // Assert / bitemporal validity
 	End     temporal.Instant
 	Tx      temporal.Instant // bitemporal transaction time
@@ -274,7 +277,7 @@ func (r *logRecord) txTime() temporal.Instant {
 		return r.Start
 	case opPutBi, opDeleteBi:
 		return r.Tx
-	default: // opPut, opRetract: positional application time
+	default: // opPut, opRetract: application time
 		return r.At
 	}
 }
@@ -590,18 +593,6 @@ func (l *Log) appendPut(entity, attr string, v element.Value, at temporal.Instan
 	return l.append(logRecord{Op: opPut, Entity: entity, Attr: attr, Value: v, At: at})
 }
 
-func (l *Log) appendAssert(f *element.Fact) error {
-	return l.append(logRecord{
-		Op: opAssert, Entity: f.Entity, Attr: f.Attribute, Value: f.Value,
-		Start: f.Validity.Start, End: f.Validity.End,
-		Derived: f.Derived, Source: f.Source,
-	})
-}
-
-func (l *Log) appendRetract(entity, attr string, at temporal.Instant) error {
-	return l.append(logRecord{Op: opRetract, Entity: entity, Attr: attr, At: at})
-}
-
 func (l *Log) appendPutBi(f *element.Fact) error {
 	return l.append(logRecord{
 		Op: opPutBi, Entity: f.Entity, Attr: f.Attribute, Value: f.Value,
@@ -621,19 +612,27 @@ func (l *Log) appendPutBatch(puts []BatchPut) error {
 	return l.append(logRecord{Op: opPutBatch, Puts: puts})
 }
 
-// applyLogRecord re-applies one decoded non-put record through the
-// store's write paths; recovery group-applies positional puts (opPut,
-// opPutBatch) through PutBatch instead.
+// applyLogRecord re-applies one decoded non-put record through apply;
+// recovery group-applies stream-append puts (opPut, opPutBatch) through
+// PutBatch instead. opAssert and opRetract are no longer written, but
+// older logs still replay: each was logged only after passing its
+// no-overlap / has-an-open-version check, so the equivalent bitemporal
+// write rebuilds the same state.
 func (s *Store) applyLogRecord(rec *logRecord) error {
 	switch rec.Op {
 	case opAssert:
-		f := element.NewFact(rec.Entity, rec.Attr, rec.Value,
-			temporal.NewInterval(rec.Start, rec.End))
-		f.Derived = rec.Derived
-		f.Source = rec.Source
-		return s.Assert(f)
+		return s.apply(writeReq{
+			entity: rec.Entity, attr: rec.Attr, value: rec.Value,
+			validFrom: rec.Start, hasValidFrom: true,
+			validTo: rec.End, hasValidTo: true,
+			tx: rec.Start, hasTx: true,
+			derived: rec.Derived, source: rec.Source,
+		})
 	case opRetract:
-		return s.Retract(rec.Entity, rec.Attr, rec.At)
+		return s.apply(writeReq{
+			entity: rec.Entity, attr: rec.Attr, isDelete: true,
+			validFrom: rec.At, hasValidFrom: true, tx: rec.At, hasTx: true,
+		})
 	case opPutBi:
 		return s.apply(writeReq{
 			entity: rec.Entity, attr: rec.Attr, value: rec.Value,
@@ -671,8 +670,8 @@ func (s *Store) applyLogRecord(rec *logRecord) error {
 // any other decode error, is corruption: records after it are
 // unreachable in an unframed gob stream, so recovery fails loudly.
 //
-// Runs of positional puts apply through PutBatch: the store is empty of
-// observers during recovery and positional puts on distinct keys
+// Runs of Replace records apply through PutBatch: the store is empty of
+// observers during recovery and Replaces on distinct keys
 // commute, so the group commit reproduces the identical bitemporal
 // state at a fraction of the per-record locking — the WAL half of the
 // fast cold start, as LoadLineage is the segment half.
@@ -734,7 +733,7 @@ func RecoverWALDirFS(fsys vfs.FS, dir string, s *Store, cut temporal.Instant, ro
 
 	var (
 		lastKept []logRecord
-		pending  []BatchPut // run of positional puts awaiting group apply
+		pending  []BatchPut // run of Replace records awaiting group apply
 		total    int
 	)
 	flush := func() error {

@@ -53,13 +53,11 @@ func TestLogReplayRoundTrip(t *testing.T) {
 	s := NewStore()
 	l, dir := openWAL(t, s)
 
-	s.Put("ann", "position", element.String("hall"), 10)
-	s.Put("ann", "position", element.String("lab"), 20)
-	s.Retract("ann", "position", 30)
-	f := element.NewFact("p1", "class", element.String("books"), temporal.NewInterval(0, 50))
-	f.Derived = true
-	f.Source = "taxonomy"
-	s.Assert(f)
+	s.Replace("ann", "position", element.String("hall"), 10)
+	s.Replace("ann", "position", element.String("lab"), 20)
+	s.Delete("ann", "position", WithValidTime(30), WithTransactionTime(30))
+	s.Put("p1", "class", element.String("books"),
+		WithValidTime(0), WithEndValidTime(50), WithDerived(), WithSource("taxonomy"))
 	closeWAL(t, l)
 
 	restored, n := recoverWAL(t, dir)
@@ -67,7 +65,7 @@ func TestLogReplayRoundTrip(t *testing.T) {
 		t.Fatalf("replayed %d records", n)
 	}
 	assertStoresEqual(t, s, restored)
-	got, ok := restored.ValidAt("p1", "class", 10)
+	got, ok := restored.Find("p1", "class", AsOfValidTime(10))
 	if !ok || !got.Derived || got.Source != "taxonomy" {
 		t.Fatalf("derived metadata lost: %v", got)
 	}
@@ -76,7 +74,7 @@ func TestLogReplayRoundTrip(t *testing.T) {
 func TestLogFileRoundTrip(t *testing.T) {
 	s := NewStore()
 	l, dir := openWAL(t, s)
-	s.Put("e", "a", element.Int(42), 7)
+	s.Replace("e", "a", element.Int(42), 7)
 	if l.Len() != 1 {
 		t.Errorf("log length: %d", l.Len())
 	}
@@ -85,7 +83,7 @@ func TestLogFileRoundTrip(t *testing.T) {
 	}
 	closeWAL(t, l)
 	restored, _ := recoverWAL(t, dir)
-	if f, ok := restored.Current("e", "a"); !ok || f.Value.MustInt() != 42 {
+	if f, ok := restored.Find("e", "a"); !ok || f.Value.MustInt() != 42 {
 		t.Fatalf("restored: %v %v", f, ok)
 	}
 	if _, _, err := RecoverWALDir(filepath.Join(dir, "missing"), NewStore(), temporal.MinInstant, 0); err == nil {
@@ -114,10 +112,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	s := NewStore()
 	l, dir := openWAL(t, s)
 	for i := int64(0); i < 20; i++ {
-		s.Put("e", "a", element.Int(i), temporal.Instant(i))
+		s.Replace("e", "a", element.Int(i), temporal.Instant(i))
 	}
-	s.Put("x", "b", element.Float(2.5), 3)
-	s.Retract("x", "b", 9)
+	s.Replace("x", "b", element.Float(2.5), 3)
+	s.Delete("x", "b", WithValidTime(9), WithTransactionTime(9))
 	closeWAL(t, l)
 
 	restored, _ := recoverWAL(t, dir)
@@ -140,15 +138,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotPlusLogSuffixRecovery(t *testing.T) {
 	s := NewStore()
 	l, dir := openWAL(t, s)
-	s.Put("e", "a", element.Int(1), 0)
-	s.Put("e", "a", element.Int(2), 10)
-	s.Put("e", "a", element.Int(3), 20)
-	s.Put("f", "a", element.Int(9), 25)
+	s.Replace("e", "a", element.Int(1), 0)
+	s.Replace("e", "a", element.Int(2), 10)
+	s.Replace("e", "a", element.Int(3), 20)
+	s.Replace("f", "a", element.Int(9), 25)
 	closeWAL(t, l)
 
 	restored := NewStore()
-	restored.Put("e", "a", element.Int(1), 0)
-	restored.Put("e", "a", element.Int(2), 10)
+	restored.Replace("e", "a", element.Int(1), 0)
+	restored.Replace("e", "a", element.Int(2), 10)
 	l2, n, err := RecoverWALDir(dir, restored, 10, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -172,9 +170,9 @@ func TestLogReplayRandomized(t *testing.T) {
 			clock[e] = at
 			switch rng.Intn(3) {
 			case 0, 1:
-				s.Put(e, "v", element.Int(rng.Int63n(1000)), at)
+				s.Replace(e, "v", element.Int(rng.Int63n(1000)), at)
 			case 2:
-				s.Retract(e, "v", at) // logged only on success
+				s.Delete(e, "v", WithValidTime(at), WithTransactionTime(at))
 			}
 		}
 		closeWAL(t, l)
@@ -187,11 +185,21 @@ func TestNoLogOnFailedMutation(t *testing.T) {
 	s := NewStore()
 	l, _ := openWAL(t, s)
 	defer closeWAL(t, l)
-	if err := s.Retract("nope", "a", 5); err == nil {
-		t.Fatal("expected error")
+	s.Replace("e", "a", element.Int(1), 10)
+	if err := s.Replace("e", "a", element.Int(2), 5); err == nil {
+		t.Fatal("out-of-order replace: expected error")
 	}
-	if l.Len() != 0 {
-		t.Error("failed mutation must not be logged")
+	if err := s.Put("e", "a", element.Int(3), WithValidTime(20), WithEndValidTime(20)); err == nil {
+		t.Fatal("empty validity: expected error")
+	}
+	if err := s.Delete("nope", "a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete("e", "a", WithValidTime(0), WithEndValidTime(5)); err != nil {
+		t.Fatal(err)
+	}
+	if l.Len() != 1 {
+		t.Errorf("failed and no-op mutations must not be logged: %d records", l.Len())
 	}
 }
 

@@ -43,8 +43,8 @@ func TestLogChecksumDetectsBitRot(t *testing.T) {
 	const entity = "sensor-with-a-long-stable-name"
 	s := NewStore()
 	l, dir := openWAL(t, s)
-	s.Put(entity, "temperature", element.Float(20), 10)
-	s.Put(entity, "temperature", element.Float(25), 20)
+	s.Replace(entity, "temperature", element.Float(20), 10)
+	s.Replace(entity, "temperature", element.Float(25), 20)
 	closeWAL(t, l)
 
 	// The pristine chain replays.
@@ -64,7 +64,7 @@ func TestRecoverLogFailsOnBitRot(t *testing.T) {
 	const entity = "sensor-with-a-long-stable-name"
 	s := NewStore()
 	l, dir := openWAL(t, s)
-	s.Put(entity, "temperature", element.Float(20), 10)
+	s.Replace(entity, "temperature", element.Float(20), 10)
 	s.PutBatch([]BatchPut{
 		{Entity: entity, Attr: "pressure", Value: element.Float(1), At: 11},
 		{Entity: "other", Attr: "pressure", Value: element.Float(2), At: 12},
@@ -104,10 +104,10 @@ func TestReplayUnsummedLog(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("replayed %d records, want 3", n)
 	}
-	if f, ok := s.Current("ann", "position"); !ok || f.Value.MustString() != "lab" {
+	if f, ok := s.Find("ann", "position"); !ok || f.Value.MustString() != "lab" {
 		t.Fatalf("unsummed replay state: %v %v", f, ok)
 	}
-	if f, ok := s.Current("bob", "position"); !ok || f.Value.MustString() != "hall" {
+	if f, ok := s.Find("bob", "position"); !ok || f.Value.MustString() != "hall" {
 		t.Fatalf("unsummed batch frame: %v %v", f, ok)
 	}
 }
@@ -144,11 +144,11 @@ func TestTruncateReseals(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("replayed %d records, want 1", n)
 	}
-	if _, ok := restored.Current("a", "x"); ok {
+	if _, ok := restored.Find("a", "x"); ok {
 		t.Fatal("pre-cut put survived truncation")
 	}
 	for _, e := range []string{"b", "c"} {
-		if _, ok := restored.Current(e, "x"); !ok {
+		if _, ok := restored.Find(e, "x"); !ok {
 			t.Fatalf("post-cut put %s lost", e)
 		}
 	}
@@ -166,7 +166,7 @@ func TestTruncateReseals(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("resealed chain replayed %d records, want 1", n)
 	}
-	if _, ok := again.Current("a", "x"); ok {
+	if _, ok := again.Find("a", "x"); ok {
 		t.Fatal("trimmed put resurfaced from the rewritten file")
 	}
 	if err := l3.Close(); err != nil {

@@ -16,24 +16,23 @@ import (
 func partitionSeedStore(t *testing.T, keys int) *Store {
 	t.Helper()
 	st := NewStore()
-	db := st.DB()
 	for i := 0; i < keys; i++ {
 		ent := fmt.Sprintf("e%03d", i)
-		if err := st.Put(ent, "value", element.Int(int64(i)), temporal.Instant(10+i)); err != nil {
+		if err := st.Replace(ent, "value", element.Int(int64(i)), temporal.Instant(10+i)); err != nil {
 			t.Fatal(err)
 		}
 		if i%3 == 0 {
-			if err := st.Put(ent, "room", element.String(fmt.Sprintf("r%d", i%5)), temporal.Instant(20+i)); err != nil {
+			if err := st.Replace(ent, "room", element.String(fmt.Sprintf("r%d", i%5)), temporal.Instant(20+i)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	// Retroactive shapes: a correction, a bounded version, a retraction.
-	if err := db.Put("e001", "value", element.Int(500),
+	if err := st.Put("e001", "value", element.Int(500),
 		WithValidTime(12), WithEndValidTime(30)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Delete("e002", "value", WithValidTime(15)); err != nil {
+	if err := st.Delete("e002", "value", WithValidTime(15)); err != nil {
 		t.Fatal(err)
 	}
 	return st
@@ -82,13 +81,13 @@ func TestScanPartitionedEnvelopePrune(t *testing.T) {
 	st := NewStore()
 	for i := 0; i < 100; i++ {
 		ent := fmt.Sprintf("e%03d", i)
-		if err := st.Put(ent, "value", element.Int(int64(i)), temporal.Instant(10+i)); err != nil {
+		if err := st.Replace(ent, "value", element.Int(int64(i)), temporal.Instant(10+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A non-numeric lineage under the same attribute: its envelope is
 	// unusable, so bounds must never prune it.
-	if err := st.Put("word", "value", element.String("ninety"), 200); err != nil {
+	if err := st.Replace("word", "value", element.String("ninety"), 200); err != nil {
 		t.Fatal(err)
 	}
 	snap := st.Snapshot()
@@ -115,7 +114,7 @@ func TestScanPartitionedEnvelopePrune(t *testing.T) {
 
 	// A retroactive correction must widen the envelope: e005 gains a
 	// historical value 95, so value > 90 may no longer prune it.
-	if err := st.DB().Put("e005", "value", element.Int(95),
+	if err := st.Put("e005", "value", element.Int(95),
 		WithValidTime(11), WithEndValidTime(12)); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +197,7 @@ func TestScanPartitionedUnderIngest(t *testing.T) {
 	st := NewStore()
 	const keys = 256
 	for i := 0; i < keys; i++ {
-		if err := st.Put(fmt.Sprintf("e%03d", i), "value", element.Int(int64(i)), 1); err != nil {
+		if err := st.Replace(fmt.Sprintf("e%03d", i), "value", element.Int(int64(i)), 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,9 +1,9 @@
 package state
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/element"
@@ -15,21 +15,59 @@ import (
 // then compacting the WAL without it) would erase committed history.
 func TestRecoverLogSurfacesApplyErrors(t *testing.T) {
 	l, dir := openWAL(t, NewStore())
-	// Two overlapping asserts: legal to encode, but the second fails
-	// Assert's no-overlap rule on application (as a skewed or
-	// hand-damaged WAL would).
-	f1 := element.NewFact("e", "a", element.Int(1), temporal.NewInterval(0, 10))
-	f2 := element.NewFact("e", "a", element.Int(2), temporal.NewInterval(5, 15))
-	if err := l.appendAssert(f1); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.appendAssert(f2); err != nil {
+	// A bitemporal put with empty validity: legal to encode, but apply
+	// rejects it (as a skewed or hand-damaged WAL would).
+	if err := l.append(logRecord{Op: opPutBi, Entity: "e", Attr: "a", Value: element.Int(1),
+		Start: 10, End: 10, Tx: 10}); err != nil {
 		t.Fatal(err)
 	}
 	closeWAL(t, l)
-	if _, _, err := RecoverWALDir(dir, NewStore(), temporal.MinInstant, 0); !errors.Is(err, ErrOverlap) {
-		t.Fatalf("apply error swallowed: got %v, want ErrOverlap", err)
+	if _, _, err := RecoverWALDir(dir, NewStore(), temporal.MinInstant, 0); err == nil ||
+		!strings.Contains(err.Error(), "empty validity") {
+		t.Fatalf("apply error swallowed: got %v, want empty validity", err)
 	}
+}
+
+// TestRecoverRetiredRecordKinds: logs written by the removed positional
+// Assert and Retract still recover. Each such record was logged only
+// after passing its no-overlap / has-an-open-version check, so replaying
+// it as the equivalent bitemporal Put or Delete dumps the byte-equal cut
+// of the same history written through Replace/Put/Delete.
+func TestRecoverRetiredRecordKinds(t *testing.T) {
+	l, dir := openWAL(t, NewStore())
+	for _, rec := range []logRecord{
+		{Op: opPut, Entity: "ann", Attr: "position", Value: element.String("hall"), At: 10},
+		{Op: opAssert, Entity: "ann", Attr: "badge", Value: element.Int(7), Start: 12, End: 40, Source: "issue"},
+		{Op: opPut, Entity: "ann", Attr: "position", Value: element.String("lab"), At: 20},
+		{Op: opRetract, Entity: "ann", Attr: "position", At: 30},
+		{Op: opAssert, Entity: "p1", Attr: "class", Value: element.String("books"),
+			Start: 30, End: temporal.Forever, Derived: true, Source: "taxonomy"},
+	} {
+		if err := l.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	closeWAL(t, l)
+	got, n := recoverWAL(t, dir)
+	if n != 5 {
+		t.Fatalf("replayed %d records, want 5", n)
+	}
+
+	want := NewStore()
+	for _, err := range []error{
+		want.Replace("ann", "position", element.String("hall"), 10),
+		want.Put("ann", "badge", element.Int(7), WithValidTime(12), WithEndValidTime(40),
+			WithTransactionTime(12), WithSource("issue")),
+		want.Replace("ann", "position", element.String("lab"), 20),
+		want.Delete("ann", "position", WithValidTime(30), WithTransactionTime(30)),
+		want.Put("p1", "class", element.String("books"), WithValidTime(30),
+			WithTransactionTime(30), WithDerived(), WithSource("taxonomy")),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertSameCut(t, want, got)
 }
 
 // TestRecoverLogTruncationIsTornTail: a newest file cut mid-record is
@@ -40,9 +78,8 @@ func TestRecoverLogSurfacesApplyErrors(t *testing.T) {
 func TestRecoverLogTruncationIsTornTail(t *testing.T) {
 	st := NewStore()
 	l, dir := openWAL(t, st)
-	db := st.DB()
 	for i := 0; i < 20; i++ {
-		if err := db.Put("k", "v", element.Int(int64(i))); err != nil {
+		if err := st.Put("k", "v", element.Int(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}

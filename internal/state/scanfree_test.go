@@ -25,7 +25,6 @@ import (
 // each writer's ingest, i.e. a prefix of a legal interleaving.
 func TestScanUnderIngestLinearizableCut(t *testing.T) {
 	st := NewStore()
-	db := st.DB()
 	const (
 		writers = 8
 		keys    = 12
@@ -41,7 +40,7 @@ func TestScanUnderIngestLinearizableCut(t *testing.T) {
 			for round := 1; round <= rounds; round++ {
 				for k := 0; k < keys; k++ {
 					key := fmt.Sprintf("w%d-k%02d", w, k)
-					if err := db.Put(key, "v", element.Int(int64(round))); err != nil {
+					if err := st.Put(key, "v", element.Int(int64(round))); err != nil {
 						t.Errorf("put: %v", err)
 						return
 					}
@@ -122,7 +121,7 @@ func TestScanUnderIngestLinearizableCut(t *testing.T) {
 	for w := 0; w < writers; w++ {
 		for k := 0; k < keys; k++ {
 			key := fmt.Sprintf("w%d-k%02d", w, k)
-			f, ok := db.Find(key, "v")
+			f, ok := st.Find(key, "v")
 			if !ok || f.Value.MustInt() != rounds {
 				t.Fatalf("lost update on %s: %v", key, f)
 			}
@@ -138,9 +137,8 @@ func TestScanUnderIngestLinearizableCut(t *testing.T) {
 // a reader's lock. The same holds for a WriteSnapshot gather.
 func TestReaderNeverBlocksWriter(t *testing.T) {
 	st := NewStore()
-	db := st.DB()
 	for i := 0; i < 256; i++ {
-		if err := db.Put(fmt.Sprintf("e%03d", i), "v", element.Int(int64(i))); err != nil {
+		if err := st.Put(fmt.Sprintf("e%03d", i), "v", element.Int(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,7 +161,7 @@ func TestReaderNeverBlocksWriter(t *testing.T) {
 
 	<-entered // the scan is now mid-gather and will stay there
 	putDone := make(chan error, 1)
-	go func() { putDone <- db.Put("e000", "v", element.Int(999)) }()
+	go func() { putDone <- st.Put("e000", "v", element.Int(999)) }()
 	select {
 	case err := <-putDone:
 		if err != nil {
@@ -202,7 +200,7 @@ func TestReaderNeverBlocksWriter(t *testing.T) {
 	var worst time.Duration
 	for i := 0; i < 2000; i++ {
 		t0 := time.Now()
-		if err := db.Put(fmt.Sprintf("e%03d", i%256), "v", element.Int(int64(i))); err != nil {
+		if err := st.Put(fmt.Sprintf("e%03d", i%256), "v", element.Int(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 		if d := time.Since(t0); d > worst {
@@ -226,7 +224,6 @@ func TestReaderNeverBlocksWriter(t *testing.T) {
 // totals) and the call must not serialize against the write path.
 func TestStatsLockFreeUnderIngest(t *testing.T) {
 	st := NewStore()
-	db := st.DB()
 	var wg sync.WaitGroup
 	var stop atomic.Bool
 	for w := 0; w < 4; w++ {
@@ -234,7 +231,7 @@ func TestStatsLockFreeUnderIngest(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 1500; i++ {
-				if err := db.Put(fmt.Sprintf("w%d-k%02d", w, i%32), "v", element.Int(int64(i))); err != nil {
+				if err := st.Put(fmt.Sprintf("w%d-k%02d", w, i%32), "v", element.Int(int64(i))); err != nil {
 					t.Errorf("put: %v", err)
 					return
 				}

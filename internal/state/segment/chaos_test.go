@@ -303,7 +303,7 @@ func TestDegradeFallthroughReadsStop(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	defer d.Close()
-	db := d.Mem().DB()
+	db := d.Mem()
 	// A fully bounded lineage, compacted out of RAM after its flush: the
 	// standard fallthrough setup of TestRecoveryFallthroughReads.
 	if err := db.Put("old", "v", element.Int(1),

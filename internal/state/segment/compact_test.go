@@ -213,7 +213,7 @@ func TestCompactTombstoneElision(t *testing.T) {
 			t.Fatalf("open: %v", err)
 		}
 		defer d.Close()
-		db := d.Mem().DB()
+		db := d.Mem()
 		for _, e := range []string{"keep", "gone"} {
 			if err := db.Put(e, "v", element.Int(1)); err != nil {
 				t.Fatalf("put: %v", err)
@@ -255,7 +255,7 @@ func TestCompactTombstoneElision(t *testing.T) {
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		db := d.Mem().DB()
+		db := d.Mem()
 		if err := db.Put("k", "v", element.Int(1)); err != nil {
 			t.Fatalf("put: %v", err)
 		}
@@ -302,7 +302,7 @@ func TestCompactBeliefRetention(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	db := d.Mem().DB()
+	db := d.Mem()
 	// Version 1, then a correction that supersedes it at tx 20.
 	if err := db.Put("k", "v", element.Int(1),
 		state.WithValidTime(10), state.WithTransactionTime(10)); err != nil {
@@ -334,7 +334,7 @@ func TestCompactBeliefRetention(t *testing.T) {
 		t.Fatalf("want only the surviving version in the frame, got %v", records)
 	}
 	// RAM is untouched: retention prunes durable frames only.
-	if hist := d.Mem().DB().History("k", "v", state.AllVersions()); len(hist) != 2 {
+	if hist := d.Mem().History("k", "v", state.AllVersions()); len(hist) != 2 {
 		t.Fatalf("RAM lineage must keep both versions, got %d", len(hist))
 	}
 
@@ -346,7 +346,7 @@ func TestCompactBeliefRetention(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer rec.Close()
-	if hist := rec.Mem().DB().History("k", "v", state.AllVersions()); len(hist) != 1 {
+	if hist := rec.Mem().History("k", "v", state.AllVersions()); len(hist) != 1 {
 		t.Fatalf("restart should reload only the surviving version, got %d", len(hist))
 	}
 	if f, ok := rec.Find("k", "v"); !ok || f.Value.String() != "2" {
@@ -370,7 +370,7 @@ func TestRecoveryResidencyAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	db := d.Mem().DB()
+	db := d.Mem()
 	keys := make([]string, 5)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("cold-%d", i)
@@ -437,7 +437,7 @@ func TestRecoveryResidencyAfterRestart(t *testing.T) {
 	sameScans("restart", rec)
 
 	// The sweep set survives further flush generations too.
-	if err := rec.Mem().DB().Put("hot", "v", element.Int(1),
+	if err := rec.Mem().Put("hot", "v", element.Int(1),
 		state.WithValidTime(70), state.WithTransactionTime(70)); err != nil {
 		t.Fatalf("put: %v", err)
 	}
@@ -697,7 +697,7 @@ func TestFuzzMergeVsFlatOracle(t *testing.T) {
 
 	// The flat oracle: the identical mutation schedule against a plain
 	// store with a never-truncated WAL chain, fully replayed.
-	flat := walOracle(t, func(db memBatch) {
+	flat := walOracle(t, func(db *state.Store) {
 		for r := 0; r < rounds; r++ {
 			mutate(t, db, r)
 			putRound(t, db, r)

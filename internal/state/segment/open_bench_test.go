@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkColdOpen measures the cold-start path on the regression
-// suite's workload shape: serial positional puts over 1000 keys, a
+// suite's workload shape: serial Replaces over 1000 keys, a
 // flush at 95%, the rest a WAL tail of opPut records, then the crash.
 // Open is the measured unit (recovery to a queryable store); the
 // deferred WAL rewrite is quiesced outside the timer.
@@ -27,7 +27,7 @@ func BenchmarkColdOpen(b *testing.B) {
 	}
 	split := int(float64(n) * recoverFlushFracBench)
 	for i := 0; i < n; i++ {
-		if err := d.Mem().Put(names[i%keys], "temperature", element.Float(float64(i)), temporal.Instant(i+1)); err != nil {
+		if err := d.Mem().Replace(names[i%keys], "temperature", element.Float(float64(i)), temporal.Instant(i+1)); err != nil {
 			b.Fatal(err)
 		}
 		if i == split {

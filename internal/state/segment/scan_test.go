@@ -50,7 +50,7 @@ func scanStore(t *testing.T) *Store {
 		t.Fatalf("open: %v", err)
 	}
 	t.Cleanup(func() { d.Close() })
-	db := d.Mem().DB()
+	db := d.Mem()
 	if err := db.Put("old", "v", element.Int(1),
 		state.WithValidTime(10), state.WithEndValidTime(20),
 		state.WithTransactionTime(10)); err != nil {
@@ -99,7 +99,7 @@ func scanStore(t *testing.T) *Store {
 func TestScanMergesDurableLineages(t *testing.T) {
 	d := scanStore(t)
 	oracle := state.NewStore()
-	scanWrites(t, oracle.DB(), true)
+	scanWrites(t, oracle, true)
 
 	shapes := []struct {
 		name string

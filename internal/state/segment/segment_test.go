@@ -25,20 +25,13 @@ func snapshotBytes(t *testing.T, s *state.Store) []byte {
 
 // mutate drives one deterministic mutation mix — default-clock puts,
 // retroactive corrections, bounded intervals, deletes, batch group
-// commits — against any StateDB-with-batch surface. Running it against
-// the durable store and a WAL-only oracle store yields identical
-// bitemporal state.
+// commits — against any StateDB-with-batch surface (*state.Store is one
+// directly). Running it against the durable store and a WAL-only oracle
+// store yields identical bitemporal state.
 type batchStore interface {
 	state.StateDB
 	PutBatch([]state.BatchPut) error
 }
-
-// memBatch adapts *state.Store to batchStore via its DB view.
-type memBatch struct {
-	*state.DB
-}
-
-func (m memBatch) PutBatch(puts []state.BatchPut) error { return m.DB.Store().PutBatch(puts) }
 
 // storeBatch adapts the durable store (PutBatch through Mem).
 type storeBatch struct {
@@ -83,7 +76,7 @@ func mutate(t *testing.T, db batchStore, round int) {
 // oracle replays the full-WAL history of the given mutation rounds.
 func oracle(t *testing.T, rounds int) *state.Store {
 	t.Helper()
-	return walOracle(t, func(db memBatch) {
+	return walOracle(t, func(db *state.Store) {
 		for r := 0; r < rounds; r++ {
 			mutate(t, db, r)
 		}
@@ -93,7 +86,7 @@ func oracle(t *testing.T, rounds int) *state.Store {
 // walOracle runs fill against a plain store logging to its own WAL chain
 // — never truncated, since no flush ever cuts it — and returns a fresh
 // store recovered from that chain by full replay from MinInstant.
-func walOracle(t *testing.T, fill func(memBatch)) *state.Store {
+func walOracle(t *testing.T, fill func(*state.Store)) *state.Store {
 	t.Helper()
 	dir := t.TempDir()
 	st := state.NewStore()
@@ -102,7 +95,7 @@ func walOracle(t *testing.T, fill func(memBatch)) *state.Store {
 		t.Fatalf("oracle log: %v", err)
 	}
 	st.AttachLog(l)
-	fill(memBatch{st.DB()})
+	fill(st)
 	if err := l.Close(); err != nil {
 		t.Fatalf("oracle log close: %v", err)
 	}
@@ -186,7 +179,7 @@ func TestRecoveryIncrementalFlush(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	defer d.Close()
-	db := d.Mem().DB()
+	db := d.Mem()
 	for i := 0; i < 8; i++ {
 		if err := db.Put(fmt.Sprintf("s%d", i), "v", element.Int(int64(i))); err != nil {
 			t.Fatalf("put: %v", err)
@@ -243,7 +236,7 @@ func TestRecoveryTornWALTail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	db := d.Mem().DB()
+	db := d.Mem()
 	for i := 0; i < 10; i++ {
 		if err := db.Put("k", "v", element.Int(int64(i))); err != nil {
 			t.Fatalf("put: %v", err)
@@ -288,7 +281,7 @@ func TestRecoveryOrphanSegment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	db := d.Mem().DB()
+	db := d.Mem()
 	if err := db.Put("k", "v", element.Int(7)); err != nil {
 		t.Fatalf("put: %v", err)
 	}
@@ -327,7 +320,7 @@ func TestRecoveryCorruptSegment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if err := d.Mem().DB().Put("k", "v", element.Int(7)); err != nil {
+	if err := d.Mem().Put("k", "v", element.Int(7)); err != nil {
 		t.Fatalf("put: %v", err)
 	}
 	if err := d.Close(); err != nil {
@@ -356,7 +349,7 @@ func TestRecoveryFallthroughReads(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	defer d.Close()
-	db := d.Mem().DB()
+	db := d.Mem()
 	// A fully bounded lineage: compactable to nothing.
 	if err := db.Put("old", "v", element.Int(1),
 		state.WithValidTime(10), state.WithEndValidTime(20),
@@ -416,7 +409,7 @@ func TestRecoveryHistoryFallthroughBoundedSegment(t *testing.T) {
 	}
 	defer d.Close()
 	// The only record in the segment is fully bounded.
-	if err := d.Mem().DB().Put("e", "a", element.Int(1),
+	if err := d.Mem().Put("e", "a", element.Int(1),
 		state.WithValidTime(10), state.WithEndValidTime(20),
 		state.WithTransactionTime(10)); err != nil {
 		t.Fatalf("put: %v", err)
@@ -450,7 +443,7 @@ func TestRecoveryCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if err := d.Mem().DB().Put("k", "v", element.Int(1)); err != nil {
+	if err := d.Mem().Put("k", "v", element.Int(1)); err != nil {
 		t.Fatalf("put: %v", err)
 	}
 	if err := d.Close(); err != nil {
@@ -471,7 +464,7 @@ func TestRecoveryNoFrameResurrection(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	defer d.Close()
-	db := d.Mem().DB()
+	db := d.Mem()
 	if err := db.Put("k", "v", element.Int(1)); err != nil {
 		t.Fatalf("put: %v", err)
 	}
@@ -532,7 +525,7 @@ func TestRecoveryAdvancesCutWithoutDirt(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	defer d.Close()
-	if err := d.Mem().DB().Put("k", "v", element.Int(1)); err != nil {
+	if err := d.Mem().Put("k", "v", element.Int(1)); err != nil {
 		t.Fatalf("put: %v", err)
 	}
 	if err := d.Flush(); err != nil {

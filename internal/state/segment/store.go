@@ -1487,7 +1487,7 @@ func scanPrune(env envelope, shape state.ScanShape) bool {
 // Put writes through the RAM working set (and its WAL). Implements
 // state.StateDB.
 func (d *Store) Put(entity, attr string, v element.Value, opts ...state.WriteOpt) error {
-	return d.mem.DB().Put(entity, attr, v, opts...)
+	return d.mem.Put(entity, attr, v, opts...)
 }
 
 // Delete writes through the RAM working set (and its WAL). Implements

@@ -75,7 +75,7 @@ func TestRecoveryStress(t *testing.T) {
 		ingest.Add(1)
 		go func(w int) {
 			defer ingest.Done()
-			db := d.Mem().DB()
+			db := d.Mem()
 			for i := 0; i < rounds; i++ {
 				key := fmt.Sprintf("w%d-k%02d", w, i%16)
 				if err := db.Put(key, "value", element.Int(int64(i))); err != nil {

@@ -15,11 +15,11 @@
 //     take the owning shard's write lock: the lock orders
 //     writers of the same shard; readers are ordered by the atomic head
 //     publication instead.
-//   - Point reads (Find/FindSpec/FindValue, History, ValiditySet, and
-//     the positional wrappers) take the shard's read lock ONLY for the
-//     byKey map lookup — an O(1) critical section — then release it and
-//     walk the published head lock-free. A writer therefore never waits
-//     on a reader for longer than one map probe.
+//   - Point reads (Find/FindSpec/FindValue, History, ValiditySet) take
+//     the shard's read lock ONLY for the byKey map lookup — an O(1)
+//     critical section — then release it and walk the published head
+//     lock-free. A writer therefore never waits on a reader for longer
+//     than one map probe.
 //   - Cross-shard reads (List, Scan, Stats, WriteSnapshot, Snapshot
 //     handles) acquire NO shard locks at all: they pin a transaction-time
 //     instant from the clock, load each shard's published directory and

@@ -56,7 +56,6 @@ func TestShardDistribution(t *testing.T) {
 // records, belief intervals, stats, and query results.
 func TestShardedEquivalence(t *testing.T) {
 	run := func(st *Store) {
-		db := st.DB()
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 2000; i++ {
 			entity := fmt.Sprintf("e%03d", rng.Intn(64))
@@ -65,20 +64,20 @@ func TestShardedEquivalence(t *testing.T) {
 			switch rng.Intn(5) {
 			case 0: // retroactive bounded correction
 				from := temporal.Instant(rng.Intn(i + 1))
-				if err := db.Put(entity, attr, element.Int(int64(i)),
+				if err := st.Put(entity, attr, element.Int(int64(i)),
 					WithValidTime(from), WithEndValidTime(from+temporal.Instant(1+rng.Intn(40))),
 					WithTransactionTime(tx)); err != nil {
 					t.Fatalf("retro put: %v", err)
 				}
 			case 1: // retroactive delete
 				from := temporal.Instant(rng.Intn(i + 1))
-				if err := db.Delete(entity, attr, WithValidTime(from),
+				if err := st.Delete(entity, attr, WithValidTime(from),
 					WithEndValidTime(from+temporal.Instant(1+rng.Intn(20))),
 					WithTransactionTime(tx)); err != nil {
 					t.Fatalf("retro delete: %v", err)
 				}
 			default: // forward replace
-				if err := db.Put(entity, attr, element.Int(int64(i)),
+				if err := st.Put(entity, attr, element.Int(int64(i)),
 					WithValidTime(tx), WithTransactionTime(tx)); err != nil {
 					t.Fatalf("put: %v", err)
 				}
@@ -123,7 +122,6 @@ func TestShardedEquivalence(t *testing.T) {
 //     List never observes a torn per-key state.
 func TestShardedStress(t *testing.T) {
 	st := NewStore()
-	db := st.DB()
 	const (
 		writers      = 4
 		keysPerWrite = 32
@@ -147,7 +145,7 @@ func TestShardedStress(t *testing.T) {
 				// deterministic per lineage; writers interleave freely.
 				tx := horizon + temporal.Instant(w*ops+i)
 				val := int64(w*ops + i)
-				if err := db.Put(key, "v", element.Int(val),
+				if err := st.Put(key, "v", element.Int(val),
 					WithValidTime(temporal.Instant(i)), WithTransactionTime(tx)); err != nil {
 					t.Errorf("put: %v", err)
 					return
@@ -156,7 +154,7 @@ func TestShardedStress(t *testing.T) {
 				if i%7 == 3 {
 					// Retroactive delete of a slice of history well below
 					// the open version's start.
-					if err := db.Delete(key, "v",
+					if err := st.Delete(key, "v",
 						WithValidTime(temporal.Instant(i/2)), WithEndValidTime(temporal.Instant(i/2+1)),
 						WithTransactionTime(tx)); err != nil {
 						t.Errorf("delete: %v", err)
@@ -174,8 +172,8 @@ func TestShardedStress(t *testing.T) {
 			defer bgWG.Done()
 			for i := 0; !stop.Load(); i++ {
 				key := fmt.Sprintf("w%d-k%d", i%writers, i%keysPerWrite)
-				db.Find(key, "v")
-				hist := db.History(key, "v")
+				st.Find(key, "v")
+				hist := st.History(key, "v")
 				for j := 1; j < len(hist); j++ {
 					if hist[j-1].Validity.Overlaps(hist[j].Validity) {
 						t.Errorf("overlapping belief for %s: %v %v", key, hist[j-1], hist[j])
@@ -234,7 +232,7 @@ func TestShardedStress(t *testing.T) {
 	for w := 0; w < writers; w++ {
 		for k := 0; k < keysPerWrite; k++ {
 			key := fmt.Sprintf("w%d-k%d", w, k)
-			f, ok := db.Find(key, "v")
+			f, ok := st.Find(key, "v")
 			if !ok {
 				t.Fatalf("key %s lost entirely", key)
 			}

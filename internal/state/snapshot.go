@@ -14,8 +14,8 @@
 //
 // The one caveat, inherited from the bitemporal model itself: a writer
 // that pins an explicit transaction time at or before an in-flight pin
-// (WithTransactionTime, or the positional surface's application times)
-// can commit "into" an already-pinned cut. Default-clock writes cannot —
+// (WithTransactionTime, or a Replace's application time) can commit
+// "into" an already-pinned cut. Default-clock writes cannot —
 // the clock reserve makes their transaction times strictly later than
 // every instant already handed to a reader.
 
@@ -29,10 +29,9 @@ import (
 )
 
 // Reader is the read-only temporal query surface shared by the live
-// store, the bitemporal DB adapter, and pinned snapshot handles. The
-// query layer (internal/query) evaluates against a Reader, so on-demand
-// queries can run on a snapshot handle — off the lock path entirely —
-// while the engine keeps ingesting.
+// store and pinned snapshot handles. The query layer (internal/query)
+// evaluates against a Reader, so on-demand queries can run on a snapshot
+// handle — off the lock path entirely — while the engine keeps ingesting.
 type Reader interface {
 	// Find returns the version of (entity, attr) selected by the read
 	// options.
@@ -44,9 +43,8 @@ type Reader interface {
 }
 
 var (
-	_ Reader = (*Store)(nil)
-	_ Reader = (*DB)(nil)
-	_ Reader = (*Snapshot)(nil)
+	_ StateDB = (*Store)(nil)
+	_ Reader  = (*Snapshot)(nil)
 )
 
 // Snapshot is an immutable handle over one consistent multi-shard cut of

@@ -15,8 +15,7 @@ import (
 // belief, for point reads, scans, and the serialized cut alike.
 func TestSnapshotPinsBelief(t *testing.T) {
 	st := NewStore()
-	db := st.DB()
-	if err := db.Put("ann", "position", element.String("hall"),
+	if err := st.Put("ann", "position", element.String("hall"),
 		WithValidTime(10), WithTransactionTime(10)); err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +27,7 @@ func TestSnapshotPinsBelief(t *testing.T) {
 
 	// Retroactive correction recorded after the pin: ann was in the vault
 	// over [12, 18) all along — but the handle must not believe it.
-	if err := db.Put("ann", "position", element.String("vault"),
+	if err := st.Put("ann", "position", element.String("vault"),
 		WithValidTime(12), WithEndValidTime(18)); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +76,7 @@ func TestSnapshotPinsBelief(t *testing.T) {
 	// The serialized cut is the pre-correction belief: the dump taken
 	// after the correction matches one taken before it.
 	pre := NewStore()
-	if err := pre.DB().Put("ann", "position", element.String("hall"),
+	if err := pre.Put("ann", "position", element.String("hall"),
 		WithValidTime(10), WithTransactionTime(10)); err != nil {
 		t.Fatal(err)
 	}
@@ -101,19 +100,18 @@ func TestSnapshotPinsBelief(t *testing.T) {
 // identical cut.
 func TestSnapshotCutIsImmutableUnderWrites(t *testing.T) {
 	st := NewStore()
-	db := st.DB()
 	for i := 0; i < 64; i++ {
-		if err := db.Put(fmt.Sprintf("e%02d", i%16), "v", element.Int(int64(i))); err != nil {
+		if err := st.Put(fmt.Sprintf("e%02d", i%16), "v", element.Int(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	snap := st.Snapshot()
 	before := fmt.Sprint(snap.List(WithAttribute("v")))
 	for i := 0; i < 64; i++ {
-		if err := db.Put(fmt.Sprintf("e%02d", i%16), "v", element.Int(int64(1000+i))); err != nil {
+		if err := st.Put(fmt.Sprintf("e%02d", i%16), "v", element.Int(int64(1000+i))); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.Delete(fmt.Sprintf("e%02d", (i+7)%16), "v"); err != nil {
+		if err := st.Delete(fmt.Sprintf("e%02d", (i+7)%16), "v"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,7 +137,7 @@ func TestPerShardCompactionScheduling(t *testing.T) {
 		at := temporal.Instant(i + 1)
 		horizon.Store(int64(at) - 256)
 		key := fmt.Sprintf("k%02d", i%keys)
-		if err := st.Put(key, "v", element.Int(int64(i)), at); err != nil {
+		if err := st.Replace(key, "v", element.Int(int64(i)), at); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,7 +161,7 @@ func TestPerShardCompactionScheduling(t *testing.T) {
 	before := st.Stats().Records
 	for i := 0; i < 512; i++ {
 		at := temporal.Instant(ops + i + 1)
-		if err := st.Put(fmt.Sprintf("k%02d", i%keys), "v", element.Int(int64(i)), at); err != nil {
+		if err := st.Replace(fmt.Sprintf("k%02d", i%keys), "v", element.Int(int64(i)), at); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -180,16 +178,15 @@ func TestPerShardCompactionScheduling(t *testing.T) {
 // every write).
 func TestFindOutOfOrderTransactionTimes(t *testing.T) {
 	st := NewStore()
-	db := st.DB()
-	if err := db.Put("k", "a", element.Int(1), WithValidTime(1), WithTransactionTime(10)); err != nil {
+	if err := st.Put("k", "a", element.Int(1), WithValidTime(1), WithTransactionTime(10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put("k", "a", element.Int(2), WithValidTime(1), WithEndValidTime(50),
+	if err := st.Put("k", "a", element.Int(2), WithValidTime(1), WithEndValidTime(50),
 		WithTransactionTime(30)); err != nil {
 		t.Fatal(err)
 	}
 	// Out-of-order: recorded at 5, AFTER the tx-30 write.
-	if err := db.Put("k", "a", element.Int(3), WithValidTime(1), WithTransactionTime(5)); err != nil {
+	if err := st.Put("k", "a", element.Int(3), WithValidTime(1), WithTransactionTime(5)); err != nil {
 		t.Fatal(err)
 	}
 	// Current belief: the last write wins.

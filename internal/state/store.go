@@ -36,10 +36,11 @@
 // (internal/state/segment) persist published heads as immutable segment
 // files so recovery replays only the WAL tail since the last flush.
 //
-// The preferred API is the option-based bitemporal surface in db.go
-// (Find/List/Put/Delete/History with ReadOpt/WriteOpt). The positional
-// methods (Put/Assert/Retract/Current/ValidAt/AsOf/...) are retained as
-// thin deprecated wrappers with their historical semantics.
+// *Store is the StateDB (db.go). It has two write shapes, one body each:
+// the bitemporal Put/Delete with WriteOpts, which supersede whatever
+// they overlap (apply), and the stream-append Replace/PutBatch, which
+// replace at an instant and reject out-of-order writes (replaceLocked,
+// batch.go).
 package state
 
 import (
@@ -54,19 +55,11 @@ import (
 	"repro/internal/temporal"
 )
 
-// Errors returned by store mutations.
-var (
-	// ErrOutOfOrder reports a positional mutation earlier than the key's
-	// latest believed version start; the legacy surface requires per-key
-	// timestamp-monotonic updates. (The option-based surface instead
-	// treats such writes as retroactive corrections.)
-	ErrOutOfOrder = errors.New("state: mutation out of timestamp order for key")
-	// ErrOverlap reports an explicit-interval assertion that overlaps an
-	// existing version of the same key.
-	ErrOverlap = errors.New("state: validity interval overlaps existing version")
-	// ErrNoCurrent reports a retraction of a key with no open version.
-	ErrNoCurrent = errors.New("state: no current version to retract")
-)
+// ErrOutOfOrder reports a stream-append write (Replace, PutBatch) earlier
+// than the key's latest believed version start: that shape requires
+// per-key timestamp-monotonic updates. (The bitemporal Put/Delete instead
+// treat such writes as retroactive corrections.)
+var ErrOutOfOrder = errors.New("state: mutation out of timestamp order for key")
 
 // ChangeKind classifies a state change event.
 type ChangeKind int
@@ -111,8 +104,8 @@ type Change struct {
 // mutators, a watcher may observe store state newer than its Change.
 type Watcher func(Change)
 
-// BatchWatcher observes the full change set of one mutation (a Put, a
-// retroactive write, or one PutBatch call) in a single callback instead
+// BatchWatcher observes the full change set of one mutation (a Put,
+// Delete or Replace, or one PutBatch call) in a single callback instead
 // of one call per change. It exists for high-volume taps — the engine's
 // watermark capture uses it — where per-change callback and locking
 // overhead on the write path matters. The slice is store-owned scratch,
@@ -555,10 +548,10 @@ func notifyAll(ws []Watcher, bws []BatchWatcher, changes []Change) {
 	}
 }
 
-// writeReq is one resolved-or-resolvable mutation against a lineage. The
-// option-based and legacy surfaces both funnel into apply. Like readCfg,
-// its temporal selectors are value+flag pairs so building a request on the
-// hot write path does not heap-allocate the instants.
+// writeReq is one resolved-or-resolvable bitemporal mutation against a
+// lineage: Put, Delete and WAL replay all funnel into apply. Like
+// readCfg, its temporal selectors are value+flag pairs so building a
+// request does not heap-allocate the instants.
 type writeReq struct {
 	entity, attr string
 	value        element.Value
@@ -571,19 +564,15 @@ type writeReq struct {
 	derived      bool
 	source       string
 	isDelete     bool
-
-	// Legacy-surface semantics flags.
-	legacy         bool // log in the positional wire format
-	monotonic      bool // reject validFrom earlier than the latest believed start
-	requireCurrent bool // ErrNoCurrent unless an open version exists
-	noOverlap      bool // ErrOverlap instead of superseding (Assert)
 }
 
-// apply validates, commits, logs, and notifies one mutation. It is the
-// single non-batched write path of the store; it locks exactly one shard.
-func (s *Store) apply(r writeReq) error {
+// mutate runs one single-shard write: body runs under sh's write lock
+// with the attached log and, when anyone watches, pooled change scratch
+// to append to. On success the changes are delivered and the shard is
+// offered to the compaction policy. It is the frame around both
+// single-key write bodies, apply and Replace.
+func (s *Store) mutate(sh *shard, body func(log *Log, changes []Change, record bool) ([]Change, error)) error {
 	ws, bws, log := s.observers()
-	sh := s.shardFor(r.entity, r.attr)
 	record := len(ws) > 0 || len(bws) > 0
 	var (
 		changes []Change
@@ -593,10 +582,27 @@ func (s *Store) apply(r writeReq) error {
 		bufp = takeChangeBuf()
 		changes = *bufp
 	}
-	err := func() error {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
+	sh.mu.Lock()
+	changes, err := body(log, changes, record)
+	sh.mu.Unlock()
+	if err == nil {
+		notifyAll(ws, bws, changes)
+	}
+	if bufp != nil {
+		putChangeBuf(bufp, changes)
+	}
+	if err != nil {
+		return err
+	}
+	s.maybeCompact(sh)
+	return nil
+}
 
+// apply validates, logs, and commits one bitemporal mutation: the write
+// supersedes every believed version its valid interval overlaps.
+func (s *Store) apply(r writeReq) error {
+	sh := s.shardFor(r.entity, r.attr)
+	return s.mutate(sh, func(log *Log, changes []Change, record bool) ([]Change, error) {
 		// Resolve the transaction time and valid interval. Without an
 		// explicit WithTransactionTime, the write reserves the next tick
 		// of the transaction clock (one past its high-water mark, or the
@@ -626,7 +632,7 @@ func (s *Store) apply(r writeReq) error {
 		w := temporal.NewInterval(from, to)
 		key := element.FactKey{Entity: r.entity, Attribute: r.attr}
 		if w.IsEmpty() {
-			return fmt.Errorf("state: write %s: empty validity %s", key, w)
+			return changes, fmt.Errorf("state: write %s: empty validity %s", key, w)
 		}
 
 		l := sh.byKey[key]
@@ -637,31 +643,14 @@ func (s *Store) apply(r writeReq) error {
 			// the store no longer sees.
 			l = s.faultIn(sh, key)
 		}
-		if l == nil && !r.isDelete {
-			l = sh.lineage(key, true)
-		}
-		if l != nil {
-			s.touch(l)
-		}
-		h := emptyHead
-		if l != nil {
-			h = l.head.Load()
-		}
-		if r.requireCurrent && (l == nil || h.open == nil) {
-			return fmt.Errorf("%w: %s", ErrNoCurrent, key)
+		if r.isDelete && (l == nil || l.head.Load().overlappingLive(w) == nil) {
+			// Deleting where nothing is believed is a no-op, not even logged.
+			return changes, nil
 		}
 		if l == nil {
-			// Option-based delete of a key with no believed state: no-op.
-			return nil
+			l = sh.lineage(key, true)
 		}
-		if last := h.lastLive(); last != nil {
-			if r.monotonic && from < last.Validity.Start {
-				return fmt.Errorf("%w: %s at %s before %s", ErrOutOfOrder, key, from, last.Validity.Start)
-			}
-			if r.noOverlap && last.Validity.Overlaps(w) {
-				return fmt.Errorf("%w: %s: %s overlaps %s", ErrOverlap, key, w, last.Validity)
-			}
-		}
+		s.touch(l)
 
 		var put *element.Fact
 		if !r.isDelete {
@@ -678,44 +667,26 @@ func (s *Store) apply(r writeReq) error {
 		// single-appender channel.
 		if log != nil {
 			var err error
-			switch {
-			case r.legacy && r.noOverlap:
-				err = log.appendAssert(put)
-			case r.legacy && r.isDelete:
-				err = log.appendRetract(r.entity, r.attr, from)
-			case r.legacy:
-				err = log.appendPut(r.entity, r.attr, r.value, from)
-			case r.isDelete:
+			if r.isDelete {
 				err = log.appendDelete(r.entity, r.attr, w, tx)
-			default:
+			} else {
 				err = log.appendPutBi(put)
 			}
 			if err != nil {
-				return err
+				return changes, err
 			}
 		}
 		s.clock.observe(tx)
-		changes = sh.commit(l, put, w, tx, changes, record)
-		return nil
-	}()
-	if err == nil {
-		notifyAll(ws, bws, changes)
-	}
-	if bufp != nil {
-		putChangeBuf(bufp, changes)
-	}
-	if err != nil {
-		return err
-	}
-	s.maybeCompact(sh)
-	return nil
+		return sh.commit(l, put, w, tx, changes, record), nil
+	})
 }
 
 // commit applies one validated mutation to a lineage under the shard lock
 // and publishes the successor head. It supersedes the believed versions
 // the write interval w overlaps — re-recording the portions outside w as
 // fresh records — and inserts put (when non-nil) as a new believed
-// version. With record set, every superseded version appends one
+// version; a delete (nil put) must overlap something, which apply
+// checks. With record set, every superseded version appends one
 // Terminated change (carrying the left remnant when the write truncates
 // it, the superseded version itself when the write covers it entirely)
 // and the insert appends one Asserted change. Change facts are the
@@ -792,10 +763,6 @@ func (sh *shard) commit(l *lineage, put *element.Fact, w temporal.Interval, tx t
 	// slices are rebuilt into fresh arrays; records still appends onto the
 	// shared history.
 	over := h.overlappingLive(w)
-	if put == nil && len(over) == 0 {
-		// Delete with nothing believed over w: nothing to publish.
-		return changes
-	}
 	records := h.records
 	newLive := make([]*element.Fact, 0, h.nLive()+2)
 	for i, n := 0, h.nLive(); i < n; i++ {
@@ -1017,14 +984,23 @@ func (s *Store) List(opts ...ReadOpt) []*element.Fact {
 	return s.gatherList(s.pinned(newReadCfg(opts)))
 }
 
+// Put writes v for (entity, attr) over the write options' valid interval
+// (default [transaction time, Forever)), superseding the overlapped
+// portions of believed versions at the write's transaction time. A valid
+// interval earlier than existing versions is a retroactive correction.
+func (s *Store) Put(entity, attr string, v element.Value, opts ...WriteOpt) error {
+	r := writeReq{entity: entity, attr: attr, value: v}
+	newWriteCfg(opts).fill(&r)
+	return s.apply(r)
+}
+
 // Delete removes any value of (entity, attr) over the write options' valid
 // interval (default [transaction time, Forever)), superseding the
 // overlapped versions at the write's transaction time. Deleting where
 // nothing is believed is a no-op.
 func (s *Store) Delete(entity, attr string, opts ...WriteOpt) error {
-	cfg := newWriteCfg(opts)
 	r := writeReq{entity: entity, attr: attr, isDelete: true}
-	cfg.fill(&r)
+	newWriteCfg(opts).fill(&r)
 	return s.apply(r)
 }
 
@@ -1093,110 +1069,6 @@ func recordsAt(h *head, tt temporal.Instant, dst []*element.Fact) []*element.Fac
 		dst = append(dst, c)
 	}
 	return dst
-}
-
-// Put applies replace semantics on the positional surface: the current
-// version of (entity, attr), if any, is terminated at `at`, and a new
-// version valid over [at, Forever) is asserted with transaction time `at`.
-// This is the paper's canonical state transition ("the most recent
-// position invalidates and updates any previous position", §1).
-//
-// Deprecated: use the option-based Put (db.go) — this wrapper remains for
-// timestamp-monotonic callers such as the rule engine.
-func (s *Store) Put(entity, attr string, v element.Value, at temporal.Instant) error {
-	return s.apply(writeReq{
-		entity: entity, attr: attr, value: v,
-		validFrom: at, hasValidFrom: true, tx: at, hasTx: true,
-		legacy: true, monotonic: true,
-	})
-}
-
-// Assert inserts a fact with an explicit validity interval. The interval
-// must not overlap any believed version of the same key and must start no
-// earlier than the latest believed version's start (per-key monotonic
-// appends). Use Assert for facts whose full validity is known, e.g.
-// bounded reservations, or for reasoner-derived facts.
-//
-// Deprecated: use the option-based Put with WithValidTime/WithEndValidTime
-// (db.go), which supersedes overlaps instead of rejecting them.
-func (s *Store) Assert(f *element.Fact) error {
-	if f.Validity.IsEmpty() {
-		return fmt.Errorf("state: assert %s: empty validity", f.Key())
-	}
-	return s.apply(writeReq{
-		entity: f.Entity, attr: f.Attribute, value: f.Value,
-		validFrom: f.Validity.Start, hasValidFrom: true,
-		validTo: f.Validity.End, hasValidTo: true,
-		tx: f.Validity.Start, hasTx: true,
-		derived: f.Derived, source: f.Source,
-		legacy: true, monotonic: true, noOverlap: true,
-	})
-}
-
-// Retract terminates the current version of (entity, attr) at `at`. A
-// version that started exactly at `at` leaves the current belief entirely
-// (it would have empty validity); as with every mutation, the superseded
-// record remains reachable under AsOfTransactionTime.
-//
-// Deprecated: use the option-based Delete (db.go).
-func (s *Store) Retract(entity, attr string, at temporal.Instant) error {
-	return s.apply(writeReq{
-		entity: entity, attr: attr, isDelete: true,
-		validFrom: at, hasValidFrom: true, tx: at, hasTx: true,
-		legacy: true, monotonic: true, requireCurrent: true,
-	})
-}
-
-// Current returns the open version of (entity, attr), if any.
-//
-// Deprecated: use Find.
-func (s *Store) Current(entity, attr string) (*element.Fact, bool) {
-	return s.Find(entity, attr)
-}
-
-// ValidAt returns the version of (entity, attr) valid at t, if any.
-//
-// Deprecated: use Find with AsOfValidTime.
-func (s *Store) ValidAt(entity, attr string, t temporal.Instant) (*element.Fact, bool) {
-	return s.Find(entity, attr, AsOfValidTime(t))
-}
-
-// CurrentByAttribute returns the open versions of every entity for the
-// given attribute, sorted by entity.
-//
-// Deprecated: use List with WithAttribute.
-func (s *Store) CurrentByAttribute(attr string) []*element.Fact {
-	return s.List(WithAttribute(attr))
-}
-
-// AsOfByAttribute returns, for the given attribute, the version of every
-// entity valid at t, sorted by entity.
-//
-// Deprecated: use List with WithAttribute and AsOfValidTime.
-func (s *Store) AsOfByAttribute(attr string, t temporal.Instant) []*element.Fact {
-	return s.List(WithAttribute(attr), AsOfValidTime(t))
-}
-
-// AsOf returns every fact valid at t, sorted by (attribute, entity).
-//
-// Deprecated: use List with AsOfValidTime.
-func (s *Store) AsOf(t temporal.Instant) []*element.Fact {
-	return s.List(AsOfValidTime(t))
-}
-
-// CurrentAll returns every open fact, sorted by (attribute, entity).
-//
-// Deprecated: use List.
-func (s *Store) CurrentAll() []*element.Fact {
-	return s.List()
-}
-
-// During returns every believed version whose validity overlaps iv, sorted
-// by (attribute, entity, start).
-//
-// Deprecated: use List with DuringValidTime.
-func (s *Store) During(iv temporal.Interval) []*element.Fact {
-	return s.List(DuringValidTime(iv.Start, iv.End))
 }
 
 // Scan returns clones of every version believed at the scan's pinned

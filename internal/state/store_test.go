@@ -11,22 +11,22 @@ import (
 
 func TestPutReplaceSemantics(t *testing.T) {
 	s := NewStore()
-	if err := s.Put("v1", "position", element.String("hall"), 10); err != nil {
+	if err := s.Replace("v1", "position", element.String("hall"), 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("v1", "position", element.String("lab"), 20); err != nil {
+	if err := s.Replace("v1", "position", element.String("lab"), 20); err != nil {
 		t.Fatal(err)
 	}
-	cur, ok := s.Current("v1", "position")
+	cur, ok := s.Find("v1", "position")
 	if !ok || cur.Value.MustString() != "lab" || cur.Validity != temporal.Since(20) {
 		t.Fatalf("current: %v %v", cur, ok)
 	}
 	// The invariant the paper's security use case needs: at no instant are
 	// two positions valid.
-	if f, _ := s.ValidAt("v1", "position", 15); f.Value.MustString() != "hall" {
+	if f, _ := s.Find("v1", "position", AsOfValidTime(15)); f.Value.MustString() != "hall" {
 		t.Error("as-of 15 should be hall")
 	}
-	if f, _ := s.ValidAt("v1", "position", 20); f.Value.MustString() != "lab" {
+	if f, _ := s.Find("v1", "position", AsOfValidTime(20)); f.Value.MustString() != "lab" {
 		t.Error("as-of 20 should be lab (half-open boundary)")
 	}
 	hist := s.History("v1", "position")
@@ -37,8 +37,8 @@ func TestPutReplaceSemantics(t *testing.T) {
 
 func TestPutSameInstantOverwrites(t *testing.T) {
 	s := NewStore()
-	s.Put("e", "a", element.Int(1), 10)
-	if err := s.Put("e", "a", element.Int(2), 10); err != nil {
+	s.Replace("e", "a", element.Int(1), 10)
+	if err := s.Replace("e", "a", element.Int(2), 10); err != nil {
 		t.Fatal(err)
 	}
 	hist := s.History("e", "a")
@@ -49,62 +49,67 @@ func TestPutSameInstantOverwrites(t *testing.T) {
 
 func TestPutOutOfOrder(t *testing.T) {
 	s := NewStore()
-	s.Put("e", "a", element.Int(1), 10)
-	err := s.Put("e", "a", element.Int(2), 5)
+	s.Replace("e", "a", element.Int(1), 10)
+	err := s.Replace("e", "a", element.Int(2), 5)
 	if !errors.Is(err, ErrOutOfOrder) {
 		t.Fatalf("want ErrOutOfOrder, got %v", err)
 	}
 }
 
-func TestAssertExplicitInterval(t *testing.T) {
+func TestRetract(t *testing.T) {
 	s := NewStore()
-	f := element.NewFact("e", "a", element.Int(1), temporal.NewInterval(10, 20))
-	if err := s.Assert(f); err != nil {
-		t.Fatal(err)
+	s.Replace("e", "a", element.Int(1), 10)
+	retract := func(e string, at temporal.Instant) {
+		t.Helper()
+		if err := s.Delete(e, "a", WithValidTime(at), WithTransactionTime(at)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s.Assert(element.NewFact("e", "a", element.Int(2), temporal.NewInterval(15, 25))); !errors.Is(err, ErrOverlap) {
-		t.Fatalf("want ErrOverlap, got %v", err)
+	retract("e", 30)
+	if _, ok := s.Find("e", "a"); ok {
+		t.Error("retracted key should have no current")
 	}
-	if err := s.Assert(element.NewFact("e", "a", element.Int(2), temporal.NewInterval(20, 30))); err != nil {
-		t.Fatalf("adjacent assert should work: %v", err)
+	if f, ok := s.Find("e", "a", AsOfValidTime(20)); !ok || f.Validity != temporal.NewInterval(10, 30) {
+		t.Errorf("history preserved: %v %v", f, ok)
 	}
-	if err := s.Assert(element.NewFact("e", "a", element.Int(3), temporal.NewInterval(5, 8))); !errors.Is(err, ErrOutOfOrder) {
-		t.Fatalf("want ErrOutOfOrder, got %v", err)
+	// Retracting again, or an unknown key, is a no-op.
+	retract("e", 40)
+	retract("x", 40)
+	if got := s.History("e", "a", AllVersions()); len(got) != 2 {
+		t.Fatalf("no-op retractions recorded: %v", got)
 	}
-	if err := s.Assert(element.NewFact("e", "a", element.Int(3), temporal.Interval{})); err == nil {
-		t.Fatal("empty validity should error")
+	// A retraction before the version's end is retroactive: it trims the
+	// believed history instead of failing.
+	retract("e", 20)
+	if f, ok := s.Find("e", "a", AsOfValidTime(15)); !ok || f.Validity != temporal.NewInterval(10, 20) {
+		t.Errorf("retroactive retraction: %v %v", f, ok)
 	}
-	// Mutating the caller's fact must not affect the store.
-	f.Value = element.Int(99)
-	if got, _ := s.ValidAt("e", "a", 12); got.Value.MustInt() != 1 {
-		t.Error("store should hold a clone")
+	if f, ok := s.Find("e", "a", AsOfValidTime(25)); ok {
+		t.Errorf("retracted from 20 on: %v", f)
 	}
 }
 
-func TestRetract(t *testing.T) {
+// TestRetractBeforeStartDeletesVersion: a retraction stamped before the
+// version's start is no longer ErrOutOfOrder; it retroactively removes
+// the whole version from the believed history.
+func TestRetractBeforeStartDeletesVersion(t *testing.T) {
 	s := NewStore()
-	s.Put("e", "a", element.Int(1), 10)
-	if err := s.Retract("e", "a", 30); err != nil {
+	s.Replace("e", "a", element.Int(1), 10)
+	if err := s.Delete("e", "a", WithValidTime(5), WithTransactionTime(5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Current("e", "a"); ok {
-		t.Error("retracted key should have no current")
+	if f, ok := s.Find("e", "a"); ok {
+		t.Errorf("retracted key should have no current: %v", f)
 	}
-	if f, ok := s.ValidAt("e", "a", 20); !ok || f.Validity != temporal.NewInterval(10, 30) {
-		t.Errorf("history preserved: %v %v", f, ok)
-	}
-	if err := s.Retract("e", "a", 40); !errors.Is(err, ErrNoCurrent) {
-		t.Fatalf("want ErrNoCurrent, got %v", err)
-	}
-	if err := s.Retract("x", "a", 40); !errors.Is(err, ErrNoCurrent) {
-		t.Fatalf("unknown key: want ErrNoCurrent, got %v", err)
+	if got := s.History("e", "a"); len(got) != 0 {
+		t.Errorf("believed history should be empty: %v", got)
 	}
 }
 
 func TestRetractAtStartRemovesVersion(t *testing.T) {
 	s := NewStore()
-	s.Put("e", "a", element.Int(1), 10)
-	if err := s.Retract("e", "a", 10); err != nil {
+	s.Replace("e", "a", element.Int(1), 10)
+	if err := s.Delete("e", "a", WithValidTime(10), WithTransactionTime(10)); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.History("e", "a")) != 0 {
@@ -115,57 +120,49 @@ func TestRetractAtStartRemovesVersion(t *testing.T) {
 	}
 }
 
-func TestRetractBeforeStartIsOutOfOrder(t *testing.T) {
-	s := NewStore()
-	s.Put("e", "a", element.Int(1), 10)
-	if err := s.Retract("e", "a", 5); !errors.Is(err, ErrOutOfOrder) {
-		t.Fatalf("want ErrOutOfOrder, got %v", err)
-	}
-}
-
 func TestCurrentByAttributeSorted(t *testing.T) {
 	s := NewStore()
-	s.Put("bob", "position", element.String("r2"), 5)
-	s.Put("ann", "position", element.String("r1"), 5)
-	s.Put("ann", "badge", element.Int(7), 5)
-	got := s.CurrentByAttribute("position")
+	s.Replace("bob", "position", element.String("r2"), 5)
+	s.Replace("ann", "position", element.String("r1"), 5)
+	s.Replace("ann", "badge", element.Int(7), 5)
+	got := s.List(WithAttribute("position"))
 	if len(got) != 2 || got[0].Entity != "ann" || got[1].Entity != "bob" {
 		t.Fatalf("by attribute: %v", got)
 	}
-	if s.CurrentByAttribute("nope") != nil {
+	if s.List(WithAttribute("nope")) != nil {
 		t.Error("unknown attribute should be empty")
 	}
 }
 
 func TestAsOfAndDuring(t *testing.T) {
 	s := NewStore()
-	s.Put("ann", "position", element.String("r1"), 0)
-	s.Put("ann", "position", element.String("r2"), 10)
-	s.Put("bob", "position", element.String("r3"), 5)
-	s.Retract("bob", "position", 8)
+	s.Replace("ann", "position", element.String("r1"), 0)
+	s.Replace("ann", "position", element.String("r2"), 10)
+	s.Replace("bob", "position", element.String("r3"), 5)
+	s.Delete("bob", "position", WithValidTime(8), WithTransactionTime(8))
 
-	asof := s.AsOf(6)
+	asof := s.List(AsOfValidTime(6))
 	if len(asof) != 2 {
 		t.Fatalf("as-of 6: %v", asof)
 	}
-	asof = s.AsOf(9)
+	asof = s.List(AsOfValidTime(9))
 	if len(asof) != 1 || asof[0].Entity != "ann" {
 		t.Fatalf("as-of 9: %v", asof)
 	}
-	during := s.During(temporal.NewInterval(6, 11))
+	during := s.List(DuringValidTime(6, 11))
 	if len(during) != 3 {
 		t.Fatalf("during [6,11): %v", during)
 	}
-	if len(s.During(temporal.NewInterval(100, 200))) != 1 {
+	if len(s.List(DuringValidTime(100, 200))) != 1 {
 		t.Error("open version overlaps far future")
 	}
 }
 
 func TestScanAndValiditySet(t *testing.T) {
 	s := NewStore()
-	s.Put("e", "a", element.Int(1), 0)
-	s.Retract("e", "a", 10)
-	s.Put("e", "a", element.Int(2), 20)
+	s.Replace("e", "a", element.Int(1), 0)
+	s.Delete("e", "a", WithValidTime(10), WithTransactionTime(10))
+	s.Replace("e", "a", element.Int(2), 20)
 	all := s.Scan(nil)
 	if len(all) != 2 {
 		t.Fatalf("scan: %v", all)
@@ -184,7 +181,7 @@ func TestScanAndValiditySet(t *testing.T) {
 func TestCompactBefore(t *testing.T) {
 	s := NewStore()
 	for i := int64(0); i < 10; i++ {
-		s.Put("e", "a", element.Int(i), temporal.Instant(i*10))
+		s.Replace("e", "a", element.Int(i), temporal.Instant(i*10))
 	}
 	st := s.Stats()
 	if st.Versions != 10 || st.Current != 1 {
@@ -197,13 +194,13 @@ func TestCompactBefore(t *testing.T) {
 	if got := s.Stats().Versions; got != 5 {
 		t.Errorf("versions after compaction: %d", got)
 	}
-	if cur, ok := s.Current("e", "a"); !ok || cur.Value.MustInt() != 9 {
+	if cur, ok := s.Find("e", "a"); !ok || cur.Value.MustInt() != 9 {
 		t.Error("current must survive compaction")
 	}
 	// Fully-closed lineage disappears when compacted away.
 	s2 := NewStore()
-	s2.Put("x", "a", element.Int(1), 0)
-	s2.Retract("x", "a", 5)
+	s2.Replace("x", "a", element.Int(1), 0)
+	s2.Delete("x", "a", WithValidTime(5), WithTransactionTime(5))
 	s2.CompactBefore(10)
 	if st := s2.Stats(); st.Keys != 0 || st.Attributes != 0 {
 		t.Errorf("empty lineage should be dropped: %+v", st)
@@ -212,17 +209,15 @@ func TestCompactBefore(t *testing.T) {
 
 func TestDropDerived(t *testing.T) {
 	s := NewStore()
-	s.Put("e", "a", element.Int(1), 0)
-	d := element.NewFact("e", "b", element.Int(2), temporal.Since(0))
-	d.Derived = true
-	s.Assert(d)
+	s.Replace("e", "a", element.Int(1), 0)
+	s.Put("e", "b", element.Int(2), WithValidTime(0), WithTransactionTime(0), WithDerived())
 	if got := s.DropDerived(); got != 1 {
 		t.Fatalf("dropped: %d", got)
 	}
-	if _, ok := s.Current("e", "b"); ok {
+	if _, ok := s.Find("e", "b"); ok {
 		t.Error("derived fact should be gone")
 	}
-	if _, ok := s.Current("e", "a"); !ok {
+	if _, ok := s.Find("e", "a"); !ok {
 		t.Error("asserted fact should remain")
 	}
 }
@@ -231,9 +226,9 @@ func TestWatchers(t *testing.T) {
 	s := NewStore()
 	var changes []Change
 	s.Watch(func(c Change) { changes = append(changes, c) })
-	s.Put("e", "a", element.Int(1), 10)
-	s.Put("e", "a", element.Int(2), 20) // terminate + assert
-	s.Retract("e", "a", 30)
+	s.Replace("e", "a", element.Int(1), 10)
+	s.Replace("e", "a", element.Int(2), 20) // terminate + assert
+	s.Delete("e", "a", WithValidTime(30), WithTransactionTime(30))
 	kinds := []ChangeKind{Asserted, Terminated, Asserted, Terminated}
 	if len(changes) != len(kinds) {
 		t.Fatalf("changes: %d", len(changes))
@@ -253,13 +248,13 @@ func TestWatchers(t *testing.T) {
 
 func TestViewSnapshotIsolation(t *testing.T) {
 	s := NewStore()
-	s.Put("e", "a", element.Int(1), 10)
+	s.Replace("e", "a", element.Int(1), 10)
 	v := s.ViewAt(15)
 	if v.At() != 15 {
 		t.Error("view instant")
 	}
 	// A later mutation must not change what the view sees.
-	s.Put("e", "a", element.Int(2), 20)
+	s.Replace("e", "a", element.Int(2), 20)
 	f, ok := v.Get("e", "a")
 	if !ok || f.Value.MustInt() != 1 {
 		t.Fatalf("view get: %v %v", f, ok)
@@ -300,14 +295,15 @@ func TestLineageInvariantRandomized(t *testing.T) {
 			}
 			last[e] = at
 			if rng.Intn(4) == 0 {
-				if err := s.Retract(e, "x", at); err == nil {
-					for i := at; i < horizon; i++ {
-						model[e][i] = -1
-					}
+				if err := s.Delete(e, "x", WithValidTime(at), WithTransactionTime(at)); err != nil {
+					t.Fatalf("delete: %v", err)
+				}
+				for i := at; i < horizon; i++ {
+					model[e][i] = -1
 				}
 			} else {
 				val := int64(rng.Intn(100))
-				if err := s.Put(e, "x", element.Int(val), at); err != nil {
+				if err := s.Replace(e, "x", element.Int(val), at); err != nil {
 					t.Fatalf("put: %v", err)
 				}
 				for i := at; i < horizon; i++ {
@@ -329,7 +325,7 @@ func TestLineageInvariantRandomized(t *testing.T) {
 				}
 			}
 			for ti := temporal.Instant(0); ti < horizon; ti += 7 {
-				f, ok := s.ValidAt(e, "x", ti)
+				f, ok := s.Find(e, "x", AsOfValidTime(ti))
 				want := model[e][ti]
 				if (want == -1) == ok {
 					t.Fatalf("trial %d: validAt(%s,%d): ok=%v want value %d", trial, e, ti, ok, want)
@@ -344,9 +340,9 @@ func TestLineageInvariantRandomized(t *testing.T) {
 
 func TestStatsAttributes(t *testing.T) {
 	s := NewStore()
-	s.Put("e1", "a", element.Int(1), 0)
-	s.Put("e2", "a", element.Int(1), 0)
-	s.Put("e1", "b", element.Int(1), 0)
+	s.Replace("e1", "a", element.Int(1), 0)
+	s.Replace("e2", "a", element.Int(1), 0)
+	s.Replace("e1", "b", element.Int(1), 0)
 	st := s.Stats()
 	if st.Keys != 3 || st.Attributes != 2 || st.Current != 3 || st.Versions != 3 {
 		t.Fatalf("stats: %+v", st)

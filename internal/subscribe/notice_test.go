@@ -35,7 +35,7 @@ func TestDegradeNoticeDelivery(t *testing.T) {
 	defer sub.Close()
 
 	d := e.Durable()
-	if err := d.Mem().DB().Put("ann", "position", element.String("hall")); err != nil {
+	if err := d.Mem().Put("ann", "position", element.String("hall")); err != nil {
 		t.Fatalf("put: %v", err)
 	}
 	d.Pulse(d.Mem().Snapshot().At())

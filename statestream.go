@@ -18,8 +18,10 @@
 //     transaction-time interval. It is queryable on demand (Engine.Query)
 //     with a temporal SELECT dialect — CURRENT, ASOF t, DURING a TO b,
 //     HISTORY — each composable with SYSTEM TIME ASOF tt to query a past
-//     belief. The option-based StateDB surface (Engine.DB) supports
-//     retroactive corrections that supersede, never destroy, history.
+//     belief. The option-based StateDB surface (Engine.DB; a Store is
+//     one) supports retroactive corrections that supersede, never
+//     destroy, history. Store.Replace is the stream-append write that
+//     REPLACE rules perform: it rejects out-of-order instants instead.
 //   - A Reasoner (Engine.EnableReasoning or WithReasoning) materializes
 //     implicit facts from ontologies and Horn rules, augmenting both
 //     queries and gates.
@@ -433,14 +435,13 @@ func ParseRules(src string) (*RuleSet, error) { return rules.ParseSet(src) }
 
 // State repository and reasoning.
 type (
-	// Store is the state repository (reachable via Engine.Store).
+	// Store is the state repository (reachable via Engine.Store). It is
+	// the in-memory StateDB, plus the stream-append Replace/PutBatch.
 	Store = state.Store
 	// StateDB is the bitemporal database interface over the state
 	// repository: Find/List/Put/Delete/History with functional temporal
-	// options (reachable via Engine.DB or Store.DB).
+	// options (reachable via Engine.DB).
 	StateDB = state.StateDB
-	// DB is the in-memory StateDB implementation.
-	DB = state.DB
 	// ReadOpt configures a temporal read (AsOfValidTime,
 	// AsOfTransactionTime, WithAttribute, AllVersions, DuringValidTime).
 	ReadOpt = state.ReadOpt
@@ -452,7 +453,7 @@ type (
 	// ReadSpec is the pre-resolved, allocation-free form of a point-read
 	// option list (see Store.FindSpec / Store.FindValue).
 	ReadSpec = state.ReadSpec
-	// BatchPut is one replace-semantics write in a Store.PutBatch group
+	// BatchPut is one Store.Replace write in a Store.PutBatch group
 	// commit (the micro-batch ingestion write path).
 	BatchPut = state.BatchPut
 	// StateSnapshot is an immutable handle over one consistent cut of the
@@ -462,7 +463,7 @@ type (
 	// engine policy constant.)
 	StateSnapshot = state.Snapshot
 	// StateReader is the read-only temporal query surface shared by
-	// Store, DB, and StateSnapshot; query executors evaluate against it.
+	// Store and StateSnapshot; query executors evaluate against it.
 	StateReader = state.Reader
 	// CompactionPolicy schedules growth-triggered per-shard compaction
 	// sweeps (Store.SetCompactionPolicy, or the engine's WithAutoCompact).

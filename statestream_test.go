@@ -112,7 +112,7 @@ func TestPublicAPIReasoning(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	engine.Store().Put("p1", "type", statestream.String("novel"), 0)
+	engine.Store().Replace("p1", "type", statestream.String("novel"), 0)
 	engine.Process(statestream.WatermarkMsg(10))
 	res, err := engine.Query("SELECT entity FROM shelf WHERE value = 'back' WITH INFERENCE")
 	if err != nil {
@@ -150,11 +150,10 @@ func TestPublicAPIPatternsAndWindows(t *testing.T) {
 
 func TestPublicAPIStoreAndFacts(t *testing.T) {
 	st := statestream.NewStore()
-	f := statestream.NewFact("e", "a", statestream.Int(1), statestream.Since(5))
-	if err := st.Assert(f); err != nil {
+	if err := st.Put("e", "a", statestream.Int(1), statestream.WithValidTime(5)); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := st.Current("e", "a"); !ok || got.Value.MustInt() != 1 {
+	if got, ok := st.Find("e", "a"); !ok || got.Value.MustInt() != 1 || got.Validity != statestream.Since(5) {
 		t.Fatalf("store: %v %v", got, ok)
 	}
 	if statestream.Forever <= 0 || statestream.MinInstant >= 0 {

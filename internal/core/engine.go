@@ -516,9 +516,6 @@ func (e *Engine) Run(ms []stream.Message) error {
 	return e.Flush()
 }
 
-// ProcessBatch drives one message batch, exactly as Run.
-func (e *Engine) ProcessBatch(ms []stream.Message) error { return e.Run(ms) }
-
 func (e *Engine) applyRules(el *element.Element) ([]*element.Element, error) {
 	if e.ruleSet == nil {
 		return nil, nil
@@ -789,21 +786,6 @@ func (e *Engine) Query(src string) (*query.Result, error) {
 		return nil, err
 	}
 	return pq.Exec()
-}
-
-// RegisterStateQuery deploys a standing query over the state repository:
-// it re-evaluates whenever a state management rule (or any other mutation)
-// changes the queried attribute, and invokes onUpdate with each changed
-// result. This is the continuous face of §3.2's queryable state — the
-// paper's managers "receive constant updates" without polling. now() in
-// the query is anchored at each triggering change's application time via
-// the engine watermark.
-func (e *Engine) RegisterStateQuery(name, src string, onUpdate func(*query.Result)) (*query.Continuous, error) {
-	var opts []query.ContinuousOption
-	if onUpdate != nil {
-		opts = append(opts, query.OnUpdate(onUpdate))
-	}
-	return query.RegisterContinuous(name, src, e.store, nil, opts...)
 }
 
 // gateEnv evaluates gate expressions: the element binds as "e" (and under

@@ -130,9 +130,9 @@ RULE classify ON Reclassify AS c THEN REPLACE class(c.product) = c.class`); err 
 	}
 }
 
-// TestSystemClickstreamWorkload exercises session rules + standing query
-// at workload scale: the standing dashboard's final answer must agree
-// with a direct query.
+// TestSystemClickstreamWorkload exercises session rules at workload
+// scale: every session's Leave retracts its Enter, and the per-user visit
+// counters agree with the generator.
 func TestSystemClickstreamWorkload(t *testing.T) {
 	cfg := workload.DefaultClickstream()
 	cfg.Users = 20
@@ -145,20 +145,15 @@ RULE open ON Enter AS x THEN REPLACE active(x.visitor) = true,
 RULE close ON Leave AS x THEN RETRACT active(x.visitor)`); err != nil {
 		t.Fatal(err)
 	}
-	sq, err := e.RegisterStateQuery("active-now", "SELECT count(*) FROM active", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := e.Run(stream.FromElements(els)); err != nil {
 		t.Fatal(err)
 	}
-	direct, err := e.Query("SELECT count(*) FROM active")
+	active, err := e.Query("SELECT count(*) FROM active")
 	if err != nil {
 		t.Fatal(err)
 	}
-	standing := sq.Result()
-	if direct.Rows[0][0].MustInt() != standing.Rows[0][0].MustInt() {
-		t.Fatalf("standing %v vs direct %v", standing.Rows, direct.Rows)
+	if n := active.Rows[0][0].MustInt(); n != 0 {
+		t.Fatalf("%d users still active after every session left", n)
 	}
 	// Every user made SessionsPerUser visits; the counter state knows.
 	res, err := e.Query("SELECT entity, value FROM visits ORDER BY entity")

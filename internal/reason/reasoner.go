@@ -106,7 +106,7 @@ func NewReasoner(store *state.Store, ont *Ontology) *Reasoner {
 		ont = NewOntology()
 	}
 	r := &Reasoner{ont: ont, store: store, dirty: true}
-	store.Watch(func(state.Change) { r.markDirty() })
+	store.WatchBatch(func([]state.Change) { r.markDirty() })
 	return r
 }
 

@@ -17,8 +17,7 @@
 //	GET  /fact?entity=E&attr=A[&at=NANOS][&systime=NANOS] → {"found": true, "fact": {...}}
 //	GET  /stats                                         → {"keys": n, "versions": n, ...}
 //	GET  /subscribe?entity=E&attr=A&stream=S&query=Q    → Server-Sent Events push stream
-//	GET  /subscribe/ws (same parameters)                → WebSocket push stream
-//	GET  /healthz                                       → 200 ok (liveness: the process serves HTTP)
+//	GET  /healthz                                      → 200 ok (liveness: the process serves HTTP)
 //	GET  /readyz                                        → readiness: 503 when overloaded, 200 with a
 //	                                                      warning while durability is degraded
 //
@@ -26,8 +25,8 @@
 // /query and /fact requests (excess requests are shed with 429 and
 // Retry-After before any snapshot pin), RequestTimeout bounds each
 // request's execution (exceeding it aborts the scan and returns 504),
-// and StreamWriteTimeout bounds every SSE/WebSocket write so stalled
-// consumers release their goroutines.
+// and StreamWriteTimeout bounds every SSE write so stalled consumers
+// release their goroutines.
 //
 // Servers built with NewForEngine additionally push state: clients
 // subscribe with a filter (or a continuous SELECT) and receive one JSON
@@ -70,7 +69,7 @@ type Server struct {
 	store    *state.Store
 	reasoner *reason.Reasoner // optional: enables WITH INFERENCE remotely
 	// engine and broker are set by NewForEngine; they enable the
-	// /subscribe endpoints and the engine-level stats fields.
+	// /subscribe endpoint and the engine-level stats fields.
 	engine *core.Engine
 	broker *subscribe.Broker
 	// NowFunc anchors now() in received queries; defaults to the largest
@@ -87,10 +86,10 @@ type Server struct {
 	// it aborts between row batches and the client receives 504. Zero
 	// (the default) means no server-imposed deadline. Set before serving.
 	RequestTimeout time.Duration
-	// StreamWriteTimeout bounds each write on the streaming transports
-	// (SSE and WebSocket), so a dead or stalled client releases its
-	// subscriber goroutine instead of pinning it forever. Defaults to
-	// 30s; zero disables the deadline. Set before serving.
+	// StreamWriteTimeout bounds each write of the SSE subscription
+	// stream, so a dead or stalled client releases its subscriber
+	// goroutine instead of pinning it forever. Defaults to 30s; zero
+	// disables the deadline. Set before serving.
 	StreamWriteTimeout time.Duration
 	// inflight/shed drive the admission gate and its /stats counters.
 	inflight metrics.Gauge
@@ -114,7 +113,6 @@ func New(store *state.Store, reasoner *reason.Reasoner) *Server {
 	s.mux.HandleFunc("/fact", s.handleFact)
 	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/subscribe", s.handleSubscribe)
-	s.mux.HandleFunc("/subscribe/ws", s.handleSubscribeWS)
 	// /healthz is pure liveness: the process is up and serving HTTP.
 	// Readiness — should this replica receive traffic — is /readyz.
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -180,7 +178,7 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 }
 
 // NewForEngine builds a server over a live engine: everything New
-// provides, plus push subscriptions (/subscribe, /subscribe/ws) fed by a
+// provides, plus push subscriptions (/subscribe, over SSE) fed by a
 // broker tapping the engine's watermark batches, engine-level stats
 // fields, and now() anchored at the engine watermark. Register before
 // ingestion starts, like any watermark hook.

@@ -1,8 +1,6 @@
-// Subscription endpoints: the push half of the interoperability surface.
-// GET /subscribe streams deliveries as Server-Sent Events; GET
-// /subscribe/ws upgrades to a WebSocket (RFC 6455, implemented on the
-// standard library) carrying the same JSON payloads as text frames. Both
-// take the subscription filter from query parameters:
+// Subscription endpoint: the push half of the interoperability surface.
+// GET /subscribe streams deliveries as Server-Sent Events, taking the
+// subscription filter from query parameters:
 //
 //	entity, attr     restrict state-change deliveries
 //	stream           restricts emitted-element deliveries
@@ -47,8 +45,8 @@ type wireElement struct {
 	Fields    map[string]wireValue `json:"fields,omitempty"`
 }
 
-// wireDelivery is the JSON payload of one pushed subscription delivery,
-// shared by the SSE and WebSocket transports.
+// wireDelivery is the JSON payload of one pushed subscription delivery:
+// the `data:` line of one SSE event.
 type wireDelivery struct {
 	Kind      string         `json:"kind"` // "deltas", "resync" or "notice"
 	Watermark int64          `json:"watermark"`
@@ -174,32 +172,23 @@ func subscribeParams(r *http.Request) (subscribe.Filter, []subscribe.SubOption, 
 	return f, opts, nil
 }
 
-// openSubscription validates parameters and registers the subscription,
-// writing the appropriate client error on failure.
-func (s *Server) openSubscription(w http.ResponseWriter, r *http.Request) (*subscribe.Subscriber, bool) {
+// handleSubscribe validates the parameters, registers the subscription
+// and streams its deliveries as Server-Sent Events until the client
+// disconnects. Each event is `event: deltas|resync|notice`, `id:` the
+// watermark (the reconnect cursor), `data:` the JSON delivery.
+func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if s.broker == nil {
 		http.Error(w, "subscriptions require an engine-backed server (NewForEngine)", http.StatusNotFound)
-		return nil, false
+		return
 	}
 	f, opts, err := subscribeParams(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return nil, false
+		return
 	}
 	sub, err := s.broker.Subscribe(f, opts...)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return nil, false
-	}
-	return sub, true
-}
-
-// handleSubscribe streams deliveries as Server-Sent Events until the
-// client disconnects. Each event is `event: deltas|resync`, `id:` the
-// watermark (the reconnect cursor), `data:` the JSON delivery.
-func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	sub, ok := s.openSubscription(w, r)
-	if !ok {
 		return
 	}
 	defer sub.Close()

@@ -1,14 +1,9 @@
 package server
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"strings"
 	"testing"
 	"time"
 
@@ -195,7 +190,6 @@ func TestSubscribeBadParams(t *testing.T) {
 		"/subscribe?queue=0",
 		"/subscribe?cursor=abc",
 		"/subscribe?query=" + url.QueryEscape("SELECT nonsense FROM"),
-		"/subscribe/ws?entity=s1", // no upgrade headers
 	} {
 		if got := status(path); got != http.StatusBadRequest {
 			t.Errorf("GET %s = %d, want 400", path, got)
@@ -222,86 +216,5 @@ func TestSubscribeBadParams(t *testing.T) {
 	}
 	if _, ok := stats["watermark"]; ok {
 		t.Fatal("store-only stats should not report a watermark")
-	}
-}
-
-func TestSubscribeWebSocket(t *testing.T) {
-	e, _, client, done := testEngineService(t)
-	defer done()
-
-	u, err := url.Parse(client.BaseURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", u.Host)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-
-	const key = "dGhlIHNhbXBsZSBub25jZQ=="
-	fmt.Fprintf(conn, "GET /subscribe/ws?entity=s1 HTTP/1.1\r\n"+
-		"Host: %s\r\nUpgrade: websocket\r\nConnection: Upgrade\r\n"+
-		"Sec-WebSocket-Key: %s\r\nSec-WebSocket-Version: 13\r\n\r\n", u.Host, key)
-
-	br := bufio.NewReader(conn)
-	status, err := br.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(status, "101") {
-		t.Fatalf("handshake status %q, want 101", strings.TrimSpace(status))
-	}
-	var accept string
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			break
-		}
-		if v, ok := strings.CutPrefix(line, "Sec-WebSocket-Accept: "); ok {
-			accept = v
-		}
-	}
-	// RFC 6455 §1.3's worked example for the sample nonce.
-	if accept != "s3pPLMBiTxaQ9kYGzzhZRbK+xOo=" {
-		t.Fatalf("Sec-WebSocket-Accept = %q", accept)
-	}
-
-	if err := e.Run([]stream.Message{sensorReading(1, "s1", 20), stream.WatermarkMsg(10)}); err != nil {
-		t.Fatal(err)
-	}
-	op, payload, err := readFrame(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if op != opText {
-		t.Fatalf("frame opcode %#x, want text", op)
-	}
-	var wd wireDelivery
-	if err := json.Unmarshal(payload, &wd); err != nil {
-		t.Fatal(err)
-	}
-	if wd.Kind != "deltas" || wd.Watermark != 10 || len(wd.Changes) != 1 ||
-		wd.Changes[0].Fact.Entity != "s1" {
-		t.Fatalf("websocket delivery %+v", wd)
-	}
-
-	// Masked client close frame; the server answers with a close frame.
-	if _, err := conn.Write([]byte{0x88, 0x80, 0, 0, 0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	op, _, err = readFrame(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if op != opClose {
-		t.Fatalf("close reply opcode %#x, want close", op)
 	}
 }

@@ -58,7 +58,10 @@ func (s *Store) replaceLocked(sh *shard, p *BatchPut, log *Log, changes []Change
 	if l == nil {
 		// An evicted key must be faulted back in before it is mutated —
 		// same rule as apply.
-		l = s.faultIn(sh, key)
+		var err error
+		if l, err = s.faultIn(sh, key); err != nil {
+			return changes, err
+		}
 	}
 	if l == nil {
 		l = sh.lineage(key, true)
@@ -111,8 +114,8 @@ func (s *Store) PutBatch(puts []BatchPut) error {
 	if len(puts) == 0 {
 		return nil
 	}
-	ws, bws, log := s.observers()
-	record := len(ws) > 0 || len(bws) > 0
+	bws, log := s.observers()
+	record := len(bws) > 0
 	perShard := make([][]int, len(s.shards))
 	for i := range puts {
 		si := shardIndex(puts[i].Entity, puts[i].Attr, s.shardMask)
@@ -164,7 +167,7 @@ func (s *Store) PutBatch(puts []BatchPut) error {
 			firstErr = err
 		}
 	}
-	notifyAll(ws, bws, changes)
+	notifyAll(bws, changes)
 	if bufp != nil {
 		putChangeBuf(bufp, changes)
 	}

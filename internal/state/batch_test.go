@@ -115,12 +115,14 @@ func TestPutBatchOutOfOrder(t *testing.T) {
 func TestPutBatchWatchers(t *testing.T) {
 	st := NewStore()
 	var asserted, terminated int
-	st.Watch(func(c Change) {
-		switch c.Kind {
-		case Asserted:
-			asserted++
-		case Terminated:
-			terminated++
+	st.WatchBatch(func(cs []Change) {
+		for _, c := range cs {
+			switch c.Kind {
+			case Asserted:
+				asserted++
+			case Terminated:
+				terminated++
+			}
 		}
 	})
 	if err := st.PutBatch(batchWorkload(100, 10)); err != nil {
@@ -178,15 +180,14 @@ func TestFindValueSpec(t *testing.T) {
 	for i, c := range cases {
 		wantF, wantOK := st.Find("ann", "position", c.opts...)
 		gotV, gotOK := st.FindValue("ann", "position", c.spec)
-		gotF, gotOK2 := st.FindSpec("ann", "position", c.spec)
-		if gotOK != wantOK || gotOK2 != wantOK {
-			t.Fatalf("case %d: ok %v/%v, want %v", i, gotOK, gotOK2, wantOK)
+		if gotOK != wantOK {
+			t.Fatalf("case %d: ok %v, want %v", i, gotOK, wantOK)
 		}
 		if !wantOK {
 			continue
 		}
-		if !gotV.Equal(wantF.Value) || !gotF.Value.Equal(wantF.Value) {
-			t.Fatalf("case %d: value %s/%s, want %s", i, gotV, gotF.Value, wantF.Value)
+		if !gotV.Equal(wantF.Value) {
+			t.Fatalf("case %d: value %s, want %s", i, gotV, wantF.Value)
 		}
 	}
 }

@@ -242,7 +242,7 @@ func TestRetroactiveWritesNotifyWatchers(t *testing.T) {
 	st := NewStore()
 	st.Put("e", "a", element.Int(1), WithValidTime(10), WithEndValidTime(20), WithTransactionTime(10))
 	var got []Change
-	st.Watch(func(c Change) { got = append(got, c) })
+	st.WatchBatch(func(cs []Change) { got = append(got, cs...) })
 	// Covers [10,20) entirely: the old version leaves the belief.
 	st.Put("e", "a", element.Int(2), WithValidTime(5), WithEndValidTime(25), WithTransactionTime(30))
 	if len(got) != 2 || got[0].Kind != Terminated || got[1].Kind != Asserted {

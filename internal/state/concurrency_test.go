@@ -89,15 +89,16 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	}
 }
 
-// TestConcurrentViews checks that point-in-time views stay stable while
+// TestConcurrentViews checks that a point-in-time view — a snapshot
+// handle read as of its own pin in valid time — stays stable while
 // later-timestamped writes land concurrently.
 func TestConcurrentViews(t *testing.T) {
 	st := NewStore()
 	for i := 0; i < 100; i++ {
 		st.Replace("e", "v", element.Int(int64(i)), temporal.Instant(i*10))
 	}
-	view := st.ViewAt(500)
-	want, ok := view.Get("e", "v")
+	view := st.SnapshotAt(500)
+	want, ok := view.Find("e", "v", AsOfValidTime(500))
 	if !ok {
 		t.Fatal("view get")
 	}
@@ -112,7 +113,7 @@ func TestConcurrentViews(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			got, ok := view.Get("e", "v")
+			got, ok := view.Find("e", "v", AsOfValidTime(500))
 			if !ok || !got.Value.Equal(want.Value) {
 				t.Errorf("view drifted: %v", got)
 				return
@@ -213,9 +214,11 @@ func TestConcurrentRetroactiveWrites(t *testing.T) {
 func TestWatcherOrdering(t *testing.T) {
 	st := NewStore()
 	var seen []temporal.Instant
-	st.Watch(func(c Change) {
-		if c.Kind == Asserted {
-			seen = append(seen, c.At)
+	st.WatchBatch(func(cs []Change) {
+		for _, c := range cs {
+			if c.Kind == Asserted {
+				seen = append(seen, c.At)
+			}
 		}
 	})
 	var wg sync.WaitGroup

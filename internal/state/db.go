@@ -83,8 +83,8 @@ func newReadCfg(opts []ReadOpt) readCfg {
 
 // ReadSpec is the pre-resolved, allocation-free form of a point-read
 // option list: the engine's per-element reads build one on the stack
-// instead of materializing ReadOpt closures. FindSpec and FindValue accept
-// it directly; the zero ReadSpec reads the open version in the current
+// instead of materializing ReadOpt closures. FindValue accepts it
+// directly; the zero ReadSpec reads the open version in the current
 // belief, exactly like Find with no options.
 type ReadSpec struct {
 	// ValidAt selects by valid time when HasValidAt is set.
@@ -222,8 +222,8 @@ func WithSource(source string) WriteOpt {
 	return func(c *writeCfg) { c.source = source }
 }
 
-// WithDerived marks the written version as reasoner-materialized, so
-// DropDerived removes it.
+// WithDerived marks the written version as reasoner-materialized
+// (Fact.Derived).
 func WithDerived() WriteOpt {
 	return func(c *writeCfg) { c.derived = true }
 }

@@ -21,6 +21,7 @@
 package state
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -63,8 +64,10 @@ type ColdSource interface {
 	ColdFrames(keys []element.FactKey, shape ScanShape, bounds ValueBounds) []ColdLineage
 	// FaultIn returns the full record set of an evicted key so the
 	// write path can reinstall it before mutating. Unlike ColdRecords
-	// it never prunes: the caller needs the history, not an answer.
-	FaultIn(key element.FactKey) ([]*element.Fact, bool)
+	// it never prunes: the caller needs the history, not an answer. A
+	// key with no frame is (nil, nil); a frame that exists but cannot be
+	// read or verified is an error, which fails the write.
+	FaultIn(key element.FactKey) ([]*element.Fact, error)
 }
 
 // coldSourceRef wraps the interface value for atomic publication.
@@ -302,26 +305,32 @@ func (s *Store) EvictToBudget(budget int64, durable temporal.Instant) int {
 }
 
 // faultIn reinstalls an evicted key's record history before a write
-// touches it, and clears the evicted mark either way — a key the source
-// cannot produce (degraded durability) forfeits its history exactly as
-// degraded mode forfeits reads, and the write proceeds on a fresh
-// lineage; its cold mark goes stale, not away. Callers hold sh.mu and
+// touches it. A key with no durable frame (or an empty one) loses its
+// evicted mark and the write proceeds on a fresh lineage; its cold mark
+// goes stale, not away. A frame the source cannot read, or whose records
+// do not form a valid lineage, fails the write and leaves the key
+// evicted: committing onto a fresh lineage would let the next flush
+// frame supersede history the store never saw. Callers hold sh.mu and
 // have already missed sh.byKey.
-func (s *Store) faultIn(sh *shard, key element.FactKey) *lineage {
+func (s *Store) faultIn(sh *shard, key element.FactKey) (*lineage, error) {
 	if !sh.evicted[key] {
-		return nil
+		return nil, nil
 	}
-	delete(sh.evicted, key)
 	var nh *head
 	if cs := s.coldSource(); cs != nil {
-		if records, ok := cs.FaultIn(key); ok && len(records) > 0 {
-			nh, _ = buildHead(records, true)
+		records, err := cs.FaultIn(key)
+		if err == nil && len(records) > 0 {
+			nh, err = buildHead(records, true)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("state: fault in %s: %w", key, err)
 		}
 	}
+	delete(sh.evicted, key)
 	if nh == nil {
 		old := sh.pub.Load()
 		sh.publish(old.byAttr, old.cold) // refreshes the evicted count
-		return nil
+		return nil, nil
 	}
 	l := &lineage{key: key}
 	l.head.Store(nh)
@@ -334,7 +343,7 @@ func (s *Store) faultIn(sh *shard, key element.FactKey) *lineage {
 	sh.versions.Add(int64(nh.nLive()))
 	sh.bytes.Add(headBytes(nh))
 	s.clock.observe(nh.maxTx)
-	return l
+	return l, nil
 }
 
 // compareKeys orders keys by (attribute, entity) — the deterministic

@@ -10,6 +10,8 @@ package segment
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -571,5 +573,100 @@ func TestChaosScanRacingEviction(t *testing.T) {
 		if got := sn.ScanShards(par, state.AllVersions()); !reflect.DeepEqual(got, want) {
 			t.Fatalf("pinned ScanShards(%d) diverged after eviction", par)
 		}
+	}
+}
+
+// TestFaultInUnreadableFrameFailsWrite: a write to an evicted key whose
+// durable frame cannot be read — a flipped payload byte fails the frame
+// checksum, an injected pread error fails the read — must fail, commit
+// nothing, and leave the key evicted. Committing onto a fresh lineage
+// instead would make the next flush frame supersede the unread history.
+// Once the frame reads again the same write succeeds, and a restart
+// recovers every version.
+func TestFaultInUnreadableFrameFailsWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// unreadable breaks the key's only frame and returns its repair.
+		unreadable func(t *testing.T, dir string, ffs *vfs.FaultFS) (repair func())
+	}{
+		{"flipped-payload-byte", func(t *testing.T, dir string, _ *vfs.FaultFS) func() {
+			segs, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+			if err != nil || len(segs) != 1 {
+				t.Fatalf("want one segment, got %v (%v)", segs, err)
+			}
+			flip := func() {
+				f, err := os.OpenFile(segs[0], os.O_RDWR, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				// The first frame's payload starts after the file magic
+				// and the frame header; its crc32c covers every byte.
+				off := int64(len(fileMagic)) + frameHdrLen + 1
+				var b [1]byte
+				if _, err := f.ReadAt(b[:], off); err != nil {
+					t.Fatal(err)
+				}
+				b[0] ^= 0xFF
+				if _, err := f.WriteAt(b[:], off); err != nil {
+					t.Fatal(err)
+				}
+			}
+			flip()
+			return flip
+		}},
+		{"readat-error", func(_ *testing.T, _ string, ffs *vfs.FaultFS) func() {
+			ffs.AddRule(vfs.Rule{Op: vfs.OpReadAt, Path: "seg-*.seg", Count: 1})
+			return func() {} // the rule fires once
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ffs := vfs.NewFaultFS(vfs.OS)
+			d, err := Open(dir, WithFS(ffs))
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			ref := state.NewStore()
+			replace := func(i int) {
+				t.Helper()
+				if err := d.Mem().Replace("k", "v", element.Int(int64(i)), temporal.Instant(i*10)); err != nil {
+					t.Fatalf("replace %d: %v", i, err)
+				}
+				if err := ref.Replace("k", "v", element.Int(int64(i)), temporal.Instant(i*10)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 1; i <= 5; i++ {
+				replace(i)
+			}
+			if err := d.Flush(); err != nil {
+				t.Fatalf("flush: %v", err)
+			}
+			if n := d.EvictToBudget(0); n != 1 {
+				t.Fatalf("evicted %d lineages, want 1", n)
+			}
+			repair := tc.unreadable(t, dir, ffs)
+			if err := d.Mem().Replace("k", "v", element.Int(6), 60); err == nil {
+				t.Fatal("write to an evicted key with an unreadable frame succeeded")
+			}
+			if got := d.Info().EvictedLineages; got != 1 {
+				t.Fatalf("failed fault-in left %d evicted keys, want 1", got)
+			}
+			repair()
+			replace(6)
+			if err := d.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			rec, err := Open(dir)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer rec.Close()
+			want := ref.History("k", "v", state.AllVersions())
+			if got := rec.History("k", "v", state.AllVersions()); !reflect.DeepEqual(got, want) {
+				t.Fatalf("recovered history has %d records, want %d:\n got %v\nwant %v", len(got), len(want), got, want)
+			}
+		})
 	}
 }

@@ -1444,22 +1444,20 @@ func (d *Store) ColdFrames(keys []element.FactKey, shape state.ScanShape, bounds
 // Unlike ColdRecords it never envelope-prunes — the caller needs the
 // history, not an answer — and it stays available in degraded mode: the
 // WRITE path of the disk failed, preads may still work, and losing the
-// faulted history would compound the degradation. Implements
-// state.ColdSource.
-func (d *Store) FaultIn(key element.FactKey) ([]*element.Fact, bool) {
+// faulted history would compound the degradation. A key with no frame is
+// (nil, nil); a frame that fails its read or checksum is an error.
+// Implements state.ColdSource.
+func (d *Store) FaultIn(key element.FactKey) ([]*element.Fact, error) {
 	cat := d.cat.Load()
 	if cat == nil {
-		return nil, false
+		return nil, nil
 	}
 	seg, off, ok := cat.owner(key)
 	if !ok {
-		return nil, false
+		return nil, nil
 	}
 	_, records, err := seg.readLineage(off)
-	if err != nil {
-		return nil, false
-	}
-	return records, true
+	return records, err
 }
 
 // scanPrune reports whether a segment's bitemporal envelope proves that

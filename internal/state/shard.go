@@ -11,11 +11,10 @@
 //
 // Locking protocol:
 //
-//   - Mutations (apply, PutBatch, compaction sweeps, DropDerived)
-//     take the owning shard's write lock: the lock orders
-//     writers of the same shard; readers are ordered by the atomic head
-//     publication instead.
-//   - Point reads (Find/FindSpec/FindValue, History, ValiditySet) take
+//   - Mutations (apply, PutBatch, compaction sweeps) take the owning
+//     shard's write lock: the lock orders writers of the same shard;
+//     readers are ordered by the atomic head publication instead.
+//   - Point reads (Find/FindValue, History) take
 //     the shard's read lock ONLY for the byKey map lookup — an O(1)
 //     critical section — then release it and walk the published head
 //     lock-free. A writer therefore never waits on a reader for longer
@@ -157,7 +156,7 @@ func (sh *shard) publishInsert(l *lineage) {
 }
 
 // publishRebuild re-derives the published directory from byKey after
-// lineage removals (compaction, DropDerived, eviction, husk drops),
+// lineage removals (compaction, eviction, husk drops),
 // adding the given distinct keys to the cold keys and clearing stale
 // marks — a re-added key keeps exactly one. Callers hold sh.mu.
 func (sh *shard) publishRebuild(cold []element.FactKey) {

@@ -100,13 +100,9 @@ func (sn *Snapshot) Find(entity, attr string, opts ...ReadOpt) (*element.Fact, b
 	return sn.s.findClone(entity, attr, sn.clamp(newReadCfg(opts)))
 }
 
-// FindSpec is Find with a pre-resolved ReadSpec, clamped to the pin.
-func (sn *Snapshot) FindSpec(entity, attr string, spec ReadSpec) (*element.Fact, bool) {
-	return sn.s.findClone(entity, attr, sn.clamp(spec.cfg()))
-}
-
-// FindValue returns just the value of the version FindSpec would select —
-// the allocation-free point read, against the pinned cut.
+// FindValue returns just the value of the version Find would select with
+// the spec's options — the allocation-free point read, against the
+// pinned cut.
 func (sn *Snapshot) FindValue(entity, attr string, spec ReadSpec) (element.Value, bool) {
 	if f := sn.s.findPick(entity, attr, sn.clamp(spec.cfg())); f != nil {
 		return f.Value, true
@@ -143,41 +139,4 @@ func (sn *Snapshot) History(entity, attr string, opts ...ReadOpt) []*element.Fac
 // same bitemporal cut dump identical bytes.
 func (sn *Snapshot) WriteSnapshot(w io.Writer) error {
 	return sn.s.writeSnapshotAt(w, sn.at)
-}
-
-// View is a read-only, point-in-time view of the store along both time
-// axes: reads resolve as of instant t in valid time AND transaction time,
-// so a View is immutable even under retroactive corrections recorded
-// later — the engine's Snapshot interaction policy is built on this.
-// Views are cheap: like Snapshot handles they borrow the store's
-// published heads rather than copying anything, and since the
-// snapshot-epoch refactor their multi-key reads (ByAttribute, All) run
-// entirely lock-free.
-type View struct {
-	store *Store
-	at    temporal.Instant
-}
-
-// ViewAt returns a read-only view of the state as believed and valid at t.
-// Callers that coordinate views with their own clock (the engine pins
-// views at watermarks) should AdvanceClock(t) first, so no later
-// default-clock write can commit at or before the view instant.
-func (s *Store) ViewAt(t temporal.Instant) *View { return &View{store: s, at: t} }
-
-// At reports the view's instant.
-func (v *View) At() temporal.Instant { return v.at }
-
-// Get returns the version of (entity, attr) valid at the view instant.
-func (v *View) Get(entity, attr string) (*element.Fact, bool) {
-	return v.store.Find(entity, attr, AsOfValidTime(v.at), AsOfTransactionTime(v.at))
-}
-
-// ByAttribute returns all facts for attr valid at the view instant.
-func (v *View) ByAttribute(attr string) []*element.Fact {
-	return v.store.List(WithAttribute(attr), AsOfValidTime(v.at), AsOfTransactionTime(v.at))
-}
-
-// All returns every fact valid at the view instant.
-func (v *View) All() []*element.Fact {
-	return v.store.List(AsOfValidTime(v.at), AsOfTransactionTime(v.at))
 }

@@ -82,7 +82,7 @@ func (k ChangeKind) String() string {
 }
 
 // Change describes one state transition, delivered synchronously to
-// watchers in mutation order.
+// batch watchers in mutation order.
 type Change struct {
 	Kind ChangeKind
 	// Fact is the affected version. For Terminated changes the validity
@@ -97,20 +97,16 @@ type Change struct {
 	At temporal.Instant
 }
 
-// Watcher observes state changes. Watchers run synchronously after the
-// mutation commits (outside the shard lock), in mutation order for a
-// single mutator; they may read back into the store — standing queries
-// (internal/query.RegisterContinuous) rely on this. Under concurrent
-// mutators, a watcher may observe store state newer than its Change.
-type Watcher func(Change)
-
 // BatchWatcher observes the full change set of one mutation (a Put,
-// Delete or Replace, or one PutBatch call) in a single callback instead
-// of one call per change. It exists for high-volume taps — the engine's
-// watermark capture uses it — where per-change callback and locking
-// overhead on the write path matters. The slice is store-owned scratch,
-// valid only for the duration of the call: implementations must copy out
-// the Change structs they retain and never keep the slice itself.
+// Delete or Replace, or one PutBatch call) in a single callback. It is
+// the store's one observer: the engine's watermark capture and the
+// reasoner's dirty mark register through WatchBatch. Watchers run
+// synchronously after the mutation commits (outside the shard lock), in
+// mutation order for a single mutator; under concurrent mutators a
+// watcher may observe store state newer than its changes. The slice is
+// store-owned scratch, valid only for the duration of the call:
+// implementations must copy out the Change structs they retain and never
+// keep the slice itself.
 type BatchWatcher func([]Change)
 
 // lineage is the bitemporal record history of one key. All of its data
@@ -409,11 +405,10 @@ type Store struct {
 
 	// obsMu guards the mutation observers: the watcher list and the
 	// attached log. Both are read at the start of every mutation and
-	// written only by Watch/AttachLog.
-	obsMu    sync.RWMutex
-	watchers []Watcher
-	batchWs  []BatchWatcher
-	log      *Log
+	// written only by WatchBatch/AttachLog.
+	obsMu   sync.RWMutex
+	batchWs []BatchWatcher
+	log     *Log
 
 	// compaction is the per-shard compaction scheduling policy; nil
 	// disables automatic sweeps. See SetCompactionPolicy.
@@ -478,13 +473,6 @@ func (s *Store) AttachLog(l *Log) {
 	s.log = l
 }
 
-// Watch registers a watcher for all subsequent changes.
-func (s *Store) Watch(w Watcher) {
-	s.obsMu.Lock()
-	defer s.obsMu.Unlock()
-	s.watchers = append(s.watchers, w)
-}
-
 // WatchBatch registers a batch watcher for all subsequent changes.
 func (s *Store) WatchBatch(w BatchWatcher) {
 	s.obsMu.Lock()
@@ -492,11 +480,11 @@ func (s *Store) WatchBatch(w BatchWatcher) {
 	s.batchWs = append(s.batchWs, w)
 }
 
-// observers snapshots the watcher lists and attached log for one mutation.
-func (s *Store) observers() ([]Watcher, []BatchWatcher, *Log) {
+// observers snapshots the watcher list and attached log for one mutation.
+func (s *Store) observers() ([]BatchWatcher, *Log) {
 	s.obsMu.RLock()
 	defer s.obsMu.RUnlock()
-	return s.watchers, s.batchWs, s.log
+	return s.batchWs, s.log
 }
 
 // changeBufs recycles the per-mutation change scratch: with any watcher
@@ -511,8 +499,8 @@ func takeChangeBuf() *[]Change {
 }
 
 // putChangeBuf clears and returns a change buffer to the pool. Safe only
-// after every observer of the buffer has returned: per-change watchers
-// receive struct copies and batch watchers must not retain the slice.
+// after every observer of the buffer has returned: batch watchers must
+// not retain the slice.
 func putChangeBuf(bp *[]Change, changes []Change) {
 	for i := range changes {
 		changes[i] = Change{}
@@ -530,18 +518,12 @@ func (s *Store) AdvanceClock(t temporal.Instant) {
 	s.clock.observe(t)
 }
 
-// notifyAll dispatches committed changes to the given watcher snapshot;
-// call only after releasing the shard lock. Per-change watchers see one
-// call per change in mutation order; batch watchers see the whole set in
-// one call.
-func notifyAll(ws []Watcher, bws []BatchWatcher, changes []Change) {
+// notifyAll dispatches committed changes to the given watcher snapshot,
+// the whole set in one call per watcher; call only after releasing the
+// shard lock.
+func notifyAll(bws []BatchWatcher, changes []Change) {
 	if len(changes) == 0 {
 		return
-	}
-	for _, c := range changes {
-		for _, w := range ws {
-			w(c)
-		}
 	}
 	for _, w := range bws {
 		w(changes)
@@ -572,8 +554,8 @@ type writeReq struct {
 // offered to the compaction policy. It is the frame around both
 // single-key write bodies, apply and Replace.
 func (s *Store) mutate(sh *shard, body func(log *Log, changes []Change, record bool) ([]Change, error)) error {
-	ws, bws, log := s.observers()
-	record := len(ws) > 0 || len(bws) > 0
+	bws, log := s.observers()
+	record := len(bws) > 0
 	var (
 		changes []Change
 		bufp    *[]Change
@@ -586,7 +568,7 @@ func (s *Store) mutate(sh *shard, body func(log *Log, changes []Change, record b
 	changes, err := body(log, changes, record)
 	sh.mu.Unlock()
 	if err == nil {
-		notifyAll(ws, bws, changes)
+		notifyAll(bws, changes)
 	}
 	if bufp != nil {
 		putChangeBuf(bufp, changes)
@@ -641,7 +623,10 @@ func (s *Store) apply(r writeReq) error {
 			// durable record history first: committing onto a fresh
 			// lineage would make the next flush frame supersede history
 			// the store no longer sees.
-			l = s.faultIn(sh, key)
+			var err error
+			if l, err = s.faultIn(sh, key); err != nil {
+				return changes, err
+			}
 		}
 		if r.isDelete && (l == nil || l.head.Load().overlappingLive(w) == nil) {
 			// Deleting where nothing is believed is a no-op, not even logged.
@@ -913,17 +898,10 @@ func (s *Store) Find(entity, attr string, opts ...ReadOpt) (*element.Fact, bool)
 	return s.findClone(entity, attr, newReadCfg(opts))
 }
 
-// FindSpec is Find with a pre-resolved ReadSpec instead of a ReadOpt list:
-// the same selection semantics without allocating option closures. Hot
-// paths that issue one point read per stream element use it.
-func (s *Store) FindSpec(entity, attr string, spec ReadSpec) (*element.Fact, bool) {
-	return s.findClone(entity, attr, spec.cfg())
-}
-
-// FindValue returns just the value of the version FindSpec would select.
-// Because element.Value is a plain struct, the read allocates nothing: no
-// option closures and no defensive Fact clone. This is the engine's
-// gate/enrichment read.
+// FindValue returns just the value of the version Find would select with
+// the spec's options. Because element.Value is a plain struct, the read
+// allocates nothing: no option closures and no defensive Fact clone. This
+// is the engine's gate/enrichment read.
 func (s *Store) FindValue(entity, attr string, spec ReadSpec) (element.Value, bool) {
 	if f := s.findPick(entity, attr, spec.cfg()); f != nil {
 		return f.Value, true
@@ -1105,34 +1083,6 @@ func (s *Store) scanAt(tt temporal.Instant, pred func(*element.Fact) bool) []*el
 	})
 }
 
-// ValiditySet returns the coalesced set of intervals over which
-// (entity, attr) is believed to have had any value. Like the other
-// key-level reads it falls through to the ColdSource for non-resident
-// lineages.
-func (s *Store) ValiditySet(entity, attr string) *temporal.Set {
-	set := temporal.NewSet()
-	key := element.FactKey{Entity: entity, Attribute: attr}
-	l := s.shardFor(entity, attr).get(key)
-	var h *head
-	if l == nil {
-		cs := s.coldSource()
-		if cs == nil {
-			return set
-		}
-		records, ok := cs.ColdRecords(key, ReadSpec{}, false)
-		if !ok {
-			return set
-		}
-		h = detachedHead(records)
-	} else {
-		h = l.head.Load()
-	}
-	for i, n := 0, h.nLive(); i < n; i++ {
-		set.Add(h.liveAt(i).Validity)
-	}
-	return set
-}
-
 // CompactionPolicy schedules per-shard compaction from write growth: once
 // a shard has appended GrowthThreshold records since its last sweep, the
 // committing writer sweeps just that shard with CompactBefore semantics
@@ -1239,8 +1189,7 @@ func (s *Store) CompactBeforeWithWorkers(t temporal.Instant, workers int) int {
 // many believed versions were removed and whether the lineage emptied
 // entirely (the caller then drops it from the indexes). A lineage with
 // nothing to drop keeps its published head untouched. Callers hold
-// sh.mu. This is the one shared body behind every physical-removal sweep
-// (CompactBefore, DropDerived); each supplies only its drop predicate.
+// sh.mu.
 //
 // A lineage that actually dropped records advances its maxTx to `now`
 // (the sweep's clock reading): maxTx is the durability layer's dirty
@@ -1305,12 +1254,23 @@ func (sh *shard) sweepLineage(l *lineage, now temporal.Instant, retain bool, dro
 	return liveRemoved, false
 }
 
-// sweep applies sweepLineage to every lineage of the shard under its
-// write lock, dropping emptied lineages (or retaining them as husks —
-// see sweepLineage) and republishing the directory when the key set
-// changed. `now` is the sweep's clock reading, stamped into swept
-// lineages' maxTx.
-func (sh *shard) sweep(now temporal.Instant, retain bool, drop func(*element.Fact) bool) int {
+// compactBefore sweeps one shard under its write lock; see CompactBefore.
+// A record is dropped when its belief closed at or before t (superseded
+// records) or its validity ended at or before t (believed ones). Emptied
+// lineages leave the indexes (or stay as husks — see sweepLineage) and
+// the directory is republished when the key set changed. Untouched
+// lineages keep their published head; compacted ones get a fresh head
+// built from fresh arrays, never mutating slices an in-flight reader may
+// hold. `now` is the sweep's clock reading, stamped into swept lineages'
+// maxTx.
+func (sh *shard) compactBefore(t, now temporal.Instant, retain bool) int {
+	drop := func(f *element.Fact) bool {
+		if end := f.BeliefEnd(); end != temporal.Forever {
+			return end <= t
+		}
+		return f.Validity.End <= t
+	}
+	sh.growth.Store(0)
 	removed := 0
 	sh.mu.Lock()
 	dropped := false
@@ -1326,37 +1286,6 @@ func (sh *shard) sweep(now temporal.Instant, retain bool, drop func(*element.Fac
 		sh.publishRebuild(nil)
 	}
 	sh.mu.Unlock()
-	return removed
-}
-
-// compactBefore sweeps one shard; see CompactBefore. A record is dropped
-// when its belief closed at or before t (superseded records) or its
-// validity ended at or before t (believed ones). Untouched lineages keep
-// their published head; compacted ones get a fresh head built from fresh
-// arrays, never mutating slices an in-flight reader may hold.
-func (sh *shard) compactBefore(t, now temporal.Instant, retain bool) int {
-	sh.growth.Store(0)
-	return sh.sweep(now, retain, func(f *element.Fact) bool {
-		if end := f.BeliefEnd(); end != temporal.Forever {
-			return end <= t
-		}
-		return f.Validity.End <= t
-	})
-}
-
-// DropDerived removes every derived version (facts materialized by the
-// reasoner), returning how many believed versions were dropped. The
-// reasoner uses this to rematerialize from scratch after a retraction.
-// Derived records are removed physically — they are a cache over the
-// asserted state, not part of the audit history. Like CompactBefore, it
-// sweeps one shard at a time and publishes fresh heads.
-func (s *Store) DropDerived() int {
-	removed := 0
-	now := s.clock.now()
-	retain := s.retainSwept.Load()
-	for _, sh := range s.shards {
-		removed += sh.sweep(now, retain, func(f *element.Fact) bool { return f.Derived })
-	}
 	return removed
 }
 

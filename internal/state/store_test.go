@@ -171,10 +171,10 @@ func TestScanAndValiditySet(t *testing.T) {
 	if len(only2) != 1 {
 		t.Fatalf("scan pred: %v", only2)
 	}
-	vs := s.ValiditySet("e", "a")
-	ivs := vs.Intervals()
-	if len(ivs) != 2 || ivs[0] != temporal.NewInterval(0, 10) || ivs[1] != temporal.Since(20) {
-		t.Fatalf("validity set: %s", vs)
+	// The believed timeline is the key's validity set, gap included.
+	hist := s.History("e", "a")
+	if len(hist) != 2 || hist[0].Validity != temporal.NewInterval(0, 10) || hist[1].Validity != temporal.Since(20) {
+		t.Fatalf("validity set: %v", hist)
 	}
 }
 
@@ -207,25 +207,10 @@ func TestCompactBefore(t *testing.T) {
 	}
 }
 
-func TestDropDerived(t *testing.T) {
-	s := NewStore()
-	s.Replace("e", "a", element.Int(1), 0)
-	s.Put("e", "b", element.Int(2), WithValidTime(0), WithTransactionTime(0), WithDerived())
-	if got := s.DropDerived(); got != 1 {
-		t.Fatalf("dropped: %d", got)
-	}
-	if _, ok := s.Find("e", "b"); ok {
-		t.Error("derived fact should be gone")
-	}
-	if _, ok := s.Find("e", "a"); !ok {
-		t.Error("asserted fact should remain")
-	}
-}
-
 func TestWatchers(t *testing.T) {
 	s := NewStore()
 	var changes []Change
-	s.Watch(func(c Change) { changes = append(changes, c) })
+	s.WatchBatch(func(cs []Change) { changes = append(changes, cs...) })
 	s.Replace("e", "a", element.Int(1), 10)
 	s.Replace("e", "a", element.Int(2), 20) // terminate + assert
 	s.Delete("e", "a", WithValidTime(30), WithTransactionTime(30))
@@ -249,20 +234,21 @@ func TestWatchers(t *testing.T) {
 func TestViewSnapshotIsolation(t *testing.T) {
 	s := NewStore()
 	s.Replace("e", "a", element.Int(1), 10)
-	v := s.ViewAt(15)
+	// A view at 15: the snapshot pinned at 15, read as of 15 in valid time.
+	v := s.SnapshotAt(15)
 	if v.At() != 15 {
 		t.Error("view instant")
 	}
 	// A later mutation must not change what the view sees.
 	s.Replace("e", "a", element.Int(2), 20)
-	f, ok := v.Get("e", "a")
+	f, ok := v.Find("e", "a", AsOfValidTime(15))
 	if !ok || f.Value.MustInt() != 1 {
 		t.Fatalf("view get: %v %v", f, ok)
 	}
-	if got := v.ByAttribute("a"); len(got) != 1 || got[0].Value.MustInt() != 1 {
+	if got := v.List(WithAttribute("a"), AsOfValidTime(15)); len(got) != 1 || got[0].Value.MustInt() != 1 {
 		t.Fatalf("view by attribute: %v", got)
 	}
-	if got := v.All(); len(got) != 1 {
+	if got := v.List(AsOfValidTime(15)); len(got) != 1 {
 		t.Fatalf("view all: %v", got)
 	}
 }

@@ -405,10 +405,6 @@ type (
 	// (PreparedQuery.Explain): partitions, pushed predicates, value
 	// bounds, and pruning decisions.
 	QueryPlan = query.Plan
-	// StandingQuery is a deployed continuous state query
-	// (Engine.RegisterStateQuery): it re-evaluates on relevant state
-	// changes and pushes changed results.
-	StandingQuery = query.Continuous
 )
 
 // Prepared query execution options (see PreparedQuery.Exec).
@@ -451,7 +447,7 @@ type (
 	// StoreStats summarizes store occupancy.
 	StoreStats = state.Stats
 	// ReadSpec is the pre-resolved, allocation-free form of a point-read
-	// option list (see Store.FindSpec / Store.FindValue).
+	// option list (see Store.FindValue).
 	ReadSpec = state.ReadSpec
 	// BatchPut is one Store.Replace write in a Store.PutBatch group
 	// commit (the micro-batch ingestion write path).
@@ -601,10 +597,11 @@ type (
 	// Subscriber is one registered subscription's receive handle.
 	Subscriber = subscribe.Subscriber
 	// SubscriptionFilter selects which changes and emissions a
-	// subscriber receives, or carries a continuous query.
+	// subscriber receives, or carries a standing query (Query) that is
+	// re-evaluated at each watermark.
 	SubscriptionFilter = subscribe.Filter
 	// Delivery is one pushed update: a per-watermark delta batch, a
-	// continuous-query result, or a resync snapshot.
+	// standing-query result, or a resync snapshot.
 	Delivery = subscribe.Delivery
 	// DeliveryKind discriminates Delivery payloads.
 	DeliveryKind = subscribe.Kind

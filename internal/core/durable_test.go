@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
+	"repro/internal/element"
 	"repro/internal/state/segment"
 	"repro/internal/stream"
 	"repro/internal/temporal"
@@ -182,5 +184,40 @@ func TestRecoveryDurableEnginePulse(t *testing.T) {
 	}
 	if err := e2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDurableOptionOrder: WithResidencyBudget and WithDurableDir compose
+// in either order. Each order reopens its own copy of a 200-key directory
+// under a 1-byte budget, so the cold start must leave keys evicted — the
+// same number both ways.
+func TestDurableOptionOrder(t *testing.T) {
+	build := func() string {
+		dir := t.TempDir()
+		e := New(WithDurableDir(dir))
+		for i := 0; i < 200; i++ {
+			if err := e.Store().Put(fmt.Sprintf("k%03d", i), "v", element.Int(int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	evicted := func(opts ...Option) int {
+		e := New(opts...)
+		defer e.Close()
+		if err := e.Health().DurableErr; err != nil {
+			t.Fatal(err)
+		}
+		return e.Durable().Info().EvictedLineages
+	}
+	dirFirst := build()
+	budgetFirst := build()
+	a := evicted(WithDurableDir(dirFirst), WithResidencyBudget(1))
+	b := evicted(WithResidencyBudget(1), WithDurableDir(budgetFirst))
+	if a == 0 || a != b {
+		t.Fatalf("evicted lineages: dir-first %d, budget-first %d; want equal and > 0", a, b)
 	}
 }

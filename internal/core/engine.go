@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/element"
 	"repro/internal/lang"
@@ -277,10 +276,12 @@ func WithRoutingKey(fn func(*element.Element) string) Option {
 // Close. The directory's WAL chain is the engine's only mutation log.
 //
 // Extra segment options (e.g. segment.WithFlushEvery) tune the flush
-// cadence.
+// cadence. They are appended to those other options (WithResidencyBudget)
+// add, so the order of the engine options does not matter.
 func WithDurableDir(path string, opts ...segment.Option) Option {
 	return optionFunc(func(e *Engine) {
-		e.durablePath, e.durableOpts = path, opts
+		e.durablePath = path
+		e.durableOpts = append(e.durableOpts, opts...)
 	})
 }
 
@@ -294,29 +295,6 @@ func WithDurableDir(path string, opts ...segment.Option) Option {
 func WithResidencyBudget(n int64) Option {
 	return optionFunc(func(e *Engine) {
 		e.durableOpts = append(e.durableOpts, segment.WithResidencyBudget(n))
-	})
-}
-
-// WithAutoCompact schedules per-shard state compaction from ingest
-// progress: once any single shard of the store has accumulated growth new
-// records since its last sweep, the next write to that shard compacts its
-// history older than retain behind the engine's watermark. Only the
-// grown shard is swept — compaction load follows each shard's own write
-// rate instead of store-wide passes — and since compaction publishes
-// fresh lineage heads, in-flight lock-free readers are never blocked by
-// a sweep. Disabled by default; growth <= 0 disables it explicitly.
-func WithAutoCompact(retain time.Duration, growth int) Option {
-	return optionFunc(func(e *Engine) {
-		e.store.SetCompactionPolicy(&state.CompactionPolicy{
-			GrowthThreshold: growth,
-			Horizon: func() temporal.Instant {
-				wm := e.Watermark()
-				if wm == temporal.MinInstant {
-					return temporal.MinInstant
-				}
-				return wm.Add(-retain)
-			},
-		})
 	})
 }
 

@@ -63,7 +63,6 @@ import (
 	"repro/internal/rules"
 	"repro/internal/state"
 	"repro/internal/stream"
-	"repro/internal/temporal"
 )
 
 // processBuffered is Process under WithParallelism(n > 1): elements
@@ -88,13 +87,6 @@ func (e *Engine) Flush() error {
 		return e.flushBatch()
 	}
 	return nil
-}
-
-// CompactBefore prunes store history before t (see state.CompactBefore),
-// sweeping shards in parallel bounded by the engine's ingestion
-// parallelism.
-func (e *Engine) CompactBefore(t temporal.Instant) int {
-	return e.store.CompactBeforeWithWorkers(t, e.parallelism)
 }
 
 // routeKey resolves an element's partition key.

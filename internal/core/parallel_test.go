@@ -264,25 +264,3 @@ func TestParallelConcurrentQueries(t *testing.T) {
 		t.Fatalf("elements in: %d", e.ElementsIn())
 	}
 }
-
-// TestEngineCompactBefore: the engine-level sweep (bounded by ingestion
-// parallelism) matches the store-level serial sweep.
-func TestEngineCompactBefore(t *testing.T) {
-	build := func(workers int) *Engine {
-		e := New(WithParallelism(workers))
-		if err := e.DeployRules(oracleRules); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Run(oracleMessages(1_000)); err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	serial, parallel := build(1), build(8)
-	rs := serial.CompactBefore(500)
-	rp := parallel.CompactBefore(500)
-	if rs != rp {
-		t.Fatalf("removed: serial %d, parallel %d", rs, rp)
-	}
-	compareStores(t, "compacted", serial.Store(), parallel.Store())
-}

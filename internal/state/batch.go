@@ -147,7 +147,6 @@ func (s *Store) PutBatch(puts []BatchPut) error {
 			nApplied++
 		}
 		sh.mu.Unlock()
-		s.maybeCompact(sh)
 		if firstErr != nil {
 			break
 		}

@@ -133,25 +133,6 @@ func TestPutBatchWatchers(t *testing.T) {
 	}
 }
 
-// TestCompactBeforeWorkers: the parallel sweep removes the same versions
-// and leaves the same state as the serial sweep, for any worker count.
-func TestCompactBeforeWorkers(t *testing.T) {
-	build := func() *Store {
-		st := NewStore()
-		if err := st.PutBatch(batchWorkload(2_000, 64)); err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	serial, parallel := build(), build()
-	rs := serial.CompactBeforeWithWorkers(1_000, 1)
-	rp := parallel.CompactBeforeWithWorkers(1_000, 8)
-	if rs != rp {
-		t.Fatalf("removed: serial %d, parallel %d", rs, rp)
-	}
-	sameFacts(t, "compacted", serial.List(AllVersions()), parallel.List(AllVersions()))
-}
-
 // TestFindValueSpec: the spec-based value read agrees with the option-
 // based Find across both time axes.
 func TestFindValueSpec(t *testing.T) {

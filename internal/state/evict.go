@@ -41,8 +41,8 @@ type ColdLineage struct {
 }
 
 // ColdSource serves reads for lineages that are not resident in RAM —
-// evicted by the residency budget or dropped by compaction with their
-// durable frames still truthful. The segment backend is the production
+// evicted by the residency budget, their durable frames the single copy
+// of their record history. The segment backend is the production
 // implementation. All methods must be safe for concurrent use and must
 // tolerate being asked about keys they do not own (return ok=false /
 // no entry).
@@ -191,19 +191,12 @@ func (s *Store) EvictedKeys() []element.FactKey {
 }
 
 // MarkCold seeds the cold directory at recovery, republishing each shard
-// once. Evicted keys (the manifest's plus any frames skipped to honor
-// the budget) also become fault-in targets; swept keys (the manifest's
-// durable-only husks, disjoint from them) serve reads only. Keys that
-// turn out to be resident are left alone.
-func (s *Store) MarkCold(evicted, swept []element.FactKey) {
+// once. The keys (the manifest's evicted set plus any frames skipped to
+// honor the budget) serve reads from their frames and are fault-in
+// targets for writes. Keys that turn out to be resident are left alone.
+func (s *Store) MarkCold(evicted []element.FactKey) {
 	add := make([][]element.FactKey, len(s.shards))
-	nEvicted := make([]int, len(s.shards)) // evicted keys lead each add list
 	for _, key := range evicted {
-		si := shardIndex(key.Entity, key.Attribute, s.shardMask)
-		add[si] = append(add[si], key)
-		nEvicted[si]++
-	}
-	for _, key := range swept {
 		si := shardIndex(key.Entity, key.Attribute, s.shardMask)
 		add[si] = append(add[si], key)
 	}
@@ -212,7 +205,7 @@ func (s *Store) MarkCold(evicted, swept []element.FactKey) {
 			continue
 		}
 		sh.mu.Lock()
-		for _, key := range add[si][:nEvicted[si]] {
+		for _, key := range add[si] {
 			if sh.byKey[key] == nil {
 				sh.evicted[key] = true
 			}
@@ -225,10 +218,10 @@ func (s *Store) MarkCold(evicted, swept []element.FactKey) {
 // EvictToBudget evicts least-recently-used, fully-durable lineages until
 // the store's resident byte estimate is at or below budget, returning
 // how many lineages were evicted. `durable` is the durability layer's
-// flushed cut: only lineages whose every touch (head.maxTx — writes and
-// sweep bumps alike) is at or before it are candidates, because only
-// for those does a durable frame hold the byte-identical record set.
-// Husks (empty heads awaiting their tombstone flush) are never evicted.
+// flushed cut: only lineages whose every write (head.maxTx) is at or
+// before it are candidates, because only for those does a durable frame
+// hold the byte-identical record set. A lineage with no records (one
+// whose first write failed to log) has no frame and is never evicted.
 //
 // The candidate scan is lock-free over the published directories; the
 // evictions themselves batch per shard under one write-lock hold, with

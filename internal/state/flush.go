@@ -8,9 +8,8 @@
 // recorded after the pin excluded, belief intervals closed after the pin
 // restored to open). FlushCut adds the one thing WriteSnapshot lacks:
 // incrementality. Each lineage head tracks the highest transaction time
-// that touched it (head.maxTx, which compaction sweeps also bump), so a
-// flusher that remembers its last cut revisits only the lineages written
-// — or swept — since.
+// that touched it (head.maxTx), so a flusher that remembers its last cut
+// revisits only the lineages written since.
 //
 // Recovery inverts the gather: LoadLineage installs one lineage's full
 // record set in a single head publication, far cheaper than replaying
@@ -39,9 +38,8 @@ import (
 //
 // `since` chains flushes: pass MinInstant for a full pass, or the pin of
 // the previous successful flush to gather only what changed. The dirty
-// test is head.maxTx > since, which covers writes, retroactive
-// corrections, and compaction sweeps (sweeps bump maxTx so a swept
-// lineage is re-flushed without its dropped records).
+// test is head.maxTx > since, which covers writes and retroactive
+// corrections alike.
 //
 // Callers pin tt the way snapshot handles do: at a quiesced boundary
 // (the engine's watermark after AdvanceClock) or behind the publication
@@ -49,14 +47,8 @@ import (
 // times at or before an already-flushed cut forfeit durability exactly
 // as they forfeit scan isolation (see snapshot.go).
 //
-// Each visit also carries the lineage's last WRITE transaction time
-// (sweep bumps excluded): for an empty visit the flusher compares it
-// against the key's existing frame cut to decide between a tombstone
-// (the frame predates writes — stale) and keeping the frame (pure
-// compaction — the frame is truthful deeper history).
-//
 // It returns the number of lineages visited.
-func (s *Store) FlushCut(tt, since temporal.Instant, visit func(key element.FactKey, records []*element.Fact, lastWrite temporal.Instant)) int {
+func (s *Store) FlushCut(tt, since temporal.Instant, visit func(key element.FactKey, records []*element.Fact)) int {
 	n := 0
 	var lins []*lineage
 	for _, sh := range s.shards {
@@ -70,84 +62,15 @@ func (s *Store) FlushCut(tt, since temporal.Instant, visit func(key element.Fact
 		}
 		slices.SortFunc(lins, func(a, b *lineage) int { return compareKeys(a.key, b.key) })
 		for _, l := range lins {
-			h := l.head.Load()
-			records := recordsAt(h, tt, nil)
+			records := recordsAt(l.head.Load(), tt, nil)
 			if len(records) == 0 {
-				if len(h.records) > 0 {
-					// Created entirely after the pin: nothing to persist
-					// yet; maxTx keeps it dirty for the next flush.
-					continue
-				}
-				// An emptied husk (see SetRetainSwept): emit the key with
-				// no records; the flusher tombstones or retains the
-				// existing frame based on lastWrite.
+				continue
 			}
-			visit(l.key, records, h.lastWrite)
+			visit(l.key, records)
 			n++
 		}
 	}
 	return n
-}
-
-// SetRetainSwept makes compaction sweeps that empty a lineage keep it as
-// an empty husk (published empty head, maxTx advanced to the sweep
-// instant) instead of deleting it. The segment backend sets this: the
-// husk is what lets FlushCut emit a durability tombstone for the key, so
-// the key's old segment frame stops answering fall-through reads and
-// recovery with data the sweep removed. Pair with DropSweptBefore to
-// reclaim husks once their tombstones are durable.
-func (s *Store) SetRetainSwept(retain bool) {
-	s.retainSwept.Store(retain)
-}
-
-// DropSweptBefore removes empty husk lineages whose last activity
-// (maxTx) is at or before cut — those whose tombstones (or truthful
-// frames) a flush at cut has made durable. The segment backend calls it
-// after each committed flush. A dropped key for which durable reports a
-// frame that may still hold records becomes cold in the same directory
-// publication that removes it from RAM, so scans keep serving the frame;
-// a key durable denies (a fresh tombstone, no frame at all) simply goes.
-func (s *Store) DropSweptBefore(cut temporal.Instant, durable func(element.FactKey) bool) {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		changed := false
-		var cold []element.FactKey
-		for key, l := range sh.byKey {
-			h := l.head.Load()
-			if len(h.records) == 0 && h.maxTx <= cut {
-				delete(sh.byKey, key)
-				changed = true
-				if durable(key) {
-					cold = append(cold, key)
-				}
-			}
-		}
-		if changed {
-			sh.publishRebuild(cold)
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// SweptBefore lists the husk keys DropSweptBefore(cut) would drop,
-// without dropping them. The segment backend takes the preview BEFORE
-// its manifest commit — the manifest must record the keys as
-// durable-only in the same atomic rename that makes the flush durable,
-// or a restart between the commit and the drop would reload them
-// resident. The preview only reads, so it takes each shard's read lock.
-func (s *Store) SweptBefore(cut temporal.Instant) []element.FactKey {
-	var keys []element.FactKey
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for key, l := range sh.byKey {
-			h := l.head.Load()
-			if len(h.records) == 0 && h.maxTx <= cut {
-				keys = append(keys, key)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return keys
 }
 
 // LoadLineage installs one lineage's full record set — as serialized by a
@@ -211,7 +134,7 @@ func detachedHead(records []*element.Fact) *head {
 // the earlier-starting of an overlapping pair is dropped from the belief
 // slices.
 func buildHead(records []*element.Fact, strict bool) (*head, error) {
-	h := &head{records: records, maxTx: temporal.MinInstant, lastWrite: temporal.MinInstant, txOrdered: true}
+	h := &head{records: records, maxTx: temporal.MinInstant, txOrdered: true}
 	var live []*element.Fact
 	liveSorted := true
 	for i, f := range records {
@@ -256,9 +179,6 @@ func buildHead(records []*element.Fact, strict bool) (*head, error) {
 		live = live[:n-1]
 	}
 	h.closed = live
-	// Detached records carry only writes, so the write high-water mark
-	// coincides with maxTx here (sweep bumps happen to live heads only).
-	h.lastWrite = h.maxTx
 	h.recomputeValueEnv()
 	return h, nil
 }

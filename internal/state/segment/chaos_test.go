@@ -306,7 +306,7 @@ func TestDegradeFallthroughReadsStop(t *testing.T) {
 	}
 	defer d.Close()
 	db := d.Mem()
-	// A fully bounded lineage, compacted out of RAM after its flush: the
+	// A fully bounded lineage, evicted from RAM after its flush: the
 	// standard fallthrough setup of TestRecoveryFallthroughReads.
 	if err := db.Put("old", "v", element.Int(1),
 		state.WithValidTime(10), state.WithEndValidTime(20),
@@ -316,11 +316,8 @@ func TestDegradeFallthroughReadsStop(t *testing.T) {
 	if err := d.FlushAt(50); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	if removed := d.Mem().CompactBefore(100); removed == 0 {
-		t.Fatalf("compaction removed nothing")
-	}
-	if err := d.FlushAt(60); err != nil {
-		t.Fatalf("reclaim flush: %v", err)
+	if n := d.EvictToBudget(0); n != 1 {
+		t.Fatalf("evicted %d lineages, want 1", n)
 	}
 	if _, ok := d.Find("old", "v", state.AsOfValidTime(15)); !ok {
 		t.Fatalf("fallthrough read must work while healthy")

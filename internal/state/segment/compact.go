@@ -281,8 +281,9 @@ func (d *Store) buildMerge(cat *catalog, lo, hi, outLevel int, seq uint64) (*rea
 }
 
 // pruneRetention drops superseded belief versions whose supersession
-// predates the horizon. Currently-believed records always survive, so a
-// frame with records never prunes to empty.
+// predates the horizon. Currently-believed records always survive, but a
+// lineage deleted from its first valid instant has none: its frame
+// prunes to empty, which the merge writes as a tombstone (or elides).
 func pruneRetention(records []*element.Fact, horizon temporal.Instant) []*element.Fact {
 	if horizon == temporal.MinInstant {
 		return records
@@ -350,7 +351,7 @@ func (d *Store) commitMerge(cat *catalog, lo, hi int, merged *reader) error {
 	// victims are then the orphans. If the rename never happened the
 	// output is the orphan instead. Either way the next open's orphan
 	// sweep reconciles; unlinking here would race the ambiguity.
-	if err := d.writeManifest(d.manifestFor(nc, d.swept, d.mem.EvictedKeys())); err != nil {
+	if err := d.writeManifest(d.manifestFor(nc, d.mem.EvictedKeys())); err != nil {
 		d.compactFails.Add(1)
 		return err
 	}

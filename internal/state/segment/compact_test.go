@@ -201,38 +201,63 @@ func TestCompactGarbageRewrite(t *testing.T) {
 	}
 }
 
-// TestCompactTombstoneElision: a merge reclaims tombstone frames once no
-// older segment holds anything for them to shadow — including the
-// degenerate case where eliding every frame commits the victims away
-// with no output segment at all.
+// TestCompactTombstoneElision: belief retention prunes a lineage deleted
+// from its first valid instant to an empty frame — a tombstone — and a
+// merge reclaims it once no older segment holds anything for it to
+// shadow, including the degenerate case where eliding every frame
+// commits the victims away with no output segment at all.
 func TestCompactTombstoneElision(t *testing.T) {
-	t.Run("merge-elides-with-survivor", func(t *testing.T) {
-		dir := t.TempDir()
-		d, err := Open(dir)
+	// retract writes k (and any extra keys) at tx 10, flushes, deletes k
+	// from its first valid instant at tx 60, and flushes at 1000: with a
+	// 100 ns retention the merge horizon is 900, past the delete.
+	retract := func(t *testing.T, dir string, extra ...string) *Store {
+		t.Helper()
+		d, err := Open(dir, WithBeliefRetention(100*time.Nanosecond))
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		defer d.Close()
 		db := d.Mem()
-		for _, e := range []string{"keep", "gone"} {
-			if err := db.Put(e, "v", element.Int(1)); err != nil {
+		for _, e := range append([]string{"k"}, extra...) {
+			if err := db.Put(e, "v", element.Int(1),
+				state.WithValidTime(10), state.WithTransactionTime(10)); err != nil {
 				t.Fatalf("put: %v", err)
 			}
 		}
-		if err := d.Flush(); err != nil {
+		if err := d.FlushAt(50); err != nil {
 			t.Fatalf("flush: %v", err)
 		}
-		if err := db.Delete("gone", "v"); err != nil {
+		if err := db.Delete("k", "v",
+			state.WithValidTime(10), state.WithTransactionTime(60)); err != nil {
 			t.Fatalf("delete: %v", err)
 		}
-		if removed := d.Mem().CompactBefore(d.Mem().Snapshot().At() + 1); removed == 0 {
-			t.Fatalf("sweep removed nothing")
+		if err := d.FlushAt(1000); err != nil {
+			t.Fatalf("flush: %v", err)
 		}
-		if err := d.Flush(); err != nil { // writes the tombstone frame
-			t.Fatalf("tombstone flush: %v", err)
+		return d
+	}
+	// reopen crash-restarts d and requires k to stay absent.
+	reopen := func(t *testing.T, dir string, d *Store) *Store {
+		t.Helper()
+		d.Abandon()
+		rec, err := Open(dir)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
 		}
+		t.Cleanup(func() { rec.Close() })
+		if _, ok := rec.Find("k", "v"); ok {
+			t.Fatalf("retracted key resurrected after restart")
+		}
+		if hist := rec.History("k", "v", state.AllVersions()); len(hist) != 0 {
+			t.Fatalf("retracted key kept history after restart: %v", hist)
+		}
+		return rec
+	}
+
+	t.Run("merge-elides-with-survivor", func(t *testing.T) {
+		dir := t.TempDir()
+		d := retract(t, dir, "keep")
 		if info := d.Info(); info.Segments != 2 || info.FrameSlots != 3 {
-			t.Fatalf("setup: want tombstone beside the old frame, got %+v", info)
+			t.Fatalf("setup: want the retraction beside the old frame, got %+v", info)
 		}
 		if err := d.Compact(); err != nil {
 			t.Fatalf("compact: %v", err)
@@ -241,34 +266,18 @@ func TestCompactTombstoneElision(t *testing.T) {
 		if info.Segments != 1 || info.FrameSlots != 1 || info.Frames != 1 {
 			t.Fatalf("tombstone not elided: %+v", info)
 		}
-		if _, ok := d.Find("gone", "v"); ok {
-			t.Fatalf("tombstoned key resurrected by the merge")
+		if _, ok := d.Find("k", "v"); ok {
+			t.Fatalf("retracted key resurrected by the merge")
 		}
-		if f, ok := d.Find("keep", "v"); !ok || f.Value.String() != "1" {
+		rec := reopen(t, dir, d)
+		if f, ok := rec.Find("keep", "v"); !ok || f.Value.String() != "1" {
 			t.Fatalf("survivor lost by the merge: %v ok=%v", f, ok)
 		}
 	})
 
 	t.Run("merge-to-nothing", func(t *testing.T) {
 		dir := t.TempDir()
-		d, err := Open(dir)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		db := d.Mem()
-		if err := db.Put("k", "v", element.Int(1)); err != nil {
-			t.Fatalf("put: %v", err)
-		}
-		if err := d.Flush(); err != nil {
-			t.Fatalf("flush: %v", err)
-		}
-		if err := db.Delete("k", "v"); err != nil {
-			t.Fatalf("delete: %v", err)
-		}
-		d.Mem().CompactBefore(d.Mem().Snapshot().At() + 1)
-		if err := d.Flush(); err != nil {
-			t.Fatalf("tombstone flush: %v", err)
-		}
+		d := retract(t, dir)
 		if err := d.Compact(); err != nil {
 			t.Fatalf("compact: %v", err)
 		}
@@ -276,16 +285,7 @@ func TestCompactTombstoneElision(t *testing.T) {
 			t.Fatalf("want an empty catalog after full reclaim, got %+v", info)
 		}
 		// The empty catalog survives a restart.
-		d.Abandon()
-		rec, err := Open(dir)
-		if err != nil {
-			t.Fatalf("reopen: %v", err)
-		}
-		defer rec.Close()
-		if _, ok := rec.Find("k", "v"); ok {
-			t.Fatalf("fully reclaimed key resurrected after restart")
-		}
-		if info := rec.Info(); info.Segments != 0 {
+		if info := reopen(t, dir, d).Info(); info.Segments != 0 {
 			t.Fatalf("recovered catalog not empty: %+v", info)
 		}
 	})
@@ -357,13 +357,12 @@ func TestCompactBeliefRetention(t *testing.T) {
 	}
 }
 
-// TestRecoveryResidencyAfterRestart: lineages purely compacted out of
-// RAM (swept with every write covered by the frame — no tombstone) must
-// stay durable-only across restarts: recovery must not reload them
-// resident, while fallthrough reads — point reads AND scans, serial and
-// partitioned — keep answering exactly as before the crash. Swept keys
-// never pass through eviction, so only the recovered cold directory
-// keeps them in the scans.
+// TestRecoveryResidencyAfterRestart: lineages evicted from RAM must stay
+// durable-only across restarts: recovery must not reload them resident,
+// while fallthrough reads — point reads AND scans, serial and
+// partitioned — keep answering exactly as before the crash. The store
+// has no budget, so only the manifest's evicted set and the recovered
+// cold directory keep them out of RAM and in the scans.
 func TestRecoveryResidencyAfterRestart(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir)
@@ -383,15 +382,15 @@ func TestRecoveryResidencyAfterRestart(t *testing.T) {
 	if err := d.FlushAt(50); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	if removed := d.Mem().CompactBefore(100); removed == 0 {
-		t.Fatalf("sweep removed nothing")
+	if n := d.EvictToBudget(0); n != len(keys) {
+		t.Fatalf("evicted %d lineages, want %d", n, len(keys))
 	}
-	if err := d.FlushAt(60); err != nil { // reclaims the husks, records the sweep
-		t.Fatalf("reclaim flush: %v", err)
+	if err := d.FlushAt(60); err != nil { // records the evicted set
+		t.Fatalf("flush: %v", err)
 	}
 	for _, k := range keys {
 		if d.Mem().Contains(k, "v") {
-			t.Fatalf("%s still resident after the sweep", k)
+			t.Fatalf("%s still resident after eviction", k)
 		}
 	}
 	assertColdSeam(t, d)
@@ -406,7 +405,7 @@ func TestRecoveryResidencyAfterRestart(t *testing.T) {
 	}
 	want := scans(d)
 	if len(want[0]) != len(keys) {
-		t.Fatalf("pre-crash ASOF scan sees %d swept keys, want %d", len(want[0]), len(keys))
+		t.Fatalf("pre-crash ASOF scan sees %d evicted keys, want %d", len(want[0]), len(keys))
 	}
 	sameScans := func(leg string, d *Store) {
 		t.Helper()
@@ -417,9 +416,8 @@ func TestRecoveryResidencyAfterRestart(t *testing.T) {
 		}
 	}
 
-	// The regression: before the manifest recorded sweeps, recovery
-	// reloaded every frame resident, undoing the compaction's RAM
-	// reclaim on every restart.
+	// Recovery must not reload the frames resident, which would undo the
+	// eviction on every restart.
 	d.Abandon()
 	rec, err := Open(dir)
 	if err != nil {
@@ -427,7 +425,7 @@ func TestRecoveryResidencyAfterRestart(t *testing.T) {
 	}
 	for _, k := range keys {
 		if rec.Mem().Contains(k, "v") {
-			t.Fatalf("recovery reloaded swept lineage %s resident", k)
+			t.Fatalf("recovery reloaded evicted lineage %s resident", k)
 		}
 		if f, ok := rec.Find(k, "v", state.AsOfValidTime(15)); !ok || f.Value.String() == "" {
 			t.Fatalf("fallthrough read lost %s after restart", k)
@@ -436,7 +434,7 @@ func TestRecoveryResidencyAfterRestart(t *testing.T) {
 	assertColdSeam(t, rec)
 	sameScans("restart", rec)
 
-	// The sweep set survives further flush generations too.
+	// The evicted set survives further flush generations too.
 	if err := rec.Mem().Put("hot", "v", element.Int(1),
 		state.WithValidTime(70), state.WithTransactionTime(70)); err != nil {
 		t.Fatalf("put: %v", err)
@@ -453,7 +451,7 @@ func TestRecoveryResidencyAfterRestart(t *testing.T) {
 	defer again.Close()
 	for _, k := range keys {
 		if again.Mem().Contains(k, "v") {
-			t.Fatalf("swept lineage %s resurfaced two generations later", k)
+			t.Fatalf("evicted lineage %s resurfaced two generations later", k)
 		}
 	}
 	if !again.Mem().Contains("hot", "v") {
@@ -545,13 +543,15 @@ func TestFaultMergeCrash(t *testing.T) {
 // open removes the orphan and recovers the pre-merge cut.
 func TestFaultCloseInterruptsMerge(t *testing.T) {
 	dir := t.TempDir()
-	// One byte per second: the build throttles immediately and can only
-	// finish by being interrupted.
-	d, err := Open(dir, WithCompactionFanout(2), WithCompactionRate(1))
+	d, err := Open(dir, WithCompactionFanout(2))
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	buildChain(t, d, 2)
+	// One byte per second: the build throttles immediately and can only
+	// finish by being interrupted. Set before the first pulse, the only
+	// thing that starts a merge.
+	d.compactRate = 1
 	want := snapshotBytes(t, d.Mem())
 
 	d.Pulse(d.DurableTx())

@@ -32,7 +32,7 @@ func scanWrites(t *testing.T, db state.StateDB, openToo bool) {
 		return
 	}
 	if err := db.Put("live", "v", element.Int(3),
-		state.WithValidTime(15), state.WithTransactionTime(58)); err != nil {
+		state.WithValidTime(15), state.WithTransactionTime(62)); err != nil {
 		t.Fatalf("put: %v", err)
 	}
 }
@@ -42,7 +42,7 @@ func scanWrites(t *testing.T, db state.StateDB, openToo bool) {
 // holds no open validity, so current-belief scans prune it unread) and
 // the retracted one in a second segment whose envelope still spans
 // Forever, because frames keep the superseded open record for belief
-// pins. Both were compacted out of RAM, so List must merge their frames.
+// pins. Both were evicted from RAM, so List must merge their frames.
 func scanStore(t *testing.T) *Store {
 	t.Helper()
 	d, err := Open(t.TempDir())
@@ -59,9 +59,6 @@ func scanStore(t *testing.T) *Store {
 	if err := d.FlushAt(50); err != nil { // segment A: bounded-only
 		t.Fatalf("flush: %v", err)
 	}
-	if removed := d.Mem().CompactBefore(100); removed == 0 {
-		t.Fatalf("compaction removed nothing")
-	}
 	if err := db.Put("gone", "v", element.Int(2),
 		state.WithValidTime(12), state.WithTransactionTime(52)); err != nil {
 		t.Fatalf("put: %v", err)
@@ -70,18 +67,16 @@ func scanStore(t *testing.T) *Store {
 		state.WithValidTime(25), state.WithTransactionTime(55)); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
-	if err := db.Put("live", "v", element.Int(3),
-		state.WithValidTime(15), state.WithTransactionTime(58)); err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	if err := d.FlushAt(60); err != nil { // segment B: gone + live; reclaims old's husk
+	if err := d.FlushAt(60); err != nil { // segment B: gone
 		t.Fatalf("flush: %v", err)
 	}
-	if removed := d.Mem().CompactBefore(100); removed == 0 {
-		t.Fatalf("second compaction removed nothing")
+	// Written after the last flush, so eviction keeps it resident.
+	if err := db.Put("live", "v", element.Int(3),
+		state.WithValidTime(15), state.WithTransactionTime(62)); err != nil {
+		t.Fatalf("put: %v", err)
 	}
-	if err := d.FlushAt(70); err != nil { // reclaim gone's husk
-		t.Fatalf("reclaim flush: %v", err)
+	if n := d.EvictToBudget(0); n != 2 {
+		t.Fatalf("evicted %d lineages, want 2", n)
 	}
 	if d.Mem().Contains("old", "v") || d.Mem().Contains("gone", "v") {
 		t.Fatalf("bounded lineages should be gone from RAM")
@@ -92,7 +87,7 @@ func scanStore(t *testing.T) *Store {
 	return d
 }
 
-// TestScanMergesDurableLineages: List below the compaction horizon must
+// TestScanMergesDurableLineages: List below the residency horizon must
 // return exactly what a plain store with the same history returns —
 // segment-only lineages merged in sorted order — while envelope pruning
 // keeps shape-impossible segments unread.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/element"
@@ -340,8 +341,8 @@ func TestRecoveryCorruptSegment(t *testing.T) {
 	}
 }
 
-// TestRecoveryFallthroughReads: a lineage compacted out of RAM entirely
-// keeps answering point reads and history from its durable frame.
+// TestRecoveryFallthroughReads: a lineage evicted from RAM keeps
+// answering point reads and history from its durable frame.
 func TestRecoveryFallthroughReads(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir)
@@ -350,27 +351,22 @@ func TestRecoveryFallthroughReads(t *testing.T) {
 	}
 	defer d.Close()
 	db := d.Mem()
-	// A fully bounded lineage: compactable to nothing.
+	// A fully bounded lineage: no open version for current reads.
 	if err := db.Put("old", "v", element.Int(1),
 		state.WithValidTime(10), state.WithEndValidTime(20),
 		state.WithTransactionTime(10)); err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	if err := db.Put("live", "v", element.Int(2),
-		state.WithValidTime(10), state.WithTransactionTime(10)); err != nil {
-		t.Fatalf("put: %v", err)
-	}
 	if err := d.FlushAt(50); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	if removed := d.Mem().CompactBefore(100); removed == 0 {
-		t.Fatalf("compaction removed nothing")
+	// Written after the flush, so eviction must keep it resident.
+	if err := db.Put("live", "v", element.Int(2),
+		state.WithValidTime(10), state.WithTransactionTime(60)); err != nil {
+		t.Fatalf("put: %v", err)
 	}
-	// The sweep leaves a husk; the next flush sees its writes are all
-	// covered by the existing frame (pure compaction, no tombstone) and
-	// reclaims it.
-	if err := d.FlushAt(60); err != nil {
-		t.Fatalf("reclaim flush: %v", err)
+	if n := d.EvictToBudget(0); n != 1 {
+		t.Fatalf("evicted %d lineages, want 1", n)
 	}
 	if d.Mem().Contains("old", "v") {
 		t.Fatalf("lineage should be gone from RAM")
@@ -417,9 +413,8 @@ func TestRecoveryHistoryFallthroughBoundedSegment(t *testing.T) {
 	if err := d.FlushAt(50); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	d.Mem().CompactBefore(1000)
-	if err := d.FlushAt(60); err != nil { // reclaim the husk; frame stays
-		t.Fatalf("reclaim flush: %v", err)
+	if n := d.EvictToBudget(0); n != 1 {
+		t.Fatalf("evicted %d lineages, want 1", n)
 	}
 	if d.Mem().Contains("e", "a") {
 		t.Fatalf("lineage should be gone from RAM")
@@ -482,38 +477,93 @@ func TestRecoveryNoFrameResurrection(t *testing.T) {
 	if _, ok := d.Find("k", "v", state.AsOfTransactionTime(d.DurableTx())); !ok {
 		t.Fatalf("pre-delete belief should resolve from RAM history")
 	}
+}
 
-	// Now compact the deleted lineage away entirely: the husk's last
-	// write (the delete) postdates the frame's cut, so the next flush
-	// writes a tombstone — the stale frame must not come back, not even
-	// through the fallthrough path or a restart.
-	if removed := d.Mem().CompactBefore(d.Mem().Snapshot().At() + 1); removed == 0 {
-		t.Fatalf("compaction removed nothing")
+// TestRecoverySweptDirectory opens testdata/swept-v3, a directory written
+// while RAM compaction existed: "old" (bounded, two records) was swept
+// from RAM with its frame kept, so the manifest lists it under Swept;
+// "gone" was deleted from its first valid instant and swept to a
+// tombstone frame; "live" stayed resident. Old swept keys now load as
+// evicted ones. The expected rows are what the reader of that era
+// returned for the same directory; the one change is the write at the
+// end, which now faults the frame's history in instead of starting a
+// fresh lineage.
+func TestRecoverySweptDirectory(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "swept-v3"))); err != nil {
+		t.Fatal(err)
 	}
-	if err := d.Flush(); err != nil {
-		t.Fatalf("tombstone flush: %v", err)
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatalf("open: %v", err)
 	}
-	if d.Mem().Contains("k", "v") {
-		t.Fatalf("husk should be reclaimed after the tombstone flush")
+	defer d.Close()
+	rows := func(fs ...*element.Fact) string {
+		var b strings.Builder
+		for _, f := range fs {
+			sup := "inf"
+			if end := f.BeliefEnd(); end != temporal.Forever {
+				sup = fmt.Sprint(int64(end))
+			}
+			valid := "inf"
+			if f.Validity.End != temporal.Forever {
+				valid = fmt.Sprint(int64(f.Validity.End))
+			}
+			fmt.Fprintf(&b, "%s=%s [%d,%s) rec=%d sup=%s; ", f.Entity, f.Value,
+				int64(f.Validity.Start), valid, int64(f.RecordedAt), sup)
+		}
+		return b.String()
 	}
-	if f, ok := d.Find("k", "v"); ok {
-		t.Fatalf("tombstoned key resurrected: %v", f)
+	same := func(what, got, want string) {
+		t.Helper()
+		if got != want {
+			t.Fatalf("%s:\n got %s\nwant %s", what, got, want)
+		}
 	}
-	if hist := d.History("k", "v", state.AllVersions()); len(hist) != 0 {
+
+	if d.Mem().Contains("old", "v") {
+		t.Fatalf("swept key loaded resident")
+	}
+	if !d.Mem().Contains("live", "v") {
+		t.Fatalf("live key not resident")
+	}
+	if info := d.Info(); info.EvictedLineages != 1 || info.ResidentLineages != 1 {
+		t.Fatalf("want the swept key evicted and only live resident, got %+v", info)
+	}
+	f, ok := d.Find("old", "v", state.AsOfValidTime(15))
+	if !ok {
+		t.Fatalf("swept key: valid-time read missed")
+	}
+	same("Find", rows(f), "old=2 [10,20) rec=15 sup=inf; ")
+	if _, ok := d.Find("old", "v"); ok {
+		t.Fatalf("bounded swept key answered a current read")
+	}
+	same("History", rows(d.History("old", "v", state.AllVersions())...),
+		"old=1 [10,20) rec=10 sup=15; old=2 [10,20) rec=15 sup=inf; ")
+	same("List", rows(d.List(state.AsOfValidTime(15))...),
+		"live=4 [10,inf) rec=10 sup=inf; old=2 [10,20) rec=15 sup=inf; ")
+
+	if d.Mem().Contains("gone", "v") {
+		t.Fatalf("tombstoned key loaded resident")
+	}
+	if _, ok := d.Find("gone", "v", state.AsOfValidTime(15)); ok {
+		t.Fatalf("tombstoned key answered a read")
+	}
+	if hist := d.History("gone", "v", state.AllVersions()); len(hist) != 0 {
 		t.Fatalf("tombstoned key has history: %v", hist)
 	}
-	d.Abandon()
-	rec, err := Open(dir)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
+
+	// The behaviour change: the write faults the frame in, so the new
+	// record joins the swept history instead of replacing it.
+	if err := d.Put("old", "v", element.Int(5),
+		state.WithValidTime(30), state.WithTransactionTime(80)); err != nil {
+		t.Fatalf("put: %v", err)
 	}
-	defer rec.Close()
-	if rec.Mem().Contains("k", "v") {
-		t.Fatalf("tombstoned key resurrected into RAM by recovery")
+	if !d.Mem().Contains("old", "v") || d.Info().EvictedLineages != 0 {
+		t.Fatalf("write did not fault the swept key in")
 	}
-	if f, ok := rec.Find("k", "v"); ok {
-		t.Fatalf("tombstoned key resurrected after restart: %v", f)
-	}
+	same("History after write", rows(d.History("old", "v", state.AllVersions())...),
+		"old=1 [10,20) rec=10 sup=15; old=2 [10,20) rec=15 sup=inf; old=5 [30,inf) rec=80 sup=inf; ")
 }
 
 // TestRecoveryAdvancesCutWithoutDirt: flushing a quiesced store advances

@@ -34,7 +34,7 @@
 //
 // Reads resolve against RAM first and fall through to segment frames
 // (pread + per-segment bitemporal envelope pruning) for lineages the RAM
-// working set no longer holds — a compacted head keeps its durable
+// working set no longer holds — an evicted lineage keeps its durable
 // history answerable. Writes go through the wrapped store unchanged, so
 // watchers, rules, and group commits behave identically.
 package segment
@@ -49,7 +49,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,8 +68,8 @@ const (
 	lockName = "LOCK"
 
 	// manifestVersion guards the manifest wire format. Version 2 added
-	// the durable-only (swept) key set; version 3 the evicted key set.
-	// Older manifests still read.
+	// the durable-only (swept) key set, now read only; version 3 the
+	// evicted key set. Older manifests still read.
 	manifestVersion = 3
 
 	// DefaultFlushEvery is the WAL-tail record count that triggers a
@@ -147,16 +146,14 @@ type manifestRec struct {
 	DurableTx temporal.Instant
 	NextSeq   uint64
 	Segments  []manifestSegment
-	// Swept is the durable-only key set (version 2+): keys whose
-	// lineages compaction evicted from RAM entirely and whose truthful
-	// frames recovery must keep on disk — answerable by fallthrough
-	// reads — instead of re-loading them resident.
+	// Swept is decode-only: directories written while RAM compaction
+	// existed list here the keys it removed from RAM whose frames stayed
+	// on disk. Open treats them as evicted; new manifests never write it.
 	Swept []element.FactKey
 	// Evicted is the residency-evicted key set (version 3+): lineages
 	// the working-set budget pushed out of RAM whose durable frames are
-	// the single copy. Unlike Swept keys they still hold records, so
-	// recovery must both keep them out of RAM AND mark them evicted —
-	// the write path faults them back in before mutating.
+	// the single copy. Recovery keeps them out of RAM and marks them
+	// evicted — the write path faults them back in before mutating.
 	Evicted []element.FactKey
 }
 
@@ -260,12 +257,6 @@ type Store struct {
 	mu      sync.Mutex
 	nextSeq uint64
 	closed  bool
-	// swept is the durable-only key set (guarded by mu, persisted in the
-	// manifest): lineages compaction evicted from RAM whose frames stay
-	// truthful on disk. Recovery keeps them out of the resident working
-	// set; fallthrough reads still answer them. A key leaves the set when
-	// a flush writes it again.
-	swept map[element.FactKey]bool
 	// closeOnce makes Close idempotent; closeErr is the first result.
 	closeOnce sync.Once
 	closeErr  error
@@ -396,12 +387,6 @@ func WithCompactionFanout(n int) Option {
 	}
 }
 
-// WithCompactionRate sets the merge write-rate limit in bytes per
-// second (default DefaultCompactRate; n <= 0 unthrottles).
-func WithCompactionRate(n int64) Option {
-	return func(d *Store) { d.compactRate = n }
-}
-
 // WithCompactionLevelBytes sets the level-0 byte budget of size-aware
 // victim selection (default DefaultCompactLevelBytes): a contiguous
 // equal-level run whose combined file size reaches n * fanout^level is
@@ -438,7 +423,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		fs: vfs.OS, retry: DefaultRetryPolicy,
 		compactFanout: DefaultCompactFanout, compactGarbage: defaultCompactGarbage,
 		compactRate: DefaultCompactRate, levelBytes: DefaultCompactLevelBytes,
-		swept:   map[element.FactKey]bool{},
 		closing: make(chan struct{}),
 	}
 	for _, o := range opts {
@@ -447,10 +431,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	if d.mem == nil {
 		d.mem = state.NewStore()
 	}
-	// Sweeps must leave tombstone husks behind (instead of silently
-	// deleting emptied lineages) so the next flush supersedes the key's
-	// stale segment frame; see state.SetRetainSwept.
-	d.mem.SetRetainSwept(true)
 	if err := d.fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("segment: open %s: %w", dir, err)
 	}
@@ -491,8 +471,10 @@ func Open(dir string, opts ...Option) (*Store, error) {
 			}
 			cat.segments = append(cat.segments, r)
 		}
+		// Old directories' swept keys hold their whole history in their
+		// frames, exactly like evicted ones.
 		for _, key := range man.Swept {
-			d.swept[key] = true
+			evicted[key] = true
 		}
 		for _, key := range man.Evicted {
 			evicted[key] = true
@@ -513,17 +495,13 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	if d.budget > 0 {
 		d.mem.SetAccessTracking(true)
 	}
-	// Every key left on disk with records is cold: evicted keys and the
-	// budget's skips fault back in on write, swept keys serve reads only.
+	// Every key left on disk is cold: evicted keys and the budget's skips
+	// serve reads from their frames and fault back in on write.
 	marks := budgetSkipped
 	for key := range evicted {
 		marks = append(marks, key)
 	}
-	var swept []element.FactKey
-	if man != nil {
-		swept = man.Swept
-	}
-	d.mem.MarkCold(marks, swept)
+	d.mem.MarkCold(marks)
 	// Lineages that stayed cold never observe their maxTx into the mem
 	// clock, so advance it to the durable cut — it bounds every flushed
 	// record — or snapshot and flush pins would land below cold history.
@@ -552,12 +530,12 @@ func Open(dir string, opts ...Option) (*Store, error) {
 // loadFrames bulk-loads the newest frame of every cataloged key into the
 // RAM working set and rebuilds each segment's live count. Segments walk
 // newest→oldest with a seen set, so each key loads from exactly its
-// newest frame; durable-only keys (see Store.swept) and evicted keys
-// keep their frames on disk, answerable by fallthrough reads, but stay
-// out of RAM. Each segment is read into memory once — one sequential
-// read per segment instead of a pread pair per lineage — and only one
-// image is held at a time; within a segment the decode+install work fans
-// out across shard-partitioned workers (see loadSegmentFrames).
+// newest frame; evicted keys keep their frames on disk, answerable by
+// fallthrough reads, but stay out of RAM. Each segment is read into
+// memory once — one sequential read per segment instead of a pread pair
+// per lineage — and only one image is held at a time; within a segment
+// the decode+install work fans out across shard-partitioned workers
+// (see loadSegmentFrames).
 //
 // A residency budget bounds the load: once the working set's byte
 // estimate reaches it, the remaining (older, since the walk is
@@ -581,7 +559,7 @@ func (d *Store) loadFrames(cat *catalog, evicted map[element.FactKey]bool) ([]el
 			}
 			seen[key] = true
 			owned++
-			if !d.swept[key] && !evicted[key] {
+			if !evicted[key] {
 				load = append(load, key)
 			}
 		}
@@ -844,33 +822,11 @@ func (d *Store) flushLocked(cut temporal.Instant) error {
 	}
 	var gatherErr error
 	// rewritten collects every key the new segment holds — each one's
-	// previous owner loses a live frame; newSwept the husks whose
-	// truthful frame stays on disk while the lineage leaves RAM; tombs the
-	// husks whose new frame is empty, which leave nothing cold behind.
-	var rewritten, newSwept []element.FactKey
-	var tombs map[element.FactKey]bool
-	d.mem.FlushCut(cut, cat.durableTx, func(key element.FactKey, records []*element.Fact, lastWrite temporal.Instant) {
+	// previous owner loses a live frame.
+	var rewritten []element.FactKey
+	d.mem.FlushCut(cut, cat.durableTx, func(key element.FactKey, records []*element.Fact) {
 		if gatherErr != nil {
 			return
-		}
-		if len(records) == 0 {
-			// An emptied husk. Its existing frame stays truthful history
-			// when it already covers every write (pure compaction); it
-			// needs a tombstone — an empty frame superseding it — only
-			// when writes happened after its cut (e.g. a delete the
-			// sweep then compacted away, which the stale frame would
-			// resurrect).
-			own, _, ok := cat.owner(key)
-			if !ok || lastWrite <= own.cut {
-				if ok {
-					newSwept = append(newSwept, key)
-				}
-				return
-			}
-			if tombs == nil {
-				tombs = map[element.FactKey]bool{}
-			}
-			tombs[key] = true
 		}
 		gatherErr = w.writeLineage(key, records)
 		rewritten = append(rewritten, key)
@@ -914,38 +870,7 @@ func (d *Store) flushLocked(cut temporal.Instant) error {
 		}
 	}
 
-	// The durable-only key set after this commit: a key the new segment
-	// holds is no longer merely durable (its newest frame speaks for
-	// itself), a husk whose truthful frame stayed becomes durable-only.
-	// The DropSweptBefore preview catches husks FlushCut never visited —
-	// a sweep between flushes can bump a husk's maxTx to a point already
-	// at or below the previous cut (pure compaction of a long-durable
-	// lineage); the commit below is their only chance to be recorded, or
-	// a restart would reload them resident.
-	preview := d.mem.SweptBefore(cut)
-	sweptAfter := d.swept
-	if len(rewritten) > 0 || len(newSwept) > 0 || len(preview) > 0 {
-		sweptAfter = make(map[element.FactKey]bool, len(d.swept)+len(newSwept)+len(preview))
-		for k := range d.swept {
-			sweptAfter[k] = true
-		}
-		for _, k := range newSwept {
-			sweptAfter[k] = true
-		}
-		for _, k := range preview {
-			// A husk with no durable frame has nothing to stay skippable
-			// for; it simply leaves RAM.
-			if _, _, ok := cat.owner(k); ok {
-				sweptAfter[k] = true
-			}
-		}
-		// Rewritten last: a key the new segment holds (including fresh
-		// tombstones) speaks for itself.
-		for _, k := range rewritten {
-			delete(sweptAfter, k)
-		}
-	}
-	man := d.manifestFor(nc, sweptAfter, d.mem.EvictedKeys())
+	man := d.manifestFor(nc, d.mem.EvictedKeys())
 	// Sync the WAL before the manifest commit: after the commit, every
 	// write is durable against power loss too — at or before the cut in
 	// the just-synced segment, after it in the just-synced tail. A
@@ -961,7 +886,6 @@ func (d *Store) flushLocked(cut temporal.Instant) error {
 		return err
 	}
 	d.cat.Store(nc)
-	d.swept = sweptAfter
 
 	// Retired segments are unlinked but NOT explicitly closed: a reader
 	// that loaded an older catalog may still pread them. Dropping every
@@ -984,40 +908,17 @@ func (d *Store) flushLocked(cut temporal.Instant) error {
 			return err
 		}
 	}
-	// Husks whose tombstones (or truthful frames) the commit covered are
-	// reclaimable (see state.SetRetainSwept). Keys the manifest recorded
-	// as durable-only leave RAM here and turn cold; the rest leave because
-	// their tombstone frame is now the durable truth. Any other owned key
-	// turns cold too — over-approximating is safe, missing one is not.
-	d.mem.DropSweptBefore(cut, func(key element.FactKey) bool {
-		_, _, ok := nc.owner(key)
-		return ok && !tombs[key]
-	})
 	return nil
 }
 
-// manifestFor serializes a catalog plus the durable-only and evicted
-// key sets as the manifest record to commit. evicted must already be
-// sorted (state.EvictedKeys emits manifest order). Callers hold d.mu.
-func (d *Store) manifestFor(cat *catalog, swept map[element.FactKey]bool, evicted []element.FactKey) *manifestRec {
-	man := &manifestRec{Version: manifestVersion, DurableTx: cat.durableTx, NextSeq: d.nextSeq}
+// manifestFor serializes a catalog plus the evicted key set as the
+// manifest record to commit. evicted must already be sorted
+// (state.EvictedKeys emits manifest order). Callers hold d.mu.
+func (d *Store) manifestFor(cat *catalog, evicted []element.FactKey) *manifestRec {
+	man := &manifestRec{Version: manifestVersion, DurableTx: cat.durableTx, NextSeq: d.nextSeq, Evicted: evicted}
 	for _, r := range cat.segments {
 		man.Segments = append(man.Segments, manifestSegment{File: filepath.Base(r.path), CutTx: r.cut})
 	}
-	if len(swept) > 0 {
-		man.Swept = make([]element.FactKey, 0, len(swept))
-		for k := range swept {
-			man.Swept = append(man.Swept, k)
-		}
-		// Sorted so manifest bytes are deterministic for a given state.
-		sort.Slice(man.Swept, func(i, j int) bool {
-			if man.Swept[i].Attribute != man.Swept[j].Attribute {
-				return man.Swept[i].Attribute < man.Swept[j].Attribute
-			}
-			return man.Swept[i].Entity < man.Swept[j].Entity
-		})
-	}
-	man.Evicted = evicted
 	return man
 }
 
@@ -1273,8 +1174,8 @@ func (d *Store) closeSegments(cat *catalog) {
 // Find returns the version of (entity, attr) selected by the read
 // options. The RAM working set resolves it and falls through to this
 // store's ColdRecords (the key's newest segment frame) when the lineage
-// is not resident — evicted by the budget or dropped by compaction — so
-// reads below the residency horizon still resolve. A resident lineage
+// is not resident — evicted by the budget — so reads below the residency
+// horizon still resolve. A resident lineage
 // answers from RAM alone, even when the answer is "nothing": its frame
 // may predate deletes or supersessions the lineage has since seen, and
 // serving it would resurrect them. Implements state.StateDB /
@@ -1292,7 +1193,7 @@ func (d *Store) History(entity, attr string, opts ...state.ReadOpt) []*element.F
 }
 
 // List scans through the RAM working set, whose gather resolves only the
-// keys its shards publish as cold — evicted or swept — against this
+// keys its shards publish as cold (evicted) against this
 // store's catalog (ColdFrames) and merges those frames in key order, so
 // scans below the residency horizon see the same durable history Find
 // and History do, in exactly the order an all-resident store would

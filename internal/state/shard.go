@@ -11,9 +11,9 @@
 //
 // Locking protocol:
 //
-//   - Mutations (apply, PutBatch, compaction sweeps) take the owning
-//     shard's write lock: the lock orders writers of the same shard;
-//     readers are ordered by the atomic head publication instead.
+//   - Mutations (apply, PutBatch, fault-ins) take the owning shard's
+//     write lock: the lock orders writers of the same shard; readers are
+//     ordered by the atomic head publication instead.
 //   - Point reads (Find/FindValue, History) take
 //     the shard's read lock ONLY for the byKey map lookup — an O(1)
 //     critical section — then release it and walk the published head
@@ -25,15 +25,15 @@
 //     each lineage's published head, and filter by belief visibility at
 //     the pin. See "Snapshot epochs" in DESIGN.md for the protocol and
 //     its memory model.
-//   - Eviction (EvictToBudget, evict.go) and husk drops
-//     (DropSweptBefore) move keys from the resident to the cold half of
-//     the directory in one publication under the write lock, so a scan
-//     always loads a consistent (resident, cold) pair and writers a
-//     consistent (byKey, evicted, pub) triple. Cold reads take no shard
-//     locks: point reads fall through to the ColdSource after the byKey
-//     probe misses; scans resolve the published cold keys against it. A
-//     write to an evicted key faults its history back in (store.faultIn)
-//     under the write lock its mutation already holds.
+//   - Eviction (EvictToBudget, evict.go) moves keys from the resident to
+//     the cold half of the directory in one publication under the write
+//     lock, so a scan always loads a consistent (resident, cold) pair and
+//     writers a consistent (byKey, evicted, pub) triple. Eviction is the
+//     only way a lineage leaves RAM. Cold reads take no shard locks:
+//     point reads fall through to the ColdSource after the byKey probe
+//     misses; scans resolve the published cold keys against it. A write
+//     to an evicted key faults its history back in (store.faultIn) under
+//     the write lock its mutation already holds.
 //
 // The transaction clock and the WAL are intentionally not sharded: the
 // clock is a single atomic high-water mark (see txclock.go) and the log
@@ -61,14 +61,12 @@ type shard struct {
 	// evicted marks keys the residency budget removed from byKey whose
 	// record history lives only in durable frames. The write path must
 	// fault such a key back in before mutating it (store.faultIn); read
-	// paths use the published cold keys instead. Swept husks are cold but
-	// never marked here: faulting one in would restore history the sweep
-	// removed. Guarded by mu.
+	// paths use the published cold keys instead. Guarded by mu.
 	evicted map[element.FactKey]bool
 
 	// pub is the published, immutable directory for lock-free cross-shard
 	// readers. Swapped copy-on-write under mu whenever the shard's key set
-	// changes (new lineage, compaction drop, eviction) — never on ordinary
+	// changes (new lineage, eviction, fault-in) — never on ordinary
 	// writes, which only swap the touched lineage's head.
 	pub atomic.Pointer[pubIndex]
 
@@ -77,12 +75,6 @@ type shard struct {
 	// historical all-shard lock.
 	versions atomic.Int64
 	records  atomic.Int64
-
-	// growth counts records appended since this shard's last compaction
-	// sweep; the per-shard compaction scheduler (Store.maybeCompact)
-	// triggers a sweep of just this shard once it crosses the policy
-	// threshold.
-	growth atomic.Int64
 
 	// bytes estimates the resident size of this shard's records (see
 	// approxFactBytes), maintained at every site that adds or removes
@@ -96,10 +88,10 @@ type shard struct {
 // sort what they collect), the resident count, and the evicted count.
 // A pubIndex and the slices it holds are immutable once published —
 // inserts append beyond every published length and swap a fresh index.
-// The cold keys (evicted keys, dropped husks whose frame may hold
-// records) over-approximate: they include every non-resident key whose
-// newest frame holds records, plus possibly stale marks for keys a
-// write made resident again, which scans drop and rebuilds clear.
+// The cold keys (evicted keys) over-approximate: they include every
+// non-resident key whose newest frame holds records, plus possibly stale
+// marks for keys a write made resident again, which scans drop and
+// rebuilds clear.
 type pubIndex struct {
 	byAttr  map[string][]*lineage
 	cold    map[string][]element.FactKey
@@ -156,21 +148,17 @@ func (sh *shard) publishInsert(l *lineage) {
 }
 
 // publishRebuild re-derives the published directory from byKey after
-// lineage removals (compaction, eviction, husk drops),
-// adding the given distinct keys to the cold keys and clearing stale
-// marks — a re-added key keeps exactly one. Callers hold sh.mu.
+// evictions (or recovery's cold marks), adding the given distinct keys
+// to the cold keys and clearing stale marks — a re-added key keeps
+// exactly one. Callers hold sh.mu.
 func (sh *shard) publishRebuild(cold []element.FactKey) {
 	nm := make(map[string][]*lineage, len(sh.byKey))
 	for key, l := range sh.byKey {
 		nm[key.Attribute] = append(nm[key.Attribute], l)
 	}
 	old := sh.pub.Load().cold
-	if len(old) == 0 && len(cold) == 0 {
-		sh.publish(nm, nil)
-		return
-	}
 	var added map[element.FactKey]bool
-	if len(old) > 0 && len(cold) > 0 {
+	if len(old) > 0 {
 		added = make(map[element.FactKey]bool, len(cold))
 		for _, key := range cold {
 			added[key] = true

@@ -102,17 +102,11 @@ func TestShardedEquivalence(t *testing.T) {
 		single.List(AsOfValidTime(500), AsOfTransactionTime(1000)); len(got) != len(want) {
 		t.Errorf("pinned List diverges: %d vs %d", len(got), len(want))
 	}
-
-	// Compaction must agree too (it sweeps shard by shard).
-	if got, want := sharded.CompactBefore(800), single.CompactBefore(800); got != want {
-		t.Errorf("CompactBefore removed %d on sharded, %d on single", got, want)
-	}
-	assertBitemporalEqual(t, single, sharded)
 }
 
 // TestShardedStress hammers a sharded store from concurrent writers
 // (Put/Delete with explicit per-writer transaction times), point readers,
-// a compactor, and a wildcard List racing WriteSnapshot. It asserts the
+// and a wildcard List racing WriteSnapshot. It asserts the
 // two properties the shard refactor must preserve under -race:
 //
 //   - no lost updates: after the run, every key holds the last value its
@@ -183,15 +177,6 @@ func TestShardedStress(t *testing.T) {
 			}
 		}(r)
 	}
-
-	// Compactor: prunes far-past history; open versions must survive.
-	bgWG.Add(1)
-	go func() {
-		defer bgWG.Done()
-		for i := 0; !stop.Load(); i++ {
-			st.CompactBefore(temporal.Instant(i % 50))
-		}
-	}()
 
 	// Wildcard List racing WriteSnapshot: every pinned cut must hold a
 	// consistent (non-overlapping) belief.

@@ -52,12 +52,9 @@ var (
 // instant. Taking a handle is O(1) — it captures the pin, not the data —
 // and reading through it acquires no shard locks, so arbitrarily long
 // analytical reads never stall ingestion. Retroactive corrections
-// recorded after the pin are invisible through the handle.
-//
-// Compaction is the one operation that can reach into a pin: records
-// compacted away are gone for handles pinned before the sweep (exactly
-// as they are for AsOfTransactionTime reads), though gathers already in
-// flight keep the heads they have loaded.
+// recorded after the pin are invisible through the handle. No operation
+// removes a record from the store (eviction only moves a lineage to its
+// durable frame), so every re-read through the handle is repeatable.
 type Snapshot struct {
 	s  *Store
 	at temporal.Instant

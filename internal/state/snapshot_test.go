@@ -3,7 +3,6 @@ package state
 import (
 	"bytes"
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/element"
@@ -117,56 +116,6 @@ func TestSnapshotCutIsImmutableUnderWrites(t *testing.T) {
 	}
 	if after := fmt.Sprint(snap.List(WithAttribute("v"))); after != before {
 		t.Fatalf("pinned cut changed under writes:\nbefore %s\nafter  %s", before, after)
-	}
-}
-
-// TestPerShardCompactionScheduling exercises the growth-triggered
-// per-shard sweeps: with a CompactionPolicy installed, history prunes
-// itself as writes accumulate — no store-wide CompactBefore call — and
-// the current belief survives.
-func TestPerShardCompactionScheduling(t *testing.T) {
-	st := NewStore()
-	var horizon atomic.Int64
-	st.SetCompactionPolicy(&CompactionPolicy{
-		GrowthThreshold: 64,
-		Horizon:         func() temporal.Instant { return temporal.Instant(horizon.Load()) },
-	})
-	const keys = 64
-	const ops = 8192
-	for i := 0; i < ops; i++ {
-		at := temporal.Instant(i + 1)
-		horizon.Store(int64(at) - 256)
-		key := fmt.Sprintf("k%02d", i%keys)
-		if err := st.Replace(key, "v", element.Int(int64(i)), at); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stats := st.Stats()
-	// Each put appends ~2 records (remnant + version); without compaction
-	// that is ~2*ops. The scheduler must have kept the store far below it.
-	if stats.Records > ops {
-		t.Fatalf("auto-compaction did not engage: %d records after %d puts", stats.Records, ops)
-	}
-	for k := 0; k < keys; k++ {
-		key := fmt.Sprintf("k%02d", k)
-		want := int64(ops - keys + k)
-		f, ok := st.Find(key, "v")
-		if !ok || f.Value.MustInt() != want {
-			t.Fatalf("open version of %s lost by compaction: got %v want %d", key, f, want)
-		}
-	}
-
-	// Removing the policy stops the sweeps.
-	st.SetCompactionPolicy(nil)
-	before := st.Stats().Records
-	for i := 0; i < 512; i++ {
-		at := temporal.Instant(ops + i + 1)
-		if err := st.Replace(fmt.Sprintf("k%02d", i%keys), "v", element.Int(int64(i)), at); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := st.Stats().Records; got <= before {
-		t.Fatalf("records should grow once the policy is removed: %d -> %d", before, got)
 	}
 }
 

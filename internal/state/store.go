@@ -2,8 +2,8 @@
 // bitemporal database: every fact version carries a valid-time interval
 // (when it held in the modeled world) and a transaction-time interval
 // (when the store believed it), with point (as-of) and range (during)
-// temporal queries along both axes, change notification, compaction, and
-// append-only log persistence with recovery.
+// temporal queries along both axes, change notification, and append-only
+// log persistence with recovery.
 //
 // The store realizes the paper's §3 proposal — "we model state as a
 // collection of data elements annotated with their time of validity" — and
@@ -46,7 +46,6 @@ package state
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -152,18 +151,11 @@ type head struct {
 	// every closed version in validity order.
 	open *element.Fact
 	// maxTx is the highest transaction time that has touched this
-	// lineage — writes AND compaction sweeps (sweeps bump it so the
-	// durability flusher revisits swept lineages). A reader pinned at
+	// lineage (a commit or a supersession). A reader pinned at
 	// tt >= maxTx can resolve against the belief slices directly;
-	// earlier pins fall back to the record scan.
+	// earlier pins fall back to the record scan. The durability flusher
+	// revisits a lineage when its maxTx passes the previous cut.
 	maxTx temporal.Instant
-	// lastWrite is the highest transaction time of an actual WRITE
-	// (commit or supersession) — unlike maxTx it is NOT bumped by
-	// sweeps. The durability layer compares it against a segment
-	// frame's cut: a frame at cut >= lastWrite is truthful history even
-	// for a lineage compaction has since emptied, while one older than
-	// lastWrite is stale and needs a tombstone.
-	lastWrite temporal.Instant
 	// txOrdered tracks whether records are non-decreasing in RecordedAt —
 	// always true unless a caller pinned out-of-order explicit transaction
 	// times — enabling binary-searched belief reads.
@@ -176,14 +168,14 @@ type head struct {
 	// whole record set inside a disjoint envelope, no read of any
 	// temporal shape or pin can select a record satisfying the bound.
 	// The envelope is maintained at every head-construction site
-	// (commit, sweepLineage, buildHead) and published with the head, so
-	// index reads are as lock-free as head reads.
+	// (commit, buildHead) and published with the head, so index reads
+	// are as lock-free as head reads.
 	vMin, vMax float64
 	vNumeric   bool
 }
 
 // emptyHead is the shared head of a lineage with no records yet.
-var emptyHead = &head{maxTx: temporal.MinInstant, lastWrite: temporal.MinInstant, txOrdered: true}
+var emptyHead = &head{maxTx: temporal.MinInstant, txOrdered: true}
 
 // observeValue folds one new record value into the head's numeric value
 // envelope. hadRecords distinguishes the lineage's first record (which
@@ -211,9 +203,8 @@ func (h *head) observeValue(v element.Value, hadRecords bool) {
 	}
 }
 
-// recomputeValueEnv rebuilds the value envelope from h.records. Sweeps
-// use it after removing records so the bounds track the surviving set
-// (a stale superset would stay sound but prune less).
+// recomputeValueEnv rebuilds the value envelope from h.records, for heads
+// assembled from a detached record slice (buildHead).
 func (h *head) recomputeValueEnv() {
 	h.vMin, h.vMax, h.vNumeric = 0, 0, false
 	for i, f := range h.records {
@@ -410,18 +401,6 @@ type Store struct {
 	batchWs []BatchWatcher
 	log     *Log
 
-	// compaction is the per-shard compaction scheduling policy; nil
-	// disables automatic sweeps. See SetCompactionPolicy.
-	compaction atomic.Pointer[CompactionPolicy]
-
-	// retainSwept makes sweeps keep fully-emptied lineages as empty
-	// husks (published empty head, bumped maxTx) instead of deleting
-	// them. The durability layer needs the husk: FlushCut emits it as a
-	// tombstone so the key's stale segment frame stops answering, then
-	// DropSweptBefore removes it once the tombstone is durable. See
-	// SetRetainSwept.
-	retainSwept atomic.Bool
-
 	// cold is the installed cold-read backend (see ColdSource in
 	// evict.go): reads for non-resident lineages fall through to it and
 	// scans union its durable-only lineages into the gather. Nil when
@@ -550,9 +529,8 @@ type writeReq struct {
 
 // mutate runs one single-shard write: body runs under sh's write lock
 // with the attached log and, when anyone watches, pooled change scratch
-// to append to. On success the changes are delivered and the shard is
-// offered to the compaction policy. It is the frame around both
-// single-key write bodies, apply and Replace.
+// to append to. On success the changes are delivered. It is the frame
+// around both single-key write bodies, apply and Replace.
 func (s *Store) mutate(sh *shard, body func(log *Log, changes []Change, record bool) ([]Change, error)) error {
 	bws, log := s.observers()
 	record := len(bws) > 0
@@ -573,11 +551,7 @@ func (s *Store) mutate(sh *shard, body func(log *Log, changes []Change, record b
 	if bufp != nil {
 		putChangeBuf(bufp, changes)
 	}
-	if err != nil {
-		return err
-	}
-	s.maybeCompact(sh)
-	return nil
+	return err
 }
 
 // apply validates, logs, and commits one bitemporal mutation: the write
@@ -679,7 +653,7 @@ func (s *Store) apply(r writeReq) error {
 // beyond the changes slice itself. Callers hold sh.mu.
 func (sh *shard) commit(l *lineage, put *element.Fact, w temporal.Interval, tx temporal.Instant, changes []Change, record bool) []Change {
 	h := l.head.Load()
-	nh := &head{txOrdered: h.txOrdered, maxTx: h.maxTx, lastWrite: h.lastWrite,
+	nh := &head{txOrdered: h.txOrdered, maxTx: h.maxTx,
 		vMin: h.vMin, vMax: h.vMax, vNumeric: h.vNumeric}
 	if put != nil {
 		// Re-recorded remnants reuse values already inside the envelope,
@@ -688,9 +662,6 @@ func (sh *shard) commit(l *lineage, put *element.Fact, w temporal.Interval, tx t
 	}
 	if tx > nh.maxTx {
 		nh.maxTx = tx
-	}
-	if tx > nh.lastWrite {
-		nh.lastWrite = tx
 	}
 	if n := len(h.records); n > 0 && tx < h.records[n-1].RecordedAt {
 		nh.txOrdered = false
@@ -738,7 +709,6 @@ func (sh *shard) commit(l *lineage, put *element.Fact, w temporal.Interval, tx t
 			changes = append(changes, Change{Kind: Asserted, Fact: put, At: w.Start})
 		}
 		sh.records.Add(int64(appended))
-		sh.growth.Add(int64(appended))
 		sh.bytes.Add(addedBytes)
 		l.head.Store(nh)
 		return changes
@@ -810,7 +780,6 @@ func (sh *shard) commit(l *lineage, put *element.Fact, w temporal.Interval, tx t
 	}
 	nh.records, nh.closed = records, newLive
 	sh.records.Add(int64(appended))
-	sh.growth.Add(int64(appended))
 	sh.bytes.Add(addedBytes)
 	l.head.Store(nh)
 	return changes
@@ -831,8 +800,8 @@ func (sh *shard) reRecord(v *element.Fact, iv temporal.Interval, tx temporal.Ins
 // shard's read lock covers only the O(1) byKey probe, the head walk is
 // lock-free. Every point-read surface (Store and Snapshot, Find and the
 // spec/value forms) funnels through it. A key with no resident lineage
-// falls through to the installed ColdSource (evicted or compacted-away
-// lineages whose durable frame is still truthful).
+// falls through to the installed ColdSource (an evicted lineage, whose
+// durable frame holds its whole record history).
 func (s *Store) findPick(entity, attr string, cfg readCfg) *element.Fact {
 	key := element.FactKey{Entity: entity, Attribute: attr}
 	l := s.shardFor(entity, attr).get(key)
@@ -885,7 +854,7 @@ func (s *Store) findClone(entity, attr string, cfg readCfg) (*element.Fact, bool
 // history, believed or superseded) for (entity, attr). The segment
 // backend uses it to decide when a key-level read should fall through
 // to durable frames: only when the RAM working set has no lineage at
-// all, e.g. after compaction dropped it.
+// all, e.g. after eviction dropped it.
 func (s *Store) Contains(entity, attr string) bool {
 	return s.shardFor(entity, attr).get(element.FactKey{Entity: entity, Attribute: attr}) != nil
 }
@@ -1081,212 +1050,6 @@ func (s *Store) scanAt(tt temporal.Instant, pred func(*element.Fact) bool) []*el
 		}
 		return out
 	})
-}
-
-// CompactionPolicy schedules per-shard compaction from write growth: once
-// a shard has appended GrowthThreshold records since its last sweep, the
-// committing writer sweeps just that shard with CompactBefore semantics
-// at the instant Horizon returns. Shards therefore compact independently,
-// paced by their own write load, instead of store-wide passes.
-type CompactionPolicy struct {
-	// GrowthThreshold is the per-shard appended-record count that triggers
-	// a sweep; values <= 0 disable automatic compaction.
-	GrowthThreshold int
-	// Horizon returns the compact-before instant at sweep time (e.g. the
-	// engine's watermark minus a retention window). Returning MinInstant
-	// makes the sweep a no-op.
-	Horizon func() temporal.Instant
-}
-
-// SetCompactionPolicy installs (or, with nil, removes) the per-shard
-// compaction scheduling policy. Sweeps run on the committing writer's
-// goroutine after its mutation is published; in-flight snapshot readers
-// are unaffected because compaction publishes fresh heads and superseded
-// ones drain by garbage collection.
-func (s *Store) SetCompactionPolicy(p *CompactionPolicy) {
-	s.compaction.Store(p)
-}
-
-// maybeCompact sweeps sh when its record growth has crossed the policy
-// threshold. Called by writers after releasing the shard lock.
-func (s *Store) maybeCompact(sh *shard) {
-	p := s.compaction.Load()
-	if p == nil || p.GrowthThreshold <= 0 || p.Horizon == nil {
-		return
-	}
-	if sh.growth.Load() < int64(p.GrowthThreshold) {
-		return
-	}
-	t := p.Horizon()
-	if t == temporal.MinInstant {
-		return
-	}
-	sh.compactBefore(t, s.clock.now(), s.retainSwept.Load())
-}
-
-// CompactBefore bounds history growth along both time axes: it drops every
-// believed version whose validity ends at or before t, and every
-// superseded record whose belief interval closed at or before t. Open
-// versions are always retained. Compaction is lossy for transaction-time
-// queries about the dropped records, exactly as it is for valid-time
-// queries about dropped history; snapshot handles pinned before the sweep
-// keep whatever heads they have already loaded, but re-reads through an
-// old pin no longer see the dropped records. It returns the number of
-// believed versions removed.
-//
-// Compaction sweeps shards under their own write locks and publishes a
-// fresh head per compacted lineage, so concurrent readers — including
-// in-flight lock-free scans — are never blocked and never observe a
-// half-swept lineage. Shards are swept on up to GOMAXPROCS workers; use
-// CompactBeforeWithWorkers to bound the sweep explicitly (the engine
-// bounds it with its ingestion parallelism).
-func (s *Store) CompactBefore(t temporal.Instant) int {
-	return s.CompactBeforeWithWorkers(t, runtime.GOMAXPROCS(0))
-}
-
-// CompactBeforeWithWorkers is CompactBefore with an explicit worker
-// bound: shards are swept concurrently on min(workers, shards) goroutines
-// (workers <= 1 sweeps serially, shard by shard). Per-shard sweeps are
-// independent, so the removed count and resulting state do not depend on
-// the worker count.
-func (s *Store) CompactBeforeWithWorkers(t temporal.Instant, workers int) int {
-	if workers > len(s.shards) {
-		workers = len(s.shards)
-	}
-	now := s.clock.now()
-	retain := s.retainSwept.Load()
-	if workers <= 1 {
-		removed := 0
-		for _, sh := range s.shards {
-			removed += sh.compactBefore(t, now, retain)
-		}
-		return removed
-	}
-	var (
-		total atomic.Int64
-		next  atomic.Int64
-		wg    sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(s.shards) {
-					return
-				}
-				total.Add(int64(s.shards[i].compactBefore(t, now, retain)))
-			}
-		}()
-	}
-	wg.Wait()
-	return int(total.Load())
-}
-
-// sweepLineage rebuilds one lineage's head without the records matching
-// drop, updating the shard counters, and publishes it. It returns how
-// many believed versions were removed and whether the lineage emptied
-// entirely (the caller then drops it from the indexes). A lineage with
-// nothing to drop keeps its published head untouched. Callers hold
-// sh.mu.
-//
-// A lineage that actually dropped records advances its maxTx to `now`
-// (the sweep's clock reading): maxTx is the durability layer's dirty
-// test (FlushCut), and a swept lineage must be re-flushed so its segment
-// frame stops resurrecting the dropped records on recovery. Bumping
-// maxTx only narrows the read fast paths keyed on it (belief-pinned
-// reads fall back to the record scan until pins pass the sweep), never
-// their correctness.
-func (sh *shard) sweepLineage(l *lineage, now temporal.Instant, retain bool, drop func(*element.Fact) bool) (liveRemoved int, emptied bool) {
-	h := l.head.Load()
-	gone := 0
-	var goneBytes int64
-	for _, f := range h.records {
-		if drop(f) {
-			gone++
-			goneBytes += approxFactBytes(f)
-		}
-	}
-	if gone == 0 {
-		return 0, false
-	}
-	nh := &head{txOrdered: h.txOrdered, maxTx: h.maxTx, lastWrite: h.lastWrite,
-		records: make([]*element.Fact, 0, len(h.records)-gone)}
-	if now > nh.maxTx {
-		nh.maxTx = now
-	}
-	for _, f := range h.records {
-		if !drop(f) {
-			nh.records = append(nh.records, f)
-		}
-	}
-	nh.recomputeValueEnv()
-	for _, f := range h.closed {
-		if drop(f) {
-			liveRemoved++
-		} else {
-			nh.closed = append(nh.closed, f)
-		}
-	}
-	if h.open != nil {
-		if drop(h.open) {
-			liveRemoved++
-		} else {
-			nh.open = h.open
-		}
-	}
-	sh.versions.Add(int64(-liveRemoved))
-	sh.records.Add(int64(-gone))
-	sh.bytes.Add(-goneBytes)
-	if len(nh.records) == 0 {
-		if !retain {
-			return liveRemoved, true
-		}
-		// Durability tombstone: keep the emptied lineage as a husk so
-		// FlushCut (dirty: maxTx just advanced to now) can persist the
-		// emptiness — without it, the key's old segment frame would keep
-		// answering fall-through reads and recovery with records this
-		// sweep just removed. DropSweptBefore reclaims the husk once the
-		// tombstone is durable.
-	}
-	l.head.Store(nh)
-	return liveRemoved, false
-}
-
-// compactBefore sweeps one shard under its write lock; see CompactBefore.
-// A record is dropped when its belief closed at or before t (superseded
-// records) or its validity ended at or before t (believed ones). Emptied
-// lineages leave the indexes (or stay as husks — see sweepLineage) and
-// the directory is republished when the key set changed. Untouched
-// lineages keep their published head; compacted ones get a fresh head
-// built from fresh arrays, never mutating slices an in-flight reader may
-// hold. `now` is the sweep's clock reading, stamped into swept lineages'
-// maxTx.
-func (sh *shard) compactBefore(t, now temporal.Instant, retain bool) int {
-	drop := func(f *element.Fact) bool {
-		if end := f.BeliefEnd(); end != temporal.Forever {
-			return end <= t
-		}
-		return f.Validity.End <= t
-	}
-	sh.growth.Store(0)
-	removed := 0
-	sh.mu.Lock()
-	dropped := false
-	for key, l := range sh.byKey {
-		liveRemoved, emptied := sh.sweepLineage(l, now, retain, drop)
-		removed += liveRemoved
-		if emptied {
-			delete(sh.byKey, key)
-			dropped = true
-		}
-	}
-	if dropped {
-		sh.publishRebuild(nil)
-	}
-	sh.mu.Unlock()
-	return removed
 }
 
 // Stats summarizes store occupancy.

@@ -178,35 +178,6 @@ func TestScanAndValiditySet(t *testing.T) {
 	}
 }
 
-func TestCompactBefore(t *testing.T) {
-	s := NewStore()
-	for i := int64(0); i < 10; i++ {
-		s.Replace("e", "a", element.Int(i), temporal.Instant(i*10))
-	}
-	st := s.Stats()
-	if st.Versions != 10 || st.Current != 1 {
-		t.Fatalf("pre-compact stats: %+v", st)
-	}
-	removed := s.CompactBefore(50)
-	if removed != 5 {
-		t.Fatalf("removed: %d", removed)
-	}
-	if got := s.Stats().Versions; got != 5 {
-		t.Errorf("versions after compaction: %d", got)
-	}
-	if cur, ok := s.Find("e", "a"); !ok || cur.Value.MustInt() != 9 {
-		t.Error("current must survive compaction")
-	}
-	// Fully-closed lineage disappears when compacted away.
-	s2 := NewStore()
-	s2.Replace("x", "a", element.Int(1), 0)
-	s2.Delete("x", "a", WithValidTime(5), WithTransactionTime(5))
-	s2.CompactBefore(10)
-	if st := s2.Stats(); st.Keys != 0 || st.Attributes != 0 {
-		t.Errorf("empty lineage should be dropped: %+v", st)
-	}
-}
-
 func TestWatchers(t *testing.T) {
 	s := NewStore()
 	var changes []Change

@@ -121,15 +121,6 @@ func WithRoutingKey(fn func(*Element) string) Option { return core.WithRoutingKe
 // everything).
 func WithEmittedRetention(n int) Option { return core.WithEmittedRetention(n) }
 
-// WithAutoCompact schedules growth-triggered per-shard state compaction:
-// once any shard accumulates growth new records, the next write to it
-// prunes that shard's history older than retain behind the watermark.
-// Compaction publishes fresh lineage heads, so in-flight lock-free
-// readers are never blocked by a sweep.
-func WithAutoCompact(retain time.Duration, growth int) Option {
-	return core.WithAutoCompact(retain, growth)
-}
-
 // WithDurableDir persists the engine's state repository in a durable
 // segment directory: committed lineage heads flush as immutable,
 // checksummed segment files as the watermark advances, a WAL covers the
@@ -461,9 +452,6 @@ type (
 	// StateReader is the read-only temporal query surface shared by
 	// Store and StateSnapshot; query executors evaluate against it.
 	StateReader = state.Reader
-	// CompactionPolicy schedules growth-triggered per-shard compaction
-	// sweeps (Store.SetCompactionPolicy, or the engine's WithAutoCompact).
-	CompactionPolicy = state.CompactionPolicy
 	// DurableStore is the segment-backed durable state store behind
 	// WithDurableDir (reachable via Engine.Durable, or standalone through
 	// OpenDurableStore). Its point reads fall through RAM to durable

@@ -53,10 +53,12 @@ func ingestMessages(n int) []stream.Message {
 }
 
 // ingestEngine deploys the ingest workload's rules and a cheap gated
-// processor on a fresh engine with the given worker count.
-func ingestEngine(workers int) *core.Engine {
-	e := core.New(core.WithPolicy(core.StateFirst), core.WithParallelism(workers),
-		core.WithEmittedRetention(1024))
+// processor on a fresh engine with the given worker count and any extra
+// options (a durable directory, say).
+func ingestEngine(workers int, opts ...core.Option) *core.Engine {
+	base := []core.Option{core.WithPolicy(core.StateFirst), core.WithParallelism(workers),
+		core.WithEmittedRetention(1024)}
+	e := core.New(append(base, opts...)...)
 	if err := e.DeployRules(ingestRules); err != nil {
 		panic(err)
 	}
@@ -74,8 +76,13 @@ func ingestEngine(workers int) *core.Engine {
 // wall-clock time plus allocations per element (heap allocation delta
 // over the run, measured on this goroutine's run of the whole pipeline).
 func ingestThroughput(workers, n int) (time.Duration, float64) {
+	return ingestRun(ingestEngine(workers), n)
+}
+
+// ingestRun runs n ingest elements through e and reports the wall-clock
+// time and the allocations per element.
+func ingestRun(e *core.Engine, n int) (time.Duration, float64) {
 	msgs := ingestMessages(n)
-	e := ingestEngine(workers)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()

@@ -3,8 +3,10 @@ package bench
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/element"
 	"repro/internal/state"
+	"repro/internal/state/segment"
 	"repro/internal/temporal"
 )
 
@@ -23,6 +25,32 @@ func TestIngestAllocsPerElement(t *testing.T) {
 	_, allocs := ingestThroughput(1, 100_000)
 	if allocs > maxIngestAllocsPerElement {
 		t.Fatalf("serial ingest: %.2f allocs/element, want <= %.2f", allocs, maxIngestAllocsPerElement)
+	}
+}
+
+// maxDurableIngestAllocsPerElement bounds the same serial ingest into a
+// durable directory: 8.67 measured when the bound was set, plus 30%
+// (12.66 when every Replace encoded its own WAL record). Staged
+// Replaces reuse the log's stage array, so the WAL adds only the
+// once-per-batch frame encode to the in-memory budget.
+const maxDurableIngestAllocsPerElement = 11.3
+
+// TestDurableIngestAllocsPerElement guards the durable serial ingest
+// path's allocation budget. Background flushes are disabled so the
+// count is the ingest path's alone.
+func TestDurableIngestAllocsPerElement(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	e := ingestEngine(1, core.WithDurableDir(t.TempDir(), segment.WithFlushEvery(1<<30)))
+	if err := e.Health().DurableErr; err != nil {
+		t.Fatal(err)
+	}
+	defer e.Durable().Abandon()
+	_, allocs := ingestRun(e, 100_000)
+	t.Logf("durable serial ingest: %.2f allocs/element", allocs)
+	if allocs > maxDurableIngestAllocsPerElement {
+		t.Fatalf("durable serial ingest: %.2f allocs/element, want <= %.2f", allocs, maxDurableIngestAllocsPerElement)
 	}
 }
 

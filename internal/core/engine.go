@@ -429,8 +429,26 @@ func (e *Engine) Reasoner() *reason.Reasoner { return e.reasoner }
 // Process feeds one message (element or watermark) through Figure 1.
 // Messages must arrive in timestamp order. Under WithParallelism(n > 1)
 // elements buffer until the next watermark (the micro-batch boundary);
-// call Flush to force out a trailing partial batch.
+// call Flush to force out a trailing partial batch. The message's state
+// writes are in the WAL when Process returns.
 func (e *Engine) Process(m stream.Message) error {
+	return e.commit(e.process(m))
+}
+
+// commit writes the store's staged WAL writes — the serial path's
+// Replaces — as one frame, returning err, or the commit's error when err
+// is nil. Run and Process commit on their error paths too, so the
+// applied prefix is logged.
+func (e *Engine) commit(err error) error {
+	if cerr := e.store.Commit(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// process is Process without the commit: Run drives a whole message
+// batch through it and commits once.
+func (e *Engine) process(m stream.Message) error {
 	if e.durableErr != nil {
 		return e.durableErr
 	}
@@ -484,10 +502,16 @@ func (e *Engine) processElement(el *element.Element) error {
 // Run drives a whole message batch and returns the first error. Under
 // WithParallelism(n > 1) it is the micro-batch driver — elements between
 // watermarks are partitioned across workers — and any trailing partial
-// batch is flushed before returning.
+// batch is flushed before returning. The WAL receives the batch's serial
+// writes as one frame (plus one per watermark inside ms), committed
+// before Run returns — the acknowledgement point for durable engines.
 func (e *Engine) Run(ms []stream.Message) error {
+	return e.commit(e.run(ms))
+}
+
+func (e *Engine) run(ms []stream.Message) error {
 	for _, m := range ms {
-		if err := e.Process(m); err != nil {
+		if err := e.process(m); err != nil {
 			return err
 		}
 	}
@@ -663,7 +687,11 @@ func (e *Engine) advance(wm temporal.Instant) error {
 	// parallel pipeline peels them onto the serial path at the pin).
 	// Flushing at wm-1 keeps every such write strictly after the durable
 	// cut. Pulse starts a background flush when the WAL tail has grown
-	// enough.
+	// enough. The closed batch's staged writes are committed first, so
+	// the tail the flusher weighs and syncs holds the whole batch.
+	if err := e.store.Commit(); err != nil {
+		return err
+	}
 	if e.durable != nil {
 		e.durable.Pulse(wm - 1)
 	}
@@ -672,8 +700,8 @@ func (e *Engine) advance(wm temporal.Instant) error {
 
 // Durable returns the segment-backed durability layer when the engine
 // was built with WithDurableDir, nil otherwise. Its point reads (Find,
-// History) fall through RAM to durable segment frames, so state below
-// the compaction horizon stays reachable.
+// History) fall through RAM to durable segment frames, so evicted state
+// stays reachable.
 func (e *Engine) Durable() *segment.Store { return e.durable }
 
 // Health summarizes the engine's serving posture for operators and the

@@ -84,7 +84,7 @@ func (e *Engine) processBuffered(m stream.Message) error {
 // watermark. A no-op on the serial path.
 func (e *Engine) Flush() error {
 	if e.parallelism > 1 {
-		return e.flushBatch()
+		return e.commit(e.flushBatch())
 	}
 	return nil
 }

@@ -1,10 +1,13 @@
 // The stream-append write shape: Replace and its group-committed form,
-// PutBatch. The engine's parallel ingestion pipeline buffers the state
-// updates of one micro-batch (the elements between two watermarks) and
-// flushes them through PutBatch, so the store pays one lock acquisition
-// per touched shard and one WAL append per batch instead of one of each
-// per element. Both share one per-entry body, replaceLocked, whose
-// commit is the O(1) shared-prefix head append of commit's fast path.
+// PutBatch. Both write one opPutBatch WAL frame per micro-batch (the
+// elements between two watermarks). The engine's parallel ingestion
+// pipeline buffers a batch's state updates and flushes them through
+// PutBatch, so the store pays one lock acquisition per touched shard and
+// one WAL append per batch. The serial path applies each Replace at
+// once — later elements see every earlier write — but only stages its
+// WAL write; the engine's Commit at the batch edge encodes the stage as
+// one frame. Both share one per-entry body, replaceLocked, whose commit
+// is the O(1) shared-prefix head append of commit's fast path.
 
 package state
 
@@ -32,8 +35,10 @@ type BatchPut struct {
 // position invalidates and updates any previous position", §1) and the
 // rule engine's REPLACE. A write earlier than the key's latest believed
 // version start fails with ErrOutOfOrder; use Put with WithValidTime for
-// a retroactive correction. Unlike PutBatch, Replace logs before it
-// mutates, so a log error leaves the store untouched.
+// a retroactive correction. With a log attached, the write reaches the
+// WAL at the next Commit (or Sync or Close, or any other logged write,
+// which commits the stage first); a failed commit leaves RAM ahead of
+// the log, as with PutBatch.
 func (s *Store) Replace(entity, attr string, v element.Value, at temporal.Instant) error {
 	p := BatchPut{Entity: entity, Attr: attr, Value: v, At: at}
 	sh := s.shardFor(entity, attr)
@@ -45,9 +50,9 @@ func (s *Store) Replace(entity, attr string, v element.Value, at temporal.Instan
 // replaceLocked is the one per-entry body of Replace and PutBatch. It
 // looks the key up (faulting an evicted lineage back in, creating a new
 // one otherwise), rejects a write earlier than the latest believed
-// version start with ErrOutOfOrder, appends the entry to log when one is
-// given — after validation, before mutating — and commits. Callers hold
-// sh.mu.
+// version start with ErrOutOfOrder, stages the entry in log when one is
+// given — after validation, before mutating, so stage order is per-key
+// apply order — and commits. Callers hold sh.mu.
 func (s *Store) replaceLocked(sh *shard, p *BatchPut, log *Log, changes []Change, record bool) ([]Change, error) {
 	w := temporal.NewInterval(p.At, temporal.Forever)
 	key := element.FactKey{Entity: p.Entity, Attribute: p.Attr}
@@ -71,7 +76,7 @@ func (s *Store) replaceLocked(sh *shard, p *BatchPut, log *Log, changes []Change
 		return changes, fmt.Errorf("%w: %s at %s before %s", ErrOutOfOrder, key, p.At, last.Validity.Start)
 	}
 	if log != nil {
-		if err := log.appendPut(p.Entity, p.Attr, p.Value, p.At); err != nil {
+		if err := log.stagePut(p); err != nil {
 			return changes, err
 		}
 	}
@@ -90,12 +95,14 @@ func (s *Store) replaceLocked(sh *shard, p *BatchPut, log *Log, changes []Change
 // carrying every applied entry (replay-compatible with per-element logs:
 // replay applies the frame's writes one at a time).
 //
-// Two deliberate relaxations versus Replace, both in exchange for the
-// amortized locking:
+// The frame is written after the mutations commit, so a log-write
+// failure leaves the store ahead of the log; the error is returned so
+// callers can fail the batch. Writing it first commits any staged
+// Replaces, keeping the file in append order.
 //
-//   - The WAL append happens after the mutations commit (Replace logs
-//     first), so a log-write failure leaves the store ahead of the log;
-//     the error is returned so callers can fail the batch.
+// One deliberate relaxation versus a loop of Replaces, in exchange for
+// the amortized locking:
+//
 //   - Watchers observe the batch's changes grouped by shard (in shard
 //     index order, entry order within a shard), not interleaved in global
 //     entry order.

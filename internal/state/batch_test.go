@@ -79,11 +79,16 @@ func TestPutBatchReplay(t *testing.T) {
 	closeWAL(t, walBatch)
 	closeWAL(t, walLoop)
 
+	// Recovery counts writes, not frames: both logs hold one frame (the
+	// loop's Replaces were staged and committed by Close) of every put.
 	fromBatch, n := recoverWAL(t, dirBatch)
-	if n != 1 {
-		t.Fatalf("batched WAL: %d records, want 1 frame", n)
+	if n != len(puts) {
+		t.Fatalf("batched WAL: %d writes, want %d", n, len(puts))
 	}
-	fromLoop, _ := recoverWAL(t, dirLoop)
+	fromLoop, n := recoverWAL(t, dirLoop)
+	if n != len(puts) {
+		t.Fatalf("looped WAL: %d writes, want %d", n, len(puts))
+	}
 	sameFacts(t, "replayed", fromLoop.List(AllVersions()), fromBatch.List(AllVersions()))
 }
 

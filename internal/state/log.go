@@ -38,6 +38,15 @@ import (
 // transaction time), so any interleaving the appender admits replays to
 // the identical bitemporal state.
 //
+// Replace writes are group-committed: each is staged in token order and
+// Commit encodes the stage as one opPutBatch frame. Every other
+// operation under the token — a non-put record, Sync, TruncateBefore,
+// Close — commits the stage first, so records reach the file in append
+// order. A staged write is durable once a Commit (or Sync or Close)
+// returns; Abandon drops the stage, as a crash does. Len counts writes
+// (a frame weighs its puts), so flush cadence does not depend on how
+// writes were framed.
+//
 // The chain rotates to a fresh file at a byte threshold. It supports
 // the durability handoff of the segment backend: TruncateBefore unlinks
 // whole sealed files the flush cut covers — O(files dropped) off the
@@ -46,7 +55,12 @@ import (
 // they seal).
 type Log struct {
 	enc *gob.Encoder
-	n   int
+	// n counts the writes in the chain's files: one per record, len(Puts)
+	// per opPutBatch frame. Staged writes are not in it (see Len).
+	n int
+	// stage holds the Replace writes awaiting Commit, in append order.
+	// Its backing array is reused across commits.
+	stage []BatchPut
 	// path and file are the active WAL file; Sync fsyncs it, Close
 	// closes it. All file operations go through fs — the
 	// fault-injectable seam (vfs.OS in production).
@@ -56,7 +70,7 @@ type Log struct {
 	// dir is the directory the numbered wal files live in, seq the
 	// active file's sequence number, and sealed the older read-only files
 	// still holding records past the durable cut, oldest first. The
-	// active file's byte count (via cw), record count, and max
+	// active file's byte count (via cw), write count, and max
 	// transaction time drive rotation and whole-file truncation.
 	dir          string
 	seq          uint64
@@ -77,7 +91,7 @@ type Log struct {
 	// appender token on the writer's goroutine, so it must only do
 	// atomic/channel work — no locks shared with writers.
 	onAppendErr func(error) bool
-	// dropping marks degraded mode: appends are acknowledged and
+	// dropping marks degraded mode: writes are acknowledged and
 	// discarded (counted in dropped) until Rearm starts a fresh file.
 	// A failed gob encode leaves the stream unusable mid-message, so
 	// there is no per-record recovery — the whole file is forfeit and
@@ -85,7 +99,7 @@ type Log struct {
 	dropping bool
 	dropped  int
 	// appender is the single-appender channel: a one-slot token guarding
-	// enc, n, path, file, and err. Acquire by sending, release by
+	// enc, n, stage, path, file, and err. Acquire by sending, release by
 	// receiving. RecoverWALDir hands out a Log whose token is pre-held by
 	// its background tail rewrite, so the first append transparently
 	// waits for the rewrite instead of the cold start paying for it.
@@ -102,7 +116,7 @@ const DefaultWALRotateBytes = 1 << 20
 type sealedWAL struct {
 	path  string
 	maxTx temporal.Instant // max transaction time over the file's records
-	recs  int              // records the file still contributes to the tail
+	recs  int              // writes the file still contributes to the tail
 }
 
 // countWriter counts the bytes reaching the active WAL file so rotation
@@ -158,7 +172,8 @@ func IsWALFileName(name string) bool {
 type opKind uint8
 
 const (
-	// opPut is one Replace.
+	// opPut is one Replace, written before Replaces were staged into
+	// opPutBatch frames; it is only replayed.
 	opPut opKind = iota
 	// opAssert and opRetract were written by the removed Store.Assert
 	// and Store.Retract; they are only replayed (see applyLogRecord).
@@ -169,8 +184,9 @@ const (
 	opPutBi
 	opDeleteBi
 	// opPutBatch is a group-committed micro-batch of Replaces: one
-	// framed record carries every write of the batch (see Store.PutBatch),
-	// so the WAL pays one append per batch instead of one per element.
+	// framed record carries every write of the batch (see Store.PutBatch
+	// and Log.Commit), so the WAL pays one append per batch instead of
+	// one per element.
 	opPutBatch
 )
 
@@ -299,6 +315,16 @@ func (r *logRecord) maxTxTime() temporal.Instant {
 	return t
 }
 
+// writes is the number of store writes rec carries: len(Puts) for an
+// opPutBatch frame, one otherwise. The tail counters weigh records by
+// it.
+func (r *logRecord) writes() int {
+	if r.Op == opPutBatch {
+		return len(r.Puts)
+	}
+	return 1
+}
+
 // keepAfter reports whether rec still carries state newer than a flush
 // cut at tt, trimming opPutBatch frames to their surviving puts in
 // place. A frame fully covered by the cut (or a plain record at or
@@ -317,15 +343,28 @@ func (r *logRecord) keepAfter(tt temporal.Instant) bool {
 	return len(kept) > 0
 }
 
-// Len reports the number of records appended through this Log.
+// Len reports the number of writes in the WAL tail, staged ones
+// included: one per record, len(Puts) per opPutBatch frame.
 func (l *Log) Len() int {
 	l.appender <- struct{}{}
 	defer func() { <-l.appender }()
-	return l.n
+	return l.n + len(l.stage)
 }
 
-// append serializes one record through the single-appender channel.
+// append serializes one record through the single-appender channel,
+// committing the stage before it.
 func (l *Log) append(rec logRecord) error {
+	l.appender <- struct{}{}
+	defer func() { <-l.appender }()
+	if err := l.commitLocked(); err != nil {
+		return err
+	}
+	return l.writeLocked(&rec)
+}
+
+// stagePut stages one Replace write for the next commit. Staging only
+// fails on a poisoned log; a dropping log discards the write.
+func (l *Log) stagePut(p *BatchPut) error {
 	l.appender <- struct{}{}
 	defer func() { <-l.appender }()
 	if l.dropping {
@@ -333,15 +372,58 @@ func (l *Log) append(rec logRecord) error {
 		return nil
 	}
 	if l.err != nil {
-		return l.failLocked(l.err)
+		return l.failLocked(l.err, 1)
+	}
+	l.stage = append(l.stage, *p)
+	return nil
+}
+
+// Commit writes the staged Replace writes as one opPutBatch frame. The
+// frame is in the OS once Commit returns; Sync makes it durable against
+// power loss. A failed commit leaves the store ahead of the log, as a
+// failed PutBatch does.
+func (l *Log) Commit() error {
+	l.appender <- struct{}{}
+	defer func() { <-l.appender }()
+	return l.commitLocked()
+}
+
+// commitLocked writes the stage, if any, and empties it for reuse.
+// Called under the appender token.
+func (l *Log) commitLocked() error {
+	if len(l.stage) == 0 {
+		return nil
+	}
+	err := l.writeLocked(&logRecord{Op: opPutBatch, Puts: l.stage})
+	l.dropStageLocked()
+	return err
+}
+
+// dropStageLocked empties the stage without writing it, clearing the
+// entries so the reused array pins no values.
+func (l *Log) dropStageLocked() {
+	clear(l.stage)
+	l.stage = l.stage[:0]
+}
+
+// writeLocked seals and encodes one record, updates the tail counters,
+// and rotates at the size threshold. Called under the appender token.
+func (l *Log) writeLocked(rec *logRecord) error {
+	w := rec.writes()
+	if l.dropping {
+		l.dropped += w
+		return nil
+	}
+	if l.err != nil {
+		return l.failLocked(l.err, w)
 	}
 	rec.Summed = true
 	rec.Sum = rec.checksum()
 	if err := l.enc.Encode(rec); err != nil {
-		return l.failLocked(err)
+		return l.failLocked(err, w)
 	}
-	l.n++
-	l.activeRecs++
+	l.n += w
+	l.activeRecs += w
 	if t := rec.maxTxTime(); t > l.activeMaxTx {
 		l.activeMaxTx = t
 	}
@@ -360,7 +442,7 @@ func (l *Log) append(rec logRecord) error {
 // handler like any other.
 func (l *Log) rotateLocked() error {
 	if err := l.file.Sync(); err != nil {
-		return l.failLocked(err)
+		return l.failLocked(err, 1)
 	}
 	f, err := l.fs.Create(l.nextPath())
 	if err != nil {
@@ -387,13 +469,14 @@ func (l *Log) activateLocked(f vfs.File) {
 }
 
 // failLocked offers an append failure to the handler. An acknowledged
-// failure flips the log into dropping mode (counting this append as
-// dropped) and reports success to the writer — the store's RAM commit
-// proceeds; durability is the degraded-mode flow's problem now.
-func (l *Log) failLocked(err error) error {
+// failure flips the log into dropping mode (counting the failed
+// append's writes as dropped) and reports success to the writer — the
+// store's RAM commit proceeds; durability is the degraded-mode flow's
+// problem now.
+func (l *Log) failLocked(err error, writes int) error {
 	if l.onAppendErr != nil && l.onAppendErr(err) {
 		l.dropping = true
-		l.dropped++
+		l.dropped += writes
 		return nil
 	}
 	return err
@@ -414,7 +497,7 @@ func (l *Log) Dropping() bool {
 	return l.dropping
 }
 
-// Dropped reports how many appends were acknowledged and discarded
+// Dropped reports how many writes were acknowledged and discarded
 // while dropping.
 func (l *Log) Dropped() int {
 	l.appender <- struct{}{}
@@ -424,8 +507,8 @@ func (l *Log) Dropped() int {
 
 // Rearm replaces a dropping (or poisoned) log's whole chain with a fresh
 // empty file and encoder, clearing dropping mode. The records the old
-// file held — and every append dropped since — are NOT recovered here:
-// the caller must immediately flush the full RAM state to the durable
+// file held, the stage, and every write dropped since are NOT recovered
+// here: the caller must immediately flush the full RAM state to the durable
 // backend, pinned at a cut taken AFTER Rearm returns, so everything the
 // discarded WAL covered is captured elsewhere before new appends rely
 // on the fresh file. The dropped count is kept for observability.
@@ -450,6 +533,7 @@ func (l *Log) Rearm() error {
 		l.dropFileLocked(l.path)
 	}
 	l.activateLocked(f)
+	l.dropStageLocked()
 	l.n = 0
 	l.err = nil
 	l.dropping = false
@@ -466,24 +550,41 @@ func (l *Log) dropFileLocked(path string) bool {
 	return true
 }
 
-// Close closes the active WAL file.
+// Close commits the stage and closes the active WAL file.
 func (l *Log) Close() error {
 	l.appender <- struct{}{}
 	defer func() { <-l.appender }()
 	if l.err != nil {
 		return l.err
 	}
-	return l.file.Close()
+	err := l.commitLocked()
+	return errors.Join(err, l.file.Close())
 }
 
-// Sync flushes the active WAL file to stable storage. The segment backend
-// calls it before committing a manifest, so the WAL tail the manifest's
-// durable cut depends on is on disk first.
+// Abandon closes the active WAL file without committing the stage: the
+// staged writes are lost, as in a process crash. It backs the segment
+// backend's crash simulation.
+func (l *Log) Abandon() {
+	l.appender <- struct{}{}
+	defer func() { <-l.appender }()
+	l.dropStageLocked()
+	if l.file != nil { // nil when a failed recovery rewrite poisoned the log
+		l.file.Close()
+	}
+}
+
+// Sync commits the stage and flushes the active WAL file to stable
+// storage. The segment backend calls it before committing a manifest,
+// so the WAL tail the manifest's durable cut depends on is on disk
+// first.
 func (l *Log) Sync() error {
 	l.appender <- struct{}{}
 	defer func() { <-l.appender }()
 	if l.err != nil {
 		return l.err
+	}
+	if err := l.commitLocked(); err != nil {
+		return err
 	}
 	return l.file.Sync()
 }
@@ -503,6 +604,9 @@ func (l *Log) TruncateBefore(tt temporal.Instant) error {
 	defer func() { <-l.appender }()
 	if l.err != nil {
 		return l.err
+	}
+	if err := l.commitLocked(); err != nil {
+		return err
 	}
 	kept := l.sealed[:0]
 	for _, sf := range l.sealed {
@@ -589,10 +693,6 @@ func rewriteLogFile(fsys vfs.FS, path string, records []logRecord) (vfs.File, *c
 	return f, cw, enc, nil
 }
 
-func (l *Log) appendPut(entity, attr string, v element.Value, at temporal.Instant) error {
-	return l.append(logRecord{Op: opPut, Entity: entity, Attr: attr, Value: v, At: at})
-}
-
 func (l *Log) appendPutBi(f *element.Fact) error {
 	return l.append(logRecord{
 		Op: opPutBi, Entity: f.Entity, Attr: f.Attribute, Value: f.Value,
@@ -655,7 +755,8 @@ func (s *Store) applyLogRecord(rec *logRecord) error {
 // RecoverWALDir replays the WAL chain in dir into s — only records
 // carrying state newer than the durable cut (opPutBatch frames trimmed
 // to their surviving puts), in file order — and returns a Log
-// continuing the chain. This is the recovery half of the segment
+// continuing the chain plus the number of writes replayed (a frame
+// counts its surviving puts). This is the recovery half of the segment
 // backend's handoff: segments restore the cut, RecoverWALDir replays
 // what the cut does not cover. Pass cut = MinInstant (and a chain never
 // truncated) for a full WAL-only recovery.
@@ -780,8 +881,8 @@ func RecoverWALDirFS(fsys vfs.FS, dir string, s *Store, cut temporal.Instant, ro
 				continue
 			}
 			rec.reseal()
-			cf.kept++
-			total++
+			cf.kept += rec.writes()
+			total += rec.writes()
 			if last {
 				lastKept = append(lastKept, rec)
 			}
@@ -837,7 +938,7 @@ func RecoverWALDirFS(fsys vfs.FS, dir string, s *Store, cut temporal.Instant, ro
 		}
 		l.file, l.cw, l.enc = f, cw, enc
 		l.n = total
-		l.activeRecs = len(lastKept)
+		l.activeRecs = lastF.kept
 		if len(lastKept) > 0 {
 			l.activeMaxTx = lastF.maxTx
 		}

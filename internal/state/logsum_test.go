@@ -141,8 +141,8 @@ func TestTruncateReseals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("replayed %d records, want 1", n)
+	if n != 2 {
+		t.Fatalf("replayed %d writes, want the frame's 2 post-cut puts", n)
 	}
 	if _, ok := restored.Find("a", "x"); ok {
 		t.Fatal("pre-cut put survived truncation")
@@ -163,8 +163,8 @@ func TestTruncateReseals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("resealed chain replayed %d records, want 1", n)
+	if n != 2 {
+		t.Fatalf("resealed chain replayed %d writes, want 2", n)
 	}
 	if _, ok := again.Find("a", "x"); ok {
 		t.Fatal("trimmed put resurfaced from the rewritten file")

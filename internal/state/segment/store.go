@@ -72,8 +72,9 @@ const (
 	// evicted key set. Older manifests still read.
 	manifestVersion = 3
 
-	// DefaultFlushEvery is the WAL-tail record count that triggers a
+	// DefaultFlushEvery is the WAL-tail write count that triggers a
 	// background flush (see Pulse) unless WithFlushEvery overrides it.
+	// A group-committed frame counts each of its writes.
 	DefaultFlushEvery = 8192
 
 	// DefaultCompactFanout is the length a contiguous run of equal-level
@@ -327,7 +328,7 @@ func WithStore(mem *state.Store) Option {
 	return func(d *Store) { d.mem = mem }
 }
 
-// WithFlushEvery sets the WAL-tail record count at which Pulse starts a
+// WithFlushEvery sets the WAL-tail write count at which Pulse starts a
 // background flush (default DefaultFlushEvery; n <= 0 makes Pulse flush
 // on every call that finds the latch free).
 func WithFlushEvery(n int) Option {
@@ -1146,7 +1147,8 @@ func (d *Store) doClose() error {
 // Abandon releases the store's OS resources — the directory lock, WAL,
 // and segment descriptors — WITHOUT flushing, leaving the directory
 // exactly as a process crash would: segments up to the last durable
-// cut plus the WAL tail. It exists for crash-simulation tests and
+// cut plus the WAL tail. Writes staged in the WAL and not yet committed
+// are lost, as in a crash (see state.Log.Abandon). It exists for crash-simulation tests and
 // benchmarks that reopen a directory their "crashed" store still
 // references in-process (a real crash releases the flock with the
 // process; in-process the lock must be dropped explicitly). The store
@@ -1159,7 +1161,7 @@ func (d *Store) Abandon() {
 		defer d.mu.Unlock()
 		d.closed = true
 		d.closeSegments(d.cat.Load())
-		d.log.Close()
+		d.log.Abandon()
 		d.unlock()
 	})
 }
@@ -1410,7 +1412,8 @@ type Info struct {
 	// Frames plus the superseded duplicates compaction has not yet
 	// reclaimed.
 	FrameSlots int
-	// WALRecords is the record count of the WAL tail.
+	// WALRecords is the write count of the WAL tail, staged writes
+	// included: a group-committed frame counts each of its writes.
 	WALRecords int
 	// WALFiles is the file count of the WAL chain.
 	WALFiles int
@@ -1455,7 +1458,7 @@ type Info struct {
 	// RemoveFailures counts failed cleanup unlinks (orphan GC, retired
 	// segments).
 	RemoveFailures int64
-	// DroppedAppends counts WAL appends acknowledged and discarded in
+	// DroppedAppends counts WAL writes acknowledged and discarded in
 	// degraded mode.
 	DroppedAppends int
 }

@@ -452,6 +452,16 @@ func (s *Store) AttachLog(l *Log) {
 	s.log = l
 }
 
+// Commit writes the Replaces staged in the attached log as one WAL frame
+// (see Log.Commit); nil when no log is attached. The engine commits at
+// each micro-batch edge and before Run or Process returns.
+func (s *Store) Commit() error {
+	if _, log := s.observers(); log != nil {
+		return log.Commit()
+	}
+	return nil
+}
+
 // WatchBatch registers a batch watcher for all subsequent changes.
 func (s *Store) WatchBatch(w BatchWatcher) {
 	s.obsMu.Lock()

@@ -48,9 +48,14 @@ func walTruncateChain(records int, rotateBytes int64) time.Duration {
 		panic(err)
 	}
 	st.AttachLog(l)
+	// Replace only stages its WAL write; committing each one writes one
+	// frame per record, so the chain rotates at the configured size.
 	for i := 1; i <= records; i++ {
 		if err := st.Replace(fmt.Sprintf("e%04d", i%512), "v", element.Int(int64(i)),
 			temporal.Instant(i)); err != nil {
+			panic(err)
+		}
+		if err := st.Commit(); err != nil {
 			panic(err)
 		}
 	}

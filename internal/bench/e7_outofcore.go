@@ -16,20 +16,23 @@ import (
 // and scan-cold run the same selective prepared query over the same
 // durable directory — once with every lineage in RAM, once with every
 // lineage evicted, so the scan's candidates arrive through the cold
-// union and per-segment envelope pruning decides how many frames are
-// actually read. The benchrunner gate bounds cold at 3x resident:
-// envelope pruning has to keep a selective cold scan in the same class
-// as a resident one instead of decaying to a full directory decode.
+// union and per-frame envelope pruning decides how many frames are
+// actually read. The directory is merged into one segment first, the
+// shape a long-running store settles into: its segment envelope covers
+// every value, so only the frame envelopes in its footer index can
+// prune. The benchrunner gate bounds cold at 3x resident: pruning has
+// to keep a selective cold scan in the same class as a resident one
+// instead of decaying to a full directory decode.
 
-// outOfCoreSegments is the flush-segment count of the bench directory.
-// Keys are written in contiguous value ranges, one flush per range, so
-// each segment's value envelope covers a disjoint slice and a
-// top-of-range predicate prunes all but the last segment without a
-// pread.
+// outOfCoreSegments is the flush-segment count of the bench directory
+// before its merge. Keys are written in contiguous value ranges, one
+// flush per range, so each flush segment's value envelope covers a
+// disjoint slice — the case per-segment envelopes alone handle, and
+// which the merge erases.
 const outOfCoreSegments = 64
 
 // buildOutOfCoreStore writes keys 0..keys-1 (value = key index) across
-// outOfCoreSegments flush segments in dir.
+// outOfCoreSegments flush segments in dir, then merges them into one.
 func buildOutOfCoreStore(dir string, keys int) *segment.Store {
 	d, err := segment.Open(dir)
 	if err != nil {
@@ -51,6 +54,21 @@ func buildOutOfCoreStore(dir string, keys int) *segment.Store {
 				panic(err)
 			}
 		}
+	}
+	// Compact fails only while a background merge holds the compaction
+	// slot; retry until it commits.
+	for try := 0; ; try++ {
+		err := d.Compact()
+		if err == nil {
+			break
+		}
+		if try == 1000 {
+			panic(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := d.Info().Segments; n != 1 {
+		panic(fmt.Sprintf("scan-cold: merge left %d segments", n))
 	}
 	return d
 }

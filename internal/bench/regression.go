@@ -63,8 +63,9 @@ const regressionWorkers = 8
 //	e7/recover-serial            the same, 1 frame-load worker
 //	e7/scan-resident             selective prepared query over a durable
 //	                             directory, all lineages in RAM
-//	e7/scan-cold                 the same, all lineages evicted (cold
-//	                             union + envelope pruning)
+//	e7/scan-cold                 the same, all lineages evicted and the
+//	                             directory merged to one segment (cold
+//	                             union + per-frame envelope pruning)
 //	e7/wal-truncate/tail-1x      whole-file WAL truncation, 1x records
 //	e7/wal-truncate/tail-8x      the same file count holding 8x records
 //	e7/compact-reclaim/unmerged  restart frame slots before a full merge

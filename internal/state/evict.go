@@ -57,10 +57,13 @@ type ColdSource interface {
 	// ColdFrames resolves a scan's cold keys — distinct, in any order —
 	// against the durable catalog, returning one lazily loaded candidate
 	// per key that has a frame, in the keys' order. Keys with no frame,
-	// and frames whose owning segment's envelope is provably disjoint
-	// from the shape or the value bounds, are dropped unread. The cost
-	// follows the keys, not the catalog. Candidates for keys that are in
-	// fact resident are permitted — the merge discards them unloaded.
+	// frames whose owning segment's envelope is provably disjoint from
+	// the shape, and frames whose value envelope (ValueEnvelopeOf over
+	// the frame's records, persisted by the source) is disjoint from the
+	// bounds are dropped unread. A source without a frame's envelope may
+	// return it: the gather re-tests the decoded head. The cost follows
+	// the keys, not the catalog. Candidates for keys that are in fact
+	// resident are permitted — the merge discards them unloaded.
 	ColdFrames(keys []element.FactKey, shape ScanShape, bounds ValueBounds) []ColdLineage
 	// FaultIn returns the full record set of an evicted key so the
 	// write path can reinstall it before mutating. Unlike ColdRecords

@@ -43,8 +43,8 @@ func (b ValueBounds) Constrained() bool { return b.HasMin || b.HasMax }
 // Excludes reports whether the closed interval [lo, hi] cannot contain
 // any value satisfying the bounds — the exported form of the envelope
 // test the scan paths use. Backends prune durable frames against their
-// own per-segment value envelopes with it, so frame pruning and head
-// pruning share one definition of "disjoint".
+// persisted per-frame and per-segment value envelopes with it, so frame
+// pruning and head pruning share one definition of "disjoint".
 func (b ValueBounds) Excludes(lo, hi float64) bool { return b.disjoint(lo, hi) }
 
 // disjoint reports whether the closed interval [lo, hi] cannot contain
@@ -87,8 +87,8 @@ type ScanStats struct {
 	// resident and cold alike.
 	Lineages int
 	// IndexPruned counts resident candidates skipped by the value
-	// envelope. (Cold candidates arrive pre-pruned by their per-segment
-	// envelopes and are not counted here.)
+	// envelope. (Cold candidates arrive pre-pruned by their persisted
+	// frame envelopes and are not counted here; the source counts them.)
 	IndexPruned int
 	// Partitions is the number of gather partitions actually used.
 	Partitions int
@@ -180,10 +180,11 @@ func (s *Store) gatherPartitioned(cfg readCfg, spec ScanSpec) ([]*element.Fact, 
 // gatherCand resolves one partitioned-scan candidate into out: a
 // resident head runs the shared pickInto directly; a cold candidate is
 // loaded here — pread + decode on the worker that owns its chunk — and
-// the decoded head re-runs the envelope test, since the per-segment
-// envelope covers the whole segment while the decoded head's envelope
-// covers just this lineage, so the second test can prune what the first
-// could not.
+// the decoded head re-runs the envelope test. A source that persists
+// frame envelopes has already applied the same test before the read, so
+// the re-test only prunes frames stored without one (segments written
+// before frame envelopes existed, pruned until then only by their
+// per-segment envelope).
 func gatherCand(c scanCand, cfg readCfg, bounds ValueBounds, prune bool, out []*element.Fact) []*element.Fact {
 	h := c.load()
 	if h == nil || (c.h == nil && prune && h.skipByBounds(bounds)) {

@@ -252,7 +252,7 @@ func (d *Store) buildMerge(cat *catalog, lo, hi, outLevel int, seq uint64) (*rea
 				w.abort()
 				return nil, errMergeAborted
 			}
-			fkey, records, err := r.readLineageImage(img, r.index[key])
+			fkey, records, err := r.readLineageImage(img, r.index[key].off)
 			if err != nil {
 				w.abort()
 				return nil, err

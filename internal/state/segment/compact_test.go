@@ -716,7 +716,7 @@ func TestFuzzMergeVsFlatOracle(t *testing.T) {
 // pair of tiny segments does not.
 func TestSelectVictimsBytesAware(t *testing.T) {
 	seg := func(size int64, level int) *reader {
-		return &reader{size: size, level: level, index: map[element.FactKey]int64{}}
+		return &reader{size: size, level: level, index: map[element.FactKey]frameRef{}}
 	}
 	const fanout, levelBytes = 4, int64(8 << 20)
 

@@ -14,7 +14,18 @@
 // always the last frame) carries the segment's cut transaction time, the
 // bitemporal min/max envelope of every contained record (for ASOF /
 // SYSTEM TIME read pruning), and the key → frame-offset index the
-// in-memory manifest is rebuilt from at open.
+// in-memory manifest is rebuilt from at open. Optional tails follow the
+// index; a segment written before a tail existed simply ends earlier:
+//
+//	footer   := kind:u8 cut env index [level tombs [vEnv [frameEnv^n]]]
+//	index    := n:uvarint (entity attribute off:uvarint)^n  (sorted keys)
+//	vEnv     := numeric:uvarint lo:f64 hi:f64  (segment value envelope)
+//	frameEnv := flag:u8 [lo:f64 hi:f64]        (lo/hi iff flag = 1)
+//
+// frameEnv is each frame's numeric value envelope, one per index entry
+// in index order: a value-bounded scan drops an evicted lineage before
+// reading its frame, and since merges re-encode every surviving frame,
+// merged segments carry it too.
 //
 // Record instants are fixed-width little-endian (decode is four 8-byte
 // loads on the bulk path); counts and offsets are varint/uvarint
@@ -40,6 +51,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/element"
+	"repro/internal/state"
 	"repro/internal/temporal"
 	"repro/internal/vfs"
 )
@@ -103,6 +115,18 @@ func (e *envelope) observe(f *element.Fact) {
 	}
 }
 
+// frameRef locates one lineage frame in a segment and carries the
+// frame's numeric value envelope: state.ValueEnvelopeOf over its
+// records, exactly the envelope its decoded head carries. numeric is
+// false for an empty frame, for a frame holding any non-numeric value,
+// and for every frame of a segment written before the footer carried
+// frame envelopes — such frames are never value-pruned.
+type frameRef struct {
+	off     int64
+	lo, hi  float64
+	numeric bool
+}
+
 // writer builds one segment file. Frames are buffered through bufio and
 // the file is fsynced in finish, BEFORE the caller references it from
 // the manifest — the crash-atomicity contract of the format.
@@ -112,7 +136,7 @@ type writer struct {
 	bw    *bufio.Writer
 	path  string
 	off   int64
-	index map[element.FactKey]int64
+	index map[element.FactKey]frameRef
 	env   envelope
 	scr   []byte // payload scratch, reused across frames
 	// level is the compaction level the finished segment carries in its
@@ -122,40 +146,11 @@ type writer struct {
 	// metadata compaction victim selection reads without opening frames.
 	tombs int
 	// vMin/vMax/vNumeric are the segment's numeric value envelope, the
-	// per-segment analogue of the per-head envelope the RAM scan prunes
-	// with: vNumeric reports at least one record written and every
-	// record's value numeric — only then may a scan skip the whole
-	// segment on disjoint ValueBounds. vAny distinguishes the first
-	// observed record (seeds the bounds) from later ones (widen them).
+	// union of its non-empty frames' envelopes: vNumeric reports at least
+	// one record written and every frame numeric — only then may a scan
+	// skip the whole segment on disjoint ValueBounds.
 	vMin, vMax float64
 	vNumeric   bool
-	vAny       bool
-}
-
-// observeValue folds one record value into the segment's numeric value
-// envelope — the same seeding/voiding rules as the head envelope: any
-// non-numeric value permanently voids vNumeric, so a mixed segment is
-// never envelope-pruned.
-func (w *writer) observeValue(v element.Value) {
-	x, ok := v.AsFloat()
-	if !ok {
-		w.vNumeric = false
-		w.vAny = true
-		return
-	}
-	if !w.vAny {
-		w.vMin, w.vMax, w.vNumeric, w.vAny = x, x, true, true
-		return
-	}
-	if !w.vNumeric {
-		return
-	}
-	if x < w.vMin {
-		w.vMin = x
-	}
-	if x > w.vMax {
-		w.vMax = x
-	}
 }
 
 // createSegment opens a new segment file at path and writes the header.
@@ -167,7 +162,7 @@ func createSegment(fsys vfs.FS, path string, level int) (*writer, error) {
 	}
 	w := &writer{
 		f: f, fs: fsys, bw: bufio.NewWriterSize(f, 1<<16), path: path,
-		index: make(map[element.FactKey]int64),
+		index: make(map[element.FactKey]frameRef),
 		env:   emptyEnvelope(),
 		level: level,
 	}
@@ -234,17 +229,29 @@ func (w *writer) writeLineage(key element.FactKey, records []*element.Fact) erro
 		b = binary.AppendUvarint(b, uint64(len(val)))
 		b = append(b, val...)
 		w.env.observe(f)
-		w.observeValue(f.Value)
 	}
 	w.scr = b
 	off, err := w.writeFrame(b)
 	if err != nil {
 		return fmt.Errorf("segment: %s: %w", key, err)
 	}
+	ref := frameRef{off: off}
 	if len(records) == 0 {
 		w.tombs++
+	} else {
+		ref.lo, ref.hi, ref.numeric = state.ValueEnvelopeOf(records)
+		// Every frame before the first non-empty one was a tombstone: it
+		// seeds the segment envelope; later frames widen or void it.
+		switch {
+		case len(w.index) == w.tombs:
+			w.vMin, w.vMax, w.vNumeric = ref.lo, ref.hi, ref.numeric
+		case !ref.numeric:
+			w.vNumeric = false
+		default:
+			w.vMin, w.vMax = min(w.vMin, ref.lo), max(w.vMax, ref.hi)
+		}
 	}
-	w.index[key] = off
+	w.index[key] = ref
 	return nil
 }
 
@@ -272,7 +279,7 @@ func (w *writer) finish(cut temporal.Instant) (*reader, error) {
 	for _, k := range keys {
 		b = appendString(b, k.Entity)
 		b = appendString(b, k.Attribute)
-		b = binary.AppendUvarint(b, uint64(w.index[k]))
+		b = binary.AppendUvarint(b, uint64(w.index[k].off))
 	}
 	// Compaction metadata rides after the index as optional trailing
 	// fields: segments written before levels existed simply end here and
@@ -289,6 +296,19 @@ func (w *writer) finish(cut temporal.Instant) (*reader, error) {
 	b = binary.AppendUvarint(b, vn)
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(w.vMin))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(w.vMax))
+	// The per-frame value envelopes are the last optional tail, one entry
+	// per key in index order: segments written before it decode every
+	// frame as non-numeric — never frame-pruned, always correct.
+	for _, k := range keys {
+		ref := w.index[k]
+		if !ref.numeric {
+			b = append(b, 0)
+			continue
+		}
+		b = append(b, 1)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ref.lo))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ref.hi))
+	}
 	w.scr = b
 	footerOff, err := w.writeFrame(b)
 	if err != nil {
@@ -336,18 +356,20 @@ type reader struct {
 	// size bounds every frame read: the length prefix sits outside the
 	// frame checksum, so without the bound a bit-rotted prefix would
 	// drive an arbitrary allocation before the read fails.
-	size  int64
-	cut   temporal.Instant
-	env   envelope
-	index map[element.FactKey]int64
+	size int64
+	cut  temporal.Instant
+	env  envelope
+	// index maps each key to its frame: the offset, plus the frame's
+	// value envelope a value-bounded scan prunes it by before the pread.
+	index map[element.FactKey]frameRef
 	// level is the segment's compaction level (0 = flush output); tombs
 	// its tombstone-frame count. Both come from the footer.
 	level int
 	tombs int
 	// vMin/vMax/vNumeric are the segment's numeric value envelope from
-	// the footer (see writer.observeValue): when vNumeric, every record
-	// value in the segment lies in [vMin, vMax], so a scan with disjoint
-	// value bounds prunes every frame without a pread.
+	// the footer (see writer): when vNumeric, every record value in the
+	// segment lies in [vMin, vMax], so a scan with disjoint value bounds
+	// prunes every frame without a pread.
 	vMin, vMax float64
 	vNumeric   bool
 	// live counts the keys whose NEWEST durable frame is in this segment
@@ -399,50 +421,100 @@ func loadSegment(fsys vfs.FS, f vfs.File, path string) (*reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segment: %s: footer: %w", path, err)
 	}
+	r := &reader{f: f, fs: fsys, path: path, size: size}
+	if err := r.decodeFooter(payload, footerOff); err != nil {
+		return nil, fmt.Errorf("segment: %s: %w", path, err)
+	}
+	return r, nil
+}
+
+// footerEntry is one decoded index entry, staged so the index map is
+// built once, after the optional tails filled in the frame envelopes.
+type footerEntry struct {
+	key element.FactKey
+	ref frameRef
+}
+
+// decodeFooter parses a checksum-verified footer payload into r. The
+// entry count is bounded by the bytes left before anything is
+// allocated, and every frame offset must precede the footer, so a
+// corrupt footer fails the open instead of driving an allocation or a
+// later out-of-range read. An optional tail is either absent or whole:
+// a truncated one is corruption, never "no tail".
+func (r *reader) decodeFooter(payload []byte, footerOff int64) error {
 	c := &cursor{b: payload}
 	if c.u8() != kindFooter {
-		return nil, fmt.Errorf("segment: %s: footer has wrong frame kind", path)
+		return errors.New("footer has wrong frame kind")
 	}
-	r := &reader{f: f, fs: fsys, path: path, size: size, cut: temporal.Instant(c.varint())}
+	r.cut = temporal.Instant(c.varint())
 	r.env.minValid = temporal.Instant(c.varint())
 	r.env.maxValid = temporal.Instant(c.varint())
 	r.env.minTx = temporal.Instant(c.varint())
 	r.env.maxTx = temporal.Instant(c.varint())
-	n := int(c.uvarint())
-	if c.err != nil || n < 0 {
-		return nil, fmt.Errorf("segment: %s: corrupt footer", path)
+	n := c.uvarint()
+	// An entry takes at least 3 bytes: two string length prefixes and
+	// the offset.
+	if c.err != nil || n > uint64(len(c.b)/3) {
+		return errors.New("corrupt footer")
 	}
-	r.index = make(map[element.FactKey]int64, n)
-	for i := 0; i < n; i++ {
-		key := element.FactKey{Entity: c.str(), Attribute: c.str()}
-		off := int64(c.uvarint())
-		if c.err != nil {
-			return nil, fmt.Errorf("segment: %s: corrupt footer entry %d", path, i)
+	ents := make([]footerEntry, n)
+	for i := range ents {
+		ents[i].key = element.FactKey{Entity: c.str(), Attribute: c.str()}
+		off := c.uvarint()
+		if c.err != nil || off < uint64(len(fileMagic)) || off >= uint64(footerOff) {
+			return fmt.Errorf("corrupt footer entry %d", i)
 		}
-		r.index[key] = off
+		ents[i].ref.off = int64(off)
 	}
 	// Optional trailing compaction metadata (see writer.finish): absent
 	// in segments written before levels existed.
-	if c.err == nil && len(c.b) > 0 {
+	if len(c.b) > 0 {
 		r.level = int(c.uvarint())
 		r.tombs = int(c.uvarint())
 		if c.err != nil {
-			return nil, fmt.Errorf("segment: %s: corrupt footer metadata", path)
+			return errors.New("corrupt footer metadata")
 		}
 	}
 	// Optional trailing value envelope: absent in older segments, which
 	// decode as vNumeric=false (never value-pruned).
-	if c.err == nil && len(c.b) > 0 {
+	if len(c.b) > 0 {
 		vn := c.uvarint()
 		vb, ok := c.take(16)
-		if c.err != nil || !ok {
-			return nil, fmt.Errorf("segment: %s: corrupt footer value envelope", path)
+		if !ok {
+			return errors.New("corrupt footer value envelope")
 		}
 		r.vNumeric = vn == 1
 		r.vMin = math.Float64frombits(binary.LittleEndian.Uint64(vb))
 		r.vMax = math.Float64frombits(binary.LittleEndian.Uint64(vb[8:]))
 	}
-	return r, nil
+	// Optional per-frame value envelopes: absent in older segments, whose
+	// frames decode as numeric=false (never frame-pruned).
+	if len(c.b) > 0 {
+		for i := range ents {
+			switch c.u8() {
+			case 0:
+			case 1:
+				vb, ok := c.take(16)
+				if !ok {
+					return fmt.Errorf("corrupt footer frame envelope %d", i)
+				}
+				e := &ents[i].ref
+				e.lo = math.Float64frombits(binary.LittleEndian.Uint64(vb))
+				e.hi = math.Float64frombits(binary.LittleEndian.Uint64(vb[8:]))
+				e.numeric = true
+			default:
+				return fmt.Errorf("corrupt footer frame envelope %d", i)
+			}
+		}
+		if c.err != nil {
+			return errors.New("corrupt footer frame envelopes")
+		}
+	}
+	r.index = make(map[element.FactKey]frameRef, len(ents))
+	for _, e := range ents {
+		r.index[e.key] = e.ref
+	}
+	return nil
 }
 
 // garbage scores the segment for compaction victim selection: dead

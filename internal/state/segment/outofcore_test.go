@@ -11,6 +11,7 @@ package segment
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -40,6 +41,48 @@ var outOfCoreShapes = []struct {
 	{"all-versions", []state.ReadOpt{state.AllVersions()}},
 	{"audit", []state.ReadOpt{state.AllVersions(), state.AsOfTransactionTime(1500)}},
 	{"attr-pinned", []state.ReadOpt{state.WithAttribute("audit"), state.AsOfValidTime(1005)}},
+}
+
+// outOfCoreBounds are the value bounds the equivalence checks push into
+// partitioned scans. mutate writes "value" in 0..239 across rounds,
+// "batch" in 0..19, and string "audit" values: bounds below and above
+// all data, straddling one round's range, and exclusive edges sitting
+// exactly on written values.
+var outOfCoreBounds = []struct {
+	name string
+	b    state.ValueBounds
+}{
+	{"below", state.ValueBounds{Max: -1, HasMax: true}},
+	{"above", state.ValueBounds{Min: 1000, HasMin: true}},
+	{"straddle", state.ValueBounds{Min: 90, HasMin: true, Max: 150, HasMax: true}},
+	{"excl-edges", state.ValueBounds{Min: 139, HasMin: true, MinExcl: true, Max: 200, HasMax: true, MaxExcl: true}},
+	{"excl-top", state.ValueBounds{Min: 239, HasMin: true, MinExcl: true}},
+	{"incl-top", state.ValueBounds{Min: 239, HasMin: true}},
+	{"batch-low", state.ValueBounds{Max: 5, HasMax: true, MaxExcl: true}},
+}
+
+// keepBounds is b as a row predicate: numeric values inside the bounds.
+func keepBounds(b state.ValueBounds) func(*element.Fact) bool {
+	return func(f *element.Fact) bool {
+		v, ok := f.Value.AsFloat()
+		return ok && !b.Excludes(v, v)
+	}
+}
+
+// filterFacts returns the facts keep accepts, in order.
+func filterFacts(facts []*element.Fact, keep func(*element.Fact) bool) []*element.Fact {
+	var out []*element.Fact
+	for _, f := range facts {
+		if keep(f) {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// sameFacts is reflect.DeepEqual with nil and empty results equal.
+func sameFacts(a, b []*element.Fact) bool {
+	return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b)
 }
 
 // mutateKeys enumerates every (entity, attribute) pair the mutate
@@ -79,6 +122,26 @@ func assertEquivalent(t *testing.T, leg string, cold, oracle *Store) {
 				t.Fatalf("%s: ScanShards(%d, %s) diverged", leg, par, sh.name)
 			}
 		}
+		// Value-bounded scans: cold frames are pruned by their persisted
+		// envelopes, resident heads by theirs, so the unfiltered output
+		// (which lineages survive pruning) must match too, and the
+		// filtered output must equal the unbounded scan filtered by the
+		// same predicate.
+		for _, vb := range outOfCoreBounds {
+			keep := keepBounds(vb.b)
+			want := filterFacts(osn.List(sh.opts...), keep)
+			for _, par := range []int{1, 2, 4, 8} {
+				spec := state.ScanSpec{Opts: sh.opts, Parallelism: par, Bounds: vb.b}
+				got, _ := csn.ScanPartitioned(spec)
+				if owant, _ := osn.ScanPartitioned(spec); !sameFacts(got, owant) {
+					t.Fatalf("%s: ScanPartitioned(%d, %s, %s) diverged: %d vs %d facts", leg, par, sh.name, vb.name, len(got), len(owant))
+				}
+				spec.Keep = keep
+				if got, _ := csn.ScanPartitioned(spec); !sameFacts(got, want) {
+					t.Fatalf("%s: filtered ScanPartitioned(%d, %s, %s) diverged: %d vs %d facts", leg, par, sh.name, vb.name, len(got), len(want))
+				}
+			}
+		}
 	}
 	pointOpts := [][]state.ReadOpt{
 		nil,
@@ -114,12 +177,12 @@ func assertColdSeam(t *testing.T, d *Store) {
 	seen := map[element.FactKey]bool{}
 	for i := len(cat.segments) - 1; i >= 0; i-- {
 		r := cat.segments[i]
-		for key, off := range r.index {
+		for key, ref := range r.index {
 			if seen[key] {
 				continue
 			}
 			seen[key] = true
-			_, records, err := r.readLineage(off)
+			_, records, err := r.readLineage(ref.off)
 			if err != nil {
 				t.Fatalf("seam: read %s: %v", key, err)
 			}
@@ -206,6 +269,85 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 	}
 	assertEquivalent(t, "restart", rec, oracle)
 	assertColdSeam(t, rec)
+
+	// Merge: fold the whole chain into one segment, evict everything,
+	// and compare again — the merged frames carry their envelopes, so
+	// bounded scans keep pruning per key after the merge.
+	compactAll(t, rec)
+	rec.EvictToBudget(0)
+	if n := rec.Info().ResidentLineages; n != 0 {
+		t.Fatalf("post-merge eviction left %d lineages resident", n)
+	}
+	assertEquivalent(t, "merged", rec, oracle)
+	assertColdSeam(t, rec)
+}
+
+// compactAll merges d's whole chain into one segment, retrying while a
+// background merge holds the compaction slot.
+func compactAll(t testing.TB, d *Store) {
+	t.Helper()
+	for {
+		err := d.Compact()
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, errCompactBusy) {
+			t.Fatalf("compact: %v", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := d.Info().Segments; n != 1 {
+		t.Fatalf("compact left %d segments, want 1", n)
+	}
+}
+
+// TestOutOfCoreMergedFramePruning: N keys with value = i, flushed as
+// value-disjoint segments and merged into one, then fully evicted. The
+// merged segment's value envelope covers every key, so only per-frame
+// envelopes can prune: a `value > N-10` scan must return the resident
+// answer while reading exactly the 9 matching frames and pruning the
+// other N-9 unread.
+func TestOutOfCoreMergedFramePruning(t *testing.T) {
+	const n, flushes = 512, 8
+	d, err := Open(t.TempDir(), WithResidencyBudget(1))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer d.Close()
+	for i := 0; i < n; i++ {
+		if err := d.Put(fmt.Sprintf("k%04d", i), "value", element.Int(int64(i)),
+			state.WithValidTime(temporal.Instant(i+1)),
+			state.WithTransactionTime(temporal.Instant(i+1))); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+		if (i+1)%(n/flushes) == 0 {
+			if err := d.Flush(); err != nil {
+				t.Fatalf("flush: %v", err)
+			}
+		}
+	}
+	compactAll(t, d)
+	spec := state.ScanSpec{Parallelism: 4, Bounds: state.ValueBounds{Min: n - 10, HasMin: true, MinExcl: true}}
+	want, _ := d.Mem().Snapshot().ScanPartitioned(spec)
+	if len(want) != 9 {
+		t.Fatalf("resident scan returned %d facts, want 9", len(want))
+	}
+	d.EvictToBudget(0)
+	if r := d.Info().ResidentLineages; r != 0 {
+		t.Fatalf("eviction left %d lineages resident", r)
+	}
+	before := d.Info()
+	got, _ := d.Mem().Snapshot().ScanPartitioned(spec)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("cold scan diverged from the resident answer: %d vs %d facts", len(got), len(want))
+	}
+	after := d.Info()
+	if read := after.ScanFrames - before.ScanFrames; read != 9 {
+		t.Fatalf("cold scan read %d frames, want 9", read)
+	}
+	if pruned := after.ScanFramesPruned - before.ScanFramesPruned; pruned != n-9 {
+		t.Fatalf("cold scan pruned %d frames, want %d", pruned, n-9)
+	}
 }
 
 // TestOutOfCoreColdStartBudget: reopening a directory larger than the

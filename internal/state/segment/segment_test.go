@@ -553,6 +553,31 @@ func TestRecoverySweptDirectory(t *testing.T) {
 		t.Fatalf("tombstoned key has history: %v", hist)
 	}
 
+	// The fixture predates per-frame value envelopes: its frames decode
+	// with none, so a value-bounded scan reads "old" rather than pruning
+	// it, and answers exactly as the unbounded scan filtered.
+	for _, r := range d.cat.Load().segments {
+		for key, ref := range r.index {
+			if ref.numeric {
+				t.Fatalf("%s: pre-envelope frame %s decoded with an envelope", r.path, key)
+			}
+		}
+	}
+	sn := d.Mem().Snapshot()
+	for _, b := range []state.ValueBounds{
+		{Min: 1.5, HasMin: true},
+		{Min: 1, HasMin: true, MinExcl: true, Max: 4, HasMax: true, MaxExcl: true},
+		{Max: 1, HasMax: true},
+		{Min: 5, HasMin: true},
+	} {
+		keep := keepBounds(b)
+		for _, opts := range [][]state.ReadOpt{{state.AsOfValidTime(15)}, {state.AllVersions()}} {
+			want := filterFacts(sn.List(opts...), keep)
+			got, _ := sn.ScanPartitioned(state.ScanSpec{Opts: opts, Bounds: b, Keep: keep})
+			same(fmt.Sprintf("bounded scan %+v", b), rows(got...), rows(want...))
+		}
+	}
+
 	// The behaviour change: the write faults the frame in, so the new
 	// record joins the swept history instead of replacing it.
 	if err := d.Put("old", "v", element.Int(5),

@@ -178,8 +178,8 @@ type catalog struct {
 // frame's offset, probing newest→oldest.
 func (c *catalog) owner(key element.FactKey) (*reader, int64, bool) {
 	for i := len(c.segments) - 1; i >= 0; i-- {
-		if off, ok := c.segments[i].index[key]; ok {
-			return c.segments[i], off, true
+		if ref, ok := c.segments[i].index[key]; ok {
+			return c.segments[i], ref.off, true
 		}
 	}
 	return nil, 0, false
@@ -297,7 +297,7 @@ type Store struct {
 	removeFails  atomic.Int64
 
 	// scanFrames/scanPruned count durable frames read into scans and
-	// frames the per-segment envelope pruning skipped (see List).
+	// frames the envelope pruning skipped unread (see ColdFrames).
 	scanFrames atomic.Int64
 	scanPruned atomic.Int64
 
@@ -650,7 +650,7 @@ func (d *Store) loadSegmentFrames(r *reader, img []byte, keys []element.FactKey,
 // lineage; a tombstone frame installs nothing (the key is durably
 // absent).
 func (d *Store) loadFrame(r *reader, img []byte, key element.FactKey) error {
-	off := r.index[key]
+	off := r.index[key].off
 	fkey, records, err := r.readLineageImage(img, off)
 	if err != nil {
 		return err
@@ -1255,13 +1255,17 @@ func (d *Store) ColdRecords(key element.FactKey, spec state.ReadSpec, point bool
 
 // ColdFrames resolves a scan's cold keys against one catalog load,
 // newest segment first, each key at its newest frame behind a lazy
-// loader, in the keys' order. Whole frames are pruned — the pread never
+// loader, in the keys' order. A frame is pruned — the pread never
 // issued — when the owning segment's bitemporal envelope is disjoint
-// from the scan shape or its value envelope disjoint from the pushed
-// bounds. A segment costs min(|index|, |keys still unresolved|): it is
-// probed key by key, or its index walked when that is smaller, so many
-// segments and many unowned keys never multiply. Implements
-// state.ColdSource.
+// from the scan shape, or when its own value envelope from the footer
+// index (or, failing that, its segment's) is disjoint from the pushed
+// bounds: the decoded head would carry the same envelope and fail the
+// gather's skipByBounds test, so the result is unchanged, only the read
+// is saved. Pruning is per key, so it survives merges that fold
+// value-disjoint segments together. A segment costs min(|index|, |keys
+// still unresolved|): it is probed key by key, or its index walked when
+// that is smaller, so many segments and many unowned keys never
+// multiply. Implements state.ColdSource.
 func (d *Store) ColdFrames(keys []element.FactKey, shape state.ScanShape, bounds state.ValueBounds) []state.ColdLineage {
 	if d.degraded.Load() != nil {
 		// Degraded scans serve RAM only, matching ColdRecords' posture.
@@ -1272,7 +1276,7 @@ func (d *Store) ColdFrames(keys []element.FactKey, shape state.ScanShape, bounds
 		return nil
 	}
 	type hit struct {
-		r    *reader // nil: no frame, or its segment pruned it
+		r    *reader // nil: no frame, or the frame was pruned
 		off  int64
 		done bool
 	}
@@ -1286,15 +1290,15 @@ func (d *Store) ColdFrames(keys []element.FactKey, shape state.ScanShape, bounds
 	for i := len(cat.segments) - 1; i >= 0 && left > 0; i-- {
 		r := cat.segments[i]
 		pruned := scanPrune(r.env, shape) || (r.vNumeric && bounds.Excludes(r.vMin, r.vMax))
-		resolve := func(k int, off int64) {
+		resolve := func(k int, ref frameRef) {
 			// Resolve even the pruned: an older frame of the same key must
 			// not answer for the newest one.
 			hits[k].done = true
 			left--
-			if pruned {
+			if pruned || (ref.numeric && bounds.Excludes(ref.lo, ref.hi)) {
 				d.scanPruned.Add(1)
 			} else {
-				hits[k].r, hits[k].off = r, off
+				hits[k].r, hits[k].off = r, ref.off
 			}
 		}
 		if len(r.index) < left {
@@ -1304,9 +1308,9 @@ func (d *Store) ColdFrames(keys []element.FactKey, shape state.ScanShape, bounds
 					pos[key] = k
 				}
 			}
-			for key, off := range r.index {
+			for key, ref := range r.index {
 				if k, ok := pos[key]; ok && !hits[k].done {
-					resolve(k, off)
+					resolve(k, ref)
 				}
 			}
 			continue
@@ -1316,8 +1320,8 @@ func (d *Store) ColdFrames(keys []element.FactKey, shape state.ScanShape, bounds
 			if hits[k].done {
 				continue
 			}
-			if off, ok := r.index[keys[k]]; ok {
-				resolve(k, off)
+			if ref, ok := r.index[keys[k]]; ok {
+				resolve(k, ref)
 			} else {
 				next = append(next, k)
 			}
@@ -1435,8 +1439,8 @@ type Info struct {
 	// scans (the merged gather's cold loads for non-resident lineages).
 	ScanFrames int64
 	// ScanFramesPruned is the cumulative count of cold scan keys whose
-	// frame the per-segment envelopes (bitemporal or value) pruned
-	// unread.
+	// frame was pruned unread: by its segment's bitemporal envelope, or
+	// by its own (or its segment's) value envelope.
 	ScanFramesPruned int64
 	// ResidentLineages is the number of lineages currently resident in
 	// the RAM working set.

@@ -206,10 +206,22 @@ func (h *head) observeValue(v element.Value, hadRecords bool) {
 // recomputeValueEnv rebuilds the value envelope from h.records, for heads
 // assembled from a detached record slice (buildHead).
 func (h *head) recomputeValueEnv() {
-	h.vMin, h.vMax, h.vNumeric = 0, 0, false
-	for i, f := range h.records {
+	h.vMin, h.vMax, h.vNumeric = ValueEnvelopeOf(h.records)
+}
+
+// ValueEnvelopeOf folds a lineage's record values into the numeric value
+// envelope its head would carry: the first numeric value seeds [lo, hi],
+// later ones widen it, and any non-numeric value voids it (numeric =
+// false). An empty record set has no envelope. Durable backends persist
+// it per frame, so a value-bounded scan can drop an evicted lineage
+// with ValueBounds.Excludes before reading its frame — the same test
+// skipByBounds applies to the decoded head.
+func ValueEnvelopeOf(records []*element.Fact) (lo, hi float64, numeric bool) {
+	var h head
+	for i, f := range records {
 		h.observeValue(f.Value, i > 0)
 	}
+	return h.vMin, h.vMax, h.vNumeric
 }
 
 // skipByBounds reports whether no record of this head can satisfy b:

@@ -23,7 +23,7 @@ const fanoutStalledQueue = 4
 // ingest time.
 func fanoutRun(subs, n int) time.Duration {
 	msgs := ingestMessages(n)
-	e := ingestEngine(1)
+	e := ingestEngine()
 	b := subscribe.NewBroker(e)
 	names := keyNamesPrefixed("s", ingestEntities)
 	var wg sync.WaitGroup

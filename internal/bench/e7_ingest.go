@@ -15,8 +15,8 @@ import (
 // End-to-end ingestion throughput: elements/sec through Engine.Run — the
 // paper's Figure-1 pipeline (rules → state repository → stream
 // processors) measured as a whole. The workload is the canonical sensor
-// shape: a pure REPLACE rule tracking per-sensor state (the group-commit
-// hot path), an EMIT rule deriving alert elements, and a gated processor
+// shape: a REPLACE rule tracking per-sensor state (the group-commit hot
+// path), an EMIT rule deriving alert elements, and a gated processor
 // reading state per element, with a watermark every ingestWMEvery
 // elements delimiting micro-batches.
 
@@ -53,11 +53,10 @@ func ingestMessages(n int) []stream.Message {
 }
 
 // ingestEngine deploys the ingest workload's rules and a cheap gated
-// processor on a fresh engine with the given worker count and any extra
-// options (a durable directory, say).
-func ingestEngine(workers int, opts ...core.Option) *core.Engine {
-	base := []core.Option{core.WithPolicy(core.StateFirst), core.WithParallelism(workers),
-		core.WithEmittedRetention(1024)}
+// processor on a fresh engine with any extra options (a durable
+// directory, say).
+func ingestEngine(opts ...core.Option) *core.Engine {
+	base := []core.Option{core.WithPolicy(core.StateFirst), core.WithEmittedRetention(1024)}
 	e := core.New(append(base, opts...)...)
 	if err := e.DeployRules(ingestRules); err != nil {
 		panic(err)
@@ -75,8 +74,8 @@ func ingestEngine(workers int, opts ...core.Option) *core.Engine {
 // ingestThroughput runs n elements through a fresh engine and reports
 // wall-clock time plus allocations per element (heap allocation delta
 // over the run, measured on this goroutine's run of the whole pipeline).
-func ingestThroughput(workers, n int) (time.Duration, float64) {
-	return ingestRun(ingestEngine(workers), n)
+func ingestThroughput(n int) (time.Duration, float64) {
+	return ingestRun(ingestEngine(), n)
 }
 
 // ingestRun runs n ingest elements through e and reports the wall-clock

@@ -22,7 +22,7 @@ func TestIngestAllocsPerElement(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	_, allocs := ingestThroughput(1, 100_000)
+	_, allocs := ingestThroughput(100_000)
 	if allocs > maxIngestAllocsPerElement {
 		t.Fatalf("serial ingest: %.2f allocs/element, want <= %.2f", allocs, maxIngestAllocsPerElement)
 	}
@@ -42,7 +42,7 @@ func TestDurableIngestAllocsPerElement(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	e := ingestEngine(1, core.WithDurableDir(t.TempDir(), segment.WithFlushEvery(1<<30)))
+	e := ingestEngine(core.WithDurableDir(t.TempDir(), segment.WithFlushEvery(1<<30)))
 	if err := e.Health().DurableErr; err != nil {
 		t.Fatal(err)
 	}
@@ -80,26 +80,22 @@ func TestReplaceAllocs(t *testing.T) {
 	}
 }
 
-// benchmarkIngest drives one fixed-size message batch through a fresh
-// engine per iteration, so ns/op and allocs/op are per 50k-element
+// BenchmarkIngestSerial drives one fixed-size message batch through a
+// fresh engine per iteration, so ns/op and allocs/op are per 50k-element
 // pipeline run; the elems/s metric is the headline number.
-func benchmarkIngest(b *testing.B, workers int) {
+func BenchmarkIngestSerial(b *testing.B) {
 	const n = 50_000
 	msgs := ingestMessages(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := ingestEngine(workers)
+		e := ingestEngine()
 		if err := e.Run(msgs); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "elems/s")
 }
-
-func BenchmarkIngestSerial(b *testing.B)    { benchmarkIngest(b, 1) }
-func BenchmarkIngestParallel4(b *testing.B) { benchmarkIngest(b, 4) }
-func BenchmarkIngestParallel8(b *testing.B) { benchmarkIngest(b, 8) }
 
 // BenchmarkPutBatch measures the store-level group commit — 50k replace
 // writes over 1k keys in micro-batches of ingestWMEvery — to contrast

@@ -48,9 +48,8 @@ const regressionWorkers = 8
 //	e7/find-par8/single-lock     the same on a 1-shard (single-lock) store
 //	e7/put-par8/sharded          8-goroutine parallel Put, default shards
 //	e7/put-par8/single-lock      the same on a 1-shard (single-lock) store
-//	e7/ingest-serial             end-to-end Engine.Run, 1 worker
-//	e7/ingest-par4               end-to-end Engine.Run, 4 workers
-//	e7/fanout-1k-subscribers     serial ingest with 1k push subscribers
+//	e7/ingest-serial             end-to-end Engine.Run
+//	e7/fanout-1k-subscribers     the same ingest with 1k push subscribers
 //	                             (one stalled) on the broker
 //	e7/scan-serial               quiet-store snapshot gather, serial
 //	e7/scan-par4                 the same gather, 4 partition workers
@@ -128,16 +127,12 @@ func RegressionSuite(scale float64) *RegressionReport {
 		})
 	}
 
-	// End-to-end ingestion rows: the whole Figure-1 pipeline, serial and
-	// 4-way parallel, then the serial leg with 1k subscription clients
-	// attached (one permanently stalled).
+	// End-to-end ingestion rows: the whole Figure-1 pipeline, then the
+	// same with 1k subscription clients attached (one permanently
+	// stalled).
 	ingestOps := scaleInt(400_000, scale)
 	add("e7/ingest-serial", ingestOps, func() time.Duration {
-		elapsed, _ := ingestThroughput(1, ingestOps)
-		return elapsed
-	})
-	add("e7/ingest-par4", ingestOps, func() time.Duration {
-		elapsed, _ := ingestThroughput(4, ingestOps)
+		elapsed, _ := ingestThroughput(ingestOps)
 		return elapsed
 	})
 	fanoutSubs := scaleInt(1_000, scale)

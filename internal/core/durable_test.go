@@ -56,77 +56,74 @@ var durableQueries = []string{
 // after a flush plus a WAL-tail's worth of further elements, without
 // Close — restarts it on the same directory, feeds the rest of the
 // stream, and requires byte-identical state and identical SYSTEM TIME
-// query answers versus an engine that never restarted. The parallel leg
-// runs the restart under WithParallelism(4), exercising the group-commit
-// (PutBatch) WAL frames across the crash.
+// query answers versus an engine that never restarted. The WAL tail it
+// recovers holds the engine's per-micro-batch group-commit frames.
 func TestRecoveryDurableEngineRestart(t *testing.T) {
+	// Ingest is serial; the restart runs as the "serial" case.
+	t.Run("serial", testDurableEngineRestart)
+}
+
+func testDurableEngineRestart(t *testing.T) {
 	msgs := oracleMessages(400)
 	flushAtIdx := splitAtWatermark(t, msgs, 0.3)
 	split := splitAtWatermark(t, msgs, 0.6)
 
-	oracle := oracleEngine(t, StateFirst, 1)
+	oracle := oracleEngine(t, StateFirst)
 	if err := oracle.Run(msgs); err != nil {
 		t.Fatal(err)
 	}
 
-	for _, leg := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 4}} {
-		t.Run(leg.name, func(t *testing.T) {
-			dir := t.TempDir()
-			e1 := New(WithDurableDir(dir), WithParallelism(leg.workers))
-			if err := e1.DeployRules(oracleRules); err != nil {
-				t.Fatal(err)
-			}
-			if err := e1.Run(msgs[:flushAtIdx]); err != nil {
-				t.Fatal(err)
-			}
-			// One explicit flush mid-history at the engine's cut: one tick
-			// behind the watermark, since elements stamped exactly at a
-			// watermark may still follow it (see Engine.advance).
-			if err := e1.Durable().FlushAt(e1.Watermark() - 1); err != nil {
-				t.Fatalf("flush: %v", err)
-			}
-			// More elements land in the WAL tail only; then the crash —
-			// no Close, no final flush.
-			if err := e1.Run(msgs[flushAtIdx:split]); err != nil {
-				t.Fatal(err)
-			}
-			if info := e1.Durable().Info(); info.Segments == 0 || info.WALRecords == 0 {
-				t.Fatalf("restart precondition needs segments AND a WAL tail, got %+v", info)
-			}
-			// The crash: drop the directory lock and descriptors without
-			// flushing, exactly as process death would.
-			e1.Durable().Abandon()
+	dir := t.TempDir()
+	e1 := New(WithDurableDir(dir))
+	if err := e1.DeployRules(oracleRules); err != nil {
+		t.Fatal(err)
+	}
+	if err := e1.Run(msgs[:flushAtIdx]); err != nil {
+		t.Fatal(err)
+	}
+	// One explicit flush mid-history at the engine's cut: one tick
+	// behind the watermark, since elements stamped exactly at a
+	// watermark may still follow it (see Engine.advance).
+	if err := e1.Durable().FlushAt(e1.Watermark() - 1); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	// More elements land in the WAL tail only; then the crash —
+	// no Close, no final flush.
+	if err := e1.Run(msgs[flushAtIdx:split]); err != nil {
+		t.Fatal(err)
+	}
+	if info := e1.Durable().Info(); info.Segments == 0 || info.WALRecords == 0 {
+		t.Fatalf("restart precondition needs segments AND a WAL tail, got %+v", info)
+	}
+	// The crash: drop the directory lock and descriptors without
+	// flushing, exactly as process death would.
+	e1.Durable().Abandon()
 
-			e2 := New(WithDurableDir(dir), WithParallelism(leg.workers))
-			if err := e2.DeployRules(oracleRules); err != nil {
-				t.Fatal(err)
-			}
-			if err := e2.Run(msgs[split:]); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := storeBytes(t, e2), storeBytes(t, oracle); !bytes.Equal(got, want) {
-				t.Fatalf("restarted state differs from oracle (%d vs %d bytes)", len(got), len(want))
-			}
-			for _, q := range durableQueries {
-				want, err := oracle.Query(q)
-				if err != nil {
-					t.Fatalf("oracle %q: %v", q, err)
-				}
-				got, err := e2.Query(q)
-				if err != nil {
-					t.Fatalf("restarted %q: %v", q, err)
-				}
-				if got.String() != want.String() {
-					t.Errorf("%q diverged after restart:\ngot:\n%s\nwant:\n%s", q, got, want)
-				}
-			}
-			if err := e2.Close(); err != nil {
-				t.Fatalf("close: %v", err)
-			}
-		})
+	e2 := New(WithDurableDir(dir))
+	if err := e2.DeployRules(oracleRules); err != nil {
+		t.Fatal(err)
+	}
+	if err := e2.Run(msgs[split:]); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := storeBytes(t, e2), storeBytes(t, oracle); !bytes.Equal(got, want) {
+		t.Fatalf("restarted state differs from oracle (%d vs %d bytes)", len(got), len(want))
+	}
+	for _, q := range durableQueries {
+		want, err := oracle.Query(q)
+		if err != nil {
+			t.Fatalf("oracle %q: %v", q, err)
+		}
+		got, err := e2.Query(q)
+		if err != nil {
+			t.Fatalf("restarted %q: %v", q, err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%q diverged after restart:\ngot:\n%s\nwant:\n%s", q, got, want)
+		}
+	}
+	if err := e2.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 }
 
@@ -136,7 +133,7 @@ func TestRecoveryDurableEngineRestart(t *testing.T) {
 // match the oracle byte-identically with an empty WAL tail.
 func TestRecoveryDurableEnginePulse(t *testing.T) {
 	msgs := oracleMessages(400)
-	oracle := oracleEngine(t, StateFirst, 1)
+	oracle := oracleEngine(t, StateFirst)
 	if err := oracle.Run(msgs); err != nil {
 		t.Fatal(err)
 	}

@@ -134,13 +134,6 @@ type Engine struct {
 	processors []*Processor
 	reasoner   *reason.Reasoner
 
-	// parallelism is the ingestion worker count; 1 is the serial path
-	// (see ingest.go). routingKey partitions elements onto workers.
-	parallelism int
-	routingKey  func(*element.Element) string
-	// pending buffers elements between watermarks when parallelism > 1.
-	pending []*element.Element
-
 	// watermark is read by on-demand Query callers concurrently with
 	// ingestion, hence atomic (it holds a temporal.Instant).
 	watermark atomic.Int64
@@ -176,9 +169,9 @@ type Engine struct {
 	// store watcher, so the unwatched fast path does zero extra work (the
 	// store skips event clones entirely when it has no watchers).
 	wmHooks []WatermarkHook
-	// wmMu guards wmChanges: under WithParallelism the rule workers
-	// commit to the store concurrently and the change watcher appends
-	// from their goroutines.
+	// wmMu guards wmChanges: the store's batch watcher runs on whichever
+	// goroutine commits a write, and callers may write through Store()
+	// from goroutines other than the one running Process or Run.
 	wmMu      sync.Mutex
 	wmChanges []state.Change
 	wmEmitted []*element.Element
@@ -234,29 +227,6 @@ func WithPolicy(p Policy) Option {
 // empty one), as EnableReasoning does.
 func WithReasoning(ont *reason.Ontology) Option {
 	return optionFunc(func(e *Engine) { e.reasoner = reason.NewReasoner(e.store, ont) })
-}
-
-// WithParallelism sets the ingestion worker count (default 1, the exact
-// serial semantics). With n > 1 the engine micro-batches elements between
-// watermarks and fans rule application out across n workers partitioned
-// by routing key; see ingest.go for the pipeline and its determinism
-// conditions.
-func WithParallelism(n int) Option {
-	if n < 1 {
-		n = 1
-	}
-	return optionFunc(func(e *Engine) { e.parallelism = n })
-}
-
-// WithRoutingKey sets the partitioning key for parallel ingestion: all
-// elements with equal keys are applied by the same worker, in order. The
-// key should identify the state lineage(s) the element's rules touch —
-// typically the entity. The default uses the element's first tuple field
-// (falling back to the stream name), which matches rule sets keyed on the
-// leading field, e.g. REPLACE position(e.visitor) over (visitor, room)
-// tuples.
-func WithRoutingKey(fn func(*element.Element) string) Option {
-	return optionFunc(func(e *Engine) { e.routingKey = fn })
 }
 
 // WithDurableDir persists the engine's state repository in a durable
@@ -317,10 +287,9 @@ func WithEmittedRetention(n int) Option {
 // uses the StateFirst policy over a fresh in-memory store.
 func New(opts ...Option) *Engine {
 	e := &Engine{
-		policy:      StateFirst,
-		store:       state.NewStore(),
-		parallelism: 1,
-		emittedCap:  DefaultEmittedRetention,
+		policy:     StateFirst,
+		store:      state.NewStore(),
+		emittedCap: DefaultEmittedRetention,
 	}
 	e.pinned = e.store.SnapshotAt(temporal.MinInstant)
 	e.watermark.Store(int64(temporal.MinInstant))
@@ -427,16 +396,14 @@ func (e *Engine) EnableReasoning(ont *reason.Ontology) *reason.Reasoner {
 func (e *Engine) Reasoner() *reason.Reasoner { return e.reasoner }
 
 // Process feeds one message (element or watermark) through Figure 1.
-// Messages must arrive in timestamp order. Under WithParallelism(n > 1)
-// elements buffer until the next watermark (the micro-batch boundary);
-// call Flush to force out a trailing partial batch. The message's state
-// writes are in the WAL when Process returns.
+// Messages must arrive in timestamp order. The message's state writes
+// are in the WAL when Process returns.
 func (e *Engine) Process(m stream.Message) error {
 	return e.commit(e.process(m))
 }
 
-// commit writes the store's staged WAL writes — the serial path's
-// Replaces — as one frame, returning err, or the commit's error when err
+// commit writes the store's staged WAL writes — the rules' Replaces —
+// as one frame, returning err, or the commit's error when err
 // is nil. Run and Process commit on their error paths too, so the
 // applied prefix is logged.
 func (e *Engine) commit(err error) error {
@@ -452,18 +419,14 @@ func (e *Engine) process(m stream.Message) error {
 	if e.durableErr != nil {
 		return e.durableErr
 	}
-	if e.parallelism > 1 {
-		return e.processBuffered(m)
-	}
 	if m.IsWatermark {
 		return e.advance(m.Watermark)
 	}
-	el := m.El
 	e.elements++
-	return e.processElement(el)
+	return e.processElement(m.El)
 }
 
-// processElement is the serial per-element path: the policy-ordered
+// processElement is the per-element path: the policy-ordered
 // interleaving of rule application and stream processing.
 func (e *Engine) processElement(el *element.Element) error {
 	switch e.policy {
@@ -499,12 +462,10 @@ func (e *Engine) processElement(el *element.Element) error {
 	return nil
 }
 
-// Run drives a whole message batch and returns the first error. Under
-// WithParallelism(n > 1) it is the micro-batch driver — elements between
-// watermarks are partitioned across workers — and any trailing partial
-// batch is flushed before returning. The WAL receives the batch's serial
-// writes as one frame (plus one per watermark inside ms), committed
-// before Run returns — the acknowledgement point for durable engines.
+// Run drives a whole message batch and returns the first error. The WAL
+// receives the batch's rule writes as one frame per micro-batch: each
+// watermark inside ms commits the writes before it, and Run commits the
+// rest before returning — the acknowledgement point for durable engines.
 func (e *Engine) Run(ms []stream.Message) error {
 	return e.commit(e.run(ms))
 }
@@ -515,7 +476,7 @@ func (e *Engine) run(ms []stream.Message) error {
 			return err
 		}
 	}
-	return e.Flush()
+	return nil
 }
 
 func (e *Engine) applyRules(el *element.Element) ([]*element.Element, error) {
@@ -532,20 +493,15 @@ func (e *Engine) applyRules(el *element.Element) ([]*element.Element, error) {
 
 // retainEmitted appends derived elements to the Emitted buffer, enforcing
 // the retention cap, and mirrors them into the watermark-batch buffer
-// when a hook is tapping the engine.
+// when a hook is tapping the engine. The buffer may overshoot to 2x the
+// cap before the oldest elements are dropped, keeping the amortized
+// per-append cost O(1) while always retaining at least the most recent
+// emittedCap elements.
 func (e *Engine) retainEmitted(derived []*element.Element) {
 	e.emitted = append(e.emitted, derived...)
 	if e.wmTap {
 		e.wmEmitted = append(e.wmEmitted, derived...)
 	}
-	e.trimEmitted()
-}
-
-// trimEmitted enforces the retention cap. The buffer may overshoot to 2x
-// the cap before the oldest elements are dropped, keeping the amortized
-// per-append cost O(1) while always retaining at least the most recent
-// emittedCap elements.
-func (e *Engine) trimEmitted() {
 	if e.emittedCap > 0 && len(e.emitted) > 2*e.emittedCap {
 		n := copy(e.emitted, e.emitted[len(e.emitted)-e.emittedCap:])
 		tail := e.emitted[n:]
@@ -581,10 +537,9 @@ func (e *Engine) readSpec(stateAt temporal.Instant) state.ReadSpec {
 }
 
 // stateSource selects the point-read surface for the policy: the pinned
-// watermark snapshot for Snapshot (elements AT the watermark peel onto
-// the serial path and write at the pin, which the handle — a pin, not a
-// freeze — correctly exposes to later same-instant reads), the live
-// store otherwise.
+// watermark snapshot for Snapshot (elements AT the watermark write at
+// the pin, which the handle — a pin, not a freeze — correctly exposes
+// to later same-instant reads), the live store otherwise.
 func (e *Engine) stateSource() pointReader {
 	if e.policy == Snapshot {
 		return e.pinned
@@ -683,10 +638,9 @@ func (e *Engine) advance(wm temporal.Instant) error {
 	}
 	// The watermark is the durability layer's natural cut — minus one
 	// tick: a watermark at wm asserts no element EARLIER than wm will
-	// follow, so elements stamped exactly wm may still arrive (and the
-	// parallel pipeline peels them onto the serial path at the pin).
-	// Flushing at wm-1 keeps every such write strictly after the durable
-	// cut. Pulse starts a background flush when the WAL tail has grown
+	// follow, so elements stamped exactly wm may still arrive. Flushing
+	// at wm-1 keeps every such write strictly after the durable cut.
+	// Pulse starts a background flush when the WAL tail has grown
 	// enough. The closed batch's staged writes are committed first, so
 	// the tail the flusher weighs and syncs holds the whole batch.
 	if err := e.store.Commit(); err != nil {

@@ -40,41 +40,41 @@ func groupCommitBatches(batches, size int) []stream.Message {
 }
 
 // TestFlushEveryCountsWrites: the WAL tail counts element writes, not
-// frames, so the serial path (one staged frame per micro-batch) and the
-// parallel path (one PutBatch frame per worker per micro-batch) report
-// the same tail and flush at the same WithFlushEvery cadence.
+// frames, so the group-commit path (one staged frame per micro-batch)
+// reports one WAL record per write and flushes at the WithFlushEvery
+// cadence in writes.
 func TestFlushEveryCountsWrites(t *testing.T) {
+	// Ingest runs on one worker; the check runs as the "workers=1" case.
+	t.Run("workers=1", testFlushEveryCountsWrites)
+}
+
+func testFlushEveryCountsWrites(t *testing.T) {
 	const batches, size = 4, 512
 	msgs := groupCommitBatches(batches, size)
-	for _, workers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			run := func(flushEvery int) *Engine {
-				e := New(WithParallelism(workers),
-					WithDurableDir(t.TempDir(), segment.WithFlushEvery(flushEvery)))
-				if err := e.DeployRules(groupCommitRules); err != nil {
-					t.Fatal(err)
-				}
-				if err := e.Run(msgs); err != nil {
-					t.Fatal(err)
-				}
-				return e
-			}
+	run := func(flushEvery int) *Engine {
+		e := New(WithDurableDir(t.TempDir(), segment.WithFlushEvery(flushEvery)))
+		if err := e.DeployRules(groupCommitRules); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(msgs); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
 
-			e := run(1 << 30)
-			if got := e.Durable().Info().WALRecords; got != batches*size {
-				t.Errorf("WALRecords = %d, want %d element writes", got, batches*size)
-			}
-			e.Durable().Abandon()
+	e := run(1 << 30)
+	if got := e.Durable().Info().WALRecords; got != batches*size {
+		t.Errorf("WALRecords = %d, want %d element writes", got, batches*size)
+	}
+	e.Durable().Abandon()
 
-			// Abandon waits for the background flush Pulse started once
-			// the tail reached 1024 writes, without a final flush of its
-			// own: a durable cut past MinInstant is that pulse's.
-			e = run(1024)
-			e.Durable().Abandon()
-			if e.Durable().DurableTx() <= temporal.MinInstant {
-				t.Errorf("no background flush at WithFlushEvery(1024) over %d writes", batches*size)
-			}
-		})
+	// Abandon waits for the background flush Pulse started once the tail
+	// reached 1024 writes, without a final flush of its own: a durable
+	// cut past MinInstant is that pulse's.
+	e = run(1024)
+	e.Durable().Abandon()
+	if e.Durable().DurableTx() <= temporal.MinInstant {
+		t.Errorf("no background flush at WithFlushEvery(1024) over %d writes", batches*size)
 	}
 }
 

@@ -12,10 +12,8 @@ import (
 	"repro/internal/temporal"
 )
 
-// oracleRules mixes every parallel-relevant rule class: pure REPLACE and
-// EMIT rules (deferred group-commit path), an impure RETRACT rule (write-
-// through path with batch flushes), and a correlated CEP pattern rule
-// (serial pattern phase).
+// oracleRules mixes every rule class: REPLACE and EMIT rules, a RETRACT
+// rule, and a correlated CEP pattern rule.
 const oracleRules = `
 RULE track ON Reading AS r
 THEN REPLACE temp(r.sensor) = r.celsius
@@ -31,8 +29,8 @@ THEN EMIT Swing(k = a.k)
 `
 
 // oracleMessages builds a deterministic mixed workload: strictly
-// increasing timestamps (the documented determinism condition), entity-
-// keyed first fields, and a watermark every 50 elements.
+// increasing timestamps, entity-keyed first fields, and a watermark
+// every 50 elements.
 func oracleMessages(n int) []stream.Message {
 	readingSchema := element.NewSchema(
 		element.Field{Name: "sensor", Kind: element.KindString},
@@ -67,11 +65,11 @@ func oracleMessages(n int) []stream.Message {
 	return stream.WithPeriodicWatermarks(els, 50)
 }
 
-// oracleEngine builds one engine over the oracle workload's rules,
+// oracleEngine builds one engine over the oracle workload's rules and
 // processors (a state gate plus enrichment).
-func oracleEngine(t *testing.T, policy Policy, workers int) *Engine {
+func oracleEngine(t *testing.T, policy Policy) *Engine {
 	t.Helper()
-	e := New(WithPolicy(policy), WithParallelism(workers))
+	e := New(WithPolicy(policy))
 	if err := e.DeployRules(oracleRules); err != nil {
 		t.Fatal(err)
 	}
@@ -90,105 +88,49 @@ func oracleEngine(t *testing.T, policy Policy, workers int) *Engine {
 	return e
 }
 
-func elementSig(el *element.Element) string {
-	return fmt.Sprintf("%d|%s", el.Seq, el.String())
-}
-
 func factSig(f *element.Fact) string {
 	return fmt.Sprintf("%s|%s|%s|%s|%d|%d|%v|%s",
 		f.Entity, f.Attribute, f.Value, f.Validity,
 		f.RecordedAt, f.SupersededAt, f.Derived, f.Source)
 }
 
-func compareElements(t *testing.T, what string, a, b []*element.Element) {
+// compareStores requires got to hold want's facts, every version and
+// both time axes, and the same content statistics.
+func compareStores(t *testing.T, want, got *state.Store) {
 	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("%s: serial %d elements, parallel %d", what, len(a), len(b))
+	fw, fg := want.List(state.AllVersions()), got.List(state.AllVersions())
+	if len(fw) != len(fg) {
+		t.Fatalf("want %d facts, got %d", len(fw), len(fg))
 	}
-	for i := range a {
-		if elementSig(a[i]) != elementSig(b[i]) {
-			t.Fatalf("%s[%d]: serial %s != parallel %s", what, i, elementSig(a[i]), elementSig(b[i]))
+	for i := range fw {
+		if factSig(fw[i]) != factSig(fg[i]) {
+			t.Fatalf("fact[%d]: want %s, got %s", i, factSig(fw[i]), factSig(fg[i]))
 		}
+	}
+	sw, sg := want.Stats(), got.Stats()
+	sw.Shards, sg.Shards = 0, 0 // layout may differ; contents must not
+	sw.TxHigh, sg.TxHigh = 0, 0 // clock high-water mark is not state
+	if sw != sg {
+		t.Fatalf("stats: want %+v, got %+v", sw, sg)
 	}
 }
 
-func compareStores(t *testing.T, what string, a, b *state.Store) {
-	t.Helper()
-	fa, fb := a.List(state.AllVersions()), b.List(state.AllVersions())
-	if len(fa) != len(fb) {
-		t.Fatalf("%s: serial %d facts, parallel %d", what, len(fa), len(fb))
-	}
-	for i := range fa {
-		if factSig(fa[i]) != factSig(fb[i]) {
-			t.Fatalf("%s fact[%d]: serial %s != parallel %s", what, i, factSig(fa[i]), factSig(fb[i]))
-		}
-	}
-	sa, sb := a.Stats(), b.Stats()
-	sa.Shards, sb.Shards = 0, 0 // layout may differ; contents must not
-	sa.TxHigh, sb.TxHigh = 0, 0 // clock high-water mark is not state
-	if sa != sb {
-		t.Fatalf("%s stats: serial %+v, parallel %+v", what, sa, sb)
-	}
-}
-
-// TestParallelOracle drives identical workloads through the serial engine
-// (the semantic oracle) and the 8-worker micro-batch pipeline under every
-// interaction policy, requiring byte-identical processor outputs, derived
-// elements, state — and that WAL replay of the parallel run reproduces
-// the serial run's state.
-func TestParallelOracle(t *testing.T) {
+// TestWALReplayRebuildsState drives the oracle workload under every
+// interaction policy with a WAL attached and requires that replaying the
+// log into a fresh store rebuilds the run's state exactly: REPLACE
+// writes arrive as per-micro-batch group-commit frames, RETRACTs as
+// bitemporal deletes, interleaved in commit order.
+func TestWALReplayRebuildsState(t *testing.T) {
 	for _, policy := range []Policy{StateFirst, StreamFirst, Snapshot} {
 		t.Run(policy.String(), func(t *testing.T) {
-			msgs := oracleMessages(2_000)
-			serial := oracleEngine(t, policy, 1)
-			parallel := oracleEngine(t, policy, 8)
-			walSerial, dirSerial := attachWAL(t, serial.Store())
-			walParallel, dirParallel := attachWAL(t, parallel.Store())
-			if err := serial.Run(msgs); err != nil {
+			e := oracleEngine(t, policy)
+			wal, dir := attachWAL(t, e.Store())
+			if err := e.Run(oracleMessages(2_000)); err != nil {
 				t.Fatal(err)
 			}
-			if err := parallel.Run(msgs); err != nil {
-				t.Fatal(err)
-			}
-
-			for _, proc := range []string{"warm", "alerts"} {
-				compareElements(t, "output "+proc, serial.Output(proc), parallel.Output(proc))
-			}
-			compareElements(t, "emitted", serial.Emitted(), parallel.Emitted())
-			if serial.ElementsIn() != parallel.ElementsIn() {
-				t.Fatalf("elements in: %d vs %d", serial.ElementsIn(), parallel.ElementsIn())
-			}
-			for i, st := range serial.Stats() {
-				if pt := parallel.Stats()[i]; st != pt {
-					t.Fatalf("processor stats: %+v vs %+v", st, pt)
-				}
-			}
-			compareStores(t, "store", serial.Store(), parallel.Store())
-
-			// WAL replay: the parallel log's record order may differ
-			// (workers interleave, batches are framed), but replay must
-			// rebuild the same state the serial run left behind.
-			fromSerial := replayWAL(t, walSerial, dirSerial)
-			fromParallel := replayWAL(t, walParallel, dirParallel)
-			compareStores(t, "replayed", fromSerial, fromParallel)
+			compareStores(t, e.Store(), replayWAL(t, wal, dir))
 		})
 	}
-}
-
-// TestParallelFlushWithoutWatermark: a trailing partial batch (no final
-// watermark) must still be processed by Run, matching the serial path.
-func TestParallelFlushWithoutWatermark(t *testing.T) {
-	msgs := oracleMessages(99) // watermark period 50: 49 trailing elements
-	serial := oracleEngine(t, StateFirst, 1)
-	parallel := oracleEngine(t, StateFirst, 4)
-	if err := serial.Run(msgs); err != nil {
-		t.Fatal(err)
-	}
-	if err := parallel.Run(msgs); err != nil {
-		t.Fatal(err)
-	}
-	compareElements(t, "output warm", serial.Output("warm"), parallel.Output("warm"))
-	compareStores(t, "store", serial.Store(), parallel.Store())
 }
 
 // TestEmittedRetention: the Emitted buffer is bounded by the retention
@@ -226,12 +168,12 @@ func TestEmittedRetention(t *testing.T) {
 	}
 }
 
-// TestParallelConcurrentQueries races on-demand reads against parallel
+// TestConcurrentQueriesDuringIngest races on-demand reads against
 // ingestion: Query, List, and Watermark are documented safe to call
 // concurrently with Run. Run under -race in CI.
-func TestParallelConcurrentQueries(t *testing.T) {
+func TestConcurrentQueriesDuringIngest(t *testing.T) {
 	msgs := oracleMessages(4_000)
-	e := oracleEngine(t, Snapshot, 4)
+	e := oracleEngine(t, Snapshot)
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -240,17 +182,17 @@ func TestParallelConcurrentQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
 				if _, err := e.Query("SELECT entity, value FROM temp"); err != nil {
 					t.Error(err)
 					return
 				}
 				e.Store().List(state.WithAttribute("temp"))
 				_ = e.Watermark()
+				select {
+				case <-done:
+					return
+				default:
+				}
 			}
 		}()
 	}

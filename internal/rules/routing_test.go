@@ -75,95 +75,8 @@ func TestRoutingEquivalence(t *testing.T) {
 	}
 }
 
-// TestStreamPurity: purity analysis accepts state-free REPLACE/EMIT
-// stream rules and rejects state reads, pattern participation, and
-// RETRACT/ASSERT actions.
-func TestStreamPurity(t *testing.T) {
-	set, err := ParseSet(routedSrc + `
-RULE rc ON C AS c
-THEN RETRACT pa(c.k)
-
-RULE rd ON D AS d
-THEN REPLACE pd(d.k) = d.v
-
-RULE re ON E AS e WHERE pa(e.k) = 1
-THEN REPLACE pe(e.k) = e.v
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{
-		"A": false, // participates in the SEQ pattern
-		"B": false, // rb reads state (WHEN), and pattern participation
-		"C": false, // RETRACT is impure
-		"D": true,  // pure REPLACE
-		"E": false, // WHERE reads state
-		"F": true,  // no routed rules at all
-	}
-	for stream, pure := range want {
-		if got := set.StreamPure(stream); got != pure {
-			t.Errorf("StreamPure(%s) = %v, want %v", stream, got, pure)
-		}
-	}
-	if !set.HasPatterns() {
-		t.Error("HasPatterns should be true")
-	}
-}
-
-// TestApplyStreamBatchDefer: pure rules evaluated against a batch write
-// nothing until the batch is committed, then match write-through state.
-func TestApplyStreamBatchDefer(t *testing.T) {
-	set, err := ParseSet(`
-RULE rd ON D AS d
-THEN REPLACE pd(d.k) = d.v
-
-RULE ed ON D AS d WHERE d.v > 1
-THEN EMIT OutD(k = d.k)
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !set.StreamPure("D") {
-		t.Fatal("D should be pure")
-	}
-	st := state.NewStore()
-	var batch []state.BatchPut
-	var fired []Fired
-	for ts := 1; ts <= 3; ts++ {
-		if err := set.ApplyStreamBatch(routedEl("D", "k1", temporal.Instant(ts)), st, &batch, &fired); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := st.Find("k1", "pd"); ok {
-		t.Fatal("writes must be deferred")
-	}
-	if len(batch) != 3 || len(fired) != 2 {
-		t.Fatalf("batch %d, fired %d", len(batch), len(fired))
-	}
-	if err := st.PutBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	f, ok := st.Find("k1", "pd")
-	if !ok || f.Validity.Start != 3 {
-		t.Fatalf("committed state: %v %v", f, ok)
-	}
-	// Deferred emissions carry the producing rule's deployment index and
-	// no sequence number until the driver seals them.
-	base := set.TakeSeq(len(fired))
-	for i, fr := range fired {
-		if fr.RuleIdx != 1 {
-			t.Fatalf("fired[%d] rule idx: %d", i, fr.RuleIdx)
-		}
-		fr.El.Seq = base + uint64(i)
-	}
-	if set.Emitted() != 2 {
-		t.Fatalf("emitted counter: %d", set.Emitted())
-	}
-}
-
 // TestWildcardPatternDisablesRouting: a pattern atom with an empty stream
-// must observe every element, so routing degrades to the full scan and no
-// stream is pure.
+// must observe every element, so routing degrades to the full scan.
 func TestWildcardPatternDisablesRouting(t *testing.T) {
 	set, err := NewSet(
 		&Rule{
@@ -171,17 +84,9 @@ func TestWildcardPatternDisablesRouting(t *testing.T) {
 			Trigger: &PatternTrigger{Kind: PatternSeq, Items: []PatternItem{{Stream: "", Alias: "x"}, {Stream: "B", Alias: "y"}}},
 			Actions: []Action{&EmitAction{Stream: "Out", Fields: []EmitField{{Name: "n", Expr: mustParseExpr(t, "1")}}}},
 		},
-		&Rule{
-			Name:    "pure",
-			Trigger: &StreamTrigger{Stream: "D", Alias: "d"},
-			Actions: []Action{&ReplaceAction{Attr: "pd", Entity: mustParseExpr(t, "d.k"), Value: mustParseExpr(t, "d.v")}},
-		},
 	)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if set.StreamPure("D") || set.StreamPure("anything") {
-		t.Fatal("wildcard pattern must disable purity everywhere")
 	}
 	// The wildcard atom sees a C element even though no rule names C.
 	st := state.NewStore()

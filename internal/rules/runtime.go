@@ -3,7 +3,6 @@ package rules
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/cep"
 	"repro/internal/element"
@@ -29,54 +28,31 @@ var ErrOverlap = errors.New("rules: ASSERT validity overlaps existing version")
 type Set struct {
 	rules []*compiledRule
 	// byStream routes elements to the deployment-ordered rules that can
-	// fire on their stream. Read-only after NewSet, so concurrent
-	// ApplyStream calls from partition workers share it without locks.
+	// fire on their stream. Built by NewSet, read-only afterwards.
 	byStream map[string][]*compiledRule
 	// wildcard disables routing: a pattern atom with an empty stream
 	// matches every element, so every rule must see every element.
 	wildcard bool
-	// streamPure caches, per routed stream, whether every rule in the
-	// bucket is pure (see compiledRule.pure).
-	streamPure map[string]bool
-	// hasPatterns records whether any rule has a pattern trigger.
-	hasPatterns bool
 	// emitted counts derived elements and seeds their sequence numbers.
 	emitted uint64
+	// env is the reusable rule evaluation environment: Apply runs one
+	// element at a time, so one scratch per set suffices and the
+	// per-element rule pass allocates none.
+	env ruleEnv
 }
 
 type compiledRule struct {
 	rule    *Rule
 	matcher *cep.Matcher // nil for stream triggers
 	trigger *StreamTrigger
-	// idx is the deployment position; routed iteration preserves it so
-	// firing order matches the historical full scan.
-	idx int
-	// pure marks stream-trigger rules whose clauses and actions never
-	// read the state repository and only REPLACE or EMIT: their writes
-	// can be deferred into a micro-batch group commit without
-	// read-your-write hazards.
-	pure bool
-}
-
-// Fired is one EMIT-derived element tagged with the deployment index of
-// the rule that produced it. The parallel ingestion driver merges each
-// input element's stream-phase and pattern-phase emissions back into
-// deployment order with it, then numbers them via TakeSeq — reproducing
-// the serial path's sequence assignment exactly.
-type Fired struct {
-	El      *element.Element
-	RuleIdx int
 }
 
 // NewSet compiles the given rules. Pattern triggers are compiled to CEP
 // matchers; compilation errors name the offending rule.
 func NewSet(rs ...*Rule) (*Set, error) {
-	s := &Set{
-		byStream:   make(map[string][]*compiledRule),
-		streamPure: make(map[string]bool),
-	}
+	s := &Set{byStream: make(map[string][]*compiledRule)}
 	for _, r := range rs {
-		cr := &compiledRule{rule: r, idx: len(s.rules)}
+		cr := &compiledRule{rule: r}
 		switch t := r.Trigger.(type) {
 		case *StreamTrigger:
 			cr.trigger = t
@@ -119,21 +95,19 @@ func NewSet(rs ...*Rule) (*Set, error) {
 		if len(r.Actions) == 0 {
 			return nil, fmt.Errorf("rules: rule %q has no actions", r.Name)
 		}
-		cr.pure = cr.computePure()
 		s.rules = append(s.rules, cr)
 	}
 	s.index()
 	return s, nil
 }
 
-// index builds the stream-routing buckets and the per-stream purity cache.
+// index builds the stream-routing buckets.
 func (s *Set) index() {
 	for _, cr := range s.rules {
 		if cr.trigger != nil {
 			s.byStream[cr.trigger.Stream] = append(s.byStream[cr.trigger.Stream], cr)
 			continue
 		}
-		s.hasPatterns = true
 		t := cr.rule.Trigger.(*PatternTrigger)
 		added := make(map[string]bool, len(t.Items))
 		for _, it := range t.Items {
@@ -147,16 +121,6 @@ func (s *Set) index() {
 			}
 		}
 	}
-	for stream, bucket := range s.byStream {
-		pure := !s.wildcard
-		for _, cr := range bucket {
-			if cr.trigger == nil || !cr.pure {
-				pure = false
-				break
-			}
-		}
-		s.streamPure[stream] = pure
-	}
 }
 
 // route returns the deployment-ordered rules that can fire on stream.
@@ -169,58 +133,6 @@ func (s *Set) route(stream string) []*compiledRule {
 		return s.rules
 	}
 	return s.byStream[stream]
-}
-
-// computePure reports whether the rule can run against a deferred write
-// batch: a stream trigger whose WHERE/WHEN and action expressions never
-// read state, with REPLACE and EMIT actions only.
-func (cr *compiledRule) computePure() bool {
-	if cr.trigger == nil {
-		return false
-	}
-	r := cr.rule
-	if exprReadsState(r.Where) || exprReadsState(r.When) {
-		return false
-	}
-	for _, a := range r.Actions {
-		switch act := a.(type) {
-		case *ReplaceAction:
-			if exprReadsState(act.Entity) || exprReadsState(act.Value) {
-				return false
-			}
-		case *EmitAction:
-			for _, f := range act.Fields {
-				if exprReadsState(f.Expr) {
-					return false
-				}
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// exprReadsState walks an expression for state repository reads
-// (attr(entity) references and EXISTS tests).
-func exprReadsState(e lang.Expr) bool {
-	switch x := e.(type) {
-	case nil:
-		return false
-	case *lang.StateRef, *lang.Exists:
-		return true
-	case *lang.Unary:
-		return exprReadsState(x.X)
-	case *lang.Binary:
-		return exprReadsState(x.L) || exprReadsState(x.R)
-	case *lang.Call:
-		for _, a := range x.Args {
-			if exprReadsState(a) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // ParseSet parses and compiles a rule file.
@@ -238,129 +150,40 @@ func (s *Set) Len() int { return len(s.rules) }
 // Emitted reports the number of derived elements produced so far.
 func (s *Set) Emitted() uint64 { return s.emitted }
 
-// HasPatterns reports whether any deployed rule has a pattern trigger.
-func (s *Set) HasPatterns() bool { return s.hasPatterns }
-
-// StreamPure reports whether every rule that can fire on elements of the
-// given stream is pure (see compiledRule.pure): such elements can be
-// applied against a deferred write batch (ApplyStreamBatch) with no
-// observable difference from write-through. Streams with no routed rules
-// are trivially pure; a wildcard pattern makes every stream impure.
-func (s *Set) StreamPure(stream string) bool {
-	if s.wildcard {
-		return false
-	}
-	pure, ok := s.streamPure[stream]
-	return !ok || pure
-}
-
-// TakeSeq reserves n consecutive derived-element sequence numbers and
-// returns the first. The parallel driver numbers deferred emissions with
-// it after merging; not safe for concurrent use (call from the merge
-// phase only).
-func (s *Set) TakeSeq(n int) uint64 {
-	base := s.emitted
-	s.emitted += uint64(n)
-	return base
-}
-
-// applyKind selects which rule classes an applyRouted pass fires.
-type applyKind int
-
-const (
-	applyAll applyKind = iota
-	applyStreamOnly
-	applyPatternsOnly
-)
-
-// envPool recycles rule evaluation environments across elements; in
-// steady state the per-element rule pass allocates no scratch.
-var envPool = sync.Pool{New: func() interface{} { return new(ruleEnv) }}
-
-// applyRouted fires the routed rules of one element, in deployment order,
-// appending EMIT-derived elements (sequence numbers unassigned) to fired.
-func (s *Set) applyRouted(el *element.Element, store *state.Store, kind applyKind, batch *[]state.BatchPut, fired *[]Fired) error {
-	env := envPool.Get().(*ruleEnv)
-	env.store, env.now, env.batch = store, el.Timestamp, batch
-	defer func() {
-		*env = ruleEnv{}
-		envPool.Put(env)
-	}()
+// Apply feeds one input element: rules whose trigger matches fire their
+// actions against the store at the element's timestamp, in deployment
+// order. It returns any EMIT-derived elements, numbered in firing order.
+// Elements must arrive in timestamp order.
+func (s *Set) Apply(el *element.Element, store *state.Store) ([]*element.Element, error) {
+	env := &s.env
+	env.store, env.now = store, el.Timestamp
+	defer func() { *env = ruleEnv{} }()
+	var fired []*element.Element
 	for _, cr := range s.route(el.Stream) {
 		if cr.trigger != nil {
-			if kind == applyPatternsOnly || cr.trigger.Stream != el.Stream {
+			if cr.trigger.Stream != el.Stream {
 				continue
 			}
 			env.alias, env.el, env.bindings = cr.trigger.Alias, el, nil
-			if err := s.fire(cr, env, fired); err != nil {
-				return err
+			if err := s.fire(cr, env, &fired); err != nil {
+				return nil, err
 			}
-			continue
-		}
-		if kind == applyStreamOnly {
 			continue
 		}
 		for _, m := range cr.matcher.Observe(el) {
 			env.alias, env.el, env.bindings = "", nil, m.Bindings
-			if err := s.fire(cr, env, fired); err != nil {
-				return err
+			if err := s.fire(cr, env, &fired); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return nil
-}
-
-// Apply feeds one input element: rules whose trigger matches fire their
-// actions against the store at the element's timestamp. It returns any
-// EMIT-derived elements. Elements must arrive in timestamp order.
-func (s *Set) Apply(el *element.Element, store *state.Store) ([]*element.Element, error) {
-	var fired []Fired
-	if err := s.applyRouted(el, store, applyAll, nil, &fired); err != nil {
-		return nil, err
-	}
-	return s.seal(fired), nil
-}
-
-// ApplyStream fires only the stream-trigger rules routed to el's stream,
-// writing state through immediately. Safe to call concurrently from
-// partition workers for elements of disjoint routing keys: the routing
-// index is read-only, evaluation scratch is pooled, and emitted elements
-// go to the caller's sink with sequence assignment deferred (seal the
-// merged order with TakeSeq).
-func (s *Set) ApplyStream(el *element.Element, store *state.Store, fired *[]Fired) error {
-	return s.applyRouted(el, store, applyStreamOnly, nil, fired)
-}
-
-// ApplyStreamBatch is ApplyStream with REPLACE writes deferred into batch
-// for a later Store.PutBatch group commit. Valid only when
-// StreamPure(el.Stream): pure rules never read state, so deferral cannot
-// change what they observe.
-func (s *Set) ApplyStreamBatch(el *element.Element, store *state.Store, batch *[]state.BatchPut, fired *[]Fired) error {
-	return s.applyRouted(el, store, applyStreamOnly, batch, fired)
-}
-
-// ApplyPatterns fires only the pattern-trigger rules. Matchers are
-// stateful and order-sensitive: feed every element, in timestamp order,
-// from a single goroutine.
-func (s *Set) ApplyPatterns(el *element.Element, store *state.Store, fired *[]Fired) error {
-	if !s.hasPatterns {
-		return nil
-	}
-	return s.applyRouted(el, store, applyPatternsOnly, nil, fired)
-}
-
-// seal assigns sequence numbers in firing order and unwraps the elements.
-func (s *Set) seal(fired []Fired) []*element.Element {
-	if len(fired) == 0 {
-		return nil
-	}
-	out := make([]*element.Element, len(fired))
-	for i, f := range fired {
-		f.El.Seq = s.emitted
+	// Sequence numbers are assigned once the pass succeeds, so a failed
+	// element consumes none.
+	for _, d := range fired {
+		d.Seq = s.emitted
 		s.emitted++
-		out[i] = f.El
 	}
-	return out
+	return fired, nil
 }
 
 // AdvanceTo propagates a watermark to pattern matchers so stale partial
@@ -373,7 +196,7 @@ func (s *Set) AdvanceTo(wm temporal.Instant) {
 	}
 }
 
-func (s *Set) fire(cr *compiledRule, env *ruleEnv, fired *[]Fired) error {
+func (s *Set) fire(cr *compiledRule, env *ruleEnv, fired *[]*element.Element) error {
 	r := cr.rule
 	if r.Where != nil {
 		ok, err := lang.EvalBool(r.Where, env)
@@ -399,7 +222,7 @@ func (s *Set) fire(cr *compiledRule, env *ruleEnv, fired *[]Fired) error {
 			return fmt.Errorf("rules: rule %q: %w", r.Name, err)
 		}
 		if emitted != nil {
-			*fired = append(*fired, Fired{El: emitted, RuleIdx: cr.idx})
+			*fired = append(*fired, emitted)
 		}
 	}
 	return nil
@@ -415,12 +238,6 @@ func (s *Set) execute(r *Rule, a Action, env *ruleEnv) (*element.Element, error)
 		v, err := lang.Eval(act.Value, env)
 		if err != nil {
 			return nil, err
-		}
-		if env.batch != nil {
-			*env.batch = append(*env.batch, state.BatchPut{
-				Entity: entity, Attr: act.Attr, Value: v, At: env.now,
-			})
-			return nil, nil
 		}
 		return nil, env.store.Replace(entity, act.Attr, v, env.now)
 
@@ -478,8 +295,7 @@ func (s *Set) execute(r *Rule, a Action, env *ruleEnv) (*element.Element, error)
 			vals[i] = v
 		}
 		tuple := element.NewTuple(element.NewSchema(fields...), vals...)
-		// Seq is assigned by seal (serial Apply) or the parallel driver's
-		// TakeSeq numbering, after firing order is settled.
+		// Seq is assigned by Apply once the element's pass succeeds.
 		return element.New(act.Stream, env.now, tuple), nil
 	}
 	return nil, fmt.Errorf("unknown action %T", a)
@@ -514,16 +330,13 @@ func evalInstant(e lang.Expr, env *ruleEnv) (temporal.Instant, error) {
 // event bindings' fields, and state lookups read the store as of the
 // trigger instant. A stream trigger's single binding lives in alias/el
 // (no map allocation); pattern matches carry their matcher-built bindings
-// map. Instances are pooled — applyRouted resets them between elements.
+// map. Each Set reuses one instance, reset by Apply between elements.
 type ruleEnv struct {
 	alias    string
 	el       *element.Element
 	bindings map[string]*element.Element
 	store    *state.Store
 	now      temporal.Instant
-	// batch, when non-nil, receives REPLACE writes instead of the store
-	// (the pure-rule deferred path; see ApplyStreamBatch).
-	batch *[]state.BatchPut
 }
 
 // Var implements lang.Env. Bare variables are not values in rule scope.

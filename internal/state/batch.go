@@ -1,12 +1,11 @@
 // The stream-append write shape: Replace and its group-committed form,
-// PutBatch. Both write one opPutBatch WAL frame per micro-batch (the
-// elements between two watermarks). The engine's parallel ingestion
-// pipeline buffers a batch's state updates and flushes them through
-// PutBatch, so the store pays one lock acquisition per touched shard and
-// one WAL append per batch. The serial path applies each Replace at
-// once — later elements see every earlier write — but only stages its
-// WAL write; the engine's Commit at the batch edge encodes the stage as
-// one frame. Both share one per-entry body, replaceLocked, whose commit
+// PutBatch. Both write one opPutBatch WAL frame per batch. PutBatch
+// applies a caller-assembled batch for one lock acquisition per touched
+// shard and one WAL append. Replace, the engine's rule write, applies
+// at once — later elements see every earlier write — but only stages
+// its WAL write; the engine's Commit at each micro-batch edge (the
+// elements between two watermarks) encodes the stage as one frame.
+// Both share one per-entry body, replaceLocked, whose commit
 // is the O(1) shared-prefix head append of commit's fast path.
 
 package state

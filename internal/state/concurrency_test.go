@@ -50,12 +50,10 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		readerWG.Add(1)
 		go func(r int) {
 			defer readerWG.Done()
+			// stop is checked at the end of the body, so every reader
+			// completes an iteration even when all writers finish
+			// before it is first scheduled.
 			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
 				key := fmt.Sprintf("w%d-k%d", i%writers, i%keysPerWriter)
 				st.Find(key, "v")
 				st.Find(key, "v", AsOfValidTime(temporal.Instant(i%opsPerWriter)))
@@ -72,6 +70,11 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 					}
 				}
 				reads.Add(1)
+				select {
+				case <-stop:
+					return
+				default:
+				}
 			}
 		}(r)
 	}

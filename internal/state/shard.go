@@ -218,18 +218,6 @@ func (s *Store) ShardIndex(entity, attr string) int {
 	return int(shardIndex(entity, attr, s.shardMask))
 }
 
-// HashString is the store's FNV-1a hash over one string, exported so
-// upstream partitioners (the engine's ingestion routing) can align their
-// key distribution with the shard function without re-deriving it.
-func HashString(s string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
 // defaultShardCount scales the shard array with the machine: the next
 // power of two at or above 4×GOMAXPROCS, floored at 8 so small machines
 // still spread independent lineages, capped at 256 to bound the cost of

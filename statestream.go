@@ -103,19 +103,6 @@ func WithPolicy(p Policy) Option { return core.WithPolicy(p) }
 // empty one).
 func WithReasoning(ont *Ontology) Option { return core.WithReasoning(ont) }
 
-// WithParallelism sets the ingestion worker count (default 1 = exact
-// serial semantics). With n > 1 the engine micro-batches elements between
-// watermarks and fans rule application out across n workers partitioned
-// by routing key; processor evaluation and CEP pattern matching stay
-// serial and deterministic. See DESIGN.md "Ingestion pipeline" for the
-// determinism conditions.
-func WithParallelism(n int) Option { return core.WithParallelism(n) }
-
-// WithRoutingKey sets the parallel-ingestion partitioning key: elements
-// with equal keys are applied by one worker, in order. Defaults to the
-// element's first tuple field.
-func WithRoutingKey(fn func(*Element) string) Option { return core.WithRoutingKey(fn) }
-
 // WithEmittedRetention bounds how many EMIT-derived elements the engine
 // retains for Emitted (default core.DefaultEmittedRetention; n <= 0 keeps
 // everything).

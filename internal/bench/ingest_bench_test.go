@@ -29,11 +29,11 @@ func TestIngestAllocsPerElement(t *testing.T) {
 }
 
 // maxDurableIngestAllocsPerElement bounds the same serial ingest into a
-// durable directory: 8.67 measured when the bound was set, plus 30%
-// (12.66 when every Replace encoded its own WAL record). Staged
-// Replaces reuse the log's stage array, so the WAL adds only the
-// once-per-batch frame encode to the in-memory budget.
-const maxDurableIngestAllocsPerElement = 11.3
+// durable directory: 3.60 measured when the bound was set, plus 30%.
+// Staged Replaces reuse the log's stage array and each micro-batch is
+// appended as one binary frame into the log's reused encode buffer, so
+// the WAL adds next to nothing to the in-memory budget.
+const maxDurableIngestAllocsPerElement = 4.7
 
 // TestDurableIngestAllocsPerElement guards the durable serial ingest
 // path's allocation budget. Background flushes are disabled so the

@@ -7,35 +7,34 @@ import (
 	"math"
 )
 
-// Value implements encoding.BinaryMarshaler / BinaryUnmarshaler so facts
-// can be persisted in the state log (internal/state) with encoding/gob.
-// The format is one kind byte followed by the payload: 8 bytes little
-// endian for numeric kinds, a uvarint length plus bytes for strings.
+// Value implements encoding.BinaryMarshaler / BinaryUnmarshaler, plus
+// the append form AppendBinary, so facts can be persisted in the WAL
+// (internal/state) and segment frames (internal/state/segment) without
+// a per-value allocation. The format is one kind byte followed by the
+// payload: 8 bytes little endian for numeric kinds, a uvarint length
+// plus bytes for strings.
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (v Value) MarshalBinary() ([]byte, error) {
+// AppendBinary appends the value's binary encoding to b.
+func (v Value) AppendBinary(b []byte) ([]byte, error) {
 	switch v.kind {
 	case KindNull:
-		return []byte{byte(KindNull)}, nil
+		return append(b, byte(KindNull)), nil
 	case KindBool, KindInt, KindTime:
-		buf := make([]byte, 9)
-		buf[0] = byte(v.kind)
-		binary.LittleEndian.PutUint64(buf[1:], uint64(v.num))
-		return buf, nil
+		b = append(b, byte(v.kind))
+		return binary.LittleEndian.AppendUint64(b, uint64(v.num)), nil
 	case KindFloat:
-		buf := make([]byte, 9)
-		buf[0] = byte(v.kind)
-		binary.LittleEndian.PutUint64(buf[1:], floatBits(v.flt))
-		return buf, nil
+		b = append(b, byte(v.kind))
+		return binary.LittleEndian.AppendUint64(b, floatBits(v.flt)), nil
 	case KindString:
-		buf := make([]byte, 1+binary.MaxVarintLen64+len(v.str))
-		buf[0] = byte(v.kind)
-		n := binary.PutUvarint(buf[1:], uint64(len(v.str)))
-		n += copy(buf[1+n:], v.str)
-		return buf[:1+n], nil
+		b = append(b, byte(v.kind))
+		b = binary.AppendUvarint(b, uint64(len(v.str)))
+		return append(b, v.str...), nil
 	}
-	return nil, fmt.Errorf("element: cannot marshal value of kind %s", v.kind)
+	return b, fmt.Errorf("element: cannot marshal value of kind %s", v.kind)
 }
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (v Value) MarshalBinary() ([]byte, error) { return v.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (v *Value) UnmarshalBinary(data []byte) error {

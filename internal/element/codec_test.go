@@ -34,6 +34,21 @@ func TestValueBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestValueAppendBinary: the append form writes exactly MarshalBinary's
+// bytes behind whatever the buffer already holds.
+func TestValueAppendBinary(t *testing.T) {
+	for _, v := range []Value{Null, Bool(true), Int(-3), Float(2.5), String("héllo"), Time(7)} {
+		want, err := v.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := v.AppendBinary([]byte("prefix"))
+		if err != nil || string(got) != "prefix"+string(want) {
+			t.Fatalf("%s: appended %q, %v; want prefix%q", v, got, err, want)
+		}
+	}
+}
+
 func TestValueBinaryRoundTripQuick(t *testing.T) {
 	f := func(i int64, fl float64, s string, which uint8) bool {
 		var v Value

@@ -26,15 +26,17 @@ import (
 	"repro/internal/temporal"
 )
 
-// FlushCut visits every lineage touched after `since`, passing clones of
+// FlushCut visits every lineage touched after `since`, passing copies of
 // the records of the cut believed at tt — the per-lineage WriteSnapshot
 // cut (records recorded after tt excluded, supersessions after tt
-// restored to open). Lineages are visited in deterministic order: shards
-// in index order, keys in (attribute, entity) order within a shard. A
-// lineage whose cut at tt is empty (created entirely after the pin) is
-// skipped; its maxTx keeps it dirty for the next flush. The gather is
-// lock-free, like every cross-shard read: it walks the published
-// directories and heads only.
+// restored to open). The copies are scratch FlushCut reuses for the next
+// lineage: records and the facts they point to are valid only during
+// the call, so a visitor that keeps any must Clone it. Lineages are
+// visited in deterministic order: shards in index order, keys in
+// (attribute, entity) order within a shard. A lineage whose cut at tt
+// is empty (created entirely after the pin) is skipped; its maxTx keeps
+// it dirty for the next flush. The gather is lock-free, like every
+// cross-shard read: it walks the published directories and heads only.
 //
 // `since` chains flushes: pass MinInstant for a full pass, or the pin of
 // the previous successful flush to gather only what changed. The dirty
@@ -50,7 +52,11 @@ import (
 // It returns the number of lineages visited.
 func (s *Store) FlushCut(tt, since temporal.Instant, visit func(key element.FactKey, records []*element.Fact)) int {
 	n := 0
-	var lins []*lineage
+	var (
+		lins    []*lineage
+		scratch []element.Fact
+		records []*element.Fact
+	)
 	for _, sh := range s.shards {
 		lins = lins[:0]
 		for _, ls := range sh.pub.Load().byAttr {
@@ -62,9 +68,21 @@ func (s *Store) FlushCut(tt, since temporal.Instant, visit func(key element.Fact
 		}
 		slices.SortFunc(lins, func(a, b *lineage) int { return compareKeys(a.key, b.key) })
 		for _, l := range lins {
-			records := recordsAt(l.head.Load(), tt, nil)
-			if len(records) == 0 {
+			scratch = scratch[:0]
+			for _, f := range l.head.Load().records {
+				if f.RecordedAt > tt {
+					continue
+				}
+				c := f.Copy()
+				c.SupersededAt = restoreAt(c.SupersededAt, tt)
+				scratch = append(scratch, c)
+			}
+			if len(scratch) == 0 {
 				continue
+			}
+			records = records[:0]
+			for i := range scratch {
+				records = append(records, &scratch[i])
 			}
 			visit(l.key, records)
 			n++

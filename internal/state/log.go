@@ -1,17 +1,17 @@
 package state
 
 import (
+	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"path/filepath"
 	"sort"
 	"strings"
 
 	"repro/internal/element"
+	"repro/internal/frame"
 	"repro/internal/temporal"
 	"repro/internal/vfs"
 )
@@ -24,15 +24,16 @@ import (
 // RecoverWALDir is the only constructor: it replays an existing chain
 // (or starts an empty one) and returns the Log continuing it.
 //
-// Records are gob-encoded logRecord values, each sealed with a crc32c
-// of its semantic fields: gob framing detects truncation but not bit rot
-// that still decodes, so recovery verifies every summed record and fails
-// loudly on a mismatch. Logs written before checksums existed (records
-// without the Summed flag) replay unverified, unchanged.
+// A WAL file is the magic "SWL1" followed by internal/frame frames
+// (len:u32 crc32c:u32 payload), one record per frame; see appendRecord
+// for the payloads. Frames are self-delimiting, so replay detects a torn
+// final append by length and bit rot by checksum, and fails loudly on
+// the latter. Files without the magic are gob streams written by older
+// builds; they replay through the reader in log_gob.go.
 //
 // The sharded store commits mutations under per-shard locks, so the log
 // serializes concurrent appends itself through a single-appender
-// channel: whoever holds the channel's token owns the encoder, and the
+// channel: whoever holds the channel's token owns the file, and the
 // token hand-off defines one total append order. Every record carries
 // its own transaction time (a Replace's application time is its
 // transaction time), so any interleaving the appender admits replays to
@@ -54,13 +55,16 @@ import (
 // active file before a manifest commit (sealed files are synced when
 // they seal).
 type Log struct {
-	enc *gob.Encoder
 	// n counts the writes in the chain's files: one per record, len(Puts)
 	// per opPutBatch frame. Staged writes are not in it (see Len).
 	n int
 	// stage holds the Replace writes awaiting Commit, in append order.
 	// Its backing array is reused across commits.
 	stage []BatchPut
+	// buf is the encode buffer every write reuses: one frame (plus the
+	// file magic when the frame opens the file) reaches the file in one
+	// Write.
+	buf []byte
 	// path and file are the active WAL file; Sync fsyncs it, Close
 	// closes it. All file operations go through fs — the
 	// fault-injectable seam (vfs.OS in production).
@@ -70,12 +74,12 @@ type Log struct {
 	// dir is the directory the numbered wal files live in, seq the
 	// active file's sequence number, and sealed the older read-only files
 	// still holding records past the durable cut, oldest first. The
-	// active file's byte count (via cw), write count, and max
-	// transaction time drive rotation and whole-file truncation.
+	// active file's byte count, write count, and max transaction time
+	// drive rotation and whole-file truncation.
 	dir          string
 	seq          uint64
 	rotateBytes  int64
-	cw           *countWriter
+	size         int64
 	sealed       []sealedWAL
 	activeRecs   int
 	activeMaxTx  temporal.Instant
@@ -93,13 +97,16 @@ type Log struct {
 	onAppendErr func(error) bool
 	// dropping marks degraded mode: writes are acknowledged and
 	// discarded (counted in dropped) until Rearm starts a fresh file.
-	// A failed gob encode leaves the stream unusable mid-message, so
-	// there is no per-record recovery — the whole file is forfeit and
-	// only a flush elsewhere can restore durability.
+	// A failed write may have left part of a frame at the end of the
+	// file, and after a failed fsync the kernel may have dropped dirty
+	// pages, so what the file holds is unknown: a frame appended after
+	// it could sit behind bytes replay reads as a torn tail and never be
+	// reached. There is no per-write recovery — the whole file is
+	// forfeit and only a flush elsewhere can restore durability.
 	dropping bool
 	dropped  int
 	// appender is the single-appender channel: a one-slot token guarding
-	// enc, n, stage, path, file, and err. Acquire by sending, release by
+	// the file and every field above. Acquire by sending, release by
 	// receiving. RecoverWALDir hands out a Log whose token is pre-held by
 	// its background tail rewrite, so the first append transparently
 	// waits for the rewrite instead of the cold start paying for it.
@@ -110,6 +117,11 @@ type Log struct {
 // segmented WAL seals its active file and rotates to the next one.
 const DefaultWALRotateBytes = 1 << 20
 
+// walMagic opens every framed WAL file. The gob streams older builds
+// wrote begin with the 0xFF that prefixes a logRecord type definition's
+// length, so the first byte tells the formats apart.
+const walMagic = "SWL1"
+
 // sealedWAL describes one read-only file of a segmented WAL chain:
 // sealed at rotation (synced, closed), droppable by TruncateBefore once
 // the durable cut reaches its newest record.
@@ -117,20 +129,6 @@ type sealedWAL struct {
 	path  string
 	maxTx temporal.Instant // max transaction time over the file's records
 	recs  int              // writes the file still contributes to the tail
-}
-
-// countWriter counts the bytes reaching the active WAL file so rotation
-// can trigger on size without stat calls. Accessed only under the
-// appender token.
-type countWriter struct {
-	f vfs.File
-	n int64
-}
-
-func (w *countWriter) Write(p []byte) (int, error) {
-	n, err := w.f.Write(p)
-	w.n += int64(n)
-	return n, err
 }
 
 // walFileName renders the name of the numbered WAL file with the given
@@ -172,11 +170,12 @@ func IsWALFileName(name string) bool {
 type opKind uint8
 
 const (
-	// opPut is one Replace, written before Replaces were staged into
-	// opPutBatch frames; it is only replayed.
+	// opPut, opAssert and opRetract appear only in gob-era files: opPut
+	// was one Replace, written before Replaces were staged into
+	// opPutBatch frames; opAssert and opRetract were written by the
+	// removed Store.Assert and Store.Retract. The gob reader turns each
+	// into its framed equivalent (see logRecord.walRecord).
 	opPut opKind = iota
-	// opAssert and opRetract were written by the removed Store.Assert
-	// and Store.Retract; they are only replayed (see applyLogRecord).
 	opAssert
 	opRetract
 	// opPutBi and opDeleteBi are option-based bitemporal writes carrying
@@ -190,156 +189,142 @@ const (
 	opPutBatch
 )
 
-// logRecord is the wire format of one mutation.
-type logRecord struct {
-	Op      opKind
-	Entity  string
-	Attr    string
-	Value   element.Value
-	At      temporal.Instant // Replace/Retract application time
-	Start   temporal.Instant // Assert / bitemporal validity
-	End     temporal.Instant
-	Tx      temporal.Instant // bitemporal transaction time
-	Derived bool
-	Source  string
-	// Puts carries the writes of one opPutBatch frame; empty otherwise.
-	Puts []BatchPut
-	// Sum is the crc32c of the record's semantic fields (see checksum),
-	// guarding against bit rot that still gob-decodes. Summed
-	// distinguishes a computed checksum from the zero value old-format
-	// records decode to, keeping replay compatible with logs written
-	// before checksums existed.
-	Summed bool
-	Sum    uint32
+// minPutBytes is the smallest encoding of one opPutBatch put: two empty
+// strings, an instant, and a one-byte value behind its length prefix.
+// A put count above payload/minPutBytes is corruption, rejected before
+// the puts are allocated.
+const minPutBytes = 1 + 1 + 8 + 2
+
+// walRecord is one decoded mutation: an opPutBatch frame's puts, or one
+// bitemporal put (opPutBi) or delete (opDeleteBi).
+type walRecord struct {
+	op           opKind
+	entity, attr string
+	value        element.Value
+	start, end   temporal.Instant // valid interval
+	tx           temporal.Instant // transaction time
+	derived      bool
+	source       string
+	puts         []BatchPut // opPutBatch only
 }
 
-// crcTable is the Castagnoli (crc32c) polynomial, hardware-accelerated
-// on amd64 and arm64.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// checksum renders the record's semantic fields into a canonical byte
-// stream and returns its crc32c. The gob frame itself is not summed: gob
-// emits type descriptors positionally, so the same record's bytes differ
-// between streams (and across rewrites). Sum/Summed are excluded.
-func (r *logRecord) checksum() uint32 {
-	h := crc32.New(crcTable)
-	var buf [8]byte
-	writeU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	writeStr := func(s string) {
-		writeU64(uint64(len(s)))
-		io.WriteString(h, s)
-	}
-	writeVal := func(v element.Value) {
-		b, _ := v.MarshalBinary()
-		writeU64(uint64(len(b)))
-		h.Write(b)
-	}
-	h.Write([]byte{byte(r.Op)})
-	writeStr(r.Entity)
-	writeStr(r.Attr)
-	writeVal(r.Value)
-	writeU64(uint64(r.At))
-	writeU64(uint64(r.Start))
-	writeU64(uint64(r.End))
-	writeU64(uint64(r.Tx))
-	if r.Derived {
-		h.Write([]byte{1})
-	} else {
-		h.Write([]byte{0})
-	}
-	writeStr(r.Source)
-	writeU64(uint64(len(r.Puts)))
-	for i := range r.Puts {
-		p := &r.Puts[i]
-		writeStr(p.Entity)
-		writeStr(p.Attr)
-		writeVal(p.Value)
-		writeU64(uint64(p.At))
-	}
-	return h.Sum32()
-}
-
-// verify checks a summed record against its checksum. Records from logs
-// written before checksums (Summed false) pass unverified. Callers must
-// verify before keepAfter, which trims opPutBatch frames in place.
-func (r *logRecord) verify(n int) error {
-	if !r.Summed {
-		return nil
-	}
-	if got := r.checksum(); got != r.Sum {
-		return fmt.Errorf("state: log record %d: checksum mismatch (stored %08x, computed %08x)", n, r.Sum, got)
-	}
-	return nil
-}
-
-// reseal recomputes the checksum of a summed record whose Puts were
-// trimmed in place by keepAfter, keeping the rewritten frame verifiable.
-func (r *logRecord) reseal() {
-	if r.Summed && r.Op == opPutBatch {
-		r.Sum = r.checksum()
-	}
-}
-
-// txTime returns the transaction time that orders rec for tail handoff:
-// the instant a flush cut at or after it makes the record redundant.
-// opPutBatch frames have no single time — their puts are filtered
-// individually (see keepAfter).
-func (r *logRecord) txTime() temporal.Instant {
-	switch r.Op {
-	case opAssert:
-		return r.Start
+// appendRecord appends r's frame payload to b:
+//
+//	record   := op:u8 body
+//	putBatch := n:uvarint (entity attr at:i64 value)^n
+//	putBi    := entity attr start:i64 end:i64 tx:i64 flags:u8 [source] value
+//	deleteBi := entity attr start:i64 end:i64 tx:i64
+//
+// Strings and values are uvarint-prefixed, instants fixed-width little
+// endian, and flags/source a frame.AppendProvenance.
+func appendRecord(b []byte, r *walRecord) ([]byte, error) {
+	b = append(b, byte(r.op))
+	var err error
+	switch r.op {
+	case opPutBatch:
+		b = binary.AppendUvarint(b, uint64(len(r.puts)))
+		for i := range r.puts {
+			p := &r.puts[i]
+			b = frame.AppendString(b, p.Entity)
+			b = frame.AppendString(b, p.Attr)
+			b = frame.AppendInstant(b, p.At)
+			if b, err = frame.AppendValue(b, p.Value); err != nil {
+				return b, err
+			}
+		}
+		return b, nil
 	case opPutBi, opDeleteBi:
-		return r.Tx
-	default: // opPut, opRetract: application time
-		return r.At
+		b = frame.AppendString(b, r.entity)
+		b = frame.AppendString(b, r.attr)
+		b = frame.AppendInstant(b, r.start)
+		b = frame.AppendInstant(b, r.end)
+		b = frame.AppendInstant(b, r.tx)
+		if r.op == opDeleteBi {
+			return b, nil
+		}
+		b = frame.AppendProvenance(b, r.derived, r.source)
+		return frame.AppendValue(b, r.value)
 	}
+	return b, fmt.Errorf("state: cannot frame op %d", r.op)
 }
 
-// maxTxTime returns the newest transaction time rec carries: txTime for
-// plain records, the max put time for an opPutBatch frame. A WAL file
-// whose max over all records is at or before a flush cut is fully
+// decodeRecord parses one checksum-verified frame payload into r.
+func decodeRecord(payload []byte, r *walRecord) error {
+	c := frame.NewCursor(payload)
+	r.op = opKind(c.U8())
+	switch r.op {
+	case opPutBatch:
+		n := c.Uvarint()
+		if c.Err() != nil || n > uint64(c.Len()/minPutBytes) {
+			return errors.New("corrupt put count")
+		}
+		r.puts = make([]BatchPut, n)
+		for i := range r.puts {
+			p := &r.puts[i]
+			p.Entity = c.Str()
+			p.Attr = c.Str()
+			p.At = c.Instant()
+			c.Value(&p.Value)
+		}
+	case opPutBi, opDeleteBi:
+		r.entity = c.Str()
+		r.attr = c.Str()
+		r.start = c.Instant()
+		r.end = c.Instant()
+		r.tx = c.Instant()
+		if r.op == opPutBi {
+			r.derived, r.source = c.Provenance()
+			c.Value(&r.value)
+		}
+	default:
+		return fmt.Errorf("unknown op %d", r.op)
+	}
+	if c.Err() == nil && c.Len() != 0 {
+		return fmt.Errorf("%d trailing bytes", c.Len())
+	}
+	return c.Err()
+}
+
+// maxTxTime returns the newest transaction time r carries: tx for a
+// bitemporal record, the max put time for an opPutBatch frame. A WAL
+// file whose max over all records is at or before a flush cut is fully
 // covered by the segments and can be dropped whole.
-func (r *logRecord) maxTxTime() temporal.Instant {
-	if r.Op != opPutBatch {
-		return r.txTime()
+func (r *walRecord) maxTxTime() temporal.Instant {
+	if r.op != opPutBatch {
+		return r.tx
 	}
 	t := temporal.MinInstant
-	for i := range r.Puts {
-		if r.Puts[i].At > t {
-			t = r.Puts[i].At
-		}
+	for i := range r.puts {
+		t = max(t, r.puts[i].At)
 	}
 	return t
 }
 
-// writes is the number of store writes rec carries: len(Puts) for an
+// writes is the number of store writes r carries: len(puts) for an
 // opPutBatch frame, one otherwise. The tail counters weigh records by
 // it.
-func (r *logRecord) writes() int {
-	if r.Op == opPutBatch {
-		return len(r.Puts)
+func (r *walRecord) writes() int {
+	if r.op == opPutBatch {
+		return len(r.puts)
 	}
 	return 1
 }
 
-// keepAfter reports whether rec still carries state newer than a flush
+// keepAfter reports whether r still carries state newer than a flush
 // cut at tt, trimming opPutBatch frames to their surviving puts in
-// place. A frame fully covered by the cut (or a plain record at or
+// place. A frame fully covered by the cut (or a bitemporal record at or
 // before it) is dropped.
-func (r *logRecord) keepAfter(tt temporal.Instant) bool {
-	if r.Op != opPutBatch {
-		return r.txTime() > tt
+func (r *walRecord) keepAfter(tt temporal.Instant) bool {
+	if r.op != opPutBatch {
+		return r.tx > tt
 	}
-	kept := r.Puts[:0]
-	for _, p := range r.Puts {
+	kept := r.puts[:0]
+	for _, p := range r.puts {
 		if p.At > tt {
 			kept = append(kept, p)
 		}
 	}
-	r.Puts = kept
+	r.puts = kept
 	return len(kept) > 0
 }
 
@@ -353,7 +338,7 @@ func (l *Log) Len() int {
 
 // append serializes one record through the single-appender channel,
 // committing the stage before it.
-func (l *Log) append(rec logRecord) error {
+func (l *Log) append(rec walRecord) error {
 	l.appender <- struct{}{}
 	defer func() { <-l.appender }()
 	if err := l.commitLocked(); err != nil {
@@ -394,7 +379,7 @@ func (l *Log) commitLocked() error {
 	if len(l.stage) == 0 {
 		return nil
 	}
-	err := l.writeLocked(&logRecord{Op: opPutBatch, Puts: l.stage})
+	err := l.writeLocked(&walRecord{op: opPutBatch, puts: l.stage})
 	l.dropStageLocked()
 	return err
 }
@@ -406,9 +391,12 @@ func (l *Log) dropStageLocked() {
 	l.stage = l.stage[:0]
 }
 
-// writeLocked seals and encodes one record, updates the tail counters,
-// and rotates at the size threshold. Called under the appender token.
-func (l *Log) writeLocked(rec *logRecord) error {
+// writeLocked encodes one record as a frame into the reused buffer,
+// writes it with one Write, updates the tail counters, and rotates at
+// the size threshold. Called under the appender token. An encode error
+// (a value of no known kind) writes nothing and is returned as is; a
+// write error goes through the degraded-mode handler.
+func (l *Log) writeLocked(rec *walRecord) error {
 	w := rec.writes()
 	if l.dropping {
 		l.dropped += w
@@ -417,17 +405,28 @@ func (l *Log) writeLocked(rec *logRecord) error {
 	if l.err != nil {
 		return l.failLocked(l.err, w)
 	}
-	rec.Summed = true
-	rec.Sum = rec.checksum()
-	if err := l.enc.Encode(rec); err != nil {
+	b := l.buf[:0]
+	if l.size == 0 {
+		b = append(b, walMagic...)
+	}
+	start := len(b)
+	b, err := appendRecord(frame.Begin(b), rec)
+	if err == nil {
+		err = frame.Seal(b, start)
+	}
+	l.buf = b
+	if err != nil {
+		return err
+	}
+	n, err := l.file.Write(b)
+	l.size += int64(n)
+	if err != nil {
 		return l.failLocked(err, w)
 	}
 	l.n += w
 	l.activeRecs += w
-	if t := rec.maxTxTime(); t > l.activeMaxTx {
-		l.activeMaxTx = t
-	}
-	if l.cw.n >= l.rotateBytes {
+	l.activeMaxTx = max(l.activeMaxTx, rec.maxTxTime())
+	if l.size >= l.rotateBytes {
 		return l.rotateLocked()
 	}
 	return nil
@@ -458,13 +457,12 @@ func (l *Log) rotateLocked() error {
 func (l *Log) nextPath() string { return filepath.Join(l.dir, walFileName(l.seq+1)) }
 
 // activateLocked makes f — freshly created as the next numbered file —
-// the active WAL file with a new encoder and empty tail counters.
-// Called under the appender token.
+// the active WAL file with empty tail counters; its first write opens
+// it with the magic. Called under the appender token.
 func (l *Log) activateLocked(f vfs.File) {
 	l.path, l.file = l.nextPath(), f
 	l.seq++
-	l.cw = &countWriter{f: f}
-	l.enc = gob.NewEncoder(l.cw)
+	l.size = 0
 	l.activeRecs, l.activeMaxTx = 0, temporal.MinInstant
 }
 
@@ -506,9 +504,9 @@ func (l *Log) Dropped() int {
 }
 
 // Rearm replaces a dropping (or poisoned) log's whole chain with a fresh
-// empty file and encoder, clearing dropping mode. The records the old
-// file held, the stage, and every write dropped since are NOT recovered
-// here: the caller must immediately flush the full RAM state to the durable
+// empty file, clearing dropping mode. The records the old file held, the
+// stage, and every write dropped since are NOT recovered here: the
+// caller must immediately flush the full RAM state to the durable
 // backend, pinned at a cut taken AFTER Rearm returns, so everything the
 // discarded WAL covered is captured elsewhere before new appends rely
 // on the fresh file. The dropped count is kept for observability.
@@ -657,99 +655,109 @@ func (l *Log) DropFailures() int {
 	return l.dropFails
 }
 
-// rewriteLogFile writes records to a temp file next to path, syncs it,
-// and renames it over path. It returns the still-open file positioned
-// for appends together with the byte-counting writer and the encoder
-// that wrote it: a gob stream is one encoder's output, so the log MUST
-// keep appending through this encoder — starting a fresh one on the
-// same file would begin a second stream a single replay Decoder rejects
-// ("duplicate type received").
-func rewriteLogFile(fsys vfs.FS, path string, records []logRecord) (vfs.File, *countWriter, *gob.Encoder, error) {
+// rewriteLogFile writes records as a framed WAL file to a temp file next
+// to path, syncs it, and renames it over path. It returns the still-open
+// file positioned for appends and its size; an empty record set leaves
+// an empty file, which the first append opens with the magic.
+func rewriteLogFile(fsys vfs.FS, path string, records []walRecord) (vfs.File, int64, error) {
+	var b []byte
+	if len(records) > 0 {
+		b = append(b, walMagic...)
+	}
+	for i := range records {
+		start := len(b)
+		var err error
+		if b, err = appendRecord(frame.Begin(b), &records[i]); err == nil {
+			err = frame.Seal(b, start)
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("state: rewrite log record %d: %w", i, err)
+		}
+	}
 	tmp := path + ".tmp"
 	f, err := fsys.Create(tmp)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("state: rewrite log: %w", err)
+		return nil, 0, fmt.Errorf("state: rewrite log: %w", err)
 	}
-	cw := &countWriter{f: f}
-	enc := gob.NewEncoder(cw)
-	for i := range records {
-		if err := enc.Encode(&records[i]); err != nil {
-			f.Close()
-			fsys.Remove(tmp)
-			return nil, nil, nil, fmt.Errorf("state: rewrite log record %d: %w", i, err)
-		}
+	if _, err = f.Write(b); err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
 		f.Close()
 		fsys.Remove(tmp)
-		return nil, nil, nil, fmt.Errorf("state: rewrite log: %w", err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return nil, nil, nil, fmt.Errorf("state: rewrite log: %w", err)
+		return nil, 0, fmt.Errorf("state: rewrite log: %w", err)
 	}
 	fsys.SyncDir(filepath.Dir(path))
-	return f, cw, enc, nil
+	return f, int64(len(b)), nil
 }
 
 func (l *Log) appendPutBi(f *element.Fact) error {
-	return l.append(logRecord{
-		Op: opPutBi, Entity: f.Entity, Attr: f.Attribute, Value: f.Value,
-		Start: f.Validity.Start, End: f.Validity.End, Tx: f.RecordedAt,
-		Derived: f.Derived, Source: f.Source,
+	return l.append(walRecord{
+		op: opPutBi, entity: f.Entity, attr: f.Attribute, value: f.Value,
+		start: f.Validity.Start, end: f.Validity.End, tx: f.RecordedAt,
+		derived: f.Derived, source: f.Source,
 	})
 }
 
 func (l *Log) appendDelete(entity, attr string, w temporal.Interval, tx temporal.Instant) error {
-	return l.append(logRecord{
-		Op: opDeleteBi, Entity: entity, Attr: attr,
-		Start: w.Start, End: w.End, Tx: tx,
+	return l.append(walRecord{
+		op: opDeleteBi, entity: entity, attr: attr,
+		start: w.Start, end: w.End, tx: tx,
 	})
 }
 
 func (l *Log) appendPutBatch(puts []BatchPut) error {
-	return l.append(logRecord{Op: opPutBatch, Puts: puts})
+	return l.append(walRecord{op: opPutBatch, puts: puts})
 }
 
-// applyLogRecord re-applies one decoded non-put record through apply;
-// recovery group-applies stream-append puts (opPut, opPutBatch) through
-// PutBatch instead. opAssert and opRetract are no longer written, but
-// older logs still replay: each was logged only after passing its
-// no-overlap / has-an-open-version check, so the equivalent bitemporal
-// write rebuilds the same state.
-func (s *Store) applyLogRecord(rec *logRecord) error {
-	switch rec.Op {
-	case opAssert:
-		return s.apply(writeReq{
-			entity: rec.Entity, attr: rec.Attr, value: rec.Value,
-			validFrom: rec.Start, hasValidFrom: true,
-			validTo: rec.End, hasValidTo: true,
-			tx: rec.Start, hasTx: true,
-			derived: rec.Derived, source: rec.Source,
-		})
-	case opRetract:
-		return s.apply(writeReq{
-			entity: rec.Entity, attr: rec.Attr, isDelete: true,
-			validFrom: rec.At, hasValidFrom: true, tx: rec.At, hasTx: true,
-		})
-	case opPutBi:
-		return s.apply(writeReq{
-			entity: rec.Entity, attr: rec.Attr, value: rec.Value,
-			validFrom: rec.Start, hasValidFrom: true,
-			validTo: rec.End, hasValidTo: true,
-			tx: rec.Tx, hasTx: true,
-			derived: rec.Derived, source: rec.Source,
-		})
-	case opDeleteBi:
-		return s.apply(writeReq{
-			entity: rec.Entity, attr: rec.Attr, isDelete: true,
-			validFrom: rec.Start, hasValidFrom: true,
-			validTo: rec.End, hasValidTo: true,
-			tx: rec.Tx, hasTx: true,
-		})
+// applyRecord re-applies one decoded bitemporal record through apply;
+// recovery group-applies opPutBatch puts through PutBatch instead.
+func (s *Store) applyRecord(rec *walRecord) error {
+	req := writeReq{
+		entity: rec.entity, attr: rec.attr,
+		validFrom: rec.start, hasValidFrom: true,
+		validTo: rec.end, hasValidTo: true,
+		tx: rec.tx, hasTx: true,
 	}
-	return fmt.Errorf("state: unknown op %d", rec.Op)
+	switch rec.op {
+	case opPutBi:
+		req.value, req.derived, req.source = rec.value, rec.derived, rec.source
+	case opDeleteBi:
+		req.isDelete = true
+	default:
+		return fmt.Errorf("state: unknown op %d", rec.op)
+	}
+	return s.apply(req)
+}
+
+// replayFrames streams one framed WAL file (past its magic) through fr,
+// handing each record to handle. A frame cut short is a torn final
+// append — the tail a crash cut mid-write — and ends the replay when
+// the file is the chain's newest; anywhere earlier the file was sealed
+// whole, so short bytes are corruption. A frame that does not checksum
+// is corruption anywhere.
+func replayFrames(fr *frame.Reader, last bool, handle func(*walRecord) error) error {
+	for n := 0; ; n++ {
+		payload, err := fr.Next()
+		switch {
+		case err == io.EOF:
+			return nil
+		case last && errors.Is(err, io.ErrUnexpectedEOF):
+			return nil
+		case err != nil:
+			return fmt.Errorf("record %d: %w", n, err)
+		}
+		var rec walRecord
+		if err := decodeRecord(payload, &rec); err != nil {
+			return fmt.Errorf("record %d: %w", n, err)
+		}
+		if err := handle(&rec); err != nil {
+			return fmt.Errorf("record %d: %w", n, err)
+		}
+	}
 }
 
 // RecoverWALDir replays the WAL chain in dir into s — only records
@@ -763,13 +771,11 @@ func (s *Store) applyLogRecord(rec *logRecord) error {
 //
 // The chain is every wal.NNNNNNNN file plus a legacy wal.log (which
 // sorts oldest, so a flat log written before the WAL was segmented
-// recovers as chain member 0), replayed oldest first with per-record
-// crc32c verification. An unexpected EOF is tolerated only in the
-// newest file — the tail a crash cut mid-append: gob messages are
-// length-prefixed, so a torn append leaves a message outrunning the
-// file and replay stops at the last whole record. Anywhere earlier, or
-// any other decode error, is corruption: records after it are
-// unreachable in an unframed gob stream, so recovery fails loudly.
+// recovers as chain member 0), replayed oldest first. Each file streams
+// through one reused read buffer; framed files replay through
+// replayFrames, gob-era files through replayGob. Either way a torn
+// final append is tolerated only in the newest file, and any other
+// damage fails recovery loudly.
 //
 // Runs of Replace records apply through PutBatch: the store is empty of
 // observers during recovery and Replaces on distinct keys
@@ -778,11 +784,11 @@ func (s *Store) applyLogRecord(rec *logRecord) error {
 // fast cold start, as LoadLineage is the segment half.
 //
 // Fully covered older files are unlinked and the newest file is
-// compacted to its surviving records (atomic rewrite) in the
-// background, under the returned Log's pre-held appender token, so the
-// cold start does not wait for either. Files straddling the cut stay
-// whole as sealed chain members. An empty directory yields a fresh
-// one-file chain.
+// compacted to its surviving records (atomic rewrite, always framed) in
+// the background, under the returned Log's pre-held appender token, so
+// the cold start does not wait for either. Files straddling the cut stay
+// whole as sealed chain members, in whatever format they were written.
+// An empty directory yields a fresh one-file chain.
 func RecoverWALDir(dir string, s *Store, cut temporal.Instant, rotateBytes int64) (*Log, int, error) {
 	return RecoverWALDirFS(vfs.OS, dir, s, cut, rotateBytes)
 }
@@ -827,15 +833,17 @@ func RecoverWALDirFS(fsys vfs.FS, dir string, s *Store, cut temporal.Instant, ro
 		}
 		l := newSegmented(path, 1)
 		l.file = f
-		l.cw = &countWriter{f: f}
-		l.enc = gob.NewEncoder(l.cw)
 		return l, 0, nil
 	}
 
 	var (
-		lastKept []logRecord
+		lastKept []walRecord
 		pending  []BatchPut // run of Replace records awaiting group apply
 		total    int
+		cf       *chainFile // the file being replayed, for handle
+		last     bool       // cf is the chain's newest file
+		br       = bufio.NewReaderSize(nil, 1<<16)
+		fr       frame.Reader
 	)
 	flush := func() error {
 		if len(pending) == 0 {
@@ -845,66 +853,30 @@ func RecoverWALDirFS(fsys vfs.FS, dir string, s *Store, cut temporal.Instant, ro
 		pending = pending[:0]
 		return err
 	}
+	handle := func(rec *walRecord) error {
+		cf.maxTx = max(cf.maxTx, rec.maxTxTime())
+		if !rec.keepAfter(cut) {
+			return nil
+		}
+		cf.kept += rec.writes()
+		total += rec.writes()
+		if last {
+			lastKept = append(lastKept, *rec)
+		}
+		if rec.op == opPutBatch {
+			pending = append(pending, rec.puts...)
+			return nil
+		}
+		if err := flush(); err != nil {
+			return err
+		}
+		return s.applyRecord(rec)
+	}
 	for i := range files {
-		cf := &files[i]
-		last := i == len(files)-1
-		src, err := fsys.Open(cf.path)
-		if err != nil {
-			return nil, 0, fmt.Errorf("state: recover wal: %w", err)
+		cf, last = &files[i], i == len(files)-1
+		if err := replayWALFile(fsys, cf.path, last, br, &fr, handle); err != nil {
+			return nil, 0, fmt.Errorf("state: recover wal %s: %w", filepath.Base(cf.path), err)
 		}
-		dec := gob.NewDecoder(io.NewSectionReader(src, 0, 1<<62))
-		decoded := 0
-		for {
-			var rec logRecord
-			if err := dec.Decode(&rec); err != nil {
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				if errors.Is(err, io.ErrUnexpectedEOF) && last {
-					// A torn final append in the newest file — the tail a
-					// crash cut mid-write. Anywhere earlier the file was
-					// sealed whole, so short bytes are corruption.
-					break
-				}
-				src.Close()
-				return nil, 0, fmt.Errorf("state: recover wal %s record %d: %w", filepath.Base(cf.path), decoded, err)
-			}
-			decoded++
-			if err := rec.verify(decoded - 1); err != nil {
-				src.Close()
-				return nil, 0, fmt.Errorf("state: recover wal %s: %w", filepath.Base(cf.path), err)
-			}
-			if t := rec.maxTxTime(); t > cf.maxTx {
-				cf.maxTx = t
-			}
-			if !rec.keepAfter(cut) {
-				continue
-			}
-			rec.reseal()
-			cf.kept += rec.writes()
-			total += rec.writes()
-			if last {
-				lastKept = append(lastKept, rec)
-			}
-			switch rec.Op {
-			case opPut:
-				pending = append(pending, BatchPut{
-					Entity: rec.Entity, Attr: rec.Attr, Value: rec.Value, At: rec.At,
-				})
-			case opPutBatch:
-				pending = append(pending, rec.Puts...)
-			default:
-				applyErr := flush()
-				if applyErr == nil {
-					applyErr = s.applyLogRecord(&rec)
-				}
-				if applyErr != nil {
-					src.Close()
-					return nil, 0, fmt.Errorf("state: recover wal %s record %d: %w", filepath.Base(cf.path), decoded-1, applyErr)
-				}
-			}
-		}
-		src.Close()
 	}
 	if err := flush(); err != nil {
 		return nil, 0, fmt.Errorf("state: recover wal: %w", err)
@@ -931,12 +903,12 @@ func RecoverWALDirFS(fsys vfs.FS, dir string, s *Store, cut temporal.Instant, ro
 		for _, p := range drop {
 			l.dropFileLocked(p)
 		}
-		f, cw, enc, err := rewriteLogFile(fsys, lastF.path, lastKept)
+		f, size, err := rewriteLogFile(fsys, lastF.path, lastKept)
 		if err != nil {
 			l.err = err
 			return
 		}
-		l.file, l.cw, l.enc = f, cw, enc
+		l.file, l.size = f, size
 		l.n = total
 		l.activeRecs = lastF.kept
 		if len(lastKept) > 0 {
@@ -946,64 +918,36 @@ func RecoverWALDirFS(fsys vfs.FS, dir string, s *Store, cut temporal.Instant, ro
 	return l, total, nil
 }
 
-// snapshotRecord is the wire format of one fact record in a cut dump.
-type snapshotRecord struct {
-	Entity       string
-	Attr         string
-	Value        element.Value
-	Start        temporal.Instant
-	End          temporal.Instant
-	RecordedAt   temporal.Instant
-	SupersededAt temporal.Instant
-	Derived      bool
-	Source       string
-}
-
-// WriteSnapshot dumps every record in the store to w as a gob stream —
-// including versions superseded by retroactive corrections — in
-// deterministic key order. It is the canonical encoding of a bitemporal
-// cut: two stores holding the same state dump identical bytes, which is
-// how the equivalence suites compare a recovered store against its
-// oracle. It is an export format, not a restore format (durability is
-// the WAL chain plus segments). The record set is one consistent cut
-// pinned at the transaction clock's high-water mark, gathered lock-free
-// from the published heads — dumping a large store does not stall
-// writers.
-func (s *Store) WriteSnapshot(w io.Writer) error {
-	return s.writeSnapshotAt(w, s.pinBarrier())
-}
-
-// writeSnapshotAt serializes the cut believed at tt (Snapshot.WriteSnapshot
-// pins a handle's instant; WriteSnapshot pins the clock).
-func (s *Store) writeSnapshotAt(w io.Writer, tt temporal.Instant) error {
-	enc := gob.NewEncoder(w)
-	facts := s.allRecordsAt(tt)
-	if err := enc.Encode(len(facts)); err != nil {
-		return fmt.Errorf("state: snapshot header: %w", err)
+// replayWALFile replays one chain member through handle, choosing the
+// decoder by the file's first bytes: the magic selects frames, an empty
+// file holds nothing, and anything else is a gob-era stream. A newest
+// file shorter than the magic and agreeing with it is a torn first
+// append.
+func replayWALFile(fsys vfs.FS, path string, last bool, br *bufio.Reader, fr *frame.Reader, handle func(*walRecord) error) error {
+	src, err := fsys.Open(path)
+	if err != nil {
+		return err
 	}
-	for _, f := range facts {
-		rec := snapshotRecord{
-			Entity: f.Entity, Attr: f.Attribute, Value: f.Value,
-			Start: f.Validity.Start, End: f.Validity.End,
-			RecordedAt: f.RecordedAt, SupersededAt: f.SupersededAt,
-			Derived: f.Derived, Source: f.Source,
-		}
-		if err := enc.Encode(rec); err != nil {
-			return fmt.Errorf("state: snapshot record: %w", err)
-		}
+	defer src.Close()
+	st, err := src.Stat()
+	if err != nil {
+		return err
 	}
-	return nil
-}
-
-// allRecordsAt clones every record of the cut believed at tt, in
-// deterministic key order, preserving per-lineage recording order. The
-// gather is lock-free and the per-lineage cut reconstruction is
-// recordsAt's: records recorded after the pin are excluded, and a belief
-// interval closed after the pin is restored to open — the clone set is
-// exactly the bitemporal state as of tt.
-func (s *Store) allRecordsAt(tt temporal.Instant) []*element.Fact {
-	cfg := readCfg{txAt: tt, hasTxAt: true, allVersions: true}
-	return s.gather(cfg, func(h *head, out []*element.Fact) []*element.Fact {
-		return recordsAt(h, tt, out)
-	})
+	size := st.Size()
+	if size == 0 {
+		return nil
+	}
+	head := make([]byte, min(size, int64(len(walMagic))))
+	if _, err := src.ReadAt(head, 0); err != nil {
+		return err
+	}
+	switch {
+	case string(head) == walMagic:
+		br.Reset(io.NewSectionReader(src, int64(len(walMagic)), size-int64(len(walMagic))))
+		fr.Reset(br, size-int64(len(walMagic)))
+		return replayFrames(fr, last, handle)
+	case last && size < int64(len(walMagic)) && strings.HasPrefix(walMagic, string(head)):
+		return nil
+	}
+	return replayGob(io.NewSectionReader(src, 0, size), last, handle)
 }

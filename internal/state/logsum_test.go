@@ -13,7 +13,7 @@ import (
 )
 
 // flipEntityByte corrupts one payload byte of the given marker string
-// inside raw — a bit flip gob still decodes (string contents are raw
+// inside raw — a bit flip that still decodes (string contents are raw
 // bytes behind a length prefix), detectable only by the checksum.
 func flipEntityByte(t *testing.T, raw []byte, marker string) []byte {
 	t.Helper()

@@ -17,8 +17,8 @@ func TestRecoverLogSurfacesApplyErrors(t *testing.T) {
 	l, dir := openWAL(t, NewStore())
 	// A bitemporal put with empty validity: legal to encode, but apply
 	// rejects it (as a skewed or hand-damaged WAL would).
-	if err := l.append(logRecord{Op: opPutBi, Entity: "e", Attr: "a", Value: element.Int(1),
-		Start: 10, End: 10, Tx: 10}); err != nil {
+	if err := l.append(walRecord{op: opPutBi, entity: "e", attr: "a", value: element.Int(1),
+		start: 10, end: 10, tx: 10}); err != nil {
 		t.Fatal(err)
 	}
 	closeWAL(t, l)
@@ -28,26 +28,22 @@ func TestRecoverLogSurfacesApplyErrors(t *testing.T) {
 	}
 }
 
-// TestRecoverRetiredRecordKinds: logs written by the removed positional
-// Assert and Retract still recover. Each such record was logged only
-// after passing its no-overlap / has-an-open-version check, so replaying
-// it as the equivalent bitemporal Put or Delete dumps the byte-equal cut
-// of the same history written through Replace/Put/Delete.
+// TestRecoverRetiredRecordKinds: gob-era logs written by the removed
+// positional Assert and Retract (and by per-element Replace) still
+// recover. Each such record was logged only after passing its
+// no-overlap / has-an-open-version check, so replaying it as the
+// equivalent bitemporal Put or Delete dumps the byte-equal cut of the
+// same history written through Replace/Put/Delete.
 func TestRecoverRetiredRecordKinds(t *testing.T) {
-	l, dir := openWAL(t, NewStore())
-	for _, rec := range []logRecord{
+	dir := t.TempDir()
+	writeGobWAL(t, filepath.Join(dir, walFileName(1)), []logRecord{
 		{Op: opPut, Entity: "ann", Attr: "position", Value: element.String("hall"), At: 10},
 		{Op: opAssert, Entity: "ann", Attr: "badge", Value: element.Int(7), Start: 12, End: 40, Source: "issue"},
 		{Op: opPut, Entity: "ann", Attr: "position", Value: element.String("lab"), At: 20},
 		{Op: opRetract, Entity: "ann", Attr: "position", At: 30},
 		{Op: opAssert, Entity: "p1", Attr: "class", Value: element.String("books"),
 			Start: 30, End: temporal.Forever, Derived: true, Source: "taxonomy"},
-	} {
-		if err := l.append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	closeWAL(t, l)
+	})
 	got, n := recoverWAL(t, dir)
 	if n != 5 {
 		t.Fatalf("replayed %d records, want 5", n)

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/element"
+	"repro/internal/frame"
 	"repro/internal/state"
 	"repro/internal/temporal"
 	"repro/internal/vfs"
@@ -599,7 +600,7 @@ func TestFaultInUnreadableFrameFailsWrite(t *testing.T) {
 				defer f.Close()
 				// The first frame's payload starts after the file magic
 				// and the frame header; its crc32c covers every byte.
-				off := int64(len(fileMagic)) + frameHdrLen + 1
+				off := int64(len(fileMagic)) + frame.HeaderLen + 1
 				var b [1]byte
 				if _, err := f.ReadAt(b[:], off); err != nil {
 					t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/element"
+	"repro/internal/frame"
 	"repro/internal/state"
 	"repro/internal/temporal"
 )
@@ -39,7 +40,7 @@ func readFooterSeeds(tb testing.TB, dir string) []footerSeed {
 		}
 		off := int64(binary.LittleEndian.Uint64(img[len(img)-trailerLen:]))
 		n := int64(binary.LittleEndian.Uint32(img[off:]))
-		payload := img[off+frameHdrLen : off+frameHdrLen+n]
+		payload := img[off+frame.HeaderLen : off+frame.HeaderLen+n]
 		seeds = append(seeds, footerSeed{name: filepath.Base(p), payload: payload, off: off})
 	}
 	return seeds
@@ -187,7 +188,7 @@ func FuzzSegmentFooter(f *testing.F) {
 	f.Add(append(binary.AppendUvarint(huge, 1<<40), 0, 0, 4), uint32(100))
 	f.Fuzz(func(t *testing.T, payload []byte, footerOff uint32) {
 		off := int64(footerOff)
-		r := &reader{size: off + frameHdrLen + int64(len(payload)) + trailerLen}
+		r := &reader{size: off + frame.HeaderLen + int64(len(payload)) + trailerLen}
 		if err := r.decodeFooter(payload, off); err != nil {
 			return
 		}

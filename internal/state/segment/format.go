@@ -27,8 +27,9 @@
 // reading its frame, and since merges re-encode every surviving frame,
 // merged segments carry it too.
 //
-// Record instants are fixed-width little-endian (decode is four 8-byte
-// loads on the bulk path); counts and offsets are varint/uvarint
+// Frames and their primitives are internal/frame's, the codec the WAL
+// shares. Record instants are fixed-width little-endian (decode is four
+// 8-byte loads on the bulk path); counts and offsets are varint/uvarint
 // encoded; strings and value payloads are length-prefixed. Records
 // within a lineage frame appear in recording order, so a frame
 // round-trips through state.LoadLineage byte-exactly.
@@ -44,13 +45,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
 	"sort"
 	"sync/atomic"
 
 	"repro/internal/element"
+	"repro/internal/frame"
 	"repro/internal/state"
 	"repro/internal/temporal"
 	"repro/internal/vfs"
@@ -60,23 +60,10 @@ const (
 	fileMagic    = "SSG1"
 	trailerMagic = "SGFT"
 	trailerLen   = 12
-	frameHdrLen  = 8
 
 	kindLineage byte = 1
 	kindFooter  byte = 2
-
-	// Record flag bits.
-	recDerived   byte = 1 << 0
-	recHasSource byte = 1 << 1
-
-	// maxFrameLen bounds a frame payload (1 GiB): anything larger in a
-	// length prefix is corruption, not data.
-	maxFrameLen = 1 << 30
 )
-
-// crcTable is the Castagnoli polynomial table (crc32c), the checksum of
-// every frame.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // envelope is the bitemporal min/max summary of a record set: the
 // valid-time span covered and the transaction-time span recorded. A
@@ -174,60 +161,43 @@ func createSegment(fsys vfs.FS, path string, level int) (*writer, error) {
 	return w, nil
 }
 
-// writeFrame appends one length-prefixed checksummed frame and returns
-// its file offset.
-func (w *writer) writeFrame(payload []byte) (int64, error) {
-	if len(payload) > maxFrameLen {
-		return 0, fmt.Errorf("segment: frame of %d bytes exceeds limit", len(payload))
+// writeFrame seals the frame b holds (built on frame.Begin), appends it,
+// and returns its file offset.
+func (w *writer) writeFrame(b []byte) (int64, error) {
+	if err := frame.Seal(b, 0); err != nil {
+		return 0, err
 	}
-	var hdr [frameHdrLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
 	off := w.off
-	if _, err := w.bw.Write(hdr[:]); err != nil {
+	if _, err := w.bw.Write(b); err != nil {
 		return 0, err
 	}
-	if _, err := w.bw.Write(payload); err != nil {
-		return 0, err
-	}
-	w.off += int64(frameHdrLen + len(payload))
+	w.off += int64(len(b))
 	return off, nil
 }
 
 // writeLineage appends one lineage frame: the records of key's cut, in
-// recording order.
+// recording order. It only reads records, so a caller may pass scratch
+// copies it reuses after the call (as FlushCut does).
 func (w *writer) writeLineage(key element.FactKey, records []*element.Fact) error {
-	b := w.scr[:0]
+	b := frame.Begin(w.scr[:0])
 	b = append(b, kindLineage)
-	b = appendString(b, key.Entity)
-	b = appendString(b, key.Attribute)
+	b = frame.AppendString(b, key.Entity)
+	b = frame.AppendString(b, key.Attribute)
 	b = binary.AppendUvarint(b, uint64(len(records)))
 	for _, f := range records {
-		val, err := f.Value.MarshalBinary()
-		if err != nil {
-			return fmt.Errorf("segment: %s: %w", key, err)
-		}
 		// The four instants are fixed-width: a cold start decodes tens
 		// of thousands of records, and four unconditional 8-byte loads
 		// beat four varint parses by an order of magnitude. The strings
 		// stay length-prefixed; an absent source costs one flag bit.
-		b = appendInstant(b, f.Validity.Start)
-		b = appendInstant(b, f.Validity.End)
-		b = appendInstant(b, f.RecordedAt)
-		b = appendInstant(b, f.SupersededAt)
-		var flags byte
-		if f.Derived {
-			flags |= recDerived
+		b = frame.AppendInstant(b, f.Validity.Start)
+		b = frame.AppendInstant(b, f.Validity.End)
+		b = frame.AppendInstant(b, f.RecordedAt)
+		b = frame.AppendInstant(b, f.SupersededAt)
+		b = frame.AppendProvenance(b, f.Derived, f.Source)
+		var err error
+		if b, err = frame.AppendValue(b, f.Value); err != nil {
+			return fmt.Errorf("segment: %s: %w", key, err)
 		}
-		if f.Source != "" {
-			flags |= recHasSource
-		}
-		b = append(b, flags)
-		if f.Source != "" {
-			b = appendString(b, f.Source)
-		}
-		b = binary.AppendUvarint(b, uint64(len(val)))
-		b = append(b, val...)
 		w.env.observe(f)
 	}
 	w.scr = b
@@ -268,7 +238,7 @@ func (w *writer) finish(cut temporal.Instant) (*reader, error) {
 		}
 		return keys[i].Entity < keys[j].Entity
 	})
-	b := w.scr[:0]
+	b := frame.Begin(w.scr[:0])
 	b = append(b, kindFooter)
 	b = binary.AppendVarint(b, int64(cut))
 	b = binary.AppendVarint(b, int64(w.env.minValid))
@@ -277,8 +247,8 @@ func (w *writer) finish(cut temporal.Instant) (*reader, error) {
 	b = binary.AppendVarint(b, int64(w.env.maxTx))
 	b = binary.AppendUvarint(b, uint64(len(keys)))
 	for _, k := range keys {
-		b = appendString(b, k.Entity)
-		b = appendString(b, k.Attribute)
+		b = frame.AppendString(b, k.Entity)
+		b = frame.AppendString(b, k.Attribute)
 		b = binary.AppendUvarint(b, uint64(w.index[k].off))
 	}
 	// Compaction metadata rides after the index as optional trailing
@@ -417,7 +387,7 @@ func loadSegment(fsys vfs.FS, f vfs.File, path string) (*reader, error) {
 		return nil, fmt.Errorf("segment: %s: bad trailer", path)
 	}
 	footerOff := int64(binary.LittleEndian.Uint64(tr[0:]))
-	payload, err := readFrame(f, footerOff, size)
+	payload, err := frame.Read(f, footerOff, size)
 	if err != nil {
 		return nil, fmt.Errorf("segment: %s: footer: %w", path, err)
 	}
@@ -442,44 +412,44 @@ type footerEntry struct {
 // later out-of-range read. An optional tail is either absent or whole:
 // a truncated one is corruption, never "no tail".
 func (r *reader) decodeFooter(payload []byte, footerOff int64) error {
-	c := &cursor{b: payload}
-	if c.u8() != kindFooter {
+	c := frame.NewCursor(payload)
+	if c.U8() != kindFooter {
 		return errors.New("footer has wrong frame kind")
 	}
-	r.cut = temporal.Instant(c.varint())
-	r.env.minValid = temporal.Instant(c.varint())
-	r.env.maxValid = temporal.Instant(c.varint())
-	r.env.minTx = temporal.Instant(c.varint())
-	r.env.maxTx = temporal.Instant(c.varint())
-	n := c.uvarint()
+	r.cut = temporal.Instant(c.Varint())
+	r.env.minValid = temporal.Instant(c.Varint())
+	r.env.maxValid = temporal.Instant(c.Varint())
+	r.env.minTx = temporal.Instant(c.Varint())
+	r.env.maxTx = temporal.Instant(c.Varint())
+	n := c.Uvarint()
 	// An entry takes at least 3 bytes: two string length prefixes and
 	// the offset.
-	if c.err != nil || n > uint64(len(c.b)/3) {
+	if c.Err() != nil || n > uint64(c.Len()/3) {
 		return errors.New("corrupt footer")
 	}
 	ents := make([]footerEntry, n)
 	for i := range ents {
-		ents[i].key = element.FactKey{Entity: c.str(), Attribute: c.str()}
-		off := c.uvarint()
-		if c.err != nil || off < uint64(len(fileMagic)) || off >= uint64(footerOff) {
+		ents[i].key = element.FactKey{Entity: c.Str(), Attribute: c.Str()}
+		off := c.Uvarint()
+		if c.Err() != nil || off < uint64(len(fileMagic)) || off >= uint64(footerOff) {
 			return fmt.Errorf("corrupt footer entry %d", i)
 		}
 		ents[i].ref.off = int64(off)
 	}
 	// Optional trailing compaction metadata (see writer.finish): absent
 	// in segments written before levels existed.
-	if len(c.b) > 0 {
-		r.level = int(c.uvarint())
-		r.tombs = int(c.uvarint())
-		if c.err != nil {
+	if c.Len() > 0 {
+		r.level = int(c.Uvarint())
+		r.tombs = int(c.Uvarint())
+		if c.Err() != nil {
 			return errors.New("corrupt footer metadata")
 		}
 	}
 	// Optional trailing value envelope: absent in older segments, which
 	// decode as vNumeric=false (never value-pruned).
-	if len(c.b) > 0 {
-		vn := c.uvarint()
-		vb, ok := c.take(16)
+	if c.Len() > 0 {
+		vn := c.Uvarint()
+		vb, ok := c.Take(16)
 		if !ok {
 			return errors.New("corrupt footer value envelope")
 		}
@@ -489,12 +459,12 @@ func (r *reader) decodeFooter(payload []byte, footerOff int64) error {
 	}
 	// Optional per-frame value envelopes: absent in older segments, whose
 	// frames decode as numeric=false (never frame-pruned).
-	if len(c.b) > 0 {
+	if c.Len() > 0 {
 		for i := range ents {
-			switch c.u8() {
+			switch c.U8() {
 			case 0:
 			case 1:
-				vb, ok := c.take(16)
+				vb, ok := c.Take(16)
 				if !ok {
 					return fmt.Errorf("corrupt footer frame envelope %d", i)
 				}
@@ -506,7 +476,7 @@ func (r *reader) decodeFooter(payload []byte, footerOff int64) error {
 				return fmt.Errorf("corrupt footer frame envelope %d", i)
 			}
 		}
-		if c.err != nil {
+		if c.Err() != nil {
 			return errors.New("corrupt footer frame envelopes")
 		}
 	}
@@ -535,7 +505,7 @@ func (r *reader) garbage() float64 {
 // readLineage preads and decodes the lineage frame at off — the
 // fallthrough point-read path.
 func (r *reader) readLineage(off int64) (element.FactKey, []*element.Fact, error) {
-	payload, err := readFrame(r.f, off, r.size)
+	payload, err := frame.Read(r.f, off, r.size)
 	if err != nil {
 		return element.FactKey{}, nil, fmt.Errorf("segment: %s @%d: %w", r.path, off, err)
 	}
@@ -556,17 +526,9 @@ func (r *reader) image() ([]byte, error) {
 // readLineageImage decodes (with checksum verification) the lineage
 // frame at off from a full-file image.
 func (r *reader) readLineageImage(img []byte, off int64) (element.FactKey, []*element.Fact, error) {
-	if off < 0 || off+frameHdrLen > int64(len(img)) {
-		return element.FactKey{}, nil, fmt.Errorf("segment: %s @%d: frame out of bounds", r.path, off)
-	}
-	n := int64(binary.LittleEndian.Uint32(img[off:]))
-	want := binary.LittleEndian.Uint32(img[off+4:])
-	if n > maxFrameLen || off+frameHdrLen+n > int64(len(img)) {
-		return element.FactKey{}, nil, fmt.Errorf("segment: %s @%d: frame length %d out of bounds", r.path, off, n)
-	}
-	payload := img[off+frameHdrLen : off+frameHdrLen+n]
-	if got := crc32.Checksum(payload, crcTable); got != want {
-		return element.FactKey{}, nil, fmt.Errorf("segment: %s @%d: frame checksum mismatch", r.path, off)
+	payload, err := frame.At(img, off)
+	if err != nil {
+		return element.FactKey{}, nil, fmt.Errorf("segment: %s @%d: %w", r.path, off, err)
 	}
 	return r.decodeLineage(payload, off)
 }
@@ -576,19 +538,19 @@ func (r *reader) readLineageImage(img []byte, off int64) (element.FactKey, []*el
 // decoding tens of thousands of records pays one allocation per
 // lineage, not per record.
 func (r *reader) decodeLineage(payload []byte, off int64) (element.FactKey, []*element.Fact, error) {
-	c := &cursor{b: payload}
-	if c.u8() != kindLineage {
+	c := frame.NewCursor(payload)
+	if c.U8() != kindLineage {
 		return element.FactKey{}, nil, fmt.Errorf("segment: %s @%d: wrong frame kind", r.path, off)
 	}
-	key := element.FactKey{Entity: c.str(), Attribute: c.str()}
-	n := int(c.uvarint())
-	if c.err != nil || n < 0 || n > len(payload) {
+	key := element.FactKey{Entity: c.Str(), Attribute: c.Str()}
+	n := int(c.Uvarint())
+	if c.Err() != nil || n < 0 || n > len(payload) {
 		return element.FactKey{}, nil, fmt.Errorf("segment: %s @%d: corrupt frame", r.path, off)
 	}
 	facts := make([]element.Fact, n)
 	records := make([]*element.Fact, n)
 	for i := 0; i < n; i++ {
-		ins, ok := c.take(4*8 + 1)
+		ins, ok := c.Take(4 * 8)
 		if !ok {
 			return element.FactKey{}, nil, fmt.Errorf("segment: %s @%d: corrupt record %d", r.path, off, i)
 		}
@@ -599,127 +561,12 @@ func (r *reader) decodeLineage(payload []byte, off int64) (element.FactKey, []*e
 			temporal.Instant(binary.LittleEndian.Uint64(ins[8:])))
 		f.RecordedAt = temporal.Instant(binary.LittleEndian.Uint64(ins[16:]))
 		f.SupersededAt = temporal.Instant(binary.LittleEndian.Uint64(ins[24:]))
-		flags := ins[32]
-		f.Derived = flags&recDerived != 0
-		if flags&recHasSource != 0 {
-			f.Source = c.str()
-		}
-		val := c.bytes(int(c.uvarint()))
-		if c.err != nil {
-			return element.FactKey{}, nil, fmt.Errorf("segment: %s @%d: corrupt record %d", r.path, off, i)
-		}
-		if err := f.Value.UnmarshalBinary(val); err != nil {
+		f.Derived, f.Source = c.Provenance()
+		c.Value(&f.Value)
+		if err := c.Err(); err != nil {
 			return element.FactKey{}, nil, fmt.Errorf("segment: %s @%d: record %d: %w", r.path, off, i, err)
 		}
 		records[i] = f
 	}
 	return key, records, nil
-}
-
-// readFrame preads one frame at off and verifies its checksum. size (the
-// file size) bounds the read: the length prefix is outside the checksum,
-// so an unbounded read would let a bit-rotted prefix drive an arbitrary
-// allocation.
-func readFrame(f io.ReaderAt, off, size int64) ([]byte, error) {
-	var hdr [frameHdrLen]byte
-	if _, err := f.ReadAt(hdr[:], off); err != nil {
-		return nil, fmt.Errorf("frame header: %w", err)
-	}
-	n := int64(binary.LittleEndian.Uint32(hdr[0:]))
-	want := binary.LittleEndian.Uint32(hdr[4:])
-	if n > maxFrameLen || off+frameHdrLen+n > size {
-		return nil, fmt.Errorf("frame length %d out of bounds", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(io.NewSectionReader(f, off+frameHdrLen, n), payload); err != nil {
-		return nil, fmt.Errorf("frame payload: %w", err)
-	}
-	if got := crc32.Checksum(payload, crcTable); got != want {
-		return nil, fmt.Errorf("frame checksum mismatch (got %08x want %08x)", got, want)
-	}
-	return payload, nil
-}
-
-// appendString appends a uvarint length prefix plus the bytes.
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// appendInstant appends a fixed-width little-endian instant.
-func appendInstant(b []byte, t temporal.Instant) []byte {
-	return binary.LittleEndian.AppendUint64(b, uint64(t))
-}
-
-// cursor decodes the primitives of a frame payload, latching the first
-// error so call sites check once per frame.
-type cursor struct {
-	b   []byte
-	err error
-}
-
-func (c *cursor) u8() byte {
-	if c.err != nil || len(c.b) < 1 {
-		c.fail()
-		return 0
-	}
-	v := c.b[0]
-	c.b = c.b[1:]
-	return v
-}
-
-func (c *cursor) uvarint() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(c.b)
-	if n <= 0 {
-		c.fail()
-		return 0
-	}
-	c.b = c.b[n:]
-	return v
-}
-
-func (c *cursor) varint() int64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(c.b)
-	if n <= 0 {
-		c.fail()
-		return 0
-	}
-	c.b = c.b[n:]
-	return v
-}
-
-func (c *cursor) bytes(n int) []byte {
-	if c.err != nil || n < 0 || len(c.b) < n {
-		c.fail()
-		return nil
-	}
-	v := c.b[:n]
-	c.b = c.b[n:]
-	return v
-}
-
-// take returns the next n bytes without the error-latch bookkeeping of
-// bytes — the fixed-width fast path of the record decoder.
-func (c *cursor) take(n int) ([]byte, bool) {
-	if c.err != nil || len(c.b) < n {
-		c.fail()
-		return nil, false
-	}
-	v := c.b[:n]
-	c.b = c.b[n:]
-	return v, true
-}
-
-func (c *cursor) str() string { return string(c.bytes(int(c.uvarint()))) }
-
-func (c *cursor) fail() {
-	if c.err == nil {
-		c.err = errors.New("truncated frame payload")
-	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/element"
+	"repro/internal/frame"
 	"repro/internal/state"
 	"repro/internal/temporal"
 )
@@ -332,7 +333,7 @@ func TestRecoveryCorruptSegment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read segment: %v", err)
 	}
-	data[len(fileMagic)+frameHdrLen+3] ^= 0xff // flip a payload byte
+	data[len(fileMagic)+frame.HeaderLen+3] ^= 0xff // flip a payload byte
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatalf("write corrupt segment: %v", err)
 	}

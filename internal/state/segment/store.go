@@ -513,9 +513,10 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		return nil, err
 	}
 	d.log = log
-	// A WAL append failure ruins the gob stream mid-message — no
-	// per-record recovery exists regardless of the error's taxonomy —
-	// so the handler always acknowledges: the writer's RAM commit
+	// A WAL append failure may leave a partial frame at the file's end
+	// (and a failed fsync leaves its contents unknown) — no per-record
+	// recovery exists regardless of the error's taxonomy (see
+	// Log.dropping) — so the handler always acknowledges: the writer's RAM commit
 	// proceeds, the log drops further appends, and the store degrades.
 	// The handler runs under a shard lock, so it only latches atomics
 	// and fires the (lock-light) transition hooks.
@@ -782,7 +783,7 @@ func (d *Store) FlushAt(cut temporal.Instant) error {
 	joined := d.takeFlushErr()
 	if d.degraded.Load() != nil && d.log.Dropping() {
 		// Degraded-exit protocol for a forfeited WAL. Order is load-
-		// bearing: Rearm the log FIRST (fresh file, fresh encoder), THEN
+		// bearing: Rearm the log FIRST (a fresh file), THEN
 		// pin the cut. A transaction time is reserved under the shard
 		// lock before its WAL append, so every append dropped before the
 		// Rearm carries a time at or before the pin — the flush below

@@ -22,9 +22,12 @@
 package state
 
 import (
+	"encoding/binary"
+	"fmt"
 	"io"
 
 	"repro/internal/element"
+	"repro/internal/frame"
 	"repro/internal/temporal"
 )
 
@@ -136,4 +139,66 @@ func (sn *Snapshot) History(entity, attr string, opts ...ReadOpt) []*element.Fac
 // same bitemporal cut dump identical bytes.
 func (sn *Snapshot) WriteSnapshot(w io.Writer) error {
 	return sn.s.writeSnapshotAt(w, sn.at)
+}
+
+// WriteSnapshot dumps every record in the store to w — including
+// versions superseded by retroactive corrections — in deterministic key
+// order. It is the canonical encoding of a bitemporal cut: two stores
+// holding the same state dump identical bytes, which is how the
+// equivalence suites compare a recovered store against its oracle. It is
+// an export format, not a restore format (durability is the WAL chain
+// plus segments). The record set is one consistent cut pinned at the
+// transaction clock's high-water mark, gathered lock-free from the
+// published heads — dumping a large store does not stall writers.
+func (s *Store) WriteSnapshot(w io.Writer) error {
+	return s.writeSnapshotAt(w, s.pinBarrier())
+}
+
+// writeSnapshotAt serializes the cut believed at tt (Snapshot.WriteSnapshot
+// pins a handle's instant; WriteSnapshot pins the clock) in the frame
+// primitives:
+//
+//	dump   := n:uvarint record^n
+//	record := entity attr start end recorded superseded flags:u8 [source] value
+//
+// Records are buffered and written in 64 KiB chunks.
+func (s *Store) writeSnapshotAt(w io.Writer, tt temporal.Instant) error {
+	facts := s.allRecordsAt(tt)
+	b := binary.AppendUvarint(make([]byte, 0, 1<<16), uint64(len(facts)))
+	for _, f := range facts {
+		b = frame.AppendString(b, f.Entity)
+		b = frame.AppendString(b, f.Attribute)
+		b = frame.AppendInstant(b, f.Validity.Start)
+		b = frame.AppendInstant(b, f.Validity.End)
+		b = frame.AppendInstant(b, f.RecordedAt)
+		b = frame.AppendInstant(b, f.SupersededAt)
+		b = frame.AppendProvenance(b, f.Derived, f.Source)
+		var err error
+		if b, err = frame.AppendValue(b, f.Value); err != nil {
+			return fmt.Errorf("state: snapshot record %s: %w", f.Key(), err)
+		}
+		if len(b) >= 1<<16 {
+			if _, err := w.Write(b); err != nil {
+				return fmt.Errorf("state: snapshot: %w", err)
+			}
+			b = b[:0]
+		}
+	}
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("state: snapshot: %w", err)
+	}
+	return nil
+}
+
+// allRecordsAt clones every record of the cut believed at tt, in
+// deterministic key order, preserving per-lineage recording order. The
+// gather is lock-free and the per-lineage cut reconstruction is
+// recordsAt's: records recorded after the pin are excluded, and a belief
+// interval closed after the pin is restored to open — the clone set is
+// exactly the bitemporal state as of tt.
+func (s *Store) allRecordsAt(tt temporal.Instant) []*element.Fact {
+	cfg := readCfg{txAt: tt, hasTxAt: true, allVersions: true}
+	return s.gather(cfg, func(h *head, out []*element.Fact) []*element.Fact {
+		return recordsAt(h, tt, out)
+	})
 }

@@ -13,6 +13,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 	"time"
 
 	statestream "repro"
@@ -60,8 +62,8 @@ func windowConclusions(els []*statestream.Element) {
 			v := el.MustGet("visitor").MustString()
 			rooms[v] = append(rooms[v], el.MustGet("room").MustString())
 		}
-		for v, rs := range rooms {
-			fmt.Printf("  %s is in %v — %d rooms at once!\n", v, rs, len(rs))
+		for _, v := range slices.Sorted(maps.Keys(rooms)) {
+			fmt.Printf("  %s is in %v — %d rooms at once!\n", v, rooms[v], len(rooms[v]))
 		}
 	}
 }

@@ -3,7 +3,9 @@
 // "Break the Windows: Explicit State Management for Stream Processing
 // Systems" (EDBT 2017).
 //
-// The paper's Figure 1 architecture maps onto this API as follows:
+// The package re-exports the part of the implementation under internal/
+// that the examples and the README use. The paper's Figure 1
+// architecture maps onto it as follows:
 //
 //   - Input streams are timestamped Elements fed to an Engine in
 //     timestamp order (Engine.Process / Engine.Run).
@@ -15,21 +17,24 @@
 //     state-condition Gate and state Enrichment.
 //   - The state repository is a bitemporal database (§3.3's "temporal
 //     database"): every fact version carries a valid-time interval and a
-//     transaction-time interval. It is queryable on demand (Engine.Query)
-//     with a temporal SELECT dialect — CURRENT, ASOF t, DURING a TO b,
-//     HISTORY — each composable with SYSTEM TIME ASOF tt to query a past
-//     belief. The option-based StateDB surface (Engine.DB; a Store is
-//     one) supports retroactive corrections that supersede, never
-//     destroy, history. Store.Replace is the stream-append write that
-//     REPLACE rules perform: it rejects out-of-order instants instead.
-//   - A Reasoner (Engine.EnableReasoning or WithReasoning) materializes
-//     implicit facts from ontologies and Horn rules, augmenting both
-//     queries and gates.
+//     transaction-time interval. It is queryable on demand (Engine.Query,
+//     Engine.Prepare) with a temporal SELECT dialect — CURRENT, ASOF t,
+//     DURING a TO b, HISTORY — each composable with SYSTEM TIME ASOF tt to
+//     query a past belief. The option-based read/write surface (Engine.DB,
+//     or a standalone Store) supports retroactive corrections that
+//     supersede, never destroy, history. Store.Replace is the
+//     stream-append write that REPLACE rules perform: it rejects
+//     out-of-order instants instead.
+//   - A Reasoner (Engine.EnableReasoning, or NewReasoner over a Store)
+//     materializes implicit facts from ontologies and Horn rules,
+//     augmenting both queries and gates.
 //   - WithDurableDir makes the state repository durable: committed
 //     lineage heads flush into append-only, checksummed segment files, a
 //     WAL covers the tail, and constructing an engine on the same
 //     directory recovers the exact bitemporal state (Engine.Close
 //     flushes the final cut).
+//   - NewBroker pushes each watermark's state changes and emitted
+//     elements to subscribers.
 //
 // Minimal example — the paper's building-security use case:
 //
@@ -52,14 +57,11 @@ package statestream
 import (
 	"time"
 
-	"repro/internal/cep"
 	"repro/internal/core"
 	"repro/internal/cql"
 	"repro/internal/element"
 	"repro/internal/lang"
-	"repro/internal/query"
 	"repro/internal/reason"
-	"repro/internal/rules"
 	"repro/internal/state"
 	"repro/internal/state/segment"
 	"repro/internal/stream"
@@ -78,8 +80,6 @@ type (
 	EnrichSpec = core.EnrichSpec
 	// Policy fixes the state/stream interaction semantics (§3.3).
 	Policy = core.Policy
-	// ProcessorStats reports per-processor element counters.
-	ProcessorStats = core.ProcessorStats
 	// Option configures an Engine at construction (Policy values are
 	// Options themselves, so New(StateFirst) still works).
 	Option = core.Option
@@ -87,9 +87,12 @@ type (
 
 // Interaction policies (see Policy).
 const (
-	StateFirst  = core.StateFirst
-	StreamFirst = core.StreamFirst
-	Snapshot    = core.Snapshot
+	// StateFirst applies a tick's rules before its processors run.
+	StateFirst Policy = core.StateFirst
+	// StreamFirst runs a tick's processors against the prior state.
+	StreamFirst Policy = core.StreamFirst
+	// Snapshot runs processors against a view taken at the last watermark.
+	Snapshot Policy = core.Snapshot
 )
 
 // New returns an engine configured by the given options; with none it
@@ -98,15 +101,6 @@ func New(opts ...Option) *Engine { return core.New(opts...) }
 
 // WithPolicy selects the state/stream interaction policy.
 func WithPolicy(p Policy) Option { return core.WithPolicy(p) }
-
-// WithReasoning attaches a reasoner over the given ontology (nil for an
-// empty one).
-func WithReasoning(ont *Ontology) Option { return core.WithReasoning(ont) }
-
-// WithEmittedRetention bounds how many EMIT-derived elements the engine
-// retains for Emitted (default core.DefaultEmittedRetention; n <= 0 keeps
-// everything).
-func WithEmittedRetention(n int) Option { return core.WithEmittedRetention(n) }
 
 // WithDurableDir persists the engine's state repository in a durable
 // segment directory: committed lineage heads flush as immutable,
@@ -119,16 +113,6 @@ func WithEmittedRetention(n int) Option { return core.WithEmittedRetention(n) }
 func WithDurableDir(path string, opts ...DurableOption) Option {
 	return core.WithDurableDir(path, opts...)
 }
-
-// DurableFlushEvery tunes WithDurableDir's background flush cadence: a
-// flush starts once the WAL tail holds n records and the watermark
-// advances.
-func DurableFlushEvery(n int) DurableOption { return segment.WithFlushEvery(n) }
-
-// DurableRetry tunes how background flushes respond to transient disk
-// errors (capped exponential backoff with jitter) before the store
-// degrades. See DESIGN.md "Failure model".
-func DurableRetry(p DurableRetryPolicy) DurableOption { return segment.WithRetryPolicy(p) }
 
 // DurableBeliefRetention bounds how long superseded belief versions stay
 // reachable in durable storage: background segment merges drop versions
@@ -148,18 +132,6 @@ func DurableBeliefRetention(d time.Duration) DurableOption {
 // resident. See DESIGN.md "Larger-than-RAM state".
 func WithResidencyBudget(n int64) Option { return core.WithResidencyBudget(n) }
 
-// DurableResidencyBudget is the standalone-store form of
-// WithResidencyBudget, for OpenDurableStore.
-func DurableResidencyBudget(n int64) DurableOption {
-	return segment.WithResidencyBudget(n)
-}
-
-// DurableWALRotateBytes tunes the segmented WAL's rotation threshold:
-// the tail log rotates to a fresh numbered file once the active one
-// reaches n bytes, so post-flush truncation is whole-file drops instead
-// of an in-place rewrite.
-func DurableWALRotateBytes(n int64) DurableOption { return segment.WithWALRotateBytes(n) }
-
 // Data model.
 type (
 	// Value is a dynamically typed scalar.
@@ -174,31 +146,25 @@ type (
 	Tuple = element.Tuple
 	// Element is one stream element: tuple + stream name + timestamp.
 	Element = element.Element
-	// Fact is one timed state element: attr(entity)=value over a
-	// validity interval.
-	Fact = element.Fact
-	// FactKey identifies a fact lineage.
-	FactKey = element.FactKey
+	// Instant is a point on the application time line (ns since epoch).
+	Instant = temporal.Instant
 )
 
 // Value kinds.
 const (
-	KindNull   = element.KindNull
-	KindBool   = element.KindBool
-	KindInt    = element.KindInt
-	KindFloat  = element.KindFloat
-	KindString = element.KindString
-	KindTime   = element.KindTime
+	// KindNull is the absent value's kind.
+	KindNull Kind = element.KindNull
+	// KindBool is a boolean.
+	KindBool Kind = element.KindBool
+	// KindInt is a 64-bit integer.
+	KindInt Kind = element.KindInt
+	// KindFloat is a 64-bit float.
+	KindFloat Kind = element.KindFloat
+	// KindString is a string.
+	KindString Kind = element.KindString
+	// KindTime is an Instant.
+	KindTime Kind = element.KindTime
 )
-
-// Value constructors.
-var (
-	// Null is the absent value.
-	Null = element.Null
-)
-
-// Bool wraps a boolean value.
-func Bool(b bool) Value { return element.Bool(b) }
 
 // Int wraps an integer value.
 func Int(i int64) Value { return element.Int(i) }
@@ -208,9 +174,6 @@ func Float(f float64) Value { return element.Float(f) }
 
 // String wraps a string value.
 func String(s string) Value { return element.String(s) }
-
-// Time wraps an instant value.
-func Time(t Instant) Value { return element.Time(t) }
 
 // NewSchema builds a schema from fields.
 func NewSchema(fields ...Field) *Schema { return element.NewSchema(fields...) }
@@ -223,48 +186,11 @@ func NewElement(stream string, ts Instant, tuple *Tuple) *Element {
 	return element.New(stream, ts, tuple)
 }
 
-// NewFact builds a fact with explicit validity.
-func NewFact(entity, attribute string, v Value, validity Interval) *Fact {
-	return element.NewFact(entity, attribute, v, validity)
-}
-
-// Time algebra.
-type (
-	// Instant is a point on the application time line (ns since epoch).
-	Instant = temporal.Instant
-	// Interval is a half-open validity interval [Start, End).
-	Interval = temporal.Interval
-)
-
-// Distinguished instants.
-const (
-	// Forever marks a still-open validity interval end.
-	Forever = temporal.Forever
-	// MinInstant is the earliest representable instant.
-	MinInstant = temporal.MinInstant
-)
-
-// FromTime converts a time.Time to an Instant.
-func FromTime(t time.Time) Instant { return temporal.FromTime(t) }
-
 // FromMillis converts epoch milliseconds to an Instant.
 func FromMillis(ms int64) Instant { return temporal.FromMillis(ms) }
 
-// NewInterval returns [start, end).
-func NewInterval(start, end Instant) Interval { return temporal.NewInterval(start, end) }
-
-// Since returns the open interval [start, Forever).
-func Since(start Instant) Interval { return temporal.Since(start) }
-
-// Streams and messages.
-type (
-	// Message is one unit of stream input: an element or a watermark.
-	Message = stream.Message
-	// Operator is a synchronous stream transformer.
-	Operator = stream.Operator
-	// Collector is a sink operator retaining elements.
-	Collector = stream.Collector
-)
+// Message is one unit of stream input: an element or a watermark.
+type Message = stream.Message
 
 // ElementMsg wraps an element in a message.
 func ElementMsg(el *Element) Message { return stream.ElementMsg(el) }
@@ -285,13 +211,9 @@ func WithPeriodicWatermarks(els []*Element, period Instant) []Message {
 // MergeSorted merges timestamp-sorted streams deterministically.
 func MergeSorted(inputs ...[]*Element) []*Element { return stream.MergeSorted(inputs...) }
 
-// Windows (the baselines of §2, usable inside Processors).
-type (
-	// Windower is the incremental window evaluation interface.
-	Windower = window.Windower
-	// Pane is one closed window with its contents.
-	Pane = window.Pane
-)
+// Windower is the incremental window evaluation interface (the window
+// baselines of §2, usable inside Processors).
+type Windower = window.Windower
 
 // NewTumblingTime returns fixed consecutive time windows.
 func NewTumblingTime(size Instant) Windower { return window.NewTumblingTime(size) }
@@ -299,25 +221,14 @@ func NewTumblingTime(size Instant) Windower { return window.NewTumblingTime(size
 // NewSlidingTime returns overlapping time windows.
 func NewSlidingTime(size, slide Instant) Windower { return window.NewSlidingTime(size, slide) }
 
-// NewTumblingCount returns fixed-size count windows.
-func NewTumblingCount(n int) Windower { return window.NewTumblingCount(n) }
-
-// NewSlidingCount returns sliding count windows.
-func NewSlidingCount(n, slide int) Windower { return window.NewSlidingCount(n, slide) }
-
 // NewSessionWindow returns gap-based per-key session windows [1].
 func NewSessionWindow(gap Instant, key func(*Element) string) Windower {
 	return window.NewSession(gap, key)
 }
 
-// NewPredicateWindow returns content-delimited per-key windows [8].
-func NewPredicateWindow(key func(*Element) string, opens, closes func(*Element) bool) Windower {
-	return window.NewPredicate(key, opens, closes)
-}
-
 // Continuous queries (CQL [3]).
 type (
-	// ContinuousQuery is a deployed CQL query (implements Operator).
+	// ContinuousQuery is a deployed CQL query, usable as a Processor's Op.
 	ContinuousQuery = cql.Query
 	// AggSpec is one aggregate column of a continuous query.
 	AggSpec = cql.AggSpec
@@ -329,68 +240,49 @@ type (
 
 // Relation-to-stream modes.
 const (
-	IStream = cql.IStream
-	DStream = cql.DStream
-	RStream = cql.RStream
+	// IStream emits each tuple when it enters the result relation.
+	IStream EmitMode = cql.IStream
+	// DStream emits each tuple when it leaves the result relation.
+	DStream EmitMode = cql.DStream
+	// RStream emits the whole result relation at every change instant.
+	RStream EmitMode = cql.RStream
 )
 
 // Aggregate functions.
 const (
+	// Count counts a group's rows.
 	Count = cql.Count
-	Sum   = cql.Sum
-	Avg   = cql.Avg
-	Min   = cql.Min
-	Max   = cql.Max
+	// Sum adds a group's field values.
+	Sum = cql.Sum
+	// Avg averages a group's field values.
+	Avg = cql.Avg
+	// Min keeps a group's smallest field value.
+	Min = cql.Min
+	// Max keeps a group's largest field value.
+	Max = cql.Max
 )
 
 // NewContinuousQuery builds a continuous query: stream → window →
-// relational chain → stream. Set keyed for per-key windowers (sessions,
-// predicate windows).
+// relational chain → stream. Set keyed for per-key windowers (sessions).
 func NewContinuousQuery(name, source string, w Windower, keyed bool, mode EmitMode, ops ...RelOp) *ContinuousQuery {
 	return cql.NewQuery(name, source, w, keyed, mode, ops...)
 }
-
-// Select returns a filtering relational operator.
-func Select(pred func(*Tuple) bool) RelOp { return cql.NewSelect(pred) }
-
-// Project returns a projecting relational operator.
-func Project(fields ...string) RelOp { return cql.NewProject(fields...) }
 
 // Aggregate returns a grouping/aggregating relational operator.
 func Aggregate(groupBy []string, specs ...AggSpec) RelOp {
 	return cql.NewAggregate(groupBy, specs...)
 }
 
-// Expressions, rules, queries.
-type (
-	// Expr is a parsed expression (gates, rule clauses).
-	Expr = lang.Expr
-	// Rule is a parsed state management rule.
-	Rule = rules.Rule
-	// RuleSet is a compiled set of state management rules.
-	RuleSet = rules.Set
-	// QueryResult is the output table of an on-demand state query.
-	QueryResult = query.Result
-	// PreparedQuery is an on-demand query parsed and planned once
-	// against an engine (Engine.Prepare), executable many times: each
-	// Exec pins a fresh snapshot (or one supplied with AtSnapshot) and
-	// runs the planned partitioned gather without re-parsing.
-	PreparedQuery = core.PreparedQuery
-	// QueryOpt configures one execution of a prepared query
-	// (AtSnapshot, AsOfSystemTime, WithQueryParallelism).
-	QueryOpt = core.QueryOpt
-	// QueryPlan is the physical plan of a prepared query
-	// (PreparedQuery.Explain): partitions, pushed predicates, value
-	// bounds, and pruning decisions.
-	QueryPlan = query.Plan
-)
+// Expr is a parsed expression (gates, rule clauses).
+type Expr = lang.Expr
 
-// Prepared query execution options (see PreparedQuery.Exec).
+// ParseExpr parses an expression, e.g. a processor gate:
+// "EXISTS active(e.user) AND e.amount > 10".
+func ParseExpr(src string) (Expr, error) { return lang.ParseExpr(src) }
 
-// AtSnapshot evaluates a prepared execution against an explicit pinned
-// snapshot handle — e.g. one received in a WatermarkBatch — instead of
-// pinning a fresh one.
-func AtSnapshot(sn *StateSnapshot) QueryOpt { return core.AtSnapshot(sn) }
+// QueryOpt configures one execution of a prepared query (Engine.Prepare):
+// AsOfSystemTime, WithQueryParallelism.
+type QueryOpt = core.QueryOpt
 
 // AsOfSystemTime pins a prepared execution's belief (transaction time),
 // overriding any SYSTEM TIME ASOF clause in the query text.
@@ -400,75 +292,29 @@ func AsOfSystemTime(t Instant) QueryOpt { return core.AsOfSystemTime(t) }
 // prepared execution (n <= 0 restores the default; 1 forces serial).
 func WithQueryParallelism(n int) QueryOpt { return core.WithQueryParallelism(n) }
 
-// ParseExpr parses an expression, e.g. a processor gate:
-// "EXISTS active(e.user) AND e.amount > 10".
-func ParseExpr(src string) (Expr, error) { return lang.ParseExpr(src) }
-
-// ParseRules parses a rule file into a compiled rule set.
-func ParseRules(src string) (*RuleSet, error) { return rules.ParseSet(src) }
-
 // State repository and reasoning.
 type (
-	// Store is the state repository (reachable via Engine.Store). It is
-	// the in-memory StateDB, plus the stream-append Replace/PutBatch.
+	// Store is the state repository (reachable via Engine.Store): the
+	// in-memory bitemporal database, plus the stream-append Replace.
 	Store = state.Store
-	// StateDB is the bitemporal database interface over the state
-	// repository: Find/List/Put/Delete/History with functional temporal
-	// options (reachable via Engine.DB).
-	StateDB = state.StateDB
 	// ReadOpt configures a temporal read (AsOfValidTime,
-	// AsOfTransactionTime, WithAttribute, AllVersions, DuringValidTime).
+	// AsOfTransactionTime, AllVersions).
 	ReadOpt = state.ReadOpt
 	// WriteOpt configures a temporal write (WithValidTime,
-	// WithEndValidTime, WithTransactionTime, WithSource, WithDerived).
+	// WithEndValidTime, WithTransactionTime).
 	WriteOpt = state.WriteOpt
-	// StoreStats summarizes store occupancy.
-	StoreStats = state.Stats
-	// ReadSpec is the pre-resolved, allocation-free form of a point-read
-	// option list (see Store.FindValue).
-	ReadSpec = state.ReadSpec
-	// BatchPut is one Store.Replace write in a Store.PutBatch group
-	// commit (the micro-batch ingestion write path).
-	BatchPut = state.BatchPut
-	// StateSnapshot is an immutable handle over one consistent cut of the
-	// store, pinned at a transaction-clock instant (Store.Snapshot).
-	// Reads through it acquire no shard locks, so long analytical scans
-	// never stall ingestion. (Named StateSnapshot because Snapshot is the
-	// engine policy constant.)
-	StateSnapshot = state.Snapshot
-	// StateReader is the read-only temporal query surface shared by
-	// Store and StateSnapshot; query executors evaluate against it.
-	StateReader = state.Reader
 	// DurableStore is the segment-backed durable state store behind
 	// WithDurableDir (reachable via Engine.Durable, or standalone through
 	// OpenDurableStore). Its point reads fall through RAM to durable
 	// segment frames.
 	DurableStore = segment.Store
-	// DurableOption configures a durable directory (DurableFlushEvery).
+	// DurableOption configures a durable directory
+	// (DurableBeliefRetention).
 	DurableOption = segment.Option
-	// DurableInfo summarizes a durable directory (DurableStore.Info).
-	DurableInfo = segment.Info
-	// Degraded describes a durable store running in degraded mode after
-	// a permanent (or retry-exhausted) disk failure: ingestion and RAM
-	// reads continue, durability is suspended until Flush or Resume
-	// succeeds (DurableStore.Degraded, Engine.Health).
-	Degraded = segment.Degraded
-	// Health is the engine's serving posture: nil Degraded and nil
-	// DurableErr mean fully durable (Engine.Health).
-	Health = core.Health
-	// DurableRetryPolicy tunes how background flushes retry transient
-	// disk errors before degrading (DurableRetry).
-	DurableRetryPolicy = segment.RetryPolicy
 	// Ontology holds class/property taxonomies and domain/range axioms.
 	Ontology = reason.Ontology
 	// Reasoner materializes implicit facts over the store.
 	Reasoner = reason.Reasoner
-	// HornRule is one user-defined derivation rule.
-	HornRule = reason.HornRule
-	// TriplePattern is one premise or conclusion of a HornRule.
-	TriplePattern = reason.TriplePattern
-	// Term is a variable or constant in a TriplePattern.
-	Term = reason.Term
 )
 
 // NewStore returns a standalone state repository (engines create their
@@ -486,8 +332,6 @@ func OpenDurableStore(dir string, opts ...DurableOption) (*DurableStore, error) 
 	return segment.Open(dir, opts...)
 }
 
-// Temporal read options (see StateDB).
-
 // AsOfValidTime selects the version valid at t in the modeled world.
 func AsOfValidTime(t Instant) ReadOpt { return state.AsOfValidTime(t) }
 
@@ -495,16 +339,8 @@ func AsOfValidTime(t Instant) ReadOpt { return state.AsOfValidTime(t) }
 // tt, hiding retroactive corrections recorded later.
 func AsOfTransactionTime(tt Instant) ReadOpt { return state.AsOfTransactionTime(tt) }
 
-// DuringValidTime restricts List to versions overlapping [from, to).
-func DuringValidTime(from, to Instant) ReadOpt { return state.DuringValidTime(from, to) }
-
-// WithAttribute scopes List to one attribute.
-func WithAttribute(attr string) ReadOpt { return state.WithAttribute(attr) }
-
 // AllVersions returns every version instead of one per key.
 func AllVersions() ReadOpt { return state.AllVersions() }
-
-// Temporal write options (see StateDB).
 
 // WithValidTime sets the start of a write's valid interval; a past start
 // makes the write a retroactive correction.
@@ -517,12 +353,6 @@ func WithEndValidTime(end Instant) WriteOpt { return state.WithEndValidTime(end)
 // store's transaction clock).
 func WithTransactionTime(tt Instant) WriteOpt { return state.WithTransactionTime(tt) }
 
-// WithSource labels the written version with a producing rule name.
-func WithSource(source string) WriteOpt { return state.WithSource(source) }
-
-// WithDerived marks the written version as reasoner-materialized.
-func WithDerived() WriteOpt { return state.WithDerived() }
-
 // NewOntology returns an empty ontology.
 func NewOntology() *Ontology { return reason.NewOntology() }
 
@@ -530,71 +360,30 @@ func NewOntology() *Ontology { return reason.NewOntology() }
 // their own via Engine.EnableReasoning).
 func NewReasoner(st *Store, ont *Ontology) *Reasoner { return reason.NewReasoner(st, ont) }
 
-// Var returns a variable term for Horn rules.
-func Var(name string) Term { return reason.V(name) }
-
-// Const returns a constant term for Horn rules.
-func Const(v Value) Term { return reason.C(v) }
-
-// Event patterns (CEP, usable in rule triggers via ON SEQ(...) and
-// directly through the cep matcher).
-type (
-	// Pattern is a CEP situation declaration.
-	Pattern = cep.Pattern
-	// PatternMatch is one detected situation with interval semantics.
-	PatternMatch = cep.Match
-	// Matcher evaluates a pattern over a stream.
-	Matcher = cep.Matcher
-)
-
-// NewMatcher compiles a pattern.
-func NewMatcher(p Pattern) (*Matcher, error) { return cep.NewMatcher(p) }
-
-// EventPattern matches any element of the stream.
-func EventPattern(stream string) Pattern { return cep.Event(stream) }
-
-// SequencePattern matches its sub-patterns in temporal order.
-func SequencePattern(ps ...Pattern) Pattern { return cep.Sequence(ps...) }
-
-// WithinPattern bounds a pattern's span.
-func WithinPattern(p Pattern, d Instant) Pattern { return &cep.Within{P: p, D: d} }
-
 // Subscriptions: push-based delivery of state deltas and emitted
 // elements at watermark granularity (see DESIGN.md "Subscriptions").
 type (
-	// WatermarkBatch is everything one watermark advance closed: the
-	// pinned snapshot, the state changes, and the emitted elements.
-	WatermarkBatch = core.WatermarkBatch
-	// WatermarkHook observes watermark batches (Engine.OnWatermark).
-	WatermarkHook = core.WatermarkHook
 	// Broker fans watermark batches out to subscribers.
 	Broker = subscribe.Broker
-	// Subscriber is one registered subscription's receive handle.
-	Subscriber = subscribe.Subscriber
 	// SubscriptionFilter selects which changes and emissions a
 	// subscriber receives, or carries a standing query (Query) that is
 	// re-evaluated at each watermark.
 	SubscriptionFilter = subscribe.Filter
-	// Delivery is one pushed update: a per-watermark delta batch, a
-	// standing-query result, or a resync snapshot.
-	Delivery = subscribe.Delivery
-	// DeliveryKind discriminates Delivery payloads.
+	// DeliveryKind discriminates the payloads a subscriber receives.
 	DeliveryKind = subscribe.Kind
 	// SubOption configures one subscription.
 	SubOption = subscribe.SubOption
-	// BrokerMetrics reports broker-level fan-out counters.
-	BrokerMetrics = subscribe.Metrics
 )
 
 // Delivery kinds.
 const (
 	// DeliveryDeltas is an ordinary per-watermark delta batch.
-	DeliveryDeltas = subscribe.Deltas
+	DeliveryDeltas DeliveryKind = subscribe.Deltas
 	// DeliveryResync marks a slow consumer's catch-up snapshot.
-	DeliveryResync = subscribe.Resync
+	DeliveryResync DeliveryKind = subscribe.Resync
 	// DeliveryNotice carries an operational event — durability entering
-	// or leaving degraded mode — in the Delivery's Note field.
-	DeliveryNotice = subscribe.Notice
+	// or leaving degraded mode — in the delivery's Note field.
+	DeliveryNotice DeliveryKind = subscribe.Notice
 )
 
 // NewBroker taps the engine's watermark hook and returns a broker ready
@@ -604,7 +393,3 @@ func NewBroker(e *Engine) *Broker { return subscribe.NewBroker(e) }
 
 // WithQueueLen sets a subscription's bounded delivery-queue length.
 func WithQueueLen(n int) SubOption { return subscribe.WithQueueLen(n) }
-
-// ResumeFrom resumes a subscription from a prior watermark cursor: a
-// stale cursor yields an immediate resync snapshot before live deltas.
-func ResumeFrom(cursor Instant) SubOption { return subscribe.ResumeFrom(cursor) }

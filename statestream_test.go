@@ -2,10 +2,25 @@ package statestream_test
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
 	"testing"
 	"time"
 
 	statestream "repro"
+	"repro/internal/cep"
+	"repro/internal/cql"
+	"repro/internal/element"
+	"repro/internal/reason"
+	"repro/internal/rules"
+	"repro/internal/state/segment"
+	"repro/internal/temporal"
+	"repro/internal/window"
 )
 
 var schema = statestream.NewSchema(
@@ -101,13 +116,13 @@ func TestPublicAPIReasoning(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := engine.EnableReasoning(ont)
-	if err := r.AddRule(statestream.HornRule{
+	if err := r.AddRule(reason.HornRule{
 		Name: "promoted",
-		Body: []statestream.TriplePattern{
-			{Attr: "type", Entity: statestream.Var("x"), Value: statestream.Const(statestream.String("books"))},
+		Body: []reason.TriplePattern{
+			{Attr: "type", Entity: reason.V("x"), Value: reason.C(statestream.String("books"))},
 		},
-		Head: statestream.TriplePattern{
-			Attr: "shelf", Entity: statestream.Var("x"), Value: statestream.Const(statestream.String("back")),
+		Head: reason.TriplePattern{
+			Attr: "shelf", Entity: reason.V("x"), Value: reason.C(statestream.String("back")),
 		},
 	}); err != nil {
 		t.Fatal(err)
@@ -124,10 +139,10 @@ func TestPublicAPIReasoning(t *testing.T) {
 }
 
 func TestPublicAPIPatternsAndWindows(t *testing.T) {
-	m, err := statestream.NewMatcher(statestream.WithinPattern(
-		statestream.SequencePattern(
-			statestream.EventPattern("A"), statestream.EventPattern("B")),
-		statestream.Instant(time.Minute)))
+	m, err := cep.NewMatcher(&cep.Within{
+		P: cep.Sequence(cep.Event("A"), cep.Event("B")),
+		D: statestream.Instant(time.Minute),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +150,7 @@ func TestPublicAPIPatternsAndWindows(t *testing.T) {
 	b := statestream.NewElement("B", 10, statestream.NewTuple(schema, statestream.String("x"), statestream.String("y")))
 	m.Observe(a)
 	got := m.Observe(b)
-	if len(got) != 1 || got[0].Interval != statestream.NewInterval(0, 11) {
+	if len(got) != 1 || got[0].Interval != temporal.NewInterval(0, 11) {
 		t.Fatalf("pattern match: %v", got)
 	}
 
@@ -153,28 +168,24 @@ func TestPublicAPIStoreAndFacts(t *testing.T) {
 	if err := st.Put("e", "a", statestream.Int(1), statestream.WithValidTime(5)); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := st.Find("e", "a"); !ok || got.Value.MustInt() != 1 || got.Validity != statestream.Since(5) {
+	if got, ok := st.Find("e", "a"); !ok || got.Value.MustInt() != 1 || got.Validity != temporal.Since(5) {
 		t.Fatalf("store: %v %v", got, ok)
 	}
-	if statestream.Forever <= 0 || statestream.MinInstant >= 0 {
-		t.Error("sentinels")
-	}
-	if statestream.FromTime(time.Unix(1, 0)) != statestream.FromMillis(1000) {
+	if temporal.FromTime(time.Unix(1, 0)) != statestream.FromMillis(1000) {
 		t.Error("time conversions")
 	}
-	if statestream.Bool(true).Kind() != statestream.KindBool ||
+	if element.Bool(true).Kind() != statestream.KindBool ||
 		statestream.Float(1).Kind() != statestream.KindFloat ||
-		statestream.Time(1).Kind() != statestream.KindTime ||
-		!statestream.Null.IsNull() {
+		element.Time(1).Kind() != statestream.KindTime {
 		t.Error("value constructors")
 	}
 }
 
 func TestPublicAPIRuleSetAndMerge(t *testing.T) {
-	set, err := statestream.ParseRules(`
+	set, err := rules.ParseSet(`
 RULE a ON RoomEntry AS x THEN REPLACE p(x.visitor) = x.room`)
 	if err != nil || set.Len() != 1 {
-		t.Fatalf("ParseRules: %v %v", set, err)
+		t.Fatalf("ParseSet: %v %v", set, err)
 	}
 	engine := statestream.New(statestream.StreamFirst)
 	engine.DeployRuleSet(set)
@@ -200,11 +211,11 @@ RULE a ON RoomEntry AS x THEN REPLACE p(x.visitor) = x.room`)
 func TestPublicAPIRelationalOps(t *testing.T) {
 	// Select + Project compose in a continuous query.
 	q := statestream.NewContinuousQuery("Q", "RoomEntry",
-		statestream.NewTumblingCount(2), false, statestream.IStream,
-		statestream.Select(func(tp *statestream.Tuple) bool {
+		window.NewTumblingCount(2), false, statestream.IStream,
+		cql.NewSelect(func(tp *statestream.Tuple) bool {
 			return tp.MustGet("room").MustString() != "hall"
 		}),
-		statestream.Project("visitor"),
+		cql.NewProject("visitor"),
 	)
 	engine := statestream.New(statestream.StateFirst)
 	if err := engine.DeployProcessor(&statestream.Processor{Name: "q", Op: q}); err != nil {
@@ -239,7 +250,7 @@ THEN REPLACE position(r.visitor) = r.room`); err != nil {
 
 	// Retroactive correction recorded at t=10m: ann was in the vault over
 	// [90s, 150s).
-	var db statestream.StateDB = engine.DB()
+	db := engine.DB()
 	if err := db.Put("ann", "position", statestream.String("vault"),
 		statestream.WithValidTime(statestream.Instant(90*time.Second)),
 		statestream.WithEndValidTime(statestream.Instant(150*time.Second)),
@@ -282,7 +293,7 @@ THEN REPLACE position(r.visitor) = r.room`); err != nil {
 }
 
 // TestPublicAPIDurableRecovery exercises the durability surface through
-// the facade only: a durable engine killed without Close recovers its
+// the facade: a durable engine killed without Close recovers its
 // state — current and SYSTEM TIME reads — on the next construction, and
 // a standalone durable store round-trips a flush.
 func TestPublicAPIDurableRecovery(t *testing.T) {
@@ -340,7 +351,7 @@ THEN REPLACE position(r.visitor) = r.room`); err != nil {
 	}
 
 	sdir := t.TempDir()
-	ds, err := statestream.OpenDurableStore(sdir, statestream.DurableFlushEvery(4))
+	ds, err := statestream.OpenDurableStore(sdir, segment.WithFlushEvery(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,11 +366,107 @@ THEN REPLACE position(r.visitor) = r.room`); err != nil {
 		t.Fatal(err)
 	}
 	defer ds2.Close()
-	var info statestream.DurableInfo = ds2.Info()
+	info := ds2.Info()
 	if info.Segments == 0 {
 		t.Fatalf("close should have flushed a segment: %+v", info)
 	}
 	if f, ok := ds2.Find("ann", "clearance"); !ok || f.Value.MustString() != "secret" {
 		t.Fatalf("standalone durable store lost the fact: %v ok=%v", f, ok)
+	}
+}
+
+// TestFacadeNamesHaveUsers keeps the facade sized to its users. An
+// exported name in statestream.go must be
+//  1. written as statestream.<Name> in an example, bench_test.go,
+//     README.md, DESIGN.md or examples/README.md;
+//  2. a facade type in the parameters or results of a function kept by
+//     rule 1, so callers can name it (unused functions keep nothing); or
+//  3. a member, or the declared type, of a constant group that rule 1
+//     names a member or the type of: an enum is kept whole or not at all.
+func TestFacadeNamesHaveUsers(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "statestream.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	funcs := map[string]*ast.FuncType{}
+	var enums [][]string // each constant group: member names, then type names
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			declared[d.Name.Name] = true
+			funcs[d.Name.Name] = d.Type
+		case *ast.GenDecl:
+			var group []string
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					declared[s.Name.Name] = true
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						declared[n.Name] = true
+						group = append(group, n.Name)
+					}
+					if id, ok := s.Type.(*ast.Ident); ok && d.Tok == token.CONST {
+						group = append(group, id.Name)
+					}
+				}
+			}
+			if d.Tok == token.CONST {
+				enums = append(enums, group)
+			}
+		}
+	}
+
+	used := map[string]bool{}
+	sources, _ := filepath.Glob("examples/*/main.go")
+	sources = append(sources, "bench_test.go", "README.md", "DESIGN.md", "examples/README.md")
+	ref := regexp.MustCompile(`statestream\.([A-Z]\w*)`)
+	for _, src := range sources {
+		b, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ref.FindAllStringSubmatch(string(b), -1) {
+			if !declared[m[1]] {
+				t.Errorf("%s names statestream.%s, which the facade does not export", src, m[1])
+			}
+			used[m[1]] = true
+		}
+	}
+
+	kept := map[string]bool{}
+	for name := range used {
+		kept[name] = true
+		if ft, ok := funcs[name]; ok {
+			ast.Inspect(ft, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && declared[id.Name] {
+					kept[id.Name] = true
+				}
+				_, qualified := n.(*ast.SelectorExpr)
+				return !qualified
+			})
+		}
+	}
+	for _, group := range enums {
+		for _, name := range group {
+			if used[name] {
+				for _, member := range group {
+					kept[member] = true
+				}
+				break
+			}
+		}
+	}
+
+	var unused []string
+	for name := range declared {
+		if ast.IsExported(name) && !kept[name] {
+			unused = append(unused, name)
+		}
+	}
+	sort.Strings(unused)
+	if len(unused) > 0 {
+		t.Errorf("%d facade names have no user; delete them or use them in an example: %v", len(unused), unused)
 	}
 }

@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/server"
+	"repro/internal/temporal"
 )
 
 // HTTP server timeouts. Subscription streams are long-lived, so there is
@@ -84,8 +85,11 @@ func run(ctx context.Context, dir string, ln net.Listener) (err error) {
 	}
 	h := server.NewForEngine(e, nil)
 	// Nothing ingests into the served engine, so its watermark stays at
-	// the minimum; anchor now() at the store's horizon instead.
-	h.NowFunc = nil
+	// the minimum; anchor now() at the store's horizon instead. The
+	// store never changes, so the horizon is computed once here rather
+	// than by a full scan on every /query.
+	horizon := server.StoreHorizon(e.Store())
+	h.NowFunc = func() temporal.Instant { return horizon }
 	st := e.Store().Stats()
 	fmt.Printf("opened %s (%d keys, %d versions); serving on %s\n",
 		dir, st.Keys, st.Versions, ln.Addr())

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strconv"
 
 	"repro/internal/element"
 	"repro/internal/query"
@@ -31,6 +33,7 @@ func (c *Client) http() *http.Client {
 }
 
 // Query runs a temporal query remotely and returns the result table.
+// The rows share one backing array, and their string values one string.
 func (c *Client) Query(q string) (*query.Result, error) {
 	body, err := json.Marshal(queryRequest{Query: q})
 	if err != nil {
@@ -45,30 +48,29 @@ func (c *Client) Query(q string) (*query.Result, error) {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("server: query failed (%d): %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	var wire queryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+	bp := getBuf()
+	defer putBuf(bp)
+	b, err := readBody(*bp, resp.Body, resp.ContentLength)
+	*bp = b
+	if err != nil {
+		return nil, fmt.Errorf("server: query: %w", err)
+	}
+	res, err := parseResult(b)
+	if err != nil {
 		return nil, fmt.Errorf("server: decode: %w", err)
 	}
-	out := &query.Result{Columns: wire.Columns}
-	for _, row := range wire.Rows {
-		vals := make([]element.Value, len(row))
-		for i, wv := range row {
-			vals[i] = wv.Value()
-		}
-		out.Rows = append(out.Rows, vals)
-	}
-	return out, nil
+	return res, nil
 }
 
 // Current fetches the current fact for (entity, attr) from the remote
 // store.
 func (c *Client) Current(entity, attr string) (*element.Fact, bool, error) {
-	return c.fact(fmt.Sprintf("%s/fact?entity=%s&attr=%s", c.BaseURL, entity, attr))
+	return c.fact(entity, attr, "")
 }
 
 // ValidAt fetches the fact valid at t for (entity, attr).
 func (c *Client) ValidAt(entity, attr string, t temporal.Instant) (*element.Fact, bool, error) {
-	return c.fact(fmt.Sprintf("%s/fact?entity=%s&attr=%s&at=%d", c.BaseURL, entity, attr, int64(t)))
+	return c.fact(entity, attr, "&at="+strconv.FormatInt(int64(t), 10))
 }
 
 // AsOf fetches the version of (entity, attr) the remote store believed at
@@ -76,19 +78,23 @@ func (c *Client) ValidAt(entity, attr string, t temporal.Instant) (*element.Fact
 // state.AsOfValidTime + state.AsOfTransactionTime read. Retroactive
 // corrections the remote store recorded after systime are invisible.
 func (c *Client) AsOf(entity, attr string, at, systime temporal.Instant) (*element.Fact, bool, error) {
-	return c.fact(fmt.Sprintf("%s/fact?entity=%s&attr=%s&at=%d&systime=%d",
-		c.BaseURL, entity, attr, int64(at), int64(systime)))
+	return c.fact(entity, attr, "&at="+strconv.FormatInt(int64(at), 10)+
+		"&systime="+strconv.FormatInt(int64(systime), 10))
 }
 
 // CurrentAsOf fetches the open version of (entity, attr) as believed at
 // transaction time systime (no valid-time selector).
 func (c *Client) CurrentAsOf(entity, attr string, systime temporal.Instant) (*element.Fact, bool, error) {
-	return c.fact(fmt.Sprintf("%s/fact?entity=%s&attr=%s&systime=%d",
-		c.BaseURL, entity, attr, int64(systime)))
+	return c.fact(entity, attr, "&systime="+strconv.FormatInt(int64(systime), 10))
 }
 
-func (c *Client) fact(url string) (*element.Fact, bool, error) {
-	resp, err := c.http().Get(url)
+// fact reads one fact. The names are query-escaped, so any entity or
+// attribute reaches the server intact; instants holds the already safe
+// at/systime parameters. Escaping each name directly, rather than
+// through url.Values, keeps a map and a sort off the point-read path.
+func (c *Client) fact(entity, attr, instants string) (*element.Fact, bool, error) {
+	resp, err := c.http().Get(c.BaseURL + "/fact?entity=" + url.QueryEscape(entity) +
+		"&attr=" + url.QueryEscape(attr) + instants)
 	if err != nil {
 		return nil, false, fmt.Errorf("server: fact: %w", err)
 	}
@@ -104,20 +110,7 @@ func (c *Client) fact(url string) (*element.Fact, bool, error) {
 	if !fr.Found {
 		return nil, false, nil
 	}
-	f := element.NewFact(fr.Fact.Entity, fr.Fact.Attribute, fr.Fact.Value.Value(),
-		temporal.NewInterval(temporal.Instant(fr.Fact.Start), temporal.Instant(fr.Fact.End)))
-	f.Derived = fr.Fact.Derived
-	f.Source = fr.Fact.Source
-	// The current wire format always carries the transaction-time
-	// interval, and a found point read's superseded is always Forever
-	// (pinned reads restore post-pin supersessions to open), never 0. A
-	// zero therefore means the payload predates the bitemporal fields —
-	// keep NewFact's defaults rather than fabricating an empty belief.
-	if fr.Fact.Superseded != 0 {
-		f.RecordedAt = temporal.Instant(fr.Fact.Recorded)
-		f.SupersededAt = temporal.Instant(fr.Fact.Superseded)
-	}
-	return f, true, nil
+	return fromWireFact(*fr.Fact), true, nil
 }
 
 // Stats fetches remote store occupancy. The endpoint also carries

@@ -178,6 +178,7 @@ func fromWireDelivery(wd wireDelivery) *Event {
 	ev := &Event{
 		Kind:      wd.Kind,
 		Watermark: temporal.Instant(wd.Watermark),
+		Result:    (*query.Result)(wd.Result),
 		Cut:       temporal.Instant(wd.Cut),
 	}
 	for _, ch := range wd.Changes {
@@ -186,25 +187,9 @@ func fromWireDelivery(wd wireDelivery) *Event {
 		})
 	}
 	for _, el := range wd.Emitted {
-		ee := EventElement{Stream: el.Stream, Timestamp: temporal.Instant(el.Timestamp)}
-		if len(el.Fields) > 0 {
-			ee.Fields = make(map[string]element.Value, len(el.Fields))
-			for k, wv := range el.Fields {
-				ee.Fields[k] = wv.Value()
-			}
-		}
-		ev.Emitted = append(ev.Emitted, ee)
-	}
-	if wd.Result != nil {
-		res := &query.Result{Columns: wd.Result.Columns}
-		for _, row := range wd.Result.Rows {
-			vals := make([]element.Value, len(row))
-			for i, wv := range row {
-				vals[i] = wv.Value()
-			}
-			res.Rows = append(res.Rows, vals)
-		}
-		ev.Result = res
+		ev.Emitted = append(ev.Emitted, EventElement{
+			Stream: el.Stream, Timestamp: temporal.Instant(el.Timestamp), Fields: el.Fields,
+		})
 	}
 	for _, wf := range wd.State {
 		ev.State = append(ev.State, fromWireFact(wf))
@@ -215,10 +200,13 @@ func fromWireDelivery(wd wireDelivery) *Event {
 // fromWireFact rebuilds a fact from its wire form, including the
 // transaction-time interval.
 func fromWireFact(wf wireFact) *element.Fact {
-	f := element.NewFact(wf.Entity, wf.Attribute, wf.Value.Value(),
+	f := element.NewFact(wf.Entity, wf.Attribute, element.Value(wf.Value),
 		temporal.NewInterval(temporal.Instant(wf.Start), temporal.Instant(wf.End)))
 	f.Derived = wf.Derived
 	f.Source = wf.Source
+	// A live version's superseded is Forever, never 0, so a zero means
+	// the payload predates the bitemporal fields: keep NewFact's
+	// defaults rather than fabricate an empty belief.
 	if wf.Superseded != 0 {
 		f.RecordedAt = temporal.Instant(wf.Recorded)
 		f.SupersededAt = temporal.Instant(wf.Superseded)

@@ -55,7 +55,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/element"
 	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/reason"
@@ -209,8 +208,16 @@ func (s *Server) now() temporal.Instant {
 	if s.NowFunc != nil {
 		return s.NowFunc()
 	}
+	return StoreHorizon(s.store)
+}
+
+// StoreHorizon is the default now() of a server: the instant just past
+// the latest validity start among the store's current facts. It scans
+// every current fact, so a server over a store nothing writes to should
+// compute it once and pin it as NowFunc.
+func StoreHorizon(st *state.Store) temporal.Instant {
 	var horizon temporal.Instant
-	for _, f := range s.store.List() {
+	for _, f := range st.List() {
 		if f.Validity.Start > horizon {
 			horizon = f.Validity.Start
 		}
@@ -221,60 +228,6 @@ func (s *Server) now() temporal.Instant {
 // queryRequest is the POST /query body.
 type queryRequest struct {
 	Query string `json:"query"`
-}
-
-// queryResponse is the POST /query reply.
-type queryResponse struct {
-	Columns []string      `json:"columns"`
-	Rows    [][]wireValue `json:"rows"`
-}
-
-// wireValue is the JSON encoding of one element.Value with its kind.
-type wireValue struct {
-	Kind   string  `json:"kind"`
-	Bool   bool    `json:"bool,omitempty"`
-	Int    int64   `json:"int,omitempty"`
-	Float  float64 `json:"float,omitempty"`
-	String string  `json:"string,omitempty"`
-	Time   int64   `json:"time,omitempty"`
-}
-
-func toWire(v element.Value) wireValue {
-	switch v.Kind() {
-	case element.KindBool:
-		b, _ := v.AsBool()
-		return wireValue{Kind: "bool", Bool: b}
-	case element.KindInt:
-		i, _ := v.AsInt()
-		return wireValue{Kind: "int", Int: i}
-	case element.KindFloat:
-		f, _ := v.AsFloat()
-		return wireValue{Kind: "float", Float: f}
-	case element.KindString:
-		s, _ := v.AsString()
-		return wireValue{Kind: "string", String: s}
-	case element.KindTime:
-		t, _ := v.AsTime()
-		return wireValue{Kind: "time", Time: int64(t)}
-	}
-	return wireValue{Kind: "null"}
-}
-
-// Value converts the wire encoding back to an element.Value.
-func (w wireValue) Value() element.Value {
-	switch w.Kind {
-	case "bool":
-		return element.Bool(w.Bool)
-	case "int":
-		return element.Int(w.Int)
-	case "float":
-		return element.Float(w.Float)
-	case "string":
-		return element.String(w.String)
-	case "time":
-		return element.Time(temporal.Instant(w.Time))
-	}
-	return element.Null
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -326,15 +279,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	resp := queryResponse{Columns: res.Columns}
-	for _, row := range res.Rows {
-		wr := make([]wireValue, len(row))
-		for i, v := range row {
-			wr[i] = toWire(v)
-		}
-		resp.Rows = append(resp.Rows, wr)
+	bp := getBuf()
+	defer putBuf(bp)
+	b, err := appendResult((*bp)[:0], res)
+	*bp = append(b, '\n') // the pool keeps the grown buffer
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
-	writeJSON(w, resp)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(*bp)))
+	_, _ = w.Write(*bp) // a failed write means the client is gone
 }
 
 // wireFact is the JSON encoding of a fact. Recorded and Superseded carry
@@ -413,12 +369,8 @@ func (s *Server) handleFact(w http.ResponseWriter, r *http.Request) {
 	f, found := s.store.Find(entity, attr, opts...)
 	resp := factResponse{Found: found}
 	if found {
-		resp.Fact = &wireFact{
-			Entity: f.Entity, Attribute: f.Attribute, Value: toWire(f.Value),
-			Start: int64(f.Validity.Start), End: int64(f.Validity.End),
-			Recorded: int64(f.RecordedAt), Superseded: int64(f.SupersededAt),
-			Derived: f.Derived, Source: f.Source,
-		}
+		wf := toWireFact(f)
+		resp.Fact = &wf
 	}
 	writeJSON(w, resp)
 }
@@ -487,6 +439,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 func writeJSON(w http.ResponseWriter, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {
+		// A value the wire codec refuses (NaN, ±Inf) reports as
+		// encoding/json does, not wrapped in the MarshalJSON call.
+		var uv *json.UnsupportedValueError
+		if errors.As(err, &uv) {
+			err = uv
+		}
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

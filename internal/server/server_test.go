@@ -74,6 +74,39 @@ func TestFactEndpoints(t *testing.T) {
 	}
 }
 
+// TestFactNamesEscaped: names that are not URL-safe reach /fact intact
+// through every point-read method, rather than coming back not found or
+// as a 400.
+func TestFactNamesEscaped(t *testing.T) {
+	names := []string{"a&b", "c++", "p%20q", "x y", "h#1"}
+	st := state.NewStore()
+	for i, n := range names {
+		if err := st.Put(n, "position", element.Int(int64(i)),
+			state.WithValidTime(10), state.WithTransactionTime(10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer(New(st, nil))
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	for i, n := range names {
+		for _, read := range []struct {
+			method string
+			get    func() (*element.Fact, bool, error)
+		}{
+			{"Current", func() (*element.Fact, bool, error) { return c.Current(n, "position") }},
+			{"ValidAt", func() (*element.Fact, bool, error) { return c.ValidAt(n, "position", 15) }},
+			{"AsOf", func() (*element.Fact, bool, error) { return c.AsOf(n, "position", 15, 20) }},
+			{"CurrentAsOf", func() (*element.Fact, bool, error) { return c.CurrentAsOf(n, "position", 20) }},
+		} {
+			f, ok, err := read.get()
+			if err != nil || !ok || f.Entity != n || f.Value.MustInt() != int64(i) {
+				t.Errorf("%s(%q): %v found=%v err=%v", read.method, n, f, ok, err)
+			}
+		}
+	}
+}
+
 func TestStats(t *testing.T) {
 	_, client, done := testService(t)
 	defer done()
@@ -181,7 +214,15 @@ func TestWireValueRoundTrip(t *testing.T) {
 		element.Time(temporal.Instant(123456789)),
 	}
 	for _, v := range vals {
-		got := toWire(v).Value()
+		b, err := wireValue(v).MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w wireValue
+		if err := w.UnmarshalJSON(b); err != nil {
+			t.Fatalf("%s: %v", b, err)
+		}
+		got := element.Value(w)
 		if !got.Equal(v) && !(got.IsNull() && v.IsNull()) {
 			t.Errorf("round trip %s: got %s", v, got)
 		}

@@ -40,21 +40,21 @@ type wireChange struct {
 
 // wireElement is the JSON encoding of one emitted element.
 type wireElement struct {
-	Stream    string               `json:"stream"`
-	Timestamp int64                `json:"timestamp"`
-	Fields    map[string]wireValue `json:"fields,omitempty"`
+	Stream    string     `json:"stream"`
+	Timestamp int64      `json:"timestamp"`
+	Fields    wireFields `json:"fields,omitempty"`
 }
 
 // wireDelivery is the JSON payload of one pushed subscription delivery:
 // the `data:` line of one SSE event.
 type wireDelivery struct {
-	Kind      string         `json:"kind"` // "deltas", "resync" or "notice"
-	Watermark int64          `json:"watermark"`
-	Changes   []wireChange   `json:"changes,omitempty"`
-	Emitted   []wireElement  `json:"emitted,omitempty"`
-	Result    *queryResponse `json:"result,omitempty"`
-	Cut       int64          `json:"cut,omitempty"`
-	State     []wireFact     `json:"state,omitempty"`
+	Kind      string        `json:"kind"` // "deltas", "resync" or "notice"
+	Watermark int64         `json:"watermark"`
+	Changes   []wireChange  `json:"changes,omitempty"`
+	Emitted   []wireElement `json:"emitted,omitempty"`
+	Result    *wireResult   `json:"result,omitempty"`
+	Cut       int64         `json:"cut,omitempty"`
+	State     []wireFact    `json:"state,omitempty"`
 	// Note carries the payload of a "notice" event: an operational
 	// message such as a durability degradation or recovery.
 	Note string `json:"note,omitempty"`
@@ -64,7 +64,7 @@ type wireDelivery struct {
 // accessor (broker-delivered facts may still be store-owned).
 func toWireFact(f *element.Fact) wireFact {
 	return wireFact{
-		Entity: f.Entity, Attribute: f.Attribute, Value: toWire(f.Value),
+		Entity: f.Entity, Attribute: f.Attribute, Value: wireValue(f.Value),
 		Start: int64(f.Validity.Start), End: int64(f.Validity.End),
 		Recorded: int64(f.RecordedAt), Superseded: int64(f.BeliefEnd()),
 		Derived: f.Derived, Source: f.Source,
@@ -74,11 +74,11 @@ func toWireFact(f *element.Fact) wireFact {
 func toWireElement(el *element.Element) wireElement {
 	we := wireElement{Stream: el.Stream, Timestamp: int64(el.Timestamp)}
 	if el.Tuple != nil && el.Tuple.Schema().Len() > 0 {
-		we.Fields = make(map[string]wireValue, el.Tuple.Schema().Len())
+		we.Fields = make(wireFields, el.Tuple.Schema().Len())
 		for i := 0; i < el.Tuple.Schema().Len(); i++ {
 			name := el.Tuple.Schema().Field(i).Name
 			if v, ok := el.Get(name); ok {
-				we.Fields[name] = toWire(v)
+				we.Fields[name] = v
 			}
 		}
 	}
@@ -89,6 +89,7 @@ func toWireDelivery(d subscribe.Delivery) wireDelivery {
 	wd := wireDelivery{
 		Kind:      d.Kind.String(),
 		Watermark: int64(d.Watermark),
+		Result:    (*wireResult)(d.Result),
 		Cut:       int64(d.Cut),
 		Note:      d.Note,
 	}
@@ -101,17 +102,6 @@ func toWireDelivery(d subscribe.Delivery) wireDelivery {
 	}
 	for _, el := range d.Emitted {
 		wd.Emitted = append(wd.Emitted, toWireElement(el))
-	}
-	if d.Result != nil {
-		resp := &queryResponse{Columns: d.Result.Columns}
-		for _, row := range d.Result.Rows {
-			wr := make([]wireValue, len(row))
-			for i, v := range row {
-				wr[i] = toWire(v)
-			}
-			resp.Rows = append(resp.Rows, wr)
-		}
-		wd.Result = resp
 	}
 	for _, f := range d.State {
 		wd.State = append(wd.State, toWireFact(f))

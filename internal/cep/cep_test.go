@@ -20,6 +20,23 @@ func ev(stream string, ts int64, user string, v int64) *element.Element {
 	return e
 }
 
+// Event matches any element of the stream, bound under its name.
+func Event(stream string) *Atom { return EventAs(stream, stream) }
+
+// EventWhere matches elements of the stream satisfying pred.
+func EventWhere(stream, alias string, pred Predicate) *Atom {
+	return &Atom{Stream: stream, Alias: alias, Pred: pred}
+}
+
+// Sequence builds a Seq of positive items.
+func Sequence(ps ...Pattern) *Seq {
+	items := make([]SeqItem, len(ps))
+	for i, p := range ps {
+		items[i] = SeqItem{Pattern: p}
+	}
+	return &Seq{Items: items}
+}
+
 func feed(t *testing.T, p Pattern, els ...*element.Element) []Match {
 	t.Helper()
 	m, err := NewMatcher(p)
@@ -41,7 +58,7 @@ func TestAtomMatch(t *testing.T) {
 	if got[0].Interval != temporal.NewInterval(1, 2) {
 		t.Errorf("interval: %v", got[0].Interval)
 	}
-	if e, ok := got[0].Binding("A"); !ok || e.Timestamp != 1 {
+	if e, ok := got[0].Bindings["A"]; !ok || e.Timestamp != 1 {
 		t.Errorf("binding: %v %v", e, ok)
 	}
 }
@@ -65,8 +82,8 @@ func TestSequence(t *testing.T) {
 	if got[0].Interval != temporal.NewInterval(1, 4) {
 		t.Errorf("interval: %v", got[0].Interval)
 	}
-	a, _ := got[1].Binding("a")
-	b, _ := got[1].Binding("b")
+	a := got[1].Bindings["a"]
+	b := got[1].Bindings["b"]
 	if a.Timestamp != 1 || b.Timestamp != 4 {
 		t.Errorf("bindings: a@%d b@%d", a.Timestamp, b.Timestamp)
 	}
@@ -94,12 +111,12 @@ func TestWithinPrunesRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Observe(ev("A", 0, "u", 1))
-	if m.ActiveRuns() != 1 {
-		t.Fatalf("runs: %d", m.ActiveRuns())
+	if len(m.runs) != 1 {
+		t.Fatalf("runs: %d", len(m.runs))
 	}
 	m.AdvanceTo(10)
-	if m.ActiveRuns() != 0 {
-		t.Fatalf("runs after watermark: %d", m.ActiveRuns())
+	if len(m.runs) != 0 {
+		t.Fatalf("runs after watermark: %d", len(m.runs))
 	}
 }
 
@@ -136,8 +153,8 @@ func TestConjunctionAnyOrder(t *testing.T) {
 		}
 	}
 	m, _ := NewMatcher(p)
-	if m.Alternatives() != 2 {
-		t.Errorf("alternatives: %d", m.Alternatives())
+	if len(m.progs) != 2 {
+		t.Errorf("alternatives: %d", len(m.progs))
 	}
 }
 
@@ -161,10 +178,10 @@ func TestIteration(t *testing.T) {
 		if n < 2 || n > 3 {
 			t.Errorf("iteration size %d out of bounds", n)
 		}
-		if _, ok := mt.Binding("a[0]"); !ok {
+		if _, ok := mt.Bindings["a[0]"]; !ok {
 			t.Error("indexed binding missing")
 		}
-		if _, ok := mt.Binding("b"); !ok {
+		if _, ok := mt.Bindings["b"]; !ok {
 			t.Error("closing binding missing")
 		}
 	}
@@ -210,8 +227,8 @@ func TestMaxRunsBound(t *testing.T) {
 	for i := int64(0); i < 100; i++ {
 		m.Observe(ev("A", i, "u", 1))
 	}
-	if m.ActiveRuns() > 10 {
-		t.Fatalf("runs: %d", m.ActiveRuns())
+	if len(m.runs) > 10 {
+		t.Fatalf("runs: %d", len(m.runs))
 	}
 }
 

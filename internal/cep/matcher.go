@@ -312,13 +312,6 @@ func (m *Matcher) AdvanceTo(wm temporal.Instant) {
 	m.runs = survivors
 }
 
-// ActiveRuns reports the number of partial matches currently maintained.
-func (m *Matcher) ActiveRuns() int { return len(m.runs) }
-
-// Alternatives reports the number of compiled linear alternatives (useful
-// to see the expansion cost of ALL/ANY patterns).
-func (m *Matcher) Alternatives() int { return len(m.progs) }
-
 func (r *run) fork(el *element.Element, st step, newPos, iterSeen int) *run {
 	nb := make(map[string]*element.Element, len(r.bindings)+1)
 	for k, v := range r.bindings {

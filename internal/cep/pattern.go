@@ -135,27 +135,8 @@ func (i *Iter) String() string {
 
 func time(d temporal.Instant) string { return fmt.Sprintf("%dns", int64(d)) }
 
-// Convenience constructors ---------------------------------------------
-
-// Event matches any element of the stream.
-func Event(stream string) *Atom { return &Atom{Stream: stream, Alias: stream} }
-
 // EventAs matches any element of the stream, bound under alias.
 func EventAs(stream, alias string) *Atom { return &Atom{Stream: stream, Alias: alias} }
-
-// EventWhere matches elements of the stream satisfying pred.
-func EventWhere(stream, alias string, pred Predicate) *Atom {
-	return &Atom{Stream: stream, Alias: alias, Pred: pred}
-}
-
-// Sequence builds a Seq of positive items.
-func Sequence(ps ...Pattern) *Seq {
-	items := make([]SeqItem, len(ps))
-	for i, p := range ps {
-		items[i] = SeqItem{Pattern: p}
-	}
-	return &Seq{Items: items}
-}
 
 // Match is one detected situation.
 type Match struct {
@@ -167,10 +148,4 @@ type Match struct {
 	// Interval is the situation's time of validity: from the first
 	// constituent event to just past the last (interval semantics [2]).
 	Interval temporal.Interval
-}
-
-// Binding returns the event bound to the alias.
-func (m Match) Binding(alias string) (*element.Element, bool) {
-	e, ok := m.Bindings[alias]
-	return e, ok
 }

@@ -209,7 +209,7 @@ type WatermarkHook func(WatermarkBatch)
 // Option directly, so both styles work:
 //
 //	core.New(core.Snapshot)
-//	core.New(core.WithPolicy(core.Snapshot), core.WithDurableDir(dir), core.WithReasoning(ont))
+//	core.New(core.WithPolicy(core.Snapshot), core.WithDurableDir(dir))
 type Option interface{ applyOption(*Engine) }
 
 // optionFunc adapts a closure to the Option interface.
@@ -221,12 +221,6 @@ func (f optionFunc) applyOption(e *Engine) { f(e) }
 // StateFirst).
 func WithPolicy(p Policy) Option {
 	return optionFunc(func(e *Engine) { e.policy = p })
-}
-
-// WithReasoning attaches a reasoner over the given ontology (nil for an
-// empty one), as EnableReasoning does.
-func WithReasoning(ont *reason.Ontology) Option {
-	return optionFunc(func(e *Engine) { e.reasoner = reason.NewReasoner(e.store, ont) })
 }
 
 // WithDurableDir persists the engine's state repository in a durable
@@ -352,9 +346,6 @@ func (e *Engine) Store() *state.Store { return e.store }
 // corrections, transaction-time reads).
 func (e *Engine) DB() state.StateDB { return e.store }
 
-// Policy reports the configured interaction policy.
-func (e *Engine) Policy() Policy { return e.policy }
-
 // DeployRules installs the state management rules, replacing any previous
 // set.
 func (e *Engine) DeployRules(src string) error {
@@ -365,9 +356,6 @@ func (e *Engine) DeployRules(src string) error {
 	e.ruleSet = set
 	return nil
 }
-
-// DeployRuleSet installs an already-compiled rule set.
-func (e *Engine) DeployRuleSet(set *rules.Set) { e.ruleSet = set }
 
 // DeployProcessor installs a stream processor.
 func (e *Engine) DeployProcessor(p *Processor) error {

@@ -343,7 +343,7 @@ func TestElementsInCounter(t *testing.T) {
 	if e.ElementsIn() != 2 {
 		t.Errorf("elements in: %d", e.ElementsIn())
 	}
-	if e.Policy().String() == "" || StreamFirst.String() == "" || Snapshot.String() == "" {
+	if e.policy.String() == "" || StreamFirst.String() == "" || Snapshot.String() == "" {
 		t.Error("policy strings")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/element"
-	"repro/internal/reason"
 	"repro/internal/state"
 	"repro/internal/stream"
 	"repro/internal/temporal"
@@ -13,22 +12,14 @@ import (
 // TestNewOptions covers the option-based constructor and the shimmed
 // positional form New(policy).
 func TestNewOptions(t *testing.T) {
-	if e := New(); e.Policy() != StateFirst {
-		t.Errorf("default policy: %v", e.Policy())
+	if e := New(); e.policy != StateFirst {
+		t.Errorf("default policy: %v", e.policy)
 	}
-	if e := New(Snapshot); e.Policy() != Snapshot {
-		t.Errorf("positional policy shim: %v", e.Policy())
+	if e := New(Snapshot); e.policy != Snapshot {
+		t.Errorf("positional policy shim: %v", e.policy)
 	}
-	if e := New(WithPolicy(StreamFirst)); e.Policy() != StreamFirst {
-		t.Errorf("WithPolicy: %v", e.Policy())
-	}
-
-	e := New(WithPolicy(Snapshot), WithReasoning(reason.NewOntology()))
-	if e.Policy() != Snapshot {
-		t.Errorf("combined policy: %v", e.Policy())
-	}
-	if e.Reasoner() == nil {
-		t.Error("WithReasoning should attach a reasoner")
+	if e := New(WithPolicy(StreamFirst)); e.policy != StreamFirst {
+		t.Errorf("WithPolicy: %v", e.policy)
 	}
 }
 

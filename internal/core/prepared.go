@@ -8,7 +8,6 @@ package core
 
 import (
 	"repro/internal/query"
-	"repro/internal/state"
 	"repro/internal/temporal"
 )
 
@@ -24,18 +23,9 @@ type PreparedQuery struct {
 type QueryOpt func(*queryCfg)
 
 type queryCfg struct {
-	snap        *state.Snapshot
 	sysTime     temporal.Instant
 	hasSysTime  bool
 	parallelism int
-}
-
-// AtSnapshot evaluates the execution against an explicit pinned
-// snapshot handle instead of pinning a fresh one — e.g. the snapshot a
-// watermark hook received, so the query observes exactly that batch's
-// cut. now() still anchors at the engine's current watermark.
-func AtSnapshot(sn *state.Snapshot) QueryOpt {
-	return func(c *queryCfg) { c.snap = sn }
 }
 
 // AsOfSystemTime pins the execution's belief (transaction time) to t,
@@ -64,19 +54,15 @@ func (e *Engine) Prepare(src string) (*PreparedQuery, error) {
 // Exec runs the prepared query. By default it pins a fresh snapshot
 // handle — one consistent cut of every committed write, read without
 // shard locks — and anchors now() at the current watermark, exactly as
-// Engine.Query does; options override the snapshot, the belief instant,
-// and the gather parallelism.
+// Engine.Query does; options override the belief instant and the gather
+// parallelism.
 func (pq *PreparedQuery) Exec(opts ...QueryOpt) (*query.Result, error) {
 	var cfg queryCfg
 	for _, o := range opts {
 		o(&cfg)
 	}
-	sn := cfg.snap
-	if sn == nil {
-		sn = pq.e.store.Snapshot()
-	}
 	return pq.p.Exec(query.ExecEnv{
-		Store:       sn,
+		Store:       pq.e.store.Snapshot(),
 		Reasoner:    pq.e.reasoner,
 		Now:         pq.e.Watermark(),
 		Parallelism: cfg.parallelism,

@@ -58,7 +58,7 @@ func TestPreparedMatchesQueryAcrossPolicies(t *testing.T) {
 				t.Fatalf("%v %q: %v", policy, src, err)
 			}
 			for _, par := range []int{1, 4} {
-				got, err := pq.Exec(AtSnapshot(snap), WithQueryParallelism(par))
+				got, err := pq.Exec(WithQueryParallelism(par))
 				if err != nil {
 					t.Fatalf("%v %q par=%d: %v", policy, src, par, err)
 				}
@@ -78,9 +78,8 @@ func TestPreparedMatchesQueryAcrossPolicies(t *testing.T) {
 	}
 }
 
-// TestPreparedQueryOptions exercises the per-execution knobs: AtSnapshot
-// pins an old cut, AsOfSystemTime overrides the belief, and Explain
-// reports the plan.
+// TestPreparedQueryOptions exercises the per-execution knobs:
+// AsOfSystemTime overrides the belief, and Explain reports the plan.
 func TestPreparedQueryOptions(t *testing.T) {
 	e := New(StateFirst)
 	if err := e.DeployRules(`
@@ -90,7 +89,6 @@ RULE position ON RoomEntry AS r THEN REPLACE position(r.visitor) = r.room`); err
 	if err := e.Run(stream.FromElements([]*element.Element{entry(10, "ann", "hall")})); err != nil {
 		t.Fatal(err)
 	}
-	old := e.Store().Snapshot()
 	oldWM := e.Watermark()
 	if err := e.Run(stream.FromElements([]*element.Element{entry(20, "ann", "lab")})); err != nil {
 		t.Fatal(err)
@@ -107,18 +105,9 @@ RULE position ON RoomEntry AS r THEN REPLACE position(r.visitor) = r.room`); err
 	if res.Rows[0][0].MustString() != "lab" {
 		t.Fatalf("fresh exec: %v", res.Rows[0][0])
 	}
-	// The old pin must not see the later entry... but now() has advanced,
-	// so ask as of the old watermark.
 	pqAsOf, err := e.Prepare("SELECT value FROM position ASOF 10")
 	if err != nil {
 		t.Fatal(err)
-	}
-	res, err = pqAsOf.Exec(AtSnapshot(old))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows[0][0].MustString() != "hall" {
-		t.Fatalf("pinned exec: %v", res.Rows[0][0])
 	}
 	// AsOfSystemTime against the live store: the belief at the old
 	// watermark did not yet contain the lab entry.

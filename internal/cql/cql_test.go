@@ -66,28 +66,6 @@ func TestMultisetDiffToDelta(t *testing.T) {
 	}
 }
 
-func TestSelectOp(t *testing.T) {
-	op := NewSelect(func(tp *element.Tuple) bool { return tp.MustGet("amount").MustFloat() > 1 })
-	d := op.Apply(Delta{Inserts: []*element.Tuple{tup("a", 1), tup("b", 2)}, Deletes: []*element.Tuple{tup("c", 3), tup("d", 0.5)}})
-	if len(d.Inserts) != 1 || len(d.Deletes) != 1 {
-		t.Fatalf("select: %+v", d)
-	}
-}
-
-func TestProjectOp(t *testing.T) {
-	op := NewProject("product")
-	d := op.Apply(Delta{Inserts: []*element.Tuple{tup("a", 1), tup("a", 2)}})
-	if len(d.Inserts) != 2 {
-		t.Fatal("project should preserve duplicates")
-	}
-	if d.Inserts[0].Schema().Len() != 1 || d.Inserts[0].MustGet("product").MustString() != "a" {
-		t.Fatalf("projected tuple: %v", d.Inserts[0])
-	}
-	if !d.Inserts[0].Equal(d.Inserts[1]) {
-		t.Error("projection collapses to equal tuples")
-	}
-}
-
 func TestAggregateCountSum(t *testing.T) {
 	op := NewAggregate([]string{"product"},
 		AggSpec{Func: Count, As: "n"},
@@ -146,52 +124,8 @@ func TestAggregateDeleteUnknownGroupIgnored(t *testing.T) {
 	}
 }
 
-func TestJoinOp(t *testing.T) {
-	classSchema := element.NewSchema(
-		element.Field{Name: "product", Kind: element.KindString},
-		element.Field{Name: "class", Kind: element.KindString},
-	)
-	cls := func(p, c string) *element.Tuple {
-		return element.NewTuple(classSchema, element.String(p), element.String(c))
-	}
-	j := NewJoin([]string{"product"}, []string{"product"}, "r_")
-
-	// Right side first: product classifications.
-	d := j.ApplyRight(Delta{Inserts: []*element.Tuple{cls("a", "books"), cls("b", "toys")}})
-	if !d.IsEmpty() {
-		t.Fatal("no left side yet")
-	}
-	// Left inserts join immediately.
-	d = j.ApplyLeft(Delta{Inserts: []*element.Tuple{tup("a", 5), tup("z", 1)}})
-	if len(d.Inserts) != 1 {
-		t.Fatalf("join inserts: %+v", d)
-	}
-	out := d.Inserts[0]
-	if out.MustGet("product").MustString() != "a" || out.MustGet("r_class").MustString() != "books" {
-		t.Fatalf("joined tuple: %v", out)
-	}
-	// Right-side reclassification: delete old, insert new → output delta
-	// retracts the old join result and adds the new one.
-	d = j.ApplyRight(Delta{Deletes: []*element.Tuple{cls("a", "books")}, Inserts: []*element.Tuple{cls("a", "fiction")}})
-	if len(d.Deletes) != 1 || len(d.Inserts) != 1 {
-		t.Fatalf("reclassification: %+v", d)
-	}
-	if d.Inserts[0].MustGet("r_class").MustString() != "fiction" {
-		t.Fatalf("new class: %v", d.Inserts[0])
-	}
-	// Duplicate left tuples multiply.
-	d = j.ApplyLeft(Delta{Inserts: []*element.Tuple{tup("a", 5)}})
-	if len(d.Inserts) != 1 {
-		t.Fatalf("dup insert: %+v", d)
-	}
-	d = j.ApplyRight(Delta{Deletes: []*element.Tuple{cls("a", "fiction")}})
-	if len(d.Deletes) != 2 {
-		t.Fatalf("delete should retract both join results: %+v", d)
-	}
-}
-
 func TestChainShortCircuit(t *testing.T) {
-	sel := NewSelect(func(*element.Tuple) bool { return false })
+	sel := relOpFunc(func(d Delta) Delta { return Delta{At: d.At} })
 	calls := 0
 	probe := relOpFunc(func(d Delta) Delta { calls++; return d })
 	c := NewChain(sel, probe)

@@ -14,68 +14,6 @@ type RelOp interface {
 	Apply(d Delta) Delta
 }
 
-// SelectOp filters tuples by a predicate. Stateless: a tuple's membership
-// in the output depends only on itself.
-type SelectOp struct {
-	Pred func(*element.Tuple) bool
-}
-
-// NewSelect returns a selection operator.
-func NewSelect(pred func(*element.Tuple) bool) *SelectOp { return &SelectOp{Pred: pred} }
-
-// Apply implements RelOp.
-func (o *SelectOp) Apply(d Delta) Delta {
-	out := Delta{At: d.At}
-	for _, t := range d.Inserts {
-		if o.Pred(t) {
-			out.Inserts = append(out.Inserts, t)
-		}
-	}
-	for _, t := range d.Deletes {
-		if o.Pred(t) {
-			out.Deletes = append(out.Deletes, t)
-		}
-	}
-	return out
-}
-
-// ProjectOp projects tuples onto a subset of fields (multiset semantics:
-// duplicates are preserved).
-type ProjectOp struct {
-	fields []string
-	schema *element.Schema // lazily derived from the first tuple
-}
-
-// NewProject returns a projection onto the named fields.
-func NewProject(fields ...string) *ProjectOp { return &ProjectOp{fields: fields} }
-
-// Apply implements RelOp.
-func (o *ProjectOp) Apply(d Delta) Delta {
-	out := Delta{At: d.At}
-	for _, t := range d.Inserts {
-		out.Inserts = append(out.Inserts, o.project(t))
-	}
-	for _, t := range d.Deletes {
-		out.Deletes = append(out.Deletes, o.project(t))
-	}
-	return out
-}
-
-func (o *ProjectOp) project(t *element.Tuple) *element.Tuple {
-	if o.schema == nil {
-		s, err := t.Schema().Project(o.fields...)
-		if err != nil {
-			panic(fmt.Sprintf("cql: project: %v", err))
-		}
-		o.schema = s
-	}
-	vals := make([]element.Value, len(o.fields))
-	for i, f := range o.fields {
-		vals[i] = t.MustGet(f)
-	}
-	return element.NewTuple(o.schema, vals...)
-}
-
 // AggFunc enumerates the supported aggregate functions.
 type AggFunc int
 
@@ -278,116 +216,6 @@ func joinKey(parts []string) string {
 		s += p
 	}
 	return s
-}
-
-// JoinOp is an incremental equijoin between two relations. Feed left-side
-// deltas through ApplyLeft and right-side deltas through ApplyRight; each
-// returns the output delta. Output tuples concatenate the left fields with
-// the right fields, the latter renamed with the configured prefix to avoid
-// collisions.
-type JoinOp struct {
-	leftKey, rightKey []string
-	rightPrefix       string
-	left, right       map[string][]*msEntry
-	schema            *element.Schema
-}
-
-// NewJoin returns an equijoin matching leftKey fields against rightKey
-// fields (same arity). rightPrefix is prepended to every right-side field
-// name in the output schema.
-func NewJoin(leftKey, rightKey []string, rightPrefix string) *JoinOp {
-	if len(leftKey) != len(rightKey) || len(leftKey) == 0 {
-		panic("cql: join keys must be non-empty and of equal arity")
-	}
-	return &JoinOp{
-		leftKey: leftKey, rightKey: rightKey, rightPrefix: rightPrefix,
-		left: make(map[string][]*msEntry), right: make(map[string][]*msEntry),
-	}
-}
-
-// ApplyLeft folds a left-side delta and returns the join's output delta.
-func (o *JoinOp) ApplyLeft(d Delta) Delta {
-	return o.apply(d, o.left, o.right, o.leftKey, true)
-}
-
-// ApplyRight folds a right-side delta and returns the join's output delta.
-func (o *JoinOp) ApplyRight(d Delta) Delta {
-	return o.apply(d, o.right, o.left, o.rightKey, false)
-}
-
-func (o *JoinOp) apply(d Delta, own, other map[string][]*msEntry, ownKey []string, isLeft bool) Delta {
-	out := Delta{At: d.At}
-	for _, t := range d.Deletes {
-		k := o.key(t, ownKey)
-		removeEntry(own, k, t)
-		for _, m := range other[k] {
-			for i := 0; i < m.count; i++ {
-				out.Deletes = append(out.Deletes, o.joined(t, m.tuple, isLeft))
-			}
-		}
-	}
-	for _, t := range d.Inserts {
-		k := o.key(t, ownKey)
-		addEntry(own, k, t)
-		for _, m := range other[k] {
-			for i := 0; i < m.count; i++ {
-				out.Inserts = append(out.Inserts, o.joined(t, m.tuple, isLeft))
-			}
-		}
-	}
-	return out
-}
-
-func (o *JoinOp) key(t *element.Tuple, fields []string) string {
-	parts := make([]string, len(fields))
-	for i, f := range fields {
-		parts[i] = t.MustGet(f).Key()
-	}
-	return joinKey(parts)
-}
-
-func addEntry(idx map[string][]*msEntry, k string, t *element.Tuple) {
-	tk := t.Key()
-	for _, e := range idx[k] {
-		if e.tuple.Key() == tk {
-			e.count++
-			return
-		}
-	}
-	idx[k] = append(idx[k], &msEntry{tuple: t, count: 1})
-}
-
-func removeEntry(idx map[string][]*msEntry, k string, t *element.Tuple) {
-	tk := t.Key()
-	list := idx[k]
-	for i, e := range list {
-		if e.tuple.Key() == tk {
-			e.count--
-			if e.count == 0 {
-				idx[k] = append(list[:i], list[i+1:]...)
-				if len(idx[k]) == 0 {
-					delete(idx, k)
-				}
-			}
-			return
-		}
-	}
-}
-
-func (o *JoinOp) joined(a, b *element.Tuple, aIsLeft bool) *element.Tuple {
-	l, r := a, b
-	if !aIsLeft {
-		l, r = b, a
-	}
-	if o.schema == nil {
-		fields := append([]element.Field{}, l.Schema().Fields()...)
-		for _, f := range r.Schema().Fields() {
-			fields = append(fields, element.Field{Name: o.rightPrefix + f.Name, Kind: f.Kind})
-		}
-		o.schema = element.NewSchema(fields...)
-	}
-	vals := append(l.Values(), r.Values()...)
-	return element.NewTuple(o.schema, vals...)
 }
 
 // Chain composes unary operators into one RelOp.

@@ -118,88 +118,6 @@ func renderRow(p string, n int, sum, lo, hi float64) string {
 		element.Float(hi).Key(), "|"}, "/")
 }
 
-// TestJoinIncrementalEqualsRecompute drives the incremental join with
-// random two-sided deltas and checks the maintained output against a
-// nested-loop join of the current side multisets.
-func TestJoinIncrementalEqualsRecompute(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	keys := []string{"k1", "k2", "k3"}
-
-	rightSchema := element.NewSchema(
-		element.Field{Name: "product", Kind: element.KindString},
-		element.Field{Name: "class", Kind: element.KindString},
-	)
-	rightTup := func(k, c string) *element.Tuple {
-		return element.NewTuple(rightSchema, element.String(k), element.String(c))
-	}
-
-	for trial := 0; trial < 60; trial++ {
-		j := NewJoin([]string{"product"}, []string{"product"}, "r_")
-		left := NewMultiset()
-		right := NewMultiset()
-		out := NewMultiset()
-
-		for step := 0; step < 30; step++ {
-			var d Delta
-			isLeft := rng.Intn(2) == 0
-			side := left
-			if !isLeft {
-				side = right
-			}
-			for i := rng.Intn(3); i > 0; i-- {
-				if isLeft {
-					d.Inserts = append(d.Inserts, tup(keys[rng.Intn(len(keys))], float64(rng.Intn(5))))
-				} else {
-					d.Inserts = append(d.Inserts, rightTup(keys[rng.Intn(len(keys))], string(rune('x'+rng.Intn(3)))))
-				}
-			}
-			cur := side.Tuples()
-			rng.Shuffle(len(cur), func(i, j int) { cur[i], cur[j] = cur[j], cur[i] })
-			for i := 0; i < rng.Intn(2) && i < len(cur); i++ {
-				d.Deletes = append(d.Deletes, cur[i])
-			}
-			side.Apply(d)
-			if isLeft {
-				out.Apply(j.ApplyLeft(d))
-			} else {
-				out.Apply(j.ApplyRight(d))
-			}
-
-			want := naiveJoin(left.Tuples(), right.Tuples())
-			got := renderTupleBag(out.Tuples())
-			if got != want {
-				t.Fatalf("trial %d step %d:\n got %s\nwant %s", trial, step, got, want)
-			}
-		}
-	}
-}
-
-func naiveJoin(left, right []*element.Tuple) string {
-	var rows []string
-	for _, l := range left {
-		for _, r := range right {
-			if l.MustGet("product").Equal(r.MustGet("product")) {
-				rows = append(rows, l.Key()+"×"+r.Key())
-			}
-		}
-	}
-	sort.Strings(rows)
-	return strings.Join(rows, ";")
-}
-
-func renderTupleBag(tuples []*element.Tuple) string {
-	rows := make([]string, 0, len(tuples))
-	for _, tp := range tuples {
-		// Joined tuples are left fields then prefixed right fields;
-		// reconstruct the pair key for comparison with the naive join.
-		l := tp.MustGet("product").Key() + "\x1f" + tp.MustGet("amount").Key()
-		r := tp.MustGet("r_product").Key() + "\x1f" + tp.MustGet("r_class").Key()
-		rows = append(rows, l+"×"+r)
-	}
-	sort.Strings(rows)
-	return strings.Join(rows, ";")
-}
-
 // TestStreamToRelationPartition checks the windows-partition-the-stream
 // property: with tumbling time windows, every element is inserted into
 // the relation exactly once across all deltas, and net relation size

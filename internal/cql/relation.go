@@ -1,7 +1,7 @@
 // Package cql implements a CQL-style continuous query layer (Arasu, Babu,
 // Widom [3]): stream-to-relation operators backed by the window library,
-// incremental relation-to-relation operators (selection, projection,
-// aggregation, join), and relation-to-stream operators (IStream, DStream,
+// incremental relation-to-relation operators (grouped aggregation and
+// operator chains), and relation-to-stream operators (IStream, DStream,
 // RStream).
 //
 // This is the DSMS substrate of the paper's §2: "the core of virtually all

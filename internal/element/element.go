@@ -56,23 +56,6 @@ func (s *Schema) Index(name string) int {
 	return -1
 }
 
-// Has reports whether the schema contains the named field.
-func (s *Schema) Has(name string) bool { _, ok := s.index[name]; return ok }
-
-// Project returns a new schema with only the named fields, in the order
-// given. Unknown names return an error.
-func (s *Schema) Project(names ...string) (*Schema, error) {
-	fields := make([]Field, 0, len(names))
-	for _, n := range names {
-		i := s.Index(n)
-		if i < 0 {
-			return nil, fmt.Errorf("element: schema has no field %q", n)
-		}
-		fields = append(fields, s.fields[i])
-	}
-	return NewSchema(fields...), nil
-}
-
 // String renders the schema as (name kind, ...).
 func (s *Schema) String() string {
 	parts := make([]string, len(s.fields))
@@ -129,18 +112,6 @@ func (t *Tuple) Values() []Value {
 	out := make([]Value, len(t.values))
 	copy(out, t.values)
 	return out
-}
-
-// With returns a copy of the tuple with the named field replaced. The field
-// must exist in the schema.
-func (t *Tuple) With(name string, v Value) *Tuple {
-	i := t.schema.Index(name)
-	if i < 0 {
-		panic(fmt.Sprintf("element: tuple schema has no field %q", name))
-	}
-	vals := t.Values()
-	vals[i] = v
-	return &Tuple{schema: t.schema, values: vals}
 }
 
 // Equal reports whether two tuples have pairwise equal values. Schemas are

@@ -117,16 +117,6 @@ func TestSchema(t *testing.T) {
 	if s.Len() != 2 || s.Index("user") != 0 || s.Index("amount") != 1 || s.Index("nope") != -1 {
 		t.Error("schema index")
 	}
-	if !s.Has("user") || s.Has("nope") {
-		t.Error("schema Has")
-	}
-	p, err := s.Project("amount")
-	if err != nil || p.Len() != 1 || p.Field(0).Name != "amount" {
-		t.Errorf("project: %v %v", p, err)
-	}
-	if _, err := s.Project("nope"); err == nil {
-		t.Error("project unknown should error")
-	}
 	if s.String() == "" {
 		t.Error("schema string")
 	}
@@ -153,10 +143,7 @@ func TestTuple(t *testing.T) {
 	if tp.At(1).MustInt() != 3 {
 		t.Error("At")
 	}
-	tp2 := tp.With("n", Int(9))
-	if tp.MustGet("n").MustInt() != 3 || tp2.MustGet("n").MustInt() != 9 {
-		t.Error("With should copy")
-	}
+	tp2 := NewTuple(s, String("ann"), Int(9))
 	if !tp.Equal(NewTuple(s, String("ann"), Int(3))) || tp.Equal(tp2) {
 		t.Error("Equal")
 	}

@@ -1,14 +1,12 @@
 // Package metrics provides the measurement instruments for the experiment
-// harness: latency histograms with logarithmic buckets, throughput meters,
-// and heap probes. Every experiment table cmd/benchrunner prints reports
+// harness: latency histograms with logarithmic buckets, counters, gauges,
+// and text tables. Every experiment table cmd/benchrunner prints reports
 // numbers collected through this package.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -100,23 +98,6 @@ func (h *Histogram) String() string {
 		h.n, h.Mean(), h.Quantile(0.50), h.Quantile(0.99), h.max)
 }
 
-// Merge folds another histogram into this one.
-func (h *Histogram) Merge(o *Histogram) {
-	for b, c := range o.counts {
-		h.counts[b] += c
-	}
-	if o.n > 0 {
-		if h.n == 0 || o.min < h.min {
-			h.min = o.min
-		}
-		if o.max > h.max {
-			h.max = o.max
-		}
-	}
-	h.n += o.n
-	h.sum += o.sum
-}
-
 // Counter is a monotonically increasing event count, safe for concurrent
 // use. The zero value is ready. The subscription broker counts drops,
 // resyncs, and skipped batches with it.
@@ -143,40 +124,6 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Throughput measures events per second over a wall-clock run.
-type Throughput struct {
-	start  time.Time
-	events uint64
-}
-
-// StartThroughput begins a measurement.
-func StartThroughput() *Throughput { return &Throughput{start: time.Now()} }
-
-// Add counts n events.
-func (t *Throughput) Add(n uint64) { t.events += n }
-
-// Events returns the event count.
-func (t *Throughput) Events() uint64 { return t.events }
-
-// PerSecond returns events per wall-clock second so far.
-func (t *Throughput) PerSecond() float64 {
-	el := time.Since(t.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(t.events) / el
-}
-
-// HeapAlloc returns the current live-heap estimate after a GC, in bytes.
-// Experiments use before/after deltas to attribute retained memory to a
-// structure under test.
-func HeapAlloc() uint64 {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
-}
 
 // Table accumulates rows for an experiment report and renders them as an
 // aligned text table (the format cmd/benchrunner prints).
@@ -218,11 +165,6 @@ func formatFloat(v float64) string {
 
 // Rows returns the accumulated rows.
 func (t *Table) Rows() [][]string { return t.rows }
-
-// SortByFirstColumn orders rows lexicographically by their first cell.
-func (t *Table) SortByFirstColumn() {
-	sort.SliceStable(t.rows, func(i, j int) bool { return t.rows[i][0] < t.rows[j][0] })
-}
 
 // String renders the table.
 func (t *Table) String() string {

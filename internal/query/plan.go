@@ -98,10 +98,6 @@ func Prepare(src string) (*Prepared, error) {
 	return newPrepared(q, src), nil
 }
 
-// PrepareParsed plans an already-parsed query. The query must not be
-// mutated afterwards.
-func PrepareParsed(q *Query) *Prepared { return newPrepared(q, q.String()) }
-
 func newPrepared(q *Query, src string) *Prepared {
 	p := &Prepared{q: q, src: src}
 	var resid []lang.Expr

@@ -1,7 +1,6 @@
 // Package reason implements the reasoning component of Figure 1: an
-// ontology (class and property taxonomies with domain/range constraints)
-// plus temporal Horn rules, materialized by forward chaining over the
-// state repository.
+// ontology (a class taxonomy) plus temporal Horn rules, materialized by
+// forward chaining over the state repository.
 //
 // The paper positions reasoning as a consumer of explicit state: "a
 // reasoning system can extract implicit knowledge from the explicit state
@@ -24,46 +23,28 @@ import (
 // facts: type(entity) = "ClassName".
 const TypeAttribute = "type"
 
-// Ontology holds schema-level domain knowledge: a class taxonomy, a
-// property taxonomy, and property domain/range constraints.
+// Ontology holds schema-level domain knowledge: a class taxonomy.
 type Ontology struct {
 	subClass map[string]map[string]bool // class → direct superclasses
-	subProp  map[string]map[string]bool // property → direct superproperties
-	domains  map[string]string          // property → class of the subject
-	ranges   map[string]string          // property → class of the (entity) value
 }
 
 // NewOntology returns an empty ontology.
 func NewOntology() *Ontology {
-	return &Ontology{
-		subClass: make(map[string]map[string]bool),
-		subProp:  make(map[string]map[string]bool),
-		domains:  make(map[string]string),
-		ranges:   make(map[string]string),
-	}
+	return &Ontology{subClass: make(map[string]map[string]bool)}
 }
 
 // SubClassOf declares sub ⊑ super. Cycles are rejected.
 func (o *Ontology) SubClassOf(sub, super string) error {
-	return addEdge(o.subClass, sub, super, "class")
-}
-
-// SubPropertyOf declares sub ⊑ super for properties. Cycles are rejected.
-func (o *Ontology) SubPropertyOf(sub, super string) error {
-	return addEdge(o.subProp, sub, super, "property")
-}
-
-func addEdge(g map[string]map[string]bool, sub, super, kind string) error {
 	if sub == super {
-		return fmt.Errorf("reason: %s %q cannot subsume itself", kind, sub)
+		return fmt.Errorf("reason: class %q cannot subsume itself", sub)
 	}
-	if reaches(g, super, sub) {
-		return fmt.Errorf("reason: %s cycle %q ⊑ %q", kind, sub, super)
+	if reaches(o.subClass, super, sub) {
+		return fmt.Errorf("reason: class cycle %q ⊑ %q", sub, super)
 	}
-	if g[sub] == nil {
-		g[sub] = make(map[string]bool)
+	if o.subClass[sub] == nil {
+		o.subClass[sub] = make(map[string]bool)
 	}
-	g[sub][super] = true
+	o.subClass[sub][super] = true
 	return nil
 }
 
@@ -89,50 +70,9 @@ func reaches(g map[string]map[string]bool, from, to string) bool {
 	return false
 }
 
-// SetDomain declares that any entity with the property is an instance of
-// the class.
-func (o *Ontology) SetDomain(property, class string) { o.domains[property] = class }
-
-// SetRange declares that any (entity-valued) value of the property is an
-// instance of the class.
-func (o *Ontology) SetRange(property, class string) { o.ranges[property] = class }
-
-// Domain returns the declared domain class of the property, if any.
-func (o *Ontology) Domain(property string) (string, bool) {
-	c, ok := o.domains[property]
-	return c, ok
-}
-
-// Range returns the declared range class of the property, if any.
-func (o *Ontology) Range(property string) (string, bool) {
-	c, ok := o.ranges[property]
-	return c, ok
-}
-
 // Superclasses returns the transitive superclasses of the class (excluding
 // itself), sorted.
 func (o *Ontology) Superclasses(class string) []string { return closure(o.subClass, class) }
-
-// Superproperties returns the transitive superproperties of the property
-// (excluding itself), sorted.
-func (o *Ontology) Superproperties(property string) []string { return closure(o.subProp, property) }
-
-// IsSubClassOf reports whether sub ⊑ super transitively (or sub == super).
-func (o *Ontology) IsSubClassOf(sub, super string) bool { return reaches(o.subClass, sub, super) }
-
-// Subclasses returns every declared class that transitively specializes
-// the given class (excluding itself), sorted. Query rewriting uses this to
-// expand a class filter over its taxonomy.
-func (o *Ontology) Subclasses(class string) []string {
-	var out []string
-	for c := range o.subClass {
-		if c != class && reaches(o.subClass, c, class) {
-			out = append(out, c)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Classes returns every class mentioned in the taxonomy, sorted.
 func (o *Ontology) Classes() []string {

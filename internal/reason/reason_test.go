@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/element"
 	"repro/internal/state"
+	"repro/internal/temporal"
 )
 
 func TestOntologyClosure(t *testing.T) {
@@ -15,13 +16,6 @@ func TestOntologyClosure(t *testing.T) {
 	got := o.Superclasses("novel")
 	if len(got) != 2 || got[0] != "books" || got[1] != "fiction" {
 		t.Fatalf("superclasses: %v", got)
-	}
-	if !o.IsSubClassOf("novel", "books") || o.IsSubClassOf("books", "novel") {
-		t.Error("IsSubClassOf")
-	}
-	subs := o.Subclasses("books")
-	if len(subs) != 3 {
-		t.Fatalf("subclasses: %v", subs)
 	}
 	if len(o.Classes()) != 4 {
 		t.Fatalf("classes: %v", o.Classes())
@@ -41,24 +35,6 @@ func TestOntologyCycleRejected(t *testing.T) {
 	if err := o.SubClassOf("a", "a"); err == nil {
 		t.Error("self-subsumption should be rejected")
 	}
-	if err := o.SubPropertyOf("p", "p"); err == nil {
-		t.Error("property self-subsumption should be rejected")
-	}
-}
-
-func TestOntologyDomainRange(t *testing.T) {
-	o := NewOntology()
-	o.SetDomain("worksIn", "person")
-	o.SetRange("worksIn", "room")
-	if d, ok := o.Domain("worksIn"); !ok || d != "person" {
-		t.Error("domain")
-	}
-	if r, ok := o.Range("worksIn"); !ok || r != "room" {
-		t.Error("range")
-	}
-	if _, ok := o.Domain("other"); ok {
-		t.Error("missing domain")
-	}
 }
 
 func TestTypePropagation(t *testing.T) {
@@ -77,9 +53,8 @@ func TestTypePropagation(t *testing.T) {
 	if got := r.HoldsAt("p1", TypeAttribute, 5); len(got) != 0 {
 		t.Fatalf("types before assertion: %v", got)
 	}
-	ents := r.EntitiesOfClassAt("books", 15)
-	if len(ents) != 1 || ents[0] != "p1" {
-		t.Fatalf("entities of books: %v", ents)
+	if !hasType(r, "p1", "books", 15) {
+		t.Fatal("p1 should be derived a book at 15")
 	}
 }
 
@@ -94,35 +69,14 @@ func TestDerivedValidityFollowsReclassification(t *testing.T) {
 	st.Replace("p1", TypeAttribute, element.String("novel"), 0)
 	st.Replace("p1", TypeAttribute, element.String("boardgame"), 100) // reclassified
 
-	if ents := r.EntitiesOfClassAt("books", 50); len(ents) != 1 {
-		t.Fatalf("books at 50: %v", ents)
+	if !hasType(r, "p1", "books", 50) {
+		t.Fatal("p1 should be a book at 50")
 	}
-	if ents := r.EntitiesOfClassAt("books", 150); len(ents) != 0 {
-		t.Fatalf("books at 150 (stale!): %v", ents)
+	if hasType(r, "p1", "books", 150) {
+		t.Fatal("p1 is still a book at 150 (stale!)")
 	}
-	if ents := r.EntitiesOfClassAt("toys", 150); len(ents) != 1 {
-		t.Fatalf("toys at 150: %v", ents)
-	}
-}
-
-func TestSubPropertyAndDomainRange(t *testing.T) {
-	st := state.NewStore()
-	o := NewOntology()
-	mustOK(t, o.SubPropertyOf("manages", "worksWith"))
-	o.SetDomain("manages", "manager")
-	o.SetRange("manages", "employee")
-	r := NewReasoner(st, o)
-
-	st.Replace("ann", "manages", element.String("bob"), 10)
-
-	if vals := r.HoldsAt("ann", "worksWith", 20); len(vals) != 1 || vals[0].MustString() != "bob" {
-		t.Fatalf("subproperty: %v", vals)
-	}
-	if vals := r.HoldsAt("ann", TypeAttribute, 20); len(vals) != 1 || vals[0].MustString() != "manager" {
-		t.Fatalf("domain typing: %v", vals)
-	}
-	if vals := r.HoldsAt("bob", TypeAttribute, 20); len(vals) != 1 || vals[0].MustString() != "employee" {
-		t.Fatalf("range typing: %v", vals)
+	if !hasType(r, "p1", "toys", 150) {
+		t.Fatal("p1 should be a toy at 150")
 	}
 }
 
@@ -254,8 +208,8 @@ func TestDerivedAt(t *testing.T) {
 	if facts[0].Value.MustString() != "books" {
 		t.Fatalf("derived value: %v", facts[0])
 	}
-	if r.DerivedCount() != 1 {
-		t.Errorf("count: %d", r.DerivedCount())
+	if n := r.Materialize(); n != 1 {
+		t.Errorf("count: %d", n)
 	}
 }
 
@@ -284,6 +238,22 @@ func TestDeepTaxonomyFixpoint(t *testing.T) {
 	}
 }
 
+// V returns a variable term.
+func V(name string) Term { return Term{Var: name, IsVar: true} }
+
+// C returns a constant term.
+func C(v element.Value) Term { return Term{Const: v} }
+
+// hasType reports whether type(e) = class holds, asserted or derived, at t.
+func hasType(r *Reasoner, e, class string, t temporal.Instant) bool {
+	for _, v := range r.HoldsAt(e, TypeAttribute, t) {
+		if v.MustString() == class {
+			return true
+		}
+	}
+	return false
+}
+
 func cls(i int) string { return string(rune('a'+i)) + "class" }
 
 func mustOK(t *testing.T, err error) {
@@ -300,10 +270,12 @@ func TestHoldsAtDedupesAssertedAndDerived(t *testing.T) {
 	mustOK(t, o.SubClassOf("a", "b"))
 	r := NewReasoner(st, o)
 	st.Replace("x", TypeAttribute, element.String("b"), 0) // asserted b
-	// Also derive b for x via another entity? Assert type a on a second
-	// attribute lineage is not possible (same key) — use domain axiom.
-	o.SetDomain("p", "b")
-	r.markDirty()
+	// Also derive b for x through a rule over a second attribute lineage.
+	mustOK(t, r.AddRule(HornRule{
+		Name: "p-typed",
+		Body: []TriplePattern{{Attr: "p", Entity: V("x"), Value: V("v")}},
+		Head: TriplePattern{Attr: TypeAttribute, Entity: V("x"), Value: C(element.String("b"))},
+	}))
 	st.Replace("x", "p", element.Int(1), 0)
 	vals := r.HoldsAt("x", TypeAttribute, 5)
 	if len(vals) != 1 || vals[0].MustString() != "b" {

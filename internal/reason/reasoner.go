@@ -19,12 +19,6 @@ type Term struct {
 	IsVar bool
 }
 
-// V returns a variable term.
-func V(name string) Term { return Term{Var: name, IsVar: true} }
-
-// C returns a constant term.
-func C(v element.Value) Term { return Term{Const: v} }
-
 // TriplePattern matches facts attr(entity) = value. The attribute is
 // always constant; entity and value may be variables.
 type TriplePattern struct {
@@ -110,9 +104,6 @@ func NewReasoner(store *state.Store, ont *Ontology) *Reasoner {
 	return r
 }
 
-// Ontology returns the reasoner's ontology.
-func (r *Reasoner) Ontology() *Ontology { return r.ont }
-
 // AddRule registers a Horn rule. Head variables must be bound by the body.
 func (r *Reasoner) AddRule(rule HornRule) error {
 	bound := map[string]bool{}
@@ -168,7 +159,7 @@ func (r *Reasoner) materializeLocked() {
 		facts := append(append([]atomicFact{}, base...), r.derivedFactsLocked()...)
 		byAttr := indexByAttr(facts)
 
-		// Ontology axiom 1: type(e)=C, C ⊑ D ⇒ type(e)=D.
+		// Ontology axiom: type(e)=C, C ⊑ D ⇒ type(e)=D.
 		for _, f := range byAttr[TypeAttribute] {
 			cls, ok := f.value.AsString()
 			if !ok {
@@ -176,33 +167,6 @@ func (r *Reasoner) materializeLocked() {
 			}
 			for _, super := range r.ont.Superclasses(cls) {
 				added += r.addDerived(f.entity, TypeAttribute, element.String(super), f.iv)
-			}
-		}
-		// Ontology axiom 2: p(e)=v, p ⊑ q ⇒ q(e)=v.
-		for attr, fs := range byAttr {
-			supers := r.ont.Superproperties(attr)
-			if len(supers) == 0 {
-				continue
-			}
-			for _, f := range fs {
-				for _, q := range supers {
-					added += r.addDerived(f.entity, q, f.value, f.iv)
-				}
-			}
-		}
-		// Ontology axioms 3, 4: domain and range typing.
-		for attr, fs := range byAttr {
-			if cls, ok := r.ont.Domain(attr); ok {
-				for _, f := range fs {
-					added += r.addDerived(f.entity, TypeAttribute, element.String(cls), f.iv)
-				}
-			}
-			if cls, ok := r.ont.Range(attr); ok {
-				for _, f := range fs {
-					if ent, ok := f.value.AsString(); ok {
-						added += r.addDerived(ent, TypeAttribute, element.String(cls), f.iv)
-					}
-				}
 			}
 		}
 		// User Horn rules.
@@ -415,36 +379,3 @@ func (r *Reasoner) DerivedAt(t temporal.Instant) []*element.Fact {
 	})
 	return out
 }
-
-// EntitiesOfClassAt returns the entities whose type (asserted or derived)
-// is the class at instant t, sorted.
-func (r *Reasoner) EntitiesOfClassAt(class string, t temporal.Instant) []string {
-	r.mu.Lock()
-	if r.dirty {
-		r.materializeLocked()
-	}
-	set := map[string]bool{}
-	for k, ivs := range r.derived {
-		if k.attr == TypeAttribute && ivs.Contains(t) {
-			if s, ok := r.derivedVals[k].AsString(); ok && s == class {
-				set[k.entity] = true
-			}
-		}
-	}
-	r.mu.Unlock()
-	for _, f := range r.store.List(state.WithAttribute(TypeAttribute), state.AsOfValidTime(t)) {
-		if s, ok := f.Value.AsString(); ok && s == class {
-			set[f.Entity] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for e := range set {
-		out = append(out, e)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// DerivedCount returns the number of derived atomic facts after ensuring
-// materialization.
-func (r *Reasoner) DerivedCount() int { return r.Materialize() }

@@ -22,12 +22,12 @@ func FuzzParseRule(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		r1, err := Parse(src)
+		r1, err := parseOne(src)
 		if err != nil {
 			return
 		}
 		printed := r1.String()
-		r2, err := Parse(printed)
+		r2, err := parseOne(printed)
 		if err != nil {
 			t.Fatalf("printed rule does not reparse: %q -> %q: %v", src, printed, err)
 		}

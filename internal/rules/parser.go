@@ -7,23 +7,6 @@ import (
 	"repro/internal/temporal"
 )
 
-// Parse parses one rule.
-func Parse(src string) (*Rule, error) {
-	toks, err := lang.Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	c := lang.NewCursor(toks)
-	r, err := parseRule(c)
-	if err != nil {
-		return nil, err
-	}
-	if c.Peek().Kind != lang.TokEOF {
-		return nil, fmt.Errorf("rules: unexpected input after rule %q", r.Name)
-	}
-	return r, nil
-}
-
 // ParseAll parses a sequence of rules from one source (e.g. a rule file).
 func ParseAll(src string) ([]*Rule, error) {
 	toks, err := lang.Lex(src)

@@ -78,10 +78,10 @@ THEN REPLACE alarm(f.visitor) = true`)
 }
 
 func TestNotOutsideSeqRejected(t *testing.T) {
-	if _, err := Parse("RULE x ON ALL(A, NOT B) THEN RETRACT p(1)"); err == nil {
+	if _, err := parseOne("RULE x ON ALL(A, NOT B) THEN RETRACT p(1)"); err == nil {
 		t.Error("NOT in ALL should be rejected")
 	}
-	if _, err := Parse("RULE x ON ANY(NOT A) THEN RETRACT p(1)"); err == nil {
+	if _, err := parseOne("RULE x ON ANY(NOT A) THEN RETRACT p(1)"); err == nil {
 		t.Error("NOT in ANY should be rejected")
 	}
 }
@@ -92,12 +92,12 @@ func TestAllAnyRoundTrip(t *testing.T) {
 		"RULE r ON ANY(A AS x, B AS x) THEN REPLACE p(x.k) = 1",
 	}
 	for _, src := range srcs {
-		r1, err := Parse(src)
+		r1, err := parseOne(src)
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
 		printed := r1.String()
-		r2, err := Parse(printed)
+		r2, err := parseOne(printed)
 		if err != nil {
 			t.Fatalf("reparse %q: %v", printed, err)
 		}

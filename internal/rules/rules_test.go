@@ -2,6 +2,7 @@ package rules
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -15,6 +16,18 @@ var entrySchema = element.NewSchema(
 	element.Field{Name: "room", Kind: element.KindString},
 )
 
+// parseOne parses a source holding exactly one rule.
+func parseOne(src string) (*Rule, error) {
+	rs, err := ParseAll(src)
+	if err != nil {
+		return nil, err
+	}
+	if len(rs) != 1 {
+		return nil, fmt.Errorf("rules: want one rule, got %d", len(rs))
+	}
+	return rs[0], nil
+}
+
 func entry(ts int64, visitor, room string) *element.Element {
 	e := element.New("RoomEntry", temporal.Instant(ts),
 		element.NewTuple(entrySchema, element.String(visitor), element.String(room)))
@@ -23,7 +36,7 @@ func entry(ts int64, visitor, room string) *element.Element {
 }
 
 func TestParseSimpleRule(t *testing.T) {
-	r, err := Parse(`
+	r, err := parseOne(`
 RULE visitor_position
 ON RoomEntry AS e
 THEN REPLACE position(e.visitor) = e.room`)
@@ -46,7 +59,7 @@ THEN REPLACE position(e.visitor) = e.room`)
 }
 
 func TestParseFullRule(t *testing.T) {
-	r, err := Parse(`
+	r, err := parseOne(`
 RULE checkout
 ON Purchase AS p WHERE p.amount > 100 WHEN EXISTS active(p.user)
 THEN ASSERT bigspender(p.user) = true FROM now() UNTIL now() + 1h,
@@ -72,7 +85,7 @@ THEN ASSERT bigspender(p.user) = true FROM now() UNTIL now() + 1h,
 }
 
 func TestParsePatternRule(t *testing.T) {
-	r, err := Parse(`
+	r, err := parseOne(`
 RULE walkthrough
 ON SEQ(Badge AS b, NOT Exit, Vault AS v) WITHIN 5m
 WHERE v.visitor = b.visitor
@@ -113,7 +126,7 @@ func TestParseErrors(t *testing.T) {
 		"RULE x ON S AS e THEN RETRACT p(e.k) 42", // trailing tokens
 	}
 	for _, src := range bad {
-		if _, err := Parse(src); err == nil {
+		if _, err := parseOne(src); err == nil {
 			t.Errorf("Parse(%q): want error", src)
 		}
 	}
@@ -129,12 +142,12 @@ func TestRuleStringRoundTrip(t *testing.T) {
 		"RULE r3 ON SEQ(A AS a, NOT B, C AS c) WITHIN 10m WHERE a.k = c.k THEN ASSERT p(a.k) = 1 FROM now() UNTIL now() + 5m",
 	}
 	for _, src := range srcs {
-		r1, err := Parse(src)
+		r1, err := parseOne(src)
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
 		printed := r1.String()
-		r2, err := Parse(printed)
+		r2, err := parseOne(printed)
 		if err != nil {
 			t.Fatalf("reparse %q: %v", printed, err)
 		}

@@ -73,21 +73,6 @@ func (c *Client) ValidAt(entity, attr string, t temporal.Instant) (*element.Fact
 	return c.fact(entity, attr, "&at="+strconv.FormatInt(int64(t), 10))
 }
 
-// AsOf fetches the version of (entity, attr) the remote store believed at
-// transaction time systime about valid time at — the wire form of a
-// state.AsOfValidTime + state.AsOfTransactionTime read. Retroactive
-// corrections the remote store recorded after systime are invisible.
-func (c *Client) AsOf(entity, attr string, at, systime temporal.Instant) (*element.Fact, bool, error) {
-	return c.fact(entity, attr, "&at="+strconv.FormatInt(int64(at), 10)+
-		"&systime="+strconv.FormatInt(int64(systime), 10))
-}
-
-// CurrentAsOf fetches the open version of (entity, attr) as believed at
-// transaction time systime (no valid-time selector).
-func (c *Client) CurrentAsOf(entity, attr string, systime temporal.Instant) (*element.Fact, bool, error) {
-	return c.fact(entity, attr, "&systime="+strconv.FormatInt(int64(systime), 10))
-}
-
 // fact reads one fact. The names are query-escaped, so any entity or
 // attribute reaches the server intact; instants holds the already safe
 // at/systime parameters. Escaping each name directly, rather than

@@ -1,8 +1,8 @@
 // Client half of the subscription surface: Client.Subscribe opens the
 // SSE stream and decodes its events back into domain types, tracking the
-// last-seen watermark so a dropped connection can resume with
-// Subscription.Resubscribe — the server answers a stale cursor with one
-// resync catch-up instead of a silent gap.
+// last-seen watermark so a dropped connection can resume from
+// Subscription.Cursor — the server answers a stale cursor with one resync
+// catch-up instead of a silent gap.
 
 package server
 
@@ -79,10 +79,8 @@ type Event struct {
 
 // Subscription is a live server push stream. Recv blocks for the next
 // event; Close tears the stream down. Cursor tracks the last-seen
-// watermark for Resubscribe.
+// watermark, to resume from with SubscribeOptions.Cursor.
 type Subscription struct {
-	c    *Client
-	opts SubscribeOptions
 	body io.ReadCloser
 	sc   *bufio.Scanner
 	// cursor is the watermark of the last received event.
@@ -125,7 +123,7 @@ func (c *Client) Subscribe(o SubscribeOptions) (*Subscription, error) {
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	return &Subscription{c: c, opts: o, body: resp.Body, sc: sc}, nil
+	return &Subscription{body: resp.Body, sc: sc}, nil
 }
 
 // Recv blocks until the next event arrives and returns it decoded. It
@@ -162,17 +160,6 @@ func (s *Subscription) Cursor() (temporal.Instant, bool) { return s.cursor, s.se
 
 // Close tears the stream down. The server drops the subscription.
 func (s *Subscription) Close() error { return s.body.Close() }
-
-// Resubscribe opens a fresh subscription with the same options, resuming
-// from the last-seen watermark. If that cursor is already behind the
-// server's cut, the first event is a resync catch-up.
-func (s *Subscription) Resubscribe() (*Subscription, error) {
-	o := s.opts
-	if s.seen {
-		o.Cursor, o.HasCursor = s.cursor, true
-	}
-	return s.c.Subscribe(o)
-}
 
 func fromWireDelivery(wd wireDelivery) *Event {
 	ev := &Event{

@@ -75,8 +75,8 @@ func TestFactEndpoints(t *testing.T) {
 }
 
 // TestFactNamesEscaped: names that are not URL-safe reach /fact intact
-// through every point-read method, rather than coming back not found or
-// as a 400.
+// through every point-read shape, rather than coming back not found or as
+// a 400.
 func TestFactNamesEscaped(t *testing.T) {
 	names := []string{"a&b", "c++", "p%20q", "x y", "h#1"}
 	st := state.NewStore()
@@ -96,8 +96,8 @@ func TestFactNamesEscaped(t *testing.T) {
 		}{
 			{"Current", func() (*element.Fact, bool, error) { return c.Current(n, "position") }},
 			{"ValidAt", func() (*element.Fact, bool, error) { return c.ValidAt(n, "position", 15) }},
-			{"AsOf", func() (*element.Fact, bool, error) { return c.AsOf(n, "position", 15, 20) }},
-			{"CurrentAsOf", func() (*element.Fact, bool, error) { return c.CurrentAsOf(n, "position", 20) }},
+			{"at+systime", func() (*element.Fact, bool, error) { return c.fact(n, "position", "&at=15&systime=20") }},
+			{"systime", func() (*element.Fact, bool, error) { return c.fact(n, "position", "&systime=20") }},
 		} {
 			f, ok, err := read.get()
 			if err != nil || !ok || f.Entity != n || f.Value.MustInt() != int64(i) {
@@ -274,7 +274,7 @@ func TestTransactionTimeOverTheWire(t *testing.T) {
 		t.Fatalf("current belief: %v %v %v", f, ok, err)
 	}
 	// Belief at transaction time 30 about valid time 15: pre-correction.
-	f, ok, err = client.AsOf("ann", "position", 15, 30)
+	f, ok, err = client.fact("ann", "position", "&at=15&systime=30")
 	if err != nil || !ok || f.Value.MustString() != "hall" {
 		t.Fatalf("belief-at-30: %v %v %v", f, ok, err)
 	}
@@ -285,12 +285,12 @@ func TestTransactionTimeOverTheWire(t *testing.T) {
 		t.Fatalf("wire fact transaction-time interval: %v", f.Recorded())
 	}
 	// Open version as believed at 30.
-	f, ok, err = client.CurrentAsOf("ann", "position", 30)
+	f, ok, err = client.fact("ann", "position", "&systime=30")
 	if err != nil || !ok || f.Value.MustString() != "hall" {
 		t.Fatalf("current-as-of-30: %v %v %v", f, ok, err)
 	}
 	// Belief before anything was recorded.
-	if _, ok, err = client.CurrentAsOf("ann", "position", 5); err != nil || ok {
+	if _, ok, err = client.fact("ann", "position", "&systime=5"); err != nil || ok {
 		t.Fatalf("belief-at-5 should be empty, got found=%v err=%v", ok, err)
 	}
 	// The composable query clause over the wire agrees.

@@ -130,7 +130,8 @@ func TestSubscribeReconnectWithCursor(t *testing.T) {
 	if _, err := sub.Recv(); err != nil {
 		t.Fatal(err)
 	}
-	if cur, ok := sub.Cursor(); !ok || cur != 10 {
+	cur, ok := sub.Cursor()
+	if !ok || cur != 10 {
 		t.Fatalf("cursor = %d/%v, want 10", cur, ok)
 	}
 	sub.Close()
@@ -141,7 +142,7 @@ func TestSubscribeReconnectWithCursor(t *testing.T) {
 	}
 	waitServerBatches(t, s, 2)
 
-	re, err := sub.Resubscribe()
+	re, err := client.Subscribe(SubscribeOptions{Entity: "s1", Cursor: cur, HasCursor: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,7 +167,6 @@ type writeCfg struct {
 	validFrom *temporal.Instant
 	validTo   *temporal.Instant
 	tx        *temporal.Instant
-	derived   bool
 	source    string
 }
 
@@ -190,7 +189,6 @@ func (c writeCfg) fill(r *writeReq) {
 	if c.tx != nil {
 		r.tx, r.hasTx = *c.tx, true
 	}
-	r.derived = c.derived
 	r.source = c.source
 }
 
@@ -220,10 +218,4 @@ func WithTransactionTime(tt temporal.Instant) WriteOpt {
 // WithSource labels the written version with the producing rule's name.
 func WithSource(source string) WriteOpt {
 	return func(c *writeCfg) { c.source = source }
-}
-
-// WithDerived marks the written version as reasoner-materialized
-// (Fact.Derived).
-func WithDerived() WriteOpt {
-	return func(c *writeCfg) { c.derived = true }
 }

@@ -49,6 +49,19 @@ func closeWAL(t *testing.T, l *Log) {
 	}
 }
 
+// putDerived writes a version marked reasoner-derived, as replaying a
+// WAL record with that provenance does; no write option sets the mark.
+func putDerived(t *testing.T, s *Store, e, a string, v element.Value, valid temporal.Interval, tx temporal.Instant, source string) {
+	t.Helper()
+	if err := s.apply(writeReq{
+		entity: e, attr: a, value: v,
+		validFrom: valid.Start, hasValidFrom: true, validTo: valid.End, hasValidTo: true,
+		tx: tx, hasTx: true, derived: true, source: source,
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLogReplayRoundTrip(t *testing.T) {
 	s := NewStore()
 	l, dir := openWAL(t, s)
@@ -56,8 +69,7 @@ func TestLogReplayRoundTrip(t *testing.T) {
 	s.Replace("ann", "position", element.String("hall"), 10)
 	s.Replace("ann", "position", element.String("lab"), 20)
 	s.Delete("ann", "position", WithValidTime(30), WithTransactionTime(30))
-	s.Put("p1", "class", element.String("books"),
-		WithValidTime(0), WithEndValidTime(50), WithDerived(), WithSource("taxonomy"))
+	putDerived(t, s, "p1", "class", element.String("books"), temporal.NewInterval(0, 50), 31, "taxonomy")
 	closeWAL(t, l)
 
 	restored, n := recoverWAL(t, dir)

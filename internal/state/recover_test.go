@@ -56,13 +56,12 @@ func TestRecoverRetiredRecordKinds(t *testing.T) {
 			WithTransactionTime(12), WithSource("issue")),
 		want.Replace("ann", "position", element.String("lab"), 20),
 		want.Delete("ann", "position", WithValidTime(30), WithTransactionTime(30)),
-		want.Put("p1", "class", element.String("books"), WithValidTime(30),
-			WithTransactionTime(30), WithDerived(), WithSource("taxonomy")),
 	} {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
+	putDerived(t, want, "p1", "class", element.String("books"), temporal.Since(30), 30, "taxonomy")
 	assertSameCut(t, want, got)
 }
 

@@ -61,11 +61,7 @@ import (
 
 const (
 	manifestName = "MANIFEST"
-	// walName is the legacy single-file WAL name. The segmented chain
-	// still recognizes it on open — it replays as the oldest chain file —
-	// so directories written before rotation existed recover unchanged.
-	walName  = "wal.log"
-	lockName = "LOCK"
+	lockName     = "LOCK"
 
 	// manifestVersion guards the manifest wire format. Version 2 added
 	// the durable-only (swept) key set, now read only; version 3 the
@@ -345,14 +341,6 @@ func WithFS(fsys vfs.FS) Option {
 // retry policy (default DefaultRetryPolicy).
 func WithRetryPolicy(p RetryPolicy) Option {
 	return func(d *Store) { d.retry = p }
-}
-
-// WithWALRotateBytes sets the size threshold at which the WAL rotates
-// to a fresh chain file (default state.DefaultWALRotateBytes). Smaller
-// thresholds make TruncateBefore reclaim more eagerly — it only ever
-// drops whole files — at the cost of more files.
-func WithWALRotateBytes(n int64) Option {
-	return func(d *Store) { d.walRotate = n }
 }
 
 // WithLoadParallelism caps the cold-start workers that decode and

@@ -14,10 +14,8 @@ import (
 // late by definition and are counted and dropped (the engine's
 // correctness depends on in-order delivery; see DESIGN.md §3).
 //
-// Place a Reorderer at the front of a pipeline whose source cannot
-// guarantee order:
-//
-//	p := stream.NewPipeline(stream.NewReorderer(), gate, query)
+// Place a Reorderer ahead of the engine when the source cannot guarantee
+// order, and hand the engine what Process returns.
 type Reorderer struct {
 	buf       elementHeap
 	watermark temporal.Instant

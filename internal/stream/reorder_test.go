@@ -121,11 +121,12 @@ func TestReordererRandomized(t *testing.T) {
 }
 
 func TestReordererInPipeline(t *testing.T) {
-	c := NewCollector()
-	p := NewPipeline(NewReorderer(), c)
-	p.Process(ElementMsg(el(7, "a", 1)))
-	p.Process(ElementMsg(el(3, "a", 1)))
-	p.Process(WatermarkMsg(10))
+	r, c := NewReorderer(), NewCollector()
+	for _, m := range []Message{ElementMsg(el(7, "a", 1)), ElementMsg(el(3, "a", 1)), WatermarkMsg(10)} {
+		for _, out := range r.Process(m) {
+			c.Process(out)
+		}
+	}
 	if len(c.Elements) != 2 || c.Elements[0].Timestamp != 3 {
 		t.Fatalf("pipeline reorder: %v", c.Elements)
 	}

@@ -1,11 +1,10 @@
 // Package stream provides the dataflow substrate: messages, operators,
-// pipelines, sources, sinks, and merging of timestamp-ordered inputs.
+// sources, sinks, reordering, and merging of timestamp-ordered inputs.
 //
 // The paper's Figure 1 routes input streams into both the state management
 // component and the stream processing component. This package supplies the
-// plumbing those components share: a synchronous operator model (used by
-// the engine for deterministic, timestamp-ordered processing) and a
-// channel-based asynchronous runner for pipelines at the edges.
+// plumbing those components share: a synchronous operator model that the
+// engine drives for deterministic, timestamp-ordered processing.
 //
 // Watermarks travel in-band: a Message carries either an element or a
 // watermark asserting that no element with a smaller timestamp will follow.
@@ -15,7 +14,6 @@ package stream
 
 import (
 	"container/heap"
-	"sync"
 
 	"repro/internal/element"
 	"repro/internal/temporal"
@@ -50,92 +48,10 @@ func (m Message) Timestamp() temporal.Instant {
 }
 
 // Operator is a synchronous stream transformer: it consumes one message and
-// emits zero or more messages. Operators are driven single-threaded by a
-// Pipeline or by the engine, so implementations need no internal locking.
+// emits zero or more messages. Operators are driven single-threaded by the
+// engine, so implementations need no internal locking.
 type Operator interface {
 	Process(m Message) []Message
-}
-
-// OperatorFunc adapts a function to the Operator interface.
-type OperatorFunc func(m Message) []Message
-
-// Process implements Operator.
-func (f OperatorFunc) Process(m Message) []Message { return f(m) }
-
-// Pipeline chains operators; the output of each feeds the next.
-type Pipeline struct {
-	ops []Operator
-}
-
-// NewPipeline chains the given operators in order.
-func NewPipeline(ops ...Operator) *Pipeline { return &Pipeline{ops: ops} }
-
-// Append adds an operator at the end of the chain.
-func (p *Pipeline) Append(op Operator) { p.ops = append(p.ops, op) }
-
-// Process pushes one message through the whole chain and returns the final
-// outputs.
-func (p *Pipeline) Process(m Message) []Message {
-	batch := []Message{m}
-	for _, op := range p.ops {
-		if len(batch) == 0 {
-			return nil
-		}
-		var next []Message
-		for _, in := range batch {
-			next = append(next, op.Process(in)...)
-		}
-		batch = next
-	}
-	return batch
-}
-
-// ProcessAll pushes a batch of messages through the chain.
-func (p *Pipeline) ProcessAll(ms []Message) []Message {
-	var out []Message
-	for _, m := range ms {
-		out = append(out, p.Process(m)...)
-	}
-	return out
-}
-
-// Filter emits only elements satisfying pred; watermarks pass through.
-func Filter(pred func(*element.Element) bool) Operator {
-	return OperatorFunc(func(m Message) []Message {
-		if m.IsWatermark || pred(m.El) {
-			return []Message{m}
-		}
-		return nil
-	})
-}
-
-// Map transforms each element; watermarks pass through. Returning nil drops
-// the element.
-func Map(fn func(*element.Element) *element.Element) Operator {
-	return OperatorFunc(func(m Message) []Message {
-		if m.IsWatermark {
-			return []Message{m}
-		}
-		if out := fn(m.El); out != nil {
-			return []Message{ElementMsg(out)}
-		}
-		return nil
-	})
-}
-
-// FlatMap transforms each element into zero or more elements.
-func FlatMap(fn func(*element.Element) []*element.Element) Operator {
-	return OperatorFunc(func(m Message) []Message {
-		if m.IsWatermark {
-			return []Message{m}
-		}
-		outs := fn(m.El)
-		ms := make([]Message, 0, len(outs))
-		for _, el := range outs {
-			ms = append(ms, ElementMsg(el))
-		}
-		return ms
-	})
 }
 
 // Collector is a sink operator that retains every element it sees.
@@ -164,19 +80,6 @@ func (c *Collector) Process(m Message) []Message {
 func (c *Collector) Reset() {
 	c.Elements = nil
 	c.Watermark = temporal.MinInstant
-}
-
-// Counter is a sink operator that counts elements.
-type Counter struct {
-	N uint64
-}
-
-// Process implements Operator.
-func (c *Counter) Process(m Message) []Message {
-	if !m.IsWatermark {
-		c.N++
-	}
-	return nil
 }
 
 // FromElements converts a timestamp-sorted batch into messages, assigning
@@ -273,128 +176,5 @@ func MergeSorted(inputs ...[]*element.Element) []*element.Element {
 			pos[it.src]++
 		}
 	}
-	return out
-}
-
-// Channel-based asynchronous runner ------------------------------------
-
-// RunChannel drives a pipeline from an input channel to an output channel
-// in a goroutine. It closes out when in is drained. Use for edge plumbing;
-// the engine itself runs synchronously for determinism.
-func RunChannel(in <-chan Message, p *Pipeline) <-chan Message {
-	out := make(chan Message, 64)
-	go func() {
-		defer close(out)
-		for m := range in {
-			for _, o := range p.Process(m) {
-				out <- o
-			}
-		}
-	}()
-	return out
-}
-
-// SourceChannel streams a message batch into a channel from a goroutine.
-func SourceChannel(ms []Message) <-chan Message {
-	ch := make(chan Message, 64)
-	go func() {
-		defer close(ch)
-		for _, m := range ms {
-			ch <- m
-		}
-	}()
-	return ch
-}
-
-// Drain collects everything from a channel.
-func Drain(ch <-chan Message) []Message {
-	var out []Message
-	for m := range ch {
-		out = append(out, m)
-	}
-	return out
-}
-
-// FanOut duplicates a channel into n channels, each receiving every
-// message. The outputs are closed when the input closes.
-func FanOut(in <-chan Message, n int) []<-chan Message {
-	outs := make([]chan Message, n)
-	ros := make([]<-chan Message, n)
-	for i := range outs {
-		outs[i] = make(chan Message, 64)
-		ros[i] = outs[i]
-	}
-	go func() {
-		for m := range in {
-			for _, o := range outs {
-				o <- m
-			}
-		}
-		for _, o := range outs {
-			close(o)
-		}
-	}()
-	return ros
-}
-
-// PartitionBy splits an element stream across n channels by hashing the
-// key field, so all elements of one key land in one partition. Watermarks
-// are broadcast to every partition.
-func PartitionBy(in <-chan Message, n int, key func(*element.Element) string) []<-chan Message {
-	outs := make([]chan Message, n)
-	ros := make([]<-chan Message, n)
-	for i := range outs {
-		outs[i] = make(chan Message, 64)
-		ros[i] = outs[i]
-	}
-	go func() {
-		for m := range in {
-			if m.IsWatermark {
-				for _, o := range outs {
-					o <- m
-				}
-				continue
-			}
-			outs[fnv32(key(m.El))%uint32(n)] <- m
-		}
-		for _, o := range outs {
-			close(o)
-		}
-	}()
-	return ros
-}
-
-func fnv32(s string) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= prime32
-	}
-	return h
-}
-
-// MergeChannels interleaves several channels into one, preserving no
-// particular order across inputs (use MergeSorted for ordered merges of
-// finished batches). The output closes when all inputs close.
-func MergeChannels(ins ...<-chan Message) <-chan Message {
-	out := make(chan Message, 64)
-	var wg sync.WaitGroup
-	wg.Add(len(ins))
-	for _, in := range ins {
-		go func(in <-chan Message) {
-			defer wg.Done()
-			for m := range in {
-				out <- m
-			}
-		}(in)
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
 	return out
 }

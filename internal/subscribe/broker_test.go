@@ -196,7 +196,7 @@ func TestSubscribeSlowConsumerResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitBatches(t, b, 6)
-	if !slow.Lost() {
+	if !slow.lost.Load() {
 		t.Fatal("slow subscriber should have overflowed its queue")
 	}
 
@@ -216,7 +216,7 @@ func TestSubscribeSlowConsumerResync(t *testing.T) {
 	if d.Cut != 60 || d.Watermark != 60 {
 		t.Fatalf("resync cut=%d wm=%d, want 60", d.Cut, d.Watermark)
 	}
-	sameState(t, d.State, e.Store(), d.Cut, slow.Filter())
+	sameState(t, d.State, e.Store(), d.Cut, slow.filter)
 	if len(d.State) != 1 || d.State[0].Value.Key() != element.Float(5).Key() {
 		t.Fatalf("resync state %v, want temperature(s1)=5", d.State)
 	}
@@ -312,7 +312,7 @@ func TestSubscribeResumeFromCursor(t *testing.T) {
 	if d.Kind != Resync || d.Cut != 10 {
 		t.Fatalf("stale-cursor first delivery kind=%v cut=%d, want resync at 10", d.Kind, d.Cut)
 	}
-	sameState(t, d.State, e.Store(), d.Cut, behind.Filter())
+	sameState(t, d.State, e.Store(), d.Cut, behind.filter)
 
 	// A current cursor resumes silently.
 	current, err := b.Subscribe(Filter{Entity: "s1"}, ResumeFrom(10))
@@ -463,5 +463,5 @@ func TestSubscribeStress(t *testing.T) {
 	if resyncs != 1 {
 		t.Fatalf("stalled subscriber saw %d resyncs, want exactly 1 (prefix %d)", resyncs, prefix)
 	}
-	sameState(t, caught, e.Store(), cut, stalled.Filter())
+	sameState(t, caught, e.Store(), cut, stalled.filter)
 }

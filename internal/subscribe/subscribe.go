@@ -71,20 +71,6 @@ func (f Filter) normalize() Filter {
 	return f
 }
 
-// matchChange reports whether a change event passes the filter.
-func (f Filter) matchChange(ch state.Change) bool {
-	if !f.Changes {
-		return false
-	}
-	if f.Entity != "" && ch.Fact.Entity != f.Entity {
-		return false
-	}
-	if f.Attr != "" && ch.Fact.Attribute != f.Attr {
-		return false
-	}
-	return true
-}
-
 // Kind classifies a Delivery.
 type Kind int
 

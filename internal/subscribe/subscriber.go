@@ -39,9 +39,6 @@ type Subscriber struct {
 	prepared *query.Prepared
 }
 
-// Filter returns the normalized subscription filter.
-func (s *Subscriber) Filter() Filter { return s.filter }
-
 // Recv blocks until the next delivery and returns it. After the queued
 // prefix of a lagging subscription drains, Recv synthesizes the pending
 // Resync catch-up. It returns ok=false once the subscription is closed
@@ -94,9 +91,6 @@ func (s *Subscriber) TryRecv() (Delivery, bool) {
 // Pending reports how many deliveries are queued (monitoring only; the
 // value is stale by the time it returns).
 func (s *Subscriber) Pending() int { return len(s.queue) }
-
-// Lost reports whether the subscription currently awaits a resync.
-func (s *Subscriber) Lost() bool { return s.lost.Load() }
 
 // Close unregisters the subscription. Queued deliveries remain readable;
 // Recv returns ok=false after they drain.

@@ -106,43 +106,6 @@ func (s *Set) Intersect(iv Interval) *Set {
 	return out
 }
 
-// IntersectSet returns a new set covering the instants in both s and o.
-func (s *Set) IntersectSet(o *Set) *Set {
-	out := &Set{}
-	for _, iv := range o.ivs {
-		for _, have := range s.ivs {
-			x := have.Intersect(iv)
-			if !x.IsEmpty() {
-				out.ivs = append(out.ivs, x)
-			}
-		}
-	}
-	sort.Slice(out.ivs, func(i, j int) bool { return out.ivs[i].Start < out.ivs[j].Start })
-	return out
-}
-
-// UnionSet returns a new set covering the instants in either s or o.
-func (s *Set) UnionSet(o *Set) *Set {
-	out := &Set{}
-	for _, iv := range s.ivs {
-		out.Add(iv)
-	}
-	for _, iv := range o.ivs {
-		out.Add(iv)
-	}
-	return out
-}
-
-// TotalDuration sums the lengths of the member intervals. Sets containing
-// an open interval report a duration reaching Forever.
-func (s *Set) TotalDuration() int64 {
-	var total int64
-	for _, iv := range s.ivs {
-		total += int64(iv.End - iv.Start)
-	}
-	return total
-}
-
 // Clone returns an independent copy of the set.
 func (s *Set) Clone() *Set {
 	return &Set{ivs: s.Intervals()}

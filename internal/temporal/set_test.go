@@ -68,19 +68,6 @@ func TestSetIntersect(t *testing.T) {
 	}
 }
 
-func TestSetSetOps(t *testing.T) {
-	a := NewSet(iv(0, 10), iv(20, 30))
-	b := NewSet(iv(5, 25))
-	inter := a.IntersectSet(b)
-	if inter.TotalDuration() != 10 {
-		t.Errorf("IntersectSet duration: got %d", inter.TotalDuration())
-	}
-	union := a.UnionSet(b)
-	if union.Len() != 1 || union.Intervals()[0] != iv(0, 30) {
-		t.Errorf("UnionSet: %s", union)
-	}
-}
-
 func TestSetClone(t *testing.T) {
 	a := NewSet(iv(0, 10))
 	b := a.Clone()

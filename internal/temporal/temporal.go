@@ -1,6 +1,6 @@
 // Package temporal provides the time algebra that underpins explicit state
-// management: instants, half-open validity intervals, Allen's interval
-// relations, and coalesced interval sets.
+// management: instants, half-open validity intervals, and coalesced interval
+// sets.
 //
 // The paper models state as "a collection of data elements annotated with
 // their time of validity" (Margara et al., EDBT 2017, §3). This package is
@@ -33,9 +33,6 @@ const (
 	Forever Instant = 1<<63 - 1
 )
 
-// FromTime converts a time.Time to an Instant.
-func FromTime(t time.Time) Instant { return Instant(t.UnixNano()) }
-
 // FromMillis converts a millisecond epoch timestamp to an Instant.
 func FromMillis(ms int64) Instant { return Instant(ms) * Instant(time.Millisecond) }
 
@@ -45,9 +42,6 @@ func FromSeconds(s int64) Instant { return Instant(s) * Instant(time.Second) }
 // Time converts the instant back to a time.Time. Forever and MinInstant do
 // not round-trip; callers should test for them explicitly.
 func (i Instant) Time() time.Time { return time.Unix(0, int64(i)) }
-
-// Millis reports the instant as milliseconds since the epoch, truncating.
-func (i Instant) Millis() int64 { return int64(i) / int64(time.Millisecond) }
 
 // Add returns the instant shifted by d. Forever and MinInstant absorb
 // shifts, so open interval ends stay open under arithmetic.
@@ -109,9 +103,6 @@ func NewInterval(start, end Instant) Interval { return Interval{Start: start, En
 // Since returns the open-ended interval [start, Forever).
 func Since(start Instant) Interval { return Interval{Start: start, End: Forever} }
 
-// At returns the smallest non-empty interval containing t: [t, t+1).
-func At(t Instant) Interval { return Interval{Start: t, End: t + 1} }
-
 // Always is the interval covering all representable time.
 func Always() Interval { return Interval{Start: MinInstant, End: Forever} }
 
@@ -134,12 +125,6 @@ func (iv Interval) Overlaps(o Interval) bool {
 	return iv.Start < o.End && o.Start < iv.End && !iv.IsEmpty() && !o.IsEmpty()
 }
 
-// Adjacent reports whether the intervals abut without overlapping
-// (iv.End == o.Start or o.End == iv.Start).
-func (iv Interval) Adjacent(o Interval) bool {
-	return iv.End == o.Start || o.End == iv.Start
-}
-
 // Intersect returns the largest interval contained in both. The result may
 // be empty; test with IsEmpty.
 func (iv Interval) Intersect(o Interval) Interval {
@@ -148,22 +133,6 @@ func (iv Interval) Intersect(o Interval) Interval {
 		return Interval{}
 	}
 	return r
-}
-
-// Union returns the smallest interval containing both, and true, when the
-// intervals overlap or are adjacent; otherwise it returns the zero interval
-// and false (the union would not be contiguous).
-func (iv Interval) Union(o Interval) (Interval, bool) {
-	if !iv.Overlaps(o) && !iv.Adjacent(o) {
-		return Interval{}, false
-	}
-	if iv.IsEmpty() {
-		return o, true
-	}
-	if o.IsEmpty() {
-		return iv, true
-	}
-	return Interval{Start: Min(iv.Start, o.Start), End: Max(iv.End, o.End)}, true
 }
 
 // Subtract removes o from iv and returns the remaining pieces in order.
@@ -185,133 +154,9 @@ func (iv Interval) Subtract(o Interval) []Interval {
 	return out
 }
 
-// ClampEnd returns the interval truncated so that it ends no later than t.
-// Truncating an open interval is how the state store terminates the
-// previous version of a fact on replace.
-func (iv Interval) ClampEnd(t Instant) Interval {
-	if t < iv.End {
-		return Interval{Start: iv.Start, End: t}
-	}
-	return iv
-}
-
 // Duration returns the length of a finite interval. Open intervals report
 // the duration until Forever, which callers should treat as unbounded.
 func (iv Interval) Duration() time.Duration { return time.Duration(iv.End - iv.Start) }
 
 // String renders the interval in [start, end) form.
 func (iv Interval) String() string { return fmt.Sprintf("[%s, %s)", iv.Start, iv.End) }
-
-// Relation is one of Allen's thirteen interval relations. Relations are
-// named from the perspective of the first interval: a Before b, a Meets b,
-// and so on.
-type Relation int
-
-// The thirteen Allen relations.
-const (
-	RelBefore Relation = iota
-	RelAfter
-	RelMeets
-	RelMetBy
-	RelOverlaps
-	RelOverlappedBy
-	RelStarts
-	RelStartedBy
-	RelDuring
-	RelContains
-	RelFinishes
-	RelFinishedBy
-	RelEquals
-)
-
-var relationNames = [...]string{
-	RelBefore:       "before",
-	RelAfter:        "after",
-	RelMeets:        "meets",
-	RelMetBy:        "met-by",
-	RelOverlaps:     "overlaps",
-	RelOverlappedBy: "overlapped-by",
-	RelStarts:       "starts",
-	RelStartedBy:    "started-by",
-	RelDuring:       "during",
-	RelContains:     "contains",
-	RelFinishes:     "finishes",
-	RelFinishedBy:   "finished-by",
-	RelEquals:       "equals",
-}
-
-// String returns the conventional name of the relation.
-func (r Relation) String() string {
-	if int(r) < len(relationNames) {
-		return relationNames[r]
-	}
-	return fmt.Sprintf("relation(%d)", int(r))
-}
-
-// Inverse returns the converse relation: if Relate(a, b) == r then
-// Relate(b, a) == r.Inverse().
-func (r Relation) Inverse() Relation {
-	switch r {
-	case RelBefore:
-		return RelAfter
-	case RelAfter:
-		return RelBefore
-	case RelMeets:
-		return RelMetBy
-	case RelMetBy:
-		return RelMeets
-	case RelOverlaps:
-		return RelOverlappedBy
-	case RelOverlappedBy:
-		return RelOverlaps
-	case RelStarts:
-		return RelStartedBy
-	case RelStartedBy:
-		return RelStarts
-	case RelDuring:
-		return RelContains
-	case RelContains:
-		return RelDuring
-	case RelFinishes:
-		return RelFinishedBy
-	case RelFinishedBy:
-		return RelFinishes
-	default:
-		return RelEquals
-	}
-}
-
-// Relate classifies the position of a relative to b as one of Allen's
-// thirteen relations. Both intervals must be non-empty.
-func Relate(a, b Interval) Relation {
-	switch {
-	case a.Start == b.Start && a.End == b.End:
-		return RelEquals
-	case a.End < b.Start:
-		return RelBefore
-	case b.End < a.Start:
-		return RelAfter
-	case a.End == b.Start:
-		return RelMeets
-	case b.End == a.Start:
-		return RelMetBy
-	case a.Start == b.Start:
-		if a.End < b.End {
-			return RelStarts
-		}
-		return RelStartedBy
-	case a.End == b.End:
-		if a.Start > b.Start {
-			return RelFinishes
-		}
-		return RelFinishedBy
-	case a.Start > b.Start && a.End < b.End:
-		return RelDuring
-	case a.Start < b.Start && a.End > b.End:
-		return RelContains
-	case a.Start < b.Start:
-		return RelOverlaps
-	default:
-		return RelOverlappedBy
-	}
-}

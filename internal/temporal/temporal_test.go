@@ -1,7 +1,6 @@
 package temporal
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -11,12 +10,11 @@ func iv(a, b int64) Interval { return Interval{Start: Instant(a), End: Instant(b
 
 func TestInstantConversions(t *testing.T) {
 	now := time.Unix(1700000000, 123456789)
-	i := FromTime(now)
-	if !i.Time().Equal(now) {
-		t.Fatalf("round trip: got %v want %v", i.Time(), now)
+	if got := Instant(now.UnixNano()).Time(); !got.Equal(now) {
+		t.Fatalf("round trip: got %v want %v", got, now)
 	}
-	if got := FromMillis(1500).Millis(); got != 1500 {
-		t.Fatalf("FromMillis/Millis: got %d", got)
+	if got := FromMillis(1500); got != Instant(1500*time.Millisecond) {
+		t.Fatalf("FromMillis: got %d", got)
 	}
 	if got := FromSeconds(2); got != Instant(2*time.Second) {
 		t.Fatalf("FromSeconds: got %d", got)
@@ -70,9 +68,6 @@ func TestIntervalBasics(t *testing.T) {
 	if !a.Contains(10) || a.Contains(20) || a.Contains(9) {
 		t.Error("half-open containment wrong")
 	}
-	if !At(7).Contains(7) || At(7).Contains(8) {
-		t.Error("At wrong")
-	}
 	if !Always().Contains(0) || !Always().Contains(MinInstant) {
 		t.Error("Always should contain everything")
 	}
@@ -104,20 +99,6 @@ func TestIntervalOverlapIntersect(t *testing.T) {
 	}
 }
 
-func TestIntervalUnion(t *testing.T) {
-	u, ok := iv(0, 10).Union(iv(5, 15))
-	if !ok || u != iv(0, 15) {
-		t.Errorf("overlapping union: got %v %v", u, ok)
-	}
-	u, ok = iv(0, 10).Union(iv(10, 20))
-	if !ok || u != iv(0, 20) {
-		t.Errorf("adjacent union: got %v %v", u, ok)
-	}
-	if _, ok := iv(0, 10).Union(iv(11, 20)); ok {
-		t.Error("disjoint union should fail")
-	}
-}
-
 func TestIntervalSubtract(t *testing.T) {
 	cases := []struct {
 		a, b Interval
@@ -142,66 +123,6 @@ func TestIntervalSubtract(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestIntervalClampEnd(t *testing.T) {
-	if got := Since(0).ClampEnd(10); got != iv(0, 10) {
-		t.Errorf("ClampEnd open: got %v", got)
-	}
-	if got := iv(0, 5).ClampEnd(10); got != iv(0, 5) {
-		t.Errorf("ClampEnd no-op: got %v", got)
-	}
-}
-
-func TestAllenRelations(t *testing.T) {
-	cases := []struct {
-		a, b Interval
-		want Relation
-	}{
-		{iv(0, 5), iv(10, 20), RelBefore},
-		{iv(10, 20), iv(0, 5), RelAfter},
-		{iv(0, 10), iv(10, 20), RelMeets},
-		{iv(10, 20), iv(0, 10), RelMetBy},
-		{iv(0, 10), iv(5, 15), RelOverlaps},
-		{iv(5, 15), iv(0, 10), RelOverlappedBy},
-		{iv(0, 5), iv(0, 10), RelStarts},
-		{iv(0, 10), iv(0, 5), RelStartedBy},
-		{iv(3, 7), iv(0, 10), RelDuring},
-		{iv(0, 10), iv(3, 7), RelContains},
-		{iv(5, 10), iv(0, 10), RelFinishes},
-		{iv(0, 10), iv(5, 10), RelFinishedBy},
-		{iv(0, 10), iv(0, 10), RelEquals},
-	}
-	for _, c := range cases {
-		if got := Relate(c.a, c.b); got != c.want {
-			t.Errorf("Relate(%v, %v): got %v want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestRelationInverseProperty(t *testing.T) {
-	// Relate(a, b).Inverse() == Relate(b, a) for random non-empty intervals.
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 2000; i++ {
-		a := randInterval(rng)
-		b := randInterval(rng)
-		if Relate(a, b).Inverse() != Relate(b, a) {
-			t.Fatalf("inverse property fails for %v, %v", a, b)
-		}
-	}
-}
-
-func TestRelationNames(t *testing.T) {
-	for r := RelBefore; r <= RelEquals; r++ {
-		if r.String() == "" {
-			t.Errorf("relation %d has no name", r)
-		}
-	}
-}
-
-func randInterval(rng *rand.Rand) Interval {
-	s := rng.Int63n(100)
-	return Interval{Start: Instant(s), End: Instant(s + 1 + rng.Int63n(50))}
 }
 
 func TestIntersectCommutesQuick(t *testing.T) {

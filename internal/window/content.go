@@ -149,63 +149,8 @@ func (w *Predicate) AdvanceTo(temporal.Instant) []Pane { return nil }
 // Pending implements Windower.
 func (w *Predicate) Pending() int { return w.pending }
 
-// OpenKeys returns the number of keys with an open predicate window.
-func (w *Predicate) OpenKeys() int { return len(w.open) }
-
 // ---------------------------------------------------------------------
 // Frames (Grossniklaus et al. [9])
-
-// ThresholdFrame segments the stream into maximal runs where a numeric
-// field stays at or above a threshold. A frame opens on the first element
-// with field >= threshold and closes (exclusive) on the first element
-// below it.
-type ThresholdFrame struct {
-	field     string
-	threshold float64
-	buf       []*element.Element
-}
-
-// NewThresholdFrame returns a threshold framer over the named numeric
-// field.
-func NewThresholdFrame(field string, threshold float64) *ThresholdFrame {
-	return &ThresholdFrame{field: field, threshold: threshold}
-}
-
-// Observe implements Windower.
-func (w *ThresholdFrame) Observe(el *element.Element) []Pane {
-	v, ok := el.MustGet(w.field).AsFloat()
-	if !ok {
-		return nil
-	}
-	if v >= w.threshold {
-		w.buf = append(w.buf, el)
-		return nil
-	}
-	if len(w.buf) == 0 {
-		return nil
-	}
-	return []Pane{w.flush(el.Timestamp)}
-}
-
-// AdvanceTo implements Windower; frames do not close on watermarks.
-func (w *ThresholdFrame) AdvanceTo(temporal.Instant) []Pane { return nil }
-
-// Flush closes any open frame at the given end time; call at end of stream.
-func (w *ThresholdFrame) Flush(end temporal.Instant) []Pane {
-	if len(w.buf) == 0 {
-		return nil
-	}
-	return []Pane{w.flush(end)}
-}
-
-func (w *ThresholdFrame) flush(end temporal.Instant) Pane {
-	els := w.buf
-	w.buf = nil
-	return Pane{Window: temporal.NewInterval(els[0].Timestamp, end), Elements: els}
-}
-
-// Pending implements Windower.
-func (w *ThresholdFrame) Pending() int { return len(w.buf) }
 
 // DeltaFrame segments the stream into runs where a numeric field stays
 // within +/- delta of the frame's first value; a departure closes the

@@ -1,8 +1,8 @@
 // Package window implements the windowing mechanisms that the paper
 // critiques and the content-driven alternatives it cites: fixed count and
 // time windows (CQL [3]), landmark windows, session windows (Google
-// Dataflow [1]), predicate windows (Ghanem et al. [8]), and threshold/delta
-// frames (Grossniklaus et al. [9]).
+// Dataflow [1]), predicate windows (Ghanem et al. [8]), and delta frames
+// (Grossniklaus et al. [9]).
 //
 // These are the baselines for the experiments: E1/E2/E3 contrast them with
 // the explicit-state model, and E9 surveys the whole landscape. The package

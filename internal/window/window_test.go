@@ -224,8 +224,8 @@ func TestPredicate(t *testing.T) {
 	if len(panes) != 1 || panes[0].Key != "ann" || len(panes[0].Elements) != 3 {
 		t.Fatalf("predicate panes: %v", panes)
 	}
-	if w.OpenKeys() != 1 || w.Pending() != 1 {
-		t.Errorf("open state: keys=%d pending=%d", w.OpenKeys(), w.Pending())
+	if w.Pending() != 1 {
+		t.Errorf("open state: pending=%d", w.Pending())
 	}
 	if got := w.AdvanceTo(100); len(got) != 0 {
 		t.Error("predicate windows ignore watermarks")
@@ -244,29 +244,6 @@ func TestPredicateOpenAndCloseSameElement(t *testing.T) {
 	}
 	if w.Pending() != 0 {
 		t.Error("pending should drop to 0")
-	}
-}
-
-func TestThresholdFrame(t *testing.T) {
-	w := NewThresholdFrame("v", 10)
-	var panes []Pane
-	for _, e := range []*element.Element{
-		el(0, "a", 3), el(1, "a", 12), el(2, "a", 15), el(3, "a", 4), el(4, "a", 11),
-	} {
-		panes = append(panes, w.Observe(e)...)
-	}
-	if len(panes) != 1 || len(panes[0].Elements) != 2 {
-		t.Fatalf("threshold frames: %v", panes)
-	}
-	if panes[0].Window != temporal.NewInterval(1, 3) {
-		t.Errorf("frame bounds: %v", panes[0].Window)
-	}
-	final := w.Flush(10)
-	if len(final) != 1 || len(final[0].Elements) != 1 || final[0].Window != temporal.NewInterval(4, 10) {
-		t.Errorf("flush: %v", final)
-	}
-	if got := w.Flush(20); len(got) != 0 {
-		t.Error("second flush should be empty")
 	}
 }
 
@@ -301,7 +278,6 @@ func TestFeedHelperAcrossTypes(t *testing.T) {
 		NewPredicate(func(e *element.Element) string { return "k" },
 			func(e *element.Element) bool { return true },
 			func(e *element.Element) bool { return e.MustGet("v").MustFloat() > 15 }),
-		NewThresholdFrame("v", 10),
 		NewDeltaFrame("v", 3),
 	}
 	for i, w := range ws {

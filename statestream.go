@@ -311,7 +311,7 @@ type (
 	// DurableOption configures a durable directory
 	// (DurableBeliefRetention).
 	DurableOption = segment.Option
-	// Ontology holds class/property taxonomies and domain/range axioms.
+	// Ontology holds a class taxonomy.
 	Ontology = reason.Ontology
 	// Reasoner materializes implicit facts over the store.
 	Reasoner = reason.Reasoner

@@ -5,10 +5,13 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -116,13 +119,14 @@ func TestPublicAPIReasoning(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := engine.EnableReasoning(ont)
+	x := reason.Term{Var: "x", IsVar: true}
 	if err := r.AddRule(reason.HornRule{
 		Name: "promoted",
 		Body: []reason.TriplePattern{
-			{Attr: "type", Entity: reason.V("x"), Value: reason.C(statestream.String("books"))},
+			{Attr: "type", Entity: x, Value: reason.Term{Const: statestream.String("books")}},
 		},
 		Head: reason.TriplePattern{
-			Attr: "shelf", Entity: reason.V("x"), Value: reason.C(statestream.String("back")),
+			Attr: "shelf", Entity: x, Value: reason.Term{Const: statestream.String("back")},
 		},
 	}); err != nil {
 		t.Fatal(err)
@@ -140,7 +144,7 @@ func TestPublicAPIReasoning(t *testing.T) {
 
 func TestPublicAPIPatternsAndWindows(t *testing.T) {
 	m, err := cep.NewMatcher(&cep.Within{
-		P: cep.Sequence(cep.Event("A"), cep.Event("B")),
+		P: &cep.Seq{Items: []cep.SeqItem{{Pattern: cep.EventAs("A", "A")}, {Pattern: cep.EventAs("B", "B")}}},
 		D: statestream.Instant(time.Minute),
 	})
 	if err != nil {
@@ -171,7 +175,7 @@ func TestPublicAPIStoreAndFacts(t *testing.T) {
 	if got, ok := st.Find("e", "a"); !ok || got.Value.MustInt() != 1 || got.Validity != temporal.Since(5) {
 		t.Fatalf("store: %v %v", got, ok)
 	}
-	if temporal.FromTime(time.Unix(1, 0)) != statestream.FromMillis(1000) {
+	if statestream.FromMillis(1000) != statestream.Instant(time.Second) {
 		t.Error("time conversions")
 	}
 	if element.Bool(true).Kind() != statestream.KindBool ||
@@ -182,13 +186,16 @@ func TestPublicAPIStoreAndFacts(t *testing.T) {
 }
 
 func TestPublicAPIRuleSetAndMerge(t *testing.T) {
-	set, err := rules.ParseSet(`
-RULE a ON RoomEntry AS x THEN REPLACE p(x.visitor) = x.room`)
+	const src = `
+RULE a ON RoomEntry AS x THEN REPLACE p(x.visitor) = x.room`
+	set, err := rules.ParseSet(src)
 	if err != nil || set.Len() != 1 {
 		t.Fatalf("ParseSet: %v %v", set, err)
 	}
 	engine := statestream.New(statestream.StreamFirst)
-	engine.DeployRuleSet(set)
+	if err := engine.DeployRules(src); err != nil {
+		t.Fatal(err)
+	}
 
 	a := []*statestream.Element{entry(1, "a", "r")}
 	b := []*statestream.Element{entry(2, "b", "r")}
@@ -203,19 +210,15 @@ RULE a ON RoomEntry AS x THEN REPLACE p(x.visitor) = x.room`)
 	if st := engine.Store().Stats(); st.Keys != 2 {
 		t.Fatalf("state after run: %+v", st)
 	}
-	if engine.Policy() != statestream.StreamFirst {
-		t.Error("policy accessor")
-	}
 }
 
 func TestPublicAPIRelationalOps(t *testing.T) {
-	// Select + Project compose in a continuous query.
+	// Two aggregates compose in a continuous query: entries per room,
+	// then the number of rooms entered.
 	q := statestream.NewContinuousQuery("Q", "RoomEntry",
 		window.NewTumblingCount(2), false, statestream.IStream,
-		cql.NewSelect(func(tp *statestream.Tuple) bool {
-			return tp.MustGet("room").MustString() != "hall"
-		}),
-		cql.NewProject("visitor"),
+		cql.NewAggregate([]string{"room"}, cql.AggSpec{Func: cql.Count, As: "n"}),
+		cql.NewAggregate(nil, cql.AggSpec{Func: cql.Count, As: "rooms"}),
 	)
 	engine := statestream.New(statestream.StateFirst)
 	if err := engine.DeployProcessor(&statestream.Processor{Name: "q", Op: q}); err != nil {
@@ -225,7 +228,7 @@ func TestPublicAPIRelationalOps(t *testing.T) {
 		entry(1, "ann", "hall"), entry(2, "bob", "lab"),
 	}))
 	out := engine.Output("q")
-	if len(out) != 1 || out[0].Tuple.Schema().Len() != 1 {
+	if len(out) != 1 || out[0].Tuple.Schema().Len() != 1 || out[0].MustGet("rooms").MustInt() != 2 {
 		t.Fatalf("relational chain: %v", out)
 	}
 }
@@ -375,98 +378,395 @@ THEN REPLACE position(r.visitor) = r.room`); err != nil {
 	}
 }
 
-// TestFacadeNamesHaveUsers keeps the facade sized to its users. An
-// exported name in statestream.go must be
-//  1. written as statestream.<Name> in an example, bench_test.go,
-//     README.md, DESIGN.md or examples/README.md;
-//  2. a facade type in the parameters or results of a function kept by
-//     rule 1, so callers can name it (unused functions keep nothing); or
-//  3. a member, or the declared type, of a constant group that rule 1
-//     names a member or the type of: an enum is kept whole or not at all.
-func TestFacadeNamesHaveUsers(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), "statestream.go", nil, 0)
+// reachAllowlist roots declarations that only tests in other packages, or
+// an operator verb not yet wired, use. Keys are dir.Name or dir.Type.Method.
+var reachAllowlist = map[string]string{
+	"internal/vfs.Transient":                 "fault schedule for the segment, server and subscribe chaos tests",
+	"internal/vfs.Permanent":                 "fault schedule for the segment, server and subscribe chaos tests",
+	"internal/vfs.FaultFS.Injected":          "chaos tests assert that their faults fired",
+	"internal/vfs.FaultFS.LiedSyncs":         "chaos tests assert the lost-sync count",
+	"internal/state.Store.WriteSnapshot":     "the canonical cut every equivalence suite compares byte for byte",
+	"internal/state.Snapshot.WriteSnapshot":  "the canonical cut every equivalence suite compares byte for byte",
+	"internal/state.Store.ColdKeys":          "the segment out-of-core test",
+	"internal/state/segment.WithRetryPolicy": "chaos tests in other packages set it",
+	"internal/state/segment.Store.Resume":    "the only exit from degraded mode, to be wired to an operator verb",
+}
+
+// stdlibMethods are methods the standard library calls through its own
+// interfaces, so no selector in this module names them.
+var stdlibMethods = []string{
+	"String", "Error", "Unwrap", "MarshalJSON", "UnmarshalJSON", "ServeHTTP", "RoundTrip",
+	"Len", "Less", "Swap", "Push", "Pop", "Read", "Write", "Close",
+}
+
+// TestEveryDeclarationIsReached keeps the module sized to its callers: a
+// package-level declaration in statestream.go or under internal/ exists
+// only if a binary, an example or the facade's documented surface reaches
+// it. The scan uses go/parser alone and errs toward keeping code, since a
+// name collision counts as a use.
+//
+//   - Roots: main of every package main (cmd/, examples/, benchmark/),
+//     every init and var _, each statestream.<Name> that an example,
+//     bench_test.go, README.md, DESIGN.md or examples/README.md writes,
+//     and reachAllowlist.
+//   - Inside a live declaration, signature and type included, an
+//     unqualified identifier reaches the same-package declaration of that
+//     name, pkg.Name on an import reaches that package's Name, and any
+//     other .Name reaches every method called Name.
+//   - A method is live when its receiver type is live and its name is
+//     reached: by a selector, by a live interface declaration, or by
+//     stdlibMethods. A constant is live when any member of its group is.
+//
+// It also checks that the docs name only what exists: every statestream.X
+// in those sources is a facade declaration, and every backticked pkg.Name
+// or Type.Name in README.md and DESIGN.md resolves under internal/.
+func TestEveryDeclarationIsReached(t *testing.T) {
+	type decl struct {
+		dir, recv string
+		names     []string // a const group has several
+		isType    bool
+		nodes     []ast.Node
+		imports   map[string]string // import name -> dir, in the declaring file
+		pos       token.Pos
+	}
+	fset := token.NewFileSet()
+	type file struct {
+		dir string
+		f   *ast.File
+	}
+	var files []file
+	pkgName := map[string]string{} // dir -> package clause
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		files = append(files, file{dir, f})
+		pkgName[dir] = f.Name.Name
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	declared := map[string]bool{}
-	funcs := map[string]*ast.FuncType{}
-	var enums [][]string // each constant group: member names, then type names
-	for _, d := range f.Decls {
-		switch d := d.(type) {
-		case *ast.FuncDecl:
-			declared[d.Name.Name] = true
-			funcs[d.Name.Name] = d.Type
-		case *ast.GenDecl:
-			var group []string
-			for _, spec := range d.Specs {
-				switch s := spec.(type) {
-				case *ast.TypeSpec:
-					declared[s.Name.Name] = true
-				case *ast.ValueSpec:
-					for _, n := range s.Names {
-						declared[n.Name] = true
-						group = append(group, n.Name)
+
+	var all, roots []*decl
+	byName := map[string]map[string][]*decl{} // dir -> name -> declarations
+	methods := map[string][]*decl{}           // method name -> methods
+	methodsOf := map[string][]*decl{}         // dir.Type -> methods
+	members := map[string]map[string]bool{}   // type name -> fields and methods
+	embeds := map[string][]string{}           // type name -> embedded type names
+	member := func(typ, name string) {
+		if members[typ] == nil {
+			members[typ] = map[string]bool{}
+		}
+		members[typ][name] = true
+	}
+	for _, fl := range files {
+		imports := map[string]string{}
+		for _, is := range fl.f.Imports {
+			p, _ := strconv.Unquote(is.Path.Value)
+			if p != "repro" && !strings.HasPrefix(p, "repro/") {
+				continue
+			}
+			dir := strings.TrimPrefix(strings.TrimPrefix(p, "repro"), "/")
+			if dir == "" {
+				dir = "."
+			}
+			name := pkgName[dir]
+			if is.Name != nil {
+				name = is.Name.Name
+			}
+			imports[name] = dir
+		}
+		add := func(d *decl, root bool) {
+			d.dir, d.imports = fl.dir, imports
+			all = append(all, d)
+			if root {
+				roots = append(roots, d)
+			}
+			if d.recv != "" {
+				methods[d.names[0]] = append(methods[d.names[0]], d)
+				methodsOf[d.dir+"."+d.recv] = append(methodsOf[d.dir+"."+d.recv], d)
+				member(d.recv, d.names[0])
+				return
+			}
+			if byName[d.dir] == nil {
+				byName[d.dir] = map[string][]*decl{}
+			}
+			for _, n := range d.names {
+				byName[d.dir][n] = append(byName[d.dir][n], d)
+			}
+		}
+		for _, dl := range fl.f.Decls {
+			switch dl := dl.(type) {
+			case *ast.FuncDecl:
+				d := &decl{names: []string{dl.Name.Name}, pos: dl.Pos(), nodes: []ast.Node{dl.Type}}
+				if dl.Body != nil {
+					d.nodes = append(d.nodes, dl.Body)
+				}
+				if dl.Recv != nil {
+					d.nodes = append(d.nodes, dl.Recv)
+					d.recv = recvTypeName(dl.Recv.List[0].Type)
+				}
+				main := dl.Name.Name == "main" && fl.f.Name.Name == "main"
+				add(d, d.recv == "" && (main || dl.Name.Name == "init"))
+			case *ast.GenDecl:
+				if dl.Tok == token.CONST {
+					d := &decl{pos: dl.Pos(), nodes: []ast.Node{dl}}
+					for _, s := range dl.Specs {
+						for _, n := range s.(*ast.ValueSpec).Names {
+							d.names = append(d.names, n.Name)
+						}
 					}
-					if id, ok := s.Type.(*ast.Ident); ok && d.Tok == token.CONST {
-						group = append(group, id.Name)
+					add(d, false)
+					continue
+				}
+				for _, s := range dl.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						d := &decl{names: []string{s.Name.Name}, isType: true, pos: s.Pos(), nodes: []ast.Node{s}}
+						add(d, false)
+						var fields *ast.FieldList
+						switch tt := s.Type.(type) {
+						case *ast.StructType:
+							fields = tt.Fields
+						case *ast.InterfaceType:
+							fields = tt.Methods
+						}
+						if fields != nil {
+							for _, f := range fields.List {
+								for _, n := range f.Names {
+									member(s.Name.Name, n.Name)
+								}
+								if len(f.Names) == 0 {
+									embeds[s.Name.Name] = append(embeds[s.Name.Name], recvTypeName(f.Type))
+								}
+							}
+						}
+					case *ast.ValueSpec:
+						d := &decl{pos: s.Pos(), nodes: []ast.Node{s}}
+						blank := false
+						for _, n := range s.Names {
+							d.names = append(d.names, n.Name)
+							blank = blank || n.Name == "_"
+						}
+						add(d, blank)
 					}
 				}
-			}
-			if d.Tok == token.CONST {
-				enums = append(enums, group)
 			}
 		}
 	}
 
-	used := map[string]bool{}
+	live := map[*decl]bool{}
+	liveType := map[string]bool{} // dir.Type
+	reached := map[string]bool{}  // method names
+	var queue []*decl
+	mark := func(d *decl) {
+		if !live[d] {
+			live[d] = true
+			queue = append(queue, d)
+		}
+	}
+	reachName := func(dir, name string) {
+		for _, d := range byName[dir][name] {
+			mark(d)
+		}
+	}
+	reachMethod := func(name string) {
+		if reached[name] {
+			return
+		}
+		reached[name] = true
+		for _, m := range methods[name] {
+			if liveType[m.dir+"."+m.recv] {
+				mark(m)
+			}
+		}
+	}
+	var walk func(d *decl, n ast.Node)
+	walk = func(d *decl, n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if id, ok := n.X.(*ast.Ident); ok {
+					if dir, ok := d.imports[id.Name]; ok {
+						reachName(dir, n.Sel.Name)
+						return false
+					}
+				}
+				reachMethod(n.Sel.Name)
+				walk(d, n.X)
+				return false
+			case *ast.InterfaceType:
+				for _, f := range n.Methods.List {
+					for _, name := range f.Names {
+						reachMethod(name.Name)
+					}
+				}
+			case *ast.Ident:
+				reachName(d.dir, n.Name)
+			}
+			return true
+		})
+	}
+	drain := func() {
+		for len(queue) > 0 {
+			d := queue[0]
+			queue = queue[1:]
+			if d.isType {
+				liveType[d.dir+"."+d.names[0]] = true
+				for _, m := range methodsOf[d.dir+"."+d.names[0]] {
+					if reached[m.names[0]] {
+						mark(m)
+					}
+				}
+			}
+			for _, n := range d.nodes {
+				walk(d, n)
+			}
+		}
+	}
+	for _, name := range stdlibMethods {
+		reachMethod(name)
+	}
+	for _, d := range roots {
+		mark(d)
+	}
+
+	// The facade's documented surface, and the check that the docs name
+	// only facade declarations.
 	sources, _ := filepath.Glob("examples/*/main.go")
 	sources = append(sources, "bench_test.go", "README.md", "DESIGN.md", "examples/README.md")
-	ref := regexp.MustCompile(`statestream\.([A-Z]\w*)`)
+	facadeRef := regexp.MustCompile(`statestream\.([A-Z]\w*)`)
 	for _, src := range sources {
 		b, err := os.ReadFile(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range ref.FindAllStringSubmatch(string(b), -1) {
-			if !declared[m[1]] {
+		for _, m := range facadeRef.FindAllStringSubmatch(string(b), -1) {
+			if len(byName["."][m[1]]) == 0 {
 				t.Errorf("%s names statestream.%s, which the facade does not export", src, m[1])
 			}
-			used[m[1]] = true
+			reachName(".", m[1])
 		}
+	}
+	drain()
+
+	// Allowlisted roots, each of which must exist and be otherwise unreached.
+	keyOf := func(d *decl) string {
+		if d.recv != "" {
+			return d.dir + "." + d.recv + "." + d.names[0]
+		}
+		return d.dir + "." + strings.Join(d.names, ",")
+	}
+	allowed := map[string]bool{}
+	for _, d := range all {
+		if _, ok := reachAllowlist[keyOf(d)]; ok {
+			allowed[keyOf(d)] = true
+			if live[d] {
+				t.Errorf("%s is reached; drop it from reachAllowlist", keyOf(d))
+			}
+			mark(d)
+		}
+	}
+	for key := range reachAllowlist {
+		if !allowed[key] {
+			t.Errorf("reachAllowlist names %s, which is not declared", key)
+		}
+	}
+	drain()
+
+	var dead []string
+	for _, d := range all {
+		if !live[d] && (d.dir == "." || strings.HasPrefix(d.dir, "internal/")) {
+			dead = append(dead, fmt.Sprintf("%s (%s)", keyOf(d), fset.Position(d.pos)))
+		}
+	}
+	sort.Strings(dead)
+	if len(dead) > 0 {
+		t.Errorf("%d declarations are reached by no binary, example or documented facade name; delete them:\n\t%s",
+			len(dead), strings.Join(dead, "\n\t"))
 	}
 
-	kept := map[string]bool{}
-	for name := range used {
-		kept[name] = true
-		if ft, ok := funcs[name]; ok {
-			ast.Inspect(ft, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && declared[id.Name] {
-					kept[id.Name] = true
-				}
-				_, qualified := n.(*ast.SelectorExpr)
-				return !qualified
-			})
+	// Backticked pkg.Name and Type.Name in the docs resolve under internal/.
+	internalPkg := map[string][]string{} // package clause -> dirs
+	for dir, name := range pkgName {
+		if strings.HasPrefix(dir, "internal/") {
+			internalPkg[name] = append(internalPkg[name], dir)
 		}
 	}
-	for _, group := range enums {
-		for _, name := range group {
-			if used[name] {
-				for _, member := range group {
-					kept[member] = true
+	var hasMember func(typ, name string, depth int) bool
+	hasMember = func(typ, name string, depth int) bool {
+		if members[typ][name] {
+			return true
+		}
+		for _, e := range embeds[typ] {
+			if depth < 4 && hasMember(e, name, depth+1) {
+				return true
+			}
+		}
+		return false
+	}
+	spans := regexp.MustCompile("(?s)```.*?```|`[^`\n]+`")
+	ref := regexp.MustCompile(`\b([A-Za-z]\w*)\.([A-Z]\w*)`)
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range spans.FindAllString(string(b), -1) {
+			for _, m := range ref.FindAllStringSubmatch(span, -1) {
+				if dirs, ok := internalPkg[m[1]]; ok {
+					found := false
+					for _, dir := range dirs {
+						found = found || len(byName[dir][m[2]]) > 0
+						for _, d := range methods[m[2]] {
+							found = found || d.dir == dir
+						}
+					}
+					if !found {
+						t.Errorf("%s names %s.%s, which internal/ does not declare", doc, m[1], m[2])
+					}
+				} else if _, ok := members[m[1]]; ok && !hasMember(m[1], m[2], 0) {
+					t.Errorf("%s names %s.%s, which type %s does not have", doc, m[1], m[2], m[1])
 				}
-				break
 			}
 		}
 	}
+}
 
-	var unused []string
-	for name := range declared {
-		if ast.IsExported(name) && !kept[name] {
-			unused = append(unused, name)
+// recvTypeName is the type name in a receiver or embedded field: T, *T,
+// T[P] or pkg.T.
+func recvTypeName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			return x.Sel.Name
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
 		}
-	}
-	sort.Strings(unused)
-	if len(unused) > 0 {
-		t.Errorf("%d facade names have no user; delete them or use them in an example: %v", len(unused), unused)
 	}
 }

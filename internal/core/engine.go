@@ -652,8 +652,8 @@ func (e *Engine) Durable() *segment.Store { return e.durable }
 // functional.
 type Health struct {
 	// Degraded is non-nil while the durable layer is in degraded mode:
-	// ingest, RAM reads, queries, and subscriptions keep serving, but
-	// flushes and durable fallthrough reads have stopped (see
+	// ingest, reads, queries, and subscriptions keep serving, but
+	// flushes have stopped and WAL appends are dropped (see
 	// segment.Degraded). A successful Flush or Resume clears it.
 	Degraded *segment.Degraded
 	// DurableErr is a latched durable-open failure: the engine came up

@@ -148,8 +148,8 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 // handleReady is the readiness probe. Overload (admission gate at
 // capacity) is not-ready: the replica should be pulled from rotation
 // until load drains. Degraded durability is ready-with-warning: the
-// engine still ingests and serves RAM reads, so traffic keeps flowing
-// while operators act on the warning.
+// engine still ingests and serves every read, resident or cold, so
+// traffic keeps flowing while operators act on the warning.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	type readiness struct {
 		Ready   bool   `json:"ready"`

@@ -5,10 +5,10 @@
 // segments reaches the fanout, the merger rewrites the run into one
 // segment at the next level; a single segment whose dead-frame fraction
 // crosses the garbage threshold is rewritten in place at its own level.
-// A merge reclaims three kinds of garbage: frames a newer segment
-// superseded, tombstone frames no older segment still needs (nothing
-// left to shadow), and — under WithBeliefRetention — superseded belief
-// versions older than the retention horizon.
+// A merge reclaims two kinds of garbage: frames a newer segment
+// superseded, and tombstone frames no older segment still needs (nothing
+// left to shadow). It never drops a record from a live frame: history,
+// superseded beliefs included, is never destroyed.
 //
 // The merge protocol mirrors the flush protocol exactly:
 //
@@ -70,8 +70,7 @@ func (d *Store) maybeCompact() {
 
 // Compact synchronously merges the entire segment chain into one
 // segment one level above the current maximum, reclaiming every dead
-// frame, every unshadowed tombstone, and (under WithBeliefRetention)
-// every superseded version beyond the horizon. It is the operator verb
+// frame and every unshadowed tombstone. It is the operator verb
 // for "compact now"; background merges do the same work incrementally.
 // Returns nil when there is nothing to merge; errCompactBusy-flavored
 // error when a background merge is already in flight.
@@ -187,12 +186,6 @@ func (d *Store) buildMerge(cat *catalog, lo, hi, outLevel int, seq uint64) (*rea
 		return nil, err
 	}
 
-	// Retention horizon in transaction time; MinInstant disables pruning.
-	horizon := temporal.MinInstant
-	if d.retentionNs > 0 {
-		horizon = cat.durableTx - temporal.Instant(d.retentionNs)
-	}
-
 	start := time.Now()
 	// throttle paces the build to compactRate bytes/second of output,
 	// sleeping interruptibly so Close never waits out the schedule.
@@ -261,7 +254,6 @@ func (d *Store) buildMerge(cat *catalog, lo, hi, outLevel int, seq uint64) (*rea
 				w.abort()
 				return nil, fmt.Errorf("segment: %s: frame holds %s, index says %s", r.path, fkey, key)
 			}
-			records = pruneRetention(records, horizon)
 			if len(records) == 0 && !cat.ownedBefore(lo, key) {
 				// A tombstone shadowing nothing: reclaim it outright.
 				continue
@@ -278,24 +270,6 @@ func (d *Store) buildMerge(cat *catalog, lo, hi, outLevel int, seq uint64) (*rea
 		return nil, nil
 	}
 	return w.finish(written)
-}
-
-// pruneRetention drops superseded belief versions whose supersession
-// predates the horizon. Currently-believed records always survive, but a
-// lineage deleted from its first valid instant has none: its frame
-// prunes to empty, which the merge writes as a tombstone (or elides).
-func pruneRetention(records []*element.Fact, horizon temporal.Instant) []*element.Fact {
-	if horizon == temporal.MinInstant {
-		return records
-	}
-	kept := records[:0]
-	for _, f := range records {
-		if f.SupersededAt != temporal.Forever && f.SupersededAt <= horizon {
-			continue
-		}
-		kept = append(kept, f)
-	}
-	return kept
 }
 
 // commitMerge publishes a built merge: re-validates the victims against

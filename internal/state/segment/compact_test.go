@@ -1,16 +1,18 @@
 package segment
 
 // Compaction suite: leveled segment merges, victim selection, tombstone
-// and retention reclaim, and the chaos schedules that kill a merge at
-// every commit-protocol stage. State comparisons follow the recovery
-// suite's rule — byte-equality of the recovered snapshot against a
-// no-fault oracle of the same mutation schedule.
+// reclaim, and the chaos schedules that kill a merge at every
+// commit-protocol stage. State comparisons follow the recovery suite's
+// rule — byte-equality of the recovered snapshot against a no-fault
+// oracle of the same mutation schedule.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -201,42 +203,14 @@ func TestCompactGarbageRewrite(t *testing.T) {
 	}
 }
 
-// TestCompactTombstoneElision: belief retention prunes a lineage deleted
-// from its first valid instant to an empty frame — a tombstone — and a
-// merge reclaims it once no older segment holds anything for it to
-// shadow, including the degenerate case where eliding every frame
-// commits the victims away with no output segment at all.
+// TestCompactTombstoneElision: a tombstone — an empty frame, written
+// today only by directories from the RAM-compaction era — is reclaimed
+// by a merge once no older segment holds anything for it to shadow,
+// including the degenerate case where eliding every frame commits the
+// victims away with no output segment at all.
 func TestCompactTombstoneElision(t *testing.T) {
-	// retract writes k (and any extra keys) at tx 10, flushes, deletes k
-	// from its first valid instant at tx 60, and flushes at 1000: with a
-	// 100 ns retention the merge horizon is 900, past the delete.
-	retract := func(t *testing.T, dir string, extra ...string) *Store {
-		t.Helper()
-		d, err := Open(dir, WithBeliefRetention(100*time.Nanosecond))
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		db := d.Mem()
-		for _, e := range append([]string{"k"}, extra...) {
-			if err := db.Put(e, "v", element.Int(1),
-				state.WithValidTime(10), state.WithTransactionTime(10)); err != nil {
-				t.Fatalf("put: %v", err)
-			}
-		}
-		if err := d.FlushAt(50); err != nil {
-			t.Fatalf("flush: %v", err)
-		}
-		if err := db.Delete("k", "v",
-			state.WithValidTime(10), state.WithTransactionTime(60)); err != nil {
-			t.Fatalf("delete: %v", err)
-		}
-		if err := d.FlushAt(1000); err != nil {
-			t.Fatalf("flush: %v", err)
-		}
-		return d
-	}
-	// reopen crash-restarts d and requires k to stay absent.
-	reopen := func(t *testing.T, dir string, d *Store) *Store {
+	// reopen crash-restarts d and requires gone to stay absent.
+	reopen := func(t *testing.T, dir string, d *Store, gone string) *Store {
 		t.Helper()
 		d.Abandon()
 		rec, err := Open(dir)
@@ -244,40 +218,79 @@ func TestCompactTombstoneElision(t *testing.T) {
 			t.Fatalf("reopen: %v", err)
 		}
 		t.Cleanup(func() { rec.Close() })
-		if _, ok := rec.Find("k", "v"); ok {
-			t.Fatalf("retracted key resurrected after restart")
+		if _, ok := rec.Find(gone, "v", state.AsOfValidTime(15)); ok {
+			t.Fatalf("tombstoned key resurrected after restart")
 		}
-		if hist := rec.History("k", "v", state.AllVersions()); len(hist) != 0 {
-			t.Fatalf("retracted key kept history after restart: %v", hist)
+		if hist := rec.History(gone, "v", state.AllVersions()); len(hist) != 0 {
+			t.Fatalf("tombstoned key kept history after restart: %v", hist)
 		}
 		return rec
 	}
 
 	t.Run("merge-elides-with-survivor", func(t *testing.T) {
+		// swept-v3 holds gone's live frame in its first segment and the
+		// tombstone that shadows it in the second, beside old and live.
 		dir := t.TempDir()
-		d := retract(t, dir, "keep")
-		if info := d.Info(); info.Segments != 2 || info.FrameSlots != 3 {
-			t.Fatalf("setup: want the retraction beside the old frame, got %+v", info)
+		if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "swept-v3"))); err != nil {
+			t.Fatal(err)
+		}
+		d, err := Open(dir)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		if info := d.Info(); info.Segments != 2 || info.FrameSlots != 4 || info.Frames != 3 {
+			t.Fatalf("setup: want the tombstone beside the old frame, got %+v", info)
 		}
 		if err := d.Compact(); err != nil {
 			t.Fatalf("compact: %v", err)
 		}
 		info := d.Info()
-		if info.Segments != 1 || info.FrameSlots != 1 || info.Frames != 1 {
+		if info.Segments != 1 || info.FrameSlots != 2 || info.Frames != 2 {
 			t.Fatalf("tombstone not elided: %+v", info)
 		}
-		if _, ok := d.Find("k", "v"); ok {
-			t.Fatalf("retracted key resurrected by the merge")
+		if _, ok := d.Find("gone", "v", state.AsOfValidTime(15)); ok {
+			t.Fatalf("tombstoned key resurrected by the merge")
 		}
-		rec := reopen(t, dir, d)
-		if f, ok := rec.Find("keep", "v"); !ok || f.Value.String() != "1" {
-			t.Fatalf("survivor lost by the merge: %v ok=%v", f, ok)
+		rec := reopen(t, dir, d, "gone")
+		if f, ok := rec.Find("old", "v", state.AsOfValidTime(15)); !ok || f.Value.String() != "2" {
+			t.Fatalf("evicted survivor lost by the merge: %v ok=%v", f, ok)
+		}
+		if hist := rec.History("old", "v", state.AllVersions()); len(hist) != 2 {
+			t.Fatalf("merge dropped a superseded belief: %v", hist)
+		}
+		if f, ok := rec.Find("live", "v"); !ok || f.Value.String() != "4" {
+			t.Fatalf("resident survivor lost by the merge: %v ok=%v", f, ok)
 		}
 	})
 
 	t.Run("merge-to-nothing", func(t *testing.T) {
+		// A tombstone-only segment, committed through the manifest the
+		// way a flush commits one.
 		dir := t.TempDir()
-		d := retract(t, dir)
+		d, err := Open(dir)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		w, err := createSegment(d.fs, filepath.Join(dir, fmt.Sprintf("seg-%08d.seg", d.nextSeq)), 0)
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		if err := w.writeLineage(element.FactKey{Entity: "k", Attribute: "v"}, nil); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		r, err := w.finish(50)
+		if err != nil {
+			t.Fatalf("finish: %v", err)
+		}
+		d.nextSeq++
+		if err := d.writeManifest(d.manifestFor(&catalog{durableTx: 50, segments: []*reader{r}}, nil)); err != nil {
+			t.Fatalf("manifest: %v", err)
+		}
+		r.f.Close()
+		d = reopen(t, dir, d, "k")
+		if info := d.Info(); info.Segments != 1 || info.FrameSlots != 1 {
+			t.Fatalf("setup: want one tombstone-only segment, got %+v", info)
+		}
 		if err := d.Compact(); err != nil {
 			t.Fatalf("compact: %v", err)
 		}
@@ -285,76 +298,10 @@ func TestCompactTombstoneElision(t *testing.T) {
 			t.Fatalf("want an empty catalog after full reclaim, got %+v", info)
 		}
 		// The empty catalog survives a restart.
-		if info := reopen(t, dir, d).Info(); info.Segments != 0 {
+		if info := reopen(t, dir, d, "k").Info(); info.Segments != 0 {
 			t.Fatalf("recovered catalog not empty: %+v", info)
 		}
 	})
-}
-
-// TestCompactBeliefRetention: WithBeliefRetention prunes superseded
-// belief versions older than the horizon during merges. After the merge
-// the durable frame holds only the surviving version, and — the
-// documented caveat — a restart loses SYSTEM TIME ASOF resolution
-// before the horizon for pruned keys.
-func TestCompactBeliefRetention(t *testing.T) {
-	dir := t.TempDir()
-	d, err := Open(dir, WithBeliefRetention(100*time.Nanosecond))
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	db := d.Mem()
-	// Version 1, then a correction that supersedes it at tx 20.
-	if err := db.Put("k", "v", element.Int(1),
-		state.WithValidTime(10), state.WithTransactionTime(10)); err != nil {
-		t.Fatalf("put v1: %v", err)
-	}
-	if err := db.Put("k", "v", element.Int(2),
-		state.WithValidTime(10), state.WithTransactionTime(20)); err != nil {
-		t.Fatalf("put v2: %v", err)
-	}
-	if err := d.FlushAt(1000); err != nil { // horizon = 1000 - 100 = 900
-		t.Fatalf("flush: %v", err)
-	}
-	if err := d.Compact(); err != nil {
-		t.Fatalf("compact: %v", err)
-	}
-
-	// White box: the merged frame kept only the believed version.
-	cat := d.cat.Load()
-	key := element.FactKey{Entity: "k", Attribute: "v"}
-	r, off, ok := cat.owner(key)
-	if !ok {
-		t.Fatalf("merged segment lost the key")
-	}
-	_, records, err := r.readLineage(off)
-	if err != nil {
-		t.Fatalf("readLineage: %v", err)
-	}
-	if len(records) != 1 || records[0].Value.String() != "2" {
-		t.Fatalf("want only the surviving version in the frame, got %v", records)
-	}
-	// RAM is untouched: retention prunes durable frames only.
-	if hist := d.Mem().History("k", "v", state.AllVersions()); len(hist) != 2 {
-		t.Fatalf("RAM lineage must keep both versions, got %d", len(hist))
-	}
-
-	// After a restart the lineage reloads from the pruned frame: the
-	// superseded version is gone, so a pre-horizon ASOF read misses.
-	d.Abandon()
-	rec, err := Open(dir)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer rec.Close()
-	if hist := rec.Mem().History("k", "v", state.AllVersions()); len(hist) != 1 {
-		t.Fatalf("restart should reload only the surviving version, got %d", len(hist))
-	}
-	if f, ok := rec.Find("k", "v"); !ok || f.Value.String() != "2" {
-		t.Fatalf("current belief lost: %v ok=%v", f, ok)
-	}
-	if _, ok := rec.Find("k", "v", state.AsOfTransactionTime(15)); ok {
-		t.Fatalf("pre-horizon ASOF read should lose resolution after pruning")
-	}
 }
 
 // TestRecoveryResidencyAfterRestart: lineages evicted from RAM must stay

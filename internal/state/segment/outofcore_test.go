@@ -1,13 +1,15 @@
 package segment
 
 // Out-of-core equivalence suite: the spine of the larger-than-RAM
-// contract. A store whose residency budget forces every durable lineage
-// out of RAM must answer every read shape — point reads, histories,
-// serial scans, partitioned scans at every parallelism, and full
-// snapshot serialization — byte-identically to an unbudgeted store that
-// kept everything resident. The suite runs the recovery tests' mutation
-// schedule twice (all-resident vs tiny-budget) and compares, including
-// across write fault-in, crash-restart, and concurrent eviction.
+// contract. Residency is unobservable: a store whose residency budget
+// forces some or every durable lineage out of RAM must answer every read
+// shape — point reads, histories, serial scans, partitioned scans at
+// every parallelism, full snapshot serialization, and re-reads of
+// snapshots pinned before the eviction — byte-identically to an
+// unbudgeted store that kept everything resident. The suite runs the
+// recovery tests' mutation schedule against all-resident, partially and
+// fully evicted stores and compares, including across write fault-in,
+// crash-restart, merges, degraded mode and concurrent eviction.
 
 import (
 	"bytes"
@@ -102,23 +104,64 @@ func mutateKeys() []element.FactKey {
 	return keys
 }
 
-// assertEquivalent compares a budgeted (possibly fully evicted) store
-// against the all-resident oracle across the whole read surface:
-// snapshot bytes, every scan shape serially and partitioned at several
-// parallelisms, and per-key Find/History under several pins.
-func assertEquivalent(t *testing.T, leg string, cold, oracle *Store) {
+// pointOpts are the pins of the per-key Find/History checks.
+var pointOpts = [][]state.ReadOpt{
+	nil,
+	{state.AsOfValidTime(1500)},
+	{state.AsOfTransactionTime(1500)},
+	{state.AllVersions()},
+}
+
+// keyReader is the read surface a live store and a pinned snapshot
+// share.
+type keyReader interface {
+	Find(entity, attr string, opts ...state.ReadOpt) (*element.Fact, bool)
+	History(entity, attr string, opts ...state.ReadOpt) []*element.Fact
+	List(opts ...state.ReadOpt) []*element.Fact
+}
+
+// assertSameReads compares List over every shape and per-key
+// Find/History under every point pin.
+func assertSameReads(t *testing.T, leg string, got, want keyReader) {
 	t.Helper()
-	if got, want := snapshotBytes(t, cold.Mem()), snapshotBytes(t, oracle.Mem()); !bytes.Equal(got, want) {
-		t.Fatalf("%s: WriteSnapshot diverged (%d vs %d bytes)", leg, len(got), len(want))
-	}
-	csn, osn := cold.Mem().Snapshot(), oracle.Mem().Snapshot()
 	for _, sh := range outOfCoreShapes {
-		want := oracle.List(sh.opts...)
-		if got := cold.List(sh.opts...); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: List(%s) diverged: %d vs %d facts", leg, sh.name, len(got), len(want))
+		if g, w := got.List(sh.opts...), want.List(sh.opts...); !sameFacts(g, w) {
+			t.Fatalf("%s: List(%s) diverged: %d vs %d facts", leg, sh.name, len(g), len(w))
 		}
+	}
+	for _, key := range mutateKeys() {
+		for _, opts := range pointOpts {
+			gf, gok := got.Find(key.Entity, key.Attribute, opts...)
+			wf, wok := want.Find(key.Entity, key.Attribute, opts...)
+			if gok != wok || !reflect.DeepEqual(gf, wf) {
+				t.Fatalf("%s: Find(%s) diverged: (%v,%v) vs (%v,%v)", leg, key, gf, gok, wf, wok)
+			}
+			if gh, wh := got.History(key.Entity, key.Attribute, opts...), want.History(key.Entity, key.Attribute, opts...); !sameFacts(gh, wh) {
+				t.Fatalf("%s: History(%s) diverged: %d vs %d", leg, key, len(gh), len(wh))
+			}
+		}
+	}
+}
+
+// assertSameCut compares two snapshot handles across the whole read
+// surface of a pinned cut: its dump, every scan shape serially and
+// partitioned at several parallelisms, and the per-key reads.
+func assertSameCut(t *testing.T, leg string, got, want *state.Snapshot) {
+	t.Helper()
+	var gb, wb bytes.Buffer
+	if err := got.WriteSnapshot(&gb); err != nil {
+		t.Fatalf("%s: WriteSnapshot: %v", leg, err)
+	}
+	if err := want.WriteSnapshot(&wb); err != nil {
+		t.Fatalf("%s: WriteSnapshot: %v", leg, err)
+	}
+	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+		t.Fatalf("%s: WriteSnapshot diverged (%d vs %d bytes)", leg, gb.Len(), wb.Len())
+	}
+	assertSameReads(t, leg, got, want)
+	for _, sh := range outOfCoreShapes {
 		for _, par := range []int{1, 2, 4, 8} {
-			if got := csn.ScanShards(par, sh.opts...); !reflect.DeepEqual(got, osn.List(sh.opts...)) {
+			if g := got.ScanShards(par, sh.opts...); !sameFacts(g, want.List(sh.opts...)) {
 				t.Fatalf("%s: ScanShards(%d, %s) diverged", leg, par, sh.name)
 			}
 		}
@@ -129,38 +172,29 @@ func assertEquivalent(t *testing.T, leg string, cold, oracle *Store) {
 		// same predicate.
 		for _, vb := range outOfCoreBounds {
 			keep := keepBounds(vb.b)
-			want := filterFacts(osn.List(sh.opts...), keep)
+			filtered := filterFacts(want.List(sh.opts...), keep)
 			for _, par := range []int{1, 2, 4, 8} {
 				spec := state.ScanSpec{Opts: sh.opts, Parallelism: par, Bounds: vb.b}
-				got, _ := csn.ScanPartitioned(spec)
-				if owant, _ := osn.ScanPartitioned(spec); !sameFacts(got, owant) {
-					t.Fatalf("%s: ScanPartitioned(%d, %s, %s) diverged: %d vs %d facts", leg, par, sh.name, vb.name, len(got), len(owant))
+				g, _ := got.ScanPartitioned(spec)
+				if w, _ := want.ScanPartitioned(spec); !sameFacts(g, w) {
+					t.Fatalf("%s: ScanPartitioned(%d, %s, %s) diverged: %d vs %d facts", leg, par, sh.name, vb.name, len(g), len(w))
 				}
 				spec.Keep = keep
-				if got, _ := csn.ScanPartitioned(spec); !sameFacts(got, want) {
-					t.Fatalf("%s: filtered ScanPartitioned(%d, %s, %s) diverged: %d vs %d facts", leg, par, sh.name, vb.name, len(got), len(want))
+				if g, _ := got.ScanPartitioned(spec); !sameFacts(g, filtered) {
+					t.Fatalf("%s: filtered ScanPartitioned(%d, %s, %s) diverged: %d vs %d facts", leg, par, sh.name, vb.name, len(g), len(filtered))
 				}
 			}
 		}
 	}
-	pointOpts := [][]state.ReadOpt{
-		nil,
-		{state.AsOfValidTime(1500)},
-		{state.AsOfTransactionTime(1500)},
-		{state.AllVersions()},
-	}
-	for _, key := range mutateKeys() {
-		for _, opts := range pointOpts {
-			gf, gok := cold.Find(key.Entity, key.Attribute, opts...)
-			wf, wok := oracle.Find(key.Entity, key.Attribute, opts...)
-			if gok != wok || !reflect.DeepEqual(gf, wf) {
-				t.Fatalf("%s: Find(%s) diverged: (%v,%v) vs (%v,%v)", leg, key, gf, gok, wf, wok)
-			}
-			if gh, wh := cold.History(key.Entity, key.Attribute, opts...), oracle.History(key.Entity, key.Attribute, opts...); !reflect.DeepEqual(gh, wh) {
-				t.Fatalf("%s: History(%s) diverged: %d vs %d", leg, key, len(gh), len(wh))
-			}
-		}
-	}
+}
+
+// assertEquivalent compares a budgeted (possibly fully evicted) store
+// against the all-resident oracle across the whole read surface: the
+// live store's reads, then a fresh snapshot of each.
+func assertEquivalent(t *testing.T, leg string, cold, oracle *Store) {
+	t.Helper()
+	assertSameReads(t, leg, cold, oracle)
+	assertSameCut(t, leg, cold.Mem().Snapshot(), oracle.Mem().Snapshot())
 }
 
 // assertColdSeam checks the seam identity the resident-first gather
@@ -193,12 +227,18 @@ func assertColdSeam(t *testing.T, d *Store) {
 	}
 }
 
-// TestOutOfCoreEquivalence: the same mutation schedule driven into an
-// unbudgeted store and a budgeted one whose every durable lineage is
-// evicted after each flush; the budgeted store must stay byte-identical
-// across scans, point reads, snapshots, write fault-in (including a
-// delete to an evicted key), and a crash-restart that round-trips the
-// evicted set through the manifest.
+// TestOutOfCoreEquivalence: residency is unobservable. The same
+// mutation schedule drives an unbudgeted oracle and two budgeted twins:
+// one evicts every durable lineage after each flush, the other evicts
+// down to an eighth of the oracle's resident bytes, so its gathers mix
+// resident and cold lineages. Each twin must stay byte-identical to the
+// oracle across scans, point reads, snapshots, write fault-in (including
+// a delete to an evicted key), a crash-restart that round-trips the
+// evicted set through the manifest, and a merge of the whole chain; the
+// fully evicted twin must also answer identically while degraded.
+// Snapshots pinned on every store at each step — before the first
+// flush, after each flush, eviction and merge — are re-read at the end
+// and must still equal the oracle's handle from the same step.
 func TestOutOfCoreEquivalence(t *testing.T) {
 	const rounds = 3
 	oracle, err := Open(t.TempDir())
@@ -206,38 +246,112 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 		t.Fatalf("open oracle: %v", err)
 	}
 	defer oracle.Close()
-	bdir := t.TempDir()
-	cold, err := Open(bdir, WithResidencyBudget(1))
-	if err != nil {
-		t.Fatalf("open budgeted: %v", err)
+	// A twin is one budgeted store; budget is the residency target its
+	// evictions aim at, and 0 evicts every durable lineage.
+	type twin struct {
+		name   string
+		dir    string
+		budget func() int64
+		d      *Store
 	}
+	open := func(tw *twin) *Store {
+		d, err := Open(tw.dir, WithResidencyBudget(max(tw.budget(), 1)))
+		if err != nil {
+			t.Fatalf("open %s: %v", tw.name, err)
+		}
+		return d
+	}
+	twins := []*twin{
+		{name: "evicted", budget: func() int64 { return 0 }},
+		{name: "partial", budget: func() int64 { return oracle.Mem().ResidentBytes() / 8 }},
+	}
+	for _, tw := range twins {
+		tw.dir = t.TempDir()
+		tw.d = open(tw)
+	}
+	defer func() {
+		for _, tw := range twins {
+			tw.d.Close()
+		}
+	}()
+	all := func() []*Store { return []*Store{oracle, twins[0].d, twins[1].d} }
+	evict := func() {
+		for _, tw := range twins {
+			tw.d.EvictToBudget(tw.budget())
+			assertColdSeam(t, tw.d)
+		}
+	}
+	flush := func(step string) {
+		for _, d := range all() {
+			if err := d.Flush(); err != nil {
+				t.Fatalf("%s: flush: %v", step, err)
+			}
+		}
+	}
+
+	// Each pin holds one step's handles: the oracle's first, then each
+	// twin's. Every store's clock advances identically, so the handles
+	// of one step share their instant.
+	type pinned struct {
+		step    string
+		handles []*state.Snapshot
+	}
+	var pins []pinned
+	pin := func(step string) {
+		want := oracle.Mem().Snapshot()
+		p := pinned{step: step, handles: []*state.Snapshot{want}}
+		for _, tw := range twins {
+			sn := tw.d.Mem().Snapshot()
+			if sn.At() != want.At() {
+				t.Fatalf("%s: %s pinned at %d, oracle at %d", step, tw.name, sn.At(), want.At())
+			}
+			p.handles = append(p.handles, sn)
+		}
+		pins = append(pins, p)
+	}
+
 	for r := 0; r < rounds; r++ {
 		mutate(t, storeBatch{oracle}, r)
-		mutate(t, storeBatch{cold}, r)
-		if err := oracle.Flush(); err != nil {
-			t.Fatalf("oracle flush %d: %v", r, err)
+		for _, tw := range twins {
+			mutate(t, storeBatch{tw.d}, r)
 		}
-		if err := cold.Flush(); err != nil {
-			t.Fatalf("cold flush %d: %v", r, err)
+		if r == 0 {
+			pin("pre-flush")
 		}
-		cold.EvictToBudget(0)
-		assertColdSeam(t, cold)
+		flush(fmt.Sprintf("round %d", r))
+		pin(fmt.Sprintf("flush-%d", r))
+		evict()
+		pin(fmt.Sprintf("evict-%d", r))
 	}
-	if n := cold.Info().EvictedLineages; n == 0 {
-		t.Fatal("budgeted store evicted nothing — the suite is not testing the cold path")
+	for _, tw := range twins {
+		if n := tw.d.Info().EvictedLineages; n == 0 {
+			t.Fatalf("%s: budgeted store evicted nothing — the suite is not testing the cold path", tw.name)
+		}
 	}
-	if n := cold.Info().ResidentLineages; n != 0 {
+	if n := twins[0].d.Info().ResidentLineages; n != 0 {
 		t.Fatalf("full eviction left %d lineages resident", n)
 	}
-	assertEquivalent(t, "evicted", cold, oracle)
-	if cold.Info().ScanFrames == 0 {
-		t.Fatal("equivalence checks never read a cold frame — the cold path did not run")
+	if n := twins[1].d.Info().ResidentLineages; n == 0 {
+		t.Fatal("partial eviction left nothing resident — gathers are not mixing")
 	}
+	for _, tw := range twins {
+		assertEquivalent(t, tw.name, tw.d, oracle)
+		if tw.d.Info().ScanFrames == 0 {
+			t.Fatalf("%s: equivalence checks never read a cold frame — the cold path did not run", tw.name)
+		}
+	}
+
+	// Degraded mode stops flushes and WAL appends, never reads: the
+	// committed segments answer exactly as they did while healthy.
+	cold := twins[0].d
+	cold.enterDegraded(errors.New("scripted"), false)
+	assertEquivalent(t, "degraded", cold, oracle)
+	cold.exitDegraded()
 
 	// Write fault-in: a put AND a delete against evicted keys must
 	// restore the full history before mutating — a delete applied to a
 	// missing lineage would silently no-op and diverge.
-	for _, d := range []*Store{oracle, cold} {
+	for _, d := range all() {
 		if err := d.Put("k01", "value", element.Int(4242)); err != nil {
 			t.Fatalf("fault-in put: %v", err)
 		}
@@ -245,41 +359,56 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 			t.Fatalf("fault-in delete: %v", err)
 		}
 	}
-	assertEquivalent(t, "fault-in", cold, oracle)
-	assertColdSeam(t, cold)
+	for _, tw := range twins {
+		assertEquivalent(t, tw.name+" fault-in", tw.d, oracle)
+		assertColdSeam(t, tw.d)
+	}
 
 	// Crash-restart: flush (committing the current evicted set in the
 	// manifest), evict again, kill, reopen. The reopened store must both
-	// stay byte-identical and come back out-of-core.
-	if err := cold.Flush(); err != nil {
-		t.Fatalf("pre-restart flush: %v", err)
+	// stay byte-identical and come back out-of-core. A handle is its
+	// store plus its pin, so the reopened store answers for the handles
+	// the killed one issued.
+	flush("pre-restart")
+	evict()
+	flush("manifest") // commits the evicted set
+	for i, tw := range twins {
+		tw.d.Abandon()
+		tw.d = open(tw)
+		if n := tw.d.Info().EvictedLineages; n == 0 {
+			t.Fatalf("%s: evicted set did not survive the manifest round-trip", tw.name)
+		}
+		for _, p := range pins {
+			p.handles[i+1] = tw.d.Mem().SnapshotAt(p.handles[i+1].At())
+		}
+		assertEquivalent(t, tw.name+" restart", tw.d, oracle)
+		assertColdSeam(t, tw.d)
 	}
-	cold.EvictToBudget(0)
-	if err := cold.Flush(); err != nil { // commits the evicted set
-		t.Fatalf("manifest flush: %v", err)
-	}
-	cold.Abandon()
-	rec, err := Open(bdir, WithResidencyBudget(1))
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer rec.Close()
-	if n := rec.Info().EvictedLineages; n == 0 {
-		t.Fatal("evicted set did not survive the manifest round-trip")
-	}
-	assertEquivalent(t, "restart", rec, oracle)
-	assertColdSeam(t, rec)
+	pin("restart")
 
-	// Merge: fold the whole chain into one segment, evict everything,
-	// and compare again — the merged frames carry their envelopes, so
-	// bounded scans keep pruning per key after the merge.
-	compactAll(t, rec)
-	rec.EvictToBudget(0)
-	if n := rec.Info().ResidentLineages; n != 0 {
+	// Merge: fold the whole chain into one segment, evict again, and
+	// compare — the merged frames carry their envelopes, so bounded
+	// scans keep pruning per key after the merge.
+	for _, tw := range twins {
+		compactAll(t, tw.d)
+	}
+	pin("merge")
+	evict()
+	pin("merge-evict")
+	if n := twins[0].d.Info().ResidentLineages; n != 0 {
 		t.Fatalf("post-merge eviction left %d lineages resident", n)
 	}
-	assertEquivalent(t, "merged", rec, oracle)
-	assertColdSeam(t, rec)
+	for _, tw := range twins {
+		assertEquivalent(t, tw.name+" merged", tw.d, oracle)
+	}
+
+	// Every pinned snapshot still reads as the oracle's from its step:
+	// neither eviction, restart nor merge changed a cut.
+	for _, p := range pins {
+		for i, tw := range twins {
+			assertSameCut(t, tw.name+" pinned at "+p.step, p.handles[i+1], p.handles[0])
+		}
+	}
 }
 
 // compactAll merges d's whole chain into one segment, retrying while a

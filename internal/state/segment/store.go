@@ -123,8 +123,8 @@ type RetryPolicy struct {
 var DefaultRetryPolicy = RetryPolicy{MaxRetries: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}
 
 // Degraded describes the store's degraded mode: the durable write path
-// has failed permanently (or exhausted its retries), so flushes and
-// durable fallthrough reads have stopped while ingest and RAM reads
+// has failed permanently (or exhausted its retries), so flushes and WAL
+// appends have stopped while ingest and every read — resident or cold —
 // keep serving. A successful manual Flush (or Resume) exits the mode.
 type Degraded struct {
 	// Since is when the store degraded.
@@ -225,11 +225,6 @@ type Store struct {
 	// (0 = GOMAXPROCS, 1 = serial).
 	walRotate int64
 	loadPar   int
-
-	// retentionNs is the belief-retention horizon in nanoseconds of
-	// transaction time (0 = keep everything): merges prune superseded
-	// belief versions older than durableTx - retentionNs.
-	retentionNs int64
 
 	// compactFanout, compactGarbage, and compactRate tune the background
 	// merger: run length that triggers a level merge, garbage fraction
@@ -349,19 +344,6 @@ func WithRetryPolicy(p RetryPolicy) Option {
 // never contend on a shard lock.
 func WithLoadParallelism(n int) Option {
 	return func(d *Store) { d.loadPar = n }
-}
-
-// WithBeliefRetention bounds the audit history merges retain: a
-// superseded belief version whose supersession is older than the
-// horizon (the durable cut minus dur, in transaction time) is pruned
-// when its segment is next merged. The default (0) keeps everything.
-//
-// Caveat: pruning trades audit resolution for space — after a merge,
-// SYSTEM TIME ASOF reads pinned before the horizon no longer see the
-// pruned versions. Currently-believed versions are never pruned, so
-// valid-time queries and current reads are unaffected.
-func WithBeliefRetention(dur time.Duration) Option {
-	return func(d *Store) { d.retentionNs = dur.Nanoseconds() }
 }
 
 // WithCompactionFanout sets the equal-level run length that triggers a
@@ -1074,9 +1056,10 @@ func (d *Store) fireDegradedHooks(deg *Degraded) {
 }
 
 // Degraded reports the store's degraded mode; nil means healthy. While
-// degraded, ingest and RAM reads keep working, flushes and durable
-// fallthrough reads stop, and WAL appends are acknowledged but dropped
-// (Info.DroppedAppends counts them).
+// degraded, ingest and reads keep working — cold reads still pread the
+// committed segments, which the failure never touched — flushes stop,
+// and WAL appends are acknowledged but dropped (Info.DroppedAppends
+// counts them).
 func (d *Store) Degraded() *Degraded { return d.degraded.Load() }
 
 // OnDegraded registers a hook fired on degraded-mode transitions: with
@@ -1205,12 +1188,6 @@ func (d *Store) List(opts ...state.ReadOpt) []*element.Fact {
 // are not point-shaped, so only the full resolver can answer.
 // Implements state.ColdSource.
 func (d *Store) ColdRecords(key element.FactKey, spec state.ReadSpec, point bool) ([]*element.Fact, bool) {
-	if d.degraded.Load() != nil {
-		// Degraded mode serves RAM only: the disk already failed on the
-		// write path, so fallthrough preads stop rather than stall or
-		// flap per read.
-		return nil, false
-	}
 	cat := d.cat.Load()
 	if cat == nil {
 		return nil, false
@@ -1256,10 +1233,6 @@ func (d *Store) ColdRecords(key element.FactKey, spec state.ReadSpec, point bool
 // that is smaller, so many segments and many unowned keys never
 // multiply. Implements state.ColdSource.
 func (d *Store) ColdFrames(keys []element.FactKey, shape state.ScanShape, bounds state.ValueBounds) []state.ColdLineage {
-	if d.degraded.Load() != nil {
-		// Degraded scans serve RAM only, matching ColdRecords' posture.
-		return nil
-	}
 	cat := d.cat.Load()
 	if cat == nil || len(cat.segments) == 0 || len(keys) == 0 {
 		return nil
@@ -1338,10 +1311,10 @@ func (d *Store) ColdFrames(keys []element.FactKey, shape state.ScanShape, bounds
 // FaultIn returns the full record set of a key's newest durable frame so
 // the write path can reinstall an evicted lineage before mutating it.
 // Unlike ColdRecords it never envelope-prunes — the caller needs the
-// history, not an answer — and it stays available in degraded mode: the
-// WRITE path of the disk failed, preads may still work, and losing the
-// faulted history would compound the degradation. A key with no frame is
-// (nil, nil); a frame that fails its read or checksum is an error.
+// history, not an answer. Like every cold read it stays available in
+// degraded mode: the WRITE path of the disk failed, and the committed
+// segments it reads are still trusted. A key with no frame is (nil,
+// nil); a frame that fails its read or checksum is an error.
 // Implements state.ColdSource.
 func (d *Store) FaultIn(key element.FactKey) ([]*element.Fact, error) {
 	cat := d.cat.Load()

@@ -55,8 +55,6 @@
 package statestream
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/cql"
 	"repro/internal/element"
@@ -110,19 +108,7 @@ func WithPolicy(p Policy) Option { return core.WithPolicy(p) }
 // full history. Call Engine.Close to flush the final cut; crashing
 // without Close loses nothing but that flush. See DESIGN.md
 // "Durability".
-func WithDurableDir(path string, opts ...DurableOption) Option {
-	return core.WithDurableDir(path, opts...)
-}
-
-// DurableBeliefRetention bounds how long superseded belief versions stay
-// reachable in durable storage: background segment merges drop versions
-// whose supersession is older than d relative to the merge's durable
-// cut. Current beliefs and valid-time history are never pruned — only
-// transaction-time AsOf reads older than the horizon lose resolution.
-// See DESIGN.md "Compaction and the segmented WAL".
-func DurableBeliefRetention(d time.Duration) DurableOption {
-	return segment.WithBeliefRetention(d)
-}
+func WithDurableDir(path string) Option { return core.WithDurableDir(path) }
 
 // WithResidencyBudget caps the RAM working set of a durable engine at n
 // estimated bytes. As the watermark advances, fully-flushed cold
@@ -308,8 +294,7 @@ type (
 	// OpenDurableStore). Its point reads fall through RAM to durable
 	// segment frames.
 	DurableStore = segment.Store
-	// DurableOption configures a durable directory
-	// (DurableBeliefRetention).
+	// DurableOption configures a store opened with OpenDurableStore.
 	DurableOption = segment.Option
 	// Ontology holds a class taxonomy.
 	Ontology = reason.Ontology

@@ -55,17 +55,9 @@ func buildOutOfCoreStore(dir string, keys int) *segment.Store {
 			}
 		}
 	}
-	// Compact fails only while a background merge holds the compaction
-	// slot; retry until it commits.
-	for try := 0; ; try++ {
-		err := d.Compact()
-		if err == nil {
-			break
-		}
-		if try == 1000 {
-			panic(err)
-		}
-		time.Sleep(time.Millisecond)
+	// Compact waits for any merge the maintenance loop has in flight.
+	if err := d.Compact(); err != nil {
+		panic(err)
 	}
 	if n := d.Info().Segments; n != 1 {
 		panic(fmt.Sprintf("scan-cold: merge left %d segments", n))

@@ -127,9 +127,9 @@ func testDurableEngineRestart(t *testing.T) {
 	}
 }
 
-// TestRecoveryDurableEnginePulse drives the background flusher the way
-// production does — Pulse at each watermark once the WAL tail crosses
-// the threshold — closes cleanly, and requires the reopened engine to
+// TestRecoveryDurableEnginePulse drives the maintenance loop the way
+// production does — a Pulse at each watermark, flushing once enough
+// writes arrived since the last flush — closes cleanly, and requires the reopened engine to
 // match the oracle byte-identically with an empty WAL tail.
 func TestRecoveryDurableEnginePulse(t *testing.T) {
 	msgs := oracleMessages(400)

@@ -628,9 +628,10 @@ func (e *Engine) advance(wm temporal.Instant) error {
 	// tick: a watermark at wm asserts no element EARLIER than wm will
 	// follow, so elements stamped exactly wm may still arrive. Flushing
 	// at wm-1 keeps every such write strictly after the durable cut.
-	// Pulse starts a background flush when the WAL tail has grown
-	// enough. The closed batch's staged writes are committed first, so
-	// the tail the flusher weighs and syncs holds the whole batch.
+	// Pulse only records that cut and wakes the store's maintenance
+	// loop, which flushes once enough writes arrived since the last
+	// flush. The closed batch's staged writes are committed first, so
+	// the flush it may start syncs the whole batch.
 	if err := e.store.Commit(); err != nil {
 		return err
 	}

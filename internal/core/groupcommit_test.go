@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/element"
 	"repro/internal/state"
@@ -68,10 +69,14 @@ func testFlushEveryCountsWrites(t *testing.T) {
 	}
 	e.Durable().Abandon()
 
-	// Abandon waits for the background flush Pulse started once the tail
-	// reached 1024 writes, without a final flush of its own: a durable
-	// cut past MinInstant is that pulse's.
+	// The pulse at the watermark after 1024 writes enables a flush the
+	// maintenance loop runs in the background. Abandon stops the loop
+	// without a final flush of its own, so wait for the loop first: a
+	// durable cut past MinInstant is that pulse's.
 	e = run(1024)
+	for deadline := time.Now().Add(5 * time.Second); e.Durable().DurableTx() <= temporal.MinInstant && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	e.Durable().Abandon()
 	if e.Durable().DurableTx() <= temporal.MinInstant {
 		t.Errorf("no background flush at WithFlushEvery(1024) over %d writes", batches*size)

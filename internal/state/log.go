@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/element"
 	"repro/internal/frame"
@@ -58,6 +59,10 @@ type Log struct {
 	// n counts the writes in the chain's files: one per record, len(Puts)
 	// per opPutBatch frame. Staged writes are not in it (see Len).
 	n int
+	// appended counts every write the log has accepted, staged ones
+	// included: unlike n, truncation never lowers it, and Appended
+	// reads it without the appender token.
+	appended atomic.Int64
 	// stage holds the Replace writes awaiting Commit, in append order.
 	// Its backing array is reused across commits.
 	stage []BatchPut
@@ -336,11 +341,18 @@ func (l *Log) Len() int {
 	return l.n + len(l.stage)
 }
 
+// Appended reports how many writes the log has accepted since it was
+// opened, staged ones included, counted like Len — but monotonic, so
+// the difference of two readings is the writes in between, whatever
+// truncation dropped. It never waits for the appender token.
+func (l *Log) Appended() int64 { return l.appended.Load() }
+
 // append serializes one record through the single-appender channel,
 // committing the stage before it.
 func (l *Log) append(rec walRecord) error {
 	l.appender <- struct{}{}
 	defer func() { <-l.appender }()
+	l.appended.Add(int64(rec.writes()))
 	if err := l.commitLocked(); err != nil {
 		return err
 	}
@@ -352,6 +364,7 @@ func (l *Log) append(rec walRecord) error {
 func (l *Log) stagePut(p *BatchPut) error {
 	l.appender <- struct{}{}
 	defer func() { <-l.appender }()
+	l.appended.Add(1)
 	if l.dropping {
 		l.dropped++
 		return nil

@@ -10,10 +10,12 @@ package segment
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,16 +56,68 @@ func TestFaultTransientFlushRetries(t *testing.T) {
 	mutate(t, storeBatch{d}, 0)
 	cut := d.Mem().Snapshot().At()
 	d.Pulse(cut)
-	waitFor(t, "retried flush to land", func() bool { return d.DurableTx() >= cut })
-	// The flusher publishes the cut before it clears the last error, so
-	// wait for the clear rather than racing it.
-	waitFor(t, "last flush error to clear on success", func() bool { return d.LastFlushErr() == nil })
+	d.Idle()
+	if d.DurableTx() < cut {
+		t.Fatalf("retried flush did not land: durable %d < cut %d", d.DurableTx(), cut)
+	}
+	if err := d.LastFlushErr(); err != nil {
+		t.Fatalf("last flush error must clear on success: %v", err)
+	}
 
 	if deg := d.Degraded(); deg != nil {
 		t.Fatalf("transient faults must not degrade: %+v", deg)
 	}
 	if retries := d.Info().FlushRetries; retries < 2 {
 		t.Fatalf("want >= 2 transient retries, got %d", retries)
+	}
+}
+
+// TestPulseAfterCloseIsNoop: a pulse that reaches a closed store — after
+// Close returned, or racing it — must not flush, degrade, record a flush
+// error, or fire a degraded hook.
+func TestPulseAfterCloseIsNoop(t *testing.T) {
+	for _, racing := range []bool{false, true} {
+		t.Run(fmt.Sprintf("racing=%v", racing), func(t *testing.T) {
+			d, err := Open(t.TempDir(), WithFlushEvery(0))
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			var hooks atomic.Int32
+			d.OnDegraded(func(*Degraded) { hooks.Add(1) })
+			if err := d.Put("k", "v", element.Int(1)); err != nil {
+				t.Fatalf("put: %v", err)
+			}
+			pulse := func() { d.Pulse(d.DurableTx() + 1000) }
+			if racing {
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 100; i++ {
+						pulse()
+					}
+				}()
+				if err := d.Close(); err != nil {
+					t.Fatalf("close: %v", err)
+				}
+				wg.Wait()
+			} else {
+				if err := d.Close(); err != nil {
+					t.Fatalf("close: %v", err)
+				}
+			}
+			pulse()
+			d.Idle()
+			if deg := d.Degraded(); deg != nil {
+				t.Fatalf("a pulse degraded the closed store: %+v", deg)
+			}
+			if err := d.LastFlushErr(); err != nil {
+				t.Fatalf("a pulse recorded a flush error on the closed store: %v", err)
+			}
+			if n := hooks.Load(); n != 0 {
+				t.Fatalf("degraded hooks fired %d times", n)
+			}
+		})
 	}
 }
 
@@ -91,9 +145,11 @@ func TestDegradePermanentFlushServesRAMAndResumes(t *testing.T) {
 
 	mutate(t, storeBatch{d}, 0)
 	d.Pulse(d.Mem().Snapshot().At())
-	waitFor(t, "degraded latch", func() bool { return d.Degraded() != nil })
-
+	d.Idle()
 	deg := d.Degraded()
+	if deg == nil {
+		t.Fatalf("a permanent flush failure must latch degraded mode")
+	}
 	if deg.Cause == nil || deg.Since.IsZero() {
 		t.Fatalf("degraded record must name a cause and a time: %+v", deg)
 	}
@@ -115,7 +171,7 @@ func TestDegradePermanentFlushServesRAMAndResumes(t *testing.T) {
 
 	// Pulses are skipped: the durable cut must not move.
 	d.Pulse(d.Mem().Snapshot().At())
-	time.Sleep(5 * time.Millisecond)
+	d.Idle()
 	if d.DurableTx() != temporal.MinInstant {
 		t.Fatalf("degraded store must not flush on Pulse")
 	}

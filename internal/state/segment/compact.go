@@ -1,8 +1,8 @@
-// Leveled segment compaction: the background merger that turns the
-// flush-append segment chain into a log-structured engine.
+// Leveled segment compaction: the maintenance loop's merge transition
+// turns the flush-append segment chain into a log-structured engine.
 //
 // Flushes append level-0 segments. Once a contiguous run of equal-level
-// segments reaches the fanout, the merger rewrites the run into one
+// segments reaches the fanout, a merge rewrites the run into one
 // segment at the next level; a single segment whose dead-frame fraction
 // crosses the garbage threshold is rewritten in place at its own level.
 // A merge reclaims two kinds of garbage: frames a newer segment
@@ -13,9 +13,9 @@
 // The merge protocol mirrors the flush protocol exactly:
 //
 //  1. Build the merged segment OUTSIDE the store lock, newest victim
-//     first, rate-limited and interruptible by Close. The output file is
-//     unreferenced until commit — a crash mid-build leaves an orphan the
-//     next open removes.
+//     first, rate-limited (flushes and evictions run in the pauses) and
+//     interruptible by Close. The output file is unreferenced until
+//     commit — a crash mid-build leaves an orphan the next open removes.
 //  2. Commit under the lock: re-check the victims still form the same
 //     contiguous run in the current catalog (a concurrent flush may have
 //     dropped a dead victim — then the merge aborts, never corrupts),
@@ -41,54 +41,23 @@ import (
 	"repro/internal/temporal"
 )
 
-// errCompactBusy reports a manual Compact finding a merge in flight.
-var errCompactBusy = errors.New("segment: compaction already in flight")
-
-// maybeCompact starts one background merge when victim selection finds
-// work and no merge is in flight. Called from Pulse — never from the
-// flush path itself, so direct FlushAt callers see deterministic
-// segment counts.
-func (d *Store) maybeCompact() {
-	if d.compacting.Load() {
-		return
-	}
-	cat := d.cat.Load()
-	lo, hi, level := selectVictims(cat, d.compactFanout, d.compactGarbage, d.levelBytes)
-	if hi <= lo {
-		return
-	}
-	if !d.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		defer d.compacting.Store(false)
-		d.mergeRange(cat, lo, hi, level)
-	}()
-}
-
 // Compact synchronously merges the entire segment chain into one
 // segment one level above the current maximum, reclaiming every dead
 // frame and every unshadowed tombstone. It is the operator verb
-// for "compact now"; background merges do the same work incrementally.
-// Returns nil when there is nothing to merge; errCompactBusy-flavored
-// error when a background merge is already in flight.
+// for "compact now"; the loop's merge transition does the same work
+// incrementally. Compact waits for the step in flight, then runs its
+// merge as a step of its own. Returns nil when there is nothing to merge.
 func (d *Store) Compact() error {
+	d.stepMu.Lock()
+	defer d.stepMu.Unlock()
 	cat := d.cat.Load()
 	if len(cat.segments) == 0 {
 		return nil
 	}
 	maxLevel := 0
 	for _, r := range cat.segments {
-		if r.level > maxLevel {
-			maxLevel = r.level
-		}
+		maxLevel = max(maxLevel, r.level)
 	}
-	if !d.compacting.CompareAndSwap(false, true) {
-		return errCompactBusy
-	}
-	defer d.compacting.Store(false)
 	return d.mergeRange(cat, 0, len(cat.segments), maxLevel+1)
 }
 
@@ -147,7 +116,8 @@ func levelCap(levelBytes int64, fanout, level int) int64 {
 // segment at outLevel. cat is the catalog the victims were selected
 // from; the commit re-validates against the current one. Aborts —
 // concurrent-flush conflicts, shutdown — return nil; real failures
-// count in Info.CompactionFailures and return the error.
+// count in Info.CompactionFailures and return the error. Callers hold
+// stepMu.
 func (d *Store) mergeRange(cat *catalog, lo, hi, outLevel int) error {
 	d.mu.Lock()
 	if d.closed {
@@ -187,22 +157,14 @@ func (d *Store) buildMerge(cat *catalog, lo, hi, outLevel int, seq uint64) (*rea
 	}
 
 	start := time.Now()
-	// throttle paces the build to compactRate bytes/second of output,
-	// sleeping interruptibly so Close never waits out the schedule.
+	// throttle paces the build to compactRate bytes/second of output.
+	// Its sleep is the loop's yield point (see pause).
 	throttle := func() bool {
 		if d.compactRate <= 0 {
 			return true
 		}
 		ahead := time.Duration(float64(w.off)/float64(d.compactRate)*float64(time.Second)) - time.Since(start)
-		if ahead <= 0 {
-			return true
-		}
-		select {
-		case <-time.After(ahead):
-			return true
-		case <-d.closing:
-			return false
-		}
+		return ahead <= 0 || d.pause(ahead)
 	}
 
 	seen := make(map[element.FactKey]bool)

@@ -126,16 +126,17 @@ func TestCompactBackgroundViaPulse(t *testing.T) {
 	}
 
 	d.Pulse(d.DurableTx()) // stale cut: no flush, but compaction may start
-	waitFor(t, "background merge to commit", func() bool {
-		return d.Info().Merges == 1
-	})
+	d.Idle()
+	if got := d.Info().Merges; got != 1 {
+		t.Fatalf("want one background merge, got %d", got)
+	}
 	info := d.Info()
 	if info.Segments != 1 || len(info.SegmentsPerLevel) != 2 || info.SegmentsPerLevel[1] != 1 {
 		t.Fatalf("want one level-1 segment after the background merge, got %+v", info)
 	}
 	// A second pulse finds a single sub-fanout run: no further merge.
 	d.Pulse(d.DurableTx())
-	time.Sleep(10 * time.Millisecond)
+	d.Idle()
 	if got := d.Info().Merges; got != 1 {
 		t.Fatalf("idle pulse started a merge: %d", got)
 	}
@@ -177,9 +178,10 @@ func TestCompactGarbageRewrite(t *testing.T) {
 	}
 
 	d.Pulse(d.DurableTx())
-	waitFor(t, "garbage rewrite to commit", func() bool {
-		return d.Info().Merges == 1
-	})
+	d.Idle()
+	if got := d.Info().Merges; got != 1 {
+		t.Fatalf("want one garbage rewrite, got %d", got)
+	}
 	info := d.Info()
 	if info.Segments != 2 || info.FrameSlots != 8 || info.Frames != 8 {
 		t.Fatalf("rewrite should leave 2 segments / 8 slots, got %+v", info)
@@ -490,7 +492,8 @@ func TestFaultMergeCrash(t *testing.T) {
 // open removes the orphan and recovers the pre-merge cut.
 func TestFaultCloseInterruptsMerge(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, WithCompactionFanout(2))
+	fsys := newCreatedFS("seg-00000003.seg") // the merge's output
+	d, err := Open(dir, WithCompactionFanout(2), WithFS(fsys))
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -502,7 +505,7 @@ func TestFaultCloseInterruptsMerge(t *testing.T) {
 	want := snapshotBytes(t, d.Mem())
 
 	d.Pulse(d.DurableTx())
-	waitFor(t, "merge to start", func() bool { return d.compacting.Load() })
+	fsys.wait(t)
 	start := time.Now()
 	if err := d.Close(); err != nil {
 		t.Fatalf("close: %v", err)

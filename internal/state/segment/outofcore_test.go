@@ -411,19 +411,12 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 	}
 }
 
-// compactAll merges d's whole chain into one segment, retrying while a
-// background merge holds the compaction slot.
+// compactAll merges d's whole chain into one segment; Compact waits for
+// any merge step in flight instead of failing busy.
 func compactAll(t testing.TB, d *Store) {
 	t.Helper()
-	for {
-		err := d.Compact()
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, errCompactBusy) {
-			t.Fatalf("compact: %v", err)
-		}
-		time.Sleep(time.Millisecond)
+	if err := d.Compact(); err != nil {
+		t.Fatalf("compact: %v", err)
 	}
 	if n := d.Info().Segments; n != 1 {
 		t.Fatalf("compact left %d segments, want 1", n)

@@ -26,11 +26,10 @@
 // and the manifest either renamed or it did not.
 //
 // The segment list is leveled, LSM-style: flushes append level-0
-// segments, and a background merger (see compact.go) rewrites
-// contiguous runs into the next level, reclaiming frames a newer
-// segment superseded and tombstones nothing older still resurrects.
-// The manifest rename is the single atomic commit point for a merge
-// exactly as for a flush.
+// segments, and merges (compact.go) rewrite contiguous runs into the
+// next level, committed by the same manifest rename. Flushes, evictions
+// and merges run as prioritized transitions of one per-store
+// maintenance loop (maintain.go), woken by Pulse.
 //
 // Reads resolve against RAM first and fall through to segment frames
 // (pread + per-segment bitemporal envelope pruning) for lineages the RAM
@@ -45,7 +44,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"math/rand"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
@@ -67,74 +65,7 @@ const (
 	// the durable-only (swept) key set, now read only; version 3 the
 	// evicted key set. Older manifests still read.
 	manifestVersion = 3
-
-	// DefaultFlushEvery is the WAL-tail write count that triggers a
-	// background flush (see Pulse) unless WithFlushEvery overrides it.
-	// A group-committed frame counts each of its writes.
-	DefaultFlushEvery = 8192
-
-	// DefaultCompactFanout is the length a contiguous run of equal-level
-	// segments must reach before the background merger rewrites it into
-	// the next level (see compact.go).
-	DefaultCompactFanout = 4
-
-	// defaultCompactGarbage is the garbage fraction at which a single
-	// segment is rewritten in place to reclaim dead frames.
-	defaultCompactGarbage = 0.5
-
-	// minCompactFrames keeps trivial segments out of the garbage-ratio
-	// rewrite path: below this frame count a rewrite reclaims too little
-	// to be worth the write amplification.
-	minCompactFrames = 4
-
-	// DefaultCompactRate is the default merge write-rate limit in bytes
-	// per second — background merges yield the disk to foreground
-	// flushes instead of monopolizing it.
-	DefaultCompactRate = 64 << 20
-
-	// DefaultCompactLevelBytes is the default per-level byte budget of
-	// size-aware victim selection: a contiguous equal-level run whose
-	// combined size reaches levelBytes * fanout^level merges into the
-	// next level even before it reaches the fanout's segment COUNT — so
-	// a few huge segments compact as eagerly as many tiny ones.
-	DefaultCompactLevelBytes = 8 << 20
-
-	// maxFlushErrHistory bounds the retained background-flush error
-	// history: the next Flush/Close surfaces a join of up to this many
-	// distinct failures, newest kept, instead of only the first.
-	maxFlushErrHistory = 8
 )
-
-// RetryPolicy tunes the background flusher's reaction to transient
-// durable-path errors (vfs.IsTransient): capped exponential backoff
-// with full jitter, then degraded mode when retries are exhausted.
-type RetryPolicy struct {
-	// MaxRetries is how many times one background flush retries a
-	// transient failure before the store degrades.
-	MaxRetries int
-	// BaseDelay is the first backoff delay; each retry doubles it.
-	BaseDelay time.Duration
-	// MaxDelay caps the doubling.
-	MaxDelay time.Duration
-}
-
-// DefaultRetryPolicy is the retry policy Open uses unless
-// WithRetryPolicy overrides it.
-var DefaultRetryPolicy = RetryPolicy{MaxRetries: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}
-
-// Degraded describes the store's degraded mode: the durable write path
-// has failed permanently (or exhausted its retries), so flushes and WAL
-// appends have stopped while ingest and every read — resident or cold —
-// keep serving. A successful manual Flush (or Resume) exits the mode.
-type Degraded struct {
-	// Since is when the store degraded.
-	Since time.Time
-	// Cause is the failure that latched the mode.
-	Cause error
-	// RetriesExhausted distinguishes a transient failure that outlived
-	// the retry budget from an immediately-permanent one.
-	RetriesExhausted bool
-}
 
 // manifestRec is the gob wire format of the MANIFEST file — the commit
 // point of the durable directory.
@@ -219,6 +150,7 @@ type Store struct {
 
 	flushEvery int
 	retry      RetryPolicy
+	budget     int64 // residency budget in estimated bytes (0: no eviction)
 
 	// walRotate is the WAL rotation threshold in bytes (0 = the state
 	// package default); loadPar caps the parallel cold-start workers
@@ -226,21 +158,14 @@ type Store struct {
 	walRotate int64
 	loadPar   int
 
-	// compactFanout, compactGarbage, and compactRate tune the background
-	// merger: run length that triggers a level merge, garbage fraction
-	// that triggers a single-segment rewrite, and the merge write-rate
-	// limit in bytes/second (<= 0 = unthrottled). levelBytes is the
-	// level-0 byte budget of size-aware victim selection (<= 0 disables
-	// the byte trigger; runs then merge on segment count alone).
+	// Merge knobs: the run length that enables a level merge, the garbage
+	// fraction that enables a single-segment rewrite, the write-rate limit
+	// in bytes/second (<= 0: unthrottled), and the level-0 byte budget of
+	// size-aware victim selection (<= 0: runs merge on count alone).
 	compactFanout  int
 	compactGarbage float64
 	compactRate    int64
 	levelBytes     int64
-
-	// budget is the RAM residency budget in estimated bytes (0 = no
-	// eviction): when the working set's estimate exceeds it, Pulse
-	// evicts least-recently-used fully-durable lineages back to it.
-	budget int64
 
 	// cat is the published durable view; swapped after each flush.
 	cat atomic.Pointer[catalog]
@@ -256,18 +181,23 @@ type Store struct {
 	// guard against two stores corrupting one directory).
 	unlock func()
 
-	// flushing is the single-flight latch of background flushes (Pulse);
-	// compacting the single-flight latch of merges; evicting the
-	// single-flight latch of budget eviction sweeps; wg tracks all three
-	// so Close can wait. closing interrupts a backoff sleep or a merge's
-	// rate-limit sleep so Close never waits out a schedule.
-	flushing   atomic.Bool
-	compacting atomic.Bool
-	evicting   atomic.Bool
-	wg         sync.WaitGroup
-	closing    chan struct{}
+	// Maintenance loop state (maintain.go). Pulse raises pulsed and rings
+	// wake; closing stops the loop (loopDone closes once it has) and ends
+	// a merge's pause. flushMark is the log's Appended count when the last
+	// flush pinned its cut (Open seeds minus the replayed tail). stepMu
+	// admits one transition at a time and guards the rest: a failing
+	// flush's backoff, the durable cut of the last sweep that evicted
+	// nothing (Forever: none), and a catalog a merge failed to change.
+	pulsed, flushMark       atomic.Int64
+	wake, loopDone, closing chan struct{}
+	stepMu                  sync.Mutex
+	retryAt                 time.Time
+	retryDelay              time.Duration
+	retries                 int
+	dryAt                   temporal.Instant
+	staleCat                *catalog
 
-	// errMu guards the bounded background-flush error history (surfaced
+	// errMu guards the bounded flush-transition error history (surfaced
 	// joined by the next Flush/Close) and the latest cause (Info).
 	errMu     sync.Mutex
 	flushErrs []error
@@ -281,7 +211,7 @@ type Store struct {
 	hookMu     sync.Mutex
 	onDegraded []func(*Degraded)
 
-	// flushRetries counts transient background-flush retries;
+	// flushRetries counts transient flush-transition retries;
 	// removeFails counts failed cleanup unlinks (orphan GC, retired
 	// segments) — disk leaks made visible instead of silent.
 	flushRetries atomic.Int64
@@ -319,23 +249,10 @@ func WithStore(mem *state.Store) Option {
 	return func(d *Store) { d.mem = mem }
 }
 
-// WithFlushEvery sets the WAL-tail write count at which Pulse starts a
-// background flush (default DefaultFlushEvery; n <= 0 makes Pulse flush
-// on every call that finds the latch free).
-func WithFlushEvery(n int) Option {
-	return func(d *Store) { d.flushEvery = n }
-}
-
 // WithFS replaces the filesystem seam (default vfs.OS). Chaos tests
 // pass a vfs.FaultFS to inject scripted durable-path failures.
 func WithFS(fsys vfs.FS) Option {
 	return func(d *Store) { d.fs = fsys }
-}
-
-// WithRetryPolicy replaces the background flusher's transient-error
-// retry policy (default DefaultRetryPolicy).
-func WithRetryPolicy(p RetryPolicy) Option {
-	return func(d *Store) { d.retry = p }
 }
 
 // WithLoadParallelism caps the cold-start workers that decode and
@@ -344,41 +261,6 @@ func WithRetryPolicy(p RetryPolicy) Option {
 // never contend on a shard lock.
 func WithLoadParallelism(n int) Option {
 	return func(d *Store) { d.loadPar = n }
-}
-
-// WithCompactionFanout sets the equal-level run length that triggers a
-// background level merge (default DefaultCompactFanout; n < 2 is
-// clamped to 2).
-func WithCompactionFanout(n int) Option {
-	return func(d *Store) {
-		if n < 2 {
-			n = 2
-		}
-		d.compactFanout = n
-	}
-}
-
-// WithCompactionLevelBytes sets the level-0 byte budget of size-aware
-// victim selection (default DefaultCompactLevelBytes): a contiguous
-// equal-level run whose combined file size reaches n * fanout^level is
-// merged into the next level even before the run reaches the fanout's
-// segment count. n <= 0 disables the byte trigger — runs then merge on
-// segment count alone, where one huge segment counts the same as a
-// tiny one.
-func WithCompactionLevelBytes(n int64) Option {
-	return func(d *Store) { d.levelBytes = n }
-}
-
-// WithResidencyBudget caps the RAM working set at n estimated bytes
-// (default 0 = unbounded, no eviction). When the resident estimate
-// exceeds the budget, the flush pulse evicts least-recently-used,
-// fully-durable lineages from RAM — their segment frames become the
-// single copy, point reads and scans fall through to them, and writes
-// fault them back in. The budget is a target, not a hard limit: state
-// newer than the durable cut is never evicted, so a working set hotter
-// than the flush cadence can exceed it.
-func WithResidencyBudget(n int64) Option {
-	return func(d *Store) { d.budget = n }
 }
 
 // Open opens (or initializes) a durable directory and recovers its
@@ -394,7 +276,8 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		fs: vfs.OS, retry: DefaultRetryPolicy,
 		compactFanout: DefaultCompactFanout, compactGarbage: defaultCompactGarbage,
 		compactRate: DefaultCompactRate, levelBytes: DefaultCompactLevelBytes,
-		closing: make(chan struct{}),
+		wake: make(chan struct{}, 1), loopDone: make(chan struct{}),
+		closing: make(chan struct{}), dryAt: temporal.Forever,
 	}
 	for _, o := range opts {
 		o(d)
@@ -477,12 +360,14 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	// clock, so advance it to the durable cut — it bounds every flushed
 	// record — or snapshot and flush pins would land below cold history.
 	d.mem.AdvanceClock(cat.durableTx)
-	log, _, err := state.RecoverWALDirFS(d.fs, dir, d.mem, cat.durableTx, d.walRotate)
+	log, replayed, err := state.RecoverWALDirFS(d.fs, dir, d.mem, cat.durableTx, d.walRotate)
 	if err != nil {
 		d.closeSegments(cat)
 		return nil, err
 	}
 	d.log = log
+	d.flushMark.Store(-int64(replayed))
+	d.pulsed.Store(int64(temporal.MinInstant))
 	// A WAL append failure may leave a partial frame at the file's end
 	// (and a failed fsync leaves its contents unknown) — no per-record
 	// recovery exists regardless of the error's taxonomy (see
@@ -496,6 +381,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	})
 	d.mem.AttachLog(log)
 	opened = true
+	go d.maintain()
 	return d, nil
 }
 
@@ -747,7 +633,7 @@ func (d *Store) Flush() error {
 func (d *Store) FlushAt(cut temporal.Instant) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// Latched background-flush errors are surfaced alongside — never
+	// Latched flush-transition errors are surfaced alongside — never
 	// instead of — this attempt: a transient failure (disk pressure,
 	// say) must not disable flushing permanently.
 	joined := d.takeFlushErr()
@@ -769,9 +655,7 @@ func (d *Store) FlushAt(cut temporal.Instant) error {
 	}
 	err := d.flushLocked(cut)
 	if err == nil {
-		d.errMu.Lock()
-		d.lastErr = nil
-		d.errMu.Unlock()
+		d.noteFlushErr(nil)
 		d.exitDegraded()
 	}
 	return errors.Join(joined, err)
@@ -786,6 +670,7 @@ func (d *Store) flushLocked(cut temporal.Instant) error {
 	if cut <= cat.durableTx {
 		return nil
 	}
+	mark := d.log.Appended()
 
 	name := fmt.Sprintf("seg-%08d.seg", d.nextSeq)
 	w, err := createSegment(d.fs, filepath.Join(d.dir, name), 0)
@@ -858,6 +743,7 @@ func (d *Store) flushLocked(cut temporal.Instant) error {
 		return err
 	}
 	d.cat.Store(nc)
+	d.flushMark.Store(mark)
 
 	// Retired segments are unlinked but NOT explicitly closed: a reader
 	// that loaded an older catalog may still pread them. Dropping every
@@ -894,199 +780,6 @@ func (d *Store) manifestFor(cat *catalog, evicted []element.FactKey) *manifestRe
 	return man
 }
 
-// Pulse nudges the background flusher: when the WAL tail has grown past
-// the flush threshold and no flush is in flight, one starts at cut. The
-// engine calls it as its watermark advances — the cut is then quiesced
-// by the stream's timestamp order. Transient failures retry with capped
-// exponential backoff; a permanent failure degrades the store (see
-// Degraded). Accumulated errors surface from the next Flush, FlushAt,
-// or Close. Degraded stores skip pulses entirely — a manual Flush or
-// Resume is the way back.
-func (d *Store) Pulse(cut temporal.Instant) {
-	// Order matters: the degraded and flushing latches and the
-	// durable-cut check are lock-free, so a Pulse during an in-flight
-	// flush returns without touching Log.Len — whose appender token the
-	// flush's WAL rewrite may be holding for its O(tail) duration.
-	if d.degraded.Load() != nil {
-		return
-	}
-	// Compaction and budget eviction ride the same heartbeat: never from
-	// FlushAt itself, so direct flushes stay deterministic for callers
-	// that count segments or resident lineages.
-	d.maybeCompact()
-	d.maybeEvict()
-	if d.flushing.Load() || cut <= d.DurableTx() || d.log.Len() < d.flushEvery {
-		return
-	}
-	if !d.flushing.CompareAndSwap(false, true) {
-		return
-	}
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		defer d.flushing.Store(false)
-		d.backgroundFlush(cut)
-	}()
-}
-
-// maybeEvict starts one background eviction sweep when the resident
-// byte estimate exceeds the residency budget and no sweep is in flight.
-// Rides Pulse, like maybeCompact. Only state at or before the durable
-// cut is evictable, so a sweep right after a flush reclaims the most.
-func (d *Store) maybeEvict() {
-	if d.budget <= 0 || d.mem.ResidentBytes() <= d.budget || d.evicting.Load() {
-		return
-	}
-	if !d.evicting.CompareAndSwap(false, true) {
-		return
-	}
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		defer d.evicting.Store(false)
-		d.mem.EvictToBudget(d.budget, d.DurableTx())
-	}()
-}
-
-// EvictToBudget synchronously evicts least-recently-used fully-durable
-// lineages until the RAM working set's byte estimate is at or below
-// budget, returning how many lineages left RAM. It is the operator (and
-// test) verb for "evict now"; the background sweep maybeEvict starts
-// from Pulse does the same work against the configured budget.
-func (d *Store) EvictToBudget(budget int64) int {
-	return d.mem.EvictToBudget(budget, d.DurableTx())
-}
-
-// backgroundFlush drives one pulsed flush to completion: transient
-// failures (vfs.IsTransient) retry under the store's RetryPolicy —
-// doubling delay, full jitter, interruptible by Close — and a permanent
-// failure or an exhausted budget latches degraded mode.
-func (d *Store) backgroundFlush(cut temporal.Instant) {
-	delay := d.retry.BaseDelay
-	for attempt := 0; ; attempt++ {
-		d.mu.Lock()
-		err := d.flushLocked(cut)
-		d.mu.Unlock()
-		if err == nil {
-			d.errMu.Lock()
-			d.lastErr = nil
-			d.errMu.Unlock()
-			return
-		}
-		d.noteFlushErr(err)
-		if !vfs.IsTransient(err) {
-			d.enterDegraded(err, false)
-			return
-		}
-		if attempt >= d.retry.MaxRetries {
-			d.enterDegraded(err, true)
-			return
-		}
-		d.flushRetries.Add(1)
-		sleep := delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1))
-		select {
-		case <-time.After(sleep):
-		case <-d.closing:
-			return
-		}
-		if delay *= 2; delay > d.retry.MaxDelay {
-			delay = d.retry.MaxDelay
-		}
-	}
-}
-
-// noteFlushErr records one background-flush failure in the bounded
-// history (oldest evicted) and as the latest cause for Info.
-func (d *Store) noteFlushErr(err error) {
-	d.errMu.Lock()
-	defer d.errMu.Unlock()
-	d.lastErr = err
-	d.flushErrs = append(d.flushErrs, err)
-	if len(d.flushErrs) > maxFlushErrHistory {
-		d.flushErrs = d.flushErrs[len(d.flushErrs)-maxFlushErrHistory:]
-	}
-}
-
-// takeFlushErr drains the background-flush error history, joining every
-// retained failure — not just the first — so distinct later causes
-// survive to the surfacing Flush/Close.
-func (d *Store) takeFlushErr() error {
-	d.errMu.Lock()
-	defer d.errMu.Unlock()
-	if len(d.flushErrs) == 0 {
-		return nil
-	}
-	err := errors.Join(d.flushErrs...)
-	d.flushErrs = nil
-	return err
-}
-
-// LastFlushErr reports the most recent flush failure; nil after a
-// successful flush.
-func (d *Store) LastFlushErr() error {
-	d.errMu.Lock()
-	defer d.errMu.Unlock()
-	return d.lastErr
-}
-
-// enterDegraded latches degraded mode (first cause wins) and fires the
-// transition hooks.
-func (d *Store) enterDegraded(cause error, exhausted bool) {
-	deg := &Degraded{Since: time.Now(), Cause: cause, RetriesExhausted: exhausted}
-	if d.degraded.CompareAndSwap(nil, deg) {
-		d.fireDegradedHooks(deg)
-	}
-}
-
-// exitDegraded clears the latch and fires the hooks with nil.
-func (d *Store) exitDegraded() {
-	if d.degraded.Swap(nil) != nil {
-		d.fireDegradedHooks(nil)
-	}
-}
-
-func (d *Store) fireDegradedHooks(deg *Degraded) {
-	d.hookMu.Lock()
-	hooks := make([]func(*Degraded), len(d.onDegraded))
-	copy(hooks, d.onDegraded)
-	d.hookMu.Unlock()
-	for _, fn := range hooks {
-		fn(deg)
-	}
-}
-
-// Degraded reports the store's degraded mode; nil means healthy. While
-// degraded, ingest and reads keep working — cold reads still pread the
-// committed segments, which the failure never touched — flushes stop,
-// and WAL appends are acknowledged but dropped (Info.DroppedAppends
-// counts them).
-func (d *Store) Degraded() *Degraded { return d.degraded.Load() }
-
-// OnDegraded registers a hook fired on degraded-mode transitions: with
-// the Degraded record on entry, with nil on exit. Hooks may run on a
-// writer goroutine holding a shard lock (WAL failures latch inline), so
-// they must be fast and lock-light — atomic updates and non-blocking
-// sends, never store operations. Register before ingestion starts.
-func (d *Store) OnDegraded(fn func(*Degraded)) {
-	d.hookMu.Lock()
-	defer d.hookMu.Unlock()
-	d.onDegraded = append(d.onDegraded, fn)
-}
-
-// Resume is the operator verb for leaving degraded mode: one full
-// manual flush — which rearms a forfeited WAL and, on success, clears
-// the degraded latch. A nil return means the store is healthy again;
-// an error means it is still degraded. Unlike Flush, a successful
-// Resume discards the surfaced pre-resume error history (it was
-// observable via LastFlushErr and Info while latched) instead of
-// reporting old causes as a fresh failure.
-func (d *Store) Resume() error {
-	// Drain the latched history first: the return value is then exactly
-	// this attempt's outcome, not a replay of already-observed causes.
-	d.takeFlushErr()
-	return d.Flush()
-}
-
 // Close flushes everything committed so far and releases the WAL and
 // segment descriptors. The store must not be used afterwards; Close is
 // idempotent (later calls return the first call's result, so the
@@ -1105,7 +798,7 @@ func (d *Store) Close() error {
 // with no path left to release it.
 func (d *Store) doClose() error {
 	close(d.closing)
-	d.wg.Wait()
+	<-d.loopDone
 	flushErr := d.Flush()
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -1120,15 +813,15 @@ func (d *Store) doClose() error {
 // and segment descriptors — WITHOUT flushing, leaving the directory
 // exactly as a process crash would: segments up to the last durable
 // cut plus the WAL tail. Writes staged in the WAL and not yet committed
-// are lost, as in a crash (see state.Log.Abandon). It exists for crash-simulation tests and
-// benchmarks that reopen a directory their "crashed" store still
-// references in-process (a real crash releases the flock with the
-// process; in-process the lock must be dropped explicitly). The store
-// must not be used afterwards; a subsequent Close is a no-op.
+// are lost, as in a crash (see state.Log.Abandon). It exists for
+// crash-simulation tests and benchmarks that reopen a directory their
+// "crashed" store still references in-process (a real crash releases
+// the flock with the process). The store must not be used afterwards;
+// a subsequent Close is a no-op.
 func (d *Store) Abandon() {
 	d.closeOnce.Do(func() {
 		close(d.closing)
-		d.wg.Wait()
+		<-d.loopDone
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		d.closed = true
@@ -1188,11 +881,7 @@ func (d *Store) List(opts ...state.ReadOpt) []*element.Fact {
 // are not point-shaped, so only the full resolver can answer.
 // Implements state.ColdSource.
 func (d *Store) ColdRecords(key element.FactKey, spec state.ReadSpec, point bool) ([]*element.Fact, bool) {
-	cat := d.cat.Load()
-	if cat == nil {
-		return nil, false
-	}
-	seg, off, ok := cat.owner(key)
+	seg, off, ok := d.cat.Load().owner(key)
 	if !ok {
 		return nil, false
 	}
@@ -1234,7 +923,7 @@ func (d *Store) ColdRecords(key element.FactKey, spec state.ReadSpec, point bool
 // multiply. Implements state.ColdSource.
 func (d *Store) ColdFrames(keys []element.FactKey, shape state.ScanShape, bounds state.ValueBounds) []state.ColdLineage {
 	cat := d.cat.Load()
-	if cat == nil || len(cat.segments) == 0 || len(keys) == 0 {
+	if len(cat.segments) == 0 || len(keys) == 0 {
 		return nil
 	}
 	type hit struct {
@@ -1317,11 +1006,7 @@ func (d *Store) ColdFrames(keys []element.FactKey, shape state.ScanShape, bounds
 // nil); a frame that fails its read or checksum is an error.
 // Implements state.ColdSource.
 func (d *Store) FaultIn(key element.FactKey) ([]*element.Fact, error) {
-	cat := d.cat.Load()
-	if cat == nil {
-		return nil, nil
-	}
-	seg, off, ok := cat.owner(key)
+	seg, off, ok := d.cat.Load().owner(key)
 	if !ok {
 		return nil, nil
 	}
@@ -1419,7 +1104,7 @@ type Info struct {
 	// LastFlushErr is the most recent flush failure; nil after a
 	// successful flush.
 	LastFlushErr error
-	// FlushRetries counts transient background-flush retries.
+	// FlushRetries counts transient flush-transition retries.
 	FlushRetries int64
 	// RemoveFailures counts failed cleanup unlinks (orphan GC, retired
 	// segments).

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"repro/internal/element"
 	"repro/internal/temporal"
@@ -75,23 +76,43 @@ func At(img []byte, off int64) ([]byte, error) {
 	return payload, nil
 }
 
-// Read preads the frame at off and verifies its checksum. size (the file
-// size) bounds the read, so a bit-rotted length prefix fails before it
-// drives an allocation.
-func Read(f io.ReaderAt, off, size int64) ([]byte, error) {
-	var hdr [HeaderLen]byte
-	if _, err := f.ReadAt(hdr[:], off); err != nil {
+// Window is how many bytes Read fetches in its first pread: the header
+// plus the start of the payload. Most frames fit in it whole, so a
+// frame read is one syscall; a larger one takes a second pread for
+// exactly the rest.
+const Window = 4 << 10
+
+// Read preads the frame at off into *buf, growing it as needed, and
+// verifies its checksum. The payload it returns is a subslice of *buf,
+// valid until the buffer's next use. size (the file size) bounds both
+// preads, so a bit-rotted length prefix fails before it drives an
+// allocation.
+func Read(f io.ReaderAt, off, size int64, buf *[]byte) ([]byte, error) {
+	if off < 0 || off+HeaderLen > size {
+		return nil, errors.New("frame out of bounds")
+	}
+	w := int(min(size-off, Window))
+	b := slices.Grow((*buf)[:0], w)[:w]
+	got, err := f.ReadAt(b, off)
+	if got < HeaderLen {
 		return nil, fmt.Errorf("frame header: %w", err)
 	}
-	n := int64(binary.LittleEndian.Uint32(hdr[0:]))
-	want := binary.LittleEndian.Uint32(hdr[4:])
+	n := int64(binary.LittleEndian.Uint32(b[0:]))
+	want := binary.LittleEndian.Uint32(b[4:])
 	if n > MaxPayload || off+HeaderLen+n > size {
 		return nil, fmt.Errorf("frame length %d out of bounds", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(io.NewSectionReader(f, off+HeaderLen, n), payload); err != nil {
-		return nil, fmt.Errorf("frame payload: %w", err)
+	if end := HeaderLen + int(n); end > got {
+		if got < w {
+			return nil, fmt.Errorf("frame payload: %w", err)
+		}
+		b = slices.Grow(b[:got], end-got)[:end]
+		if m, err := f.ReadAt(b[got:], off+int64(got)); m < end-got {
+			return nil, fmt.Errorf("frame payload: %w", err)
+		}
 	}
+	*buf = b[:0]
+	payload := b[HeaderLen : HeaderLen+n]
 	if got := checksum(payload); got != want {
 		return nil, checksumErr(got, want)
 	}
@@ -279,6 +300,16 @@ func (c *Cursor) Take(n int) ([]byte, bool) {
 // Str decodes a uvarint-prefixed string.
 func (c *Cursor) Str() string { return string(c.Bytes(c.length())) }
 
+// StrReuse decodes a uvarint-prefixed string, returning s itself when
+// the bytes equal it: a string the caller already holds costs no
+// allocation, and the result never aliases the payload.
+func (c *Cursor) StrReuse(s string) string {
+	if b := c.Bytes(c.length()); string(b) != s {
+		return string(b)
+	}
+	return s
+}
+
 // Instant decodes a fixed-width instant.
 func (c *Cursor) Instant() temporal.Instant {
 	b := c.Bytes(8)
@@ -299,11 +330,12 @@ func (c *Cursor) Value(v *element.Value) {
 	}
 }
 
-// Provenance decodes what AppendProvenance wrote.
-func (c *Cursor) Provenance() (derived bool, source string) {
+// Provenance decodes what AppendProvenance wrote, returning reuse as the
+// source when it holds the same bytes (see StrReuse).
+func (c *Cursor) Provenance(reuse string) (derived bool, source string) {
 	flags := c.U8()
 	if flags&flagHasSource != 0 {
-		source = c.Str()
+		source = c.StrReuse(reuse)
 	}
 	return flags&flagDerived != 0, source
 }

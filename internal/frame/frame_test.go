@@ -26,8 +26,9 @@ func build(t *testing.T, payloads ...string) []byte {
 }
 
 func TestReaderRoundTrip(t *testing.T) {
-	payloads := []string{"a", "", strings.Repeat("x", 300), "tail"}
+	payloads := []string{"a", "", strings.Repeat("x", 300), strings.Repeat("w", 2*Window), "tail"}
 	img := build(t, payloads...)
+	var buf []byte
 	var r Reader
 	r.Reset(bytes.NewReader(img), int64(len(img)))
 	off := int64(0)
@@ -39,7 +40,7 @@ func TestReaderRoundTrip(t *testing.T) {
 		if p, err := At(img, off); err != nil || string(p) != want {
 			t.Fatalf("At frame %d: %q, %v", i, p, err)
 		}
-		if p, err := Read(bytes.NewReader(img), off, int64(len(img))); err != nil || string(p) != want {
+		if p, err := Read(bytes.NewReader(img), off, int64(len(img)), &buf); err != nil || string(p) != want {
 			t.Fatalf("Read frame %d: %q, %v", i, p, err)
 		}
 		off += HeaderLen + int64(len(want))
@@ -83,8 +84,65 @@ func TestReaderTornAndCorrupt(t *testing.T) {
 	if cap(fresh.buf) != 0 {
 		t.Fatalf("oversized length grew the buffer to %d bytes", cap(fresh.buf))
 	}
-	if _, err := Read(bytes.NewReader(huge), 0, int64(len(huge))); err == nil {
+	var buf []byte
+	if _, err := Read(bytes.NewReader(huge), 0, int64(len(huge)), &buf); err == nil {
 		t.Fatal("Read accepted an oversized length")
+	}
+	if cap(buf) > Window {
+		t.Fatalf("oversized length grew the buffer to %d bytes", cap(buf))
+	}
+	if _, err := Read(bytes.NewReader(rot), 0, int64(len(rot)), &buf); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("Read bit rot: %v", err)
+	}
+	short := img[:len(img)-2]
+	if _, err := Read(bytes.NewReader(short), HeaderLen+5, int64(len(img)), &buf); !errors.Is(err, io.EOF) {
+		t.Fatalf("Read of a frame past the end of its source: %v", err)
+	}
+}
+
+// countingReaderAt counts preads.
+type countingReaderAt struct {
+	r io.ReaderAt
+	n int
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	c.n++
+	return c.r.ReadAt(p, off)
+}
+
+// TestReadOnePread: a frame that fits the window, header included, is
+// one pread; a larger one is exactly two, the second only for the rest.
+// A reused buffer makes repeated reads allocation-free.
+func TestReadOnePread(t *testing.T) {
+	fits := strings.Repeat("f", Window-HeaderLen)
+	big := strings.Repeat("b", Window-HeaderLen+1)
+	img := build(t, fits, big)
+	src := &countingReaderAt{r: bytes.NewReader(img)}
+	var buf []byte
+	for _, tc := range []struct {
+		off    int64
+		want   string
+		preads int
+	}{
+		{0, fits, 1},
+		{Window, big, 2},
+	} {
+		src.n = 0
+		if p, err := Read(src, tc.off, int64(len(img)), &buf); err != nil || string(p) != tc.want {
+			t.Fatalf("frame @%d: %d bytes, %v", tc.off, len(p), err)
+		}
+		if src.n != tc.preads {
+			t.Fatalf("frame @%d of %d bytes: %d preads, want %d", tc.off, len(tc.want), src.n, tc.preads)
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := Read(src, Window, int64(len(img)), &buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a read into a grown buffer allocated %.0f times", allocs)
 	}
 }
 

@@ -89,12 +89,16 @@ func (p *Prepared) Exec(env ExecEnv) (*Result, error) {
 	rowFilter := q.Where
 	if sn, ok := env.Store.(*state.Snapshot); ok {
 		keep, keepErr := p.keepFunc(env, tx)
-		facts, _ = sn.ScanPartitioned(state.ScanSpec{
+		var stats state.ScanStats
+		facts, stats = sn.ScanPartitioned(state.ScanSpec{
 			Opts:        opts,
 			Parallelism: env.Parallelism,
 			Bounds:      p.bounds,
 			Keep:        keep,
 		})
+		if stats.Err != nil {
+			return nil, stats.Err
+		}
 		if err := keepErr(); err != nil {
 			return nil, err
 		}

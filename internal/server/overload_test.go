@@ -6,16 +6,20 @@ package server
 // and counters — named to ride in the CI chaos job.
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/element"
+	"repro/internal/frame"
 	"repro/internal/state"
 	"repro/internal/state/segment"
 	"repro/internal/vfs"
@@ -189,5 +193,53 @@ func TestDegradedReadyzWarnsAndStats(t *testing.T) {
 
 	if hc := e.Health(); !hc.Healthy() {
 		t.Fatalf("engine health must be clean after resume: %+v", hc)
+	}
+}
+
+// TestChaosQueryColdFrame500: a /query whose scan reads an evicted
+// lineage's frame and finds it failing its checksum answers 500 — the
+// store failed, not the query — instead of 200 with the row missing.
+func TestChaosQueryColdFrame500(t *testing.T) {
+	dir := t.TempDir()
+	d, err := segment.Open(dir)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer d.Close()
+	if err := d.Mem().Replace("ann", "position", element.String("hall"), 10); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if n := d.EvictToBudget(0); n != 1 {
+		t.Fatalf("evicted %d lineages, want 1", n)
+	}
+	s := New(d.Mem(), nil)
+	query := func() int {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query",
+			strings.NewReader(`{"query":"SELECT entity FROM position"}`)))
+		return rec.Code
+	}
+	if code := query(); code != http.StatusOK {
+		t.Fatalf("intact cold frame: %d, want 200", code)
+	}
+	// The segment's only lineage frame follows the 4-byte file magic;
+	// its last payload byte is a value byte.
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one segment, got %v (%v)", segs, err)
+	}
+	img, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[4+frame.HeaderLen+binary.LittleEndian.Uint32(img[4:])-1] ^= 0xFF
+	if err := os.WriteFile(segs[0], img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := query(); code != http.StatusInternalServerError {
+		t.Fatalf("corrupt cold frame: %d, want 500", code)
 	}
 }

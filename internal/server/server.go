@@ -276,6 +276,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "query deadline exceeded", http.StatusGatewayTimeout)
 			return
 		}
+		if errors.Is(err, state.ErrColdFrame) {
+			// The store failed, not the query.
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}

@@ -31,13 +31,34 @@ import (
 )
 
 // ColdLineage is one durable-only lineage a ColdSource contributes to a
-// scan: the key (scans merge by it) and a lazy loader returning the
-// lineage's full record set. Load runs only in the gather that owns the
-// candidate, possibly on a scan worker, so it must be safe for concurrent
-// calls with other loaders.
+// scan: the key (scans merge by it) and where its frame lies, read only
+// by the gather that owns the candidate — possibly on a scan worker —
+// with Src.LoadFrame(Key, Off, buf).
 type ColdLineage struct {
-	Key  element.FactKey
-	Load func() ([]*element.Fact, error)
+	Key element.FactKey
+	Src FrameSource
+	Off int64
+}
+
+// FrameSource reads the lineage frames a ColdSource hands to scans.
+// LoadFrame must be safe for concurrent calls with distinct buffers.
+type FrameSource interface {
+	// LoadFrame reads and verifies the frame at off, which must hold key,
+	// and decodes its full record set into buf. The records alias buf and
+	// are valid until its next load; a frame that fails its read, checksum
+	// or decode is an error.
+	LoadFrame(key element.FactKey, off int64, buf *ColdBuf) ([]*element.Fact, error)
+}
+
+// ColdBuf is the memory one lineage frame decodes into: the frame bytes,
+// the facts, and the record pointers over them. A scan gather reuses one
+// per worker across its cold candidates and clones what it returns; the
+// point-read and fault-in paths decode into a fresh one, whose records
+// they own. Decoded strings never alias Frame.
+type ColdBuf struct {
+	Frame   []byte
+	Facts   []element.Fact
+	Records []*element.Fact
 }
 
 // ColdSource serves reads for lineages that are not resident in RAM —
@@ -55,8 +76,8 @@ type ColdSource interface {
 	// returns ok=false.
 	ColdRecords(key element.FactKey, spec ReadSpec, point bool) ([]*element.Fact, bool)
 	// ColdFrames resolves a scan's cold keys — distinct, in any order —
-	// against the durable catalog, returning one lazily loaded candidate
-	// per key that has a frame, in the keys' order. Keys with no frame,
+	// against the durable catalog, returning one unread candidate per key
+	// that has a frame, in the keys' order. Keys with no frame,
 	// frames whose owning segment's envelope is provably disjoint from
 	// the shape, and frames whose value envelope (ValueEnvelopeOf over
 	// the frame's records, persisted by the source) is disjoint from the

@@ -18,9 +18,9 @@
 package state
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/element"
 	"repro/internal/temporal"
@@ -145,15 +145,26 @@ func detachedHead(records []*element.Fact) *head {
 	return h
 }
 
-// buildHead assembles a head from a detached record slice: records kept
-// in the given (recording) order, belief slices derived from the
-// non-superseded records in validity order, maxTx and txOrdered computed.
-// With strict set, overlapping believed records are an error; otherwise
-// the earlier-starting of an overlapping pair is dropped from the belief
-// slices.
+// buildHead assembles a head from a detached record slice (see fill).
 func buildHead(records []*element.Fact, strict bool) (*head, error) {
-	h := &head{records: records, maxTx: temporal.MinInstant, txOrdered: true}
-	var live []*element.Fact
+	h := new(head)
+	if _, err := h.fill(records, nil, strict); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// fill assembles h over a detached record slice: records kept in the
+// given (recording) order, belief slices derived from the non-superseded
+// records in validity order, maxTx and txOrdered computed. The belief
+// slices are built in live's storage, which fill returns for reuse, so a
+// gather rebuilding one scratch head per cold frame allocates nothing
+// once its storage has grown. With strict set, overlapping believed
+// records are an error; otherwise the earlier-starting of an
+// overlapping pair is dropped from the belief slices.
+func (h *head) fill(records, live []*element.Fact, strict bool) ([]*element.Fact, error) {
+	*h = head{records: records, maxTx: temporal.MinInstant, txOrdered: true}
+	live = live[:0]
 	liveSorted := true
 	for i, f := range records {
 		if f.RecordedAt > h.maxTx {
@@ -176,27 +187,26 @@ func buildHead(records []*element.Fact, strict bool) (*head, error) {
 	// The monotonic hot path emits believed records already in validity
 	// order; only retroactive shapes pay the sort.
 	if !liveSorted {
-		sort.Slice(live, func(i, j int) bool {
-			return live[i].Validity.Start < live[j].Validity.Start
+		slices.SortFunc(live, func(a, b *element.Fact) int {
+			return cmp.Compare(a.Validity.Start, b.Validity.Start)
 		})
 	}
 	kept := live[:0]
 	for i, f := range live {
 		if i+1 < len(live) && f.Validity.End > live[i+1].Validity.Start {
 			if strict {
-				return nil, fmt.Errorf("believed validity %s overlaps %s",
+				return live, fmt.Errorf("believed validity %s overlaps %s",
 					f.Validity, live[i+1].Validity)
 			}
 			continue
 		}
 		kept = append(kept, f)
 	}
-	live = kept
-	if n := len(live); n > 0 && live[n-1].IsCurrent() {
-		h.open = live[n-1]
-		live = live[:n-1]
+	h.closed = kept
+	if n := len(kept); n > 0 && kept[n-1].IsCurrent() {
+		h.open = kept[n-1]
+		h.closed = kept[:n-1]
 	}
-	h.closed = live
 	h.recomputeValueEnv()
-	return h, nil
+	return live, nil
 }

@@ -7,6 +7,8 @@
 package state
 
 import (
+	"errors"
+	"fmt"
 	"slices"
 	"strings"
 
@@ -22,19 +24,42 @@ type scanCand struct {
 	cold *ColdLineage // when h == nil
 }
 
-// load returns the candidate's head, reading a cold frame on the calling
-// goroutine; nil when the load fails or yields nothing (a frame the owner
-// retired mid-scan reads as absent, matching point fall-through).
-func (c scanCand) load() *head {
-	if c.h != nil {
-		return c.h
-	}
-	records, err := c.cold.Load()
-	if err != nil || len(records) == 0 {
-		return nil
-	}
-	return detachedHead(records)
+// coldScratch is what one gather — a serial call or one partition
+// worker — decodes its cold candidates into, reused from candidate to
+// candidate: the frame buffer and records, the belief slice, and the
+// head built over them. Nothing in it escapes: every gather consumer
+// (pickInto, recordsAt, scanAt) clones the versions it returns.
+type coldScratch struct {
+	buf  ColdBuf
+	live []*element.Fact
+	h    head
 }
+
+// load returns the candidate's head, reading a cold frame into sc on the
+// calling goroutine; the head is valid until sc's next load. A frame
+// holding no records (a tombstone) loads as nil. A frame that cannot be
+// read or verified is an error, never an absent lineage: retired
+// segments stay readable until no reader can reach them, so a merge
+// racing the scan does not produce one.
+func (c scanCand) load(sc *coldScratch) (*head, error) {
+	if c.h != nil {
+		return c.h, nil
+	}
+	records, err := c.cold.Src.LoadFrame(c.cold.Key, c.cold.Off, &sc.buf)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %w", ErrColdFrame, c.cold.Key, err)
+	}
+	if len(records) == 0 {
+		return nil, nil
+	}
+	sc.live, _ = sc.h.fill(records, sc.live, false)
+	return &sc.h, nil
+}
+
+// ErrColdFrame marks a scan that failed because a durable frame it had to
+// read could not be read or verified: the store, not the query, is at
+// fault.
+var ErrColdFrame = errors.New("state: unreadable cold frame")
 
 // candidates collects a scan's lineages in (attribute, entity) order,
 // scoped to cfg's attribute. Each shard's directory is loaded once, so
@@ -106,12 +131,17 @@ func compareEntities(a, b element.FactKey) int {
 
 // gather is the serial cross-shard gather behind List, Scan, and
 // WriteSnapshot: pick appends each candidate head's selected clones, in
-// key order, lock-free.
+// key order, lock-free. A cold frame that fails to load is skipped: these
+// surfaces have no error to report it through.
 func (s *Store) gather(cfg readCfg, pick func(*head, []*element.Fact) []*element.Fact) []*element.Fact {
 	cands, _ := s.candidates(cfg, ValueBounds{})
+	var sc *coldScratch // allocated at the first cold candidate
 	var out []*element.Fact
 	for _, c := range cands {
-		if h := c.load(); h != nil {
+		if c.h == nil && sc == nil {
+			sc = new(coldScratch)
+		}
+		if h, _ := c.load(sc); h != nil {
 			out = pick(h, out)
 		}
 	}

@@ -278,7 +278,7 @@ func decodeRecord(payload []byte, r *walRecord) error {
 		r.end = c.Instant()
 		r.tx = c.Instant()
 		if r.op == opPutBi {
-			r.derived, r.source = c.Provenance()
+			r.derived, r.source = c.Provenance(r.source)
 			c.Value(&r.value)
 		}
 	default:

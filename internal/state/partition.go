@@ -95,6 +95,10 @@ type ScanStats struct {
 	// ColdLineages is the number of durable-only candidates the gather
 	// unioned in — lineages served from segment frames, not RAM.
 	ColdLineages int
+	// Err reports the first cold frame, in gather order, that the scan
+	// could not read or verify (it wraps ErrColdFrame). The scan then
+	// returns no facts rather than an answer missing that lineage.
+	Err error
 }
 
 // minLineagesPerPartition is the smallest per-worker chunk the default
@@ -105,7 +109,9 @@ const minLineagesPerPartition = 64
 // ScanShards is List executed as a partitioned parallel gather: workers
 // gather disjoint contiguous ranges of the ordered lineage list from
 // this snapshot's pin and the chunks are concatenated in order, so the
-// result is exactly Snapshot.List(opts...) for any parallelism.
+// result is exactly Snapshot.List(opts...) for any parallelism. Like
+// List, it has no error to report an unreadable cold frame through
+// (ScanPartitioned does).
 func (sn *Snapshot) ScanShards(parallelism int, opts ...ReadOpt) []*element.Fact {
 	out, _ := sn.ScanPartitioned(ScanSpec{Opts: opts, Parallelism: parallelism})
 	return out
@@ -122,11 +128,12 @@ func (sn *Snapshot) ScanPartitioned(spec ScanSpec) ([]*element.Fact, ScanStats) 
 // same candidates in the same order, and the per-lineage selection is the
 // shared pickInto, so the output is byte-identical to the serial gather
 // for any parallelism and any residency state. Cold frames are decoded
-// inside the gather workers: a scan over mostly-cold data parallelizes
-// its preads and decodes, not just its selection.
+// inside the gather workers, each into its own coldScratch: a scan over
+// mostly-cold data parallelizes its preads and decodes, not just its
+// selection, and allocates for the rows it returns, not for the frames
+// it reads.
 func (s *Store) gatherPartitioned(cfg readCfg, spec ScanSpec) ([]*element.Fact, ScanStats) {
 	cands, stats := s.candidates(cfg, spec.Bounds)
-	prune := spec.Bounds.Constrained()
 	par := spec.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
@@ -143,31 +150,30 @@ func (s *Store) gatherPartitioned(cfg readCfg, spec ScanSpec) ([]*element.Fact, 
 	stats.Partitions = par
 
 	if par == 1 {
-		var out []*element.Fact
-		for _, c := range cands {
-			out = gatherCand(c, cfg, spec.Bounds, prune, out)
-		}
-		return keepFiltered(out, spec.Keep), stats
+		out, err := gatherChunk(cands, cfg, &spec)
+		stats.Err = err
+		return out, stats
 	}
 
 	parts := make([][]*element.Fact, par)
+	errs := make([]error, par)
 	var wg sync.WaitGroup
 	for w := 0; w < par; w++ {
 		lo, hi := w*len(cands)/par, (w+1)*len(cands)/par
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			var out []*element.Fact
-			for _, c := range cands[lo:hi] {
-				out = gatherCand(c, cfg, spec.Bounds, prune, out)
-			}
-			parts[w] = keepFiltered(out, spec.Keep)
+			parts[w], errs[w] = gatherChunk(cands[lo:hi], cfg, &spec)
 		}(w, lo, hi)
 	}
 	wg.Wait()
 
 	total := 0
-	for _, p := range parts {
+	for w, p := range parts {
+		if errs[w] != nil {
+			stats.Err = errs[w]
+			return nil, stats
+		}
 		total += len(p)
 	}
 	out := make([]*element.Fact, 0, total)
@@ -177,20 +183,30 @@ func (s *Store) gatherPartitioned(cfg readCfg, spec ScanSpec) ([]*element.Fact, 
 	return out, stats
 }
 
-// gatherCand resolves one partitioned-scan candidate into out: a
-// resident head runs the shared pickInto directly; a cold candidate is
-// loaded here — pread + decode on the worker that owns its chunk — and
-// the decoded head re-runs the envelope test. A source that persists
-// frame envelopes has already applied the same test before the read, so
-// the re-test only prunes frames stored without one (segments written
-// before frame envelopes existed, pruned until then only by their
-// per-segment envelope).
-func gatherCand(c scanCand, cfg readCfg, bounds ValueBounds, prune bool, out []*element.Fact) []*element.Fact {
-	h := c.load()
-	if h == nil || (c.h == nil && prune && h.skipByBounds(bounds)) {
-		return out
+// gatherChunk gathers one contiguous run of candidates: a resident head
+// runs the shared pickInto directly; a cold candidate is loaded here —
+// pread + decode on the worker that owns the chunk, into the chunk's
+// scratch — and the decoded head re-runs the envelope test. A source
+// that persists frame envelopes has already applied the same test before
+// the read, so the re-test only prunes frames stored without one.
+func gatherChunk(chunk []scanCand, cfg readCfg, spec *ScanSpec) ([]*element.Fact, error) {
+	prune := spec.Bounds.Constrained()
+	var sc *coldScratch // allocated at the chunk's first cold candidate
+	var out []*element.Fact
+	for _, c := range chunk {
+		if c.h == nil && sc == nil {
+			sc = new(coldScratch)
+		}
+		h, err := c.load(sc)
+		if err != nil {
+			return nil, err
+		}
+		if h == nil || (c.h == nil && prune && h.skipByBounds(spec.Bounds)) {
+			continue
+		}
+		out = pickInto(h, cfg, out)
 	}
-	return pickInto(h, cfg, out)
+	return keepFiltered(out, spec.Keep), nil
 }
 
 // keepFiltered applies the pushed row predicate in place.

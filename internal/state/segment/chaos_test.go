@@ -9,6 +9,7 @@ package segment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -21,6 +22,7 @@ import (
 
 	"repro/internal/element"
 	"repro/internal/frame"
+	"repro/internal/query"
 	"repro/internal/state"
 	"repro/internal/temporal"
 	"repro/internal/vfs"
@@ -725,4 +727,83 @@ func TestFaultInUnreadableFrameFailsWrite(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestChaosCorruptColdFrame: a scan whose gather must read an evicted
+// key's frame, and finds it failing its checksum, fails — at every
+// parallelism and through a prepared query — instead of answering
+// without that key's row. Repairing the byte restores the full answer.
+func TestChaosCorruptColdFrame(t *testing.T) {
+	d, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer d.Close()
+	const keys = 200
+	for i := 0; i < keys; i++ {
+		if err := d.Mem().Replace(fmt.Sprintf("e%03d", i), "value", element.Int(int64(i)), temporal.Instant(10+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if n := d.EvictToBudget(0); n != keys {
+		t.Fatalf("evicted %d lineages, want %d", n, keys)
+	}
+	victim := element.FactKey{Entity: "e137", Attribute: "value"}
+	seg, off, ok := d.cat.Load().owner(victim)
+	if !ok {
+		t.Fatalf("no frame for %s", victim)
+	}
+	// Flip the last payload byte: a value byte of the victim's last record.
+	flip := func() {
+		f, err := os.OpenFile(seg.path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		var hdr [frame.HeaderLen]byte
+		if _, err := f.ReadAt(hdr[:], off); err != nil {
+			t.Fatal(err)
+		}
+		at := off + frame.HeaderLen + int64(binary.LittleEndian.Uint32(hdr[:])) - 1
+		var b [1]byte
+		if _, err := f.ReadAt(b[:], at); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0xFF
+		if _, err := f.WriteAt(b[:], at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := query.Prepare("SELECT entity, value FROM value")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := d.Mem().Snapshot()
+	check := func(corrupt bool) {
+		t.Helper()
+		for _, par := range []int{1, 2} {
+			rows, stats := sn.ScanPartitioned(state.ScanSpec{Opts: []state.ReadOpt{state.WithAttribute("value")}, Parallelism: par})
+			res, err := p.Exec(query.ExecEnv{Store: sn, Parallelism: par})
+			if !corrupt {
+				if stats.Err != nil || len(rows) != keys || err != nil || len(res.Rows) != keys {
+					t.Fatalf("par=%d: %d rows (%v), Exec %v", par, len(rows), stats.Err, err)
+				}
+				continue
+			}
+			if !errors.Is(stats.Err, state.ErrColdFrame) || rows != nil {
+				t.Fatalf("par=%d: ScanPartitioned over a corrupt frame returned %d rows, err %v", par, len(rows), stats.Err)
+			}
+			if !errors.Is(err, state.ErrColdFrame) || res != nil {
+				t.Fatalf("par=%d: Exec over a corrupt frame returned %v, err %v", par, res, err)
+			}
+		}
+	}
+	check(false)
+	flip()
+	check(true)
+	flip()
+	check(false)
 }

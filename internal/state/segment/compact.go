@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"repro/internal/element"
+	"repro/internal/state"
 	"repro/internal/temporal"
 )
 
@@ -207,14 +208,10 @@ func (d *Store) buildMerge(cat *catalog, lo, hi, outLevel int, seq uint64) (*rea
 				w.abort()
 				return nil, errMergeAborted
 			}
-			fkey, records, err := r.readLineageImage(img, r.index[key].off)
+			records, err := r.readLineageImage(img, key, r.index[key].off, new(state.ColdBuf))
 			if err != nil {
 				w.abort()
 				return nil, err
-			}
-			if fkey != key {
-				w.abort()
-				return nil, fmt.Errorf("segment: %s: frame holds %s, index says %s", r.path, fkey, key)
 			}
 			if len(records) == 0 && !cat.ownedBefore(lo, key) {
 				// A tombstone shadowing nothing: reclaim it outright.

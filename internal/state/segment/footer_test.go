@@ -123,7 +123,7 @@ func TestSegmentFooterFrameEnvelopes(t *testing.T) {
 		}
 		numeric := 0
 		for key, ref := range r.index {
-			_, records, err := r.readLineage(ref.off)
+			records, err := r.readLineage(key, ref.off, new(state.ColdBuf))
 			if err != nil {
 				t.Fatalf("%s: read %s: %v", s.name, key, err)
 			}

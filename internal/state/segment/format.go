@@ -387,7 +387,8 @@ func loadSegment(fsys vfs.FS, f vfs.File, path string) (*reader, error) {
 		return nil, fmt.Errorf("segment: %s: bad trailer", path)
 	}
 	footerOff := int64(binary.LittleEndian.Uint64(tr[0:]))
-	payload, err := frame.Read(f, footerOff, size)
+	var buf []byte
+	payload, err := frame.Read(f, footerOff, size, &buf)
 	if err != nil {
 		return nil, fmt.Errorf("segment: %s: footer: %w", path, err)
 	}
@@ -502,19 +503,19 @@ func (r *reader) garbage() float64 {
 	return float64(g) / float64(n)
 }
 
-// readLineage preads and decodes the lineage frame at off — the
-// fallthrough point-read path.
-func (r *reader) readLineage(off int64) (element.FactKey, []*element.Fact, error) {
-	payload, err := frame.Read(r.f, off, r.size)
+// readLineage preads the lineage frame at off, which must hold key, and
+// decodes it into dst (see decodeLineage).
+func (r *reader) readLineage(key element.FactKey, off int64, dst *state.ColdBuf) ([]*element.Fact, error) {
+	payload, err := frame.Read(r.f, off, r.size, &dst.Frame)
 	if err != nil {
-		return element.FactKey{}, nil, fmt.Errorf("segment: %s @%d: %w", r.path, off, err)
+		return nil, fmt.Errorf("segment: %s @%d: %w", r.path, off, err)
 	}
-	return r.decodeLineage(payload, off)
+	return r.decodeLineage(payload, off, key, dst)
 }
 
 // image reads the whole segment file into memory — the bulk recovery
 // path: decoding every frame from one sequential read beats a pread
-// pair per lineage by orders of magnitude in syscalls.
+// per lineage by orders of magnitude in syscalls.
 func (r *reader) image() ([]byte, error) {
 	img, err := r.fs.ReadFile(r.path)
 	if err != nil {
@@ -524,35 +525,46 @@ func (r *reader) image() ([]byte, error) {
 }
 
 // readLineageImage decodes (with checksum verification) the lineage
-// frame at off from a full-file image.
-func (r *reader) readLineageImage(img []byte, off int64) (element.FactKey, []*element.Fact, error) {
+// frame at off, which must hold key, from a full-file image into dst.
+func (r *reader) readLineageImage(img []byte, key element.FactKey, off int64, dst *state.ColdBuf) ([]*element.Fact, error) {
 	payload, err := frame.At(img, off)
 	if err != nil {
-		return element.FactKey{}, nil, fmt.Errorf("segment: %s @%d: %w", r.path, off, err)
+		return nil, fmt.Errorf("segment: %s @%d: %w", r.path, off, err)
 	}
-	return r.decodeLineage(payload, off)
+	return r.decodeLineage(payload, off, key, dst)
 }
 
-// decodeLineage parses a checksum-verified lineage frame payload. The
-// frame's facts are carved from one batch allocation: a cold start
-// decoding tens of thousands of records pays one allocation per
-// lineage, not per record.
-func (r *reader) decodeLineage(payload []byte, off int64) (element.FactKey, []*element.Fact, error) {
+// decodeLineage parses a checksum-verified lineage frame payload into
+// dst, reusing its facts, and returns the records. The frame must hold
+// key: its key bytes are compared, and the facts carry key's own
+// strings. No string aliases the payload: a source equal to the
+// previous record's (for the first record, to the one its slot held)
+// is shared, any other copied. A gather reusing one dst across frames
+// therefore allocates only for new sources and string values; a caller
+// that keeps the records passes a fresh dst.
+func (r *reader) decodeLineage(payload []byte, off int64, key element.FactKey, dst *state.ColdBuf) ([]*element.Fact, error) {
 	c := frame.NewCursor(payload)
 	if c.U8() != kindLineage {
-		return element.FactKey{}, nil, fmt.Errorf("segment: %s @%d: wrong frame kind", r.path, off)
+		return nil, fmt.Errorf("segment: %s @%d: wrong frame kind", r.path, off)
 	}
-	key := element.FactKey{Entity: c.Str(), Attribute: c.Str()}
+	entity, attr := c.StrReuse(key.Entity), c.StrReuse(key.Attribute)
 	n := int(c.Uvarint())
 	if c.Err() != nil || n < 0 || n > len(payload) {
-		return element.FactKey{}, nil, fmt.Errorf("segment: %s @%d: corrupt frame", r.path, off)
+		return nil, fmt.Errorf("segment: %s @%d: corrupt frame", r.path, off)
 	}
-	facts := make([]element.Fact, n)
-	records := make([]*element.Fact, n)
-	for i := 0; i < n; i++ {
+	if entity != key.Entity || attr != key.Attribute {
+		return nil, fmt.Errorf("segment: %s @%d: frame holds %s, index says %s",
+			r.path, off, element.FactKey{Entity: entity, Attribute: attr}, key)
+	}
+	if cap(dst.Facts) < n || cap(dst.Records) < n {
+		dst.Facts = make([]element.Fact, n)
+		dst.Records = make([]*element.Fact, n)
+	}
+	facts, records := dst.Facts[:n], dst.Records[:n]
+	for i := range facts {
 		ins, ok := c.Take(4 * 8)
 		if !ok {
-			return element.FactKey{}, nil, fmt.Errorf("segment: %s @%d: corrupt record %d", r.path, off, i)
+			return nil, fmt.Errorf("segment: %s @%d: corrupt record %d", r.path, off, i)
 		}
 		f := &facts[i]
 		f.Entity, f.Attribute = key.Entity, key.Attribute
@@ -561,12 +573,16 @@ func (r *reader) decodeLineage(payload []byte, off int64) (element.FactKey, []*e
 			temporal.Instant(binary.LittleEndian.Uint64(ins[8:])))
 		f.RecordedAt = temporal.Instant(binary.LittleEndian.Uint64(ins[16:]))
 		f.SupersededAt = temporal.Instant(binary.LittleEndian.Uint64(ins[24:]))
-		f.Derived, f.Source = c.Provenance()
+		src := f.Source
+		if i > 0 {
+			src = facts[i-1].Source
+		}
+		f.Derived, f.Source = c.Provenance(src)
 		c.Value(&f.Value)
 		if err := c.Err(); err != nil {
-			return element.FactKey{}, nil, fmt.Errorf("segment: %s @%d: record %d: %w", r.path, off, i, err)
+			return nil, fmt.Errorf("segment: %s @%d: record %d: %w", r.path, off, i, err)
 		}
 		records[i] = f
 	}
-	return key, records, nil
+	return records, nil
 }

@@ -216,7 +216,7 @@ func assertColdSeam(t *testing.T, d *Store) {
 				continue
 			}
 			seen[key] = true
-			_, records, err := r.readLineage(ref.off)
+			records, err := r.readLineage(key, ref.off, new(state.ColdBuf))
 			if err != nil {
 				t.Fatalf("seam: read %s: %v", key, err)
 			}

@@ -211,6 +211,65 @@ func TestResidentScanSkipsCatalog(t *testing.T) {
 	}
 }
 
+// TestColdScanAllocsPerRow: a scan over evicted lineages allocates for
+// the rows it returns, not for the frames it reads. Every gather decodes
+// its frames into scratch it reuses, so the heap cost per returned row
+// is the row's clone plus a share of the per-scan slices — whatever the
+// length of the lineage history behind it.
+func TestColdScanAllocsPerRow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts")
+	}
+	d, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer d.Close()
+	const lineages, versions = 500, 10
+	var mid temporal.Instant
+	for v := 0; v < versions; v++ {
+		puts := make([]state.BatchPut, 0, lineages)
+		for i := 0; i < lineages; i++ {
+			puts = append(puts, state.BatchPut{
+				Entity: fmt.Sprintf("s%03d", i), Attr: "temperature",
+				Value: element.Float(float64(i*versions + v)), At: temporal.Instant(v*lineages + i + 1),
+			})
+		}
+		if err := d.Mem().PutBatch(puts); err != nil {
+			t.Fatalf("putbatch: %v", err)
+		}
+		if v == versions/2 {
+			mid = d.Mem().Stats().TxHigh
+		}
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if n := d.EvictToBudget(0); n != lineages {
+		t.Fatalf("evicted %d lineages, want %d", n, lineages)
+	}
+	sn := d.Mem().Snapshot()
+	for _, tc := range []struct {
+		name string
+		opts []state.ReadOpt
+	}{
+		{"current", nil},
+		{"asof-tx", []state.ReadOpt{state.AsOfTransactionTime(mid)}},
+	} {
+		for _, par := range []int{1, 2} {
+			spec := state.ScanSpec{Opts: tc.opts, Parallelism: par}
+			rows, stats := sn.ScanPartitioned(spec)
+			if stats.Err != nil || len(rows) != lineages || stats.ColdLineages != lineages {
+				t.Fatalf("%s par=%d: %d rows, %+v", tc.name, par, len(rows), stats)
+			}
+			allocs := testing.AllocsPerRun(20, func() { sn.ScanPartitioned(spec) })
+			if perRow := allocs / lineages; perRow > 2 {
+				t.Errorf("%s par=%d: %.2f allocations per returned row, budget 2", tc.name, par, perRow)
+			}
+		}
+	}
+}
+
 // TestScanPruneShapes pins the envelope arithmetic per scan shape.
 func TestScanPruneShapes(t *testing.T) {
 	env := envelope{minValid: 10, maxValid: 30, minTx: 10, maxTx: 25}

@@ -390,7 +390,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 // newest→oldest with a seen set, so each key loads from exactly its
 // newest frame; evicted keys keep their frames on disk, answerable by
 // fallthrough reads, but stay out of RAM. Each segment is read into
-// memory once — one sequential read per segment instead of a pread pair
+// memory once — one sequential read per segment instead of a pread
 // per lineage — and only one image is held at a time; within a segment
 // the decode+install work fans out across shard-partitioned workers
 // (see loadSegmentFrames).
@@ -507,14 +507,9 @@ func (d *Store) loadSegmentFrames(r *reader, img []byte, keys []element.FactKey,
 // lineage; a tombstone frame installs nothing (the key is durably
 // absent).
 func (d *Store) loadFrame(r *reader, img []byte, key element.FactKey) error {
-	off := r.index[key].off
-	fkey, records, err := r.readLineageImage(img, off)
+	records, err := r.readLineageImage(img, key, r.index[key].off, new(state.ColdBuf))
 	if err != nil {
 		return err
-	}
-	if fkey != key {
-		return fmt.Errorf("segment: %s @%d: frame holds %s, index says %s",
-			r.path, off, fkey, key)
 	}
 	return d.mem.LoadLineage(records)
 }
@@ -899,7 +894,7 @@ func (d *Store) ColdRecords(key element.FactKey, spec state.ReadSpec, point bool
 			return nil, false
 		}
 	}
-	_, records, err := seg.readLineage(off)
+	records, err := seg.readLineage(key, off, new(state.ColdBuf))
 	if err != nil {
 		// A failing referenced frame is corruption, not absence; reads
 		// degrade to RAM-only rather than panic mid-query.
@@ -909,8 +904,8 @@ func (d *Store) ColdRecords(key element.FactKey, spec state.ReadSpec, point bool
 }
 
 // ColdFrames resolves a scan's cold keys against one catalog load,
-// newest segment first, each key at its newest frame behind a lazy
-// loader, in the keys' order. A frame is pruned — the pread never
+// newest segment first, each key at its newest frame, unread, in the
+// keys' order. A frame is pruned — the pread never
 // issued — when the owning segment's bitemporal envelope is disjoint
 // from the scan shape, or when its own value envelope from the footer
 // index (or, failing that, its segment's) is disjoint from the pushed
@@ -927,7 +922,7 @@ func (d *Store) ColdFrames(keys []element.FactKey, shape state.ScanShape, bounds
 		return nil
 	}
 	type hit struct {
-		r    *reader // nil: no frame, or the frame was pruned
+		seg  int // index+1 of the owning segment; 0: no frame, or pruned
 		off  int64
 		done bool
 	}
@@ -949,7 +944,7 @@ func (d *Store) ColdFrames(keys []element.FactKey, shape state.ScanShape, bounds
 			if pruned || (ref.numeric && bounds.Excludes(ref.lo, ref.hi)) {
 				d.scanPruned.Add(1)
 			} else {
-				hits[k].r, hits[k].off = r, ref.off
+				hits[k].seg, hits[k].off = i+1, ref.off
 			}
 		}
 		if len(r.index) < left {
@@ -979,22 +974,35 @@ func (d *Store) ColdFrames(keys []element.FactKey, shape state.ScanShape, bounds
 		}
 		todo = next
 	}
+	srcs := make([]scanSource, len(cat.segments))
 	var out []state.ColdLineage
 	for k, h := range hits {
-		if h.r == nil {
+		if h.seg == 0 {
 			continue
 		}
-		out = append(out, state.ColdLineage{Key: keys[k], Load: func() ([]*element.Fact, error) {
-			// Loads run from scan workers, possibly concurrently:
-			// readLineage preads, so they never seek-contend.
-			_, records, err := h.r.readLineage(h.off)
-			if err == nil {
-				d.scanFrames.Add(1)
-			}
-			return records, err
-		}})
+		src := &srcs[h.seg-1]
+		src.d, src.r = d, cat.segments[h.seg-1]
+		out = append(out, state.ColdLineage{Key: keys[k], Src: src, Off: h.off})
 	}
 	return out
+}
+
+// scanSource serves one segment's frames to scan gathers, counting each
+// frame read into Info.ScanFrames. Implements state.FrameSource.
+type scanSource struct {
+	d *Store
+	r *reader
+}
+
+// LoadFrame preads and decodes one frame into the gather's buffer. Loads
+// run from scan workers, possibly concurrently: readLineage preads, so
+// they never seek-contend.
+func (s *scanSource) LoadFrame(key element.FactKey, off int64, buf *state.ColdBuf) ([]*element.Fact, error) {
+	records, err := s.r.readLineage(key, off, buf)
+	if err == nil {
+		s.d.scanFrames.Add(1)
+	}
+	return records, err
 }
 
 // FaultIn returns the full record set of a key's newest durable frame so
@@ -1010,8 +1018,7 @@ func (d *Store) FaultIn(key element.FactKey) ([]*element.Fact, error) {
 	if !ok {
 		return nil, nil
 	}
-	_, records, err := seg.readLineage(off)
-	return records, err
+	return seg.readLineage(key, off, new(state.ColdBuf))
 }
 
 // scanPrune reports whether a segment's bitemporal envelope proves that

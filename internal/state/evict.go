@@ -3,17 +3,19 @@
 // total live state.
 //
 // A ColdSource (the segment backend implements it) answers for lineages
-// that are NOT resident in RAM: point reads and histories fall through
-// to it key by key (ColdRecords), scans resolve only the published cold
-// keys against it (ColdFrames), and writes to an evicted key restore the
-// full record history first (FaultIn) so a later flush frame never
-// supersedes history it no longer sees.
+// that are NOT resident in RAM through one method, ColdFrames, which
+// resolves keys to unread frames; a FrameSource decodes them. Every cold
+// read takes that one path: scans resolve the published cold keys in one
+// batch, and point reads, histories and fault-in (loadCold) resolve
+// their one key and load it exactly like a scan's cold candidate. A
+// write to an evicted key restores the full record history first, so a
+// later flush frame never supersedes history it no longer sees.
 //
 // Eviction is the inverse of recovery's LoadLineage: EvictToBudget
 // removes fully-flushed, least-recently-used lineages from the shard
 // maps — their bytes leave RAM entirely; the durable frame remains the
 // single copy — and marks the keys evicted (the write path faults them
-// back in) and cold (scans resolve them). A lineage is evictable only
+// back in) and cold (reads resolve them). A lineage is evictable only
 // when every transaction that touched it is durable (head.maxTx at or
 // before the flushed cut): for such a lineage the segment frame holds
 // the byte-identical record set, so evicting and re-reading through the
@@ -30,17 +32,17 @@ import (
 	"repro/internal/temporal"
 )
 
-// ColdLineage is one durable-only lineage a ColdSource contributes to a
-// scan: the key (scans merge by it) and where its frame lies, read only
-// by the gather that owns the candidate — possibly on a scan worker —
-// with Src.LoadFrame(Key, Off, buf).
+// ColdLineage is one durable-only lineage a ColdSource resolved: the key
+// (scans merge by it) and where its frame lies, read only by the reader
+// that owns the candidate — possibly a scan worker — with
+// Src.LoadFrame(Key, Off, buf).
 type ColdLineage struct {
 	Key element.FactKey
 	Src FrameSource
 	Off int64
 }
 
-// FrameSource reads the lineage frames a ColdSource hands to scans.
+// FrameSource reads the lineage frames ColdFrames resolves.
 // LoadFrame must be safe for concurrent calls with distinct buffers.
 type FrameSource interface {
 	// LoadFrame reads and verifies the frame at off, which must hold key,
@@ -52,9 +54,10 @@ type FrameSource interface {
 
 // ColdBuf is the memory one lineage frame decodes into: the frame bytes,
 // the facts, and the record pointers over them. A scan gather reuses one
-// per worker across its cold candidates and clones what it returns; the
-// point-read and fault-in paths decode into a fresh one, whose records
-// they own. Decoded strings never alias Frame.
+// per worker across its cold candidates; point reads and histories
+// decode into a fresh one. Both clone what they return. Fault-in also
+// decodes into a fresh one and keeps its records. Decoded strings never
+// alias Frame.
 type ColdBuf struct {
 	Frame   []byte
 	Facts   []element.Fact
@@ -64,34 +67,20 @@ type ColdBuf struct {
 // ColdSource serves reads for lineages that are not resident in RAM —
 // evicted by the residency budget, their durable frames the single copy
 // of their record history. The segment backend is the production
-// implementation. All methods must be safe for concurrent use and must
-// tolerate being asked about keys they do not own (return ok=false /
-// no entry).
+// implementation. It must be safe for concurrent use and tolerate being
+// asked about keys it does not own.
 type ColdSource interface {
-	// ColdRecords returns the full record set of one durable-only
-	// lineage for a point-shaped (point=true: Find and friends) or
-	// history-shaped read. The spec carries the read's temporal
-	// selectors so the source may prune against its envelopes; a source
-	// unable or unwilling to answer (degraded, no frame, pruned)
-	// returns ok=false.
-	ColdRecords(key element.FactKey, spec ReadSpec, point bool) ([]*element.Fact, bool)
-	// ColdFrames resolves a scan's cold keys — distinct, in any order —
-	// against the durable catalog, returning one unread candidate per key
+	// ColdFrames resolves cold keys — distinct, in any order — against
+	// the durable catalog, appending to dst one unread candidate per key
 	// that has a frame, in the keys' order. Keys with no frame,
 	// frames whose owning segment's envelope is provably disjoint from
 	// the shape, and frames whose value envelope (ValueEnvelopeOf over
 	// the frame's records, persisted by the source) is disjoint from the
 	// bounds are dropped unread. A source without a frame's envelope may
-	// return it: the gather re-tests the decoded head. The cost follows
+	// return it: the reader re-tests the decoded head. The cost follows
 	// the keys, not the catalog. Candidates for keys that are in fact
 	// resident are permitted — the merge discards them unloaded.
-	ColdFrames(keys []element.FactKey, shape ScanShape, bounds ValueBounds) []ColdLineage
-	// FaultIn returns the full record set of an evicted key so the
-	// write path can reinstall it before mutating. Unlike ColdRecords
-	// it never prunes: the caller needs the history, not an answer. A
-	// key with no frame is (nil, nil); a frame that exists but cannot be
-	// read or verified is an error, which fails the write.
-	FaultIn(key element.FactKey) ([]*element.Fact, error)
+	ColdFrames(dst []ColdLineage, keys []element.FactKey, shape ScanShape, bounds ValueBounds) []ColdLineage
 }
 
 // coldSourceRef wraps the interface value for atomic publication.
@@ -322,26 +311,24 @@ func (s *Store) EvictToBudget(budget int64, durable temporal.Instant) int {
 }
 
 // faultIn reinstalls an evicted key's record history before a write
-// touches it. A key with no durable frame (or an empty one) loses its
-// evicted mark and the write proceeds on a fresh lineage; its cold mark
-// goes stale, not away. A frame the source cannot read, or whose records
-// do not form a valid lineage, fails the write and leaves the key
-// evicted: committing onto a fresh lineage would let the next flush
-// frame supersede history the store never saw. Callers hold sh.mu and
-// have already missed sh.byKey.
+// touches it, loading the newest frame unpruned through loadCold. A key
+// with no durable frame (or an empty one) loses its evicted mark and the
+// write proceeds on a fresh lineage; its cold mark goes stale, not away.
+// A frame the source cannot read, or whose records do not form a valid
+// lineage, fails the write and leaves the key evicted: committing onto a
+// fresh lineage would let the next flush frame supersede history the
+// store never saw. Callers hold sh.mu and have already missed sh.byKey.
 func (s *Store) faultIn(sh *shard, key element.FactKey) (*lineage, error) {
 	if !sh.evicted[key] {
 		return nil, nil
 	}
 	var nh *head
-	if cs := s.coldSource(); cs != nil {
-		records, err := cs.FaultIn(key)
-		if err == nil && len(records) > 0 {
-			nh, err = buildHead(records, true)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("state: fault in %s: %w", key, err)
-		}
+	records, err := s.loadCold(key, ScanShape{AllVersions: true}, new(coldScratch))
+	if err == nil && len(records) > 0 {
+		nh, err = buildHead(records, true)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("state: fault in %s: %w", key, err)
 	}
 	delete(sh.evicted, key)
 	if nh == nil {
@@ -380,14 +367,5 @@ func shapeOfCfg(cfg readCfg) ScanShape {
 		During: cfg.validDuring, HasDuring: cfg.hasDuring,
 		TxAt: cfg.txAt, HasTxAt: cfg.hasTxAt,
 		Attr: cfg.attr, AllVersions: cfg.allVersions,
-	}
-}
-
-// specOfCfg converts a resolved read configuration to the exported
-// point-read spec form ColdSources consume.
-func specOfCfg(cfg readCfg) ReadSpec {
-	return ReadSpec{
-		ValidAt: cfg.validAt, HasValidAt: cfg.hasValidAt,
-		TxAt: cfg.txAt, HasTxAt: cfg.hasTxAt,
 	}
 }

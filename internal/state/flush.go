@@ -134,17 +134,6 @@ func (s *Store) LoadLineage(records []*element.Fact) error {
 	return nil
 }
 
-// detachedHead builds a read-only head over a detached record slice, with
-// the same belief-slice shape live lineages publish. Records are assumed
-// to be in recording order with disjoint believed validity — the
-// invariants FlushCut output satisfies; should believed records overlap
-// anyway, the earlier-starting one is dropped from the belief slices
-// (reads through the record scan still see every record).
-func detachedHead(records []*element.Fact) *head {
-	h, _ := buildHead(records, false)
-	return h
-}
-
 // buildHead assembles a head from a detached record slice (see fill).
 func buildHead(records []*element.Fact, strict bool) (*head, error) {
 	h := new(head)

@@ -24,15 +24,20 @@ type scanCand struct {
 	cold *ColdLineage // when h == nil
 }
 
-// coldScratch is what one gather — a serial call or one partition
-// worker — decodes its cold candidates into, reused from candidate to
-// candidate: the frame buffer and records, the belief slice, and the
-// head built over them. Nothing in it escapes: every gather consumer
-// (pickInto, recordsAt, scanAt) clones the versions it returns.
+// coldScratch is what one cold reader — a serial gather, one partition
+// worker, or one point read, history or fault-in — decodes its cold
+// frames into, reused from candidate to candidate: the frame buffer and
+// records, the belief slice, and the head built over them, plus the key
+// and result slot of a one-key resolve. Nothing in it escapes a read:
+// every read consumer (pickInto, recordsAt, scanAt, the point reads and
+// histories) clones the versions it returns, and fault-in keeps only the
+// records.
 type coldScratch struct {
 	buf  ColdBuf
 	live []*element.Fact
 	h    head
+	key  [1]element.FactKey
+	hit  [1]ColdLineage
 }
 
 // load returns the candidate's head, reading a cold frame into sc on the
@@ -45,15 +50,57 @@ func (c scanCand) load(sc *coldScratch) (*head, error) {
 	if c.h != nil {
 		return c.h, nil
 	}
-	records, err := c.cold.Src.LoadFrame(c.cold.Key, c.cold.Off, &sc.buf)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %w", ErrColdFrame, c.cold.Key, err)
+	records, err := sc.read(c.cold)
+	if err != nil || len(records) == 0 {
+		return nil, err
 	}
-	if len(records) == 0 {
+	return sc.head(records), nil
+}
+
+// read decodes a cold lineage's frame into sc's buffer.
+func (sc *coldScratch) read(c *ColdLineage) ([]*element.Fact, error) {
+	records, err := c.Src.LoadFrame(c.Key, c.Off, &sc.buf)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %w", ErrColdFrame, c.Key, err)
+	}
+	return records, nil
+}
+
+// head builds sc's head over records decoded into it.
+func (sc *coldScratch) head(records []*element.Fact) *head {
+	sc.live, _ = sc.h.fill(records, sc.live, false)
+	return &sc.h
+}
+
+// loadCold resolves one non-resident key with the ColdSource and decodes
+// its newest frame into sc, exactly as a gather loads a cold candidate —
+// the one cold loader of point reads, histories and fault-in. No records
+// and no error: no source is installed, the key has no frame, or the
+// frame's segment envelope proves the shape cannot match.
+func (s *Store) loadCold(key element.FactKey, shape ScanShape, sc *coldScratch) ([]*element.Fact, error) {
+	cs := s.coldSource()
+	if cs == nil {
 		return nil, nil
 	}
-	sc.live, _ = sc.h.fill(records, sc.live, false)
-	return &sc.h, nil
+	sc.key[0] = key
+	hit := cs.ColdFrames(sc.hit[:0], sc.key[:], shape, ValueBounds{})
+	if len(hit) == 0 {
+		return nil, nil
+	}
+	return sc.read(&hit[0])
+}
+
+// coldHead is loadCold for point reads and histories: the key's head
+// over a fresh scratch, nil when there is none. This is the one place a
+// cold frame that fails to load reads as absent; these surfaces have no
+// error to report it through yet (ROADMAP item 8).
+func (s *Store) coldHead(key element.FactKey, shape ScanShape) *head {
+	sc := new(coldScratch)
+	records, err := s.loadCold(key, shape, sc)
+	if err != nil || len(records) == 0 {
+		return nil
+	}
+	return sc.head(records)
 }
 
 // ErrColdFrame marks a scan that failed because a durable frame it had to
@@ -97,7 +144,7 @@ func (s *Store) candidates(cfg readCfg, bounds ValueBounds) ([]scanCand, ScanSta
 
 	var frames []ColdLineage
 	if cs := s.coldSource(); cs != nil && len(cold) > 0 {
-		frames = cs.ColdFrames(cold, shapeOfCfg(cfg), bounds)
+		frames = cs.ColdFrames(nil, cold, shapeOfCfg(cfg), bounds)
 		slices.SortFunc(frames, func(a, b ColdLineage) int { return cmp(a.Key, b.Key) })
 	}
 

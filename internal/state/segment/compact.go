@@ -152,7 +152,7 @@ var errMergeAborted = errors.New("segment: merge aborted")
 func (d *Store) buildMerge(cat *catalog, lo, hi, outLevel int, seq uint64) (*reader, error) {
 	victims := cat.segments[lo:hi]
 	name := fmt.Sprintf("seg-%08d.seg", seq)
-	w, err := createSegment(d.fs, filepath.Join(d.dir, name), outLevel)
+	w, err := createSegment(d.fs, filepath.Join(d.dir, name), outLevel, &d.scanFrames)
 	if err != nil {
 		return nil, err
 	}

@@ -273,7 +273,7 @@ func TestCompactTombstoneElision(t *testing.T) {
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		w, err := createSegment(d.fs, filepath.Join(dir, fmt.Sprintf("seg-%08d.seg", d.nextSeq)), 0)
+		w, err := createSegment(d.fs, filepath.Join(dir, fmt.Sprintf("seg-%08d.seg", d.nextSeq)), 0, &d.scanFrames)
 		if err != nil {
 			t.Fatalf("create: %v", err)
 		}

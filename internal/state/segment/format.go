@@ -138,11 +138,14 @@ type writer struct {
 	// skip the whole segment on disjoint ValueBounds.
 	vMin, vMax float64
 	vNumeric   bool
+	// frames is the finished reader's load counter (see reader.frames).
+	frames *atomic.Int64
 }
 
 // createSegment opens a new segment file at path and writes the header.
-// level is recorded in the footer (see writer.level).
-func createSegment(fsys vfs.FS, path string, level int) (*writer, error) {
+// level is recorded in the footer (see writer.level); every frame the
+// finished segment loads counts into frames.
+func createSegment(fsys vfs.FS, path string, level int, frames *atomic.Int64) (*writer, error) {
 	f, err := fsys.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("segment: create: %w", err)
@@ -151,7 +154,7 @@ func createSegment(fsys vfs.FS, path string, level int) (*writer, error) {
 		f: f, fs: fsys, bw: bufio.NewWriterSize(f, 1<<16), path: path,
 		index: make(map[element.FactKey]frameRef),
 		env:   emptyEnvelope(),
-		level: level,
+		level: level, frames: frames,
 	}
 	if _, err := w.bw.WriteString(fileMagic); err != nil {
 		w.abort()
@@ -305,6 +308,7 @@ func (w *writer) finish(cut temporal.Instant) (*reader, error) {
 		cut: cut, env: w.env, index: w.index,
 		level: w.level, tombs: w.tombs,
 		vMin: w.vMin, vMax: w.vMax, vNumeric: w.vNumeric,
+		frames: w.frames,
 	}
 	r.live.Store(int64(len(w.index)))
 	return r, nil
@@ -348,11 +352,15 @@ type reader struct {
 	// rewrites. len(index) - live + tombs is the reclaimable garbage
 	// compaction victim selection scores by.
 	live atomic.Int64
+	// frames is the owning store's cold-load counter (Info.ScanFrames),
+	// which LoadFrame adds to.
+	frames *atomic.Int64
 }
 
 // openSegment opens and validates a segment file: trailer, footer frame
-// checksum, index. Lineage frames are validated lazily on first read.
-func openSegment(fsys vfs.FS, path string) (*reader, error) {
+// checksum, index. Lineage frames are validated lazily on first read;
+// every one LoadFrame reads counts into frames.
+func openSegment(fsys vfs.FS, path string, frames *atomic.Int64) (*reader, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("segment: open: %w", err)
@@ -362,6 +370,7 @@ func openSegment(fsys vfs.FS, path string) (*reader, error) {
 		f.Close()
 		return nil, err
 	}
+	r.frames = frames
 	return r, nil
 }
 
@@ -501,6 +510,19 @@ func (r *reader) garbage() float64 {
 		g = n
 	}
 	return float64(g) / float64(n)
+}
+
+// LoadFrame preads and decodes the lineage frame at off for the RAM
+// store's cold loader, counting each frame read into Info.ScanFrames.
+// Loads may run concurrently, from scan workers and point reads alike:
+// readLineage preads, so they never seek-contend. Implements
+// state.FrameSource.
+func (r *reader) LoadFrame(key element.FactKey, off int64, buf *state.ColdBuf) ([]*element.Fact, error) {
+	records, err := r.readLineage(key, off, buf)
+	if err == nil {
+		r.frames.Add(1)
+	}
+	return records, err
 }
 
 // readLineage preads the lineage frame at off, which must hold key, and

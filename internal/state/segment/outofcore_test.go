@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/element"
+	"repro/internal/query"
 	"repro/internal/state"
 	"repro/internal/temporal"
 )
@@ -61,6 +62,17 @@ var outOfCoreBounds = []struct {
 	{"excl-top", state.ValueBounds{Min: 239, HasMin: true, MinExcl: true}},
 	{"incl-top", state.ValueBounds{Min: 239, HasMin: true}},
 	{"batch-low", state.ValueBounds{Max: 5, HasMax: true, MaxExcl: true}},
+}
+
+// outOfCoreQueries are the prepared queries assertSameCut executes on
+// both handles. The EXISTS residual makes Exec point-read the cut in
+// the middle of its scan, through the cold loader on a budgeted twin.
+var outOfCoreQueries = []string{
+	"SELECT entity, value FROM value",
+	"SELECT entity, value FROM value WHERE EXISTS audit(entity)",
+	"SELECT entity, value FROM value ASOF 1500",
+	"SELECT entity, start, end, recorded, superseded FROM value HISTORY SYSTEM TIME ASOF 1500",
+	"SELECT count(*), sum(value) FROM batch",
 }
 
 // keepBounds is b as a row predicate: numeric values inside the bounds.
@@ -145,7 +157,8 @@ func assertSameReads(t *testing.T, leg string, got, want keyReader) {
 
 // assertSameCut compares two snapshot handles across the whole read
 // surface of a pinned cut: its dump, every scan shape serially and
-// partitioned at several parallelisms, and the per-key reads.
+// partitioned at several parallelisms, the per-key reads, and prepared
+// queries.
 func assertSameCut(t *testing.T, leg string, got, want *state.Snapshot) {
 	t.Helper()
 	var gb, wb bytes.Buffer
@@ -159,6 +172,22 @@ func assertSameCut(t *testing.T, leg string, got, want *state.Snapshot) {
 		t.Fatalf("%s: WriteSnapshot diverged (%d vs %d bytes)", leg, gb.Len(), wb.Len())
 	}
 	assertSameReads(t, leg, got, want)
+	for _, src := range outOfCoreQueries {
+		p, err := query.Prepare(src)
+		if err != nil {
+			t.Fatalf("prepare %q: %v", src, err)
+		}
+		for _, par := range []int{1, 4} {
+			g, gerr := p.Exec(query.ExecEnv{Store: got, Parallelism: par})
+			w, werr := p.Exec(query.ExecEnv{Store: want, Parallelism: par})
+			if gerr != nil || werr != nil {
+				t.Fatalf("%s: Exec(%q, par=%d): %v / %v", leg, src, par, gerr, werr)
+			}
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: Exec(%q, par=%d) diverged:\n got %v\nwant %v", leg, src, par, g, w)
+			}
+		}
+	}
 	for _, sh := range outOfCoreShapes {
 		for _, par := range []int{1, 2, 4, 8} {
 			if g := got.ScanShards(par, sh.opts...); !sameFacts(g, want.List(sh.opts...)) {

@@ -215,7 +215,9 @@ func TestResidentScanSkipsCatalog(t *testing.T) {
 // the rows it returns, not for the frames it reads. Every gather decodes
 // its frames into scratch it reuses, so the heap cost per returned row
 // is the row's clone plus a share of the per-scan slices — whatever the
-// length of the lineage history behind it.
+// length of the lineage history behind it. Point reads, histories and
+// fault-in of an evicted key load through the same path on fixed
+// budgets.
 func TestColdScanAllocsPerRow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation counts")
@@ -268,6 +270,51 @@ func TestColdScanAllocsPerRow(t *testing.T) {
 			}
 		}
 	}
+	// Point reads, histories and a write that faults an evicted key in
+	// resolve and decode through the same loader as the scans, each into
+	// its own fresh scratch. Each budget is the count the same reads
+	// allocated through the point-read and fault-in paths that loader
+	// replaced, plus 2: Find 11, Find as of a transaction time 11,
+	// Snapshot.FindValue 9, History 22, History(AllVersions) 30, and 18
+	// for the Put that faults the key in.
+	mem := d.Mem()
+	const probe = "s250"
+	if _, ok := mem.Find(probe, "temperature"); !ok {
+		t.Fatalf("Find(%s) found nothing", probe)
+	}
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		read   func()
+	}{
+		{"Find", 13, func() { mem.Find(probe, "temperature") }},
+		{"Find-asof-tx", 13, func() { mem.Find(probe, "temperature", state.AsOfTransactionTime(mid)) }},
+		{"Snapshot.FindValue", 11, func() { sn.FindValue(probe, "temperature", state.ReadSpec{}) }},
+		{"History", 24, func() { mem.History(probe, "temperature") }},
+		{"History-all", 32, func() { mem.History(probe, "temperature", state.AllVersions()) }},
+	} {
+		if allocs := testing.AllocsPerRun(20, tc.read); allocs > tc.budget {
+			t.Errorf("%s of an evicted key: %.0f allocations, budget %.0f", tc.name, allocs, tc.budget)
+		}
+	}
+	const writes = 20
+	entities := make([]string, writes+1) // AllocsPerRun adds a warm-up run
+	for i := range entities {
+		entities[i] = fmt.Sprintf("s%03d", i)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(writes, func() {
+		if err := mem.Put(entities[next], "temperature", element.Float(-1)); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+		next++
+	})
+	if got, want := mem.EvictedCount(), lineages-len(entities); got != want {
+		t.Fatalf("%d keys still evicted after %d fault-ins, want %d", got, len(entities), want)
+	}
+	if allocs > 20 {
+		t.Errorf("write faulting in an evicted key: %.0f allocations, budget 20", allocs)
+	}
 }
 
 // TestScanPruneShapes pins the envelope arithmetic per scan shape.
@@ -291,6 +338,7 @@ func TestScanPruneShapes(t *testing.T) {
 		{"current-no-open", env, state.ScanShape{}, true},
 		{"current-open", open, state.ScanShape{}, false},
 		{"history-bounded", env, state.ScanShape{AllVersions: true}, false},
+		{"history-tx-before-anything", env, state.ScanShape{HasTxAt: true, TxAt: 5, AllVersions: true}, true},
 	}
 	for _, c := range cases {
 		if got := scanPrune(c.env, c.shape); got != c.prune {

@@ -217,8 +217,9 @@ type Store struct {
 	flushRetries atomic.Int64
 	removeFails  atomic.Int64
 
-	// scanFrames/scanPruned count durable frames read into scans and
-	// frames the envelope pruning skipped unread (see ColdFrames).
+	// scanFrames/scanPruned count durable frames read for non-resident
+	// lineages (every segment's LoadFrame adds to scanFrames) and frames
+	// the envelope pruning skipped unread (see ColdFrames).
 	scanFrames atomic.Int64
 	scanPruned atomic.Int64
 
@@ -231,12 +232,13 @@ type Store struct {
 }
 
 // Store implements the bitemporal StateDB seam, the read-only Reader
-// surface, and the cold-read seam the RAM store's merged gather and
-// fault-in paths consume.
+// surface, and the cold-read seam every cold read of the RAM store
+// resolves through; its segments' readers load the frames.
 var (
-	_ state.StateDB    = (*Store)(nil)
-	_ state.Reader     = (*Store)(nil)
-	_ state.ColdSource = (*Store)(nil)
+	_ state.StateDB     = (*Store)(nil)
+	_ state.Reader      = (*Store)(nil)
+	_ state.ColdSource  = (*Store)(nil)
+	_ state.FrameSource = (*reader)(nil)
 )
 
 // Option configures Open.
@@ -318,7 +320,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		cat.durableTx = man.DurableTx
 		d.nextSeq = man.NextSeq
 		for _, ms := range man.Segments {
-			r, err := openSegment(d.fs, filepath.Join(dir, ms.File))
+			r, err := openSegment(d.fs, filepath.Join(dir, ms.File), &d.scanFrames)
 			if err != nil {
 				d.closeSegments(cat)
 				return nil, err
@@ -668,7 +670,7 @@ func (d *Store) flushLocked(cut temporal.Instant) error {
 	mark := d.log.Appended()
 
 	name := fmt.Sprintf("seg-%08d.seg", d.nextSeq)
-	w, err := createSegment(d.fs, filepath.Join(d.dir, name), 0)
+	w, err := createSegment(d.fs, filepath.Join(d.dir, name), 0, &d.scanFrames)
 	if err != nil {
 		return err
 	}
@@ -834,21 +836,20 @@ func (d *Store) closeSegments(cat *catalog) {
 }
 
 // Find returns the version of (entity, attr) selected by the read
-// options. The RAM working set resolves it and falls through to this
-// store's ColdRecords (the key's newest segment frame) when the lineage
-// is not resident — evicted by the budget — so reads below the residency
-// horizon still resolve. A resident lineage
-// answers from RAM alone, even when the answer is "nothing": its frame
-// may predate deletes or supersessions the lineage has since seen, and
-// serving it would resurrect them. Implements state.StateDB /
-// state.Reader.
+// options. The RAM working set resolves it; a lineage that is not
+// resident — evicted by the budget — resolves its newest segment frame
+// through ColdFrames, like a scan's cold key, so reads below the
+// residency horizon still resolve. A resident lineage answers from RAM
+// alone, even when the answer is "nothing": its frame may predate
+// deletes or supersessions the lineage has since seen, and serving it
+// would resurrect them. Implements state.StateDB / state.Reader.
 func (d *Store) Find(entity, attr string, opts ...state.ReadOpt) (*element.Fact, bool) {
 	return d.mem.Find(entity, attr, opts...)
 }
 
 // History returns the version history of (entity, attr) — from RAM when
 // the working set holds the lineage, from the newest durable frame (via
-// ColdRecords) when it does not. RAM and frame histories are never
+// ColdFrames) when it does not. RAM and frame histories are never
 // merged: whichever side owns the lineage answers alone.
 func (d *Store) History(entity, attr string, opts ...state.ReadOpt) []*element.Fact {
 	return d.mem.History(entity, attr, opts...)
@@ -865,73 +866,39 @@ func (d *Store) List(opts ...state.ReadOpt) []*element.Fact {
 	return d.mem.List(opts...)
 }
 
-// ColdRecords resolves the newest durable frame of a non-resident key —
-// the fall-through behind the RAM store's point reads and histories.
-// Point reads (point=true) prune with the owning segment's bitemporal
-// envelope: a valid-time instant outside the segment's validity span, a
-// current-belief read against a segment with no open validity anywhere,
-// or a belief pinned before anything the segment recorded cannot match
-// and skips the pread. History reads pass point=false and always read
-// the frame — their selection semantics (closed records, AllVersions)
-// are not point-shaped, so only the full resolver can answer.
-// Implements state.ColdSource.
-func (d *Store) ColdRecords(key element.FactKey, spec state.ReadSpec, point bool) ([]*element.Fact, bool) {
-	seg, off, ok := d.cat.Load().owner(key)
-	if !ok {
-		return nil, false
-	}
-	if point {
-		env := seg.env
-		if spec.HasValidAt && (spec.ValidAt < env.minValid || spec.ValidAt >= env.maxValid) {
-			return nil, false
-		}
-		if !spec.HasValidAt && env.maxValid != temporal.Forever {
-			// A current-belief point read needs an open version; a segment
-			// with no open validity anywhere cannot hold one.
-			return nil, false
-		}
-		if spec.HasTxAt && spec.TxAt < env.minTx {
-			return nil, false
-		}
-	}
-	records, err := seg.readLineage(key, off, new(state.ColdBuf))
-	if err != nil {
-		// A failing referenced frame is corruption, not absence; reads
-		// degrade to RAM-only rather than panic mid-query.
-		return nil, false
-	}
-	return records, true
-}
-
-// ColdFrames resolves a scan's cold keys against one catalog load,
-// newest segment first, each key at its newest frame, unread, in the
-// keys' order. A frame is pruned — the pread never
-// issued — when the owning segment's bitemporal envelope is disjoint
-// from the scan shape, or when its own value envelope from the footer
-// index (or, failing that, its segment's) is disjoint from the pushed
-// bounds: the decoded head would carry the same envelope and fail the
-// gather's skipByBounds test, so the result is unchanged, only the read
-// is saved. Pruning is per key, so it survives merges that fold
-// value-disjoint segments together. A segment costs min(|index|, |keys
-// still unresolved|): it is probed key by key, or its index walked when
-// that is smaller, so many segments and many unowned keys never
-// multiply. Implements state.ColdSource.
-func (d *Store) ColdFrames(keys []element.FactKey, shape state.ScanShape, bounds state.ValueBounds) []state.ColdLineage {
+// ColdFrames resolves cold keys — a scan's batch, or the one key of a
+// point read, history or fault-in — against one catalog load, newest
+// segment first, each key at its newest frame, unread, appended to dst
+// in the keys' order. A frame is pruned — the pread never issued — when
+// the owning segment's bitemporal envelope is disjoint from the shape,
+// or when its own value envelope from the footer index (or, failing
+// that, its segment's) is disjoint from the pushed bounds: the decoded
+// head would carry the same envelope and fail the gather's skipByBounds
+// test, so the result is unchanged, only the read is saved. Pruning is
+// per key, so it survives merges that fold value-disjoint segments
+// together. A segment costs min(|index|, |keys still unresolved|): it is
+// probed key by key, or its index walked when that is smaller, so many
+// segments and many unowned keys never multiply. Implements
+// state.ColdSource.
+func (d *Store) ColdFrames(dst []state.ColdLineage, keys []element.FactKey, shape state.ScanShape, bounds state.ValueBounds) []state.ColdLineage {
 	cat := d.cat.Load()
 	if len(cat.segments) == 0 || len(keys) == 0 {
-		return nil
+		return dst
 	}
+	// hits[k] resolves key k. The todo fields of hits[:ntodo] double as
+	// the list of unresolved key indexes, compacted lazily, so the
+	// resolve costs one allocation.
 	type hit struct {
-		seg  int // index+1 of the owning segment; 0: no frame, or pruned
+		r    *reader // owning segment; nil: no frame, or pruned
 		off  int64
 		done bool
+		todo int
 	}
 	hits := make([]hit, len(keys))
-	todo := make([]int, len(keys)) // unresolved key indexes, compacted lazily
-	for k := range todo {
-		todo[k] = k
+	for k := range hits {
+		hits[k].todo = k
 	}
-	left := len(keys)
+	left, ntodo := len(keys), len(keys)
 	var pos map[element.FactKey]int // built only if some index walk is cheaper
 	for i := len(cat.segments) - 1; i >= 0 && left > 0; i-- {
 		r := cat.segments[i]
@@ -944,7 +911,7 @@ func (d *Store) ColdFrames(keys []element.FactKey, shape state.ScanShape, bounds
 			if pruned || (ref.numeric && bounds.Excludes(ref.lo, ref.hi)) {
 				d.scanPruned.Add(1)
 			} else {
-				hits[k].seg, hits[k].off = i+1, ref.off
+				hits[k].r, hits[k].off = r, ref.off
 			}
 		}
 		if len(r.index) < left {
@@ -961,69 +928,34 @@ func (d *Store) ColdFrames(keys []element.FactKey, shape state.ScanShape, bounds
 			}
 			continue
 		}
-		next := todo[:0]
-		for _, k := range todo {
+		n := 0
+		for _, h := range hits[:ntodo] {
+			k := h.todo
 			if hits[k].done {
 				continue
 			}
 			if ref, ok := r.index[keys[k]]; ok {
 				resolve(k, ref)
 			} else {
-				next = append(next, k)
+				hits[n].todo = k
+				n++
 			}
 		}
-		todo = next
+		ntodo = n
 	}
-	srcs := make([]scanSource, len(cat.segments))
-	var out []state.ColdLineage
 	for k, h := range hits {
-		if h.seg == 0 {
-			continue
+		if h.r != nil {
+			dst = append(dst, state.ColdLineage{Key: keys[k], Src: h.r, Off: h.off})
 		}
-		src := &srcs[h.seg-1]
-		src.d, src.r = d, cat.segments[h.seg-1]
-		out = append(out, state.ColdLineage{Key: keys[k], Src: src, Off: h.off})
 	}
-	return out
-}
-
-// scanSource serves one segment's frames to scan gathers, counting each
-// frame read into Info.ScanFrames. Implements state.FrameSource.
-type scanSource struct {
-	d *Store
-	r *reader
-}
-
-// LoadFrame preads and decodes one frame into the gather's buffer. Loads
-// run from scan workers, possibly concurrently: readLineage preads, so
-// they never seek-contend.
-func (s *scanSource) LoadFrame(key element.FactKey, off int64, buf *state.ColdBuf) ([]*element.Fact, error) {
-	records, err := s.r.readLineage(key, off, buf)
-	if err == nil {
-		s.d.scanFrames.Add(1)
-	}
-	return records, err
-}
-
-// FaultIn returns the full record set of a key's newest durable frame so
-// the write path can reinstall an evicted lineage before mutating it.
-// Unlike ColdRecords it never envelope-prunes — the caller needs the
-// history, not an answer. Like every cold read it stays available in
-// degraded mode: the WRITE path of the disk failed, and the committed
-// segments it reads are still trusted. A key with no frame is (nil,
-// nil); a frame that fails its read or checksum is an error.
-// Implements state.ColdSource.
-func (d *Store) FaultIn(key element.FactKey) ([]*element.Fact, error) {
-	seg, off, ok := d.cat.Load().owner(key)
-	if !ok {
-		return nil, nil
-	}
-	return seg.readLineage(key, off, new(state.ColdBuf))
+	return dst
 }
 
 // scanPrune reports whether a segment's bitemporal envelope proves that
-// no record in it can match the scan shape — findFrame's point-read
-// pruning generalized from point reads to every List shape.
+// no record in it can match the shape ColdFrames was given: a scan's, a
+// point read's (valid and transaction pins), a history's (transaction
+// pin only, all versions) or fault-in's (none, all versions: never
+// pruned).
 func scanPrune(env envelope, shape state.ScanShape) bool {
 	if shape.HasTxAt && shape.TxAt < env.minTx {
 		// Nothing in the segment was recorded by the belief pin.
@@ -1089,12 +1021,14 @@ type Info struct {
 	// CompactionFailures counts merges that failed outright (conflict
 	// and shutdown aborts excluded).
 	CompactionFailures int64
-	// ScanFrames is the cumulative count of durable frames read into
-	// scans (the merged gather's cold loads for non-resident lineages).
+	// ScanFrames is the cumulative count of durable frames read for
+	// non-resident lineages: every cold load of a scan, point read,
+	// history or fault-in.
 	ScanFrames int64
-	// ScanFramesPruned is the cumulative count of cold scan keys whose
-	// frame was pruned unread: by its segment's bitemporal envelope, or
-	// by its own (or its segment's) value envelope.
+	// ScanFramesPruned is the cumulative count of cold keys — of any of
+	// those reads — whose frame was pruned unread: by its segment's
+	// bitemporal envelope, or by its own (or its segment's) value
+	// envelope.
 	ScanFramesPruned int64
 	// ResidentLineages is the number of lineages currently resident in
 	// the RAM working set.

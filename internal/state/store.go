@@ -822,16 +822,16 @@ func (sh *shard) reRecord(v *element.Fact, iv temporal.Interval, tx temporal.Ins
 // shard's read lock covers only the O(1) byKey probe, the head walk is
 // lock-free. Every point-read surface (Store and Snapshot, Find and the
 // spec/value forms) funnels through it. A key with no resident lineage
-// falls through to the installed ColdSource (an evicted lineage, whose
-// durable frame holds its whole record history).
+// resolves through coldHead (an evicted lineage, whose durable frame
+// holds its whole record history), pruned by the read's valid and
+// transaction pins.
 func (s *Store) findPick(entity, attr string, cfg readCfg) *element.Fact {
 	key := element.FactKey{Entity: entity, Attribute: attr}
 	l := s.shardFor(entity, attr).get(key)
 	if l == nil {
-		if cs := s.coldSource(); cs != nil {
-			if records, ok := cs.ColdRecords(key, specOfCfg(cfg), true); ok {
-				return detachedHead(records).pick(cfg)
-			}
+		shape := ScanShape{ValidAt: cfg.validAt, HasValidAt: cfg.hasValidAt, TxAt: cfg.txAt, HasTxAt: cfg.hasTxAt}
+		if h := s.coldHead(key, shape); h != nil {
+			return h.pick(cfg)
 		}
 		return nil
 	}
@@ -872,11 +872,10 @@ func (s *Store) findClone(entity, attr string, cfg readCfg) (*element.Fact, bool
 	return nil, false
 }
 
-// Contains reports whether the store holds a lineage (any record
-// history, believed or superseded) for (entity, attr). The segment
-// backend uses it to decide when a key-level read should fall through
-// to durable frames: only when the RAM working set has no lineage at
-// all, e.g. after eviction dropped it.
+// Contains reports whether the store holds a resident lineage (any
+// record history, believed or superseded) for (entity, attr). An evicted
+// lineage is not resident, though reads still answer for it from its
+// durable frame: Contains tells the two apart, which reads never do.
 func (s *Store) Contains(entity, attr string) bool {
 	return s.shardFor(entity, attr).get(element.FactKey{Entity: entity, Attribute: attr}) != nil
 }
@@ -992,15 +991,11 @@ func (s *Store) history(entity, attr string, cfg readCfg) []*element.Fact {
 	l := s.shardFor(entity, attr).get(key)
 	var h *head
 	if l == nil {
-		cs := s.coldSource()
-		if cs == nil {
+		// Only the belief pin prunes: closed records answer histories.
+		h = s.coldHead(key, ScanShape{TxAt: cfg.txAt, HasTxAt: cfg.hasTxAt, AllVersions: true})
+		if h == nil {
 			return nil
 		}
-		records, ok := cs.ColdRecords(key, specOfCfg(cfg), false)
-		if !ok {
-			return nil
-		}
-		h = detachedHead(records)
 	} else {
 		s.touch(l)
 		h = l.head.Load()

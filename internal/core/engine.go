@@ -380,9 +380,6 @@ func (e *Engine) EnableReasoning(ont *reason.Ontology) *reason.Reasoner {
 	return e.reasoner
 }
 
-// Reasoner returns the attached reasoner, if any.
-func (e *Engine) Reasoner() *reason.Reasoner { return e.reasoner }
-
 // Process feeds one message (element or watermark) through Figure 1.
 // Messages must arrive in timestamp order. The message's state writes
 // are in the WAL when Process returns.

@@ -74,6 +74,3 @@ func (pq *PreparedQuery) Exec(opts ...QueryOpt) (*query.Result, error) {
 // Explain returns the physical plan computed at Prepare time. Callers
 // must not mutate it.
 func (pq *PreparedQuery) Explain() *query.Plan { return pq.p.Explain() }
-
-// Source returns the query text the handle was prepared from.
-func (pq *PreparedQuery) Source() string { return pq.p.Source() }

@@ -122,7 +122,4 @@ RULE position ON RoomEntry AS r THEN REPLACE position(r.visitor) = r.room`); err
 	if pl := pq.Explain(); pl == nil || pl.Attribute != "position" || pl.Temporal != "current" {
 		t.Fatalf("explain: %+v", pq.Explain())
 	}
-	if pq.Source() != "SELECT value FROM position" {
-		t.Fatalf("source: %q", pq.Source())
-	}
 }

@@ -60,9 +60,6 @@ func (s *StreamToRelation) AdvanceTo(wm temporal.Instant) []Delta {
 	return s.panesToDeltas(s.w.AdvanceTo(wm))
 }
 
-// Pending exposes the windower's buffered element count.
-func (s *StreamToRelation) Pending() int { return s.w.Pending() }
-
 func (s *StreamToRelation) panesToDeltas(panes []window.Pane) []Delta {
 	if len(panes) == 0 {
 		return nil
@@ -153,12 +150,6 @@ func (q *Query) Process(m stream.Message) []stream.Message {
 	}
 	return out
 }
-
-// Pending exposes the window buffer size (the E1 resource metric).
-func (q *Query) Pending() int { return q.s2r.Pending() }
-
-// Result returns the current post-chain relation contents.
-func (q *Query) Result() []*element.Tuple { return q.result.Tuples() }
 
 func (q *Query) emit(t *element.Tuple, at temporal.Instant) stream.Message {
 	el := element.New(q.Name, at, t)

@@ -108,14 +108,6 @@ func (m *Multiset) Tuples() []*element.Tuple {
 	return out
 }
 
-// Count returns the multiplicity of t.
-func (m *Multiset) Count(t *element.Tuple) int {
-	if e := m.entries[t.Key()]; e != nil {
-		return e.count
-	}
-	return 0
-}
-
 // DiffToDelta computes the delta that transforms the multiset into the
 // given target contents, and applies it. Stream-to-relation operators use
 // this to convert successive window panes into incremental changes.

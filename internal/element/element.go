@@ -104,28 +104,11 @@ func (t *Tuple) MustGet(name string) Value {
 	return v
 }
 
-// At returns the value at position i.
-func (t *Tuple) At(i int) Value { return t.values[i] }
-
 // Values returns a copy of the value slice.
 func (t *Tuple) Values() []Value {
 	out := make([]Value, len(t.values))
 	copy(out, t.values)
 	return out
-}
-
-// Equal reports whether two tuples have pairwise equal values. Schemas are
-// compared by field names and kinds.
-func (t *Tuple) Equal(o *Tuple) bool {
-	if t.schema.Len() != o.schema.Len() {
-		return false
-	}
-	for i := range t.values {
-		if t.schema.fields[i] != o.schema.fields[i] || !t.values[i].Equal(o.values[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Key returns a canonical string for the whole tuple, usable as a map key.

@@ -66,14 +66,11 @@ func NewFact(entity, attribute string, v Value, validity temporal.Interval) *Fac
 // Key returns the state-store key of the fact: entity and attribute.
 func (f *Fact) Key() FactKey { return FactKey{Entity: f.Entity, Attribute: f.Attribute} }
 
-// ValidAt reports whether the fact holds at instant t.
-func (f *Fact) ValidAt(t temporal.Instant) bool { return f.Validity.Contains(t) }
-
 // IsCurrent reports whether the fact's validity is still open.
 func (f *Fact) IsCurrent() bool { return f.Validity.IsOpen() }
 
 // BeliefEnd atomically reads SupersededAt. It is the raw accessor behind
-// VisibleAt/Superseded/Recorded for facts that may be shared with a
+// VisibleAt/Superseded for facts that may be shared with a
 // concurrent writer (see the SupersededAt field comment).
 func (f *Fact) BeliefEnd() temporal.Instant {
 	return temporal.Instant(atomic.LoadInt64((*int64)(&f.SupersededAt)))
@@ -86,12 +83,6 @@ func (f *Fact) BeliefEnd() temporal.Instant {
 // published heads can race the mutation safely.
 func (f *Fact) MarkSuperseded(tt temporal.Instant) {
 	atomic.StoreInt64((*int64)(&f.SupersededAt), int64(tt))
-}
-
-// Recorded returns the transaction-time interval [RecordedAt, SupersededAt)
-// over which the store believed this version.
-func (f *Fact) Recorded() temporal.Interval {
-	return temporal.NewInterval(f.RecordedAt, f.BeliefEnd())
 }
 
 // Superseded reports whether a later write has revised this version out of

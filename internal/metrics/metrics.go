@@ -12,13 +12,12 @@ import (
 )
 
 // Histogram records durations in logarithmic buckets (one per power of
-// ~1.25 between 1ns and ~1h) plus exact min/max/sum. The zero value is
+// ~1.25 between 1ns and ~1h) plus exact max and sum. The zero value is
 // ready to use. Not safe for concurrent use.
 type Histogram struct {
 	counts [256]uint64
 	n      uint64
 	sum    time.Duration
-	min    time.Duration
 	max    time.Duration
 }
 
@@ -47,16 +46,10 @@ func (h *Histogram) Record(d time.Duration) {
 	h.counts[bucketFor(d)]++
 	h.n++
 	h.sum += d
-	if h.n == 1 || d < h.min {
-		h.min = d
-	}
 	if d > h.max {
 		h.max = d
 	}
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.n }
 
 // Mean returns the exact mean of all observations.
 func (h *Histogram) Mean() time.Duration {
@@ -65,12 +58,6 @@ func (h *Histogram) Mean() time.Duration {
 	}
 	return h.sum / time.Duration(h.n)
 }
-
-// Min returns the smallest observation.
-func (h *Histogram) Min() time.Duration { return h.min }
-
-// Max returns the largest observation.
-func (h *Histogram) Max() time.Duration { return h.max }
 
 // Quantile returns an estimate of the q-quantile (0 < q <= 1), accurate to
 // the bucket resolution (~25%).
@@ -102,9 +89,6 @@ func (h *Histogram) String() string {
 // use. The zero value is ready. The subscription broker counts drops,
 // resyncs, and skipped batches with it.
 type Counter struct{ n atomic.Uint64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.n.Add(n) }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.n.Add(1) }

@@ -114,12 +114,6 @@ func newPrepared(q *Query, src string) *Prepared {
 	return p
 }
 
-// Query returns the parsed query. Callers must not mutate it.
-func (p *Prepared) Query() *Query { return p.q }
-
-// Source returns the query text the handle was prepared from.
-func (p *Prepared) Source() string { return p.src }
-
 // Explain returns the physical plan. The plan is computed at Prepare
 // time and cached; callers must not mutate it.
 func (p *Prepared) Explain() *Plan { return p.plan }

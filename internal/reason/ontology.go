@@ -74,23 +74,6 @@ func reaches(g map[string]map[string]bool, from, to string) bool {
 // itself), sorted.
 func (o *Ontology) Superclasses(class string) []string { return closure(o.subClass, class) }
 
-// Classes returns every class mentioned in the taxonomy, sorted.
-func (o *Ontology) Classes() []string {
-	set := map[string]bool{}
-	for sub, supers := range o.subClass {
-		set[sub] = true
-		for s := range supers {
-			set[s] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func closure(g map[string]map[string]bool, start string) []string {
 	seen := map[string]bool{}
 	stack := []string{start}

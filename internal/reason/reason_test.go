@@ -17,9 +17,6 @@ func TestOntologyClosure(t *testing.T) {
 	if len(got) != 2 || got[0] != "books" || got[1] != "fiction" {
 		t.Fatalf("superclasses: %v", got)
 	}
-	if len(o.Classes()) != 4 {
-		t.Fatalf("classes: %v", o.Classes())
-	}
 	if len(o.Superclasses("unknown")) != 0 {
 		t.Error("unknown class has no superclasses")
 	}

@@ -70,8 +70,8 @@ func TestRoutingEquivalence(t *testing.T) {
 	if _, ok := st.Find("z", "pb"); ok {
 		t.Fatal("rb should have been gated for z")
 	}
-	if set.Emitted() != 2 {
-		t.Fatalf("emitted counter: %d", set.Emitted())
+	if set.emitted != 2 {
+		t.Fatalf("emitted counter: %d", set.emitted)
 	}
 }
 

@@ -266,8 +266,8 @@ THEN ASSERT lastclick(c.visitor) = c.room,
 	if f.Source != "sess" {
 		t.Errorf("fact source: %q", f.Source)
 	}
-	if set.Emitted() != 1 {
-		t.Errorf("emitted count: %d", set.Emitted())
+	if set.emitted != 1 {
+		t.Errorf("emitted count: %d", set.emitted)
 	}
 }
 

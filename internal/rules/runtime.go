@@ -147,9 +147,6 @@ func ParseSet(src string) (*Set, error) {
 // Len reports the number of deployed rules.
 func (s *Set) Len() int { return len(s.rules) }
 
-// Emitted reports the number of derived elements produced so far.
-func (s *Set) Emitted() uint64 { return s.emitted }
-
 // Apply feeds one input element: rules whose trigger matches fire their
 // actions against the store at the element's timestamp, in deployment
 // order. It returns any EMIT-derived elements, numbered in firing order.

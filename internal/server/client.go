@@ -7,11 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 
 	"repro/internal/element"
 	"repro/internal/query"
-	"repro/internal/temporal"
 )
 
 // Client queries a remote state service.
@@ -66,11 +64,6 @@ func (c *Client) Query(q string) (*query.Result, error) {
 // store.
 func (c *Client) Current(entity, attr string) (*element.Fact, bool, error) {
 	return c.fact(entity, attr, "")
-}
-
-// ValidAt fetches the fact valid at t for (entity, attr).
-func (c *Client) ValidAt(entity, attr string, t temporal.Instant) (*element.Fact, bool, error) {
-	return c.fact(entity, attr, "&at="+strconv.FormatInt(int64(t), 10))
 }
 
 // fact reads one fact. The names are query-escaped, so any entity or

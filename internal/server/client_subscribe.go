@@ -1,8 +1,8 @@
 // Client half of the subscription surface: Client.Subscribe opens the
-// SSE stream and decodes its events back into domain types, tracking the
-// last-seen watermark so a dropped connection can resume from
-// Subscription.Cursor — the server answers a stale cursor with one resync
-// catch-up instead of a silent gap.
+// SSE stream and decodes its events back into domain types. A dropped
+// connection resumes from the last received event's watermark — the
+// server answers a stale cursor with one resync catch-up instead of a
+// silent gap.
 
 package server
 
@@ -78,14 +78,11 @@ type Event struct {
 }
 
 // Subscription is a live server push stream. Recv blocks for the next
-// event; Close tears the stream down. Cursor tracks the last-seen
-// watermark, to resume from with SubscribeOptions.Cursor.
+// event; Close tears the stream down. To resume, pass the last received
+// event's Watermark as SubscribeOptions.Cursor.
 type Subscription struct {
 	body io.ReadCloser
 	sc   *bufio.Scanner
-	// cursor is the watermark of the last received event.
-	cursor temporal.Instant
-	seen   bool
 }
 
 // Subscribe opens a push subscription over SSE.
@@ -141,9 +138,7 @@ func (s *Subscription) Recv() (*Event, error) {
 			if err := json.Unmarshal(data, &wd); err != nil {
 				return nil, fmt.Errorf("server: subscribe decode: %w", err)
 			}
-			ev := fromWireDelivery(wd)
-			s.cursor, s.seen = ev.Watermark, true
-			return ev, nil
+			return fromWireDelivery(wd), nil
 		case strings.HasPrefix(line, "data: "):
 			data = append(data, line[len("data: "):]...)
 		}
@@ -153,10 +148,6 @@ func (s *Subscription) Recv() (*Event, error) {
 	}
 	return nil, io.EOF
 }
-
-// Cursor returns the watermark of the last received event and whether
-// any event has arrived yet.
-func (s *Subscription) Cursor() (temporal.Instant, bool) { return s.cursor, s.seen }
 
 // Close tears the stream down. The server drops the subscription.
 func (s *Subscription) Close() error { return s.body.Close() }

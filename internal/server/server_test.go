@@ -64,7 +64,7 @@ func TestFactEndpoints(t *testing.T) {
 	if f.Validity.Start != 50 || !f.Validity.IsOpen() {
 		t.Fatalf("validity round trip: %v", f.Validity)
 	}
-	f, ok, err = client.ValidAt("ann", "position", 30)
+	f, ok, err = client.fact("ann", "position", "&at=30")
 	if err != nil || !ok || f.Value.MustString() != "hall" {
 		t.Fatalf("valid-at: %v %v %v", f, ok, err)
 	}
@@ -95,7 +95,7 @@ func TestFactNamesEscaped(t *testing.T) {
 			get    func() (*element.Fact, bool, error)
 		}{
 			{"Current", func() (*element.Fact, bool, error) { return c.Current(n, "position") }},
-			{"ValidAt", func() (*element.Fact, bool, error) { return c.ValidAt(n, "position", 15) }},
+			{"at", func() (*element.Fact, bool, error) { return c.fact(n, "position", "&at=15") }},
 			{"at+systime", func() (*element.Fact, bool, error) { return c.fact(n, "position", "&at=15&systime=20") }},
 			{"systime", func() (*element.Fact, bool, error) { return c.fact(n, "position", "&systime=20") }},
 		} {
@@ -269,7 +269,7 @@ func TestTransactionTimeOverTheWire(t *testing.T) {
 	client := NewClient(srv.URL)
 
 	// Current belief about valid time 15: the correction.
-	f, ok, err := client.ValidAt("ann", "position", 15)
+	f, ok, err := client.fact("ann", "position", "&at=15")
 	if err != nil || !ok || f.Value.MustString() != "vault" {
 		t.Fatalf("current belief: %v %v %v", f, ok, err)
 	}
@@ -282,7 +282,7 @@ func TestTransactionTimeOverTheWire(t *testing.T) {
 	// supersession recorded at 50 was not yet part of that cut, so the
 	// record is open (pinned reads are self-contained and repeatable).
 	if f.RecordedAt != 10 || f.SupersededAt != temporal.Forever {
-		t.Fatalf("wire fact transaction-time interval: %v", f.Recorded())
+		t.Fatalf("wire fact transaction-time interval: [%d, %d)", f.RecordedAt, f.SupersededAt)
 	}
 	// Open version as believed at 30.
 	f, ok, err = client.fact("ann", "position", "&systime=30")

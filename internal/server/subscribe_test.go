@@ -127,12 +127,13 @@ func TestSubscribeReconnectWithCursor(t *testing.T) {
 	if err := e.Run([]stream.Message{sensorReading(1, "s1", 20), stream.WatermarkMsg(10)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sub.Recv(); err != nil {
+	first, err := sub.Recv()
+	if err != nil {
 		t.Fatal(err)
 	}
-	cur, ok := sub.Cursor()
-	if !ok || cur != 10 {
-		t.Fatalf("cursor = %d/%v, want 10", cur, ok)
+	cur := first.Watermark
+	if cur != 10 {
+		t.Fatalf("cursor = %d, want 10", cur)
 	}
 	sub.Close()
 

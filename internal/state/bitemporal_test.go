@@ -282,8 +282,8 @@ func assertBitemporalEqual(t *testing.T, want, got *Store) {
 			!wf[i].Value.Equal(gf[i].Value) || wf[i].Validity != gf[i].Validity ||
 			wf[i].RecordedAt != gf[i].RecordedAt || wf[i].SupersededAt != gf[i].SupersededAt ||
 			wf[i].Derived != gf[i].Derived || wf[i].Source != gf[i].Source {
-			t.Fatalf("record %d: want %v (tx %s) got %v (tx %s)",
-				i, wf[i], wf[i].Recorded(), gf[i], gf[i].Recorded())
+			t.Fatalf("record %d: want %v (tx [%d, %d)) got %v (tx [%d, %d))",
+				i, wf[i], wf[i].RecordedAt, wf[i].BeliefEnd(), gf[i], gf[i].RecordedAt, gf[i].BeliefEnd())
 		}
 	}
 }

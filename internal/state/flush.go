@@ -148,11 +148,21 @@ func buildHead(records []*element.Fact, strict bool) (*head, error) {
 // records in validity order, maxTx and txOrdered computed. The belief
 // slices are built in live's storage, which fill returns for reuse, so a
 // gather rebuilding one scratch head per cold frame allocates nothing
-// once its storage has grown. With strict set, overlapping believed
+// once its storage has grown; storage too small for the believed records
+// is replaced once, at their count. With strict set, overlapping believed
 // records are an error; otherwise the earlier-starting of an
 // overlapping pair is dropped from the belief slices.
 func (h *head) fill(records, live []*element.Fact, strict bool) ([]*element.Fact, error) {
 	*h = head{records: records, maxTx: temporal.MinInstant, txOrdered: true}
+	believed := 0
+	for _, f := range records {
+		if !f.Superseded() {
+			believed++
+		}
+	}
+	if cap(live) < believed {
+		live = make([]*element.Fact, 0, believed)
+	}
 	live = live[:0]
 	liveSorted := true
 	for i, f := range records {

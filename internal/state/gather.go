@@ -29,7 +29,7 @@ type scanCand struct {
 // frames into, reused from candidate to candidate: the frame buffer and
 // records, the belief slice, and the head built over them, plus the key
 // and result slot of a one-key resolve. Nothing in it escapes a read:
-// every read consumer (pickInto, recordsAt, scanAt, the point reads and
+// every read consumer (pickInto, recordsAt, Scan, the point reads and
 // histories) clones the versions it returns, and fault-in keeps only the
 // records.
 type coldScratch struct {

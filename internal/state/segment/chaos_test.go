@@ -227,7 +227,7 @@ func TestDegradeWALAppendDropsAcksAndFlushExits(t *testing.T) {
 	if d.Degraded() == nil {
 		t.Fatalf("WAL append failure must degrade immediately")
 	}
-	if !d.Log().Dropping() {
+	if !d.log.Dropping() {
 		t.Fatalf("the WAL must be dropping after an append failure")
 	}
 	mutate(t, storeBatch{d}, 1) // still acknowledged
@@ -239,7 +239,7 @@ func TestDegradeWALAppendDropsAcksAndFlushExits(t *testing.T) {
 	if err := d.Flush(); err != nil {
 		t.Fatalf("flush out of degraded mode: %v", err)
 	}
-	if d.Degraded() != nil || d.Log().Dropping() {
+	if d.Degraded() != nil || d.log.Dropping() {
 		t.Fatalf("flush must clear degraded mode and rearm the WAL")
 	}
 
@@ -447,8 +447,8 @@ func TestChaosConcurrentScheduleRecovers(t *testing.T) {
 	}
 	waitFor(t, "permanent fault to degrade the store", func() bool { return d.Degraded() != nil })
 
-	// The disk "heals": clear the schedule and resume.
-	ffs.Reset()
+	// The disk "heals": both rules have fired their Count, so the
+	// schedule injects nothing more. Resume.
 	if err := d.Resume(); err != nil {
 		t.Fatalf("resume after fault cleared: %v", err)
 	}
@@ -793,7 +793,7 @@ func TestChaosCorruptColdFrame(t *testing.T) {
 	read := func(entity string) point {
 		f, _ := d.Find(entity, "value")
 		v, _ := sn.FindValue(entity, "value", state.ReadSpec{})
-		return point{f, v, sn.History(entity, "value")}
+		return point{f, v, d.Mem().History(entity, "value", state.AsOfTransactionTime(sn.At()))}
 	}
 	want := make([]point, keys)
 	for i := range want {
@@ -810,7 +810,7 @@ func TestChaosCorruptColdFrame(t *testing.T) {
 				// unreadable frame reads as absent.
 				f, ok := d.Find(entity, "value")
 				v, vok := sn.FindValue(entity, "value", state.ReadSpec{})
-				if h := sn.History(entity, "value"); ok || vok || len(h) != 0 {
+				if h := d.Mem().History(entity, "value", state.AsOfTransactionTime(sn.At())); ok || vok || len(h) != 0 {
 					t.Fatalf("point reads over a corrupt frame answered Find %v, FindValue %v, History %v; want no row until they report an error", f, v, h)
 				}
 				continue

@@ -338,7 +338,7 @@ func TestRecoveryResidencyAfterRestart(t *testing.T) {
 		t.Fatalf("flush: %v", err)
 	}
 	for _, k := range keys {
-		if d.Mem().Contains(k, "v") {
+		if !evicted(d.Mem(), k, "v") {
 			t.Fatalf("%s still resident after eviction", k)
 		}
 	}
@@ -373,7 +373,7 @@ func TestRecoveryResidencyAfterRestart(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	for _, k := range keys {
-		if rec.Mem().Contains(k, "v") {
+		if !evicted(rec.Mem(), k, "v") {
 			t.Fatalf("recovery reloaded evicted lineage %s resident", k)
 		}
 		if f, ok := rec.Find(k, "v", state.AsOfValidTime(15)); !ok || f.Value.String() == "" {
@@ -399,11 +399,11 @@ func TestRecoveryResidencyAfterRestart(t *testing.T) {
 	}
 	defer again.Close()
 	for _, k := range keys {
-		if again.Mem().Contains(k, "v") {
+		if !evicted(again.Mem(), k, "v") {
 			t.Fatalf("evicted lineage %s resurfaced two generations later", k)
 		}
 	}
-	if !again.Mem().Contains("hot", "v") {
+	if evicted(again.Mem(), "hot", "v") {
 		t.Fatalf("live lineage must stay resident")
 	}
 	assertColdSeam(t, again)

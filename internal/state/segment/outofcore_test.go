@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -155,11 +156,21 @@ func assertSameReads(t *testing.T, leg string, got, want keyReader) {
 	}
 }
 
-// assertSameCut compares two snapshot handles across the whole read
-// surface of a pinned cut: its dump, every scan shape serially and
-// partitioned at several parallelisms, the per-key reads, and prepared
-// queries.
-func assertSameCut(t *testing.T, leg string, got, want *state.Snapshot) {
+// pinnedCut is a snapshot handle and the store it pins. A handle has no
+// History, so the store answers it at the pin.
+type pinnedCut struct {
+	*state.Snapshot
+	store *state.Store
+}
+
+func (c pinnedCut) History(entity, attr string, opts ...state.ReadOpt) []*element.Fact {
+	return c.store.History(entity, attr, append([]state.ReadOpt{state.AsOfTransactionTime(c.At())}, opts...)...)
+}
+
+// assertSameCut compares two pinned cuts across the whole read surface:
+// the dump, every scan shape serially and partitioned at several
+// parallelisms, the per-key reads, and prepared queries.
+func assertSameCut(t *testing.T, leg string, got, want pinnedCut) {
 	t.Helper()
 	var gb, wb bytes.Buffer
 	if err := got.WriteSnapshot(&gb); err != nil {
@@ -178,8 +189,8 @@ func assertSameCut(t *testing.T, leg string, got, want *state.Snapshot) {
 			t.Fatalf("prepare %q: %v", src, err)
 		}
 		for _, par := range []int{1, 4} {
-			g, gerr := p.Exec(query.ExecEnv{Store: got, Parallelism: par})
-			w, werr := p.Exec(query.ExecEnv{Store: want, Parallelism: par})
+			g, gerr := p.Exec(query.ExecEnv{Store: got.Snapshot, Parallelism: par})
+			w, werr := p.Exec(query.ExecEnv{Store: want.Snapshot, Parallelism: par})
 			if gerr != nil || werr != nil {
 				t.Fatalf("%s: Exec(%q, par=%d): %v / %v", leg, src, par, gerr, werr)
 			}
@@ -223,18 +234,24 @@ func assertSameCut(t *testing.T, leg string, got, want *state.Snapshot) {
 func assertEquivalent(t *testing.T, leg string, cold, oracle *Store) {
 	t.Helper()
 	assertSameReads(t, leg, cold, oracle)
-	assertSameCut(t, leg, cold.Mem().Snapshot(), oracle.Mem().Snapshot())
+	assertSameCut(t, leg, pinnedCut{cold.Mem().Snapshot(), cold.Mem()}, pinnedCut{oracle.Mem().Snapshot(), oracle.Mem()})
 }
 
 // assertColdSeam checks the seam identity the resident-first gather
 // rests on: every catalog key whose newest frame holds records is either
 // resident or published cold. Stale cold marks (keys resident again) are
-// allowed; a live frame that is neither would vanish from every scan.
+// allowed; a live frame that is neither would vanish from every scan. A
+// scan lists exactly the resident and the cold keys, so a key that is not
+// cold is resident when a scan lists it.
 func assertColdSeam(t *testing.T, d *Store) {
 	t.Helper()
 	cold := map[element.FactKey]bool{}
 	for _, key := range d.Mem().ColdKeys() {
 		cold[key] = true
+	}
+	listed := map[element.FactKey]bool{}
+	for _, f := range d.Mem().List(state.AllVersions()) {
+		listed[f.Key()] = true
 	}
 	cat := d.cat.Load()
 	seen := map[element.FactKey]bool{}
@@ -249,11 +266,19 @@ func assertColdSeam(t *testing.T, d *Store) {
 			if err != nil {
 				t.Fatalf("seam: read %s: %v", key, err)
 			}
-			if len(records) > 0 && !cold[key] && !d.Mem().Contains(key.Entity, key.Attribute) {
+			if len(records) > 0 && !cold[key] && !listed[key] {
 				t.Fatalf("seam: %s has a live frame but is neither resident nor cold", key)
 			}
 		}
 	}
+}
+
+// evicted reports whether (entity, attr) is in st's evicted set: out of
+// RAM, answered from its frame, and faulted in by the next write. A
+// lineage leaves RAM only by eviction, so a written key that is not
+// evicted is resident.
+func evicted(st *state.Store, entity, attr string) bool {
+	return slices.Contains(st.EvictedKeys(), element.FactKey{Entity: entity, Attribute: attr})
 }
 
 // TestOutOfCoreEquivalence: residency is unobservable. The same
@@ -435,7 +460,7 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 	// neither eviction, restart nor merge changed a cut.
 	for _, p := range pins {
 		for i, tw := range twins {
-			assertSameCut(t, tw.name+" pinned at "+p.step, p.handles[i+1], p.handles[0])
+			assertSameCut(t, tw.name+" pinned at "+p.step, pinnedCut{p.handles[i+1], tw.d.Mem()}, pinnedCut{p.handles[0], oracle.Mem()})
 		}
 	}
 }

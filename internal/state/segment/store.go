@@ -598,9 +598,6 @@ func (d *Store) writeManifest(man *manifestRec) error {
 // the WAL until the next flush.
 func (d *Store) Mem() *state.Store { return d.mem }
 
-// Log returns the WAL the working set appends to.
-func (d *Store) Log() *state.Log { return d.log }
-
 // DurableTx reports the durable cut: every write at or before it is
 // captured by segment files; later writes live in the WAL tail.
 func (d *Store) DurableTx() temporal.Instant { return d.cat.Load().durableTx }

@@ -197,7 +197,7 @@ func TestShardedStress(t *testing.T) {
 			for w := 0; w < writers; w++ {
 				for k := 0; k < keysPerWrite; k++ {
 					key := fmt.Sprintf("w%d-k%d", w, k)
-					hist := snap.History(key, "v")
+					hist := st.History(key, "v", AsOfTransactionTime(snap.At()))
 					for j := 1; j < len(hist); j++ {
 						if hist[j-1].Validity.Overlaps(hist[j].Validity) {
 							t.Errorf("pinned cut has overlapping belief for %s", key)

@@ -116,23 +116,6 @@ func (sn *Snapshot) List(opts ...ReadOpt) []*element.Fact {
 	return sn.s.gatherList(sn.clamp(newReadCfg(opts)))
 }
 
-// Scan returns clones of every version believed at the pin matching pred,
-// sorted by (attribute, entity, start). A nil pred matches all.
-func (sn *Snapshot) Scan(pred func(*element.Fact) bool) []*element.Fact {
-	return sn.s.scanAt(sn.at, pred)
-}
-
-// History returns the version history of one key as believed at the pin:
-// by default the versions believed at the pinned instant in validity
-// order; with AllVersions the audit trail of the cut — superseded
-// records included — in recording order, with belief intervals closed
-// after the cut restored to open (the key-level analogue of
-// WriteSnapshot). An explicit AsOfTransactionTime moves the cut further
-// into the past, exactly as it does on Store.History.
-func (sn *Snapshot) History(entity, attr string, opts ...ReadOpt) []*element.Fact {
-	return sn.s.history(entity, attr, sn.clamp(newReadCfg(opts)))
-}
-
 // WriteSnapshot dumps the pinned cut in the canonical cut encoding (see
 // Store.WriteSnapshot): every record believed at the pin, with belief
 // intervals closed after the pin restored to open. Two handles over the

@@ -842,7 +842,7 @@ func (s *Store) findPick(entity, attr string, cfg readCfg) *element.Fact {
 // restoreAt maps a record's belief end into the cut at tt: a
 // supersession recorded after tt was not yet part of that belief, so it
 // comes back open. This single helper carries the cut-reconstruction
-// invariant for every pinned read surface (cloneAt, scanAt, recordsAt),
+// invariant for every pinned read surface (cloneAt, Scan, recordsAt),
 // keeping pinned reads self-contained and REPEATABLE — re-reading a
 // snapshot handle yields identical facts even after a later write closes
 // a record's belief interval in place — and matching what restoring the
@@ -870,14 +870,6 @@ func (s *Store) findClone(entity, attr string, cfg readCfg) (*element.Fact, bool
 		return cloneAt(f, cfg), true
 	}
 	return nil, false
-}
-
-// Contains reports whether the store holds a resident lineage (any
-// record history, believed or superseded) for (entity, attr). An evicted
-// lineage is not resident, though reads still answer for it from its
-// durable frame: Contains tells the two apart, which reads never do.
-func (s *Store) Contains(entity, attr string) bool {
-	return s.shardFor(entity, attr).get(element.FactKey{Entity: entity, Attribute: attr}) != nil
 }
 
 // Find returns the version of (entity, attr) selected by the read options:
@@ -980,13 +972,7 @@ func (s *Store) Delete(entity, attr string, opts ...WriteOpt) error {
 // recorded by then, supersessions after it undone). Like Find, History
 // locks the shard only for the key probe.
 func (s *Store) History(entity, attr string, opts ...ReadOpt) []*element.Fact {
-	return s.history(entity, attr, newReadCfg(opts))
-}
-
-// history is History over a resolved configuration — the shared body
-// behind Store.History and Snapshot.History (which clamps cfg to its pin
-// first).
-func (s *Store) history(entity, attr string, cfg readCfg) []*element.Fact {
+	cfg := newReadCfg(opts)
 	key := element.FactKey{Entity: entity, Attribute: attr}
 	l := s.shardFor(entity, attr).get(key)
 	var h *head
@@ -1038,22 +1024,15 @@ func recordsAt(h *head, tt temporal.Instant, dst []*element.Fact) []*element.Fac
 // Scan returns clones of every version believed at the scan's pinned
 // instant (current and historical) matching pred, sorted by (attribute,
 // entity, start). A nil pred matches all. Like List, Scan is pinned at
-// the clock's high-water mark and acquires no shard locks. The fact
-// passed to pred is a reused scratch copy valid only during the call;
-// the returned facts are independent clones.
-func (s *Store) Scan(pred func(*element.Fact) bool) []*element.Fact {
-	return s.scanAt(s.pinBarrier(), pred)
-}
-
-// scanAt is Scan pinned at an explicit belief instant. The predicate
+// the clock's high-water mark and acquires no shard locks. The predicate
 // never sees a store-owned fact: it is evaluated on a reused scratch
 // copy (taken with the atomic SupersededAt read), so predicates may read
-// any field directly without racing a concurrent writer's supersession —
-// the all-shard lock that used to provide that safety is gone — while
-// only MATCHING versions pay a heap clone. The predicate's argument is
-// valid only for the duration of the call; facts in the result are
+// any field directly without racing a concurrent writer's supersession,
+// while only MATCHING versions pay a heap clone. The predicate's argument
+// is valid only for the duration of the call; facts in the result are
 // fresh, private clones.
-func (s *Store) scanAt(tt temporal.Instant, pred func(*element.Fact) bool) []*element.Fact {
+func (s *Store) Scan(pred func(*element.Fact) bool) []*element.Fact {
+	tt := s.pinBarrier()
 	var scratch element.Fact
 	cfg := readCfg{txAt: tt, hasTxAt: true, allVersions: true}
 	return s.gather(cfg, func(h *head, out []*element.Fact) []*element.Fact {

@@ -48,27 +48,9 @@ func (r *Reorderer) Process(m Message) []Message {
 	return append(out, m)
 }
 
-// Pending reports the number of buffered elements.
-func (r *Reorderer) Pending() int { return r.buf.Len() }
-
 // Late reports how many elements arrived behind the watermark and were
 // dropped.
 func (r *Reorderer) Late() uint64 { return r.late }
-
-// Flush releases everything still buffered, in order, with a final
-// watermark past the last element. Call at end of input.
-func (r *Reorderer) Flush() []Message {
-	var out []Message
-	last := r.watermark
-	for r.buf.Len() > 0 {
-		el := heap.Pop(&r.buf).(*element.Element)
-		if el.Timestamp+1 > last {
-			last = el.Timestamp + 1
-		}
-		out = append(out, ElementMsg(el))
-	}
-	return append(out, WatermarkMsg(last))
-}
 
 // elementHeap orders elements by (timestamp, seq).
 type elementHeap []*element.Element

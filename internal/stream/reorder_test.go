@@ -16,16 +16,16 @@ func TestReordererBasic(t *testing.T) {
 	}
 	r.Process(ElementMsg(el(2, "b", 1)))
 	r.Process(ElementMsg(el(8, "c", 1)))
-	if r.Pending() != 3 {
-		t.Fatalf("pending: %d", r.Pending())
+	if len(r.buf) != 3 {
+		t.Fatalf("pending: %d", len(r.buf))
 	}
 	out := r.Process(WatermarkMsg(6))
 	// Elements < 6 in order, then the watermark. ts=8 stays buffered.
 	if len(out) != 3 || out[0].El.Timestamp != 2 || out[1].El.Timestamp != 5 || !out[2].IsWatermark {
 		t.Fatalf("release: %v", out)
 	}
-	if r.Pending() != 1 {
-		t.Fatalf("pending after release: %d", r.Pending())
+	if len(r.buf) != 1 {
+		t.Fatalf("pending after release: %d", len(r.buf))
 	}
 }
 
@@ -44,11 +44,13 @@ func TestReordererDropsLate(t *testing.T) {
 	}
 }
 
+// TestReordererFlush drains the buffer at end of input: a final watermark
+// past the last element releases everything, in order, then the watermark.
 func TestReordererFlush(t *testing.T) {
 	r := NewReorderer()
 	r.Process(ElementMsg(el(9, "a", 1)))
 	r.Process(ElementMsg(el(3, "b", 1)))
-	out := r.Flush()
+	out := r.Process(WatermarkMsg(10))
 	if len(out) != 3 || out[0].El.Timestamp != 3 || out[1].El.Timestamp != 9 {
 		t.Fatalf("flush: %v", out)
 	}
@@ -56,7 +58,7 @@ func TestReordererFlush(t *testing.T) {
 	if !last.IsWatermark || last.Watermark != 10 {
 		t.Fatalf("final watermark: %v", last)
 	}
-	if r.Pending() != 0 {
+	if len(r.buf) != 0 {
 		t.Fatal("flush should empty the buffer")
 	}
 }
@@ -101,7 +103,7 @@ func TestReordererRandomized(t *testing.T) {
 				}
 			}
 		}
-		for _, m := range r.Flush() {
+		for _, m := range r.Process(WatermarkMsg(n)) {
 			if !m.IsWatermark {
 				out = append(out, m.El)
 			}

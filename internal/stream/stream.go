@@ -39,14 +39,6 @@ func WatermarkMsg(t temporal.Instant) Message {
 	return Message{Watermark: t, IsWatermark: true}
 }
 
-// Timestamp returns the element timestamp or the watermark instant.
-func (m Message) Timestamp() temporal.Instant {
-	if m.IsWatermark {
-		return m.Watermark
-	}
-	return m.El.Timestamp
-}
-
 // Operator is a synchronous stream transformer: it consumes one message and
 // emits zero or more messages. Operators are driven single-threaded by the
 // engine, so implementations need no internal locking.
@@ -74,12 +66,6 @@ func (c *Collector) Process(m Message) []Message {
 		c.Elements = append(c.Elements, m.El)
 	}
 	return nil
-}
-
-// Reset clears the collector.
-func (c *Collector) Reset() {
-	c.Elements = nil
-	c.Watermark = temporal.MinInstant
 }
 
 // FromElements converts a timestamp-sorted batch into messages, assigning

@@ -18,25 +18,6 @@ func el(ts int64, k string, v int64) *element.Element {
 	return element.New("T", temporal.Instant(ts), element.NewTuple(testSchema, element.String(k), element.Int(v)))
 }
 
-func TestMessageTimestamp(t *testing.T) {
-	if ElementMsg(el(7, "a", 1)).Timestamp() != 7 {
-		t.Error("element timestamp")
-	}
-	if WatermarkMsg(9).Timestamp() != 9 {
-		t.Error("watermark timestamp")
-	}
-}
-
-func TestCollectorResetAndCounter(t *testing.T) {
-	c := NewCollector()
-	c.Process(ElementMsg(el(1, "a", 1)))
-	c.Process(WatermarkMsg(5))
-	c.Reset()
-	if len(c.Elements) != 0 || c.Watermark != temporal.MinInstant {
-		t.Error("reset failed")
-	}
-}
-
 func TestFromElementsAssignsSeqAndWatermark(t *testing.T) {
 	ms := FromElements([]*element.Element{el(5, "a", 1), el(5, "b", 2)})
 	if len(ms) != 3 || ms[0].El.Seq != 0 || ms[1].El.Seq != 1 {

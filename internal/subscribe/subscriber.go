@@ -88,16 +88,9 @@ func (s *Subscriber) TryRecv() (Delivery, bool) {
 	return Delivery{}, false
 }
 
-// Pending reports how many deliveries are queued (monitoring only; the
-// value is stale by the time it returns).
-func (s *Subscriber) Pending() int { return len(s.queue) }
-
 // Close unregisters the subscription. Queued deliveries remain readable;
 // Recv returns ok=false after they drain.
 func (s *Subscriber) Close() {
 	s.b.remove(s)
 	s.closeOnce.Do(func() { close(s.closed) })
 }
-
-// Done exposes the closed signal for select-based consumers.
-func (s *Subscriber) Done() <-chan struct{} { return s.closed }

@@ -25,9 +25,6 @@ func NewSet(ivs ...Interval) *Set {
 // Len returns the number of disjoint intervals in the set.
 func (s *Set) Len() int { return len(s.ivs) }
 
-// IsEmpty reports whether the set covers no instants.
-func (s *Set) IsEmpty() bool { return len(s.ivs) == 0 }
-
 // Intervals returns a copy of the coalesced intervals in ascending order.
 func (s *Set) Intervals() []Interval {
 	out := make([]Interval, len(s.ivs))
@@ -57,18 +54,6 @@ func (s *Set) Add(iv Interval) {
 	s.ivs = out
 }
 
-// Remove subtracts an interval from the set.
-func (s *Set) Remove(iv Interval) {
-	if iv.IsEmpty() || len(s.ivs) == 0 {
-		return
-	}
-	out := make([]Interval, 0, len(s.ivs)+1)
-	for _, have := range s.ivs {
-		out = append(out, have.Subtract(iv)...)
-	}
-	s.ivs = out
-}
-
 // Contains reports whether t is covered by the set.
 func (s *Set) Contains(t Instant) bool {
 	i := sort.Search(len(s.ivs), func(k int) bool { return s.ivs[k].End > t })
@@ -83,32 +68,6 @@ func (s *Set) Covers(iv Interval) bool {
 	}
 	i := sort.Search(len(s.ivs), func(k int) bool { return s.ivs[k].End > iv.Start })
 	return i < len(s.ivs) && s.ivs[i].ContainsInterval(iv)
-}
-
-// Overlaps reports whether the set shares any instant with iv.
-func (s *Set) Overlaps(iv Interval) bool {
-	if iv.IsEmpty() {
-		return false
-	}
-	i := sort.Search(len(s.ivs), func(k int) bool { return s.ivs[k].End > iv.Start })
-	return i < len(s.ivs) && s.ivs[i].Overlaps(iv)
-}
-
-// Intersect returns a new set covering the instants in both s and iv.
-func (s *Set) Intersect(iv Interval) *Set {
-	out := &Set{}
-	for _, have := range s.ivs {
-		x := have.Intersect(iv)
-		if !x.IsEmpty() {
-			out.ivs = append(out.ivs, x)
-		}
-	}
-	return out
-}
-
-// Clone returns an independent copy of the set.
-func (s *Set) Clone() *Set {
-	return &Set{ivs: s.Intervals()}
 }
 
 // String renders the member intervals in order.

@@ -29,17 +29,8 @@ func TestSetAddOverlapping(t *testing.T) {
 func TestSetAddEmptyIgnored(t *testing.T) {
 	s := NewSet()
 	s.Add(iv(5, 5))
-	if !s.IsEmpty() {
+	if s.Len() != 0 {
 		t.Fatal("empty interval should be ignored")
-	}
-}
-
-func TestSetRemoveSplits(t *testing.T) {
-	s := NewSet(iv(0, 30))
-	s.Remove(iv(10, 20))
-	got := s.Intervals()
-	if len(got) != 2 || got[0] != iv(0, 10) || got[1] != iv(20, 30) {
-		t.Fatalf("remove split failed: %s", s)
 	}
 }
 
@@ -54,27 +45,6 @@ func TestSetContainsCovers(t *testing.T) {
 	if !s.Covers(Interval{}) {
 		t.Error("empty interval should be covered vacuously")
 	}
-	if !s.Overlaps(iv(5, 25)) || s.Overlaps(iv(10, 20)) {
-		t.Error("Overlaps wrong")
-	}
-}
-
-func TestSetIntersect(t *testing.T) {
-	s := NewSet(iv(0, 10), iv(20, 30))
-	x := s.Intersect(iv(5, 25))
-	got := x.Intervals()
-	if len(got) != 2 || got[0] != iv(5, 10) || got[1] != iv(20, 25) {
-		t.Fatalf("Intersect: %s", x)
-	}
-}
-
-func TestSetClone(t *testing.T) {
-	a := NewSet(iv(0, 10))
-	b := a.Clone()
-	b.Add(iv(20, 30))
-	if a.Len() != 1 || b.Len() != 2 {
-		t.Error("clone should be independent")
-	}
 }
 
 func TestSetString(t *testing.T) {
@@ -84,30 +54,22 @@ func TestSetString(t *testing.T) {
 }
 
 // TestSetMatchesNaiveModel compares the coalescing Set against a brute-force
-// boolean timeline over a small domain under a random op sequence.
+// boolean timeline over a small domain under a random sequence of adds.
 func TestSetMatchesNaiveModel(t *testing.T) {
 	const domain = 64
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		s := NewSet()
 		var model [domain]bool
-		for op := 0; op < 30; op++ {
+		for op := 0; op < 8; op++ {
 			a := rng.Int63n(domain)
 			b := rng.Int63n(domain)
 			if a > b {
 				a, b = b, a
 			}
-			in := iv(a, b)
-			if rng.Intn(2) == 0 {
-				s.Add(in)
-				for k := a; k < b; k++ {
-					model[k] = true
-				}
-			} else {
-				s.Remove(in)
-				for k := a; k < b; k++ {
-					model[k] = false
-				}
+			s.Add(iv(a, b))
+			for k := a; k < b; k++ {
+				model[k] = true
 			}
 		}
 		for k := 0; k < domain; k++ {

@@ -43,24 +43,6 @@ func FromSeconds(s int64) Instant { return Instant(s) * Instant(time.Second) }
 // not round-trip; callers should test for them explicitly.
 func (i Instant) Time() time.Time { return time.Unix(0, int64(i)) }
 
-// Add returns the instant shifted by d. Forever and MinInstant absorb
-// shifts, so open interval ends stay open under arithmetic.
-func (i Instant) Add(d time.Duration) Instant {
-	if i == Forever || i == MinInstant {
-		return i
-	}
-	return i + Instant(d)
-}
-
-// Sub returns the duration between two finite instants.
-func (i Instant) Sub(j Instant) time.Duration { return time.Duration(i - j) }
-
-// Before reports whether i precedes j.
-func (i Instant) Before(j Instant) bool { return i < j }
-
-// After reports whether i follows j.
-func (i Instant) After(j Instant) bool { return i > j }
-
 // Min returns the earlier of two instants.
 func Min(a, b Instant) Instant {
 	if a < b {
@@ -134,29 +116,6 @@ func (iv Interval) Intersect(o Interval) Interval {
 	}
 	return r
 }
-
-// Subtract removes o from iv and returns the remaining pieces in order.
-// The result has zero, one, or two intervals.
-func (iv Interval) Subtract(o Interval) []Interval {
-	if iv.IsEmpty() {
-		return nil
-	}
-	if !iv.Overlaps(o) {
-		return []Interval{iv}
-	}
-	var out []Interval
-	if iv.Start < o.Start {
-		out = append(out, Interval{Start: iv.Start, End: o.Start})
-	}
-	if o.End < iv.End {
-		out = append(out, Interval{Start: o.End, End: iv.End})
-	}
-	return out
-}
-
-// Duration returns the length of a finite interval. Open intervals report
-// the duration until Forever, which callers should treat as unbounded.
-func (iv Interval) Duration() time.Duration { return time.Duration(iv.End - iv.Start) }
 
 // String renders the interval in [start, end) form.
 func (iv Interval) String() string { return fmt.Sprintf("[%s, %s)", iv.Start, iv.End) }

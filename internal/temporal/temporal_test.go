@@ -21,25 +21,7 @@ func TestInstantConversions(t *testing.T) {
 	}
 }
 
-func TestInstantAddSentinels(t *testing.T) {
-	if Forever.Add(time.Hour) != Forever {
-		t.Error("Forever should absorb Add")
-	}
-	if MinInstant.Add(-time.Hour) != MinInstant {
-		t.Error("MinInstant should absorb Add")
-	}
-	if Instant(10).Add(5) != Instant(15) {
-		t.Error("finite Add failed")
-	}
-}
-
 func TestInstantOrdering(t *testing.T) {
-	if !Instant(1).Before(Instant(2)) || Instant(2).Before(Instant(1)) {
-		t.Error("Before is wrong")
-	}
-	if !Instant(2).After(Instant(1)) {
-		t.Error("After is wrong")
-	}
 	if Min(Instant(3), Instant(5)) != 3 || Max(Instant(3), Instant(5)) != 5 {
 		t.Error("Min/Max wrong")
 	}
@@ -71,9 +53,6 @@ func TestIntervalBasics(t *testing.T) {
 	if !Always().Contains(0) || !Always().Contains(MinInstant) {
 		t.Error("Always should contain everything")
 	}
-	if a.Duration() != 10 {
-		t.Errorf("Duration: got %d", a.Duration())
-	}
 }
 
 func TestIntervalOverlapIntersect(t *testing.T) {
@@ -99,32 +78,6 @@ func TestIntervalOverlapIntersect(t *testing.T) {
 	}
 }
 
-func TestIntervalSubtract(t *testing.T) {
-	cases := []struct {
-		a, b Interval
-		want []Interval
-	}{
-		{iv(0, 10), iv(3, 6), []Interval{iv(0, 3), iv(6, 10)}},
-		{iv(0, 10), iv(0, 5), []Interval{iv(5, 10)}},
-		{iv(0, 10), iv(5, 10), []Interval{iv(0, 5)}},
-		{iv(0, 10), iv(0, 10), nil},
-		{iv(0, 10), iv(20, 30), []Interval{iv(0, 10)}},
-		{iv(0, 10), iv(-5, 15), nil},
-	}
-	for _, c := range cases {
-		got := c.a.Subtract(c.b)
-		if len(got) != len(c.want) {
-			t.Errorf("%v - %v: got %v want %v", c.a, c.b, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("%v - %v: got %v want %v", c.a, c.b, got, c.want)
-			}
-		}
-	}
-}
-
 func TestIntersectCommutesQuick(t *testing.T) {
 	f := func(a1, a2, b1, b2 int16) bool {
 		a := iv(int64(a1), int64(a2))
@@ -145,22 +98,6 @@ func TestIntersectContainedQuick(t *testing.T) {
 			return true
 		}
 		return a.ContainsInterval(x) && b.ContainsInterval(x)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSubtractDisjointFromOperandQuick(t *testing.T) {
-	f := func(a1, a2, b1, b2 int16) bool {
-		a := iv(int64(a1), int64(a2))
-		b := iv(int64(b1), int64(b2))
-		for _, piece := range a.Subtract(b) {
-			if piece.Overlaps(b) || !a.ContainsInterval(piece) {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -71,7 +71,6 @@ type FaultFS struct {
 
 	mu       sync.Mutex
 	rules    []*ruleState
-	ops      int
 	injected int
 	lied     int
 }
@@ -93,14 +92,6 @@ func (f *FaultFS) AddRule(r Rule) {
 	f.rules = append(f.rules, &ruleState{Rule: r})
 }
 
-// Reset clears all rules and their counters; injection statistics are
-// kept.
-func (f *FaultFS) Reset() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.rules = nil
-}
-
 // Injected reports how many operations have had a fault injected.
 func (f *FaultFS) Injected() int {
 	f.mu.Lock()
@@ -115,18 +106,10 @@ func (f *FaultFS) LiedSyncs() int {
 	return f.lied
 }
 
-// Ops reports how many operations have passed through the seam.
-func (f *FaultFS) Ops() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ops
-}
-
 // hit records one operation and returns the first firing rule, if any.
 func (f *FaultFS) hit(op Op, paths ...string) (Rule, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.ops++
 	for _, rs := range f.rules {
 		if rs.Op != "" && rs.Op != op {
 			continue

@@ -3,14 +3,17 @@ package statestream_test
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -390,6 +393,8 @@ var reachAllowlist = map[string]string{
 	"internal/state.Store.ColdKeys":          "the segment out-of-core test",
 	"internal/state/segment.WithRetryPolicy": "chaos tests in other packages set it",
 	"internal/state/segment.Store.Resume":    "the only exit from degraded mode, to be wired to an operator verb",
+	"internal/metrics.Table.Rows":            "TestAllExperimentsRunAtSmallScale and TestE1–TestE8 in internal/bench, and bench_test.go's runExperiment, read the cells",
+	"internal/reason.Reasoner.AddRule":       "the only way to install a Horn rule: TestPublicAPIReasoning, and TestHornRuleJoin and four more in internal/reason",
 }
 
 // stdlibMethods are methods the standard library calls through its own
@@ -402,252 +407,38 @@ var stdlibMethods = []string{
 // TestEveryDeclarationIsReached keeps the module sized to its callers: a
 // package-level declaration in statestream.go or under internal/ exists
 // only if a binary, an example or the facade's documented surface reaches
-// it. The scan uses go/parser alone and errs toward keeping code, since a
-// name collision counts as a use.
+// it. Every package, benchmark/ included, is type-checked from source with
+// go/types, so each identifier and selector resolves to the one object it
+// names.
 //
 //   - Roots: main of every package main (cmd/, examples/, benchmark/),
 //     every init and var _, each statestream.<Name> that an example,
 //     bench_test.go, README.md, DESIGN.md or examples/README.md writes,
 //     and reachAllowlist.
-//   - Inside a live declaration, signature and type included, an
-//     unqualified identifier reaches the same-package declaration of that
-//     name, pkg.Name on an import reaches that package's Name, and any
-//     other .Name reaches every method called Name.
-//   - A method is live when its receiver type is live and its name is
-//     reached: by a selector, by a live interface declaration, or by
-//     stdlibMethods. A constant is live when any member of its group is.
+//   - A live declaration, signature and type included, reaches every
+//     declaration its identifiers and selectors resolve to: a promoted
+//     method resolves to the embedded type's method, and a method of a
+//     generic instantiation to its origin.
+//   - The interface rule: a method named in a live interface type, or
+//     called through one, is live on every live type T where T or *T
+//     implements that interface. This keeps sealed-interface markers and
+//     the StateDB methods no example calls.
+//   - A method of a live type named in stdlibMethods is live. A constant
+//     is live when any member of its group is.
 //
 // It also checks that the docs name only what exists: every statestream.X
 // in those sources is a facade declaration, and every backticked pkg.Name
 // or Type.Name in README.md and DESIGN.md resolves under internal/.
 func TestEveryDeclarationIsReached(t *testing.T) {
-	type decl struct {
-		dir, recv string
-		names     []string // a const group has several
-		isType    bool
-		nodes     []ast.Node
-		imports   map[string]string // import name -> dir, in the declaring file
-		pos       token.Pos
-	}
-	fset := token.NewFileSet()
-	type file struct {
-		dir string
-		f   *ast.File
-	}
-	var files []file
-	pkgName := map[string]string{} // dir -> package clause
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		files = append(files, file{dir, f})
-		pkgName[dir] = f.Name.Name
-		return nil
-	})
+	g, err := loadReachGraph(".", "repro")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var all, roots []*decl
-	byName := map[string]map[string][]*decl{} // dir -> name -> declarations
-	methods := map[string][]*decl{}           // method name -> methods
-	methodsOf := map[string][]*decl{}         // dir.Type -> methods
-	members := map[string]map[string]bool{}   // type name -> fields and methods
-	embeds := map[string][]string{}           // type name -> embedded type names
-	member := func(typ, name string) {
-		if members[typ] == nil {
-			members[typ] = map[string]bool{}
-		}
-		members[typ][name] = true
-	}
-	for _, fl := range files {
-		imports := map[string]string{}
-		for _, is := range fl.f.Imports {
-			p, _ := strconv.Unquote(is.Path.Value)
-			if p != "repro" && !strings.HasPrefix(p, "repro/") {
-				continue
-			}
-			dir := strings.TrimPrefix(strings.TrimPrefix(p, "repro"), "/")
-			if dir == "" {
-				dir = "."
-			}
-			name := pkgName[dir]
-			if is.Name != nil {
-				name = is.Name.Name
-			}
-			imports[name] = dir
-		}
-		add := func(d *decl, root bool) {
-			d.dir, d.imports = fl.dir, imports
-			all = append(all, d)
-			if root {
-				roots = append(roots, d)
-			}
-			if d.recv != "" {
-				methods[d.names[0]] = append(methods[d.names[0]], d)
-				methodsOf[d.dir+"."+d.recv] = append(methodsOf[d.dir+"."+d.recv], d)
-				member(d.recv, d.names[0])
-				return
-			}
-			if byName[d.dir] == nil {
-				byName[d.dir] = map[string][]*decl{}
-			}
-			for _, n := range d.names {
-				byName[d.dir][n] = append(byName[d.dir][n], d)
-			}
-		}
-		for _, dl := range fl.f.Decls {
-			switch dl := dl.(type) {
-			case *ast.FuncDecl:
-				d := &decl{names: []string{dl.Name.Name}, pos: dl.Pos(), nodes: []ast.Node{dl.Type}}
-				if dl.Body != nil {
-					d.nodes = append(d.nodes, dl.Body)
-				}
-				if dl.Recv != nil {
-					d.nodes = append(d.nodes, dl.Recv)
-					d.recv = recvTypeName(dl.Recv.List[0].Type)
-				}
-				main := dl.Name.Name == "main" && fl.f.Name.Name == "main"
-				add(d, d.recv == "" && (main || dl.Name.Name == "init"))
-			case *ast.GenDecl:
-				if dl.Tok == token.CONST {
-					d := &decl{pos: dl.Pos(), nodes: []ast.Node{dl}}
-					for _, s := range dl.Specs {
-						for _, n := range s.(*ast.ValueSpec).Names {
-							d.names = append(d.names, n.Name)
-						}
-					}
-					add(d, false)
-					continue
-				}
-				for _, s := range dl.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						d := &decl{names: []string{s.Name.Name}, isType: true, pos: s.Pos(), nodes: []ast.Node{s}}
-						add(d, false)
-						var fields *ast.FieldList
-						switch tt := s.Type.(type) {
-						case *ast.StructType:
-							fields = tt.Fields
-						case *ast.InterfaceType:
-							fields = tt.Methods
-						}
-						if fields != nil {
-							for _, f := range fields.List {
-								for _, n := range f.Names {
-									member(s.Name.Name, n.Name)
-								}
-								if len(f.Names) == 0 {
-									embeds[s.Name.Name] = append(embeds[s.Name.Name], recvTypeName(f.Type))
-								}
-							}
-						}
-					case *ast.ValueSpec:
-						d := &decl{pos: s.Pos(), nodes: []ast.Node{s}}
-						blank := false
-						for _, n := range s.Names {
-							d.names = append(d.names, n.Name)
-							blank = blank || n.Name == "_"
-						}
-						add(d, blank)
-					}
-				}
-			}
-		}
-	}
-
-	live := map[*decl]bool{}
-	liveType := map[string]bool{} // dir.Type
-	reached := map[string]bool{}  // method names
-	var queue []*decl
-	mark := func(d *decl) {
-		if !live[d] {
-			live[d] = true
-			queue = append(queue, d)
-		}
-	}
-	reachName := func(dir, name string) {
-		for _, d := range byName[dir][name] {
-			mark(d)
-		}
-	}
-	reachMethod := func(name string) {
-		if reached[name] {
-			return
-		}
-		reached[name] = true
-		for _, m := range methods[name] {
-			if liveType[m.dir+"."+m.recv] {
-				mark(m)
-			}
-		}
-	}
-	var walk func(d *decl, n ast.Node)
-	walk = func(d *decl, n ast.Node) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if id, ok := n.X.(*ast.Ident); ok {
-					if dir, ok := d.imports[id.Name]; ok {
-						reachName(dir, n.Sel.Name)
-						return false
-					}
-				}
-				reachMethod(n.Sel.Name)
-				walk(d, n.X)
-				return false
-			case *ast.InterfaceType:
-				for _, f := range n.Methods.List {
-					for _, name := range f.Names {
-						reachMethod(name.Name)
-					}
-				}
-			case *ast.Ident:
-				reachName(d.dir, n.Name)
-			}
-			return true
-		})
-	}
-	drain := func() {
-		for len(queue) > 0 {
-			d := queue[0]
-			queue = queue[1:]
-			if d.isType {
-				liveType[d.dir+"."+d.names[0]] = true
-				for _, m := range methodsOf[d.dir+"."+d.names[0]] {
-					if reached[m.names[0]] {
-						mark(m)
-					}
-				}
-			}
-			for _, n := range d.nodes {
-				walk(d, n)
-			}
-		}
-	}
-	for _, name := range stdlibMethods {
-		reachMethod(name)
-	}
-	for _, d := range roots {
-		mark(d)
-	}
+	g.markEntryPoints()
 
 	// The facade's documented surface, and the check that the docs name
 	// only facade declarations.
+	facade := g.pkgs["."].Scope()
 	sources, _ := filepath.Glob("examples/*/main.go")
 	sources = append(sources, "bench_test.go", "README.md", "DESIGN.md", "examples/README.md")
 	facadeRef := regexp.MustCompile(`statestream\.([A-Z]\w*)`)
@@ -657,68 +448,53 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range facadeRef.FindAllStringSubmatch(string(b), -1) {
-			if len(byName["."][m[1]]) == 0 {
+			obj := facade.Lookup(m[1])
+			if obj == nil {
 				t.Errorf("%s names statestream.%s, which the facade does not export", src, m[1])
+				continue
 			}
-			reachName(".", m[1])
+			g.use(obj)
 		}
 	}
-	drain()
+	g.propagate()
 
 	// Allowlisted roots, each of which must exist and be otherwise unreached.
-	keyOf := func(d *decl) string {
-		if d.recv != "" {
-			return d.dir + "." + d.recv + "." + d.names[0]
-		}
-		return d.dir + "." + strings.Join(d.names, ",")
-	}
-	allowed := map[string]bool{}
-	for _, d := range all {
-		if _, ok := reachAllowlist[keyOf(d)]; ok {
-			allowed[keyOf(d)] = true
-			if live[d] {
-				t.Errorf("%s is reached; drop it from reachAllowlist", keyOf(d))
-			}
-			mark(d)
-		}
-	}
 	for key := range reachAllowlist {
-		if !allowed[key] {
+		d := g.byKey[key]
+		switch {
+		case d == nil:
 			t.Errorf("reachAllowlist names %s, which is not declared", key)
+		case g.live[d]:
+			t.Errorf("%s is reached; drop it from reachAllowlist", key)
+		default:
+			g.mark(d)
 		}
 	}
-	drain()
+	g.propagate()
 
-	var dead []string
-	for _, d := range all {
-		if !live[d] && (d.dir == "." || strings.HasPrefix(d.dir, "internal/")) {
-			dead = append(dead, fmt.Sprintf("%s (%s)", keyOf(d), fset.Position(d.pos)))
+	if dead := g.unreached(func(dir string) bool { return dir == "." || strings.HasPrefix(dir, "internal/") }); len(dead) > 0 {
+		total := 0
+		var lines []string
+		for _, d := range dead {
+			total += d.lines
+			lines = append(lines, fmt.Sprintf("%s (%s, %d lines)", d.key, d.at, d.lines))
 		}
-	}
-	sort.Strings(dead)
-	if len(dead) > 0 {
-		t.Errorf("%d declarations are reached by no binary, example or documented facade name; delete them:\n\t%s",
-			len(dead), strings.Join(dead, "\n\t"))
+		t.Errorf("%d declarations are reached by no binary, example or documented facade name; delete them:\n\t%s\n\ttotal: %d lines",
+			len(dead), strings.Join(lines, "\n\t"), total)
 	}
 
 	// Backticked pkg.Name and Type.Name in the docs resolve under internal/.
-	internalPkg := map[string][]string{} // package clause -> dirs
-	for dir, name := range pkgName {
+	internalPkg := map[string][]*types.Package{} // package clause -> packages
+	typeNamed := map[string][]*types.TypeName{}  // type name -> declarations
+	for dir, pkg := range g.pkgs {
 		if strings.HasPrefix(dir, "internal/") {
-			internalPkg[name] = append(internalPkg[name], dir)
+			internalPkg[pkg.Name()] = append(internalPkg[pkg.Name()], pkg)
 		}
-	}
-	var hasMember func(typ, name string, depth int) bool
-	hasMember = func(typ, name string, depth int) bool {
-		if members[typ][name] {
-			return true
-		}
-		for _, e := range embeds[typ] {
-			if depth < 4 && hasMember(e, name, depth+1) {
-				return true
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				typeNamed[name] = append(typeNamed[name], tn)
 			}
 		}
-		return false
 	}
 	spans := regexp.MustCompile("(?s)```.*?```|`[^`\n]+`")
 	ref := regexp.MustCompile(`\b([A-Za-z]\w*)\.([A-Z]\w*)`)
@@ -729,44 +505,359 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 		}
 		for _, span := range spans.FindAllString(string(b), -1) {
 			for _, m := range ref.FindAllStringSubmatch(span, -1) {
-				if dirs, ok := internalPkg[m[1]]; ok {
+				if pkgs, ok := internalPkg[m[1]]; ok {
 					found := false
-					for _, dir := range dirs {
-						found = found || len(byName[dir][m[2]]) > 0
-						for _, d := range methods[m[2]] {
-							found = found || d.dir == dir
-						}
+					for _, pkg := range pkgs {
+						found = found || pkg.Scope().Lookup(m[2]) != nil
 					}
 					if !found {
 						t.Errorf("%s names %s.%s, which internal/ does not declare", doc, m[1], m[2])
 					}
-				} else if _, ok := members[m[1]]; ok && !hasMember(m[1], m[2], 0) {
-					t.Errorf("%s names %s.%s, which type %s does not have", doc, m[1], m[2], m[1])
+				} else if tns, ok := typeNamed[m[1]]; ok {
+					found := false
+					for _, tn := range tns {
+						obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, tn.Pkg(), m[2])
+						found = found || obj != nil
+					}
+					if !found {
+						t.Errorf("%s names %s.%s, which type %s does not have", doc, m[1], m[2], m[1])
+					}
 				}
 			}
 		}
 	}
 }
 
-// recvTypeName is the type name in a receiver or embedded field: T, *T,
-// T[P] or pkg.T.
-func recvTypeName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			return x.Sel.Name
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
+// TestReachRulesOnFixture pins the guard's rules on testdata/reach, a
+// module with one case per rule. Only lib.Store.Contains is unreached.
+// A guard that matched selectors by name alone would keep it, because
+// lib.Span.Contains is called.
+func TestReachRulesOnFixture(t *testing.T) {
+	g, err := loadReachGraph("testdata/reach", "reach")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.markEntryPoints()
+	g.propagate()
+	var got []string
+	for _, d := range g.unreached(func(string) bool { return true }) {
+		got = append(got, d.key)
+	}
+	if want := []string{"lib.Store.Contains"}; !slices.Equal(got, want) {
+		t.Fatalf("unreached = %v, want %v", got, want)
+	}
+}
+
+// reachDecl is one package-level declaration: a func or method, a type,
+// a var spec, or a whole const group.
+type reachDecl struct {
+	dir   string
+	key   string // dir.Name, dir.Type.Method, or dir.A,B,… for a const group
+	nodes []ast.Node
+	root  bool   // main of a package main, an init, or a var _
+	at    string // file:line
+	lines int    // doc comment included
+}
+
+// reachGraph is a module type-checked once from source, and the part of
+// it reached so far.
+type reachGraph struct {
+	pkgs  map[string]*types.Package // dir -> package
+	info  *types.Info
+	decls []*reachDecl
+	byObj map[types.Object]*reachDecl
+	byKey map[string]*reachDecl
+
+	live        map[*reachDecl]bool
+	queue       []*reachDecl
+	liveTypes   []*types.Named
+	ifaceCalls  []*types.Func // interface methods named or called
+	ifaceSeen   map[*types.Func]bool
+	implChecked map[[2]types.Object]bool
+}
+
+// loadReachGraph parses and type-checks every package under root, whose
+// module path is module. Build tags select files as go build would;
+// testdata and dot directories are skipped, and the standard library is
+// imported from export data.
+func loadReachGraph(root, module string) (*reachGraph, error) {
+	fset := token.NewFileSet()
+	g := &reachGraph{
+		pkgs:        map[string]*types.Package{},
+		info:        &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		byObj:       map[types.Object]*reachDecl{},
+		byKey:       map[string]*reachDecl{},
+		live:        map[*reachDecl]bool{},
+		ifaceSeen:   map[*types.Func]bool{},
+		implChecked: map[[2]types.Object]bool{},
+	}
+	type source struct {
+		dir   string
+		name  string // package clause
+		files []*ast.File
+	}
+	sources := map[string]*source{} // import path -> source
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		bp, err := build.Default.ImportDir(path, 0)
+		if _, ok := err.(*build.NoGoError); ok {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		src := &source{dir: filepath.ToSlash(rel), name: bp.Name}
+		importPath := module
+		if src.dir != "." {
+			importPath += "/" + src.dir
+		}
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(path, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			src.files = append(src.files, f)
+		}
+		sources[importPath] = src
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	std := importer.Default()
+	var check func(path string) (*types.Package, error)
+	check = func(path string) (*types.Package, error) {
+		src, ok := sources[path]
+		if !ok {
+			return std.Import(path)
+		}
+		if pkg := g.pkgs[src.dir]; pkg != nil {
+			return pkg, nil
+		}
+		conf := types.Config{Importer: importerFunc(check)}
+		pkg, err := conf.Check(path, fset, src.files, g.info)
+		if err != nil {
+			return nil, err
+		}
+		g.pkgs[src.dir] = pkg
+		return pkg, nil
+	}
+	for path, src := range sources {
+		if _, err := check(path); err != nil {
+			return nil, err
+		}
+		for _, f := range src.files {
+			g.addDecls(fset, src.dir, src.name == "main", f)
 		}
 	}
+	return g, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// addDecls records the package-level declarations of one checked file.
+func (g *reachGraph) addDecls(fset *token.FileSet, dir string, isMain bool, f *ast.File) {
+	add := func(d *reachDecl, doc *ast.CommentGroup, span ast.Node, names ...*ast.Ident) {
+		d.dir = dir
+		start := fset.Position(span.Pos())
+		d.at = fmt.Sprintf("%s:%d", start.Filename, start.Line)
+		if doc != nil {
+			start = fset.Position(doc.Pos())
+		}
+		d.lines = fset.Position(span.End()).Line - start.Line + 1
+		for _, n := range names {
+			if obj := g.info.Defs[n]; obj != nil {
+				g.byObj[obj] = d
+			}
+		}
+		g.decls = append(g.decls, d)
+		g.byKey[d.key] = d
+	}
+	for _, dl := range f.Decls {
+		switch dl := dl.(type) {
+		case *ast.FuncDecl:
+			d := &reachDecl{key: dir + "." + dl.Name.Name, nodes: []ast.Node{dl.Type}}
+			if dl.Body != nil {
+				d.nodes = append(d.nodes, dl.Body)
+			}
+			if dl.Recv != nil {
+				d.nodes = append(d.nodes, dl.Recv)
+				recv := g.info.Defs[dl.Name].Type().(*types.Signature).Recv().Type()
+				if p, ok := recv.(*types.Pointer); ok {
+					recv = p.Elem()
+				}
+				d.key = dir + "." + recv.(*types.Named).Obj().Name() + "." + dl.Name.Name
+			} else {
+				d.root = dl.Name.Name == "init" || dl.Name.Name == "main" && isMain
+			}
+			add(d, dl.Doc, dl, dl.Name)
+		case *ast.GenDecl:
+			single := !dl.Lparen.IsValid()
+			if dl.Tok == token.CONST {
+				var names []*ast.Ident
+				var keys []string
+				for _, s := range dl.Specs {
+					for _, n := range s.(*ast.ValueSpec).Names {
+						names = append(names, n)
+						keys = append(keys, n.Name)
+					}
+				}
+				add(&reachDecl{key: dir + "." + strings.Join(keys, ","), nodes: []ast.Node{dl}}, dl.Doc, dl, names...)
+				continue
+			}
+			for _, s := range dl.Specs {
+				var doc *ast.CommentGroup
+				var span ast.Node = s
+				if single {
+					doc, span = dl.Doc, dl
+				}
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					if !single {
+						doc = s.Doc
+					}
+					add(&reachDecl{key: dir + "." + s.Name.Name, nodes: []ast.Node{s}}, doc, span, s.Name)
+				case *ast.ValueSpec:
+					if !single {
+						doc = s.Doc
+					}
+					d := &reachDecl{nodes: []ast.Node{s}}
+					var keys []string
+					for _, n := range s.Names {
+						keys = append(keys, n.Name)
+						d.root = d.root || n.Name == "_"
+					}
+					d.key = dir + "." + strings.Join(keys, ",")
+					add(d, doc, span, s.Names...)
+				}
+			}
+		}
+	}
+}
+
+// markEntryPoints marks every main, init and var _.
+func (g *reachGraph) markEntryPoints() {
+	for _, d := range g.decls {
+		if d.root {
+			g.mark(d)
+		}
+	}
+}
+
+func (g *reachGraph) mark(d *reachDecl) {
+	if !g.live[d] {
+		g.live[d] = true
+		g.queue = append(g.queue, d)
+	}
+}
+
+// use reaches the declaration obj names. An interface method is recorded
+// for the interface rule instead.
+func (g *reachGraph) use(obj types.Object) {
+	if f, ok := obj.(*types.Func); ok {
+		if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			g.ifaceMethod(f)
+			return
+		}
+		obj = f.Origin()
+	}
+	if d := g.byObj[obj]; d != nil {
+		g.mark(d)
+	}
+}
+
+// propagate marks everything the live declarations reach, to a fixed point.
+func (g *reachGraph) propagate() {
+	for len(g.queue) > 0 {
+		for len(g.queue) > 0 {
+			d := g.queue[0]
+			g.queue = g.queue[1:]
+			for _, n := range d.nodes {
+				g.walk(n)
+			}
+		}
+		for _, t := range g.liveTypes {
+			for _, m := range g.ifaceCalls {
+				pair := [2]types.Object{t.Obj(), m}
+				if g.implChecked[pair] {
+					continue
+				}
+				g.implChecked[pair] = true
+				iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+				if types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface) {
+					obj, _, _ := types.LookupFieldOrMethod(t, true, m.Pkg(), m.Name())
+					g.use(obj)
+				}
+			}
+		}
+	}
+}
+
+// walk reaches what one node of a live declaration names. info.Uses
+// holds the object each selector selects as well, so x.M resolves to the
+// concrete or promoted method, or to the interface method it calls
+// through, exactly as info.Selections would give it.
+func (g *reachGraph) walk(n ast.Node) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Ident:
+			g.use(g.info.Uses[n])
+			if tn, ok := g.info.Defs[n].(*types.TypeName); ok {
+				g.liveType(tn)
+			}
+		case *ast.InterfaceType:
+			for _, f := range n.Methods.List {
+				for _, name := range f.Names {
+					g.ifaceMethod(g.info.Defs[name].(*types.Func))
+				}
+			}
+		}
+		return true
+	})
+}
+
+func (g *reachGraph) ifaceMethod(f *types.Func) {
+	if !g.ifaceSeen[f] {
+		g.ifaceSeen[f] = true
+		g.ifaceCalls = append(g.ifaceCalls, f)
+	}
+}
+
+// liveType enrolls a declared named type in the interface rule and marks
+// its methods that the standard library calls. A generic type is left out
+// of the interface rule, since types.Implements needs an instantiation.
+func (g *reachGraph) liveType(tn *types.TypeName) {
+	t, ok := tn.Type().(*types.Named)
+	if !ok || tn.IsAlias() || types.IsInterface(t) {
+		return
+	}
+	if t.TypeParams().Len() == 0 {
+		g.liveTypes = append(g.liveTypes, t)
+	}
+	for i := 0; i < t.NumMethods(); i++ {
+		if slices.Contains(stdlibMethods, t.Method(i).Name()) {
+			g.use(t.Method(i))
+		}
+	}
+}
+
+// unreached lists the declarations in dirs that keep selects and nothing
+// reached, sorted by key.
+func (g *reachGraph) unreached(keep func(dir string) bool) []*reachDecl {
+	var dead []*reachDecl
+	for _, d := range g.decls {
+		if !g.live[d] && keep(d.dir) {
+			dead = append(dead, d)
+		}
+	}
+	sort.Slice(dead, func(i, j int) bool { return dead[i].key < dead[j].key })
+	return dead
 }

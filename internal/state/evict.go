@@ -226,6 +226,7 @@ func (s *Store) MarkCold(evicted []element.FactKey) {
 		sh.publishRebuild(add[si])
 		sh.mu.Unlock()
 	}
+	s.dropOrders()
 }
 
 // EvictToBudget evicts least-recently-used, fully-durable lineages until
@@ -306,6 +307,9 @@ func (s *Store) EvictToBudget(budget int64, durable temporal.Instant) int {
 		}
 		sh.mu.Unlock()
 		evicted += len(gone)
+	}
+	if evicted > 0 {
+		s.dropOrders()
 	}
 	return evicted
 }

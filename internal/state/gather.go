@@ -109,47 +109,34 @@ func (s *Store) coldHead(key element.FactKey, shape ScanShape) *head {
 var ErrColdFrame = errors.New("state: unreadable cold frame")
 
 // candidates collects a scan's lineages in (attribute, entity) order,
-// scoped to cfg's attribute. Each shard's directory is loaded once, so
-// its resident lineages and cold keys are one consistent pair even while
-// eviction or fault-in runs. The cold keys are resolved in
-// one ColdFrames batch — no cold keys, no catalog work — and only the
-// frames surviving envelope pruning are sorted. A frame whose key is
+// scoped to cfg's attribute. The sorted order comes from the scope's
+// candOrder, built once per version of the shard directories, so a scan
+// between two directory changes sorts nothing. Each shard's directory
+// is loaded once, so its resident lineages and cold keys are one
+// consistent pair even while eviction or fault-in runs. The cold keys,
+// already sorted, are resolved in one ColdFrames batch, which keeps
+// their order — no cold keys, no catalog work. A frame whose key is
 // also resident (a stale mark) is dropped unread: the resident head
 // wins. Resident heads the value bounds exclude are pruned here, so
-// pruning also rebalances partitions. The merge loop is closure-free:
-// prepared-query Exec rides this path on a fixed allocation budget.
+// pruning also rebalances partitions. The merge loop is closure-free
+// and a cached order costs no allocation: prepared-query Exec rides
+// this path on a fixed allocation budget.
 func (s *Store) candidates(cfg readCfg, bounds ValueBounds) ([]scanCand, ScanStats) {
-	var lins []*lineage
-	var cold []element.FactKey
-	for _, sh := range s.shards {
-		pub := sh.pub.Load()
-		if cfg.attr != "" {
-			lins = append(lins, pub.byAttr[cfg.attr]...)
-			cold = append(cold, pub.cold[cfg.attr]...)
-			continue
-		}
-		for _, ls := range pub.byAttr {
-			lins = append(lins, ls...)
-		}
-		for _, ks := range pub.cold {
-			cold = append(cold, ks...)
-		}
-	}
-	cmp := compareKeys
-	if cfg.attr != "" {
-		cmp = compareEntities
-	}
-	slices.SortFunc(lins, func(a, b *lineage) int { return cmp(a.key, b.key) })
+	o := s.order(cfg.attr)
+	lins := o.lins
 	stats := ScanStats{Lineages: len(lins)}
 
 	var frames []ColdLineage
-	if cs := s.coldSource(); cs != nil && len(cold) > 0 {
-		frames = cs.ColdFrames(nil, cold, shapeOfCfg(cfg), bounds)
-		slices.SortFunc(frames, func(a, b ColdLineage) int { return cmp(a.Key, b.Key) })
+	if cs := s.coldSource(); cs != nil && len(o.cold) > 0 {
+		frames = cs.ColdFrames(nil, o.cold, shapeOfCfg(cfg), bounds)
 	}
 
+	cmp := scopeOrder(cfg.attr)
 	prune := bounds.Constrained()
-	cands := make([]scanCand, 0, len(lins)+len(frames))
+	var cands []scanCand // a bounded scan grows it by what survives
+	if !prune {
+		cands = make([]scanCand, 0, len(lins)+len(frames))
+	}
 	for i, j := 0, 0; i < len(lins) || j < len(frames); {
 		if j < len(frames) && (i == len(lins) || cmp(frames[j].Key, lins[i].key) <= 0) {
 			if i == len(lins) || frames[j].Key != lins[i].key {
@@ -169,6 +156,116 @@ func (s *Store) candidates(cfg readCfg, bounds ValueBounds) ([]scanCand, ScanSta
 		cands = append(cands, scanCand{h: h})
 	}
 	return cands, stats
+}
+
+// candOrder is one scan scope's candidates in gather order: the
+// resident lineages and the cold keys of the shard directories in pubs
+// (by shard index), each sorted by (attribute, entity). It is immutable
+// once published and stays valid while every shard still publishes the
+// directory it was built from — directories change only when a key set
+// does (new lineage, eviction, fault-in), never on ordinary writes.
+type candOrder struct {
+	pubs []*pubIndex
+	lins []*lineage
+	cold []element.FactKey
+}
+
+// orderSet is the store's published candidate orders, by attribute
+// scope ("" for all attributes), replaced copy-on-write. epoch counts
+// drops: an order built across a drop is not published.
+type orderSet struct {
+	epoch  uint64
+	scopes map[string]*candOrder
+}
+
+// noOrders is the order set of a fresh store.
+var noOrders = &orderSet{}
+
+// order returns attr's candidate order for the current directories:
+// the cached one when every shard still publishes the directory it was
+// built from — a lookup that allocates nothing — or else one collected
+// and sorted now and published for the scans after it.
+func (s *Store) order(attr string) *candOrder {
+	set := s.orders.Load()
+	if o := set.scopes[attr]; o != nil && o.current(s.shards) {
+		return o
+	}
+	o := &candOrder{pubs: make([]*pubIndex, len(s.shards))}
+	for i, sh := range s.shards {
+		pub := sh.pub.Load()
+		o.pubs[i] = pub
+		if attr != "" {
+			o.lins = append(o.lins, pub.byAttr[attr]...)
+			o.cold = append(o.cold, pub.cold[attr]...)
+			continue
+		}
+		for _, ls := range pub.byAttr {
+			o.lins = append(o.lins, ls...)
+		}
+		for _, ks := range pub.cold {
+			o.cold = append(o.cold, ks...)
+		}
+	}
+	cmp := scopeOrder(attr)
+	slices.SortFunc(o.lins, func(a, b *lineage) int { return cmp(a.key, b.key) })
+	slices.SortFunc(o.cold, cmp)
+	s.keepOrder(set.epoch, attr, o)
+	return o
+}
+
+// current reports whether every shard still publishes the directory the
+// order was built from.
+func (o *candOrder) current(shards []*shard) bool {
+	for i, sh := range shards {
+		if sh.pub.Load() != o.pubs[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// keepOrder publishes o as attr's order unless the orders were dropped
+// since the epoch its builder started in: the builder may have loaded a
+// directory from before the drop. Concurrent builders each publish, and
+// the last one stored wins; every order is correct for the directories
+// it holds.
+func (s *Store) keepOrder(epoch uint64, attr string, o *candOrder) {
+	for {
+		old := s.orders.Load()
+		if old.epoch != epoch {
+			return
+		}
+		next := &orderSet{epoch: epoch, scopes: make(map[string]*candOrder, len(old.scopes)+1)}
+		for a, oo := range old.scopes {
+			next.scopes[a] = oo
+		}
+		next.scopes[attr] = o
+		if s.orders.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
+// dropOrders forgets every cached order, so none keeps an evicted
+// lineage — or the directory that held it — reachable. Callers drop
+// after the directory rebuilds; the next scan of each scope rebuilds
+// its order.
+func (s *Store) dropOrders() {
+	for {
+		old := s.orders.Load()
+		if s.orders.CompareAndSwap(old, &orderSet{epoch: old.epoch + 1}) {
+			return
+		}
+	}
+}
+
+// scopeOrder is the key order of a scan scope: by entity within one
+// attribute, by (attribute, entity) across all.
+func scopeOrder(attr string) func(a, b element.FactKey) int {
+	if attr != "" {
+		return compareEntities
+	}
+	return compareKeys
 }
 
 // compareEntities orders keys of one attribute by entity.

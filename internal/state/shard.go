@@ -84,8 +84,10 @@ type shard struct {
 }
 
 // pubIndex is a shard's published directory: attribute → resident
-// lineages and attribute → cold keys (both unordered; cross-shard gathers
-// sort what they collect), the resident count, and the evicted count.
+// lineages and attribute → cold keys (both unordered; a scan scope's
+// sorted candidate order is built once per version of the directories
+// and dropped at eviction — see candOrder), the resident count, and the
+// evicted count.
 // A pubIndex and the slices it holds are immutable once published —
 // inserts append beyond every published length and swap a fresh index.
 // The cold keys (evicted keys) over-approximate: they include every

@@ -424,6 +424,11 @@ type Store struct {
 	// gates the stamping — only budgeted stores pay the atomics.
 	accessSeq   atomic.Int64
 	trackAccess atomic.Bool
+
+	// orders caches each scan scope's sorted candidate order (see
+	// candOrder in gather.go), rebuilt by the first scan after a shard's
+	// directory changes and dropped at eviction.
+	orders atomic.Pointer[orderSet]
 }
 
 // NewStore returns an empty store with a GOMAXPROCS-scaled shard count.
@@ -444,6 +449,7 @@ func NewStoreWithShards(n int) *Store {
 		shards:    make([]*shard, n),
 		shardMask: uint64(n - 1),
 	}
+	s.orders.Store(noOrders)
 	for i := range s.shards {
 		sh := &shard{byKey: make(map[element.FactKey]*lineage), evicted: make(map[element.FactKey]bool)}
 		sh.pub.Store(emptyPub)

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -198,7 +199,9 @@ func TestDegradedReadyzWarnsAndStats(t *testing.T) {
 
 // TestChaosQueryColdFrame500: a /query whose scan reads an evicted
 // lineage's frame and finds it failing its checksum answers 500 — the
-// store failed, not the query — instead of 200 with the row missing.
+// store failed, not the query — instead of 200 with the row missing,
+// also when the scan reaches the frame through a resolution kept from
+// before the corruption.
 func TestChaosQueryColdFrame500(t *testing.T) {
 	dir := t.TempDir()
 	d, err := segment.Open(dir)
@@ -225,6 +228,12 @@ func TestChaosQueryColdFrame500(t *testing.T) {
 	if code := query(); code != http.StatusOK {
 		t.Fatalf("intact cold frame: %d, want 200", code)
 	}
+	// The query kept its scope's cold-key resolution: the corrupt frame
+	// is reached through it.
+	warm := d.Mem().ColdResolutions()
+	if len(warm) == 0 || !warm[0].Current() {
+		t.Fatalf("no current resolution kept after the query: %v", warm)
+	}
 	// The segment's only lineage frame follows the 4-byte file magic;
 	// its last payload byte is a value byte.
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
@@ -241,5 +250,8 @@ func TestChaosQueryColdFrame500(t *testing.T) {
 	}
 	if code := query(); code != http.StatusInternalServerError {
 		t.Fatalf("corrupt cold frame: %d, want 500", code)
+	}
+	if kept := d.Mem().ColdResolutions(); len(kept) != len(warm) || !slices.Contains(warm, kept[0]) {
+		t.Fatalf("the failing query resolved afresh: %v kept, %v before", kept, warm)
 	}
 }

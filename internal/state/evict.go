@@ -3,13 +3,15 @@
 // total live state.
 //
 // A ColdSource (the segment backend implements it) answers for lineages
-// that are NOT resident in RAM through one method, ColdFrames, which
-// resolves keys to unread frames; a FrameSource decodes them. Every cold
-// read takes that one path: scans resolve the published cold keys in one
-// batch, and point reads, histories and fault-in (loadCold) resolve
-// their one key and load it exactly like a scan's cold candidate. A
-// write to an evicted key restores the full record history first, so a
-// later flush frame never supersedes history it no longer sees.
+// that are NOT resident in RAM in two steps: ResolveCold resolves keys
+// against its catalog, ColdFrames filters that resolution into unread
+// frames, and a FrameSource decodes them. Every cold read takes that one
+// path: scans filter the resolution of their candidate order's cold keys,
+// made once per catalog, and point reads, histories and fault-in
+// (loadCold) resolve their one key and load it exactly like a scan's
+// cold candidate. A write to an evicted key restores the full record
+// history first, so a later flush frame never supersedes history it no
+// longer sees.
 //
 // Eviction is the inverse of recovery's LoadLineage: EvictToBudget
 // removes fully-flushed, least-recently-used lineages from the shard
@@ -32,7 +34,7 @@ import (
 	"repro/internal/temporal"
 )
 
-// ColdLineage is one durable-only lineage a ColdSource resolved: the key
+// ColdLineage is one durable-only lineage ColdFrames returned: the key
 // (scans merge by it) and where its frame lies, read only by the reader
 // that owns the candidate — possibly a scan worker — with
 // Src.LoadFrame(Key, Off, buf).
@@ -42,7 +44,7 @@ type ColdLineage struct {
 	Off int64
 }
 
-// FrameSource reads the lineage frames ColdFrames resolves.
+// FrameSource reads the lineage frames ColdFrames returns.
 // LoadFrame must be safe for concurrent calls with distinct buffers.
 type FrameSource interface {
 	// LoadFrame reads and verifies the frame at off, which must hold key,
@@ -70,17 +72,35 @@ type ColdBuf struct {
 // implementation. It must be safe for concurrent use and tolerate being
 // asked about keys it does not own.
 type ColdSource interface {
-	// ColdFrames resolves cold keys — distinct, in any order — against
-	// the durable catalog, appending to dst one unread candidate per key
-	// that has a frame, in the keys' order. Keys with no frame,
-	// frames whose owning segment's envelope is provably disjoint from
-	// the shape, and frames whose value envelope (ValueEnvelopeOf over
-	// the frame's records, persisted by the source) is disjoint from the
-	// bounds are dropped unread. A source without a frame's envelope may
-	// return it: the reader re-tests the decoded head. The cost follows
-	// the keys, not the catalog. Candidates for keys that are in fact
-	// resident are permitted — the merge discards them unloaded.
-	ColdFrames(dst []ColdLineage, keys []element.FactKey, shape ScanShape, bounds ValueBounds) []ColdLineage
+	// ResolveCold resolves cold keys — distinct, in any order — against
+	// the current durable catalog: for each key that has a frame, where
+	// its newest frame lies and the envelopes ColdFrames filters it by,
+	// nothing read. The cost follows the keys, not the catalog, and is
+	// paid once per resolve, not once per read.
+	ResolveCold(keys []element.FactKey) ColdResolution
+	// ColdFrames filters a resolution this source made for one read,
+	// appending to dst one unread candidate per resolved key, in the
+	// keys' order. Frames whose owning segment's envelope is provably
+	// disjoint from the shape, and frames whose value envelope
+	// (ValueEnvelopeOf over the frame's records, persisted by the source)
+	// is disjoint from the bounds, are dropped unread. A source without a
+	// frame's envelope may return it: the reader re-tests the decoded
+	// head. It costs one envelope test per resolved key and no catalog
+	// work. Candidates for keys that are in fact resident are permitted —
+	// the merge discards them unloaded.
+	ColdFrames(dst []ColdLineage, res ColdResolution, shape ScanShape, bounds ValueBounds) []ColdLineage
+}
+
+// ColdResolution is a key set a ColdSource resolved against one version
+// of its catalog: immutable, safe to filter concurrently, and filtered
+// only by the source that made it. The store keeps a scan scope's
+// resolution with its candidate order while it is Current; the source
+// calls Store.DropColdResolutions after it publishes a new catalog, so no
+// kept resolution holds a replaced catalog's segments reachable.
+type ColdResolution interface {
+	// Current reports whether the catalog the resolution was made against
+	// is still the source's published one.
+	Current() bool
 }
 
 // coldSourceRef wraps the interface value for atomic publication.
@@ -88,13 +108,16 @@ type coldSourceRef struct{ cs ColdSource }
 
 // SetColdSource installs (or, with nil, removes) the store's cold-read
 // backend. Install before eviction can occur; reads race-freely observe
-// either the old or the new source.
+// either the old or the new source. The cached candidate orders are
+// dropped with the resolutions they keep: each install is a fresh
+// source, whose first scans resolve afresh.
 func (s *Store) SetColdSource(cs ColdSource) {
 	if cs == nil {
 		s.cold.Store(nil)
-		return
+	} else {
+		s.cold.Store(&coldSourceRef{cs: cs})
 	}
-	s.cold.Store(&coldSourceRef{cs: cs})
+	s.dropOrders()
 }
 
 // coldSource returns the installed ColdSource, nil when none.
@@ -103,6 +126,28 @@ func (s *Store) coldSource() ColdSource {
 		return ref.cs
 	}
 	return nil
+}
+
+// DropColdResolutions forgets the cold resolutions the cached candidate
+// orders keep, so none holds a replaced catalog — or a segment only it
+// references — reachable. A ColdSource calls it after it publishes a new
+// catalog; the next scan of each scope resolves its cold keys afresh.
+func (s *Store) DropColdResolutions() {
+	for _, o := range s.orders.Load().scopes {
+		o.res.Store(nil)
+	}
+}
+
+// ColdResolutions returns the cold resolutions the cached candidate
+// orders keep — what invariant checks hold the source's catalog against.
+func (s *Store) ColdResolutions() []ColdResolution {
+	var out []ColdResolution
+	for _, o := range s.orders.Load().scopes {
+		if k := o.res.Load(); k != nil {
+			out = append(out, k.res)
+		}
+	}
+	return out
 }
 
 // SetAccessTracking enables recency stamping on point reads and writes,

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/element"
 )
@@ -72,18 +73,19 @@ func (sc *coldScratch) head(records []*element.Fact) *head {
 	return &sc.h
 }
 
-// loadCold resolves one non-resident key with the ColdSource and decodes
-// its newest frame into sc, exactly as a gather loads a cold candidate —
-// the one cold loader of point reads, histories and fault-in. No records
-// and no error: no source is installed, the key has no frame, or the
-// frame's segment envelope proves the shape cannot match.
+// loadCold resolves one non-resident key with the ColdSource, filters
+// the resolution by shape and decodes the surviving frame into sc,
+// exactly as a gather loads a cold candidate — the one cold loader of
+// point reads, histories and fault-in. No records and no error: no
+// source is installed, the key has no frame, or the frame's segment
+// envelope proves the shape cannot match.
 func (s *Store) loadCold(key element.FactKey, shape ScanShape, sc *coldScratch) ([]*element.Fact, error) {
 	cs := s.coldSource()
 	if cs == nil {
 		return nil, nil
 	}
 	sc.key[0] = key
-	hit := cs.ColdFrames(sc.hit[:0], sc.key[:], shape, ValueBounds{})
+	hit := cs.ColdFrames(sc.hit[:0], cs.ResolveCold(sc.key[:]), shape, ValueBounds{})
 	if len(hit) == 0 {
 		return nil, nil
 	}
@@ -114,21 +116,22 @@ var ErrColdFrame = errors.New("state: unreadable cold frame")
 // between two directory changes sorts nothing. Each shard's directory
 // is loaded once, so its resident lineages and cold keys are one
 // consistent pair even while eviction or fault-in runs. The cold keys,
-// already sorted, are resolved in one ColdFrames batch, which keeps
-// their order — no cold keys, no catalog work. A frame whose key is
-// also resident (a stale mark) is dropped unread: the resident head
-// wins. Resident heads the value bounds exclude are pruned here, so
-// pruning also rebalances partitions. The merge loop is closure-free
-// and a cached order costs no allocation: prepared-query Exec rides
-// this path on a fixed allocation budget.
+// already sorted, are resolved once per catalog (candOrder.resolution),
+// and each scan only filters that resolution by its shape and bounds,
+// which keeps the keys' order — no cold keys, no catalog work. A frame
+// whose key is also resident (a stale mark) is dropped unread: the
+// resident head wins. Resident heads the value bounds exclude are pruned
+// here, so pruning also rebalances partitions. The merge loop is
+// closure-free and a cached order and resolution cost no allocation:
+// prepared-query Exec rides this path on a fixed allocation budget.
 func (s *Store) candidates(cfg readCfg, bounds ValueBounds) ([]scanCand, ScanStats) {
 	o := s.order(cfg.attr)
 	lins := o.lins
 	stats := ScanStats{Lineages: len(lins)}
 
 	var frames []ColdLineage
-	if cs := s.coldSource(); cs != nil && len(o.cold) > 0 {
-		frames = cs.ColdFrames(nil, o.cold, shapeOfCfg(cfg), bounds)
+	if ref := s.cold.Load(); ref != nil && len(o.cold) > 0 {
+		frames = ref.cs.ColdFrames(nil, o.resolution(ref), shapeOfCfg(cfg), bounds)
 	}
 
 	cmp := scopeOrder(cfg.attr)
@@ -163,11 +166,40 @@ func (s *Store) candidates(cfg readCfg, bounds ValueBounds) ([]scanCand, ScanSta
 // (by shard index), each sorted by (attribute, entity). It is immutable
 // once published and stays valid while every shard still publishes the
 // directory it was built from — directories change only when a key set
-// does (new lineage, eviction, fault-in), never on ordinary writes.
+// does (new lineage, eviction, fault-in), never on ordinary writes. res
+// keeps the cold keys' resolution against the cold source's current
+// catalog, made by the first scan that needs it.
 type candOrder struct {
 	pubs []*pubIndex
 	lins []*lineage
 	cold []element.FactKey
+	res  atomic.Pointer[keptResolution]
+}
+
+// keptResolution is an order's cold-key resolution and the source
+// install (SetColdSource) that made it.
+type keptResolution struct {
+	src *coldSourceRef
+	res ColdResolution
+}
+
+// resolution returns o's cold keys resolved by src: the kept resolution
+// while src made it and it is Current — a lookup that allocates nothing
+// — or else one resolved now and kept for the scans after it. The
+// keepOrder discipline holds with the catalog as the epoch: a
+// resolution whose catalog was replaced before it was kept is taken back
+// (DropColdResolutions may already have passed this order), so a kept
+// resolution never outlives its catalog's publish.
+func (o *candOrder) resolution(src *coldSourceRef) ColdResolution {
+	if k := o.res.Load(); k != nil && k.src == src && k.res.Current() {
+		return k.res
+	}
+	k := &keptResolution{src: src, res: src.cs.ResolveCold(o.cold)}
+	o.res.Store(k)
+	if !k.res.Current() {
+		o.res.CompareAndSwap(k, nil)
+	}
+	return k.res
 }
 
 // orderSet is the store's published candidate orders, by attribute
@@ -247,9 +279,9 @@ func (s *Store) keepOrder(epoch uint64, attr string, o *candOrder) {
 }
 
 // dropOrders forgets every cached order, so none keeps an evicted
-// lineage — or the directory that held it — reachable. Callers drop
-// after the directory rebuilds; the next scan of each scope rebuilds
-// its order.
+// lineage — or the directory that held it, or its resolution —
+// reachable. Callers drop after the directory rebuilds; the next scan
+// of each scope rebuilds its order.
 func (s *Store) dropOrders() {
 	for {
 		old := s.orders.Load()

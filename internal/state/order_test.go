@@ -43,10 +43,18 @@ func (m *memCold) flush(s *Store) temporal.Instant {
 	return tt
 }
 
-func (m *memCold) ColdFrames(dst []ColdLineage, keys []element.FactKey, _ ScanShape, _ ValueBounds) []ColdLineage {
+// memKeys is memCold's resolution: the keys themselves, looked up in
+// the frames at every filter, so it never goes stale.
+type memKeys []element.FactKey
+
+func (memKeys) Current() bool { return true }
+
+func (m *memCold) ResolveCold(keys []element.FactKey) ColdResolution { return memKeys(keys) }
+
+func (m *memCold) ColdFrames(dst []ColdLineage, res ColdResolution, _ ScanShape, _ ValueBounds) []ColdLineage {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	for _, key := range keys {
+	for _, key := range res.(memKeys) {
 		if _, ok := m.frames[key]; ok {
 			dst = append(dst, ColdLineage{Key: key, Src: m})
 		}

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -735,7 +736,9 @@ func TestFaultInUnreadableFrameFailsWrite(t *testing.T) {
 // without that key's row. Point reads and histories load the same frame
 // through the same loader: the victim answers nothing, never a value
 // decoded from the bad bytes, and every other evicted key answers as it
-// did before. Repairing the byte restores the full answer.
+// did before. The scans reach the frame through the resolution their
+// scope kept before the corruption. Repairing the byte restores the
+// full answer.
 func TestChaosCorruptColdFrame(t *testing.T) {
 	d, err := Open(t.TempDir())
 	if err != nil {
@@ -837,8 +840,17 @@ func TestChaosCorruptColdFrame(t *testing.T) {
 		}
 	}
 	check(false)
+	// Those scans kept the resolution of the scope's cold keys: the
+	// corrupt frame is reached through it, not through a fresh resolve.
+	warm := d.Mem().ColdResolutions()
+	if len(warm) == 0 || !warm[0].Current() {
+		t.Fatalf("no current resolution kept after the scans: %v", warm)
+	}
 	flip()
 	check(true)
+	if kept := d.Mem().ColdResolutions(); len(kept) != len(warm) || !slices.Contains(warm, kept[0]) {
+		t.Fatalf("scans over the corrupt frame resolved afresh: %d resolutions kept, %d before", len(kept), len(warm))
+	}
 	flip()
 	check(false)
 }

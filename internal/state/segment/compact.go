@@ -288,7 +288,7 @@ func (d *Store) commitMerge(cat *catalog, lo, hi int, merged *reader) error {
 		d.compactFails.Add(1)
 		return err
 	}
-	d.cat.Store(nc)
+	d.publish(nc)
 
 	var reclaimed int64
 	for _, r := range victims {

@@ -1,6 +1,11 @@
 package segment
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/element"
+	"repro/internal/state"
+)
 
 // WithWALRotateBytes sets the size threshold at which the WAL rotates
 // to a fresh chain file (default state.DefaultWALRotateBytes). Smaller
@@ -35,4 +40,37 @@ func (d *Store) Step() string {
 func (d *Store) Idle() {
 	for d.Step() != "" {
 	}
+}
+
+// keptReaders returns every segment reader the RAM store's kept cold
+// resolutions reference — through the catalog each was made against,
+// or through a resolved frame.
+func (d *Store) keptReaders() []*reader {
+	var out []*reader
+	for _, res := range d.mem.ColdResolutions() {
+		r := res.(*resolution)
+		out = append(out, r.cat.segments...)
+		for _, c := range r.refs {
+			out = append(out, c.r)
+		}
+	}
+	return out
+}
+
+// racingSource is a store's cold source that runs during inside the next
+// ResolveCold, after the resolve loaded its catalog: a scan resolving
+// then races that publish exactly as one racing a concurrent flush or
+// merge would.
+type racingSource struct {
+	*Store
+	during func()
+}
+
+func (s *racingSource) ResolveCold(keys []element.FactKey) state.ColdResolution {
+	res := s.Store.ResolveCold(keys)
+	if during := s.during; during != nil {
+		s.during = nil
+		during()
+	}
+	return res
 }

@@ -99,6 +99,9 @@ type manifestSegment struct {
 type catalog struct {
 	durableTx temporal.Instant
 	segments  []*reader // age order, oldest first
+	// none is the catalog's resolution of keys that have no frame in it,
+	// made once, so a point read of a key never flushed allocates none.
+	none atomic.Pointer[resolution]
 }
 
 // owner resolves the segment holding key's newest durable frame and the
@@ -219,7 +222,8 @@ type Store struct {
 
 	// scanFrames/scanPruned count durable frames read for non-resident
 	// lineages (every segment's LoadFrame adds to scanFrames) and frames
-	// the envelope pruning skipped unread (see ColdFrames).
+	// the envelope pruning skipped unread, once per read that filtered
+	// them (see ColdFrames).
 	scanFrames atomic.Int64
 	scanPruned atomic.Int64
 
@@ -736,7 +740,7 @@ func (d *Store) flushLocked(cut temporal.Instant) error {
 	if err := d.writeManifest(man); err != nil {
 		return err
 	}
-	d.cat.Store(nc)
+	d.publish(nc)
 	d.flushMark.Store(mark)
 
 	// Retired segments are unlinked but NOT explicitly closed: a reader
@@ -825,6 +829,16 @@ func (d *Store) Abandon() {
 	})
 }
 
+// publish makes nc the catalog reads resolve against, then drops the
+// RAM store's kept cold resolutions: each holds the catalog it was made
+// against, so none may keep a segment nc retires reachable. Callers
+// hold d.mu. A scan resolving concurrently against the old catalog
+// does not keep its resolution (see state.ColdResolution).
+func (d *Store) publish(nc *catalog) {
+	d.cat.Store(nc)
+	d.mem.DropColdResolutions()
+}
+
 // closeSegments closes every segment descriptor of a catalog.
 func (d *Store) closeSegments(cat *catalog) {
 	for _, r := range cat.segments {
@@ -835,117 +849,179 @@ func (d *Store) closeSegments(cat *catalog) {
 // Find returns the version of (entity, attr) selected by the read
 // options. The RAM working set resolves it; a lineage that is not
 // resident — evicted by the budget — resolves its newest segment frame
-// through ColdFrames, like a scan's cold key, so reads below the
-// residency horizon still resolve. A resident lineage answers from RAM
-// alone, even when the answer is "nothing": its frame may predate
-// deletes or supersessions the lineage has since seen, and serving it
-// would resurrect them. Implements state.StateDB / state.Reader.
+// through ResolveCold and ColdFrames, like a scan's cold key, so reads
+// below the residency horizon still resolve. A resident lineage answers
+// from RAM alone, even when the answer is "nothing": its frame may
+// predate deletes or supersessions the lineage has since seen, and
+// serving it would resurrect them. Implements state.StateDB / state.Reader.
 func (d *Store) Find(entity, attr string, opts ...state.ReadOpt) (*element.Fact, bool) {
 	return d.mem.Find(entity, attr, opts...)
 }
 
 // History returns the version history of (entity, attr) — from RAM when
 // the working set holds the lineage, from the newest durable frame (via
-// ColdFrames) when it does not. RAM and frame histories are never
-// merged: whichever side owns the lineage answers alone.
+// ResolveCold and ColdFrames) when it does not. RAM and frame histories
+// are never merged: whichever side owns the lineage answers alone.
 func (d *Store) History(entity, attr string, opts ...state.ReadOpt) []*element.Fact {
 	return d.mem.History(entity, attr, opts...)
 }
 
 // List scans through the RAM working set, whose gather resolves only the
-// keys its shards publish as cold (evicted) against this
-// store's catalog (ColdFrames) and merges those frames in key order, so
-// scans below the residency horizon see the same durable history Find
-// and History do, in exactly the order an all-resident store would
-// produce, while an all-resident scan does no catalog work. Implements
-// state.StateDB / state.Reader.
+// keys its shards publish as cold (evicted) against this store's catalog
+// (ResolveCold, once per catalog), filters that resolution (ColdFrames)
+// and merges the surviving frames in key order, so scans below the
+// residency horizon see the same durable history Find and History do,
+// in exactly the order an all-resident store would produce, while an
+// all-resident scan does no catalog work. Implements state.StateDB /
+// state.Reader.
 func (d *Store) List(opts ...state.ReadOpt) []*element.Fact {
 	return d.mem.List(opts...)
 }
 
-// ColdFrames resolves cold keys — a scan's batch, or the one key of a
-// point read, history or fault-in — against one catalog load, newest
-// segment first, each key at its newest frame, unread, appended to dst
-// in the keys' order. A frame is pruned — the pread never issued — when
-// the owning segment's bitemporal envelope is disjoint from the shape,
-// or when its own value envelope from the footer index (or, failing
-// that, its segment's) is disjoint from the pushed bounds: the decoded
-// head would carry the same envelope and fail the gather's skipByBounds
-// test, so the result is unchanged, only the read is saved. Pruning is
-// per key, so it survives merges that fold value-disjoint segments
-// together. A segment costs min(|index|, |keys still unresolved|): it is
-// probed key by key, or its index walked when that is smaller, so many
-// segments and many unowned keys never multiply. Implements
-// state.ColdSource.
-func (d *Store) ColdFrames(dst []state.ColdLineage, keys []element.FactKey, shape state.ScanShape, bounds state.ValueBounds) []state.ColdLineage {
+// resolution is a key set resolved against one catalog: refs holds,
+// in key order, one entry per key that has a frame — its newest frame,
+// found newest segment first. Nothing in it is pruned: the envelopes
+// it carries are tested per read by filter. It implements
+// state.ColdResolution.
+type resolution struct {
+	d    *Store
+	cat  *catalog
+	keys []element.FactKey
+	refs []coldRef
+	one  [1]coldRef // refs' backing for a one-key resolve
+}
+
+// coldRef is one key's newest frame: the owning segment, and the
+// frame's offset and value envelope from its footer index.
+type coldRef struct {
+	frameRef
+	r *reader
+	k int32 // index into the resolution's keys
+}
+
+// Current reports whether the resolution's catalog is still the
+// published one. Implements state.ColdResolution.
+func (res *resolution) Current() bool { return res.d.cat.Load() == res.cat }
+
+// ResolveCold resolves cold keys — a scan order's, or the one key of a
+// point read, history or fault-in — against one catalog load, each key
+// at its newest frame, unread and unpruned. Keys none of which has a
+// frame share their catalog's empty resolution, so a point read of a key
+// never flushed allocates nothing. Implements state.ColdSource.
+func (d *Store) ResolveCold(keys []element.FactKey) state.ColdResolution {
 	cat := d.cat.Load()
-	if len(cat.segments) == 0 || len(keys) == 0 {
-		return dst
+	var res *resolution
+	if len(keys) == 1 {
+		// A point read resolves on the stack: only a key with a frame
+		// allocates its resolution.
+		var one [1]coldRef
+		if len(resolve(cat, keys, one[:])) > 0 {
+			res = &resolution{d: d, cat: cat, keys: keys, one: one}
+			res.refs = res.one[:]
+		}
+	} else if refs := resolve(cat, keys, make([]coldRef, len(keys))); len(refs) > 0 {
+		res = &resolution{d: d, cat: cat, keys: keys, refs: refs}
 	}
-	// hits[k] resolves key k. The todo fields of hits[:ntodo] double as
-	// the list of unresolved key indexes, compacted lazily, so the
-	// resolve costs one allocation.
-	type hit struct {
-		r    *reader // owning segment; nil: no frame, or pruned
-		off  int64
-		done bool
-		todo int
+	if res != nil {
+		return res
 	}
-	hits := make([]hit, len(keys))
-	for k := range hits {
-		hits[k].todo = k
+	if none := cat.none.Load(); none != nil {
+		return none
+	}
+	cat.none.CompareAndSwap(nil, &resolution{d: d, cat: cat})
+	return cat.none.Load()
+}
+
+// ColdFrames filters a resolution for one read, appending to dst an
+// unread candidate per resolved key, in the keys' order. A frame is
+// pruned — the pread never issued — when the owning segment's
+// bitemporal envelope is disjoint from the shape, or when its own value
+// envelope from the footer index (or, failing that, its segment's) is
+// disjoint from the pushed bounds: the decoded head would carry the same
+// envelope and fail the gather's skipByBounds test, so the result is
+// unchanged, only the read is saved. Pruning is per key, so it survives
+// merges that fold value-disjoint segments together. Implements
+// state.ColdSource.
+func (d *Store) ColdFrames(dst []state.ColdLineage, res state.ColdResolution, shape state.ScanShape, bounds state.ValueBounds) []state.ColdLineage {
+	r := res.(*resolution)
+	var seg *reader // the segment segPruned was computed for
+	segPruned := false
+	pruned := 0
+	for i := range r.refs {
+		c := &r.refs[i]
+		if c.r != seg {
+			seg = c.r
+			segPruned = scanPrune(seg.env, shape) || (seg.vNumeric && bounds.Excludes(seg.vMin, seg.vMax))
+		}
+		if segPruned || (c.numeric && bounds.Excludes(c.lo, c.hi)) {
+			pruned++
+			continue
+		}
+		dst = append(dst, state.ColdLineage{Key: r.keys[c.k], Src: c.r, Off: c.off})
+	}
+	if pruned > 0 {
+		d.scanPruned.Add(int64(pruned))
+	}
+	return dst
+}
+
+// resolve finds each key's newest frame in cat, newest segment first,
+// and returns refs — len(keys) long on entry — compacted to the keys
+// that have one, in key order. A segment costs min(|index|, |keys still
+// unresolved|): it is probed key by key, or its index walked when that
+// is smaller, so many segments and many unowned keys never multiply.
+// While it runs, refs[k].r marks keys[k] resolved and the k fields of
+// refs[:ntodo] list the unresolved key indexes, compacted lazily, so the
+// resolve allocates nothing beyond refs unless an index walk needs its
+// key positions.
+func resolve(cat *catalog, keys []element.FactKey, refs []coldRef) []coldRef {
+	for k := range refs {
+		refs[k] = coldRef{k: int32(k)}
 	}
 	left, ntodo := len(keys), len(keys)
-	var pos map[element.FactKey]int // built only if some index walk is cheaper
+	var pos map[element.FactKey]int32 // built only if some index walk is cheaper
 	for i := len(cat.segments) - 1; i >= 0 && left > 0; i-- {
 		r := cat.segments[i]
-		pruned := scanPrune(r.env, shape) || (r.vNumeric && bounds.Excludes(r.vMin, r.vMax))
-		resolve := func(k int, ref frameRef) {
-			// Resolve even the pruned: an older frame of the same key must
-			// not answer for the newest one.
-			hits[k].done = true
-			left--
-			if pruned || (ref.numeric && bounds.Excludes(ref.lo, ref.hi)) {
-				d.scanPruned.Add(1)
-			} else {
-				hits[k].r, hits[k].off = r, ref.off
-			}
-		}
 		if len(r.index) < left {
 			if pos == nil {
-				pos = make(map[element.FactKey]int, len(keys))
+				pos = make(map[element.FactKey]int32, len(keys))
 				for k, key := range keys {
-					pos[key] = k
+					pos[key] = int32(k)
 				}
 			}
 			for key, ref := range r.index {
-				if k, ok := pos[key]; ok && !hits[k].done {
-					resolve(k, ref)
+				if k, ok := pos[key]; ok && refs[k].r == nil {
+					refs[k].r, refs[k].frameRef = r, ref
+					left--
 				}
 			}
 			continue
 		}
 		n := 0
-		for _, h := range hits[:ntodo] {
-			k := h.todo
-			if hits[k].done {
+		for j := range ntodo {
+			k := refs[j].k
+			if refs[k].r != nil {
 				continue
 			}
 			if ref, ok := r.index[keys[k]]; ok {
-				resolve(k, ref)
+				refs[k].r, refs[k].frameRef = r, ref
+				left--
 			} else {
-				hits[n].todo = k
+				refs[n].k = k
 				n++
 			}
 		}
 		ntodo = n
 	}
-	for k, h := range hits {
-		if h.r != nil {
-			dst = append(dst, state.ColdLineage{Key: keys[k], Src: h.r, Off: h.off})
+	n := 0
+	for k := range refs {
+		if refs[k].r != nil {
+			refs[n] = refs[k]
+			refs[n].k = int32(k)
+			n++
 		}
 	}
-	return dst
+	return refs[:n]
 }
 
 // scanPrune reports whether a segment's bitemporal envelope proves that

@@ -31,7 +31,8 @@
 //     writers a consistent (byKey, evicted, pub) triple. Eviction is the
 //     only way a lineage leaves RAM. Cold reads take no shard locks:
 //     point reads fall through to the ColdSource after the byKey probe
-//     misses; scans resolve the published cold keys against it. A write
+//     misses; scans filter their order's resolution of the published
+//     cold keys, made against it once per catalog. A write
 //     to an evicted key faults its history back in (store.faultIn) under
 //     the write lock its mutation already holds.
 //

@@ -426,8 +426,9 @@ type Store struct {
 	trackAccess atomic.Bool
 
 	// orders caches each scan scope's sorted candidate order (see
-	// candOrder in gather.go), rebuilt by the first scan after a shard's
-	// directory changes and dropped at eviction.
+	// candOrder in gather.go) with the resolution of its cold keys,
+	// rebuilt by the first scan after a shard's directory changes and
+	// dropped at eviction; a catalog publish drops only the resolutions.
 	orders atomic.Pointer[orderSet]
 }
 

@@ -391,6 +391,7 @@ var reachAllowlist = map[string]string{
 	"internal/state.Store.WriteSnapshot":     "the canonical cut every equivalence suite compares byte for byte",
 	"internal/state.Snapshot.WriteSnapshot":  "the canonical cut every equivalence suite compares byte for byte",
 	"internal/state.Store.ColdKeys":          "the segment out-of-core test",
+	"internal/state.Store.ColdResolutions":   "the segment cold-resolution differential and the cold-frame chaos tests inspect what scans keep",
 	"internal/state/segment.WithRetryPolicy": "chaos tests in other packages set it",
 	"internal/state/segment.Store.Resume":    "the only exit from degraded mode, to be wired to an operator verb",
 	"internal/metrics.Table.Rows":            "TestAllExperimentsRunAtSmallScale and TestE1–TestE8 in internal/bench, and bench_test.go's runExperiment, read the cells",

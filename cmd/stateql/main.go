@@ -17,8 +17,8 @@
 //	                     "SELECT * FROM * HISTORY LIMIT 20"
 //	stateql -dir state.d -i     # interactive REPL (\q quits, \stats, \help)
 //
-// A flat log written by older versions (statestream -log) is a one-file
-// WAL chain: mkdir state.d && mv state.log state.d/wal.log.
+// A directory whose WAL predates the frames fails to open, naming the
+// file; DESIGN.md ("The bitemporal StateDB") says how to migrate it.
 package main
 
 import (

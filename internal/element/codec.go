@@ -7,8 +7,8 @@ import (
 	"math"
 )
 
-// Value implements encoding.BinaryMarshaler / BinaryUnmarshaler, plus
-// the append form AppendBinary, so facts can be persisted in the WAL
+// Value implements encoding.BinaryAppender / BinaryUnmarshaler, so
+// facts can be persisted in the WAL
 // (internal/state) and segment frames (internal/state/segment) without
 // a per-value allocation. The format is one kind byte followed by the
 // payload: 8 bytes little endian for numeric kinds, a uvarint length
@@ -32,9 +32,6 @@ func (v Value) AppendBinary(b []byte) ([]byte, error) {
 	}
 	return b, fmt.Errorf("element: cannot marshal value of kind %s", v.kind)
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (v Value) MarshalBinary() ([]byte, error) { return v.AppendBinary(nil) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (v *Value) UnmarshalBinary(data []byte) error {

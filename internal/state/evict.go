@@ -26,7 +26,6 @@ package state
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -232,29 +231,13 @@ func (s *Store) ColdKeys() []element.FactKey {
 	return keys
 }
 
-// EvictedKeys returns the evicted key set sorted by (attribute, entity)
-// — the order the durability manifest records, so recovery reseeds
-// deterministically.
-func (s *Store) EvictedKeys() []element.FactKey {
-	var keys []element.FactKey
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for key := range sh.evicted {
-			keys = append(keys, key)
-		}
-		sh.mu.RUnlock()
-	}
-	slices.SortFunc(keys, compareKeys)
-	return keys
-}
-
 // MarkCold seeds the cold directory at recovery, republishing each shard
-// once. The keys (the manifest's evicted set plus any frames skipped to
-// honor the budget) serve reads from their frames and are fault-in
-// targets for writes. Keys that turn out to be resident are left alone.
-func (s *Store) MarkCold(evicted []element.FactKey) {
+// once. The keys (the frames recovery skipped to honor the residency
+// budget) serve reads from their frames and are fault-in targets for
+// writes. Keys that turn out to be resident are left alone.
+func (s *Store) MarkCold(keys []element.FactKey) {
 	add := make([][]element.FactKey, len(s.shards))
-	for _, key := range evicted {
+	for _, key := range keys {
 		si := shardIndex(key.Entity, key.Attribute, s.shardMask)
 		add[si] = append(add[si], key)
 	}

@@ -1,6 +1,10 @@
 package state
 
-import "repro/internal/element"
+import (
+	"slices"
+
+	"repro/internal/element"
+)
 
 // dropCachedOrders forgets the store's cached candidate orders, so the
 // next scan of every scope collects and sorts the directories afresh:
@@ -37,4 +41,18 @@ func (s *Store) cachedNonResident() map[element.FactKey]bool {
 		}
 	}
 	return out
+}
+
+// evictedKeys returns the evicted key set sorted by (attribute, entity).
+func (s *Store) evictedKeys() []element.FactKey {
+	var keys []element.FactKey
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		for key := range sh.evicted {
+			keys = append(keys, key)
+		}
+		sh.mu.RUnlock()
+	}
+	slices.SortFunc(keys, compareKeys)
+	return keys
 }

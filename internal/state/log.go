@@ -29,8 +29,8 @@ import (
 // (len:u32 crc32c:u32 payload), one record per frame; see appendRecord
 // for the payloads. Frames are self-delimiting, so replay detects a torn
 // final append by length and bit rot by checksum, and fails loudly on
-// the latter. Files without the magic are gob streams written by older
-// builds; they replay through the reader in log_gob.go.
+// the latter. A non-empty file without the magic is not replayed: it
+// fails recovery, naming the file (see replayWALFile).
 //
 // The sharded store commits mutations under per-shard locks, so the log
 // serializes concurrent appends itself through a single-appender
@@ -122,10 +122,17 @@ type Log struct {
 // segmented WAL seals its active file and rotates to the next one.
 const DefaultWALRotateBytes = 1 << 20
 
-// walMagic opens every framed WAL file. The gob streams older builds
-// wrote begin with the 0xFF that prefixes a logRecord type definition's
-// length, so the first byte tells the formats apart.
+// walMagic opens every WAL file.
 const walMagic = "SWL1"
+
+// preFrameWAL is the single-file WAL name of builds before the chain was
+// segmented and framed. A non-empty one fails recovery: this build
+// cannot replay it (see RecoverWALDirFS).
+const preFrameWAL = "wal.log"
+
+// errPreFrame fails recovery of a WAL file written before the WAL was
+// framed, naming the way out.
+var errPreFrame = errors.New("a pre-frame WAL this build does not replay; open and close the directory once with an earlier build that does")
 
 // sealedWAL describes one read-only file of a segmented WAL chain:
 // sealed at rotation (synced, closed), droppable by TruncateBefore once
@@ -137,18 +144,13 @@ type sealedWAL struct {
 }
 
 // walFileName renders the name of the numbered WAL file with the given
-// sequence number. The legacy single-file name "wal.log" sorts as
-// sequence 0, so directories written before the WAL was segmented
-// recover as a one-file chain.
+// sequence number.
 func walFileName(seq uint64) string { return fmt.Sprintf("wal.%08d", seq) }
 
 // parseWALName reports whether name is part of a WAL chain and its
 // sequence number. Temp files (wal.*.tmp) are rewrite debris, not chain
 // members.
 func parseWALName(name string) (uint64, bool) {
-	if name == "wal.log" {
-		return 0, true
-	}
 	rest, ok := strings.CutPrefix(name, "wal.")
 	if !ok || rest == "" {
 		return 0, false
@@ -163,35 +165,20 @@ func parseWALName(name string) (uint64, bool) {
 	return seq, true
 }
 
-// IsWALFileName reports whether name names a WAL chain file — a
-// numbered wal.NNNNNNNN member or the legacy wal.log. Directory owners
-// (the segment backend's orphan sweep) use it to keep their hands off
-// the chain.
-func IsWALFileName(name string) bool {
-	_, ok := parseWALName(name)
-	return ok
-}
-
 type opKind uint8
 
+// The op codes are on disk: each frame's payload opens with one, so
+// their values are fixed, never renumbered.
 const (
-	// opPut, opAssert and opRetract appear only in gob-era files: opPut
-	// was one Replace, written before Replaces were staged into
-	// opPutBatch frames; opAssert and opRetract were written by the
-	// removed Store.Assert and Store.Retract. The gob reader turns each
-	// into its framed equivalent (see logRecord.walRecord).
-	opPut opKind = iota
-	opAssert
-	opRetract
 	// opPutBi and opDeleteBi are option-based bitemporal writes carrying
 	// an explicit valid interval and transaction time.
-	opPutBi
-	opDeleteBi
+	opPutBi    opKind = 3
+	opDeleteBi opKind = 4
 	// opPutBatch is a group-committed micro-batch of Replaces: one
 	// framed record carries every write of the batch (see Store.PutBatch
 	// and Log.Commit), so the WAL pays one append per batch instead of
 	// one per element.
-	opPutBatch
+	opPutBatch opKind = 5
 )
 
 // minPutBytes is the smallest encoding of one opPutBatch put: two empty
@@ -601,8 +588,9 @@ func (l *Log) Sync() error {
 }
 
 // TruncateBefore hands the WAL prefix a durability flush at cut tt has
-// made redundant back to the filesystem, by whole-file drops only: sealed files whose newest record is at or
-// before the cut are unlinked — O(files dropped) off the appender
+// made redundant back to the filesystem, by whole-file drops only:
+// sealed files whose newest record is at or before the cut are
+// unlinked — O(files dropped) off the appender
 // token, no record is ever rewritten in place — and files straddling
 // the cut stay whole (recovery filters their pre-cut records by the
 // manifest's durable cut anyway). An active file fully covered by the
@@ -782,13 +770,12 @@ func replayFrames(fr *frame.Reader, last bool, handle func(*walRecord) error) er
 // what the cut does not cover. Pass cut = MinInstant (and a chain never
 // truncated) for a full WAL-only recovery.
 //
-// The chain is every wal.NNNNNNNN file plus a legacy wal.log (which
-// sorts oldest, so a flat log written before the WAL was segmented
-// recovers as chain member 0), replayed oldest first. Each file streams
-// through one reused read buffer; framed files replay through
-// replayFrames, gob-era files through replayGob. Either way a torn
-// final append is tolerated only in the newest file, and any other
-// damage fails recovery loudly.
+// The chain is every wal.NNNNNNNN file, replayed oldest first, each
+// streamed through one reused read buffer by replayFrames. A torn final
+// append is tolerated only in the newest file; any other damage fails
+// recovery loudly, naming the file. So does a file this build cannot
+// read: a non-empty chain member without the magic, or a non-empty
+// wal.log, the single-file WAL of builds before the chain was framed.
 //
 // Runs of Replace records apply through PutBatch: the store is empty of
 // observers during recovery and Replaces on distinct keys
@@ -800,7 +787,7 @@ func replayFrames(fr *frame.Reader, last bool, handle func(*walRecord) error) er
 // compacted to its surviving records (atomic rewrite, always framed) in
 // the background, under the returned Log's pre-held appender token, so
 // the cold start does not wait for either. Files straddling the cut stay
-// whole as sealed chain members, in whatever format they were written.
+// whole as sealed chain members.
 // An empty directory yields a fresh one-file chain.
 func RecoverWALDir(dir string, s *Store, cut temporal.Instant, rotateBytes int64) (*Log, int, error) {
 	return RecoverWALDirFS(vfs.OS, dir, s, cut, rotateBytes)
@@ -823,6 +810,11 @@ func RecoverWALDirFS(fsys vfs.FS, dir string, s *Store, cut temporal.Instant, ro
 	}
 	var files []chainFile
 	for _, ent := range ents {
+		if ent.Name() == preFrameWAL {
+			if info, err := ent.Info(); err != nil || info.Size() > 0 {
+				return nil, 0, fmt.Errorf("state: recover wal %s: %w", preFrameWAL, errPreFrame)
+			}
+		}
 		if seq, ok := parseWALName(ent.Name()); ok {
 			files = append(files, chainFile{
 				path: filepath.Join(dir, ent.Name()), seq: seq, maxTx: temporal.MinInstant,
@@ -931,11 +923,10 @@ func RecoverWALDirFS(fsys vfs.FS, dir string, s *Store, cut temporal.Instant, ro
 	return l, total, nil
 }
 
-// replayWALFile replays one chain member through handle, choosing the
-// decoder by the file's first bytes: the magic selects frames, an empty
-// file holds nothing, and anything else is a gob-era stream. A newest
-// file shorter than the magic and agreeing with it is a torn first
-// append.
+// replayWALFile replays one chain member through handle. An empty file
+// holds nothing, and a newest file shorter than the magic and agreeing
+// with it is a torn first append; any other file must open with the
+// magic.
 func replayWALFile(fsys vfs.FS, path string, last bool, br *bufio.Reader, fr *frame.Reader, handle func(*walRecord) error) error {
 	src, err := fsys.Open(path)
 	if err != nil {
@@ -956,11 +947,12 @@ func replayWALFile(fsys vfs.FS, path string, last bool, br *bufio.Reader, fr *fr
 	}
 	switch {
 	case string(head) == walMagic:
-		br.Reset(io.NewSectionReader(src, int64(len(walMagic)), size-int64(len(walMagic))))
-		fr.Reset(br, size-int64(len(walMagic)))
-		return replayFrames(fr, last, handle)
 	case last && size < int64(len(walMagic)) && strings.HasPrefix(walMagic, string(head)):
 		return nil
+	default:
+		return fmt.Errorf("no %s magic: %w", walMagic, errPreFrame)
 	}
-	return replayGob(io.NewSectionReader(src, 0, size), last, handle)
+	br.Reset(io.NewSectionReader(src, int64(len(walMagic)), size-int64(len(walMagic))))
+	fr.Reset(br, size-int64(len(walMagic)))
+	return replayFrames(fr, last, handle)
 }

@@ -2,8 +2,9 @@ package state
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -14,24 +15,6 @@ import (
 	"repro/internal/frame"
 	"repro/internal/temporal"
 )
-
-// writeGobWAL writes recs as a gob-era WAL file at path, each record
-// sealed with its checksum as the last gob-era writer did.
-func writeGobWAL(t testing.TB, path string, recs []logRecord) {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for i := range recs {
-		rec := recs[i]
-		rec.Summed, rec.Sum = true, rec.checksum()
-		if err := enc.Encode(&rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // writeFramedWAL writes five framed records to a fresh chain — one
 // opPutBatch frame of two puts, then four single-write frames — and
@@ -80,83 +63,33 @@ func frameOffsets(t testing.TB, raw []byte) []int {
 	return offs
 }
 
-// TestGobMagicDisjoint: a gob-era file never starts with the WAL magic,
-// so the first four bytes pick the decoder.
-func TestGobMagicDisjoint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	writeGobWAL(t, path, []logRecord{{Op: opPut, Entity: "a", Attr: "b", Value: element.Int(1), At: 1}})
-	raw, err := os.ReadFile(path)
+// TestRecoveryGoldenFramedWAL replays testdata/golden-wal, a chain one
+// earlier build wrote: an opPutBatch frame of four puts, an opPutBi with
+// derived and source set, an opDeleteBi, and a final opPutBatch torn
+// three bytes short. The frames' op codes and layouts are on disk, so
+// the replay must keep the six whole writes and dump the cut that build
+// dumped, digest for digest.
+func TestRecoveryGoldenFramedWAL(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden-wal", walFileName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raw[0] != 0xff || bytes.HasPrefix(raw, []byte(walMagic)) {
-		t.Fatalf("gob stream starts % x", raw[:4])
-	}
-}
-
-// TestRecoveryGobThenFramedChain: a chain whose sealed member is a
-// gob-era file and whose newest member is framed replays both, in
-// order, and the deferred tail rewrite leaves a framed active file. A
-// chain whose only file is gob-era is rewritten as frames.
-func TestRecoveryGobThenFramedChain(t *testing.T) {
 	dir := t.TempDir()
-	writeGobWAL(t, filepath.Join(dir, walFileName(1)), []logRecord{
-		{Op: opPut, Entity: "k", Attr: "v", Value: element.Int(-2), At: 1},
-		{Op: opPutBatch, Puts: []BatchPut{{Entity: "k", Attr: "v", Value: element.Int(-1), At: 5}}},
-	})
-	if err := os.WriteFile(filepath.Join(dir, walFileName(2)), writeFramedWAL(t), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, walFileName(1)), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, n := recoverWAL(t, dir)
-	if n != 8 {
-		t.Fatalf("replayed %d writes, want 2 gob + 6 framed", n)
+	if n != 6 {
+		t.Fatalf("replayed %d writes, want 6", n)
 	}
-	want := NewStore()
-	want.Replace("k", "v", element.Int(-2), 1)
-	want.Replace("k", "v", element.Int(-1), 5)
-	want.PutBatch([]BatchPut{
-		{Entity: "k", Attr: "v", Value: element.Int(0), At: 10},
-		{Entity: "j", Attr: "v", Value: element.String("x"), At: 10},
-	})
-	for i := int64(1); i <= 4; i++ {
-		want.Put("k", "v", element.Int(i), WithValidTime(temporal.Instant(10+10*i)))
-	}
-	assertSameCut(t, want, got)
-	for seq, framed := range map[uint64]bool{1: false, 2: true} {
-		raw, err := os.ReadFile(filepath.Join(dir, walFileName(seq)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bytes.HasPrefix(raw, []byte(walMagic)) != framed {
-			t.Fatalf("%s framed = %v, want %v", walFileName(seq), !framed, framed)
-		}
-	}
-
-	// A lone gob file is the newest member: the rewrite frames it.
-	solo := t.TempDir()
-	writeGobWAL(t, filepath.Join(solo, "wal.log"), []logRecord{
-		{Op: opPut, Entity: "k", Attr: "v", Value: element.Int(-2), At: 1},
-	})
-	s := NewStore()
-	l, n, err := RecoverWALDir(solo, s, temporal.MinInstant, 0)
-	if err != nil || n != 1 {
-		t.Fatalf("recover gob wal.log: n=%d err=%v", n, err)
-	}
-	s.AttachLog(l)
-	s.Replace("k", "v", element.Int(7), 9)
-	closeWAL(t, l)
-	raw, err := os.ReadFile(filepath.Join(solo, "wal.log"))
-	if err != nil {
+	var b bytes.Buffer
+	if err := got.WriteSnapshot(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(raw, []byte(walMagic)) {
-		t.Fatal("the tail rewrite left a gob active file")
+	const want = "c2069d2fe7a315868b52d900c1a3be11eaed6b95e17ef09cea7354075e300fc7"
+	if d := fmt.Sprintf("%x", sha256.Sum256(b.Bytes())); d != want {
+		t.Fatalf("golden chain dumps digest %s, want %s", d, want)
 	}
-	again, n := recoverWAL(t, solo)
-	if n != 2 {
-		t.Fatalf("rewritten chain replayed %d writes, want 2", n)
-	}
-	assertSameCut(t, s, again)
 }
 
 // TestRecoveryCorruptLengthPrefix: a length prefix claiming more bytes

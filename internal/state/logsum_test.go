@@ -2,7 +2,6 @@ package state
 
 import (
 	"bytes"
-	"encoding/gob"
 	"os"
 	"path/filepath"
 	"strings"
@@ -76,39 +75,6 @@ func TestRecoverLogFailsOnBitRot(t *testing.T) {
 		t.Fatal("recovery replayed a bit-rotted record")
 	} else if !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("want checksum failure, got %v", err)
-	}
-}
-
-// TestReplayUnsummedLog recovers a legacy flat wal.log of old-format
-// records (written before checksums existed, so Summed is false): they
-// must apply unverified, keeping recovery compatible with existing logs.
-func TestReplayUnsummedLog(t *testing.T) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for _, rec := range []logRecord{
-		{Op: opPut, Entity: "ann", Attr: "position", Value: element.String("hall"), At: 10},
-		{Op: opPut, Entity: "ann", Attr: "position", Value: element.String("lab"), At: 20},
-		{Op: opPutBatch, Puts: []BatchPut{
-			{Entity: "bob", Attr: "position", Value: element.String("hall"), At: 30},
-		}},
-	} {
-		if err := enc.Encode(&rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "wal.log"), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, n := recoverWAL(t, dir)
-	if n != 3 {
-		t.Fatalf("replayed %d records, want 3", n)
-	}
-	if f, ok := s.Find("ann", "position"); !ok || f.Value.MustString() != "lab" {
-		t.Fatalf("unsummed replay state: %v %v", f, ok)
-	}
-	if f, ok := s.Find("bob", "position"); !ok || f.Value.MustString() != "hall" {
-		t.Fatalf("unsummed batch frame: %v %v", f, ok)
 	}
 }
 

@@ -138,7 +138,7 @@ func checkOrderUnobservable(t *testing.T, seed int64, steps int) {
 	s, m := newColdStore()
 	attrs := orderScopes[:2]
 	var keys []element.FactKey
-	evicted := func() []element.FactKey { return s.EvictedKeys() }
+	evicted := func() []element.FactKey { return s.evictedKeys() }
 	put := func(key element.FactKey) {
 		t.Helper()
 		if err := s.Put(key.Entity, key.Attribute, element.Float(rng.Float64()*100)); err != nil {

@@ -28,43 +28,6 @@ func TestRecoverLogSurfacesApplyErrors(t *testing.T) {
 	}
 }
 
-// TestRecoverRetiredRecordKinds: gob-era logs written by the removed
-// positional Assert and Retract (and by per-element Replace) still
-// recover. Each such record was logged only after passing its
-// no-overlap / has-an-open-version check, so replaying it as the
-// equivalent bitemporal Put or Delete dumps the byte-equal cut of the
-// same history written through Replace/Put/Delete.
-func TestRecoverRetiredRecordKinds(t *testing.T) {
-	dir := t.TempDir()
-	writeGobWAL(t, filepath.Join(dir, walFileName(1)), []logRecord{
-		{Op: opPut, Entity: "ann", Attr: "position", Value: element.String("hall"), At: 10},
-		{Op: opAssert, Entity: "ann", Attr: "badge", Value: element.Int(7), Start: 12, End: 40, Source: "issue"},
-		{Op: opPut, Entity: "ann", Attr: "position", Value: element.String("lab"), At: 20},
-		{Op: opRetract, Entity: "ann", Attr: "position", At: 30},
-		{Op: opAssert, Entity: "p1", Attr: "class", Value: element.String("books"),
-			Start: 30, End: temporal.Forever, Derived: true, Source: "taxonomy"},
-	})
-	got, n := recoverWAL(t, dir)
-	if n != 5 {
-		t.Fatalf("replayed %d records, want 5", n)
-	}
-
-	want := NewStore()
-	for _, err := range []error{
-		want.Replace("ann", "position", element.String("hall"), 10),
-		want.Put("ann", "badge", element.Int(7), WithValidTime(12), WithEndValidTime(40),
-			WithTransactionTime(12), WithSource("issue")),
-		want.Replace("ann", "position", element.String("lab"), 20),
-		want.Delete("ann", "position", WithValidTime(30), WithTransactionTime(30)),
-	} {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	putDerived(t, want, "p1", "class", element.String("books"), temporal.Since(30), 30, "taxonomy")
-	assertSameCut(t, want, got)
-}
-
 // TestRecoverLogTruncationIsTornTail: a newest file cut mid-record is
 // the torn final append and recovers to the whole-record prefix, while
 // the same truncation in a sealed chain member is a loud error. (Bit

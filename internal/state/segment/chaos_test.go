@@ -355,6 +355,70 @@ func TestFaultManifestRenameMidway(t *testing.T) {
 	}
 }
 
+// TestFaultFailedFlushCommitKeepsLiveFrames: a flush whose commit fails
+// — the WAL sync before the manifest, the manifest rename, or the
+// directory sync after it — must leave every segment's live-frame count
+// as it was. Otherwise the retry counts the same rewrites again, a
+// segment that still owns frames reaches zero, and the retry drops and
+// unlinks it. Flush k00–k09, rewrite k00–k04, fail the commit once,
+// flush again, crash: every key must reopen with its newest value.
+func TestFaultFailedFlushCommitKeepsLiveFrames(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rule vfs.Rule
+	}{
+		{"wal-sync", vfs.Rule{Op: vfs.OpSync, Path: "wal.*", Count: 1}},
+		{"manifest-rename", vfs.Rule{Op: vfs.OpRename, Path: manifestName, Count: 1}},
+		{"dir-sync", vfs.Rule{Op: vfs.OpSyncDir, Count: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ffs := vfs.NewFaultFS(vfs.OS)
+			d, err := Open(dir, WithFS(ffs))
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer d.Close()
+			put := func(n int, v int64) {
+				for i := 0; i < n; i++ {
+					if err := d.Put(fmt.Sprintf("k%02d", i), "v", element.Int(v)); err != nil {
+						t.Fatalf("put: %v", err)
+					}
+				}
+			}
+			put(10, 1)
+			if err := d.Flush(); err != nil {
+				t.Fatalf("flush: %v", err)
+			}
+			ffs.AddRule(tc.rule)
+			put(5, 2)
+			if err := d.Flush(); err == nil {
+				t.Fatal("flush must surface the failed commit")
+			}
+			if err := d.Flush(); err != nil {
+				t.Fatalf("retried flush: %v", err)
+			}
+			d.Abandon()
+
+			rec, err := Open(dir)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer rec.Close()
+			for i := 0; i < 10; i++ {
+				want := int64(1)
+				if i < 5 {
+					want = 2
+				}
+				key := fmt.Sprintf("k%02d", i)
+				if f, ok := rec.Find(key, "v"); !ok || f.Value.MustInt() != want {
+					t.Fatalf("%s reopened as %v (found %v), want %d", key, f, ok, want)
+				}
+			}
+		})
+	}
+}
+
 // TestDegradeFallthroughReadsServe: degraded mode stops the write path
 // only. Point reads and scans keep resolving a key whose lineage lives
 // only in committed segments, with exactly the rows they returned while
@@ -485,11 +549,12 @@ func TestChaosConcurrentScheduleRecovers(t *testing.T) {
 }
 
 // TestChaosEvictionKillBetweenEvictAndFlush: eviction marks live only in
-// RAM until the next flush commits them to the manifest. A crash inside
-// that window loses the marks — the keys reload resident — but must lose
-// nothing else: the recovered store is byte-identical to the no-eviction
-// oracle, because eviction only ever removes state a durable frame
-// already holds.
+// RAM; no manifest records them. A crash after an eviction — before the
+// next flush or after it — loses the marks, and the reopen's residency
+// budget alone decides what reloads resident. It must lose nothing
+// else: the recovered store is byte-identical to the no-eviction oracle,
+// because eviction only ever removes state a durable frame already
+// holds.
 func TestChaosEvictionKillBetweenEvictAndFlush(t *testing.T) {
 	const rounds = 2
 	dir := t.TempDir()
@@ -506,7 +571,7 @@ func TestChaosEvictionKillBetweenEvictAndFlush(t *testing.T) {
 	if n := d.EvictToBudget(0); n == 0 {
 		t.Fatal("nothing evicted — the crash window is empty")
 	}
-	d.Abandon() // kill before any flush could commit the evicted set
+	d.Abandon() // kill before any flush after the eviction
 
 	rec, err := Open(dir, WithResidencyBudget(1))
 	if err != nil {
@@ -529,6 +594,27 @@ func TestChaosEvictionKillBetweenEvictAndFlush(t *testing.T) {
 	want = snapshotBytes(t, oracle(t, rounds+1))
 	if got := snapshotBytes(t, rec.Mem()); !bytes.Equal(got, want) {
 		t.Fatalf("post-recovery eviction diverged (%d vs %d bytes)", len(got), len(want))
+	}
+
+	// Evict, commit a flush, crash: reopened at the same budget and with
+	// none, the store is the oracle's, and with none fully resident.
+	if err := rec.FlushAt(rec.DurableTx() + 1); err != nil {
+		t.Fatalf("flush after eviction: %v", err)
+	}
+	rec.Abandon()
+	for _, budget := range []int64{1, 0} {
+		re, err := Open(dir, WithResidencyBudget(budget))
+		if err != nil {
+			t.Fatalf("reopen at budget %d: %v", budget, err)
+		}
+		assertColdSeam(t, re)
+		if got := snapshotBytes(t, re.Mem()); !bytes.Equal(got, want) {
+			t.Fatalf("reopen at budget %d after a committed eviction diverged (%d vs %d bytes)", budget, len(got), len(want))
+		}
+		if n := re.Info().EvictedLineages; budget == 0 && n != 0 {
+			t.Fatalf("an unbudgeted reopen left %d lineages evicted", n)
+		}
+		re.Abandon()
 	}
 }
 

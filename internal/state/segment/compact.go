@@ -284,7 +284,7 @@ func (d *Store) commitMerge(cat *catalog, lo, hi int, merged *reader) error {
 	// victims are then the orphans. If the rename never happened the
 	// output is the orphan instead. Either way the next open's orphan
 	// sweep reconciles; unlinking here would race the ambiguity.
-	if err := d.writeManifest(d.manifestFor(nc, d.mem.EvictedKeys())); err != nil {
+	if err := d.writeManifest(d.manifestFor(nc)); err != nil {
 		d.compactFails.Add(1)
 		return err
 	}

@@ -285,7 +285,7 @@ func TestCompactTombstoneElision(t *testing.T) {
 			t.Fatalf("finish: %v", err)
 		}
 		d.nextSeq++
-		if err := d.writeManifest(d.manifestFor(&catalog{durableTx: 50, segments: []*reader{r}}, nil)); err != nil {
+		if err := d.writeManifest(d.manifestFor(&catalog{durableTx: 50, segments: []*reader{r}})); err != nil {
 			t.Fatalf("manifest: %v", err)
 		}
 		r.f.Close()
@@ -306,12 +306,13 @@ func TestCompactTombstoneElision(t *testing.T) {
 	})
 }
 
-// TestRecoveryResidencyAfterRestart: lineages evicted from RAM must stay
-// durable-only across restarts: recovery must not reload them resident,
-// while fallthrough reads — point reads AND scans, serial and
-// partitioned — keep answering exactly as before the crash. The store
-// has no budget, so only the manifest's evicted set and the recovered
-// cold directory keep them out of RAM and in the scans.
+// TestRecoveryResidencyAfterRestart: the residency budget alone decides
+// what a restart keeps resident. Lineages evicted before a committed
+// flush reload resident into a store opened with no budget — each is
+// evicted only once its every write is durable, so its newest frame
+// holds its whole history — and point reads AND scans, serial and
+// partitioned, answer exactly as they did from the cold frames before
+// the crash, across two flush generations.
 func TestRecoveryResidencyAfterRestart(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir)
@@ -334,7 +335,7 @@ func TestRecoveryResidencyAfterRestart(t *testing.T) {
 	if n := d.EvictToBudget(0); n != len(keys) {
 		t.Fatalf("evicted %d lineages, want %d", n, len(keys))
 	}
-	if err := d.FlushAt(60); err != nil { // records the evicted set
+	if err := d.FlushAt(60); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
 	for _, k := range keys {
@@ -365,31 +366,38 @@ func TestRecoveryResidencyAfterRestart(t *testing.T) {
 		}
 	}
 
-	// Recovery must not reload the frames resident, which would undo the
-	// eviction on every restart.
+	// With no budget, recovery reloads every frame resident.
+	resident := func(d *Store) {
+		t.Helper()
+		if info := d.Info(); info.EvictedLineages != 0 {
+			t.Fatalf("an unbudgeted reopen left %d lineages evicted", info.EvictedLineages)
+		}
+		for _, k := range keys {
+			if f, ok := d.Find(k, "v", state.AsOfValidTime(15)); !ok || f.Value.String() == "" {
+				t.Fatalf("read lost %s after restart", k)
+			}
+		}
+		assertColdSeam(t, d)
+	}
 	d.Abandon()
 	rec, err := Open(dir)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	for _, k := range keys {
-		if !evicted(rec.Mem(), k, "v") {
-			t.Fatalf("recovery reloaded evicted lineage %s resident", k)
-		}
-		if f, ok := rec.Find(k, "v", state.AsOfValidTime(15)); !ok || f.Value.String() == "" {
-			t.Fatalf("fallthrough read lost %s after restart", k)
-		}
-	}
-	assertColdSeam(t, rec)
+	resident(rec)
 	sameScans("restart", rec)
 
-	// The evicted set survives further flush generations too.
+	// So does a restart a flush generation later, after the reloaded
+	// lineages and a new one are evicted again.
 	if err := rec.Mem().Put("hot", "v", element.Int(1),
 		state.WithValidTime(70), state.WithTransactionTime(70)); err != nil {
 		t.Fatalf("put: %v", err)
 	}
 	if err := rec.FlushAt(80); err != nil {
 		t.Fatalf("flush: %v", err)
+	}
+	if n := rec.EvictToBudget(0); n != len(keys)+1 {
+		t.Fatalf("evicted %d lineages, want %d", n, len(keys)+1)
 	}
 	want = scans(rec)
 	rec.Abandon()
@@ -398,15 +406,7 @@ func TestRecoveryResidencyAfterRestart(t *testing.T) {
 		t.Fatalf("second reopen: %v", err)
 	}
 	defer again.Close()
-	for _, k := range keys {
-		if !evicted(again.Mem(), k, "v") {
-			t.Fatalf("evicted lineage %s resurfaced two generations later", k)
-		}
-	}
-	if evicted(again.Mem(), "hot", "v") {
-		t.Fatalf("live lineage must stay resident")
-	}
-	assertColdSeam(t, again)
+	resident(again)
 	sameScans("second restart", again)
 }
 

@@ -1,10 +1,14 @@
 package segment
 
 import (
+	"cmp"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/element"
 	"repro/internal/state"
+	"repro/internal/temporal"
 )
 
 // WithWALRotateBytes sets the size threshold at which the WAL rotates
@@ -73,4 +77,24 @@ func (s *racingSource) ResolveCold(keys []element.FactKey) state.ColdResolution 
 		during()
 	}
 	return res
+}
+
+// evictedKeys returns st's evicted keys sorted by (attribute, entity):
+// its published cold keys less the stale marks of lineages a write made
+// resident again, which a full FlushCut pass visits.
+func evictedKeys(st *state.Store) []element.FactKey {
+	resident := map[element.FactKey]bool{}
+	st.FlushCut(temporal.Forever, temporal.MinInstant, func(key element.FactKey, _ []*element.Fact) {
+		resident[key] = true
+	})
+	var keys []element.FactKey
+	for _, key := range st.ColdKeys() {
+		if !resident[key] {
+			keys = append(keys, key)
+		}
+	}
+	slices.SortFunc(keys, func(a, b element.FactKey) int {
+		return cmp.Or(strings.Compare(a.Attribute, b.Attribute), strings.Compare(a.Entity, b.Entity))
+	})
+	return keys
 }

@@ -10,7 +10,7 @@ import (
 
 // BenchmarkColdOpen measures the cold-start path on the regression
 // suite's workload shape: serial Replaces over 1000 keys, a
-// flush at 95%, the rest a WAL tail of opPut records, then the crash.
+// flush at 95%, the rest a WAL tail of opPutBatch frames, then the crash.
 // Open is the measured unit (recovery to a queryable store); the
 // deferred WAL rewrite is quiesced outside the timer.
 func BenchmarkColdOpen(b *testing.B) {

@@ -278,7 +278,7 @@ func assertColdSeam(t *testing.T, d *Store) {
 // lineage leaves RAM only by eviction, so a written key that is not
 // evicted is resident.
 func evicted(st *state.Store, entity, attr string) bool {
-	return slices.Contains(st.EvictedKeys(), element.FactKey{Entity: entity, Attribute: attr})
+	return slices.Contains(evictedKeys(st), element.FactKey{Entity: entity, Attribute: attr})
 }
 
 // TestOutOfCoreEquivalence: residency is unobservable. The same
@@ -287,8 +287,8 @@ func evicted(st *state.Store, entity, attr string) bool {
 // down to an eighth of the oracle's resident bytes, so its gathers mix
 // resident and cold lineages. Each twin must stay byte-identical to the
 // oracle across scans, point reads, snapshots, write fault-in (including
-// a delete to an evicted key), a crash-restart that round-trips the
-// evicted set through the manifest, and a merge of the whole chain; the
+// a delete to an evicted key), a crash-restart that reopens at the
+// twin's budget, and a merge of the whole chain; the
 // fully evicted twin must also answer identically while degraded.
 // Snapshots pinned on every store at each step — before the first
 // flush, after each flush, eviction and merge — are re-read at the end
@@ -418,19 +418,21 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 		assertColdSeam(t, tw.d)
 	}
 
-	// Crash-restart: flush (committing the current evicted set in the
-	// manifest), evict again, kill, reopen. The reopened store must both
-	// stay byte-identical and come back out-of-core. A handle is its
+	// Crash-restart: flush, evict again, flush, kill, reopen. The
+	// reopened store must both stay byte-identical and honour its
+	// budget: the load stops once the budget is reached, so it comes
+	// back out-of-core with at least the budget resident. A handle is its
 	// store plus its pin, so the reopened store answers for the handles
 	// the killed one issued.
 	flush("pre-restart")
 	evict()
-	flush("manifest") // commits the evicted set
+	flush("post-evict")
 	for i, tw := range twins {
 		tw.d.Abandon()
 		tw.d = open(tw)
-		if n := tw.d.Info().EvictedLineages; n == 0 {
-			t.Fatalf("%s: evicted set did not survive the manifest round-trip", tw.name)
+		if info := tw.d.Info(); info.EvictedLineages == 0 || info.ResidentBytes < tw.d.budget {
+			t.Fatalf("%s: reopen at budget %d kept %d bytes resident and %d lineages cold",
+				tw.name, tw.d.budget, info.ResidentBytes, info.EvictedLineages)
 		}
 		for _, p := range pins {
 			p.handles[i+1] = tw.d.Mem().SnapshotAt(p.handles[i+1].At())

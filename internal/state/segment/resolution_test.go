@@ -220,7 +220,7 @@ func testColdResolution(t *testing.T, seed int64, preps []*query.Prepared) {
 			d.EvictToBudget(budget)
 		case k == 9:
 			name = "fault-in"
-			if ev := d.mem.EvictedKeys(); len(ev) > 0 {
+			if ev := evictedKeys(d.mem); len(ev) > 0 {
 				for i := 0; i < 4; i++ {
 					key := ev[rng.Intn(len(ev))]
 					put(key.Entity, key.Attribute)

@@ -484,11 +484,12 @@ func TestRecoveryNoFrameResurrection(t *testing.T) {
 // while RAM compaction existed: "old" (bounded, two records) was swept
 // from RAM with its frame kept, so the manifest lists it under Swept;
 // "gone" was deleted from its first valid instant and swept to a
-// tombstone frame; "live" stayed resident. Old swept keys now load as
-// evicted ones. The expected rows are what the reader of that era
-// returned for the same directory; the one change is the write at the
-// end, which now faults the frame's history in instead of starting a
-// fresh lineage.
+// tombstone frame; "live" stayed resident. The manifest's key sets are
+// no longer read, so with no residency budget "old" loads resident from
+// its frame, which holds its whole history. The expected rows are what
+// the reader of that era returned for the same directory; the one
+// change is the write at the end, which now extends the frame's history
+// instead of starting a fresh lineage.
 func TestRecoverySweptDirectory(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "swept-v3"))); err != nil {
@@ -522,16 +523,10 @@ func TestRecoverySweptDirectory(t *testing.T) {
 		}
 	}
 
-	if !evicted(d.Mem(), "old", "v") {
-		t.Fatalf("swept key loaded resident")
-	}
-	if evicted(d.Mem(), "live", "v") {
-		t.Fatalf("live key not resident")
-	}
-	// live is not evicted, so it is resident; one resident lineage means
-	// the tombstoned gone was not loaded.
-	if info := d.Info(); info.EvictedLineages != 1 || info.ResidentLineages != 1 {
-		t.Fatalf("want the swept key evicted and only live resident, got %+v", info)
+	// Two resident lineages, old and live, mean the tombstoned gone was
+	// not loaded.
+	if info := d.Info(); info.EvictedLineages != 0 || info.ResidentLineages != 2 {
+		t.Fatalf("want nothing evicted and old and live resident, got %+v", info)
 	}
 	f, ok := d.Find("old", "v", state.AsOfValidTime(15))
 	if !ok {
@@ -578,14 +573,14 @@ func TestRecoverySweptDirectory(t *testing.T) {
 		}
 	}
 
-	// The behaviour change: the write faults the frame in, so the new
-	// record joins the swept history instead of replacing it.
+	// The behaviour change: the new record joins the swept history
+	// instead of replacing it.
 	if err := d.Put("old", "v", element.Int(5),
 		state.WithValidTime(30), state.WithTransactionTime(80)); err != nil {
 		t.Fatalf("put: %v", err)
 	}
 	if evicted(d.Mem(), "old", "v") || d.Info().EvictedLineages != 0 {
-		t.Fatalf("write did not fault the swept key in")
+		t.Fatalf("write left the swept key evicted")
 	}
 	same("History after write", rows(d.History("old", "v", state.AllVersions())...),
 		"old=1 [10,20) rec=10 sup=15; old=2 [10,20) rec=15 sup=inf; old=5 [30,inf) rec=80 sup=inf; ")

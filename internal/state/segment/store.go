@@ -61,9 +61,10 @@ const (
 	manifestName = "MANIFEST"
 	lockName     = "LOCK"
 
-	// manifestVersion guards the manifest wire format. Version 2 added
-	// the durable-only (swept) key set, now read only; version 3 the
-	// evicted key set. Older manifests still read.
+	// manifestVersion guards the manifest wire format. Versions 2 and 3
+	// added key sets (swept, evicted) that decoding now ignores: which
+	// keys stay resident is the residency budget's choice at open, not
+	// the catalog's. Older manifests still read.
 	manifestVersion = 3
 )
 
@@ -74,15 +75,6 @@ type manifestRec struct {
 	DurableTx temporal.Instant
 	NextSeq   uint64
 	Segments  []manifestSegment
-	// Swept is decode-only: directories written while RAM compaction
-	// existed list here the keys it removed from RAM whose frames stayed
-	// on disk. Open treats them as evicted; new manifests never write it.
-	Swept []element.FactKey
-	// Evicted is the residency-evicted key set (version 3+): lineages
-	// the working-set budget pushed out of RAM whose durable frames are
-	// the single copy. Recovery keeps them out of RAM and marks them
-	// evicted — the write path faults them back in before mutating.
-	Evicted []element.FactKey
 }
 
 // manifestSegment names one live segment file and its cut.
@@ -319,7 +311,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		return nil, err
 	}
 	cat := &catalog{durableTx: temporal.MinInstant}
-	evicted := map[element.FactKey]bool{}
 	if man != nil {
 		cat.durableTx = man.DurableTx
 		d.nextSeq = man.NextSeq
@@ -331,18 +322,10 @@ func Open(dir string, opts ...Option) (*Store, error) {
 			}
 			cat.segments = append(cat.segments, r)
 		}
-		// Old directories' swept keys hold their whole history in their
-		// frames, exactly like evicted ones.
-		for _, key := range man.Swept {
-			evicted[key] = true
-		}
-		for _, key := range man.Evicted {
-			evicted[key] = true
-		}
 	}
 	d.removeOrphans(man)
 
-	budgetSkipped, err := d.loadFrames(cat, evicted)
+	budgetSkipped, err := d.loadFrames(cat)
 	if err != nil {
 		d.closeSegments(cat)
 		return nil, err
@@ -355,13 +338,9 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	if d.budget > 0 {
 		d.mem.SetAccessTracking(true)
 	}
-	// Every key left on disk is cold: evicted keys and the budget's skips
-	// serve reads from their frames and fault back in on write.
-	marks := budgetSkipped
-	for key := range evicted {
-		marks = append(marks, key)
-	}
-	d.mem.MarkCold(marks)
+	// Every key the budget left on disk is cold: it serves reads from its
+	// frame and faults back in on write.
+	d.mem.MarkCold(budgetSkipped)
 	// Lineages that stayed cold never observe their maxTx into the mem
 	// clock, so advance it to the durable cut — it bounds every flushed
 	// record — or snapshot and flush pins would land below cold history.
@@ -394,19 +373,19 @@ func Open(dir string, opts ...Option) (*Store, error) {
 // loadFrames bulk-loads the newest frame of every cataloged key into the
 // RAM working set and rebuilds each segment's live count. Segments walk
 // newest→oldest with a seen set, so each key loads from exactly its
-// newest frame; evicted keys keep their frames on disk, answerable by
-// fallthrough reads, but stay out of RAM. Each segment is read into
-// memory once — one sequential read per segment instead of a pread
-// per lineage — and only one image is held at a time; within a segment
-// the decode+install work fans out across shard-partitioned workers
-// (see loadSegmentFrames).
+// newest frame — the whole history of the key at the durable cut, so a
+// lineage evicted before the crash reloads byte-identically. Each
+// segment is read into memory once — one sequential read per segment
+// instead of a pread per lineage — and only one image is held at a
+// time; within a segment the decode+install work fans out across
+// shard-partitioned workers (see loadSegmentFrames).
 //
 // A residency budget bounds the load: once the working set's byte
 // estimate reaches it, the remaining (older, since the walk is
 // newest-first) keys are skipped and returned so the caller marks them
 // evicted — a cold start of a larger-than-RAM directory comes up within
 // budget instead of faulting the whole history resident.
-func (d *Store) loadFrames(cat *catalog, evicted map[element.FactKey]bool) ([]element.FactKey, error) {
+func (d *Store) loadFrames(cat *catalog) ([]element.FactKey, error) {
 	seen := make(map[element.FactKey]bool)
 	var budgetSkipped []element.FactKey
 	workers := d.loadPar
@@ -416,18 +395,14 @@ func (d *Store) loadFrames(cat *catalog, evicted map[element.FactKey]bool) ([]el
 	for i := len(cat.segments) - 1; i >= 0; i-- {
 		r := cat.segments[i]
 		var load []element.FactKey
-		owned := 0
 		for key := range r.index {
 			if seen[key] {
 				continue
 			}
 			seen[key] = true
-			owned++
-			if !evicted[key] {
-				load = append(load, key)
-			}
+			load = append(load, key)
 		}
-		r.live.Store(int64(owned))
+		r.live.Store(int64(len(load)))
 		if len(load) == 0 {
 			continue
 		}
@@ -537,8 +512,7 @@ func (d *Store) removeOrphans(man *manifestRec) {
 	for _, e := range ents {
 		name := e.Name()
 		switch {
-		case name == manifestName || name == lockName || live[name] ||
-			state.IsWALFileName(name):
+		case live[name]:
 		case filepath.Ext(name) == ".tmp", filepath.Ext(name) == ".seg":
 			if err := d.fs.Remove(filepath.Join(d.dir, name)); err != nil {
 				d.removeFails.Add(1)
@@ -593,7 +567,11 @@ func (d *Store) writeManifest(man *manifestRec) error {
 		d.fs.Remove(tmp)
 		return fmt.Errorf("segment: manifest: %w", err)
 	}
-	d.fs.SyncDir(d.dir)
+	// Until the directory syncs, the rename may not survive a power loss:
+	// the commit failed, as a torn rename does.
+	if err := d.fs.SyncDir(d.dir); err != nil {
+		return fmt.Errorf("segment: manifest: %w", err)
+	}
 	return nil
 }
 
@@ -704,28 +682,31 @@ func (d *Store) flushLocked(cut temporal.Instant) error {
 		}
 		d.nextSeq++
 		segs = append(segs, r)
-		// Per-segment live accounting, O(dirty keys): the new segment
-		// owns every rewritten key, so each key's previous owner — its
-		// newest OLD frame — loses one.
-		for _, key := range rewritten {
-			if own, _, ok := cat.owner(key); ok {
-				own.live.Add(-1)
-			}
+	}
+	// Per-segment live accounting, O(dirty keys): the new segment owns
+	// every rewritten key, so each key's previous owner — its newest OLD
+	// frame — loses one. The losses apply only once the manifest commits:
+	// a failed commit leaves every count as it was for the retry.
+	lost := map[*reader]int64{}
+	for _, key := range rewritten {
+		if own, _, ok := cat.owner(key); ok {
+			lost[own]++
 		}
 	}
 
-	// A segment whose every key has a newer frame is dead (live == 0):
-	// drop it from the manifest now, unlink after the commit.
+	// A segment whose every key has a newer frame is dead (no live frame
+	// left after this flush's losses): drop it from the manifest now,
+	// unlink after the commit.
 	var dead []*reader
 	for _, r := range segs {
-		if r.live.Load() == 0 {
+		if r.live.Load() == lost[r] {
 			dead = append(dead, r)
 		} else {
 			nc.segments = append(nc.segments, r)
 		}
 	}
 
-	man := d.manifestFor(nc, d.mem.EvictedKeys())
+	man := d.manifestFor(nc)
 	// Sync the WAL before the manifest commit: after the commit, every
 	// write is durable against power loss too — at or before the cut in
 	// the just-synced segment, after it in the just-synced tail. A
@@ -739,6 +720,9 @@ func (d *Store) flushLocked(cut temporal.Instant) error {
 	}
 	if err := d.writeManifest(man); err != nil {
 		return err
+	}
+	for r, n := range lost {
+		r.live.Add(-n)
 	}
 	d.publish(nc)
 	d.flushMark.Store(mark)
@@ -767,11 +751,10 @@ func (d *Store) flushLocked(cut temporal.Instant) error {
 	return nil
 }
 
-// manifestFor serializes a catalog plus the evicted key set as the
-// manifest record to commit. evicted must already be sorted
-// (state.EvictedKeys emits manifest order). Callers hold d.mu.
-func (d *Store) manifestFor(cat *catalog, evicted []element.FactKey) *manifestRec {
-	man := &manifestRec{Version: manifestVersion, DurableTx: cat.durableTx, NextSeq: d.nextSeq, Evicted: evicted}
+// manifestFor serializes a catalog as the manifest record to commit.
+// Callers hold d.mu.
+func (d *Store) manifestFor(cat *catalog) *manifestRec {
+	man := &manifestRec{Version: manifestVersion, DurableTx: cat.durableTx, NextSeq: d.nextSeq}
 	for _, r := range cat.segments {
 		man.Segments = append(man.Segments, manifestSegment{File: filepath.Base(r.path), CutTx: r.cut})
 	}

@@ -76,8 +76,10 @@ func main() {
 // when byOps — must be at most max. A speedup "num is k times faster
 // than den" is written as max 1/k. The gate reports without failing on
 // fewer than minCPUs CPUs (the lower of NumCPU and GOMAXPROCS), where
-// parallel workers only time-share cores, and when the den row's whole
-// run took less than minElapsed, too brief for the clock to resolve.
+// parallel workers only time-share cores. On enough CPUs, a den row
+// whose whole run took less than minElapsed, too brief for the clock to
+// resolve, fails the gate: a gate that cannot judge must say so loudly,
+// and the fix is more repetitions in the row, not a lower floor.
 type gate struct {
 	name, num, den string
 	max            float64
@@ -182,7 +184,8 @@ func evaluate(w io.Writer, rep *bench.RegressionReport, table []gate) int {
 		case cpus < g.minCPUs:
 			fmt.Fprintf(w, "not gated: %d CPUs < %d\n", cpus, g.minCPUs)
 		case elapsed < g.minElapsed:
-			fmt.Fprintf(w, "not gated: %s ran %s < %s\n", g.den, elapsed.Round(time.Microsecond), g.minElapsed)
+			fmt.Fprintf(w, "FAIL: %s ran %s < %s, too brief to judge\n", g.den, elapsed.Round(time.Microsecond), g.minElapsed)
+			failures++
 		case ratio > g.max:
 			fmt.Fprintf(w, "FAIL (%s / %s)\n", g.num, g.den)
 			failures++

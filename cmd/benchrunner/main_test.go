@@ -45,7 +45,9 @@ func TestEvaluate(t *testing.T) {
 		{"below minCPUs", withCPUs, 2, 2, breach, 0, "not gated: 2 CPUs < 4"},
 		{"GOMAXPROCS below minCPUs", withCPUs, 8, 1, breach, 0, "not gated: 1 CPUs < 4"},
 		{"minCPUs met", withCPUs, 4, 4, breach, 1, "FAIL"},
-		{"below minElapsed", withFloor, 2, 2, brief, 0, "not gated: slow ran 200µs < 10ms"},
+		{"below minElapsed", withFloor, 2, 2, brief, 1, "FAIL: slow ran 200µs < 10ms"},
+		{"below minElapsed and minCPUs", gate{name: "g", num: "fast", den: "slow", max: 1 / 1.5,
+			minCPUs: 4, minElapsed: 10 * time.Millisecond}, 2, 2, brief, 0, "not gated: 2 CPUs < 4"},
 		{"minElapsed met", withFloor, 2, 2, breach, 1, "FAIL"},
 		// The ns/op ratio is 3x; only the Ops ratio counts.
 		{"byOps pass", byOps, 2, 2,

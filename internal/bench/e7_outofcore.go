@@ -100,7 +100,7 @@ func scanOutOfCore(evict bool, keys, queries int) time.Duration {
 // addOutOfCoreRows appends the out-of-core rows through add.
 func addOutOfCoreRows(add func(name string, ops int, measure func() time.Duration), scale float64) {
 	keys := scaleInt(8_192, scale)
-	queries := scaleInt(300, scale)
+	queries := scaleInt(1_500, scale)
 	add("e7/scan-resident", queries, func() time.Duration { return scanOutOfCore(false, keys, queries) })
 	add("e7/scan-cold", queries, func() time.Duration { return scanOutOfCore(true, keys, queries) })
 }

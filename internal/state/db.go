@@ -126,6 +126,16 @@ type ScanShape struct {
 	AllVersions bool
 }
 
+// SelectsOpen reports whether the shape selects, from each lineage, at
+// most the open version of the belief at its pin: no valid-time
+// selector, no DURING, one version per key. Read without a pin, or
+// pinned at or after everything that touched a lineage, it selects
+// exactly the lineage's open version, so value bounds can prune by that
+// version alone.
+func (s ScanShape) SelectsOpen() bool {
+	return !s.HasValidAt && !s.HasDuring && !s.AllVersions
+}
+
 // AsOfValidTime selects the version valid at t in the modeled world.
 // Without it, point reads return the open ("until further notice") version.
 func AsOfValidTime(t temporal.Instant) ReadOpt {

@@ -80,13 +80,15 @@ type ColdSource interface {
 	// ColdFrames filters a resolution this source made for one read,
 	// appending to dst one unread candidate per resolved key, in the
 	// keys' order. Frames whose owning segment's envelope is provably
-	// disjoint from the shape, and frames whose value envelope
-	// (ValueEnvelopeOf over the frame's records, persisted by the source)
-	// is disjoint from the bounds, are dropped unread. A source without a
-	// frame's envelope may return it: the reader re-tests the decoded
-	// head. It costs one envelope test per resolved key and no catalog
-	// work. Candidates for keys that are in fact resident are permitted —
-	// the merge discards them unloaded.
+	// disjoint from the shape, frames whose value envelope is disjoint
+	// from the bounds, and — on a shape that selects the open version,
+	// pinned (if at all) at or after the frame's transactions — frames
+	// whose open value the bounds exclude (ValueBounds.ExcludesOpen) are
+	// dropped unread; the source persists both per frame (FrameSummary).
+	// A source without a frame's summary may return it: the scan's row
+	// filter drops what the bounds exclude. It costs one test per
+	// resolved key and no catalog work. Candidates for keys that are in
+	// fact resident are permitted — the merge discards them unloaded.
 	ColdFrames(dst []ColdLineage, res ColdResolution, shape ScanShape, bounds ValueBounds) []ColdLineage
 }
 

@@ -209,3 +209,29 @@ func (h *head) fill(records, live []*element.Fact, strict bool) ([]*element.Fact
 	h.recomputeValueEnv()
 	return live, nil
 }
+
+// FrameSummary is what a durable backend persists about one lineage
+// frame so that reads can prune it unread: the numeric value envelope of
+// all its records (Numeric false for an empty frame or any non-numeric
+// value) and the value a read selecting the open version returns. Both
+// are exactly what the head decoded from the frame carries.
+type FrameSummary struct {
+	Lo, Hi  float64
+	Numeric bool
+	Open    OpenValue
+}
+
+// Summarizer computes frame summaries over one reused scratch head,
+// filled by the same fill a cold read builds its head with, so the open
+// value is the version that read would select. The zero value is ready
+// for use; it is not safe for concurrent use.
+type Summarizer struct {
+	h    head
+	live []*element.Fact
+}
+
+// Summarize summarizes a lineage frame's records, in recording order.
+func (s *Summarizer) Summarize(records []*element.Fact) FrameSummary {
+	s.live, _ = s.h.fill(records, s.live, false)
+	return FrameSummary{Lo: s.h.vMin, Hi: s.h.vMax, Numeric: s.h.vNumeric, Open: openValueOf(s.h.open)}
+}

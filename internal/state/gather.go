@@ -121,7 +121,9 @@ var ErrColdFrame = errors.New("state: unreadable cold frame")
 // which keeps the keys' order — no cold keys, no catalog work. A frame
 // whose key is also resident (a stale mark) is dropped unread: the
 // resident head wins. Resident heads the value bounds exclude are pruned
-// here, so pruning also rebalances partitions. The merge loop is
+// here — by their whole-history envelope, or, when the shape selects the
+// open version, by their open value — so pruning also rebalances
+// partitions. The merge loop is
 // closure-free and a cached order and resolution cost no allocation:
 // prepared-query Exec rides this path on a fixed allocation budget.
 func (s *Store) candidates(cfg readCfg, bounds ValueBounds) ([]scanCand, ScanStats) {
@@ -129,13 +131,15 @@ func (s *Store) candidates(cfg readCfg, bounds ValueBounds) ([]scanCand, ScanSta
 	lins := o.lins
 	stats := ScanStats{Lineages: len(lins)}
 
+	shape := shapeOfCfg(cfg)
 	var frames []ColdLineage
 	if ref := s.cold.Load(); ref != nil && len(o.cold) > 0 {
-		frames = ref.cs.ColdFrames(nil, o.resolution(ref), shapeOfCfg(cfg), bounds)
+		frames = ref.cs.ColdFrames(nil, o.resolution(ref), shape, bounds)
 	}
 
 	cmp := scopeOrder(cfg.attr)
 	prune := bounds.Constrained()
+	open := prune && shape.SelectsOpen()
 	var cands []scanCand // a bounded scan grows it by what survives
 	if !prune {
 		cands = make([]scanCand, 0, len(lins)+len(frames))
@@ -152,7 +156,7 @@ func (s *Store) candidates(cfg readCfg, bounds ValueBounds) ([]scanCand, ScanSta
 		}
 		h := lins[i].head.Load()
 		i++
-		if prune && h.skipByBounds(bounds) {
+		if prune && (h.skipByBounds(bounds) || (open && h.skipOpen(cfg, bounds))) {
 			stats.IndexPruned++
 			continue
 		}

@@ -5,9 +5,10 @@
 // worker from the same pinned snapshot, and concatenates the chunk
 // results in order — so the output is byte-identical to the serial
 // gather by construction, for every temporal shape and pin. Predicates
-// the planner pushes below the merge (Keep, plus the numeric ValueBounds
-// resolved against each head's published value envelope) run inside the
-// workers, before any row reaches the single-threaded query executor.
+// the planner pushes below the merge (the numeric ValueBounds, which also
+// prune lineages by their published value envelopes before the gather,
+// and Keep) run inside the workers, before any row reaches the
+// single-threaded query executor.
 
 package state
 
@@ -20,10 +21,13 @@ import (
 
 // ValueBounds is a numeric constraint on fact values, extracted by the
 // query planner from pushed equality/range predicates over the `value`
-// pseudo-column (e.g. `value > 10` or `value = 42`). A scan skips a
-// lineage whose published value envelope is disjoint from the bounds —
-// see head.skipByBounds for the exact soundness conditions. The zero
-// value constrains nothing.
+// pseudo-column (e.g. `value > 10` or `value = 42`). A scan drops every
+// selected row whose numeric value the bounds exclude, and so may skip
+// a lineage that can select no other row: one whose whole-history value
+// envelope is disjoint from the bounds (head.skipByBounds), or, for a
+// read that selects the open version, one whose open value is absent or
+// excluded (head.skipOpen, ColdSource.ColdFrames). The zero value
+// constrains nothing.
 type ValueBounds struct {
 	// Min is the lower bound, meaningful when HasMin; MinExcl makes it
 	// exclusive (value > Min) instead of inclusive (value >= Min).
@@ -46,6 +50,65 @@ func (b ValueBounds) Constrained() bool { return b.HasMin || b.HasMax }
 // persisted per-frame and per-segment value envelopes with it, so frame
 // pruning and head pruning share one definition of "disjoint".
 func (b ValueBounds) Excludes(lo, hi float64) bool { return b.disjoint(lo, hi) }
+
+// ExcludesOpen reports whether a read that selects at most a lineage's
+// open version, whose open value is o, selects no row the bounds admit:
+// the lineage has no open version, or its numeric value is excluded. A
+// non-numeric open value is the pushed predicate's to decide, and an
+// unknown one (a frame stored without it) proves nothing. The zero
+// bounds exclude nothing.
+func (b ValueBounds) ExcludesOpen(o OpenValue) bool {
+	switch o.Kind {
+	case OpenNone:
+		return b.Constrained()
+	case OpenNumeric:
+		return b.disjoint(o.V, o.V)
+	}
+	return false
+}
+
+// admits reports whether the bounds keep a selected row of value v:
+// every non-numeric value, and every numeric one inside the bounds.
+func (b ValueBounds) admits(v element.Value) bool {
+	f, ok := v.AsFloat()
+	return !ok || !b.disjoint(f, f)
+}
+
+// OpenValue is what a read that selects the open version can return
+// from one lineage: nothing, a numeric value, or another value. Durable
+// backends persist it per frame, so such a read with value bounds drops
+// an evicted lineage whose open value they exclude before its frame is
+// read, however wide the lineage's history.
+type OpenValue struct {
+	Kind OpenKind
+	// V is the open version's value, meaningful when Kind is OpenNumeric.
+	V float64
+}
+
+// OpenKind classifies an OpenValue.
+type OpenKind uint8
+
+const (
+	// OpenUnknown is the zero kind: not recorded, so never pruned.
+	OpenUnknown OpenKind = iota
+	// OpenNone: the lineage has no open version.
+	OpenNone
+	// OpenNumeric: the open version's value is numeric (V).
+	OpenNumeric
+	// OpenOther: the open version's value is not numeric.
+	OpenOther
+)
+
+// openValueOf summarizes an open version, nil when there is none.
+func openValueOf(f *element.Fact) OpenValue {
+	if f == nil {
+		return OpenValue{Kind: OpenNone}
+	}
+	if v, ok := f.Value.AsFloat(); ok {
+		return OpenValue{Kind: OpenNumeric, V: v}
+	}
+	return OpenValue{Kind: OpenOther}
+}
 
 // disjoint reports whether the closed interval [lo, hi] cannot contain
 // any value satisfying the bounds.
@@ -71,12 +134,15 @@ type ScanSpec struct {
 	// the candidate lineage count. The result is independent of the
 	// worker count.
 	Parallelism int
-	// Bounds prunes lineages by their published numeric value envelope
-	// before partitioning. The zero value prunes nothing.
+	// Bounds filters the selected rows: a row whose value is numeric and
+	// outside the bounds is dropped, and every other row is left for
+	// Keep. Lineages that can select no row the bounds admit are pruned
+	// before partitioning, unread, which the filter makes unobservable.
+	// The zero value filters nothing.
 	Bounds ValueBounds
 	// Keep is the pushed row predicate, run inside the gather workers on
-	// each selected (already cloned) fact; nil keeps every fact. It must
-	// be safe for concurrent calls.
+	// each selected (already cloned) fact the bounds admit; nil keeps
+	// every such fact. It must be safe for concurrent calls.
 	Keep func(*element.Fact) bool
 }
 
@@ -86,9 +152,11 @@ type ScanStats struct {
 	// Lineages is the candidate lineage count after attribute scoping,
 	// resident and cold alike.
 	Lineages int
-	// IndexPruned counts resident candidates skipped by the value
-	// envelope. (Cold candidates arrive pre-pruned by their persisted
-	// frame envelopes and are not counted here; the source counts them.)
+	// IndexPruned counts resident candidates skipped by the bounds: by
+	// their value envelope or, on a read that selects the open version,
+	// by their open value. (Cold candidates arrive pre-pruned by their
+	// persisted frame summaries and are not counted here; the source
+	// counts them.)
 	IndexPruned int
 	// Partitions is the number of gather partitions actually used.
 	Partitions int
@@ -186,11 +254,9 @@ func (s *Store) gatherPartitioned(cfg readCfg, spec ScanSpec) ([]*element.Fact, 
 // gatherChunk gathers one contiguous run of candidates: a resident head
 // runs the shared pickInto directly; a cold candidate is loaded here —
 // pread + decode on the worker that owns the chunk, into the chunk's
-// scratch — and the decoded head re-runs the envelope test. A source
-// that persists frame envelopes has already applied the same test before
-// the read, so the re-test only prunes frames stored without one.
+// scratch. The chunk's rows then face the pushed filters (see
+// ScanSpec.filter).
 func gatherChunk(chunk []scanCand, cfg readCfg, spec *ScanSpec) ([]*element.Fact, error) {
-	prune := spec.Bounds.Constrained()
 	var sc *coldScratch // allocated at the chunk's first cold candidate
 	var out []*element.Fact
 	for _, c := range chunk {
@@ -201,22 +267,23 @@ func gatherChunk(chunk []scanCand, cfg readCfg, spec *ScanSpec) ([]*element.Fact
 		if err != nil {
 			return nil, err
 		}
-		if h == nil || (c.h == nil && prune && h.skipByBounds(spec.Bounds)) {
-			continue
+		if h != nil {
+			out = pickInto(h, cfg, out)
 		}
-		out = pickInto(h, cfg, out)
 	}
-	return keepFiltered(out, spec.Keep), nil
+	return spec.filter(out), nil
 }
 
-// keepFiltered applies the pushed row predicate in place.
-func keepFiltered(facts []*element.Fact, keep func(*element.Fact) bool) []*element.Fact {
-	if keep == nil {
+// filter applies the pushed row filters in place: Bounds to each row's
+// numeric value, then Keep to the rows the bounds admit.
+func (spec *ScanSpec) filter(facts []*element.Fact) []*element.Fact {
+	bounded := spec.Bounds.Constrained()
+	if !bounded && spec.Keep == nil {
 		return facts
 	}
 	kept := facts[:0]
 	for _, f := range facts {
-		if keep(f) {
+		if (!bounded || spec.Bounds.admits(f.Value)) && (spec.Keep == nil || spec.Keep(f)) {
 			kept = append(kept, f)
 		}
 	}

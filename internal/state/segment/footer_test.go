@@ -1,8 +1,8 @@
 package segment
 
-// Footer decoding: the per-frame value-envelope tail, its backward
-// compatibility with segments written before it, and a fuzz target over
-// the footer decoder.
+// Footer decoding: the per-frame value-envelope and open-value tails,
+// their backward compatibility with segments written before them, and a
+// fuzz target over the footer decoder.
 
 import (
 	"encoding/binary"
@@ -47,8 +47,9 @@ func readFooterSeeds(tb testing.TB, dir string) []footerSeed {
 }
 
 // writeFooterDir writes a small directory whose segments hold numeric,
-// string, and mixed lineages — one merged segment of three flushes plus
-// one later flush segment — and returns it closed.
+// string, and mixed lineages and one deleted lineage (no open version) —
+// one merged segment of three flushes plus one later flush segment — and
+// returns it closed.
 func writeFooterDir(tb testing.TB) string {
 	tb.Helper()
 	dir := tb.TempDir()
@@ -79,6 +80,15 @@ func writeFooterDir(tb testing.TB) string {
 		if err := d.Put("mix", "v", val, state.WithValidTime(at), state.WithTransactionTime(at)); err != nil {
 			tb.Fatal(err)
 		}
+		switch r {
+		case 0:
+			err = d.Put("gone", "v", element.Int(7), state.WithValidTime(at), state.WithTransactionTime(at))
+		case 1:
+			err = d.Delete("gone", "v", state.WithValidTime(at), state.WithTransactionTime(at))
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
 		if err := d.Flush(); err != nil {
 			tb.Fatal(err)
 		}
@@ -98,19 +108,39 @@ func frameTailLen(r *reader) int {
 	n := 0
 	for _, ref := range r.index {
 		n++
-		if ref.numeric {
+		if ref.Numeric {
 			n += 16
 		}
 	}
 	return n
 }
 
+// openTailLen is the byte length of a decoded footer's open-value tail:
+// zero when the footer has none.
+func openTailLen(r *reader) int {
+	n := 0
+	for _, ref := range r.index {
+		switch ref.Open.Kind {
+		case state.OpenUnknown:
+			return 0
+		case state.OpenNumeric:
+			n += 9
+		default:
+			n++
+		}
+	}
+	return n
+}
+
 // TestSegmentFooterFrameEnvelopes: the writer persists each frame's
-// envelope as state.ValueEnvelopeOf over its records; a footer without
-// the tail decodes every frame as non-numeric, and a truncated tail
-// fails the decode instead of reading as absent.
+// envelope and open value as a head filled over its records carries
+// them; a footer without the open-value tail decodes with unchanged
+// offsets and envelopes and every open value unknown, one without both
+// tails decodes every frame as non-numeric, and a truncated tail fails
+// the decode instead of reading as absent.
 func TestSegmentFooterFrameEnvelopes(t *testing.T) {
 	dir := writeFooterDir(t)
+	kinds := map[state.OpenKind]int{}
 	for _, s := range readFooterSeeds(t, dir) {
 		f, err := os.Open(filepath.Join(dir, s.name))
 		if err != nil {
@@ -122,16 +152,23 @@ func TestSegmentFooterFrameEnvelopes(t *testing.T) {
 			t.Fatalf("%s: %v", s.name, err)
 		}
 		numeric := 0
+		var sum state.Summarizer
 		for key, ref := range r.index {
 			records, err := r.readLineage(key, ref.off, new(state.ColdBuf))
 			if err != nil {
 				t.Fatalf("%s: read %s: %v", s.name, key, err)
 			}
-			lo, hi, ok := state.ValueEnvelopeOf(records)
-			if ref.numeric != ok || (ok && (ref.lo != lo || ref.hi != hi)) {
+			want := sum.Summarize(records)
+			ok := want.Numeric
+			if ref.Numeric != ok || (ok && (ref.Lo != want.Lo || ref.Hi != want.Hi)) {
 				t.Fatalf("%s: %s frame envelope (%v, %v, %v), records fold to (%v, %v, %v)",
-					s.name, key, ref.lo, ref.hi, ref.numeric, lo, hi, ok)
+					s.name, key, ref.Lo, ref.Hi, ref.Numeric, want.Lo, want.Hi, ok)
 			}
+			if ref.Open != want.Open || ref.Open != currentValue(t, records) {
+				t.Fatalf("%s: %s open value %+v, its head holds %+v, a current read returns %+v",
+					s.name, key, ref.Open, want.Open, currentValue(t, records))
+			}
+			kinds[ref.Open.Kind]++
 			if (key.Entity == "mix" || strings.HasPrefix(key.Entity, "s")) == ok {
 				t.Fatalf("%s: %s numeric=%v", s.name, key, ok)
 			}
@@ -144,31 +181,77 @@ func TestSegmentFooterFrameEnvelopes(t *testing.T) {
 			t.Fatalf("%s: no numeric frame — the tail is not being tested", s.name)
 		}
 
+		open := openTailLen(r)
+		noOpen := s.payload[:len(s.payload)-open]
+		prev := &reader{size: r.size}
+		if err := prev.decodeFooter(noOpen, s.off); err != nil {
+			t.Fatalf("%s: footer without the open-value tail: %v", s.name, err)
+		}
+		for key, ref := range prev.index {
+			want := r.index[key]
+			want.Open = state.OpenValue{}
+			if ref != want {
+				t.Fatalf("%s: footer without the open-value tail decoded %s as %+v, want %+v", s.name, key, ref, want)
+			}
+		}
+		for cut := 1; cut < open; cut++ {
+			torn := &reader{size: r.size}
+			if err := torn.decodeFooter(s.payload[:len(noOpen)+cut], s.off); err == nil {
+				t.Fatalf("%s: open-value tail truncated to %d of %d bytes decoded", s.name, cut, open)
+			}
+		}
+
 		tail := frameTailLen(r)
-		head := s.payload[:len(s.payload)-tail]
+		head := noOpen[:len(noOpen)-tail]
 		old := &reader{size: r.size}
 		if err := old.decodeFooter(head, s.off); err != nil {
 			t.Fatalf("%s: footer without the frame tail: %v", s.name, err)
 		}
 		for key, ref := range old.index {
-			if ref.numeric || ref.off != r.index[key].off {
+			if ref.Numeric || ref.off != r.index[key].off {
 				t.Fatalf("%s: tail-less footer decoded %s as %+v", s.name, key, ref)
 			}
 		}
 		for cut := 1; cut < tail; cut++ {
 			torn := &reader{size: r.size}
-			if err := torn.decodeFooter(s.payload[:len(head)+cut], s.off); err == nil {
+			if err := torn.decodeFooter(noOpen[:len(head)+cut], s.off); err == nil {
 				t.Fatalf("%s: frame tail truncated to %d of %d bytes decoded", s.name, cut, tail)
 			}
 		}
 	}
+	for _, k := range []state.OpenKind{state.OpenNone, state.OpenNumeric, state.OpenOther} {
+		if kinds[k] == 0 {
+			t.Fatalf("no frame has open kind %d — the tail is not being tested: %v", k, kinds)
+		}
+	}
+}
+
+// currentValue is the open value of a lineage's records as a resident
+// store's current read returns it.
+func currentValue(t *testing.T, records []*element.Fact) state.OpenValue {
+	t.Helper()
+	if len(records) == 0 {
+		return state.OpenValue{Kind: state.OpenNone}
+	}
+	st := state.NewStore()
+	if err := st.LoadLineage(records); err != nil {
+		t.Fatal(err)
+	}
+	f, ok := st.Find(records[0].Entity, records[0].Attribute)
+	if !ok {
+		return state.OpenValue{Kind: state.OpenNone}
+	}
+	if v, num := f.Value.AsFloat(); num {
+		return state.OpenValue{Kind: state.OpenNumeric, V: v}
+	}
+	return state.OpenValue{Kind: state.OpenOther}
 }
 
 // FuzzSegmentFooter: decoding an arbitrary footer payload never panics,
 // and every offset it accepts lies inside the file, before the footer.
-// Seeds are real writer output with and without the frame-envelope
-// tail, and the footers of testdata/swept-v3, written before the tail
-// existed.
+// Seeds are real writer output with both optional per-frame tails,
+// without the open-value tail, and without both, and the footers of
+// testdata/swept-v3, written before either tail existed.
 func FuzzSegmentFooter(f *testing.F) {
 	seeds := readFooterSeeds(f, writeFooterDir(f))
 	for _, s := range seeds {
@@ -176,8 +259,10 @@ func FuzzSegmentFooter(f *testing.F) {
 		if err := r.decodeFooter(s.payload, s.off); err != nil {
 			f.Fatalf("%s: %v", s.name, err)
 		}
+		noOpen := s.payload[:len(s.payload)-openTailLen(r)]
 		f.Add(s.payload, uint32(s.off))
-		f.Add(s.payload[:len(s.payload)-frameTailLen(r)], uint32(s.off))
+		f.Add(noOpen, uint32(s.off))
+		f.Add(noOpen[:len(noOpen)-frameTailLen(r)], uint32(s.off))
 	}
 	for _, s := range readFooterSeeds(f, filepath.Join("testdata", "swept-v3")) {
 		f.Add(s.payload, uint32(s.off))

@@ -17,15 +17,21 @@
 // in-memory manifest is rebuilt from at open. Optional tails follow the
 // index; a segment written before a tail existed simply ends earlier:
 //
-//	footer   := kind:u8 cut env index [level tombs [vEnv [frameEnv^n]]]
+//	footer   := kind:u8 cut env index [level tombs [vEnv [frameEnv^n [openVal^n]]]]
 //	index    := n:uvarint (entity attribute off:uvarint)^n  (sorted keys)
 //	vEnv     := numeric:uvarint lo:f64 hi:f64  (segment value envelope)
 //	frameEnv := flag:u8 [lo:f64 hi:f64]        (lo/hi iff flag = 1)
+//	openVal  := kind:u8 [v:f64]                (v iff kind = 2)
 //
-// frameEnv is each frame's numeric value envelope, one per index entry
-// in index order: a value-bounded scan drops an evicted lineage before
-// reading its frame, and since merges re-encode every surviving frame,
-// merged segments carry it too.
+// frameEnv is each frame's numeric value envelope and openVal the value
+// of its open version (kind 0 unknown, 1 none, 2 numeric, 3 other:
+// state.OpenKind), one of each per index entry in index order: a
+// value-bounded scan drops an evicted lineage before reading its frame
+// when the envelope excludes the bounds, or when the read selects the
+// open version and the open value does. Since merges re-encode every
+// surviving frame, merged segments carry both. A reader stops at the
+// end of the tails it knows, so a build that predates a tail still
+// opens segments that carry it.
 //
 // Frames and their primitives are internal/frame's, the codec the WAL
 // shares. Record instants are fixed-width little-endian (decode is four
@@ -103,15 +109,14 @@ func (e *envelope) observe(f *element.Fact) {
 }
 
 // frameRef locates one lineage frame in a segment and carries the
-// frame's numeric value envelope: state.ValueEnvelopeOf over its
-// records, exactly the envelope its decoded head carries. numeric is
-// false for an empty frame, for a frame holding any non-numeric value,
-// and for every frame of a segment written before the footer carried
-// frame envelopes — such frames are never value-pruned.
+// frame's summary, exactly what its decoded head carries: the numeric
+// value envelope and the open value. Numeric is false for every frame of
+// a segment written before the footer carried frame envelopes, and Open
+// unknown for every frame of one written before it carried open values:
+// such frames are never pruned by what they lack.
 type frameRef struct {
-	off     int64
-	lo, hi  float64
-	numeric bool
+	off int64
+	state.FrameSummary
 }
 
 // writer builds one segment file. Frames are buffered through bufio and
@@ -140,6 +145,8 @@ type writer struct {
 	vNumeric   bool
 	// frames is the finished reader's load counter (see reader.frames).
 	frames *atomic.Int64
+	// sum summarizes each frame over one reused scratch head.
+	sum state.Summarizer
 }
 
 // createSegment opens a new segment file at path and writes the header.
@@ -208,20 +215,19 @@ func (w *writer) writeLineage(key element.FactKey, records []*element.Fact) erro
 	if err != nil {
 		return fmt.Errorf("segment: %s: %w", key, err)
 	}
-	ref := frameRef{off: off}
+	ref := frameRef{off: off, FrameSummary: w.sum.Summarize(records)}
 	if len(records) == 0 {
 		w.tombs++
 	} else {
-		ref.lo, ref.hi, ref.numeric = state.ValueEnvelopeOf(records)
 		// Every frame before the first non-empty one was a tombstone: it
 		// seeds the segment envelope; later frames widen or void it.
 		switch {
 		case len(w.index) == w.tombs:
-			w.vMin, w.vMax, w.vNumeric = ref.lo, ref.hi, ref.numeric
-		case !ref.numeric:
+			w.vMin, w.vMax, w.vNumeric = ref.Lo, ref.Hi, ref.Numeric
+		case !ref.Numeric:
 			w.vNumeric = false
 		default:
-			w.vMin, w.vMax = min(w.vMin, ref.lo), max(w.vMax, ref.hi)
+			w.vMin, w.vMax = min(w.vMin, ref.Lo), max(w.vMax, ref.Hi)
 		}
 	}
 	w.index[key] = ref
@@ -269,18 +275,28 @@ func (w *writer) finish(cut temporal.Instant) (*reader, error) {
 	b = binary.AppendUvarint(b, vn)
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(w.vMin))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(w.vMax))
-	// The per-frame value envelopes are the last optional tail, one entry
+	// The per-frame value envelopes are the next optional tail, one entry
 	// per key in index order: segments written before it decode every
 	// frame as non-numeric — never frame-pruned, always correct.
 	for _, k := range keys {
 		ref := w.index[k]
-		if !ref.numeric {
+		if !ref.Numeric {
 			b = append(b, 0)
 			continue
 		}
 		b = append(b, 1)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ref.lo))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ref.hi))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ref.Lo))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ref.Hi))
+	}
+	// The per-frame open values are the last optional tail, in the same
+	// order: segments written before it decode every frame's open value
+	// as unknown — never pruned by it, always correct.
+	for _, k := range keys {
+		open := w.index[k].Open
+		b = append(b, byte(open.Kind))
+		if open.Kind == state.OpenNumeric {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(open.V))
+		}
 	}
 	w.scr = b
 	footerOff, err := w.writeFrame(b)
@@ -479,15 +495,36 @@ func (r *reader) decodeFooter(payload []byte, footerOff int64) error {
 					return fmt.Errorf("corrupt footer frame envelope %d", i)
 				}
 				e := &ents[i].ref
-				e.lo = math.Float64frombits(binary.LittleEndian.Uint64(vb))
-				e.hi = math.Float64frombits(binary.LittleEndian.Uint64(vb[8:]))
-				e.numeric = true
+				e.Lo = math.Float64frombits(binary.LittleEndian.Uint64(vb))
+				e.Hi = math.Float64frombits(binary.LittleEndian.Uint64(vb[8:]))
+				e.Numeric = true
 			default:
 				return fmt.Errorf("corrupt footer frame envelope %d", i)
 			}
 		}
 		if c.Err() != nil {
 			return errors.New("corrupt footer frame envelopes")
+		}
+	}
+	// Optional per-frame open values: absent in older segments, whose
+	// frames decode as unknown (never pruned by them).
+	if c.Len() > 0 {
+		for i := range ents {
+			o := &ents[i].ref.Open
+			switch o.Kind = state.OpenKind(c.U8()); o.Kind {
+			case state.OpenUnknown, state.OpenNone, state.OpenOther:
+			case state.OpenNumeric:
+				vb, ok := c.Take(8)
+				if !ok {
+					return fmt.Errorf("corrupt footer open value %d", i)
+				}
+				o.V = math.Float64frombits(binary.LittleEndian.Uint64(vb))
+			default:
+				return fmt.Errorf("corrupt footer open value %d", i)
+			}
+		}
+		if c.Err() != nil {
+			return errors.New("corrupt footer open values")
 		}
 	}
 	r.index = make(map[element.FactKey]frameRef, len(ents))

@@ -10,9 +10,10 @@ import (
 
 // BenchmarkColdOpen measures the cold-start path on the regression
 // suite's workload shape: serial Replaces over 1000 keys, a
-// flush at 95%, the rest a WAL tail of opPutBatch frames, then the crash.
-// Open is the measured unit (recovery to a queryable store); the
-// deferred WAL rewrite is quiesced outside the timer.
+// flush at 95%, the rest a committed WAL tail, then the crash. Open is
+// the measured unit (recovery to a queryable store), and each reopen
+// must replay the whole tail; the deferred WAL rewrite is quiesced
+// outside the timer.
 func BenchmarkColdOpen(b *testing.B) {
 	const n = 25_000
 	const keys = 1_000
@@ -36,7 +37,13 @@ func BenchmarkColdOpen(b *testing.B) {
 			}
 		}
 	}
-	d.Abandon() // the crash
+	// Replace only stages its WAL write: commit the tail, or the crash
+	// loses it and Open has nothing to replay.
+	if err := d.Mem().Commit(); err != nil {
+		b.Fatal(err)
+	}
+	d.Abandon()       // the crash
+	tail := n - split // the write at split is recorded after the flush's cut
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -45,6 +52,9 @@ func BenchmarkColdOpen(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
+		if got := rec.Info().WALRecords; got != tail {
+			b.Fatalf("reopen replayed %d WAL writes, want the %d-write tail", got, tail)
+		}
 		rec.Abandon() // off-timer: releases the lock, quiesces the deferred WAL rewrite
 		b.StartTimer()
 	}

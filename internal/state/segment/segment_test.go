@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -548,13 +549,33 @@ func TestRecoverySweptDirectory(t *testing.T) {
 		t.Fatalf("tombstoned key has history: %v", hist)
 	}
 
-	// The fixture predates per-frame value envelopes: its frames decode
-	// with none, so a value-bounded scan reads "old" rather than pruning
-	// it, and answers exactly as the unbounded scan filtered.
+	// The fixture predates per-frame value envelopes and open values: its
+	// frames decode with no envelope and an unknown open value, so a
+	// value-bounded scan reads "old" rather than pruning it, and answers
+	// exactly as the unbounded scan filtered. No bounds the segments'
+	// own envelopes admit prune a frame on a current read, though "old"
+	// has no open version and "gone" is a tombstone.
+	var keys []element.FactKey
 	for _, r := range d.cat.Load().segments {
 		for key, ref := range r.index {
-			if ref.numeric {
-				t.Fatalf("%s: pre-envelope frame %s decoded with an envelope", r.path, key)
+			if ref.Numeric || ref.Open.Kind != state.OpenUnknown {
+				t.Fatalf("%s: pre-envelope frame %s decoded with a summary %+v", r.path, key, ref)
+			}
+			if !slices.Contains(keys, key) {
+				keys = append(keys, key)
+			}
+		}
+	}
+	all := d.ColdFrames(nil, d.ResolveCold(keys), state.ScanShape{}, state.ValueBounds{})
+	for _, b := range []state.ValueBounds{{Min: 3, HasMin: true}, {Max: 4, HasMax: true, MaxExcl: true}} {
+		for _, r := range d.cat.Load().segments {
+			if r.vNumeric && b.Excludes(r.vMin, r.vMax) {
+				t.Fatalf("%s: bounds %+v exclude the segment envelope: pick bounds it admits", r.path, b)
+			}
+		}
+		for _, shape := range []state.ScanShape{{}, {TxAt: temporal.Forever, HasTxAt: true}} {
+			if got := d.ColdFrames(nil, d.ResolveCold(keys), shape, b); len(got) != len(all) {
+				t.Fatalf("current read %+v with bounds %+v pruned pre-summary frames: %d of %d left", shape, b, len(got), len(all))
 			}
 		}
 	}

@@ -918,25 +918,30 @@ func (d *Store) ResolveCold(keys []element.FactKey) state.ColdResolution {
 // ColdFrames filters a resolution for one read, appending to dst an
 // unread candidate per resolved key, in the keys' order. A frame is
 // pruned — the pread never issued — when the owning segment's
-// bitemporal envelope is disjoint from the shape, or when its own value
+// bitemporal envelope is disjoint from the shape; when its own value
 // envelope from the footer index (or, failing that, its segment's) is
-// disjoint from the pushed bounds: the decoded head would carry the same
-// envelope and fail the gather's skipByBounds test, so the result is
-// unchanged, only the read is saved. Pruning is per key, so it survives
-// merges that fold value-disjoint segments together. Implements
+// disjoint from the pushed bounds; or when the shape selects the open
+// version, its belief pin (if any) is at or after everything the
+// segment recorded, and the bounds exclude the frame's open value. The
+// decoded head would carry the same envelope and open value, so the
+// read could select no row the bounds admit: the result is unchanged,
+// only the read is saved. Pruning is per key, so it survives merges
+// that fold value-disjoint segments together. Implements
 // state.ColdSource.
 func (d *Store) ColdFrames(dst []state.ColdLineage, res state.ColdResolution, shape state.ScanShape, bounds state.ValueBounds) []state.ColdLineage {
 	r := res.(*resolution)
-	var seg *reader // the segment segPruned was computed for
-	segPruned := false
+	open := bounds.Constrained() && shape.SelectsOpen()
+	var seg *reader // the segment segPruned and segOpen were computed for
+	segPruned, segOpen := false, false
 	pruned := 0
 	for i := range r.refs {
 		c := &r.refs[i]
 		if c.r != seg {
 			seg = c.r
 			segPruned = scanPrune(seg.env, shape) || (seg.vNumeric && bounds.Excludes(seg.vMin, seg.vMax))
+			segOpen = open && (!shape.HasTxAt || shape.TxAt >= seg.env.maxTx)
 		}
-		if segPruned || (c.numeric && bounds.Excludes(c.lo, c.hi)) {
+		if segPruned || (c.Numeric && bounds.Excludes(c.Lo, c.Hi)) || (segOpen && bounds.ExcludesOpen(c.Open)) {
 			pruned++
 			continue
 		}

@@ -204,33 +204,32 @@ func (h *head) observeValue(v element.Value, hadRecords bool) {
 }
 
 // recomputeValueEnv rebuilds the value envelope from h.records, for heads
-// assembled from a detached record slice (buildHead).
+// assembled from a detached record slice (fill).
 func (h *head) recomputeValueEnv() {
-	h.vMin, h.vMax, h.vNumeric = ValueEnvelopeOf(h.records)
-}
-
-// ValueEnvelopeOf folds a lineage's record values into the numeric value
-// envelope its head would carry: the first numeric value seeds [lo, hi],
-// later ones widen it, and any non-numeric value voids it (numeric =
-// false). An empty record set has no envelope. Durable backends persist
-// it per frame, so a value-bounded scan can drop an evicted lineage
-// with ValueBounds.Excludes before reading its frame — the same test
-// skipByBounds applies to the decoded head.
-func ValueEnvelopeOf(records []*element.Fact) (lo, hi float64, numeric bool) {
-	var h head
-	for i, f := range records {
+	for i, f := range h.records {
 		h.observeValue(f.Value, i > 0)
 	}
-	return h.vMin, h.vMax, h.vNumeric
 }
 
 // skipByBounds reports whether no record of this head can satisfy b:
-// the lineage is non-empty, purely numeric, and its value envelope is
-// disjoint from the bound. Lineages holding any non-numeric record are
-// never skipped — the pushed predicate itself decides those rows, so
-// pruning stays exactly as selective as evaluation.
+// the lineage is non-empty, purely numeric, and its whole-history value
+// envelope is disjoint from the bound — a prune for reads of every
+// temporal shape and pin. Lineages holding any non-numeric record are
+// never skipped by it: their non-numeric rows are the pushed
+// predicate's to decide. A current read can prune by less: see skipOpen.
 func (h *head) skipByBounds(b ValueBounds) bool {
 	return h.vNumeric && b.disjoint(h.vMin, h.vMax)
+}
+
+// skipOpen reports whether a read of a shape that selects the open
+// version (ScanShape.SelectsOpen), configured as cfg, selects no row
+// from this head that b admits. Read without a belief pin, or pinned at
+// or after maxTx, such a read selects exactly h.open (see pick), so an
+// absent open version, or one whose numeric value b excludes, proves
+// it, however wide the history's envelope. An earlier pin may select a
+// since-superseded version instead, and is never pruned here.
+func (h *head) skipOpen(cfg readCfg, b ValueBounds) bool {
+	return (!cfg.hasTxAt || h.maxTx <= cfg.txAt) && b.ExcludesOpen(openValueOf(h.open))
 }
 
 // nLive reports the number of believed versions.

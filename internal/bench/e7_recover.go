@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -20,6 +21,12 @@ import (
 // benchrunner gate requires the segment path >= 3x faster; both rows
 // run in-process on the same machine and disk, so the ratio is
 // hardware-independent in the same sense as the contention invariant.
+
+// recoverReps is the cold starts one pass of a recovery row times: one
+// start of the scale-0.25 directories takes 4-15 ms, and a row whose pass
+// runs under its gate's 10 ms floor fails the gate as too brief to
+// judge, so each pass sums enough starts to clear it more than twice over.
+const recoverReps = 6
 
 // recoverFlushFrac is the fraction of the ingest made durable in
 // segments before the simulated crash; the rest is the WAL tail.
@@ -83,24 +90,28 @@ func buildRecoveryDirs(dir string, n int) (walDir, segDir string) {
 	return walDir, segDir
 }
 
-// recoverDir measures one cold start of a durable directory:
-// segment.Open — manifest, frame bulk-load, WAL replay. The opened store
+// recoverDir measures recoverReps cold starts of a durable directory:
+// segment.Open — manifest, frame bulk-load, WAL replay. Each opened store
 // is Abandoned, not Closed, off the timer: Close flushes, which would
 // advance the durable cut and shrink the next pass's work, while
 // Abandon just releases the lock and descriptors — and, by closing the
 // WAL under its appender token, waits out the deferred tail rewrite so
 // consecutive passes never race on the file.
 func recoverDir(row, dir string, n int, opts ...segment.Option) time.Duration {
-	start := time.Now()
-	d, err := segment.Open(dir, opts...)
-	if err != nil {
-		panic(err)
+	var elapsed time.Duration
+	for range recoverReps {
+		runtime.GC() // each start begins on a collected heap, as a new process's would
+		start := time.Now()
+		d, err := segment.Open(dir, opts...)
+		if err != nil {
+			panic(err)
+		}
+		elapsed += time.Since(start)
+		if keys := d.Mem().Stats().Keys; keys == 0 {
+			panic(fmt.Sprintf("%s rebuilt nothing (n=%d)", row, n))
+		}
+		d.Abandon()
 	}
-	elapsed := time.Since(start)
-	if keys := d.Mem().Stats().Keys; keys == 0 {
-		panic(fmt.Sprintf("%s rebuilt nothing (n=%d)", row, n))
-	}
-	d.Abandon()
 	return elapsed
 }
 
@@ -133,15 +144,16 @@ func addRecoveryRows(add func(name string, ops int, measure func() time.Duration
 	}
 	defer os.RemoveAll(dir)
 	walDir, segDir := buildRecoveryDirs(dir, n)
-	add("e7/recover-wal", n, func() time.Duration { return recoverDir("recover-wal", walDir, n) })
-	add("e7/recover-segment", n, func() time.Duration { return recoverDir("recover-segment", segDir, n) })
+	ops := n * recoverReps // elements recovered per pass
+	add("e7/recover-wal", ops, func() time.Duration { return recoverDir("recover-wal", walDir, n) })
+	add("e7/recover-segment", ops, func() time.Duration { return recoverDir("recover-segment", segDir, n) })
 
 	parDir := filepath.Join(dir, "segments-full")
 	buildFullFlushDir(parDir, n)
-	add("e7/recover-par", n, func() time.Duration {
+	add("e7/recover-par", ops, func() time.Duration {
 		return recoverDir("recover-par", parDir, n, segment.WithLoadParallelism(0))
 	})
-	add("e7/recover-serial", n, func() time.Duration {
+	add("e7/recover-serial", ops, func() time.Duration {
 		return recoverDir("recover-serial", parDir, n, segment.WithLoadParallelism(1))
 	})
 }

@@ -55,8 +55,10 @@ const regressionWorkers = 8
 //	e7/scan-par4                 the same gather, 4 partition workers
 //	e7/query-fullscan            selective range query, scan-and-filter
 //	e7/query-indexed             the same query, value-envelope pruning
-//	e7/recover-wal               cold start replaying the full WAL
-//	e7/recover-segment           cold start from segments + WAL tail
+//	e7/recover-wal               cold starts replaying the full WAL
+//	                             (recoverReps per pass, as every
+//	                             recover row)
+//	e7/recover-segment           cold starts from segments + WAL tail
 //	e7/recover-par               fully flushed cold start, GOMAXPROCS
 //	                             frame-load workers
 //	e7/recover-serial            the same, 1 frame-load worker

@@ -221,17 +221,42 @@ type FrameSummary struct {
 	Open    OpenValue
 }
 
-// Summarizer computes frame summaries over one reused scratch head,
-// filled by the same fill a cold read builds its head with, so the open
-// value is the version that read would select. The zero value is ready
-// for use; it is not safe for concurrent use.
-type Summarizer struct {
-	h    head
-	live []*element.Fact
-}
-
-// Summarize summarizes a lineage frame's records, in recording order.
-func (s *Summarizer) Summarize(records []*element.Fact) FrameSummary {
-	s.live, _ = s.h.fill(records, s.live, false)
-	return FrameSummary{Lo: s.h.vMin, Hi: s.h.vMax, Numeric: s.h.vNumeric, Open: openValueOf(s.h.open)}
+// SummarizeFrame summarizes a lineage frame's records, given in
+// recording order, exactly as the head fill builds over them (without
+// strict) carries it: the value envelope of every record, and the open
+// value of the believed version fill keeps last in validity order — its
+// open version when current — which is the version a current read of
+// the decoded frame selects. It is one pass with no scratch, because
+// every flush and merge calls it once per frame it writes. Only when
+// the believed versions are out of validity order and two of them share
+// the latest start (a cut that overlapping explicit transaction times
+// left behind) does the order depend on fill's sort, and it fills a
+// head to find out.
+func SummarizeFrame(records []*element.Fact) FrameSummary {
+	var env head
+	var last *element.Fact      // believed version with the latest validity start
+	sorted, tied := true, false // believed starts non-decreasing; last's start shared
+	for i, f := range records {
+		env.observeValue(f.Value, i > 0)
+		if f.Superseded() {
+			continue
+		}
+		switch {
+		case last == nil || f.Validity.Start > last.Validity.Start:
+			last, tied = f, false
+		case f.Validity.Start == last.Validity.Start:
+			last, tied = f, true
+		default:
+			sorted = false
+		}
+	}
+	if !sorted && tied {
+		var h head
+		h.fill(records, nil, false)
+		last = h.open
+	}
+	if last != nil && !last.IsCurrent() {
+		last = nil
+	}
+	return FrameSummary{Lo: env.vMin, Hi: env.vMax, Numeric: env.vNumeric, Open: openValueOf(last)}
 }

@@ -169,10 +169,6 @@ func (d *Store) buildMerge(cat *catalog, lo, hi, outLevel int, seq uint64) (*rea
 	}
 
 	seen := make(map[element.FactKey]bool)
-	// Every frame decodes into one buffer: writeLineage only reads the
-	// records, so a merge allocates for the frames it holds, not for every
-	// frame it copies.
-	var buf state.ColdBuf
 	written := temporal.MinInstant // newest cut among victims = output cut
 	for i := len(victims) - 1; i >= 0; i-- {
 		r := victims[i]
@@ -212,7 +208,7 @@ func (d *Store) buildMerge(cat *catalog, lo, hi, outLevel int, seq uint64) (*rea
 				w.abort()
 				return nil, errMergeAborted
 			}
-			records, err := r.readLineageImage(img, key, r.index[key].off, &buf)
+			records, err := r.readLineageImage(img, key, r.index[key].off, new(state.ColdBuf))
 			if err != nil {
 				w.abort()
 				return nil, err

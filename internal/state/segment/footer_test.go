@@ -152,13 +152,12 @@ func TestSegmentFooterFrameEnvelopes(t *testing.T) {
 			t.Fatalf("%s: %v", s.name, err)
 		}
 		numeric := 0
-		var sum state.Summarizer
 		for key, ref := range r.index {
 			records, err := r.readLineage(key, ref.off, new(state.ColdBuf))
 			if err != nil {
 				t.Fatalf("%s: read %s: %v", s.name, key, err)
 			}
-			want := sum.Summarize(records)
+			want := state.SummarizeFrame(records)
 			ok := want.Numeric
 			if ref.Numeric != ok || (ok && (ref.Lo != want.Lo || ref.Hi != want.Hi)) {
 				t.Fatalf("%s: %s frame envelope (%v, %v, %v), records fold to (%v, %v, %v)",

@@ -145,8 +145,6 @@ type writer struct {
 	vNumeric   bool
 	// frames is the finished reader's load counter (see reader.frames).
 	frames *atomic.Int64
-	// sum summarizes each frame over one reused scratch head.
-	sum state.Summarizer
 }
 
 // createSegment opens a new segment file at path and writes the header.
@@ -215,7 +213,7 @@ func (w *writer) writeLineage(key element.FactKey, records []*element.Fact) erro
 	if err != nil {
 		return fmt.Errorf("segment: %s: %w", key, err)
 	}
-	ref := frameRef{off: off, FrameSummary: w.sum.Summarize(records)}
+	ref := frameRef{off: off, FrameSummary: state.SummarizeFrame(records)}
 	if len(records) == 0 {
 		w.tombs++
 	} else {
